@@ -6,6 +6,9 @@ cd "$(dirname "$0")"
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
+echo "== the frozen benchmark still builds against the crates' public items =="
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== cargo test -q --workspace (V6_THREADS=1) =="
 V6_THREADS=1 cargo test -q --workspace
 

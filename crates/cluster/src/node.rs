@@ -2,29 +2,34 @@
 //! replication state machine, and the serving half of the read path.
 //!
 //! A node owns one [`v6serve::HitlistStore`] (backed by a `v6store`
-//! epoch log on disk) per partition it replicates, plus an in-memory
-//! **mirror** — the full [`EpochState`] its store currently serves —
-//! and a short history of the [`DeltaRecord`]s that built it. The
-//! mirror is what deltas diff against and apply to; the history is
-//! what catch-up replays to a lagging peer.
+//! epoch log on disk) per partition it replicates, plus a short history
+//! of the [`DeltaRecord`]s that built it — what catch-up replays to a
+//! lagging peer. The serving snapshot is the replica's only copy of the
+//! corpus: a delta is applied to it ([`Snapshot::apply_delta`]), logged
+//! as it arrived and retained, and nothing on the per-epoch path ever
+//! flattens, clones or re-diffs the partition.
 //!
 //! The state machine (DESIGN.md §14 has the timeline diagrams):
 //!
-//! * **Leading** ([`Node::lead_publish`]): build the next epoch, make
-//!   it durable locally (`publish_as`, write-ahead under the
-//!   cluster-assigned epoch number), then push the delta to the
-//!   followers. Durability strictly precedes the push, so a leader
-//!   crash can lose an epoch but never advertise one it doesn't hold.
-//! * **Following** (`DeltaPush`): a delta that extends the mirror
-//!   exactly (`prev_epoch` matches) is verified — the rebuilt
-//!   snapshot's content checksum must equal the one the delta
-//!   carries — published durably, then acked. A stale delta is
-//!   dropped; a gapped one triggers a `CatchUpReq`.
+//! * **Leading** ([`Node::lead_publish`]): build the next epoch, diff
+//!   it against the served snapshot shard by shard, check that the
+//!   resulting push fits a frame, make the epoch durable locally
+//!   (`publish_delta`, write-ahead under the cluster-assigned epoch
+//!   number), then push the delta to the followers. Durability strictly
+//!   precedes the push, so a leader crash can lose an epoch but never
+//!   advertise one it doesn't hold.
+//! * **Following** (`DeltaPush`): a delta that extends the served epoch
+//!   exactly (`prev_epoch` matches) is applied to the served snapshot
+//!   and verified — the content checksum carried forward through the
+//!   delta must equal the one the delta carries — published durably,
+//!   then acked. A stale delta is dropped; a gapped one triggers a
+//!   `CatchUpReq`.
 //! * **Catching up** (`CatchUpReq`/`CatchUpResp`): the peer replays
 //!   its retained delta chain when it still reaches back to the
-//!   requester's epoch, and otherwise bootstraps with its full
-//!   mirror. A node that just restarted has an empty history, so its
-//!   first catch-up always serves the bootstrap path.
+//!   requester's epoch, and otherwise bootstraps with the full state,
+//!   flattened from its serving snapshot on demand. A node that just
+//!   restarted has an empty history, so its first catch-up always
+//!   serves the bootstrap path.
 //! * **Serving reads** (`Read`): answer from the local snapshot with
 //!   the epoch and the shard-quarantine bit, so the coordinator can
 //!   label anything that isn't provably fresh.
@@ -33,6 +38,9 @@
 //! transport chunk. The fabric ([`crate::net`]) loses whole chunks,
 //! never bytes, so a loss costs a message — the [`FrameDecoder`] on
 //! the receiving side stays frame-aligned and catch-up heals the gap.
+//! A message too large for a frame is never sent: a leader refuses the
+//! publish up front, anything else is dropped and counted
+//! (`cluster.repl.oversize`).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
@@ -40,18 +48,20 @@ use std::net::Ipv6Addr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use v6obs::{Counter, MetricsSnapshot, Registry};
-use v6serve::persist::{flatten_snapshot, snapshot_from_state};
+use v6obs::{Counter, Gauge, MetricsSnapshot, Registry};
+use v6serve::persist::{
+    delta_to_content, flatten_snapshot, snapshot_from_state, state_from_snapshot,
+};
 use v6serve::{HitlistStore, PublishError, RecoverError, Snapshot, StoreConfig};
 use v6store::format::AliasEntry;
-use v6store::replica::{self, DeltaRecord};
-use v6store::{EpochState, EpochView};
+use v6store::replica::DeltaRecord;
+use v6store::EpochState;
 use v6stream::{Offer, SharedResolver, StreamDriver};
-use v6wire::frame::{frame, FrameDecoder};
+use v6wire::frame::{try_frame, FrameDecoder, MAX_FRAME_PAYLOAD};
 use v6wire::transport::Transport;
 
 use crate::net::Link;
-use crate::proto::ReplMsg;
+use crate::proto::{encode_delta_push, ReplMsg};
 use crate::ring::partition_of;
 
 /// The store name every replica of partition `pid` publishes under.
@@ -85,59 +95,67 @@ impl NodeOpts {
         // fsync off: the simulation's durability story is exercised by
         // the injected crash/recover cycle, not by surviving real
         // power loss mid-test.
-        StoreConfig::new(dir).with_fsync(false)
+        let cfg = StoreConfig::new(dir).with_fsync(false);
+        // The log counts epochs, and cluster epochs are global: one
+        // round of publishes advances every partition's epoch by
+        // `partitions`. Scaling the interval by it keeps the cadence at
+        // one checkpoint per `checkpoint_interval` of *this* partition's
+        // appends rather than one per append.
+        let every = cfg.checkpoint_interval * u64::from(self.partitions);
+        cfg.checkpoint_every(every)
     }
 }
 
-/// One partition's replica on this node: the durable store, the
-/// in-memory mirror the replication protocol diffs against, and the
-/// retained delta chain.
+/// One partition's replica on this node: the durable store, whose
+/// serving snapshot is the only copy of the content, and the retained
+/// delta chain.
 struct PartitionReplica {
     store: HitlistStore,
-    mirror: EpochState,
     /// `(prev_epoch, delta)` pairs, contiguous by construction —
-    /// each delta was applied when the mirror sat at its `prev_epoch`.
+    /// each delta was applied when the store sat at its `prev_epoch`.
     history: VecDeque<(u64, DeltaRecord)>,
     /// Incremental streaming analytics riding the replication stream,
     /// when [`Node::enable_streaming`] turned them on. Every verified
-    /// delta is fed through; a detected gap resyncs from the mirror
-    /// (the node holds the full corpus locally, so reconciliation
-    /// never goes over the wire).
+    /// delta is fed through; a detected gap resyncs from the serving
+    /// snapshot (the node holds the full corpus locally, so
+    /// reconciliation never goes over the wire).
     stream: Option<StreamDriver>,
 }
 
 impl PartitionReplica {
-    /// Applies a delta that extends the mirror exactly: verify the
-    /// rebuilt snapshot's checksum, publish durably, then adopt.
-    /// Returns the `(epoch, checksum)` reached, or `None` when the
-    /// delta was rejected (counted by the caller).
+    /// Applies a delta that extends the served epoch exactly: carry the
+    /// snapshot forward through it (which verifies the checksum),
+    /// publish durably, then retain it. Returns the `(epoch, checksum)`
+    /// reached, or `None` when the delta was rejected (counted by the
+    /// caller).
     fn apply_verified(
         &mut self,
         prev_epoch: u64,
         delta: DeltaRecord,
         history_cap: usize,
     ) -> Option<(u64, u64)> {
-        debug_assert_eq!(prev_epoch, self.mirror.epoch);
-        let mut next = self.mirror.clone();
-        replica::apply(&mut next, &delta);
-        let snap = snapshot_from_state(&next);
-        if snap.content_checksum() != next.content_checksum {
-            return None;
-        }
-        self.store.publish_as(snap, delta.epoch).ok()?;
-        let reached = (next.epoch, next.content_checksum);
-        self.mirror = next;
+        let current = self.store.snapshot();
+        debug_assert_eq!(prev_epoch, current.epoch());
+        let next = current.apply_delta(&delta)?;
+        self.store.publish_delta(next, &delta).ok()?;
+        let reached = (delta.epoch, delta.content_checksum);
+        self.adopt(prev_epoch, delta, history_cap);
+        Some(reached)
+    }
+
+    /// After `delta` was published: feed the streaming operators and
+    /// retain it for catch-up.
+    fn adopt(&mut self, prev_epoch: u64, delta: DeltaRecord, history_cap: usize) {
         self.stream_feed(&delta);
         self.history.push_back((prev_epoch, delta));
         while self.history.len() > history_cap {
             self.history.pop_front();
         }
-        Some(reached)
     }
 
     /// Feeds one verified delta to the streaming operators; a detected
     /// gap (or a driver already lagging) heals by resyncing from the
-    /// mirror this node just adopted.
+    /// snapshot this node just published.
     fn stream_feed(&mut self, delta: &DeltaRecord) {
         let Some(driver) = self.stream.as_mut() else {
             return;
@@ -148,12 +166,38 @@ impl PartitionReplica {
         }
     }
 
-    /// Rebuilds the streaming operators from the mirror — the local,
-    /// no-wire reconciliation path (bootstrap adoption, replay gaps).
+    /// Rebuilds the streaming operators from the serving snapshot,
+    /// flattened for the occasion — the local, no-wire reconciliation
+    /// path (enabling, bootstrap adoption, replay gaps).
     fn stream_resync(&mut self) {
         if let Some(driver) = self.stream.as_mut() {
-            driver.resync(self.mirror.epoch, self.mirror.week, &self.mirror.entries);
+            let snap = self.store.snapshot();
+            driver.resync(snap.epoch(), snap.week(), &flatten_snapshot(&snap).0);
         }
+    }
+
+    /// Bytes this replica keeps resident for its corpus: the serving
+    /// snapshot's columns, the retained delta chain, and — when
+    /// streaming is on — the stream driver's flat `(bits, week)` map
+    /// (counted at its payload size; the one flat copy still held).
+    fn resident_bytes(&self) -> u64 {
+        use std::mem::size_of_val;
+        let history: usize = self
+            .history
+            .iter()
+            .map(|(_, d)| {
+                size_of_val(&d.removed[..])
+                    + size_of_val(&d.added[..])
+                    + size_of_val(&d.removed_aliases[..])
+                    + size_of_val(&d.added_aliases[..])
+                    + size_of_val(&d.missing_shards[..])
+            })
+            .sum();
+        let stream = self
+            .stream
+            .as_ref()
+            .map_or(0, |d| d.len() * std::mem::size_of::<(u128, u32)>());
+        self.store.snapshot().stored_bytes() + (history + stream) as u64
     }
 }
 
@@ -173,6 +217,8 @@ struct NodeCounters {
     rejected: Counter,
     bad_frames: Counter,
     bad_payloads: Counter,
+    oversize: Counter,
+    resident_bytes: Gauge,
 }
 
 impl NodeCounters {
@@ -191,6 +237,8 @@ impl NodeCounters {
             rejected: registry.counter("cluster.repl.rejected"),
             bad_frames: registry.counter("cluster.repl.bad_frames"),
             bad_payloads: registry.counter("cluster.repl.bad_payloads"),
+            oversize: registry.counter("cluster.repl.oversize"),
+            resident_bytes: registry.gauge("cluster.replica.resident_bytes"),
         }
     }
 }
@@ -231,7 +279,6 @@ impl Node {
                 pid,
                 PartitionReplica {
                     store,
-                    mirror: empty_mirror(pid, opts.shard_count),
                     history: VecDeque::new(),
                     stream: None,
                 },
@@ -249,8 +296,7 @@ impl Node {
     }
 
     /// Restarts a node after a crash: every partition store goes
-    /// through [`HitlistStore::recover`] and the mirror is rebuilt by
-    /// flattening the recovered snapshot. The delta history does not
+    /// through [`HitlistStore::recover`]. The delta history does not
     /// survive (it was process memory), so this node's first catch-up
     /// request is answered with a full-state bootstrap — exactly the
     /// degraded-history path the protocol is designed around.
@@ -265,23 +311,10 @@ impl Node {
         let mut replicas = BTreeMap::new();
         for &pid in pids {
             let (store, _report) = HitlistStore::recover(opts.store_cfg(&name, pid))?;
-            let snap = store.snapshot();
-            let (entries, aliases) = flatten_snapshot(&snap);
-            let mirror = EpochState {
-                name: partition_name(pid),
-                shard_bits: shard_bits(opts.shard_count),
-                epoch: snap.epoch(),
-                week: snap.week(),
-                content_checksum: snap.content_checksum(),
-                missing_shards: snap.missing_shards().to_vec(),
-                entries,
-                aliases,
-            };
             replicas.insert(
                 pid,
                 PartitionReplica {
                     store,
-                    mirror,
                     history: VecDeque::new(),
                     stream: None,
                 },
@@ -320,19 +353,14 @@ impl Node {
     }
 
     /// Turns on incremental streaming analytics for every hosted
-    /// partition, bootstrapped from the current mirrors. From here on
+    /// partition, bootstrapped from the serving snapshots. From here on
     /// each verified replicated delta updates the operators in O(Δ);
-    /// replay gaps heal by a local mirror resync. Idempotent per call
+    /// replay gaps heal by a local snapshot resync. Idempotent per call
     /// (re-enabling resyncs from scratch).
     pub fn enable_streaming(&mut self, resolver: SharedResolver) {
         for replica in self.replicas.values_mut() {
-            let mut driver = StreamDriver::new(Arc::clone(&resolver));
-            driver.resync(
-                replica.mirror.epoch,
-                replica.mirror.week,
-                &replica.mirror.entries,
-            );
-            replica.stream = Some(driver);
+            replica.stream = Some(StreamDriver::new(Arc::clone(&resolver)));
+            replica.stream_resync();
         }
     }
 
@@ -382,9 +410,34 @@ impl Node {
         self.acks.get(&(pid, epoch)).map_or(0, BTreeSet::len)
     }
 
-    /// This node's metrics.
+    /// This node's metrics: its own replication and read counters, the
+    /// `cluster.replica.resident_bytes` gauge (computed here, on read),
+    /// and under `p<pid>.` each hosted store's write-ahead log,
+    /// recovery and footprint metrics (`store.*`, `serve.store.*`).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let resident: u64 = self
+            .replicas
+            .values()
+            .map(PartitionReplica::resident_bytes)
+            .sum();
+        self.counters.resident_bytes.set(resident as i64);
+        let mut snap = self.registry.snapshot();
+        let stores: Vec<(String, MetricsSnapshot)> = self
+            .replicas
+            .iter()
+            .map(|(&pid, r)| (partition_name(pid), r.store.metrics().registry().snapshot()))
+            .collect();
+        let stores = MetricsSnapshot::merge_prefixed(stores.iter().map(|(n, s)| (n.as_str(), s)));
+        // `p<pid>.store.*` and `p<pid>.serve.store.*`; the query-side
+        // metrics of a replica's store are not the cluster's concern.
+        let kept = |name: &str| name.contains(".store.");
+        snap.counters
+            .extend(stores.counters.into_iter().filter(|(n, _)| kept(n)));
+        snap.gauges
+            .extend(stores.gauges.into_iter().filter(|(n, _)| kept(n)));
+        snap.histograms
+            .extend(stores.histograms.into_iter().filter(|(n, _)| kept(n)));
+        snap
     }
 
     /// Publishes the next epoch of `pid` as its leader.
@@ -394,6 +447,10 @@ impl Node {
     /// guarantees both. The epoch is made durable locally first, then
     /// the delta is pushed to `followers`. Returns the content
     /// checksum of the published epoch.
+    ///
+    /// A delta whose push would not fit one frame is refused with
+    /// [`PublishError::Oversized`] before anything is logged: an epoch
+    /// the followers can never be sent must not commit.
     #[allow(clippy::too_many_arguments)] // the full epoch description
     pub fn lead_publish(
         &mut self,
@@ -405,61 +462,41 @@ impl Node {
         followers: &[String],
         now_us: u64,
     ) -> Result<u64, PublishError> {
-        let (msg, checksum) = {
-            let replica = self
-                .replicas
-                .get_mut(&pid)
-                .expect("leader must host the partition it publishes");
-            let prev_epoch = replica.mirror.epoch;
-            let mut next = EpochState {
-                name: replica.mirror.name.clone(),
-                shard_bits: replica.mirror.shard_bits,
-                epoch,
-                week,
-                content_checksum: 0,
-                missing_shards: Vec::new(),
-                entries,
-                aliases,
-            };
-            let snap = snapshot_from_state(&next);
-            next.content_checksum = snap.content_checksum();
-            let delta = replica::delta_between(
-                &replica.mirror,
-                &EpochView {
-                    epoch,
-                    week,
-                    content_checksum: next.content_checksum,
-                    missing_shards: &next.missing_shards,
-                    entries: &next.entries,
-                    aliases: &next.aliases,
-                },
-            );
-            // Durable before visible, visible before pushed: a crash
-            // here loses an epoch, never advertises a phantom one.
-            replica.store.publish_as(snap, epoch)?;
-            let checksum = next.content_checksum;
-            replica.mirror = next;
-            replica.stream_feed(&delta);
-            replica.history.push_back((prev_epoch, delta.clone()));
-            while replica.history.len() > self.opts.history_cap {
-                replica.history.pop_front();
-            }
-            (
-                ReplMsg::DeltaPush {
-                    partition: pid,
-                    prev_epoch,
-                    delta,
-                },
-                checksum,
-            )
+        let replica = self
+            .replicas
+            .get_mut(&pid)
+            .expect("leader must host the partition it publishes");
+        let current = replica.store.snapshot();
+        let prev_epoch = current.epoch();
+        let delta = delta_to_content(&current, epoch, week, &entries, &aliases);
+        let checksum = delta.content_checksum;
+        let push = if followers.is_empty() {
+            None
+        } else {
+            let payload = encode_delta_push(pid, prev_epoch, &delta);
+            Some(try_frame(&payload).map_err(|_| PublishError::Oversized {
+                bytes: payload.len(),
+                cap: MAX_FRAME_PAYLOAD as usize,
+            })?)
         };
+        // Cannot miss for sorted, deduplicated input: the delta was
+        // derived from this very snapshot.
+        let next = current
+            .apply_delta(&delta)
+            .ok_or(PublishError::IntegrityFailure)?;
+        // Durable before visible, visible before pushed: a crash
+        // here loses an epoch, never advertises a phantom one.
+        replica.store.publish_delta(next, &delta)?;
+        replica.adopt(prev_epoch, delta, self.opts.history_cap);
         self.acks
             .entry((pid, epoch))
             .or_default()
             .insert(self.name.clone());
-        for follower in followers {
-            self.counters.deltas_pushed.inc();
-            self.send(follower, &msg, now_us);
+        if let Some(framed) = push {
+            for follower in followers {
+                self.counters.deltas_pushed.inc();
+                self.send_framed(follower, &framed, now_us);
+            }
         }
         Ok(checksum)
     }
@@ -471,7 +508,7 @@ impl Node {
         let Some(replica) = self.replicas.get(&pid) else {
             return;
         };
-        let have_epoch = replica.mirror.epoch;
+        let have_epoch = replica.store.epoch();
         self.counters.catchup_reqs.inc();
         self.send(
             peer,
@@ -568,11 +605,12 @@ impl Node {
         let Some(replica) = self.replicas.get_mut(&pid) else {
             return;
         };
-        if delta.epoch <= replica.mirror.epoch {
+        let have_epoch = replica.store.epoch();
+        if delta.epoch <= have_epoch {
             self.counters.dup_pushes.inc();
             return;
         }
-        if prev_epoch != replica.mirror.epoch {
+        if prev_epoch != have_epoch {
             // A gap: we missed at least one push. Ask the sender for
             // the chain instead of applying out of order.
             self.counters.gap_pushes.inc();
@@ -604,7 +642,8 @@ impl Node {
         let Some(replica) = self.replicas.get(&pid) else {
             return;
         };
-        if replica.mirror.epoch <= have_epoch {
+        let current = replica.store.snapshot();
+        if current.epoch() <= have_epoch {
             // Nothing to offer; the requester is at or ahead of us.
             return;
         }
@@ -627,7 +666,7 @@ impl Node {
                 self.counters.catchup_bootstraps.inc();
                 ReplMsg::CatchUpResp {
                     partition: pid,
-                    base: Some(replica.mirror.clone()),
+                    base: Some(state_from_snapshot(&current)),
                     deltas: Vec::new(),
                 }
             }
@@ -650,14 +689,13 @@ impl Node {
         if let Some(state) = base {
             // Full-state bootstrap: adopt only if it moves us forward
             // and its content matches its checksum.
-            if state.epoch > replica.mirror.epoch {
+            if state.epoch > replica.store.epoch() {
                 let snap = snapshot_from_state(&state);
                 if snap.content_checksum() == state.content_checksum
                     && replica.store.publish_as(snap, state.epoch).is_ok()
                 {
                     reached = Some((state.epoch, state.content_checksum));
-                    replica.mirror = state;
-                    // The chain that built the old mirror is now
+                    // The chain that built the old epoch is now
                     // meaningless; future catch-ups we serve bootstrap.
                     replica.history.clear();
                     // The operators jumped epochs wholesale: rebuild
@@ -669,10 +707,11 @@ impl Node {
             }
         }
         for (prev, delta) in deltas {
-            if delta.epoch <= replica.mirror.epoch {
+            let have_epoch = replica.store.epoch();
+            if delta.epoch <= have_epoch {
                 continue; // already have it (e.g. raced with a push)
             }
-            if prev != replica.mirror.epoch {
+            if prev != have_epoch {
                 break; // chain no longer lines up; a later round retries
             }
             match replica.apply_verified(prev, delta, self.opts.history_cap) {
@@ -729,29 +768,24 @@ impl Node {
         self.send(peer, &resp, now_us);
     }
 
-    /// Frames and sends one message toward `peer`. Exactly one frame
-    /// per chunk (see the module docs); send errors mean this node is
-    /// crashed and are ignored — the driver reaps it.
+    /// Frames and sends one message toward `peer`. A message too large
+    /// for a frame (a bootstrap of a partition past the frame cap, a
+    /// long chain of large deltas) is dropped and counted: no receiver
+    /// would accept it.
     fn send(&mut self, peer: &str, msg: &ReplMsg, now_us: u64) {
-        if let Some(p) = self.peers.get_mut(peer) {
-            let _ = p.link.send(&frame(&msg.encode()), now_us);
+        match try_frame(&msg.encode()) {
+            Ok(framed) => self.send_framed(peer, &framed, now_us),
+            Err(_) => self.counters.oversize.inc(),
         }
     }
-}
 
-fn shard_bits(shard_count: usize) -> u32 {
-    assert!(
-        shard_count.is_power_of_two(),
-        "shard count must be a power of two"
-    );
-    shard_count.trailing_zeros()
-}
-
-fn empty_mirror(pid: u32, shard_count: usize) -> EpochState {
-    EpochState {
-        name: partition_name(pid),
-        shard_bits: shard_bits(shard_count),
-        ..EpochState::default()
+    /// Sends one already-framed message toward `peer`. Exactly one
+    /// frame per chunk (see the module docs); send errors mean this
+    /// node is crashed and are ignored — the driver reaps it.
+    fn send_framed(&mut self, peer: &str, framed: &[u8], now_us: u64) {
+        if let Some(p) = self.peers.get_mut(peer) {
+            let _ = p.link.send(framed, now_us);
+        }
     }
 }
 
@@ -760,6 +794,7 @@ mod tests {
     use super::*;
     use crate::net::ClusterNet;
     use v6chaos::NoChaos;
+    use v6wire::frame::frame;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v6cluster-node-{tag}-{}", std::process::id()));
@@ -853,7 +888,7 @@ mod tests {
     }
 
     #[test]
-    fn restart_rebuilds_mirror_and_bootstraps_forward() {
+    fn restart_recovers_the_store_and_catches_up_forward() {
         let root = scratch("restart");
         let registry = Registry::new();
         let net = ClusterNet::new(Arc::new(NoChaos), &registry);
@@ -889,6 +924,75 @@ mod tests {
         follower.pump(12_000);
         assert_eq!(leader.epoch_checksum(2), follower.epoch_checksum(2));
         assert_eq!(follower.epoch_checksum(2).map(|(e, _)| e), Some(2));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// 60 000 fresh entries encode to 1.2 MB: more than one frame holds.
+    fn oversized_content() -> Vec<(u128, u32)> {
+        (0..60_000u128).map(|i| (i << 8, 1)).collect()
+    }
+
+    #[test]
+    fn oversized_push_is_refused_before_anything_commits() {
+        let root = scratch("oversize-push");
+        let registry = Registry::new();
+        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
+        let mut follower = Node::create("n1", &[0], opts(&root)).unwrap();
+        wire(&net, &mut leader, &mut follower);
+        let small = leader
+            .lead_publish(0, 1, 0, vec![(7, 0)], vec![], &["n1".into()], 0)
+            .unwrap();
+
+        let err = leader
+            .lead_publish(0, 2, 1, oversized_content(), vec![], &["n1".into()], 0)
+            .unwrap_err();
+        assert!(matches!(err, PublishError::Oversized { bytes, cap } if bytes > cap));
+        // Nothing half-committed: not visible, not acked, not logged,
+        // not pushed.
+        assert_eq!(leader.epoch_checksum(0), Some((1, small)));
+        assert_eq!(leader.ack_count(0, 2), 0);
+        let logged = v6store::recover(&root.join("n0").join(partition_name(0))).unwrap();
+        assert_eq!(logged.state.epoch, 1);
+        follower.pump(1_000);
+        assert_eq!(follower.epoch_checksum(0), Some((1, small)));
+        assert_eq!(
+            follower.metrics().counter("cluster.repl.gap_pushes"),
+            Some(0)
+        );
+
+        // The same content with nobody to push to is a local matter.
+        leader
+            .lead_publish(0, 3, 1, oversized_content(), vec![], &[], 0)
+            .unwrap();
+        assert_eq!(leader.epoch_checksum(0).map(|(e, _)| e), Some(3));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn oversized_bootstrap_is_dropped_and_counted() {
+        let root = scratch("oversize-bootstrap");
+        let registry = Registry::new();
+        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
+        leader
+            .lead_publish(0, 1, 1, oversized_content(), vec![], &[], 0)
+            .unwrap();
+        // A restart forgets the delta chain, so the next catch-up is
+        // served as a bootstrap of the whole partition.
+        drop(leader);
+        let mut leader = Node::restart("n0", &[0], opts(&root)).unwrap();
+        let mut follower = Node::create("n1", &[0], opts(&root)).unwrap();
+        wire(&net, &mut leader, &mut follower);
+
+        follower.request_catchup(0, "n0", 0);
+        leader.pump(1_000);
+        follower.pump(2_000);
+
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.catchup_bootstraps"), Some(1));
+        assert_eq!(m.counter("cluster.repl.oversize"), Some(1));
+        assert_eq!(follower.epoch_checksum(0).map(|(e, _)| e), Some(0));
         let _ = std::fs::remove_dir_all(&root);
     }
 

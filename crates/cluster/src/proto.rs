@@ -145,9 +145,21 @@ fn dec_state(d: &mut Dec<'_>) -> Option<EpochState> {
     })
 }
 
+/// The payload of a [`ReplMsg::DeltaPush`], from a borrowed record: a
+/// leader encodes the push it is about to log without giving the
+/// record away.
+pub(crate) fn encode_delta_push(partition: u32, prev_epoch: u64, delta: &DeltaRecord) -> Vec<u8> {
+    let mut e = Enc::new();
+    e.u8(TAG_DELTA_PUSH);
+    e.u32(partition);
+    e.u64(prev_epoch);
+    enc_delta(&mut e, delta);
+    e.into_bytes()
+}
+
 impl ReplMsg {
     /// Encodes the message as a frame payload (the caller wraps it
-    /// with [`v6wire::frame::frame`]).
+    /// with [`v6wire::frame::try_frame`]).
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
@@ -155,12 +167,7 @@ impl ReplMsg {
                 partition,
                 prev_epoch,
                 delta,
-            } => {
-                e.u8(TAG_DELTA_PUSH);
-                e.u32(*partition);
-                e.u64(*prev_epoch);
-                enc_delta(&mut e, delta);
-            }
+            } => return encode_delta_push(*partition, *prev_epoch, delta),
             ReplMsg::DeltaAck {
                 partition,
                 epoch,

@@ -10,15 +10,30 @@
 //! it, verifying that the rebuilt content checksum matches the one the
 //! log recorded at publish time.
 //!
+//! The unit that crosses the bridge is the [`DeltaRecord`]. A publisher
+//! that already holds one (a cluster replica) hands it to
+//! [`HitlistStore::publish_delta`] with the snapshot it produces; for a
+//! publisher that only has the new snapshot, [`delta_between`] derives
+//! the record shard by shard from the snapshot currently served (and
+//! [`delta_to_content`] does the same for a publisher holding the new
+//! content as flat lists). The
+//! flat forms — [`flatten_snapshot`], [`state_from_snapshot`],
+//! [`snapshot_from_state`] — are for the rare paths that need the whole
+//! content at once: a checkpoint, a recovery, a replica bootstrap.
+//!
 //! The store directory defaults can be overridden with the
 //! `V6_DATA_DIR` environment variable via
 //! [`v6store::data_dir_from_env`]; see the README "Durability" section
 //! and DESIGN.md §11 for the on-disk format.
 
-use v6addr::{shard48, Prefix};
-use v6store::{AliasEntry, EpochState};
+use std::iter::Peekable;
+use std::sync::Arc;
 
-use crate::snapshot::{bloom_default, Snapshot};
+use v6addr::{shard48, Prefix};
+use v6store::{replica, AliasEntry, DeltaRecord, EpochState};
+use v6stream::content_term;
+
+use crate::snapshot::{bloom_default, Shard, Snapshot};
 
 #[allow(unused_imports)] // doc links
 use crate::store::HitlistStore;
@@ -40,9 +55,20 @@ use crate::store::HitlistStore;
 /// [`v6cluster`]: ../../v6cluster/index.html
 pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) {
     let mut entries = Vec::with_capacity(snap.len() as usize);
-    let mut aliases = Vec::new();
     for shard in snap.shards() {
         entries.extend(shard.iter_bits().zip(shard.first_week.iter().copied()));
+    }
+    // Addresses are globally unique, so keying by (bits, week) sorts by
+    // bits while staying exact-equivalent to the old comparison sort.
+    v6par::radix_sort_by_key(&mut entries, |&(bits, week)| (bits, u64::from(week)));
+    (entries, flat_aliases(snap))
+}
+
+/// Every alias registration of a snapshot, sorted by `(bits, len)`,
+/// with the per-shard replicas of sub-/48 aliases folded back to one.
+fn flat_aliases(snap: &Snapshot) -> Vec<AliasEntry> {
+    let mut aliases = Vec::new();
+    for shard in snap.shards() {
         for (prefix, &week) in shard.aliases.iter() {
             aliases.push(AliasEntry {
                 bits: prefix.bits(),
@@ -51,12 +77,167 @@ pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) 
             });
         }
     }
-    // Addresses are globally unique, so keying by (bits, week) sorts by
-    // bits while staying exact-equivalent to the old comparison sort.
-    v6par::radix_sort_by_key(&mut entries, |&(bits, week)| (bits, u64::from(week)));
     aliases.sort_unstable_by_key(|a| (a.bits, a.len));
     aliases.dedup_by_key(|a| (a.bits, a.len));
-    (entries, aliases)
+    aliases
+}
+
+/// The full [`EpochState`] a snapshot describes — the inverse of
+/// [`snapshot_from_state`], for handing a whole partition to a peer
+/// (replica bootstrap). O(content): not for the per-epoch path.
+pub fn state_from_snapshot(snap: &Snapshot) -> EpochState {
+    let (entries, aliases) = flatten_snapshot(snap);
+    EpochState {
+        name: snap.name().to_string(),
+        shard_bits: snap.shard_count().trailing_zeros(),
+        epoch: snap.epoch(),
+        week: snap.week(),
+        content_checksum: snap.content_checksum(),
+        missing_shards: snap.missing_shards().to_vec(),
+        entries,
+        aliases,
+    }
+}
+
+/// The record that carries `prev` to `next`, published as `epoch`: the
+/// same record [`v6store::replica::delta_between`] derives from the two
+/// flattened states, computed without flattening either. Shards the two
+/// snapshots share by pointer are skipped; every other pair is diffed
+/// by one linear walk of the two runs, and only the delta is sorted
+/// back into global order.
+///
+/// # Panics
+/// Panics if the shard counts differ.
+pub fn delta_between(prev: &Snapshot, next: &Snapshot, epoch: u64) -> DeltaRecord {
+    assert_eq!(prev.shard_count(), next.shard_count());
+    let mut diff = EntryDiff::default();
+    for (old, new) in prev.shards().iter().zip(next.shards()) {
+        if !Arc::ptr_eq(old, new) {
+            diff.shard(old, new.entries());
+        }
+    }
+    let (removed, added) = diff.sorted();
+    let (removed_aliases, added_aliases) =
+        replica::diff_aliases(&flat_aliases(prev), &flat_aliases(next));
+    DeltaRecord {
+        epoch,
+        week: next.week(),
+        content_checksum: next.content_checksum(),
+        missing_shards: next.missing_shards().to_vec(),
+        removed,
+        added,
+        removed_aliases,
+        added_aliases,
+    }
+}
+
+/// The record that carries `prev` to the given full content, published
+/// as `epoch` with every shard healthy — what a cluster leader, handed
+/// a partition's next content as flat sorted lists, logs and pushes.
+/// The content checksum is `prev`'s moved by one
+/// [`v6stream::fold_content`] term per changed entry; applying the
+/// record ([`Snapshot::apply_delta`]) and publishing the result
+/// re-derives it twice more, the second time from scratch.
+///
+/// `entries` must be sorted by bits and deduplicated, `aliases` sorted
+/// by `(bits, len)`.
+pub fn delta_to_content(
+    prev: &Snapshot,
+    epoch: u64,
+    week: u64,
+    entries: &[(u128, u32)],
+    aliases: &[AliasEntry],
+) -> DeltaRecord {
+    // The flat list restricted to one shard is that shard's order, so
+    // one cursor per shard walks it in step with the list.
+    let shard_bits = prev.shard_count().trailing_zeros();
+    let mut cursors: Vec<_> = prev
+        .shards()
+        .iter()
+        .map(|shard| shard.entries().peekable())
+        .collect();
+    let mut diff = EntryDiff::default();
+    for &(bits, week) in entries {
+        diff.entry(&mut cursors[shard48(bits, shard_bits)], bits, week);
+    }
+    for old in cursors {
+        diff.rest(old);
+    }
+    let content_checksum = prev.content_checksum().wrapping_add(diff.checksum_moved);
+    let (removed, added) = diff.sorted();
+    let (removed_aliases, added_aliases) = replica::diff_aliases(&flat_aliases(prev), aliases);
+    DeltaRecord {
+        epoch,
+        week,
+        content_checksum,
+        missing_shards: Vec::new(),
+        removed,
+        added,
+        removed_aliases,
+        added_aliases,
+    }
+}
+
+/// The entry half of a delta, accumulated shard by shard.
+#[derive(Default)]
+struct EntryDiff {
+    removed: Vec<u128>,
+    added: Vec<(u128, u32)>,
+    /// Σ terms of what `added` brings − Σ terms of what it replaces and
+    /// of what `removed` takes: how far the content checksum moves.
+    checksum_moved: u64,
+}
+
+impl EntryDiff {
+    /// Appends what turns `old` into `new` (sorted by bits): addresses
+    /// gone, and entries new or under a different week.
+    fn shard(&mut self, old: &Shard, new: impl Iterator<Item = (u128, u32)>) {
+        let mut old = old.entries().peekable();
+        for (bits, week) in new {
+            self.entry(&mut old, bits, week);
+        }
+        self.rest(old);
+    }
+
+    /// One step of the walk: `old` has been consumed up to the previous
+    /// new entry; everything it still holds below `bits` is gone.
+    fn entry<I>(&mut self, old: &mut Peekable<I>, bits: u128, week: u32)
+    where
+        I: Iterator<Item = (u128, u32)>,
+    {
+        while let Some((b, w)) = old.next_if(|o| o.0 < bits) {
+            self.gone(b, w);
+        }
+        match old.next_if(|o| o.0 == bits) {
+            Some((_, w)) if w == week => return,
+            Some((_, w)) => {
+                self.checksum_moved = self.checksum_moved.wrapping_sub(content_term(bits, w))
+            }
+            None => {}
+        }
+        self.added.push((bits, week));
+        self.checksum_moved = self.checksum_moved.wrapping_add(content_term(bits, week));
+    }
+
+    /// The end of the walk: whatever `old` still holds is gone.
+    fn rest(&mut self, old: impl Iterator<Item = (u128, u32)>) {
+        for (b, w) in old {
+            self.gone(b, w);
+        }
+    }
+
+    fn gone(&mut self, bits: u128, week: u32) {
+        self.removed.push(bits);
+        self.checksum_moved = self.checksum_moved.wrapping_sub(content_term(bits, week));
+    }
+
+    /// `(removed, added)` in global order: shards partition by the low
+    /// bits of the /48, so their diffs do not concatenate sorted.
+    fn sorted(mut self) -> (Vec<u128>, Vec<(u128, u32)>) {
+        v6par::radix_sort_by_key(&mut self.removed, |&bits| (bits, 0));
+        v6par::radix_sort_by_key(&mut self.added, |&(bits, week)| (bits, u64::from(week)));
+        (self.removed, self.added)
+    }
 }
 
 /// Rebuilds the sharded snapshot a recovered epoch state describes.
@@ -70,7 +251,8 @@ pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) 
 /// from a replicated [`EpochState`] mirror through exactly this path.
 pub fn snapshot_from_state(state: &EpochState) -> Snapshot {
     let shard_count = 1usize << state.shard_bits;
-    let mut shard_data: Vec<Vec<(u128, u32)>> = vec![Vec::new(); shard_count];
+    let mut shard_data: Vec<Vec<(u128, u32)>> =
+        vec![Vec::with_capacity(state.entries.len() / shard_count + 1); shard_count];
     for &(bits, week) in &state.entries {
         shard_data[shard48(bits, state.shard_bits)].push((bits, week));
     }

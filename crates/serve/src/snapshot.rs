@@ -17,10 +17,18 @@
 //! bloom front ([`crate::bloom::BlockedBloom`], the `V6_BLOOM` toggle)
 //! for cheap "definitely absent" answers, plus a radix trie of aliased
 //! prefixes for longest-prefix alias answers.
+//!
+//! A snapshot holds its shards as `Arc<Shard>`, so the next epoch can
+//! be derived from this one by [`Snapshot::apply_delta`]: shards the
+//! delta does not touch are shared by pointer, and a touched shard is
+//! rebuilt by one linear merge of its run with its slice of the delta.
 
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
+use std::sync::Arc;
 
 use v6addr::{shard48, Prefix, PrefixMap};
+use v6store::DeltaRecord;
 
 use crate::bloom::BlockedBloom;
 
@@ -64,6 +72,17 @@ impl Default for CompressedRun {
 }
 
 impl CompressedRun {
+    /// An empty run with room for `keys` blocks holding `lows` addresses.
+    fn with_capacity(keys: usize, lows: usize) -> CompressedRun {
+        let mut offsets = Vec::with_capacity(keys + 1);
+        offsets.push(0);
+        CompressedRun {
+            keys: Vec::with_capacity(keys),
+            offsets,
+            lows: Vec::with_capacity(lows),
+        }
+    }
+
     /// Builds from strictly-ascending address bits.
     pub fn from_sorted(bits: impl Iterator<Item = u128>) -> CompressedRun {
         let mut run = CompressedRun::default();
@@ -91,6 +110,28 @@ impl CompressedRun {
             "CompressedRun exceeds u32 offset capacity"
         );
         *self.offsets.last_mut().expect("offsets never empty") = self.lows.len() as u32;
+    }
+
+    /// Appends a whole block under a key above every key already held;
+    /// `lows` must be non-empty and strictly ascending.
+    fn push_block(&mut self, hi: u64, lows: &[u64]) {
+        debug_assert!(!lows.is_empty() && self.keys.last().is_none_or(|&last| last < hi));
+        self.keys.push(hi);
+        self.lows.extend_from_slice(lows);
+        assert!(
+            self.lows.len() <= u32::MAX as usize,
+            "CompressedRun exceeds u32 offset capacity"
+        );
+        self.offsets.push(self.lows.len() as u32);
+    }
+
+    /// Iterates `(rank of the block's first address, high-64 key, sorted
+    /// low-64 block)` in ascending key order.
+    fn blocks(&self) -> impl Iterator<Item = (usize, u64, &[u64])> + '_ {
+        self.keys.iter().enumerate().map(move |(k, &hi)| {
+            let (start, end) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
+            (start, hi, &self.lows[start..end])
+        })
     }
 
     /// Number of addresses in the run.
@@ -122,13 +163,12 @@ impl CompressedRun {
     }
 
     /// Iterates all addresses in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u128> + '_ {
-        self.keys.iter().enumerate().flat_map(move |(k, &hi)| {
-            let block = &self.lows[self.offsets[k] as usize..self.offsets[k + 1] as usize];
-            block
-                .iter()
-                .map(move |&lo| (u128::from(hi) << 64) | u128::from(lo))
-        })
+    pub fn iter(&self) -> RunIter<'_> {
+        RunIter {
+            run: self,
+            key: 0,
+            pos: 0,
+        }
     }
 
     /// Global rank of `bits` when present: two-level binary search.
@@ -198,6 +238,36 @@ impl CompressedRun {
     }
 }
 
+/// Ascending iterator over a [`CompressedRun`]'s addresses.
+#[derive(Debug, Clone)]
+pub struct RunIter<'a> {
+    run: &'a CompressedRun,
+    /// Block the next address belongs to (once `pos` is inside it).
+    key: usize,
+    /// Global rank of the next address.
+    pos: usize,
+}
+
+impl Iterator for RunIter<'_> {
+    type Item = u128;
+
+    #[inline]
+    fn next(&mut self) -> Option<u128> {
+        let lo = *self.run.lows.get(self.pos)?;
+        // No block is empty, so this steps at most once.
+        while self.pos >= self.run.offsets[self.key + 1] as usize {
+            self.key += 1;
+        }
+        self.pos += 1;
+        Some((u128::from(self.run.keys[self.key]) << 64) | u128::from(lo))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.run.lows.len() - self.pos;
+        (left, Some(left))
+    }
+}
+
 /// What a bloom-fronted membership probe observed — enough for the
 /// query layer to answer *and* account `serve.bloom.*` traffic without
 /// re-deriving anything.
@@ -247,6 +317,9 @@ pub struct Shard {
     pub(crate) agg48: Vec<(u128, u32)>,
     /// `(week, newly published count)` pairs, ascending by week.
     pub(crate) week_counts: Vec<(u32, u64)>,
+    /// The [`fold_addr`] sum over this shard's entries; a snapshot's
+    /// content checksum is the wrapping sum of its shards'.
+    pub(crate) checksum: u64,
 }
 
 impl Shard {
@@ -266,7 +339,7 @@ impl Shard {
     }
 
     /// Iterates the sorted address bits.
-    pub fn iter_bits(&self) -> impl Iterator<Item = u128> + '_ {
+    pub fn iter_bits(&self) -> RunIter<'_> {
         self.run.iter()
     }
 
@@ -342,25 +415,164 @@ impl Shard {
         self.run.len() * (16 + 4)
     }
 
-    fn rebuild_aggregates(&mut self) {
-        let mask48 = Prefix::mask(48);
-        self.agg48.clear();
-        for a in self.run.iter() {
-            let net = a & mask48;
-            match self.agg48.last_mut() {
-                Some((last, n)) if *last == net => *n += 1,
-                _ => self.agg48.push((net, 1)),
-            }
+    /// Iterates the `(bits, first week)` entries in ascending order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
+        self.run.iter().zip(self.first_week.iter().copied())
+    }
+
+    /// Builds shard `index` from entries sorted by bits and deduplicated.
+    fn from_sorted(index: usize, entries: &[(u128, u32)], bloom: bool) -> Shard {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut shard = Shard {
+            first_week: Vec::with_capacity(entries.len()),
+            ..Shard::default()
+        };
+        for &(bits, week) in entries {
+            shard.run.push(bits);
+            shard.first_week.push(week);
+            shard.checksum = fold_addr(shard.checksum, bits, week);
         }
-        let mut weeks: Vec<u32> = self.first_week.clone();
+        let mut weeks = shard.first_week.clone();
         weeks.sort_unstable();
-        self.week_counts.clear();
         for w in weeks {
-            match self.week_counts.last_mut() {
+            match shard.week_counts.last_mut() {
                 Some((last, n)) if *last == w => *n += 1,
-                _ => self.week_counts.push((w, 1)),
+                _ => shard.week_counts.push((w, 1)),
             }
         }
+        shard.finish(index, bloom);
+        shard
+    }
+
+    /// This shard with `removed` taken out and then `upserts` merged in
+    /// (an upsert replaces the week of an address already present):
+    /// one linear pass over the run and the two sorted slices, in which
+    /// a key block the delta does not reach is copied whole. The
+    /// checksum and the per-week counts move by one term per entry the
+    /// delta changes, so they are independent of the full recomputation
+    /// [`Snapshot::verify_integrity`] does on the result.
+    fn merged(
+        &self,
+        index: usize,
+        removed: &[u128],
+        upserts: &[(u128, u32)],
+        bloom: bool,
+    ) -> Shard {
+        let mut m = ShardMerge {
+            out: Shard {
+                // Room for every upsert being a new address under a new key.
+                run: CompressedRun::with_capacity(
+                    self.run.key_count() + upserts.len(),
+                    self.len() + upserts.len(),
+                ),
+                first_week: Vec::with_capacity(self.len() + upserts.len()),
+                aliases: self.aliases.clone(),
+                checksum: self.checksum,
+                ..Shard::default()
+            },
+            week_moves: BTreeMap::new(),
+        };
+        let mut removed = removed.iter().copied().peekable();
+        let mut upserts = upserts.iter().copied().peekable();
+        for (start, hi, lows) in self.run.blocks() {
+            let first = u128::from(hi) << 64;
+            let last = first | u128::from(u64::MAX);
+            // Addresses under keys this shard did not hold, and removals
+            // of addresses it never held.
+            while let Some((b, w)) = upserts.next_if(|u| u.0 < first) {
+                m.add(b, w);
+            }
+            while removed.next_if(|&r| r < first).is_some() {}
+            let weeks = &self.first_week[start..start + lows.len()];
+            if removed.peek().is_none_or(|&r| r > last) && upserts.peek().is_none_or(|u| u.0 > last)
+            {
+                m.out.run.push_block(hi, lows);
+                m.out.first_week.extend_from_slice(weeks);
+                continue;
+            }
+            for (&lo, &week) in lows.iter().zip(weeks) {
+                let bits = first | u128::from(lo);
+                while let Some((b, w)) = upserts.next_if(|u| u.0 < bits) {
+                    m.add(b, w);
+                }
+                while removed.next_if(|&r| r < bits).is_some() {}
+                let dropped = removed.peek() == Some(&bits);
+                match upserts.next_if(|u| u.0 == bits) {
+                    Some((b, w)) => {
+                        m.take(bits, week);
+                        m.add(b, w);
+                    }
+                    None if dropped => m.take(bits, week),
+                    None => {
+                        m.out.run.push(bits);
+                        m.out.first_week.push(week);
+                    }
+                }
+            }
+        }
+        for (b, w) in upserts {
+            m.add(b, w);
+        }
+        let ShardMerge {
+            mut out,
+            week_moves: mut counts,
+        } = m;
+        for &(w, n) in &self.week_counts {
+            *counts.entry(w).or_default() += n as i64;
+        }
+        out.week_counts = counts
+            .into_iter()
+            .filter(|&(_, n)| n != 0)
+            .map(|(w, n)| (w, n as u64))
+            .collect();
+        out.finish(index, bloom);
+        out
+    }
+
+    /// Derives what a built run implies: the bloom front and the
+    /// per-/48 aggregate (one step per key block).
+    fn finish(&mut self, index: usize, bloom: bool) {
+        if bloom && !self.run.is_empty() {
+            self.bloom = Some(BlockedBloom::build(
+                bloom_seed(index),
+                self.run.iter(),
+                self.run.len(),
+            ));
+        }
+        let mask48 = Prefix::mask(48);
+        for (_, hi, lows) in self.run.blocks() {
+            let net = (u128::from(hi) << 64) & mask48;
+            match self.agg48.last_mut() {
+                Some((last, n)) if *last == net => *n += lows.len() as u32,
+                _ => self.agg48.push((net, lows.len() as u32)),
+            }
+        }
+    }
+}
+
+/// The output side of [`Shard::merged`]: the shard being assembled and
+/// how many entries each week gained or lost on the way.
+struct ShardMerge {
+    out: Shard,
+    week_moves: BTreeMap<u32, i64>,
+}
+
+impl ShardMerge {
+    /// Appends an entry the delta brings.
+    fn add(&mut self, bits: u128, week: u32) {
+        self.out.run.push(bits);
+        self.out.first_week.push(week);
+        self.out.checksum = fold_addr(self.out.checksum, bits, week);
+        *self.week_moves.entry(week).or_default() += 1;
+    }
+
+    /// Accounts for an old entry the delta removes or replaces.
+    fn take(&mut self, bits: u128, week: u32) {
+        self.out.checksum = self
+            .out
+            .checksum
+            .wrapping_sub(v6stream::content_term(bits, week));
+        *self.week_moves.entry(week).or_default() -= 1;
     }
 }
 
@@ -385,7 +597,7 @@ pub struct Snapshot {
     pub(crate) epoch: u64,
     pub(crate) week: u64,
     pub(crate) shard_bits: u32,
-    pub(crate) shards: Vec<Shard>,
+    pub(crate) shards: Vec<Arc<Shard>>,
     pub(crate) total: u64,
     pub(crate) checksum: u64,
     /// Sorted indices of shards serving stale (pre-quarantine) content.
@@ -431,12 +643,14 @@ impl Snapshot {
             "shard count must be a power of two, got {shard_count}"
         );
         let shard_bits = shard_count.trailing_zeros();
+        // Immutable, so every index can share the one empty shard.
+        let empty = Arc::new(Shard::default());
         Snapshot {
             name: name.into(),
             epoch: 0,
             week: 0,
             shard_bits,
-            shards: vec![Shard::default(); shard_count],
+            shards: vec![empty; shard_count],
             total: 0,
             checksum: 0,
             missing_shards: Vec::new(),
@@ -457,45 +671,116 @@ impl Snapshot {
         bloom: bool,
     ) -> Self {
         assert_eq!(shard_data.len(), 1usize << shard_bits);
-        let mut snap = Snapshot::empty(name, 1usize << shard_bits);
-        let mut checksum = 0u64;
-        let mut total = 0u64;
-        let mut max_week = 0u64;
-        for (i, (shard, data)) in snap.shards.iter_mut().zip(shard_data).enumerate() {
-            debug_assert!(data.windows(2).all(|w| w[0].0 < w[1].0));
-            shard.first_week = Vec::with_capacity(data.len());
-            for &(b, w) in data {
-                shard.run.push(b);
-                shard.first_week.push(w);
-                checksum = fold_addr(checksum, b, w);
-                max_week = max_week.max(u64::from(w));
-            }
-            if bloom && !data.is_empty() {
-                shard.bloom = Some(BlockedBloom::build(
-                    bloom_seed(i),
-                    data.iter().map(|&(b, _)| b),
-                    data.len(),
-                ));
-            }
-            total += data.len() as u64;
-            shard.rebuild_aggregates();
-        }
+        let mut shards: Vec<Shard> = shard_data
+            .iter()
+            .enumerate()
+            .map(|(i, data)| Shard::from_sorted(i, data, bloom))
+            .collect();
         for &(prefix, week) in aliases {
             match prefix.shard48(shard_bits) {
                 Some(i) => {
-                    snap.shards[i].aliases.insert(prefix, week);
+                    shards[i].aliases.insert(prefix, week);
                 }
                 None => {
-                    for shard in &mut snap.shards {
+                    for shard in &mut shards {
                         shard.aliases.insert(prefix, week);
                     }
                 }
             }
         }
-        snap.total = total;
-        snap.week = max_week;
-        snap.checksum = checksum;
-        snap
+        let max_week = shards
+            .iter()
+            .filter_map(|s| s.week_counts.last())
+            .map(|&(w, _)| u64::from(w))
+            .max()
+            .unwrap_or(0);
+        Snapshot {
+            name: name.into(),
+            epoch: 0,
+            week: max_week,
+            shard_bits,
+            total: shards.iter().map(|s| s.len() as u64).sum(),
+            checksum: shards.iter().fold(0, |acc, s| acc.wrapping_add(s.checksum)),
+            shards: shards.into_iter().map(Arc::new).collect(),
+            missing_shards: Vec::new(),
+        }
+    }
+
+    /// The next epoch: this snapshot with `delta` applied (remove, then
+    /// upsert; aliases patched the same way), under the epoch, week and
+    /// quarantine list the record carries.
+    ///
+    /// Shards the delta does not touch are shared with `self` by
+    /// pointer; each touched shard is rebuilt by one linear merge. The
+    /// content checksum is carried forward as the commutative
+    /// [`v6stream::fold_content`] sum, ± one term per changed entry, and
+    /// must land on the checksum the record carries: `None` means it
+    /// did not — the delta does not belong on this snapshot (a missed
+    /// epoch, a corrupted record) and nothing was built.
+    pub fn apply_delta(&self, delta: &DeltaRecord) -> Option<Snapshot> {
+        let shard_count = self.shards.len();
+        let mut removed: Vec<Vec<u128>> = vec![Vec::new(); shard_count];
+        for &bits in &delta.removed {
+            removed[shard48(bits, self.shard_bits)].push(bits);
+        }
+        let mut upserts: Vec<Vec<(u128, u32)>> = vec![Vec::new(); shard_count];
+        for &(bits, week) in &delta.added {
+            upserts[shard48(bits, self.shard_bits)].push((bits, week));
+        }
+        // `(shard, prefix, week)`: no shard = replicated to every shard
+        // (shorter than /48); no week = a removal. Removals come first.
+        let alias_ops: Vec<(Option<usize>, Prefix, Option<u32>)> = delta
+            .removed_aliases
+            .iter()
+            .map(|&(bits, len)| (Prefix::from_bits(bits, len), None))
+            .chain(
+                delta
+                    .added_aliases
+                    .iter()
+                    .map(|a| (Prefix::from_bits(a.bits, a.len), Some(a.week))),
+            )
+            .map(|(prefix, week)| (prefix.shard48(self.shard_bits), prefix, week))
+            .collect();
+
+        let bloom = bloom_default();
+        let mut next = Snapshot {
+            name: self.name.clone(),
+            epoch: delta.epoch,
+            week: delta.week,
+            shard_bits: self.shard_bits,
+            shards: self.shards.clone(),
+            total: self.total,
+            checksum: self.checksum,
+            missing_shards: delta.missing_shards.clone(),
+        };
+        for (i, prev) in self.shards.iter().enumerate() {
+            let content_touched = !removed[i].is_empty() || !upserts[i].is_empty();
+            let mut ops = alias_ops
+                .iter()
+                .filter(|(shard, _, _)| shard.is_none_or(|s| s == i))
+                .peekable();
+            if !content_touched && ops.peek().is_none() {
+                continue;
+            }
+            let mut shard = if content_touched {
+                prev.merged(i, &removed[i], &upserts[i], bloom)
+            } else {
+                Shard::clone(prev)
+            };
+            for &(_, prefix, week) in ops {
+                match week {
+                    Some(week) => shard.aliases.insert(prefix, week),
+                    None => shard.aliases.remove(&prefix),
+                };
+            }
+            next.total = next.total - prev.len() as u64 + shard.len() as u64;
+            next.checksum = next
+                .checksum
+                .wrapping_sub(prev.checksum)
+                .wrapping_add(shard.checksum);
+            next.shards[i] = Arc::new(shard);
+        }
+        (next.checksum == delta.content_checksum).then_some(next)
     }
 
     /// Service name this snapshot was published under.
@@ -568,7 +853,7 @@ impl Snapshot {
     }
 
     /// The shards, in index order.
-    pub fn shards(&self) -> &[Shard] {
+    pub fn shards(&self) -> &[Arc<Shard>] {
         &self.shards
     }
 
@@ -669,6 +954,18 @@ impl Snapshot {
     /// on snapshots observed mid-run to prove concurrent publication
     /// never exposed a torn view.
     pub fn verify_integrity(&self) -> bool {
+        self.verify(None)
+    }
+
+    /// [`Snapshot::verify_integrity`], except that a shard shared by
+    /// pointer (at the same index) with `verified` — a snapshot that
+    /// already passed — is not walked again: it is immutable, so what
+    /// held then holds now. Every other shard is fully checked.
+    pub(crate) fn verify_since(&self, verified: &Snapshot) -> bool {
+        self.verify(Some(verified))
+    }
+
+    fn verify(&self, verified: Option<&Snapshot>) -> bool {
         if self.shards.len() != 1usize << self.shard_bits {
             return false;
         }
@@ -683,6 +980,11 @@ impl Snapshot {
         let mut checksum = 0u64;
         let mut total = 0u64;
         for (i, shard) in self.shards.iter().enumerate() {
+            checksum = checksum.wrapping_add(shard.checksum);
+            total += shard.run.len() as u64;
+            if verified.is_some_and(|v| v.shards.get(i).is_some_and(|s| Arc::ptr_eq(s, shard))) {
+                continue;
+            }
             if !shard.run.check_invariants() {
                 return false;
             }
@@ -694,19 +996,25 @@ impl Snapshot {
             if agg_total != shard.run.len() as u64 || week_total != agg_total {
                 return false;
             }
-            for (b, &w) in shard.run.iter().zip(&shard.first_week) {
-                if shard48(b, self.shard_bits) != i {
+            let mut folded = 0u64;
+            for (start, hi, lows) in shard.run.blocks() {
+                // The shard key lies inside the /48, so inside the key.
+                let first = u128::from(hi) << 64;
+                if shard48(first, self.shard_bits) != i {
                     return false;
                 }
-                // A bloom front must never produce a false negative.
-                if let Some(bloom) = &shard.bloom {
-                    if !bloom.may_contain(b) {
+                for (&lo, &w) in lows.iter().zip(&shard.first_week[start..]) {
+                    let b = first | u128::from(lo);
+                    // A bloom front must never produce a false negative.
+                    if shard.bloom.as_ref().is_some_and(|f| !f.may_contain(b)) {
                         return false;
                     }
+                    folded = fold_addr(folded, b, w);
                 }
-                checksum = fold_addr(checksum, b, w);
             }
-            total += shard.run.len() as u64;
+            if folded != shard.checksum {
+                return false;
+            }
         }
         checksum == self.checksum && total == self.total
     }
@@ -992,12 +1300,55 @@ mod tests {
         assert!(s.verify_integrity());
         let mut broken = s.clone();
         let shard = broken.shards.iter_mut().find(|sh| !sh.is_empty()).unwrap();
-        shard.first_week[0] ^= 1;
+        Arc::make_mut(shard).first_week[0] ^= 1;
         assert!(!broken.verify_integrity());
 
         let mut broken = s;
         broken.total += 1;
         assert!(!broken.verify_integrity());
+    }
+
+    #[test]
+    fn apply_delta_shares_untouched_shards_and_rewalks_rebuilt_ones() {
+        let s = sample();
+        let gone = u128::from(addr("2001:db8:1::2"));
+        let new = u128::from(addr("2001:db8:1::9"));
+        let moved = (u128::from(addr("2001:db8:1::1")), 3);
+        let mut checksum = s.content_checksum();
+        checksum = checksum.wrapping_sub(v6stream::content_term(gone, 0));
+        checksum = checksum.wrapping_sub(v6stream::content_term(moved.0, 0));
+        checksum = fold_addr(fold_addr(checksum, new, 4), moved.0, moved.1);
+        let delta = DeltaRecord {
+            epoch: 2,
+            week: 4,
+            content_checksum: checksum,
+            missing_shards: vec![],
+            removed: vec![gone],
+            added: vec![moved, (new, 4)],
+            removed_aliases: vec![],
+            added_aliases: vec![],
+        };
+        let next = s.apply_delta(&delta).expect("checksum carried forward");
+        assert_eq!(next.len(), 4);
+        assert_eq!(next.first_week(addr("2001:db8:1::1")), Some(3));
+        assert!(!next.contains(addr("2001:db8:1::2")));
+        assert_eq!(next.new_since(2), 2);
+        assert_eq!(next.count_within(&pfx("2001:db8:1::/48")), 2);
+
+        // Only 2001:db8:1::/48's shard was rebuilt; the rest are the
+        // previous epoch's, and a verify against it walks only that one.
+        let touched = shard48(gone, s.shard_bits);
+        for i in 0..s.shard_count() {
+            assert_eq!(Arc::ptr_eq(&s.shards[i], &next.shards[i]), i != touched);
+        }
+        assert!(next.verify_since(&s) && next.verify_integrity());
+        let mut broken = next.clone();
+        Arc::make_mut(&mut broken.shards[touched]).first_week[0] ^= 1;
+        assert!(!broken.verify_since(&s));
+
+        let mut forged = delta;
+        forged.content_checksum ^= 1;
+        assert!(s.apply_delta(&forged).is_none());
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! (write-ahead: durable-before-visible), and can be rebuilt from its
 //! directory with [`HitlistStore::recover`]. A store built with
 //! [`HitlistStore::new`] keeps the previous in-memory-only behavior.
+//!
+//! What the log is handed is the epoch's [`DeltaRecord`]: the one the
+//! publisher already holds ([`HitlistStore::publish_delta`]), or one
+//! derived by diffing the served snapshot against the new one, shard by
+//! shard ([`crate::persist::delta_between`]). The served snapshot *is*
+//! the log's last epoch — the swap happens under the log mutex — so no
+//! flat copy of the content is kept beside it, and the content is
+//! flattened only on the append that owes a checkpoint.
 
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,10 +34,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use v6chaos::{Chaos, NoChaos};
-use v6store::{EpochLog, EpochView, RecoverError, RecoveryReport, StoreConfig};
+use v6store::{DeltaRecord, EpochLog, RecoverError, RecoveryReport, StoreConfig};
 
 use crate::metrics::ServeMetrics;
-use crate::persist::{flatten_snapshot, snapshot_from_state};
+use crate::persist::{delta_between, flatten_snapshot, snapshot_from_state};
 use crate::snapshot::Snapshot;
 
 /// Why a publication was rejected.
@@ -48,6 +56,15 @@ pub enum PublishError {
     /// was not made visible to readers. The store stays on its previous
     /// epoch and remains usable; the failed epoch number is burned.
     Persistence(String),
+    /// The epoch's replication record is too large for one transport
+    /// frame. Raised by a cluster leader *before* the write-ahead
+    /// append, so nothing was logged or made visible.
+    Oversized {
+        /// Encoded size of the record, bytes.
+        bytes: usize,
+        /// The transport's frame payload cap, bytes.
+        cap: usize,
+    },
 }
 
 impl std::fmt::Display for PublishError {
@@ -58,6 +75,12 @@ impl std::fmt::Display for PublishError {
                 write!(f, "snapshot has {got} shards, store serves {expected}")
             }
             PublishError::Persistence(e) => write!(f, "write-ahead log append failed: {e}"),
+            PublishError::Oversized { bytes, cap } => {
+                write!(
+                    f,
+                    "replication record of {bytes} bytes exceeds the {cap}-byte frame cap"
+                )
+            }
         }
     }
 }
@@ -87,8 +110,10 @@ pub struct HitlistStore {
     shard_count: usize,
     metrics: Arc<ServeMetrics>,
     /// Write-ahead epoch log; `None` for in-memory stores. The mutex
-    /// covers epoch allocation + append so the on-disk epoch sequence
-    /// is strictly monotonic even with concurrent publishers.
+    /// covers epoch allocation, append and the pointer swap, so the
+    /// on-disk epoch sequence is strictly monotonic even with concurrent
+    /// publishers and `current` is always the log's last epoch — what
+    /// the next record is a delta from.
     log: Option<Mutex<EpochLog>>,
 }
 
@@ -177,7 +202,7 @@ impl HitlistStore {
         }
         let shard_count = 1usize << rec.state.shard_bits;
         let next = rec.state.epoch + 1;
-        let log = EpochLog::resume(cfg, rec.state, &rec.report, metrics.registry(), chaos)
+        let log = EpochLog::resume(cfg, &rec.state, &rec.report, metrics.registry(), chaos)
             .map_err(RecoverError::Io)?;
         Ok((
             HitlistStore {
@@ -224,7 +249,7 @@ impl HitlistStore {
     /// previous epoch — readers can never observe an epoch that would
     /// not survive a crash.
     pub fn publish(&self, snapshot: Snapshot) -> Result<PublishReceipt, PublishError> {
-        self.publish_impl(snapshot, None)
+        self.publish_impl(snapshot, None, None)
     }
 
     /// [`HitlistStore::publish`] under a caller-chosen epoch number,
@@ -243,13 +268,40 @@ impl HitlistStore {
         snapshot: Snapshot,
         epoch: u64,
     ) -> Result<PublishReceipt, PublishError> {
-        self.publish_impl(snapshot, Some(epoch))
+        self.publish_impl(snapshot, Some(epoch), None)
+    }
+
+    /// [`HitlistStore::publish_as`] for a publisher that already holds
+    /// the epoch's delta: `snapshot` is published as `delta.epoch` and
+    /// `delta` itself is what the write-ahead log appends — nothing is
+    /// flattened or re-diffed.
+    ///
+    /// `delta` must be the record that carries the snapshot this store
+    /// currently serves to `snapshot` (a replica gets the pair from
+    /// [`Snapshot::apply_delta`], a leader from
+    /// [`crate::persist::delta_between`]), and the caller must be the
+    /// store's only publisher in between. A record whose checksum, week
+    /// or quarantine list is not the snapshot's is refused with
+    /// [`PublishError::IntegrityFailure`].
+    pub fn publish_delta(
+        &self,
+        snapshot: Snapshot,
+        delta: &DeltaRecord,
+    ) -> Result<PublishReceipt, PublishError> {
+        if delta.content_checksum != snapshot.content_checksum()
+            || delta.week != snapshot.week()
+            || delta.missing_shards != snapshot.missing_shards()
+        {
+            return Err(PublishError::IntegrityFailure);
+        }
+        self.publish_impl(snapshot, Some(delta.epoch), Some(delta))
     }
 
     fn publish_impl(
         &self,
         mut snapshot: Snapshot,
         explicit: Option<u64>,
+        delta: Option<&DeltaRecord>,
     ) -> Result<PublishReceipt, PublishError> {
         if snapshot.shard_count() != self.shard_count {
             return Err(PublishError::ShardMismatch {
@@ -258,7 +310,9 @@ impl HitlistStore {
             });
         }
         let t0 = Instant::now();
-        if !snapshot.verify_integrity() {
+        // Whatever is being served passed this check when it was
+        // published, so shards shared with it need no second walk.
+        if !snapshot.verify_since(&self.snapshot()) {
             return Err(PublishError::IntegrityFailure);
         }
         let validate = t0.elapsed();
@@ -275,28 +329,23 @@ impl HitlistStore {
         };
 
         let mut persist = Duration::ZERO;
-        let epoch = match &self.log {
-            None => allocate(explicit),
-            Some(log) => {
-                // Epoch allocation and append happen under the log mutex
-                // so the on-disk sequence is strictly monotonic.
-                let tp = Instant::now();
-                let mut log = log.lock();
-                let epoch = allocate(explicit);
-                let (entries, aliases) = flatten_snapshot(&snapshot);
-                log.append(EpochView {
-                    epoch,
-                    week: snapshot.week(),
-                    content_checksum: snapshot.content_checksum(),
-                    missing_shards: snapshot.missing_shards(),
-                    entries: &entries,
-                    aliases: &aliases,
-                })
+        // Held (on a persistent store) until after the swap: see `log`.
+        let mut log = self.log.as_ref().map(|log| log.lock());
+        let epoch = allocate(explicit);
+        if let Some(log) = log.as_mut() {
+            let tp = Instant::now();
+            let derived;
+            let record = match delta {
+                Some(delta) => delta,
+                None => {
+                    derived = delta_between(&self.snapshot(), &snapshot, epoch);
+                    &derived
+                }
+            };
+            log.append_delta(record, || flatten_snapshot(&snapshot))
                 .map_err(|e| PublishError::Persistence(e.to_string()))?;
-                persist = tp.elapsed();
-                epoch
-            }
-        };
+            persist = tp.elapsed();
+        }
         snapshot.epoch = epoch;
         let addresses = snapshot.len();
         let degraded = snapshot.is_degraded();
@@ -310,6 +359,7 @@ impl HitlistStore {
             }
         }
         let swap = t1.elapsed();
+        drop(log);
         self.metrics.record_publish();
         {
             // Export the published epoch's memory footprint: raw is what

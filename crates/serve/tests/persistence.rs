@@ -17,6 +17,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use v6chaos::{ScriptedChaos, SiteScript};
+use v6serve::persist::delta_between;
 use v6serve::{
     HitlistStore, Ingestor, PublicationUpdate, PublishError, QueryEngine, SnapshotBuilder,
     StoreConfig,
@@ -109,6 +110,66 @@ fn checkpointed_store_recovers_identically() {
     assert_eq!(store.epoch(), 8);
     assert_eq!(store.snapshot().content_checksum(), last);
     std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn publish_delta_logs_the_record_it_is_handed() {
+    let dir = v6store::scratch_dir("serve-delta");
+    let cfg = StoreConfig::new(&dir).checkpoint_every(3).with_fsync(false);
+    let leader = HitlistStore::persistent("persist", 4, cfg.clone()).unwrap();
+    let follower_dir = v6store::scratch_dir("serve-delta-follower");
+    let follower_cfg = StoreConfig::new(&follower_dir)
+        .checkpoint_every(3)
+        .with_fsync(false);
+    let follower = HitlistStore::persistent("persist", 4, follower_cfg.clone()).unwrap();
+
+    // The leader publishes whole snapshots and derives each record; the
+    // follower is handed the record and never sees the whole content.
+    // Gapped epoch numbers, as a cluster assigns them.
+    for week in 0..8u32 {
+        let epoch = 10 + 5 * u64::from(week);
+        let next = snapshot_through(week, 4);
+        let delta = delta_between(&leader.snapshot(), &next, epoch);
+        leader.publish_as(next, epoch).unwrap();
+        let applied = follower.snapshot().apply_delta(&delta).unwrap();
+        assert_eq!(
+            follower.publish_delta(applied, &delta).unwrap().epoch,
+            epoch
+        );
+    }
+    // One log format, whoever derived the record: the two directories
+    // hold the same bytes, checkpoints included.
+    let mut names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    names.sort();
+    assert_eq!(names.len(), 3, "log + two retained checkpoints: {names:?}");
+    for name in &names {
+        assert_eq!(
+            std::fs::read(dir.join(name)).unwrap(),
+            std::fs::read(follower_dir.join(name)).unwrap(),
+            "{name:?}"
+        );
+    }
+
+    // A record that is not this snapshot's is refused before the log.
+    let next = snapshot_through(8, 4);
+    let mut forged = delta_between(&follower.snapshot(), &next, 99);
+    forged.content_checksum ^= 1;
+    let err = follower.publish_delta(next, &forged).unwrap_err();
+    assert_eq!(err, PublishError::IntegrityFailure);
+    assert_eq!(follower.epoch(), 45);
+    drop(follower);
+
+    let (recovered, report) = HitlistStore::recover(follower_cfg).unwrap();
+    assert_eq!(report.recovered_epoch, 45);
+    assert_eq!(
+        recovered.snapshot().content_checksum(),
+        leader.snapshot().content_checksum()
+    );
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::remove_dir_all(follower_dir).ok();
 }
 
 #[test]

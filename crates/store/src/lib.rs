@@ -6,7 +6,8 @@
 //!
 //! - an **append-only epoch delta log** (`epochs.v6log`): every
 //!   published epoch appends one checksummed frame holding the diff
-//!   from the previous epoch, fsynced *before* the epoch becomes
+//!   from the previous epoch — the [`DeltaRecord`] the caller hands
+//!   [`EpochLog::append_delta`] — fsynced *before* the epoch becomes
 //!   visible to readers;
 //! - periodic **compacted checkpoints** (`checkpoint-<epoch>.v6ck`):
 //!   the full state written atomically (temp file + rename), after
@@ -28,20 +29,24 @@
 //! hoped-for in production.
 //!
 //! ```
-//! use v6store::{recover, EpochLog, EpochView, StoreConfig};
+//! use v6store::{recover, DeltaRecord, EpochLog, StoreConfig};
 //!
 //! let dir = v6store::scratch_dir("doc");
 //! let cfg = StoreConfig::new(&dir).with_fsync(false);
 //! let mut log = EpochLog::create(cfg, "doc-service", 2).unwrap();
-//! log.append(EpochView {
+//! let record = DeltaRecord {
 //!     epoch: 1,
 //!     week: 0,
 //!     content_checksum: 0xfeed,
-//!     missing_shards: &[],
-//!     entries: &[(42, 0)],
-//!     aliases: &[],
-//! })
-//! .unwrap();
+//!     missing_shards: vec![],
+//!     removed: vec![],
+//!     added: vec![(42, 0)],
+//!     removed_aliases: vec![],
+//!     added_aliases: vec![],
+//! };
+//! // The closure supplies the full content, and only runs when a
+//! // checkpoint is due.
+//! log.append_delta(&record, || (vec![(42, 0)], vec![])).unwrap();
 //! drop(log); // "crash"
 //!
 //! let rec = recover(&dir).unwrap();
@@ -65,7 +70,7 @@ pub use format::{AliasEntry, FORMAT_VERSION, MAGIC};
 pub use log::DeltaRecord;
 pub use log::{
     checkpoint_file, data_dir_from_env, parse_checkpoint_name, scratch_dir, AppendReceipt,
-    EpochLog, EpochState, EpochView, StoreConfig, LOG_FILE,
+    EpochLog, EpochState, EpochView, StateLog, StoreConfig, LOG_FILE,
 };
 pub use recover::{recover, recover_at, recover_with, RecoverError, Recovery, RecoveryReport};
 pub use tail::{LogTailer, TailReport};

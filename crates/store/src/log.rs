@@ -12,6 +12,17 @@
 //! growth; `retain_checkpoints` older checkpoints are kept as fallbacks
 //! against a corrupt newest checkpoint.
 //!
+//! # Record in, content on demand
+//!
+//! The one write primitive is [`EpochLog::append_delta`]: it encodes and
+//! appends the [`DeltaRecord`] it is handed. The log keeps only the
+//! header of its last epoch (name, shard bits, epoch, week, checksum,
+//! quarantined shards) — never the content — so an append costs O(Δ).
+//! The full content is asked of the caller, through a closure, only on
+//! the append on which a checkpoint is actually due. Callers that publish
+//! whole states instead of deltas (tests, tools) use [`StateLog`], which
+//! owns the flat state and derives each record by diffing against it.
+//!
 //! # Fault injection
 //!
 //! The write path consults a [`v6chaos::Chaos`] source at three sites
@@ -214,7 +225,9 @@ pub struct EpochLog {
     prelude_len: u64,
     /// True after a failed append left torn bytes past `good_len`.
     dirty: bool,
-    state: EpochState,
+    /// The header of the last appended epoch; `entries` and `aliases`
+    /// stay empty — the content lives with the caller.
+    head: EpochState,
     last_checkpoint_epoch: u64,
     chaos: Arc<dyn Chaos>,
     metrics: LogMetrics,
@@ -224,7 +237,7 @@ impl std::fmt::Debug for EpochLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochLog")
             .field("dir", &self.cfg.dir)
-            .field("epoch", &self.state.epoch)
+            .field("epoch", &self.head.epoch)
             .field("good_len", &self.good_len)
             .field("dirty", &self.dirty)
             .finish()
@@ -239,27 +252,17 @@ fn meta_payload(name: &str, shard_bits: u32) -> Vec<u8> {
     e.into_bytes()
 }
 
-#[allow(clippy::too_many_arguments)] // one arg per delta-record field
-pub(crate) fn delta_payload(
-    epoch: u64,
-    week: u64,
-    checksum: u64,
-    missing: &[u32],
-    removed: &[u128],
-    added: &[(u128, u32)],
-    removed_aliases: &[(u128, u8)],
-    added_aliases: &[AliasEntry],
-) -> Vec<u8> {
+pub(crate) fn delta_payload(record: &DeltaRecord) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(TAG_DELTA);
-    e.u64(epoch);
-    e.u64(week);
-    e.u64(checksum);
-    e.shards(missing);
-    e.removed(removed);
-    e.entries(added);
-    e.removed_aliases(removed_aliases);
-    e.aliases(added_aliases);
+    e.u64(record.epoch);
+    e.u64(record.week);
+    e.u64(record.content_checksum);
+    e.shards(&record.missing_shards);
+    e.removed(&record.removed);
+    e.entries(&record.added);
+    e.removed_aliases(&record.removed_aliases);
+    e.aliases(&record.added_aliases);
     e.into_bytes()
 }
 
@@ -546,7 +549,7 @@ impl EpochLog {
             good_len: prelude_len,
             prelude_len,
             dirty: false,
-            state: EpochState {
+            head: EpochState {
                 name: name.to_string(),
                 shard_bits,
                 ..EpochState::default()
@@ -559,10 +562,11 @@ impl EpochLog {
     /// Reopens the log of a recovered store for appending, truncating
     /// any torn or quarantined tail past the last valid frame (the
     /// truncate half of truncate-and-report; the report half is the
-    /// [`crate::RecoveryReport`] recovery produced).
+    /// [`crate::RecoveryReport`] recovery produced). Only the header of
+    /// `state` is kept; its content stays with the caller.
     pub fn resume(
         cfg: StoreConfig,
-        state: EpochState,
+        state: &EpochState,
         report: &crate::RecoveryReport,
         registry: &Registry,
         chaos: Arc<dyn Chaos>,
@@ -598,19 +602,20 @@ impl EpochLog {
             prelude_len,
             dirty: false,
             last_checkpoint_epoch: report.checkpoint_epoch.unwrap_or(0),
-            state,
+            head: EpochState {
+                entries: Vec::new(),
+                aliases: Vec::new(),
+                missing_shards: state.missing_shards.clone(),
+                name: state.name.clone(),
+                ..*state
+            },
             chaos,
         })
     }
 
     /// The epoch of the last successfully appended frame.
     pub fn epoch(&self) -> u64 {
-        self.state.epoch
-    }
-
-    /// The full content state the log believes is durable.
-    pub fn state(&self) -> &EpochState {
-        &self.state
+        self.head.epoch
     }
 
     /// The store directory.
@@ -618,21 +623,32 @@ impl EpochLog {
         &self.cfg.dir
     }
 
-    /// Appends one epoch. The frame is durable (fsynced, when enabled)
-    /// before this returns `Ok` — the write-ahead contract: a caller
-    /// must not make the epoch visible to readers until then.
+    /// Appends one epoch's delta record. The frame is durable (fsynced,
+    /// when enabled) before this returns `Ok` — the write-ahead
+    /// contract: a caller must not make the epoch visible to readers
+    /// until then.
+    ///
+    /// `content` yields the full `(entries, aliases)` of the epoch the
+    /// record produces, sorted as [`EpochState`] holds them. It is
+    /// called only when this append is due a checkpoint, so the steady
+    /// state never materializes the corpus.
     ///
     /// An `Err` means the epoch is NOT durable and must not be made
     /// visible; the file may hold a torn frame (exactly what a crash
     /// would leave), which the next append truncates away.
-    pub fn append(&mut self, view: EpochView<'_>) -> io::Result<AppendReceipt> {
+    pub fn append_delta(
+        &mut self,
+        record: &DeltaRecord,
+        content: impl FnOnce() -> (Vec<(u128, u32)>, Vec<AliasEntry>),
+    ) -> io::Result<AppendReceipt> {
         let started = Instant::now();
-        if view.epoch <= self.state.epoch {
+        let epoch = record.epoch;
+        if epoch <= self.head.epoch {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
                     "epoch {} not after last appended epoch {}",
-                    view.epoch, self.state.epoch
+                    epoch, self.head.epoch
                 ),
             ));
         }
@@ -646,25 +662,11 @@ impl EpochLog {
             self.dirty = false;
         }
 
-        let (removed, added) = diff_entries(&self.state.entries, view.entries);
-        let (removed_aliases, added_aliases) = diff_aliases(&self.state.aliases, view.aliases);
-        let payload = delta_payload(
-            view.epoch,
-            view.week,
-            view.content_checksum,
-            view.missing_shards,
-            &removed,
-            &added,
-            &removed_aliases,
-            &added_aliases,
-        );
+        let payload = delta_payload(record);
         let frame = format::frame(&payload);
 
         self.file.seek(SeekFrom::Start(self.good_len))?;
-        match self
-            .chaos
-            .decide(&format!("store.append.{}", view.epoch), 0)
-        {
+        match self.chaos.decide(&format!("store.append.{epoch}"), 0) {
             Fault::None => self.file.write_all(&frame)?,
             Fault::Stall(d) => {
                 std::thread::sleep(d);
@@ -673,13 +675,13 @@ impl EpochLog {
             Fault::Error => {
                 // Torn write: the process "crashed" mid-frame. Cut at a
                 // deterministic offset so replays reproduce the tear.
-                let cut = 1 + (hash64(view.epoch, b"store.torn") % (frame.len() as u64 - 1));
+                let cut = 1 + (hash64(epoch, b"store.torn") % (frame.len() as u64 - 1));
                 self.file.write_all(&frame[..cut as usize])?;
                 self.file.sync_data().ok();
                 self.dirty = true;
                 return Err(io::Error::other(format!(
                     "injected torn write (store.append.{}, {} of {} bytes)",
-                    view.epoch,
+                    epoch,
                     cut,
                     frame.len()
                 )));
@@ -687,23 +689,21 @@ impl EpochLog {
             Fault::Panic => {
                 // Partial flush: the frame was written but the final
                 // page never reached disk.
-                let lost =
-                    1 + (hash64(view.epoch, b"store.flush") % (frame.len() as u64 - 1).min(64));
+                let lost = 1 + (hash64(epoch, b"store.flush") % (frame.len() as u64 - 1).min(64));
                 self.file.write_all(&frame)?;
                 self.file
                     .set_len(self.good_len + frame.len() as u64 - lost)?;
                 self.file.sync_data().ok();
                 self.dirty = true;
                 return Err(io::Error::other(format!(
-                    "injected partial flush (store.append.{}, lost {lost} tail bytes)",
-                    view.epoch
+                    "injected partial flush (store.append.{epoch}, lost {lost} tail bytes)"
                 )));
             }
         }
-        if self.chaos.fails(&format!("store.bitrot.{}", view.epoch), 0) {
+        if self.chaos.fails(&format!("store.bitrot.{epoch}"), 0) {
             // Silent media corruption: flip one payload bit in place.
             // The append still "succeeds" — only recovery notices.
-            let h = hash64(view.epoch, b"store.bitrot");
+            let h = hash64(epoch, b"store.bitrot");
             let offset = self.good_len + 4 + (h % payload.len() as u64);
             let bit = 1u8 << ((h >> 32) % 8);
             let mut byte = [0u8; 1];
@@ -721,39 +721,47 @@ impl EpochLog {
         self.metrics.appends.inc();
         self.metrics.bytes.add(frame.len() as u64);
 
-        self.state.epoch = view.epoch;
-        self.state.week = view.week;
-        self.state.content_checksum = view.content_checksum;
-        self.state.missing_shards = view.missing_shards.to_vec();
-        self.state.entries = view.entries.to_vec();
-        self.state.aliases = view.aliases.to_vec();
+        self.head.epoch = epoch;
+        self.head.week = record.week;
+        self.head.content_checksum = record.content_checksum;
+        self.head.missing_shards.clone_from(&record.missing_shards);
 
         let mut checkpointed = false;
         if self.cfg.checkpoint_interval > 0
-            && view.epoch - self.last_checkpoint_epoch >= self.cfg.checkpoint_interval
+            && epoch - self.last_checkpoint_epoch >= self.cfg.checkpoint_interval
         {
-            checkpointed = self.checkpoint()?;
+            let (entries, aliases) = content();
+            checkpointed = self.checkpoint(entries, aliases)?;
         }
         let wall = started.elapsed();
         self.metrics.append_latency.record_duration(wall);
         Ok(AppendReceipt {
-            epoch: view.epoch,
+            epoch,
             frame_bytes: frame.len() as u64,
-            delta_added: added.len(),
-            delta_removed: removed.len(),
+            delta_added: record.added.len(),
+            delta_removed: record.removed.len(),
             checkpointed,
             wall,
         })
     }
 
-    /// Compacts the current state into a checkpoint file and resets the
-    /// log to its empty prelude. Returns false when the checkpoint write
-    /// was faulted (the log is left intact — nothing is lost, the next
+    /// Compacts the last appended epoch — the head plus the content the
+    /// caller just supplied — into a checkpoint file and resets the log
+    /// to its empty prelude. Returns false when the checkpoint write was
+    /// faulted (the log is left intact — nothing is lost, the next
     /// interval retries).
-    fn checkpoint(&mut self) -> io::Result<bool> {
-        let epoch = self.state.epoch;
+    fn checkpoint(
+        &mut self,
+        entries: Vec<(u128, u32)>,
+        aliases: Vec<AliasEntry>,
+    ) -> io::Result<bool> {
+        let epoch = self.head.epoch;
         let mut bytes = format::header(KIND_CHECKPOINT);
-        bytes.extend_from_slice(&format::frame(&checkpoint_payload(&self.state)));
+        bytes.extend_from_slice(&format::frame(&checkpoint_payload(&EpochState {
+            entries,
+            aliases,
+            ..self.head.clone()
+        })));
         let final_path = self.cfg.dir.join(checkpoint_file(epoch));
 
         if self.chaos.fails(&format!("store.checkpoint.{epoch}"), 0) {
@@ -808,6 +816,78 @@ impl EpochLog {
             fs::remove_file(path).ok();
         }
         Ok(true)
+    }
+}
+
+/// An [`EpochLog`] for callers that publish whole states rather than
+/// deltas (tests, tools, single-writer utilities): it owns the flat
+/// content of the last epoch and derives each record by diffing the
+/// next [`EpochView`] against it. The serving layer does not use this —
+/// it holds the content as a snapshot and hands the log records.
+#[derive(Debug)]
+pub struct StateLog {
+    log: EpochLog,
+    state: EpochState,
+}
+
+impl StateLog {
+    /// [`EpochLog::create`], starting from the empty epoch-0 state.
+    pub fn create(cfg: StoreConfig, name: &str, shard_bits: u32) -> io::Result<Self> {
+        Self::create_with(cfg, name, shard_bits, v6obs::global(), Arc::new(NoChaos))
+    }
+
+    /// [`EpochLog::create_with`], starting from the empty epoch-0 state.
+    pub fn create_with(
+        cfg: StoreConfig,
+        name: &str,
+        shard_bits: u32,
+        registry: &Registry,
+        chaos: Arc<dyn Chaos>,
+    ) -> io::Result<Self> {
+        let log = EpochLog::create_with(cfg, name, shard_bits, registry, chaos)?;
+        Ok(StateLog {
+            state: log.head.clone(),
+            log,
+        })
+    }
+
+    /// [`EpochLog::resume`], continuing from a recovered `state`.
+    pub fn resume(
+        cfg: StoreConfig,
+        state: EpochState,
+        report: &crate::RecoveryReport,
+        registry: &Registry,
+        chaos: Arc<dyn Chaos>,
+    ) -> io::Result<Self> {
+        let log = EpochLog::resume(cfg, &state, report, registry, chaos)?;
+        Ok(StateLog { log, state })
+    }
+
+    /// The epoch of the last successfully appended frame.
+    pub fn epoch(&self) -> u64 {
+        self.log.epoch()
+    }
+
+    /// The full content state the log holds durably.
+    pub fn state(&self) -> &EpochState {
+        &self.state
+    }
+
+    /// Appends one epoch given its full content: persists the delta
+    /// from the held state ([`EpochLog::append_delta`], same contract),
+    /// then adopts the view as the held state.
+    pub fn append(&mut self, view: EpochView<'_>) -> io::Result<AppendReceipt> {
+        let record = crate::replica::delta_between(&self.state, &view);
+        let receipt = self
+            .log
+            .append_delta(&record, || (view.entries.to_vec(), view.aliases.to_vec()))?;
+        self.state.epoch = view.epoch;
+        self.state.week = view.week;
+        self.state.content_checksum = view.content_checksum;
+        self.state.missing_shards = view.missing_shards.to_vec();
+        self.state.entries = view.entries.to_vec();
+        self.state.aliases = view.aliases.to_vec();
+        Ok(receipt)
     }
 }
 
@@ -898,7 +978,7 @@ mod tests {
     fn create_append_retains_state() {
         let dir = scratch_dir("log-basic");
         let cfg = StoreConfig::new(&dir).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 2).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 2).unwrap();
         let entries = vec![(10u128, 0u32), (20, 1)];
         let receipt = log.append(view(1, &entries, &[])).unwrap();
         assert_eq!(receipt.epoch, 1);
@@ -917,7 +997,7 @@ mod tests {
     fn checkpoint_resets_log_and_retains() {
         let dir = scratch_dir("log-ckpt");
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
         let mut entries: Vec<(u128, u32)> = Vec::new();
         let mut reset_len = None;
         for e in 1..=6u64 {

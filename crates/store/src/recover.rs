@@ -293,9 +293,9 @@ fn replay_log(bytes: &[u8], target: u64, state: &mut EpochState, report: &mut Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scratch_dir, EpochLog, EpochView, StoreConfig};
+    use crate::log::{scratch_dir, EpochView, StateLog, StoreConfig};
 
-    fn publish(log: &mut EpochLog, epoch: u64, entries: &[(u128, u32)]) {
+    fn publish(log: &mut StateLog, epoch: u64, entries: &[(u128, u32)]) {
         log.append(EpochView {
             epoch,
             week: epoch,
@@ -322,7 +322,7 @@ mod tests {
     fn recover_replays_log_exactly() {
         let dir = scratch_dir("rec-replay");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 3).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 3).unwrap();
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=5u64 {
             entries.push((u128::from(e) << 24, e as u32));
@@ -346,7 +346,7 @@ mod tests {
     fn recover_uses_checkpoint_and_tail() {
         let dir = scratch_dir("rec-ckpt");
         let cfg = StoreConfig::new(&dir).checkpoint_every(3).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 2).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 2).unwrap();
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=5u64 {
             entries.push((u128::from(e) << 24, e as u32));
@@ -368,7 +368,7 @@ mod tests {
     fn recover_at_time_travels() {
         let dir = scratch_dir("rec-at");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
         let mut checksums = vec![0u64]; // epoch 0 = empty
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=6u64 {
@@ -390,7 +390,7 @@ mod tests {
     fn torn_tail_truncate_and_report() {
         let dir = scratch_dir("rec-torn");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
         publish(&mut log, 1, &[(7, 0)]);
         let good = log.state().clone();
         drop(log);
@@ -413,7 +413,7 @@ mod tests {
     fn bit_rot_quarantines_and_stops() {
         let dir = scratch_dir("rec-rot");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
         publish(&mut log, 1, &[(7, 0)]);
         let len_after_1 = std::fs::metadata(cfg.log_path()).unwrap().len();
         let good = log.state().clone();
@@ -439,7 +439,7 @@ mod tests {
     fn corrupt_newest_checkpoint_falls_back() {
         let dir = scratch_dir("rec-fallback");
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=4u64 {
             entries.push((u128::from(e), 0));
@@ -466,7 +466,7 @@ mod tests {
     fn resume_after_recovery_continues_the_log() {
         let dir = scratch_dir("rec-resume");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 1).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 1).unwrap();
         publish(&mut log, 1, &[(3, 0)]);
         drop(log);
         // Torn tail on disk.
@@ -476,7 +476,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let rec = recover(&dir).unwrap();
-        let mut log = EpochLog::resume(
+        let mut log = StateLog::resume(
             cfg.clone(),
             rec.state,
             &rec.report,

@@ -52,6 +52,7 @@
 //!
 //! [`v6wire`]: ../../v6wire/index.html
 
+use crate::format::AliasEntry;
 use crate::log::{self, EpochState, EpochView};
 
 pub use crate::log::DeltaRecord;
@@ -77,6 +78,13 @@ pub fn delta_between(prev: &EpochState, next: &EpochView<'_>) -> DeltaRecord {
     }
 }
 
+/// The alias half of [`delta_between`] on its own: `(removed keys,
+/// added or week-changed registrations)` between two alias lists
+/// sorted by `(bits, len)`.
+pub fn diff_aliases(old: &[AliasEntry], new: &[AliasEntry]) -> (Vec<(u128, u8)>, Vec<AliasEntry>) {
+    log::diff_aliases(old, new)
+}
+
 /// Replays a delta record into a mirror in place: remove, then upsert,
 /// then adopt the record's epoch/week/checksum/missing-shard header.
 pub fn apply(state: &mut EpochState, record: &DeltaRecord) {
@@ -85,16 +93,7 @@ pub fn apply(state: &mut EpochState, record: &DeltaRecord) {
 
 /// Encodes a delta record as the on-disk/on-wire delta payload.
 pub fn encode_delta(record: &DeltaRecord) -> Vec<u8> {
-    log::delta_payload(
-        record.epoch,
-        record.week,
-        record.content_checksum,
-        &record.missing_shards,
-        &record.removed,
-        &record.added,
-        &record.removed_aliases,
-        &record.added_aliases,
-    )
+    log::delta_payload(record)
 }
 
 /// Decodes a delta payload produced by [`encode_delta`] (or read back
@@ -118,7 +117,6 @@ pub fn decode_state(payload: &[u8]) -> Option<EpochState> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::AliasEntry;
 
     fn view(state: &EpochState) -> EpochView<'_> {
         EpochView {

@@ -48,11 +48,11 @@ pub struct TailReport {
 /// A read-only cursor over a store directory's epoch log.
 ///
 /// ```
-/// use v6store::{EpochLog, EpochView, LogTailer, StoreConfig};
+/// use v6store::{EpochView, LogTailer, StateLog, StoreConfig};
 ///
 /// let dir = v6store::scratch_dir("tail-doc");
 /// let cfg = StoreConfig::new(&dir).with_fsync(false);
-/// let mut log = EpochLog::create(cfg, "doc", 1).unwrap();
+/// let mut log = StateLog::create(cfg, "doc", 1).unwrap();
 /// let mut tail = LogTailer::new(&dir);
 /// log.append(EpochView {
 ///     epoch: 1,
@@ -174,9 +174,9 @@ impl LogTailer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scratch_dir, EpochLog, EpochView, StoreConfig};
+    use crate::log::{scratch_dir, EpochView, StateLog, StoreConfig};
 
-    fn publish(log: &mut EpochLog, epoch: u64, entries: &[(u128, u32)]) {
+    fn publish(log: &mut StateLog, epoch: u64, entries: &[(u128, u32)]) {
         log.append(EpochView {
             epoch,
             week: epoch,
@@ -192,7 +192,7 @@ mod tests {
     fn tails_appends_incrementally() {
         let dir = scratch_dir("tail-incr");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 1).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 1).unwrap();
         let mut tail = LogTailer::new(&dir);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=3u64 {
@@ -215,7 +215,7 @@ mod tests {
         let (records, _) = tail.poll().unwrap();
         assert!(records.is_empty());
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
         publish(&mut log, 1, &[(9, 0)]);
         let (records, _) = tail.poll().unwrap();
         assert_eq!(records.len(), 1);
@@ -232,7 +232,7 @@ mod tests {
         // is expected to detect them via the delta chain's content
         // checksums and resync from a recovered state.
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
         let mut tail = LogTailer::new(&dir);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         let mut seen = Vec::new();
@@ -260,7 +260,7 @@ mod tests {
     fn torn_tail_retries_next_poll() {
         let dir = scratch_dir("tail-torn");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
         publish(&mut log, 1, &[(7, 0)]);
         let mut tail = LogTailer::new(&dir);
         let (records, _) = tail.poll().unwrap();
@@ -290,7 +290,7 @@ mod tests {
     fn bit_rot_pins_the_cursor() {
         let dir = scratch_dir("tail-rot");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
         publish(&mut log, 1, &[(7, 0)]);
         let len_after_1 = std::fs::metadata(cfg.log_path()).unwrap().len() as usize;
         publish(&mut log, 2, &[(7, 0), (9, 1)]);

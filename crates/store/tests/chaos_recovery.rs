@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use v6chaos::{ScriptedChaos, SiteScript};
 use v6obs::Registry;
-use v6store::{recover, EpochLog, EpochView, StoreConfig};
+use v6store::{recover, EpochView, StateLog, StoreConfig};
 
 fn view(epoch: u64, entries: &[(u128, u32)]) -> EpochView<'_> {
     EpochView {
@@ -27,11 +27,11 @@ fn view(epoch: u64, entries: &[(u128, u32)]) -> EpochView<'_> {
     }
 }
 
-fn store_with(dir: &std::path::Path, interval: u64, chaos: ScriptedChaos) -> EpochLog {
+fn store_with(dir: &std::path::Path, interval: u64, chaos: ScriptedChaos) -> StateLog {
     let cfg = StoreConfig::new(dir)
         .checkpoint_every(interval)
         .with_fsync(false);
-    EpochLog::create_with(cfg, "chaos", 1, &Registry::new(), Arc::new(chaos)).expect("create")
+    StateLog::create_with(cfg, "chaos", 1, &Registry::new(), Arc::new(chaos)).expect("create")
 }
 
 #[test]
@@ -141,7 +141,7 @@ fn write_path_metrics_land_in_the_registry() {
     let registry = Registry::new();
     let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
     let mut log =
-        EpochLog::create_with(cfg, "metrics", 0, &registry, Arc::new(v6chaos::NoChaos)).unwrap();
+        StateLog::create_with(cfg, "metrics", 0, &registry, Arc::new(v6chaos::NoChaos)).unwrap();
     log.append(view(1, &[(1, 0)])).unwrap();
     log.append(view(2, &[(1, 0), (2, 0)])).unwrap();
     drop(log);

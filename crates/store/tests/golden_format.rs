@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use v6store::{recover, AliasEntry, EpochLog, EpochView, StoreConfig};
+use v6store::{recover, AliasEntry, DeltaRecord, EpochLog, EpochView, StateLog, StoreConfig};
 
 /// The two files the fixture sequence must produce, exactly.
 const FIXTURE_FILES: [&str; 2] = ["epochs.v6log", "checkpoint-00000000000000000002.v6ck"];
@@ -31,7 +31,7 @@ fn golden_dir() -> PathBuf {
 fn build_fixture(dir: &Path) {
     let base: u128 = 0x2001_0db8 << 96;
     let cfg = StoreConfig::new(dir).checkpoint_every(2).with_fsync(false);
-    let mut log = EpochLog::create(cfg, "golden", 2).expect("create fixture store");
+    let mut log = StateLog::create(cfg, "golden", 2).expect("create fixture store");
     log.append(EpochView {
         epoch: 1,
         week: 0,
@@ -75,6 +75,89 @@ fn build_fixture(dir: &Path) {
         }],
     })
     .expect("epoch 3");
+}
+
+/// The same three transitions as [`build_fixture`], written out by hand
+/// as the records a delta-holding caller (a cluster replica) passes to
+/// [`EpochLog::append_delta`] — no diff is computed anywhere.
+fn build_fixture_from_records(dir: &Path) {
+    let base: u128 = 0x2001_0db8 << 96;
+    let alias = AliasEntry {
+        bits: base,
+        len: 48,
+        week: 1,
+    };
+    let cfg = StoreConfig::new(dir).checkpoint_every(2).with_fsync(false);
+    let mut log = EpochLog::create(cfg, "golden", 2).expect("create fixture store");
+    let no_checkpoint_due = || -> (Vec<(u128, u32)>, Vec<AliasEntry>) {
+        panic!("content asked for on an append that owes no checkpoint")
+    };
+    let receipt = log
+        .append_delta(
+            &DeltaRecord {
+                epoch: 1,
+                week: 0,
+                content_checksum: 0x1111_0001,
+                missing_shards: vec![],
+                removed: vec![],
+                added: vec![(base | 1, 0), (base | 2, 0), (base | 0x30, 0)],
+                removed_aliases: vec![],
+                added_aliases: vec![],
+            },
+            no_checkpoint_due,
+        )
+        .expect("epoch 1");
+    assert!(!receipt.checkpointed);
+    let receipt = log
+        .append_delta(
+            &DeltaRecord {
+                epoch: 2,
+                week: 1,
+                content_checksum: 0x1111_0002,
+                missing_shards: vec![3],
+                removed: vec![base | 2],
+                added: vec![(base | 0x30, 1), (base | 0x41, 1)],
+                removed_aliases: vec![],
+                added_aliases: vec![alias],
+            },
+            || {
+                (
+                    vec![(base | 1, 0), (base | 0x30, 1), (base | 0x41, 1)],
+                    vec![alias],
+                )
+            },
+        )
+        .expect("epoch 2");
+    assert!(receipt.checkpointed);
+    log.append_delta(
+        &DeltaRecord {
+            epoch: 3,
+            week: 2,
+            content_checksum: 0x1111_0003,
+            missing_shards: vec![],
+            removed: vec![],
+            added: vec![(base | 0x52, 2)],
+            removed_aliases: vec![],
+            added_aliases: vec![],
+        },
+        no_checkpoint_due,
+    )
+    .expect("epoch 3");
+}
+
+#[test]
+fn append_delta_writes_the_bytes_append_view_wrote() {
+    // One log format: a record handed to `append_delta` lands as the
+    // exact bytes the whole-state `append(view)` path pinned in the
+    // golden fixture, checkpoint included.
+    let scratch = v6store::scratch_dir("golden-format-records");
+    build_fixture_from_records(&scratch);
+    for name in FIXTURE_FILES {
+        let got = fs::read(scratch.join(name)).unwrap();
+        let want = fs::read(golden_dir().join(name)).unwrap();
+        assert_eq!(got, want, "{name}: append_delta diverged from format v1");
+    }
+    fs::remove_dir_all(&scratch).ok();
 }
 
 #[test]

@@ -14,7 +14,7 @@ use std::fs;
 
 use proptest::prelude::*;
 
-use v6store::{recover, EpochLog, EpochView, StoreConfig};
+use v6store::{recover, EpochView, StateLog, StoreConfig};
 
 /// Address-bits strategy over a small domain so epochs overlap.
 fn bits() -> impl Strategy<Value = u128> {
@@ -25,7 +25,7 @@ fn bits() -> impl Strategy<Value = u128> {
 /// 0..=N, the `(content_checksum, entry_count)` that was published.
 fn write_log(dir: &std::path::Path, weekly: &[Vec<(u128, u32)>]) -> Vec<(u64, usize)> {
     let cfg = StoreConfig::new(dir).checkpoint_every(0).with_fsync(false);
-    let mut log = EpochLog::create(cfg, "torn", 1).expect("create");
+    let mut log = StateLog::create(cfg, "torn", 1).expect("create");
     let mut published = vec![(0u64, 0usize)]; // epoch 0: empty store
     let mut content: BTreeMap<u128, u32> = BTreeMap::new();
     for (i, adds) in weekly.iter().enumerate() {

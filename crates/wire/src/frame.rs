@@ -120,19 +120,33 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Result<(), FrameError> {
 /// checksum.
 ///
 /// # Panics
-/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`] — encoders build
-/// payloads from typed requests, which are capped long before this.
+/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`] — for encoders
+/// that build payloads from typed requests, which are capped long
+/// before this. A payload whose size follows from data (a replicated
+/// delta, a full-state bootstrap) goes through [`try_frame`].
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_FRAME_PAYLOAD as usize,
-        "encoder produced a {}-byte payload (cap {MAX_FRAME_PAYLOAD})",
-        payload.len()
-    );
+    try_frame(payload).unwrap_or_else(|_| {
+        panic!(
+            "encoder produced a {}-byte payload (cap {MAX_FRAME_PAYLOAD})",
+            payload.len()
+        )
+    })
+}
+
+/// [`frame`], refusing a payload above [`MAX_FRAME_PAYLOAD`] with
+/// [`FrameError::Oversized`] instead of panicking — no receiver would
+/// accept the frame, so the sender must not emit it.
+pub fn try_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
+    if payload.len() > MAX_FRAME_PAYLOAD as usize {
+        return Err(FrameError::Oversized {
+            declared: u32::try_from(payload.len()).unwrap_or(u32::MAX),
+        });
+    }
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
     out.extend_from_slice(&fnv64(payload).to_le_bytes());
-    out
+    Ok(out)
 }
 
 /// Incremental frame decoder over an untrusted byte stream.
@@ -233,6 +247,23 @@ mod tests {
         assert_eq!(
             check_preamble(&wrong_version),
             Err(FrameError::UnsupportedVersion(9))
+        );
+    }
+
+    #[test]
+    fn try_frame_refuses_what_no_decoder_would_accept() {
+        let at_cap = vec![7u8; MAX_FRAME_PAYLOAD as usize];
+        let framed = try_frame(&at_cap).expect("a payload at the cap frames");
+        assert_eq!(framed, frame(&at_cap));
+        assert_eq!(FrameDecoder::new().feed(&framed), Ok(vec![at_cap.clone()]));
+
+        let mut over = at_cap;
+        over.push(7);
+        assert_eq!(
+            try_frame(&over),
+            Err(FrameError::Oversized {
+                declared: MAX_FRAME_PAYLOAD + 1
+            })
         );
     }
 
