@@ -8,6 +8,8 @@ cargo build --release --workspace
 
 echo "== the frozen benchmark still builds against the crates' public items =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# A dependency-edge change in a crate it builds rewrites benchmark/Cargo.lock.
+git diff --exit-code -- benchmark BENCHMARK.json
 
 echo "== cargo test -q --workspace (V6_THREADS=1) =="
 V6_THREADS=1 cargo test -q --workspace
@@ -142,6 +144,7 @@ grep -q '"sort_radix"' BENCH_kernels.json
 grep -q '"sorted_vec"' BENCH_kernels.json
 grep -q '"compressed_run"' BENCH_kernels.json
 grep -q '"bloom_fronted"' BENCH_kernels.json
+grep -q '"sorted_table"' BENCH_kernels.json
 
 echo "== observability smoke (trace tree + metrics exposition) =="
 V6HL_SCALE=tiny V6_THREADS=2 V6_TRACE=1 \

@@ -19,7 +19,7 @@
 //! * [`pattern`] — the seven address classes of the paper's Figure 5.
 //! * [`AddrSet`] — a compact sorted set of addresses with the
 //!   set algebra (intersection counts, /48 aggregation) Table 1 needs.
-//! * [`PrefixMap`] — a binary radix trie for
+//! * [`PrefixMap`] — the one prefix → value index, for
 //!   longest-prefix-match lookups (AS origin, alias lists, geo DBs).
 //!
 //! The crate is `std`-only, has no I/O, and every operation is deterministic.

@@ -1,34 +1,41 @@
-//! A binary radix trie keyed by IPv6 prefixes.
+//! A sorted prefix table with longest-prefix-match lookup.
 //!
 //! Longest-prefix-match is everywhere in this reproduction: mapping an
 //! address to its origin AS, checking probe targets against alias lists
 //! (the IPv6 Hitlist's "aliased prefixes" filtering step), and the
-//! MaxMind-style geolocation lookups. [`PrefixMap`] provides exact-match
-//! insertion and LPM lookup over arbitrary values.
+//! MaxMind-style geolocation lookups. [`PrefixMap`] is the one
+//! prefix → value index behind all of them.
+//!
+//! Entries live in one `Vec` sorted by `(bits, len)`, each carrying the
+//! index of the most specific stored prefix that encloses it. Canonical
+//! prefixes are disjoint or nested, so everything sorted between a
+//! prefix and a probe it covers lies inside that prefix: the entry just
+//! at or below a probe is either the answer or a descendant of it, and
+//! a lookup is one binary search plus a climb of at most nesting-depth
+//! links. A mutation shifts the tail of the `Vec` and recomputes that
+//! tail's links in one linear pass; bulk loads go through `collect()`,
+//! which sorts once. (The module keeps the name of the bit-per-level
+//! trie it replaced.)
 
 use crate::prefix::Prefix;
 use std::net::Ipv6Addr;
 
-#[derive(Debug, Clone)]
-struct Node<T> {
-    value: Option<T>,
-    children: [Option<Box<Node<T>>>; 2],
-}
+/// The `up` link of an entry no stored prefix encloses.
+const TOP: u32 = u32::MAX;
 
-impl<T> Node<T> {
-    fn new() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    prefix: Prefix,
+    /// Index of the most specific other entry enclosing `prefix`.
+    up: u32,
+    value: T,
 }
 
 /// A map from IPv6 prefixes to values with longest-prefix-match lookup.
 #[derive(Debug, Clone)]
 pub struct PrefixMap<T> {
-    root: Node<T>,
-    len: usize,
+    /// Sorted by `(bits, len)`, one entry per prefix.
+    entries: Vec<Entry<T>>,
 }
 
 impl<T> Default for PrefixMap<T> {
@@ -37,88 +44,86 @@ impl<T> Default for PrefixMap<T> {
     }
 }
 
-#[inline]
-fn bit(bits: u128, i: u8) -> usize {
-    ((bits >> (127 - i)) & 1) as usize
-}
-
 impl<T> PrefixMap<T> {
     /// An empty map.
     pub fn new() -> Self {
         PrefixMap {
-            root: Node::new(),
-            len: 0,
+            entries: Vec::new(),
         }
     }
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     /// True when no prefixes are stored.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.entries.is_empty()
+    }
+
+    fn position(&self, prefix: &Prefix) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(prefix, |e| e.prefix)
+    }
+
+    /// The most specific entry enclosing `prefix`, or [`TOP`]. `below`
+    /// is where `prefix` sorts (everything before it sorts at or before
+    /// `prefix`), so `below - 1` is the answer or lies inside it and the
+    /// answer is on its `up` chain.
+    fn enclosing(&self, below: usize, prefix: &Prefix) -> u32 {
+        let mut at = below.checked_sub(1).map_or(TOP, |i| i as u32);
+        while at != TOP {
+            let e = &self.entries[at as usize];
+            if e.prefix.contains_prefix(prefix) {
+                break;
+            }
+            at = e.up;
+        }
+        at
+    }
+
+    /// Recomputes the `up` links of `entries[from..]`, in order, each from
+    /// the links before it. An edit at `from` leaves earlier links valid:
+    /// a link only ever points at an earlier entry.
+    fn relink(&mut self, from: usize) {
+        assert!(self.entries.len() < TOP as usize, "PrefixMap is full");
+        for i in from..self.entries.len() {
+            let prefix = self.entries[i].prefix;
+            self.entries[i].up = self.enclosing(i, &prefix);
+        }
     }
 
     /// Inserts a prefix, returning the previous value if it was present.
     pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit(prefix.bits(), i);
-            node = node.children[b].get_or_insert_with(|| Box::new(Node::new()));
+        match self.position(&prefix) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].value, value)),
+            Err(i) => {
+                let up = TOP;
+                self.entries.insert(i, Entry { prefix, up, value });
+                self.relink(i);
+                None
+            }
         }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
     }
 
     /// Exact-match lookup of one prefix.
     pub fn get(&self, prefix: &Prefix) -> Option<&T> {
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            let b = bit(prefix.bits(), i);
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
+        let i = self.position(prefix).ok()?;
+        Some(&self.entries[i].value)
     }
 
     /// Removes a prefix, returning its value if it was present.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<T> {
-        // Simple non-pruning removal: clears the value but keeps interior
-        // nodes. Fine for our workloads, which never churn prefixes.
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit(prefix.bits(), i);
-            node = node.children[b].as_deref_mut()?;
-        }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
+        let i = self.position(prefix).ok()?;
+        let old = self.entries.remove(i);
+        self.relink(i);
+        Some(old.value)
     }
 
     /// Longest-prefix-match: the most specific stored prefix covering
     /// `addr`, with its value.
     pub fn longest_match(&self, addr: Ipv6Addr) -> Option<(Prefix, &T)> {
-        let bits = u128::from(addr);
-        let mut node = &self.root;
-        let mut best: Option<(u8, &T)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..128u8 {
-            match node.children[bit(bits, i)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (Prefix::from_bits(bits, len), v))
+        self.covering_prefix(&Prefix::new(addr, 128))
     }
 
     /// True when any stored prefix covers `addr`.
@@ -129,63 +134,52 @@ impl<T> PrefixMap<T> {
     /// The most specific stored prefix covering `prefix` entirely
     /// (i.e. a stored prefix at least as short that contains it).
     pub fn covering_prefix(&self, prefix: &Prefix) -> Option<(Prefix, &T)> {
-        let bits = prefix.bits();
-        let mut node = &self.root;
-        let mut best: Option<(u8, &T)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..prefix.len() {
-            match node.children[bit(bits, i)].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (Prefix::from_bits(bits, len), v))
+        let below = self.entries.partition_point(|e| e.prefix <= *prefix);
+        let e = self.entries.get(self.enclosing(below, prefix) as usize)?;
+        Some((e.prefix, &e.value))
     }
 
     /// Iterates all `(prefix, value)` entries in lexicographic bit order.
     pub fn iter(&self) -> Iter<'_, T> {
         Iter {
-            stack: vec![(&self.root, 0u128, 0u8)],
+            entries: self.entries.iter(),
         }
     }
 }
 
 /// Iterator over a [`PrefixMap`]'s entries.
 pub struct Iter<'a, T> {
-    stack: Vec<(&'a Node<T>, u128, u8)>,
+    entries: std::slice::Iter<'a, Entry<T>>,
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
     type Item = (Prefix, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((node, bits, depth)) = self.stack.pop() {
-            // Push right child first so the left (0) branch pops first.
-            if let Some(c) = node.children[1].as_deref() {
-                self.stack
-                    .push((c, bits | (1u128 << (127 - depth)), depth + 1));
-            }
-            if let Some(c) = node.children[0].as_deref() {
-                self.stack.push((c, bits, depth + 1));
-            }
-            if let Some(v) = node.value.as_ref() {
-                return Some((Prefix::from_bits(bits, depth), v));
-            }
-        }
-        None
+        self.entries.next().map(|e| (e.prefix, &e.value))
     }
 }
 
+/// Sorts once; of several values for one prefix the last is kept.
 impl<T> FromIterator<(Prefix, T)> for PrefixMap<T> {
     fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(iter: I) -> Self {
-        let mut m = PrefixMap::new();
-        for (p, v) in iter {
-            m.insert(p, v);
-        }
+        let up = TOP;
+        let mut entries: Vec<Entry<T>> = iter
+            .into_iter()
+            .map(|(prefix, value)| Entry { prefix, up, value })
+            .collect();
+        // Stable, so equal prefixes stay in input order and the swap
+        // leaves the last one's value in the entry `dedup_by` keeps.
+        entries.sort_by_key(|e| e.prefix);
+        entries.dedup_by(|later, kept| {
+            let same = later.prefix == kept.prefix;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        let mut m = PrefixMap { entries };
+        m.relink(0);
         m
     }
 }
@@ -242,6 +236,17 @@ mod tests {
         assert_eq!(m.remove(&p("2001:db8::/32")), None);
         assert!(m.is_empty());
         assert!(!m.covers(a("2001:db8::1")));
+        // Removing the middle of a chain hands its children to its parent.
+        let mut m: PrefixMap<u8> = [
+            (p("2001:db8::/32"), 32),
+            (p("2001:db8:1::/48"), 48),
+            (p("2001:db8:1:2::/64"), 64),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(m.remove(&p("2001:db8:1::/48")), Some(48));
+        assert_eq!(m.longest_match(a("2001:db8:1:2::1")).unwrap().1, &64);
+        assert_eq!(m.longest_match(a("2001:db8:1:3::1")).unwrap().1, &32);
     }
 
     #[test]
@@ -276,6 +281,17 @@ mod tests {
             .into_iter()
             .collect();
         assert_eq!(m.len(), 2);
+        // Unsorted input, and the last value given for a prefix wins.
+        let m: PrefixMap<u32> = [
+            (p("2001:db8:1::/48"), 2),
+            (p("2001:db8::/32"), 1),
+            (p("2001:db8:1::/48"), 3),
+        ]
+        .into_iter()
+        .collect();
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.get(&p("2001:db8:1::/48")), Some(&3));
+        assert_eq!(m.longest_match(a("2001:db8:2::1")).unwrap().1, &1);
     }
 
     #[test]

@@ -106,24 +106,75 @@ proptest! {
         }
     }
 
-    /// Trie longest-match agrees with a brute-force scan over entries.
+    /// `PrefixMap` agrees, after every mutation, with a linear scan over
+    /// a plain list. Two input shapes: scattered prefixes up to /64, and
+    /// interleaved inserts/removes of every length 0..=128 along three
+    /// base addresses, so the prefixes nest into deep chains.
     #[test]
     fn trie_lpm_matches_bruteforce(entries in prop::collection::vec((any::<u128>(), 0u8..=64), 1..40),
+                                   bases in (any::<u128>(), any::<u128>(), any::<u128>()),
+                                   ops in prop::collection::vec((0usize..3, 0u8..=128, 0u8..4), 0..60),
                                    probe in any::<u128>()) {
-        let mut m = PrefixMap::new();
-        let mut list = Vec::new();
-        for (i, (bits, len)) in entries.iter().enumerate() {
-            let p = Prefix::from_bits(*bits, *len);
-            m.insert(p, i);
-            list.push(p);
-        }
-        let addr = Ipv6Addr::from(probe);
-        let expect = list
+        let bases = [bases.0, bases.1, bases.2];
+        // (prefix, remove?) steps: the scattered shape, a guaranteed
+        // ::/0 → /128 chain six deep, then the random chain edits.
+        let mut steps: Vec<(Prefix, bool)> = entries
             .iter()
-            .filter(|p| p.contains(addr))
-            .max_by_key(|p| p.len())
-            .map(|p| p.len());
-        prop_assert_eq!(m.longest_match(addr).map(|(p, _)| p.len()), expect);
+            .map(|&(bits, len)| (Prefix::from_bits(bits, len), false))
+            .collect();
+        steps.extend([0, 16, 32, 48, 64, 128].map(|len| (Prefix::from_bits(bases[0], len), false)));
+        steps.extend(ops.iter().map(|&(b, len, kind)| (Prefix::from_bits(bases[b], len), kind == 0)));
+
+        let mut probes = vec![probe];
+        for b in bases {
+            probes.extend([b, b ^ 1, b ^ (1 << 64), b ^ (1 << 100), !b]);
+        }
+
+        let mut m = PrefixMap::new();
+        let mut model: Vec<(Prefix, usize)> = Vec::new();
+        for (step, &(p, remove)) in steps.iter().enumerate() {
+            let at = model.iter().position(|&(q, _)| q == p);
+            if remove {
+                prop_assert_eq!(m.remove(&p), at.map(|i| model.remove(i).1));
+            } else {
+                let old = at.map(|i| std::mem::replace(&mut model[i].1, step));
+                if old.is_none() {
+                    model.push((p, step));
+                }
+                prop_assert_eq!(m.insert(p, step), old);
+            }
+
+            prop_assert_eq!(m.len(), model.len());
+            prop_assert_eq!(m.is_empty(), model.is_empty());
+            let mut sorted = model.clone();
+            sorted.sort_unstable();
+            prop_assert_eq!(m.iter().map(|(q, &v)| (q, v)).collect::<Vec<_>>(), sorted);
+            prop_assert_eq!(m.get(&p).copied(), (!remove).then_some(step));
+
+            let scan = |target: &Prefix| {
+                model
+                    .iter()
+                    .filter(|(q, _)| q.contains_prefix(target))
+                    .max_by_key(|(q, _)| q.len())
+                    .copied()
+            };
+            for &x in &probes {
+                let addr = Ipv6Addr::from(x);
+                let expect = scan(&Prefix::new(addr, 128));
+                prop_assert_eq!(m.longest_match(addr).map(|(q, &v)| (q, v)), expect);
+                prop_assert_eq!(m.covers(addr), expect.is_some());
+            }
+            let targets = [0, p.len() / 2, p.len()].map(|len| p.truncate(len));
+            for target in targets.into_iter().chain([Prefix::from_bits(probe, p.len())]) {
+                prop_assert_eq!(m.covering_prefix(&target).map(|(q, &v)| (q, v)), scan(&target));
+            }
+        }
+        // Bulk construction lands on the same map as the edits did.
+        let bulk: PrefixMap<usize> = model.iter().copied().collect();
+        prop_assert_eq!(bulk.iter().collect::<Vec<_>>(), m.iter().collect::<Vec<_>>());
+        for &x in &probes {
+            prop_assert_eq!(bulk.longest_match(x.into()), m.longest_match(x.into()));
+        }
     }
 
     /// MAC NIC offsets invert correctly within an OUI.

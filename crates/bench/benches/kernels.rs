@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the performance-critical kernels.
 //!
 //! These are the operations a real hitlist pipeline executes billions of
-//! times: IID entropy, EUI-64 extraction, address-set algebra, trie
+//! times: IID entropy, EUI-64 extraction, address-set algebra, prefix
 //! lookups, permutation iteration, and the protocol codecs. Includes the
 //! DESIGN.md ablation of sorted-vec sets vs hash sets.
 //!
@@ -11,15 +11,18 @@
 //! three input sizes, so kernel-level regressions are visible
 //! separately from pipeline-level ones. For the merge kernel the
 //! "sequential" column is the pairwise clone-and-merge tree the
-//! tournament merge replaced.
+//! tournament merge replaced. The same file carries the layout
+//! comparisons: membership structures, and longest-prefix match.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
-use v6bench::{KernelRecord, KernelsBench, MembershipRecord};
+use v6bench::{KernelRecord, KernelsBench, LpmRecord, MembershipRecord};
 use v6serve::{BlockedBloom, CompressedRun};
 
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};
@@ -92,24 +95,98 @@ fn bench_sets(c: &mut Criterion) {
     });
 }
 
-fn bench_trie(c: &mut Criterion) {
-    let mut map = PrefixMap::new();
-    let mut rng = Rng::new(5);
-    for i in 0..10_000u64 {
-        let bits = (rng.next_u128() & (u128::MAX << 80)) | ((i as u128) << 80);
-        map.insert(Prefix::from_bits(bits, 48), i);
+/// Live heap bytes, so the `lpm` rows report what a structure occupies
+/// without the structure exposing its layout.
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call goes to `System` with the arguments the caller
+// vouched for; the only addition is a statistic kept beside it.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        System.alloc(layout)
     }
-    let probes: Vec<Ipv6Addr> = random_addrs(1024, 6)
-        .into_iter()
-        .map(Ipv6Addr::from)
-        .collect();
-    c.bench_function("trie/lpm_1024_of_10k", |b| {
-        b.iter(|| {
-            probes
-                .iter()
-                .filter(|a| map.longest_match(**a).is_some())
-                .count()
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size, Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// 10 000 disjoint /48s scattered over the address space.
+fn flat_prefixes() -> Vec<(Prefix, u64)> {
+    let mut rng = Rng::new(5);
+    (0..10_000u64)
+        .map(|i| {
+            let bits = (rng.next_u128() & (u128::MAX << 80)) | ((i as u128) << 80);
+            (Prefix::from_bits(bits, 48), i)
         })
+        .collect()
+}
+
+/// The `World` route-table shape: 1 000 ASes, each announcing a router
+/// /48, a CPE-WAN /34 with two /48s inside it and a customer /33 with
+/// five /48s inside it (10 000 prefixes, nested two deep).
+fn nested_prefixes() -> Vec<(Prefix, u64)> {
+    let mut rng = Rng::new(7);
+    let mut out = Vec::new();
+    for asn in 0..1_000u128 {
+        let p32 = Prefix::from_bits((0x2a00_0000 + asn) << 96, 32);
+        let infra33 = p32.subprefix(33, 0);
+        let pools = [(infra33.subprefix(34, 1), 2), (p32.subprefix(33, 1), 5)];
+        out.push(infra33.subprefix(48, 0));
+        for (pool, inside) in pools {
+            out.push(pool);
+            let slots = pool.subprefix_count(48);
+            out.extend((0..inside).map(|_| pool.subprefix(48, rng.next_u64() % slots)));
+        }
+    }
+    out.into_iter().zip(0..).collect()
+}
+
+/// Half the probes fall inside a stored prefix, half are uniform misses.
+fn lpm_probes(prefixes: &[(Prefix, u64)], n: usize, seed: u64) -> Vec<Ipv6Addr> {
+    let mut rng = Rng::new(seed);
+    (0..n)
+        .map(|i| {
+            let host = rng.next_u128();
+            if i % 2 == 0 {
+                prefixes[(rng.next_u64() % prefixes.len() as u64) as usize]
+                    .0
+                    .offset(host)
+            } else {
+                Ipv6Addr::from(host)
+            }
+        })
+        .collect()
+}
+
+fn lpm_hits(map: &PrefixMap<u64>, probes: &[Ipv6Addr]) -> usize {
+    probes
+        .iter()
+        .filter(|a| map.longest_match(**a).is_some())
+        .count()
+}
+
+fn bench_lpm(c: &mut Criterion) {
+    let prefixes = flat_prefixes();
+    let map: PrefixMap<u64> = prefixes.iter().copied().collect();
+    let probes = lpm_probes(&prefixes, 1024, 6);
+    c.bench_function("lpm/flat_1024_of_10k", |b| {
+        b.iter(|| lpm_hits(&map, &probes))
     });
 }
 
@@ -317,13 +394,12 @@ fn emit_par_kernels_json() {
         record(&mut kernels, "sort_radix", size, seq, par);
     }
 
-    let membership = membership_records();
-
     let bench = KernelsBench {
         threads,
         cores,
         kernels,
-        membership,
+        membership: membership_records(),
+        lpm: lpm_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
@@ -345,7 +421,37 @@ fn emit_par_kernels_json() {
             m.structure, m.addresses, m.ns_per_probe, m.bytes
         );
     }
+    for l in &bench.lpm {
+        println!(
+            "  lpm/{:<12} {:<6} {:>7} prefixes: {:>7.1} ns/probe, {:>9} bytes",
+            l.structure, l.shape, l.prefixes, l.ns_per_probe, l.bytes
+        );
+    }
     println!("wrote {}", path.display());
+}
+
+/// Longest-prefix match over the one prefix index, on a flat and a
+/// nested table. A candidate layout is judged by adding its rows here.
+fn lpm_records() -> Vec<LpmRecord> {
+    const PROBES: usize = 1 << 16;
+    [("flat", flat_prefixes()), ("nested", nested_prefixes())]
+        .into_iter()
+        .map(|(shape, prefixes)| {
+            let probes = lpm_probes(&prefixes, PROBES, 0x1b3);
+            let before = LIVE_BYTES.load(Relaxed);
+            let map: PrefixMap<u64> = prefixes.iter().copied().collect();
+            let bytes = LIVE_BYTES.load(Relaxed) - before;
+            let ms = best_ms(5, || lpm_hits(&map, &probes));
+            LpmRecord {
+                structure: "sorted_table".into(),
+                shape: shape.into(),
+                prefixes: map.len(),
+                probes: PROBES,
+                ns_per_probe: ms * 1e6 / PROBES as f64,
+                bytes,
+            }
+        })
+        .collect()
 }
 
 /// Membership-lookup comparison: the same clustered content held as a
@@ -424,7 +530,7 @@ criterion_group!(
     bench_entropy,
     bench_eui64,
     bench_sets,
-    bench_trie,
+    bench_lpm,
     bench_permutation,
     bench_ntp_codec,
     bench_icmp_codec

@@ -34,7 +34,7 @@ fn main() {
          {} home networks / {} mobile subscribers, so absolute counts scale \
          down while ratios, orderings and distribution shapes are compared. \
          Each generator can be re-run individually: `cargo run --release -p \
-         v6bench --bin <table1|table2|fig1..fig7|aliases|tracking|geoloc|release>`.\n",
+         v6bench --bin fig -- <table1|table2|fig1..fig7|aliases|tracking|geoloc|release|extensions>`.\n",
         e.config.world.home_networks, e.config.world.mobile_subscribers
     );
     let _ = writeln!(

@@ -16,6 +16,7 @@ use v6hitlist::{Experiment, Release48};
 use v6netsim::Country;
 
 type Output = (String, Vec<ExperimentRecord>);
+type Generator = fn(&Experiment) -> Output;
 
 fn rec(
     exp: &str,
@@ -29,7 +30,7 @@ fn rec(
 }
 
 /// Table 1: dataset comparison.
-pub fn table1(e: &Experiment) -> Output {
+fn table1(e: &Experiment) -> Output {
     let t = compute_table1(&e.world, &e.ntp, &[&e.hitlist.dataset, &e.caida.dataset]);
     let ntp = &t.rows[0];
     let hl = &t.rows[1];
@@ -124,7 +125,7 @@ pub fn table1(e: &Experiment) -> Output {
 }
 
 /// Figure 1: IID entropy CDFs per dataset.
-pub fn fig1(e: &Experiment) -> Output {
+fn fig1(e: &Experiment) -> Output {
     let f = figure1(&e.ntp, &[&e.hitlist.dataset, &e.caida.dataset]);
     let median = |name: &str| -> f64 {
         f.datasets
@@ -190,7 +191,7 @@ pub fn fig1(e: &Experiment) -> Output {
 }
 
 /// Figure 2: address and IID lifetimes.
-pub fn fig2(e: &Experiment) -> Output {
+fn fig2(e: &Experiment) -> Output {
     let lt = address_lifetimes(&e.ntp);
     let il = iid_lifetimes(&e.ntp);
     let week = 7.0 * 86_400.0;
@@ -258,7 +259,7 @@ pub fn fig2(e: &Experiment) -> Output {
 }
 
 /// Figure 3 + §4.2 responsiveness: backscanning.
-pub fn fig3(e: &Experiment) -> Output {
+fn fig3(e: &Experiment) -> Output {
     let b = &e.backscan;
     let cr = b.client_response_rate();
     let rr = b.random_response_rate();
@@ -328,7 +329,7 @@ pub fn fig3(e: &Experiment) -> Output {
 }
 
 /// Figure 4: top-5 AS entropy CDFs (full study and one day).
-pub fn fig4(e: &Experiment) -> Output {
+fn fig4(e: &Experiment) -> Output {
     let end = e.corpus.window.as_secs() as u32;
     let full = figure4(&e.world, &e.corpus, 0, end, 5);
     let day = 157u32; // 1 July 2022 in study days
@@ -403,7 +404,7 @@ pub fn fig4(e: &Experiment) -> Output {
 }
 
 /// Figure 5: seven address classes, NTP vs Hitlist, one day.
-pub fn fig5(e: &Experiment) -> Output {
+fn fig5(e: &Experiment) -> Output {
     let day_slice = e.one_day_slice(157);
     let f = figure5(
         &e.world,
@@ -456,7 +457,7 @@ pub fn fig5(e: &Experiment) -> Output {
 }
 
 /// Table 2 + §5.1: EUI-64 prevalence and manufacturers.
-pub fn table2(e: &Experiment) -> Output {
+fn table2(e: &Experiment) -> Output {
     let t = &e.tracking;
     let frac = t.stats.fraction();
     let unlisted_share = t
@@ -517,7 +518,7 @@ pub fn table2(e: &Experiment) -> Output {
 }
 
 /// Figure 6: EUI-64 IID lifetimes and /64 spread.
-pub fn fig6(e: &Experiment) -> Output {
+fn fig6(e: &Experiment) -> Output {
     let t = &e.tracking;
     let multi_frac = t.multi_prefix_macs as f64 / t.stats.unique_macs.max(1) as f64;
     let all_iids = iid_lifetimes(&e.ntp);
@@ -560,7 +561,7 @@ pub fn fig6(e: &Experiment) -> Output {
 }
 
 /// Figure 7 + §5.2: tracking taxonomy and exemplars.
-pub fn fig7(e: &Experiment) -> Output {
+fn fig7(e: &Experiment) -> Output {
     let t = &e.tracking;
     let total = t.multi_prefix_macs.max(1) as f64;
     let share = |c: TrackClass| -> f64 {
@@ -628,7 +629,7 @@ pub fn fig7(e: &Experiment) -> Output {
 }
 
 /// §4.2: alias discovery cross-checks.
-pub fn aliases(e: &Experiment) -> Output {
+fn aliases(e: &Experiment) -> Output {
     let f = &e.alias_findings;
     let total = (f.known_to_hitlist + f.new_aliased).max(1);
     let records = vec![
@@ -679,7 +680,7 @@ pub fn aliases(e: &Experiment) -> Output {
 }
 
 /// §5.3: the geolocation attack.
-pub fn geoloc(e: &Experiment) -> Output {
+fn geoloc(e: &Experiment) -> Output {
     let g = &e.geolocation;
     let hist = g.country_histogram(&e.world);
     let total = g.geolocated.len().max(1) as f64;
@@ -759,7 +760,7 @@ pub fn geoloc(e: &Experiment) -> Output {
 }
 
 /// §3/§6: the ethical /48 release.
-pub fn release(e: &Experiment) -> Output {
+fn release(e: &Experiment) -> Output {
     let r = Release48::from_addr_set("NTP Pool corpus", &e.ntp.addr_set());
     let records = vec![rec(
         "§3 / §6",
@@ -794,7 +795,7 @@ pub fn release(e: &Experiment) -> Output {
 /// Extensions beyond the paper's figures: the §4.1 ASdb composition,
 /// rotation-policy inference, TGA training-data evaluation, and outage
 /// detection — each an application or claim the paper raises in prose.
-pub fn extensions(e: &Experiment) -> Output {
+fn extensions(e: &Experiment) -> Output {
     use v6hitlist::analysis::asdb::subtype_breakdown;
     use v6hitlist::analysis::outage::{detect_outages, OutageDetectorConfig};
     use v6hitlist::analysis::rotation::{infer_rotation_periods, render as render_rotation};
@@ -935,23 +936,29 @@ pub fn extensions(e: &Experiment) -> Output {
     (text, records)
 }
 
+/// Every generator by name, in paper order.
+pub const GENERATORS: [(&str, Generator); 13] = [
+    ("table1", table1),
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("table2", table2),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("aliases", aliases),
+    ("geoloc", geoloc),
+    ("release", release),
+    ("extensions", extensions),
+];
+
 /// Runs every generator in paper order.
 pub fn all(e: &Experiment) -> Vec<(&'static str, Output)> {
-    vec![
-        ("table1", table1(e)),
-        ("fig1", fig1(e)),
-        ("fig2", fig2(e)),
-        ("fig3", fig3(e)),
-        ("fig4", fig4(e)),
-        ("fig5", fig5(e)),
-        ("table2", table2(e)),
-        ("fig6", fig6(e)),
-        ("fig7", fig7(e)),
-        ("aliases", aliases(e)),
-        ("geoloc", geoloc(e)),
-        ("release", release(e)),
-        ("extensions", extensions(e)),
-    ]
+    GENERATORS
+        .iter()
+        .map(|&(name, run)| (name, run(e)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! # v6bench — the benchmark and reproduction harness
 //!
-//! One binary per table/figure of *IPv6 Hitlists at Scale* (SIGCOMM
-//! 2023), each printing the regenerated result next to the paper's
-//! published numbers, plus `run_all`, which executes every experiment
-//! and rewrites `EXPERIMENTS.md`.
+//! `--bin fig -- <name>` regenerates one table/figure of *IPv6 Hitlists
+//! at Scale* (SIGCOMM 2023), printing the result next to the paper's
+//! published numbers; `run_all` executes every experiment and rewrites
+//! `EXPERIMENTS.md`.
 //!
 //! Scale and seed come from the environment:
 //!
@@ -459,11 +459,30 @@ pub struct MembershipRecord {
     pub bytes: usize,
 }
 
+/// One prefix → value layout measured on longest-prefix match over one
+/// table shape, as recorded in `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LpmRecord {
+    /// Layout probed ("sorted_table").
+    pub structure: String,
+    /// Table shape: "flat" (disjoint /48s) or "nested" (per AS a /33 and
+    /// a /34 pool with /48s inside them, the `World` route-table shape).
+    pub shape: String,
+    /// Prefixes the table holds.
+    pub prefixes: usize,
+    /// Probes issued (half inside a stored prefix, half uniform misses).
+    pub probes: usize,
+    /// Mean nanoseconds per probe (best of N rounds).
+    pub ns_per_probe: f64,
+    /// Heap bytes live after the build, counted by the bench's allocator.
+    pub bytes: usize,
+}
+
 /// The machine-readable output of the `kernels` bench: sequential vs.
 /// parallel timings for the `v6par` kernels at several input sizes (so
 /// kernel-level regressions are visible separately from pipeline-level
-/// ones), plus the membership-lookup comparison across the address-store
-/// representations.
+/// ones), the membership-lookup comparison across the address-store
+/// representations, and longest-prefix match over the prefix index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the parallel timings.
@@ -475,6 +494,8 @@ pub struct KernelsBench {
     /// Membership-lookup comparison: sorted-vec vs compressed-run vs
     /// bloom-fronted compressed-run over the same clustered content.
     pub membership: Vec<MembershipRecord>,
+    /// Longest-prefix match over `v6addr::PrefixMap`, flat and nested.
+    pub lpm: Vec<LpmRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

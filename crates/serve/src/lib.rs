@@ -9,7 +9,7 @@
 //!
 //! - [`snapshot`] — immutable, sharded view of one publication epoch:
 //!   prefix-compressed sorted address runs ([`snapshot::CompressedRun`])
-//!   plus a per-shard radix trie of aliased prefixes, partitioned by /48
+//!   plus a per-shard `PrefixMap` of aliased prefixes, partitioned by /48
 //!   so density aggregates stay shard-local.
 //! - [`bloom`] — the optional blocked bloom filter fronting membership
 //!   probes (the `V6_BLOOM` toggle); traffic lands in `serve.bloom.*`.

@@ -10,6 +10,8 @@
 //! stream's lifetime**, because re-attributing history is exactly the
 //! kind of hidden global pass this crate exists to eliminate.
 
+use v6addr::{Prefix, PrefixMap};
+
 /// The attribution an [`AsResolver`] returns for one address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsTag {
@@ -28,64 +30,43 @@ pub trait AsResolver {
     fn resolve(&self, bits: u128) -> Option<AsTag>;
 }
 
-/// A sorted, non-overlapping longest-prefix table — the standard
+/// A longest-prefix table over [`PrefixMap`] — the standard
 /// [`AsResolver`].
 ///
-/// Entries are `(prefix_bits, prefix_len, tag)`; lookup is a binary
-/// search over the masked address. Prefixes must not overlap (the
-/// netsim world announces disjoint /32s; overlapping real-world
-/// tables should be flattened before construction).
+/// Entries are `(prefix_bits, prefix_len, tag)`. Prefixes may nest (a
+/// more-specific announcement inside a covering one resolves to the
+/// more specific tag), and of several tags for one prefix the last wins.
 #[derive(Debug, Clone, Default)]
-pub struct PrefixAsTable {
-    /// Sorted by prefix bits; each entry is `(first, last, tag)` — the
-    /// inclusive address range the prefix covers.
-    ranges: Vec<(u128, u128, AsTag)>,
-}
+pub struct PrefixAsTable(PrefixMap<AsTag>);
 
 impl PrefixAsTable {
     /// Builds a table from `(prefix_bits, prefix_len, tag)` triples.
     ///
     /// # Panics
-    /// Panics if any two prefixes overlap.
-    pub fn new(mut prefixes: Vec<(u128, u8, AsTag)>) -> PrefixAsTable {
-        prefixes.sort_unstable_by_key(|&(bits, len, _)| (bits, len));
-        let mut ranges = Vec::with_capacity(prefixes.len());
-        for (bits, len, tag) in prefixes {
-            assert!(len <= 128, "prefix length out of range");
-            let span = if len == 0 {
-                u128::MAX
-            } else {
-                (1u128 << (128 - len)) - 1
-            };
-            let first = bits & !span;
-            let last = first | span;
-            if let Some(&(_, prev_last, _)) = ranges.last() {
-                assert!(first > prev_last, "overlapping prefixes in PrefixAsTable");
-            }
-            ranges.push((first, last, tag));
-        }
-        PrefixAsTable { ranges }
+    /// Panics if a prefix length exceeds 128.
+    pub fn new(prefixes: Vec<(u128, u8, AsTag)>) -> PrefixAsTable {
+        PrefixAsTable(
+            prefixes
+                .into_iter()
+                .map(|(bits, len, tag)| (Prefix::from_bits(bits, len), tag))
+                .collect(),
+        )
     }
 
     /// Number of prefixes in the table.
     pub fn len(&self) -> usize {
-        self.ranges.len()
+        self.0.len()
     }
 
     /// True when the table holds no prefixes.
     pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
+        self.0.is_empty()
     }
 }
 
 impl AsResolver for PrefixAsTable {
     fn resolve(&self, bits: u128) -> Option<AsTag> {
-        let idx = self.ranges.partition_point(|&(first, _, _)| first <= bits);
-        if idx == 0 {
-            return None;
-        }
-        let (_, last, tag) = self.ranges[idx - 1];
-        (bits <= last).then_some(tag)
+        self.0.longest_match(bits.into()).map(|(_, &tag)| tag)
     }
 }
 
@@ -129,11 +110,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlapping")]
-    fn rejects_overlap() {
-        PrefixAsTable::new(vec![
-            (0x2a00_0001u128 << 96, 32, tag(1)),
-            (0x2a00_0001u128 << 96 | 1 << 90, 48, tag(2)),
+    fn nested_prefixes_resolve_most_specific() {
+        let covering = 0x2a00_0001u128 << 96;
+        let inside = covering | 1 << 90;
+        let table = PrefixAsTable::new(vec![
+            (covering, 32, tag(1)),
+            (inside, 48, tag(2)),
+            (inside, 48, tag(3)),
         ]);
+        assert_eq!(table.len(), 2);
+        assert_eq!(table.resolve(inside | 42).unwrap().index, 3);
+        assert_eq!(table.resolve(covering | 42).unwrap().index, 1);
+        assert_eq!(table.resolve(covering - 1), None);
     }
 }

@@ -4,7 +4,7 @@
 //! Wish For* (Rye & Levin, SIGCOMM 2023) as a Rust workspace:
 //!
 //! * [`addr`] (`v6addr`) — IPv6 address mechanics: prefixes, IIDs,
-//!   entropy, EUI-64/MAC/OUI, IPv4 embeddings, address sets, tries.
+//!   entropy, EUI-64/MAC/OUI, IPv4 embeddings, address sets, prefix index.
 //! * [`netsim`] (`v6netsim`) — the deterministic synthetic Internet the
 //!   study runs against.
 //! * [`ntp`] (`v6ntp`) — RFC 5905 NTP and the NTP Pool model.
