@@ -10,6 +10,11 @@ echo "== the frozen benchmark still builds against the crates' public items =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 # A dependency-edge change in a crate it builds rewrites benchmark/Cargo.lock.
 git diff --exit-code -- benchmark BENCHMARK.json
+# Its own model checks (every replica's operators = Analytics::from_entries,
+# recover = committed, query answers = oracle) gate a PR here, before the
+# pipeline runs them. Writes only under target/ and benchmark/out/.
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --quick --seconds 1 --out target/ci-benchmark.json >/dev/null
 
 echo "== cargo test -q --workspace (V6_THREADS=1) =="
 V6_THREADS=1 cargo test -q --workspace

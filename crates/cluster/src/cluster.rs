@@ -366,10 +366,9 @@ impl Cluster {
     }
 
     /// Turns on streaming analytics cluster-wide: every live node gets
-    /// per-partition [`v6stream::StreamDriver`]s riding its replication
+    /// per-partition [`v6stream::Analytics`] riding its replication
     /// stream, and nodes restarted after a crash re-enable themselves
-    /// with the same resolver (resynced from their recovered mirror —
-    /// the bootstrap path).
+    /// with the same resolver (rebuilt from their recovered snapshot).
     pub fn enable_streaming(&mut self, resolver: v6stream::SharedResolver) {
         for slot in self.slots.values_mut() {
             if let NodeSlot::Up(node) = slot {
@@ -1023,40 +1022,59 @@ mod tests {
 
     #[test]
     fn resident_bytes_stay_near_the_compressed_snapshot() {
-        let mut c = tiny(37);
-        // Load: 64 /64s of 64 addresses per partition, then trickle
-        // until the load has aged out of every retained delta chain.
-        let mut model: Vec<Vec<(u128, u32)>> = (0..4u128)
-            .map(|pid| {
-                (0..4096u128)
-                    .map(|i| (pid << 96 | (i / 64) << 64 | (i % 64 + 1) << 32, 0))
-                    .collect()
-            })
-            .collect();
-        for week in 1..=(c.config().history_cap as u32 + 1) {
-            trickle_round(&mut c, &mut model, week);
-        }
-        assert!(c.is_converged());
-        let metrics = c.metrics();
-        for node in c.ring().nodes() {
-            let resident = gauge(&metrics, &format!("{node}.cluster.replica.resident_bytes"));
-            let compressed: i64 = c
-                .pids_of(node)
-                .iter()
+        let resolver: v6stream::SharedResolver = Arc::new(v6stream::PrefixAsTable::new(vec![]));
+        for (seed, streaming) in [(37, false), (38, true)] {
+            let mut c = tiny(seed);
+            if streaming {
+                c.enable_streaming(Arc::clone(&resolver));
+            }
+            // Load: 64 /64s of 64 addresses per partition, then trickle
+            // until the load has aged out of every retained delta chain.
+            let mut model: Vec<Vec<(u128, u32)>> = (0..4u128)
                 .map(|pid| {
-                    gauge(
-                        &metrics,
-                        &format!("{node}.p{pid}.serve.store.bytes.compressed"),
-                    )
+                    (0..4096u128)
+                        .map(|i| (pid << 96 | (i / 64) << 64 | (i % 64 + 1) << 32, 0))
+                        .collect()
                 })
-                .sum();
-            assert!(compressed > 0);
-            // ROADMAP item 1's gate: no mirror beside the snapshot, only
-            // the retained deltas.
-            assert!(
-                resident >= compressed && resident as f64 <= 1.3 * compressed as f64,
-                "{node}: resident {resident} B vs compressed {compressed} B"
-            );
+                .collect();
+            for week in 1..=(c.config().history_cap as u32 + 1) {
+                trickle_round(&mut c, &mut model, week);
+            }
+            assert!(c.is_converged());
+            let metrics = c.metrics();
+            for node in c.ring().nodes() {
+                let resident = gauge(&metrics, &format!("{node}.cluster.replica.resident_bytes"));
+                let compressed: i64 = c
+                    .pids_of(node)
+                    .iter()
+                    .map(|pid| {
+                        gauge(
+                            &metrics,
+                            &format!("{node}.p{pid}.serve.store.bytes.compressed"),
+                        )
+                    })
+                    .sum();
+                assert!(compressed > 0);
+                // ROADMAP item 1's gate: no copy of the entries beside
+                // the snapshot, only the retained deltas — streaming or
+                // not.
+                assert!(
+                    resident >= compressed && resident as f64 <= 1.3 * compressed as f64,
+                    "{node} (streaming {streaming}): resident {resident} B vs compressed \
+                     {compressed} B"
+                );
+            }
+            // With streaming on the operators really ran: every replica
+            // sits at the committed epoch on the batch answer.
+            for (pid, part) in model.iter().enumerate().filter(|_| streaming) {
+                let want = v6stream::Analytics::from_entries(Arc::clone(&resolver), part);
+                let rows = c.stream_checksums(pid as u32);
+                assert_eq!(rows.len(), 3);
+                for (node, epoch, sums) in rows {
+                    assert_eq!(Some(epoch), c.committed(pid as u32).map(|c| c.0), "{node}");
+                    assert_eq!(sums, want.checksums(), "{node}");
+                }
+            }
         }
     }
 
@@ -1084,7 +1102,7 @@ mod tests {
 
         // Kill a follower, advance the epoch while it is down, then
         // converge: the restarted node re-enables streaming from its
-        // recovered mirror and heals over catch-up.
+        // recovered snapshot and heals over catch-up.
         let victim = c.ring().replicas_for_partition(0)[1].to_string();
         c.kill(&victim);
         c.pump_round();

@@ -49,14 +49,12 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use v6obs::{Counter, Gauge, MetricsSnapshot, Registry};
-use v6serve::persist::{
-    delta_to_content, flatten_snapshot, snapshot_from_state, state_from_snapshot,
-};
+use v6serve::persist::{delta_to_content, snapshot_from_state, state_from_snapshot};
 use v6serve::{HitlistStore, PublishError, RecoverError, Snapshot, StoreConfig};
 use v6store::format::AliasEntry;
 use v6store::replica::DeltaRecord;
 use v6store::EpochState;
-use v6stream::{Offer, SharedResolver, StreamDriver};
+use v6stream::{Analytics, SharedResolver};
 use v6wire::frame::{try_frame, FrameDecoder, MAX_FRAME_PAYLOAD};
 use v6wire::transport::Transport;
 
@@ -115,14 +113,28 @@ struct PartitionReplica {
     /// each delta was applied when the store sat at its `prev_epoch`.
     history: VecDeque<(u64, DeltaRecord)>,
     /// Incremental streaming analytics riding the replication stream,
-    /// when [`Node::enable_streaming`] turned them on. Every verified
-    /// delta is fed through; a detected gap resyncs from the serving
-    /// snapshot (the node holds the full corpus locally, so
-    /// reconciliation never goes over the wire).
-    stream: Option<StreamDriver>,
+    /// when [`Node::enable_streaming`] turned them on.
+    stream: Option<Streaming>,
+}
+
+/// A replica's streaming operators and the store epoch they reflect.
+/// They hold no corpus of their own: every delta that reaches them was
+/// just applied to the serving snapshot, which answers what week a
+/// removed or re-dated address had before.
+struct Streaming {
+    analytics: Analytics,
+    epoch: u64,
 }
 
 impl PartitionReplica {
+    fn new(store: HitlistStore) -> PartitionReplica {
+        PartitionReplica {
+            store,
+            history: VecDeque::new(),
+            stream: None,
+        }
+    }
+
     /// Applies a delta that extends the served epoch exactly: carry the
     /// snapshot forward through it (which verifies the checksum),
     /// publish durably, then retain it. Returns the `(epoch, checksum)`
@@ -139,47 +151,42 @@ impl PartitionReplica {
         let next = current.apply_delta(&delta)?;
         self.store.publish_delta(next, &delta).ok()?;
         let reached = (delta.epoch, delta.content_checksum);
-        self.adopt(prev_epoch, delta, history_cap);
+        self.adopt(&current, delta, history_cap);
         Some(reached)
     }
 
-    /// After `delta` was published: feed the streaming operators and
-    /// retain it for catch-up.
-    fn adopt(&mut self, prev_epoch: u64, delta: DeltaRecord, history_cap: usize) {
-        self.stream_feed(&delta);
-        self.history.push_back((prev_epoch, delta));
+    /// After `delta` carried `prev` to the epoch now published: fold it
+    /// into the streaming operators and retain it for catch-up.
+    fn adopt(&mut self, prev: &Snapshot, delta: DeltaRecord, history_cap: usize) {
+        if let Some(stream) = self.stream.as_mut() {
+            debug_assert_eq!(stream.epoch, prev.epoch());
+            stream
+                .analytics
+                .apply_delta(&delta, |bits| prev.first_week(Ipv6Addr::from(bits)));
+            stream.epoch = delta.epoch;
+        }
+        self.history.push_back((prev.epoch(), delta));
         while self.history.len() > history_cap {
             self.history.pop_front();
         }
     }
 
-    /// Feeds one verified delta to the streaming operators; a detected
-    /// gap (or a driver already lagging) heals by resyncing from the
-    /// snapshot this node just published.
-    fn stream_feed(&mut self, delta: &DeltaRecord) {
-        let Some(driver) = self.stream.as_mut() else {
-            return;
-        };
-        match driver.feed(delta) {
-            Offer::Gap | Offer::Lagging => self.stream_resync(),
-            Offer::Applied(_) | Offer::Duplicate | Offer::Dropped => {}
-        }
-    }
-
-    /// Rebuilds the streaming operators from the serving snapshot,
-    /// flattened for the occasion — the local, no-wire reconciliation
-    /// path (enabling, bootstrap adoption, replay gaps).
+    /// Rebuilds the streaming operators from the serving snapshot, shard
+    /// by shard (operator state does not depend on the order entries
+    /// arrive in) — enabling, and adopting a bootstrap.
     fn stream_resync(&mut self) {
-        if let Some(driver) = self.stream.as_mut() {
+        if let Some(stream) = self.stream.as_mut() {
             let snap = self.store.snapshot();
-            driver.resync(snap.epoch(), snap.week(), &flatten_snapshot(&snap).0);
+            stream
+                .analytics
+                .rebuild(snap.shards().iter().flat_map(|shard| shard.entries()));
+            stream.epoch = snap.epoch();
         }
     }
 
     /// Bytes this replica keeps resident for its corpus: the serving
-    /// snapshot's columns, the retained delta chain, and — when
-    /// streaming is on — the stream driver's flat `(bits, week)` map
-    /// (counted at its payload size; the one flat copy still held).
+    /// snapshot's columns and the retained delta chain. Streaming adds
+    /// operator state, not a second copy of the entries.
     fn resident_bytes(&self) -> u64 {
         use std::mem::size_of_val;
         let history: usize = self
@@ -193,11 +200,7 @@ impl PartitionReplica {
                     + size_of_val(&d.missing_shards[..])
             })
             .sum();
-        let stream = self
-            .stream
-            .as_ref()
-            .map_or(0, |d| d.len() * std::mem::size_of::<(u128, u32)>());
-        self.store.snapshot().stored_bytes() + (history + stream) as u64
+        self.store.snapshot().stored_bytes() + history as u64
     }
 }
 
@@ -275,14 +278,7 @@ impl Node {
                 opts.shard_count,
                 opts.store_cfg(&name, pid),
             )?;
-            replicas.insert(
-                pid,
-                PartitionReplica {
-                    store,
-                    history: VecDeque::new(),
-                    stream: None,
-                },
-            );
+            replicas.insert(pid, PartitionReplica::new(store));
         }
         Ok(Node {
             name,
@@ -311,14 +307,7 @@ impl Node {
         let mut replicas = BTreeMap::new();
         for &pid in pids {
             let (store, _report) = HitlistStore::recover(opts.store_cfg(&name, pid))?;
-            replicas.insert(
-                pid,
-                PartitionReplica {
-                    store,
-                    history: VecDeque::new(),
-                    stream: None,
-                },
-            );
+            replicas.insert(pid, PartitionReplica::new(store));
         }
         Ok(Node {
             name,
@@ -353,13 +342,16 @@ impl Node {
     }
 
     /// Turns on incremental streaming analytics for every hosted
-    /// partition, bootstrapped from the serving snapshots. From here on
-    /// each verified replicated delta updates the operators in O(Δ);
-    /// replay gaps heal by a local snapshot resync. Idempotent per call
-    /// (re-enabling resyncs from scratch).
+    /// partition, built from the serving snapshots. From here on each
+    /// delta the replica publishes updates the operators in O(Δ), and a
+    /// bootstrap adoption rebuilds them from the adopted snapshot.
+    /// Re-enabling rebuilds from scratch.
     pub fn enable_streaming(&mut self, resolver: SharedResolver) {
         for replica in self.replicas.values_mut() {
-            replica.stream = Some(StreamDriver::new(Arc::clone(&resolver)));
+            replica.stream = Some(Streaming {
+                analytics: Analytics::new(Arc::clone(&resolver)),
+                epoch: 0,
+            });
             replica.stream_resync();
         }
     }
@@ -367,28 +359,16 @@ impl Node {
     /// The epoch the streaming operators of `pid` reflect, when
     /// streaming is enabled there.
     pub fn stream_epoch(&self, pid: u32) -> Option<u64> {
-        Some(self.replicas.get(&pid)?.stream.as_ref()?.epoch())
+        Some(self.replicas.get(&pid)?.stream.as_ref()?.epoch)
     }
 
     /// `(operator name, checksum)` for `pid`'s streaming operators —
     /// the cross-replica convergence witness: equal corpus, equal
-    /// checksums, regardless of the delta/gap/bootstrap path each
-    /// replica took.
+    /// checksums, regardless of the delta/bootstrap path each replica
+    /// took.
     pub fn stream_checksums(&self, pid: u32) -> Option<[(&'static str, u64); 4]> {
-        Some(
-            self.replicas
-                .get(&pid)?
-                .stream
-                .as_ref()?
-                .analytics()
-                .checksums(),
-        )
-    }
-
-    /// The streaming corpus checksum of `pid` (comparable against
-    /// [`Node::epoch_checksum`]).
-    pub fn stream_content_checksum(&self, pid: u32) -> Option<u64> {
-        Some(self.replicas.get(&pid)?.stream.as_ref()?.content_checksum())
+        let stream = self.replicas.get(&pid)?.stream.as_ref()?;
+        Some(stream.analytics.checksums())
     }
 
     /// The `(epoch, content_checksum)` this node's store currently
@@ -487,7 +467,7 @@ impl Node {
         // Durable before visible, visible before pushed: a crash
         // here loses an epoch, never advertises a phantom one.
         replica.store.publish_delta(next, &delta)?;
-        replica.adopt(prev_epoch, delta, self.opts.history_cap);
+        replica.adopt(&current, delta, self.opts.history_cap);
         self.acks
             .entry((pid, epoch))
             .or_default()

@@ -10,6 +10,7 @@ use serde::{Deserialize, Serialize};
 
 use v6chaos::{Chaos, DagInjector, LossReport};
 use v6geo::WardriveDb;
+use v6netsim::rng::{fnv1a, FNV_BASIS};
 use v6netsim::{SimTime, World, WorldConfig};
 use v6par::{StageFailure, StageTiming};
 use v6scan::{AliasList, CaidaCampaignConfig, HitlistCampaignConfig};
@@ -497,13 +498,11 @@ struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
+        Fnv(FNV_BASIS)
     }
 
     fn u64(&mut self, v: u64) {
-        for byte in v.to_be_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, &v.to_be_bytes());
     }
 
     fn u128(&mut self, v: u128) {

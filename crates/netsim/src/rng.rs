@@ -21,15 +21,25 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The FNV-1a 64 offset basis: the state an unseeded hash starts from.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64: folds `bytes` into the running state `h`. The workspace's
+/// one byte-hash loop — record checksums, operator digests, the artifact
+/// digest, bloom probes and fork seeds all start it from their own basis
+/// and feed it their own byte order.
+#[inline]
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Hashes an arbitrary byte string plus a seed into 64 bits (FNV-1a mixed
 /// through SplitMix64). Used to derive fork seeds from labels.
 pub fn hash64(seed: u64, label: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for &b in label {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    let mut s = h;
+    let mut s = fnv1a(FNV_BASIS ^ seed, label);
     splitmix64(&mut s)
 }
 

@@ -16,6 +16,8 @@
 //! [`crate::snapshot::SnapshotBuilder::with_bloom`]) never changes a
 //! query answer — only how much work an absent-address miss costs.
 
+use v6netsim::rng;
+
 /// Bits budgeted per key (filter sizing).
 const BITS_PER_KEY: usize = 16;
 
@@ -27,12 +29,7 @@ const PROBES: usize = 6;
 
 /// Seeded FNV-1a over the 16 address bytes.
 fn fnv1a(bits: u128, seed: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for b in bits.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    rng::fnv1a(rng::FNV_BASIS ^ seed, &bits.to_le_bytes())
 }
 
 /// A blocked bloom filter over address bits.

@@ -7,12 +7,18 @@
 //! ```
 //!
 //! Shard workers normalize each [`PublicationUpdate`] into per-shard
-//! sorted `(bits, week)` runs off the serving threads; the single merger
-//! thread owns the accumulated state, merges each run in O(n), and
-//! publishes a fresh epoch per update. Bounded channels give natural
-//! backpressure: when ingestion falls behind, `submit` blocks the
-//! producer instead of growing queues without limit — readers are never
-//! involved, they keep serving the last published epoch.
+//! sorted `(bits, week)` runs off the serving threads. The single merger
+//! thread holds the last snapshot it built — starting from whatever the
+//! store serves when the pipeline is spawned — and no other copy of the
+//! corpus: it probes that snapshot to keep, of each run, only the
+//! entries that change it (an address not yet held, or held under a
+//! later week), carries the snapshot forward through them (the
+//! per-shard step of [`Snapshot::apply_delta`]: one linear merge per
+//! touched shard, every other shard shared by pointer) and publishes a
+//! fresh epoch per update. Bounded channels give natural backpressure: when ingestion
+//! falls behind, `submit` blocks the producer instead of growing queues
+//! without limit — readers are never involved, they keep serving the
+//! last published epoch.
 //!
 //! # Fault tolerance
 //!
@@ -29,15 +35,15 @@
 //!   workers and returns [`IngestError`] instead of blocking forever.
 //! * `serve.merger.update.<seq>` — the merger consult before folding
 //!   that update; only `Stall` faults are honored (back-pressure).
-//! * `serve.shard.<i>` — merging shard `i`'s accumulated runs. A
-//!   failing consult *quarantines* the shard: its runs are parked, the
-//!   epoch is published anyway with the shard's last good content and a
-//!   `Degraded { missing_shards }` status. Later consults (or the final
+//! * `serve.shard.<i>` — merging shard `i`'s parked runs. A failing
+//!   consult *quarantines* the shard: its runs stay parked, the epoch is
+//!   published anyway with the shard's last good content (the previous
+//!   epoch's shard, by pointer) and a `Degraded { missing_shards }`
+//!   status. Later consults (or the final
 //!   flush in [`IngestHandle::finish`]) drain the quarantine; only a
 //!   permanent script leaves the shard quarantined, and then the report
 //!   says exactly which shards lost data.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -50,7 +56,7 @@ use v6chaos::{Chaos, Fault, LossReport, NoChaos};
 use v6hitlist::{HitlistService, NtpCorpus};
 use v6scan::CampaignResult;
 
-use crate::snapshot::{bloom_default, Snapshot};
+use crate::snapshot::{earliest_aliases, Shard, ShardChange, Snapshot};
 use crate::store::HitlistStore;
 
 const WEEK_SECS: u64 = 7 * 86_400;
@@ -161,9 +167,9 @@ fn normalize(update: PublicationUpdate, shard_bits: u32) -> ShardBatch {
     let run_cost = v6par::Cost::per_item_ns(100 * (total / per_shard.len().max(1)).max(1) as u64)
         .labeled("serve.normalize");
     v6par::par_for_each_mut(v6par::threads(), &mut per_shard, run_cost, |_, run| {
-        v6par::radix_sort_by_key(run, |&(b, w)| (b, u64::from(w)));
-        run.dedup_by_key(|&mut (b, _)| b);
+        keep_earliest(run);
     });
+    earliest_aliases(&mut aliases);
     ShardBatch {
         per_shard,
         aliases,
@@ -171,43 +177,54 @@ fn normalize(update: PublicationUpdate, shard_bits: u32) -> ShardBatch {
     }
 }
 
-/// Merges a sorted run into sorted accumulated state, keeping the
-/// earliest week for duplicate addresses. Returns duplicates coalesced.
-fn merge_run(acc: &mut Vec<(u128, u32)>, run: Vec<(u128, u32)>) -> u64 {
-    if run.is_empty() {
-        return 0;
-    }
-    if acc.is_empty() {
-        *acc = run;
-        return 0;
-    }
-    let mut out = Vec::with_capacity(acc.len() + run.len());
-    let mut duplicates = 0u64;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < acc.len() && j < run.len() {
-        let (ab, aw) = acc[i];
-        let (rb, rw) = run[j];
-        match ab.cmp(&rb) {
-            std::cmp::Ordering::Less => {
-                out.push((ab, aw));
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((rb, rw));
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((ab, aw.min(rw)));
-                duplicates += 1;
-                i += 1;
-                j += 1;
-            }
+/// Sorts a run by bits and keeps one entry per address, the one with
+/// the earliest week.
+fn keep_earliest(run: &mut Vec<(u128, u32)>) {
+    v6par::radix_sort_by_key(run, |&(b, w)| (b, u64::from(w)));
+    run.dedup_by_key(|&mut (b, _)| b);
+}
+
+/// The entries of `run` (one per address) that change `shard`: an
+/// address it does not hold, or one it holds under a later week — the
+/// earliest week wins.
+fn winning_upserts(shard: &Shard, mut run: Vec<(u128, u32)>) -> Vec<(u128, u32)> {
+    run.retain(|&(bits, week)| shard.first_week_of(bits).is_none_or(|held| week < held));
+    run
+}
+
+/// One shard's quarantine state: the runs parked while its
+/// `serve.shard.<i>` site fails.
+#[derive(Clone, Default)]
+struct Parked {
+    runs: Vec<Vec<(u128, u32)>>,
+    attempts: u32,
+    poisoned: bool,
+}
+
+impl Parked {
+    /// Consults shard `i`'s fault site once. When it lets the merge
+    /// through, hands over what of the parked runs changes `shard`
+    /// ([`winning_upserts`]), sorted by bits; otherwise they stay parked.
+    fn release(&mut self, i: usize, chaos: &dyn Chaos, shard: &Shard) -> Option<Vec<(u128, u32)>> {
+        if self.runs.is_empty() || self.poisoned {
+            return None;
         }
+        let site = format!("serve.shard.{i}");
+        let failed = chaos.fails(&site, self.attempts);
+        self.attempts += 1;
+        if failed {
+            self.poisoned = chaos.is_permanent(&site);
+            return None;
+        }
+        let mut run = self.runs.swap_remove(0);
+        // Each run is sorted and deduplicated already; only a release
+        // after a quarantine finds more than one.
+        if !self.runs.is_empty() {
+            run.extend(self.runs.drain(..).flatten());
+            keep_earliest(&mut run);
+        }
+        Some(winning_upserts(shard, run))
     }
-    out.extend_from_slice(&acc[i..]);
-    out.extend_from_slice(&run[j..]);
-    *acc = out;
-    duplicates
 }
 
 /// What an ingestion run accomplished.
@@ -356,7 +373,7 @@ impl Ingestor {
 
         let merger = {
             let chaos = Arc::clone(&chaos);
-            std::thread::spawn(move || merge_loop(store, shard_bits, batch_rx, chaos.as_ref()))
+            std::thread::spawn(move || merge_loop(store, batch_rx, chaos.as_ref()))
         };
 
         IngestHandle {
@@ -431,43 +448,16 @@ struct MergeOutcome {
 
 fn merge_loop(
     store: Arc<HitlistStore>,
-    shard_bits: u32,
     batches: Receiver<(u64, ShardBatch)>,
     chaos: &dyn Chaos,
 ) -> MergeOutcome {
-    let name = store.snapshot().name().to_string();
-    let shard_count = 1usize << shard_bits;
-    let mut acc: Vec<Vec<(u128, u32)>> = vec![Vec::new(); shard_count];
-    let mut aliases: Vec<(Prefix, u32)> = Vec::new();
-    // Quarantine state: parked runs, consult counts, permanence marks.
-    let mut pending: Vec<VecDeque<Vec<(u128, u32)>>> = vec![VecDeque::new(); shard_count];
-    let mut attempts: Vec<u32> = vec![0; shard_count];
-    let mut poisoned: Vec<bool> = vec![false; shard_count];
+    // The last snapshot built: the only copy of the corpus held here.
+    let mut current = Snapshot::clone(&store.snapshot());
+    let held_at_start = current.len();
+    let shard_count = current.shard_count();
+    let mut parked = vec![Parked::default(); shard_count];
     let mut stats = IngestStats::default();
-    let shard_site = |i: usize| format!("serve.shard.{i}");
-
-    let drain = |i: usize,
-                 pending: &mut Vec<VecDeque<Vec<(u128, u32)>>>,
-                 attempts: &mut Vec<u32>,
-                 poisoned: &mut Vec<bool>,
-                 acc: &mut Vec<Vec<(u128, u32)>>,
-                 stats: &mut IngestStats| {
-        if pending[i].is_empty() || poisoned[i] {
-            return;
-        }
-        let site = shard_site(i);
-        if chaos.fails(&site, attempts[i]) {
-            attempts[i] += 1;
-            if chaos.is_permanent(&site) {
-                poisoned[i] = true;
-            }
-            return;
-        }
-        attempts[i] += 1;
-        while let Some(run) = pending[i].pop_front() {
-            stats.duplicates += merge_run(&mut acc[i], run);
-        }
-    };
+    let mut arrived = 0u64;
 
     for (seq, batch) in batches.iter() {
         let _span = v6obs::span("serve.merge");
@@ -479,38 +469,22 @@ fn merge_loop(
         if let Fault::Stall(d) = chaos.decide(&format!("serve.merger.update.{seq}"), 0) {
             std::thread::sleep(d);
         }
+        let mut changes = vec![ShardChange::default(); shard_count];
         for (i, run) in batch.per_shard.into_iter().enumerate() {
             if !run.is_empty() {
-                pending[i].push_back(run);
+                arrived += run.len() as u64;
+                parked[i].runs.push(run);
             }
-            drain(
-                i,
-                &mut pending,
-                &mut attempts,
-                &mut poisoned,
-                &mut acc,
-                &mut stats,
-            );
+            if let Some(upserts) = parked[i].release(i, chaos, &current.shards()[i]) {
+                changes[i].upserts = upserts;
+            }
         }
         for (prefix, week) in batch.aliases {
-            match aliases.iter_mut().find(|(p, _)| *p == prefix) {
-                Some((_, w)) => *w = (*w).min(week),
-                None => aliases.push((prefix, week)),
+            if current.alias_week(&prefix).is_none_or(|held| week < held) {
+                current.route_alias(&mut changes, prefix, Some(week));
             }
         }
-        let missing: Vec<u32> = (0..shard_count)
-            .filter(|&i| !pending[i].is_empty())
-            .map(|i| i as u32)
-            .collect();
-        let mut snapshot =
-            Snapshot::from_sorted_parts(name.clone(), shard_bits, &acc, &aliases, bloom_default());
-        snapshot.missing_shards = missing;
-        let degraded = snapshot.is_degraded();
-        stats.unique_addresses = snapshot.len();
-        if store.publish(snapshot).is_ok() {
-            stats.epochs_published += 1;
-            stats.degraded_epochs += u64::from(degraded);
-        }
+        publish_next(&store, &mut current, &changes, &parked, &mut stats);
         store
             .metrics()
             .record_ingest_batch_latency(batch_started.elapsed());
@@ -518,37 +492,57 @@ fn merge_loop(
 
     // Final flush: retry each quarantined shard until its transient
     // script clears (attempt counts only grow) or it proves permanent.
+    let mut changes = vec![ShardChange::default(); shard_count];
     let mut recovered = false;
-    for i in 0..shard_count {
-        while !pending[i].is_empty() && !poisoned[i] {
-            let before = pending[i].len();
-            drain(
-                i,
-                &mut pending,
-                &mut attempts,
-                &mut poisoned,
-                &mut acc,
-                &mut stats,
-            );
-            recovered |= pending[i].len() < before;
+    for (i, p) in parked.iter_mut().enumerate() {
+        while !p.runs.is_empty() && !p.poisoned {
+            if let Some(upserts) = p.release(i, chaos, &current.shards()[i]) {
+                changes[i].upserts = upserts;
+                recovered = true;
+            }
         }
     }
-    let quarantined: Vec<u32> = (0..shard_count)
-        .filter(|&i| !pending[i].is_empty())
-        .map(|i| i as u32)
-        .collect();
     if recovered {
-        let mut snapshot =
-            Snapshot::from_sorted_parts(name.clone(), shard_bits, &acc, &aliases, bloom_default());
-        snapshot.missing_shards = quarantined.clone();
-        let degraded = snapshot.is_degraded();
-        stats.unique_addresses = snapshot.len();
-        if store.publish(snapshot).is_ok() {
-            stats.epochs_published += 1;
-            stats.degraded_epochs += u64::from(degraded);
-        }
+        publish_next(&store, &mut current, &changes, &parked, &mut stats);
     }
-    MergeOutcome { stats, quarantined }
+    // Ingestion only adds addresses, so every entry that was merged and
+    // did not add one coalesced with an entry already there.
+    let still_parked: usize = parked.iter().flat_map(|p| &p.runs).map(Vec::len).sum();
+    stats.duplicates = arrived - still_parked as u64 - (current.len() - held_at_start);
+    MergeOutcome {
+        stats,
+        quarantined: quarantined(&parked),
+    }
+}
+
+/// Indices of the shards still holding parked runs.
+fn quarantined(parked: &[Parked]) -> Vec<u32> {
+    (0..parked.len() as u32)
+        .filter(|&i| !parked[i as usize].runs.is_empty())
+        .collect()
+}
+
+/// Carries `current` forward through `changes` and publishes it as the
+/// next epoch, degraded by whatever is still parked.
+fn publish_next(
+    store: &HitlistStore,
+    current: &mut Snapshot,
+    changes: &[ShardChange],
+    parked: &[Parked],
+    stats: &mut IngestStats,
+) {
+    let mut next = current.with_changes(changes);
+    next.week = next.latest_first_week();
+    next.missing_shards = quarantined(parked);
+    stats.unique_addresses = next.len();
+    // The store numbers the epoch on its own copy: untouched and
+    // quarantined shards are shared by pointer with what it serves, so
+    // its integrity walk and its log delta cover only the rest.
+    if store.publish(next.clone()).is_ok() {
+        stats.epochs_published += 1;
+        stats.degraded_epochs += u64::from(next.is_degraded());
+    }
+    *current = next;
 }
 
 /// A running ingestion pipeline.
@@ -701,10 +695,23 @@ mod tests {
 
     #[test]
     fn merge_run_keeps_earliest_week() {
-        let mut acc = vec![(1u128, 5u32), (3, 1)];
-        let dup = merge_run(&mut acc, vec![(1, 2), (2, 9), (3, 4)]);
-        assert_eq!(dup, 2);
-        assert_eq!(acc, vec![(1, 2), (2, 9), (3, 1)]);
+        let mut b = crate::SnapshotBuilder::new("svc", 1);
+        b.add_bits(1, 5);
+        b.add_bits(3, 1);
+        let held = b.build();
+        // An earlier week wins, a new address is kept, a later week is
+        // dropped.
+        let upserts = winning_upserts(&held.shards()[0], vec![(1, 2), (2, 9), (3, 4)]);
+        assert_eq!(upserts, vec![(1, 2), (2, 9)]);
+        let change = ShardChange {
+            upserts,
+            ..ShardChange::default()
+        };
+        let merged = held.with_changes(&[change]);
+        let entries: Vec<_> = merged.shards()[0].entries().collect();
+        assert_eq!(entries, vec![(1, 2), (2, 9), (3, 1)]);
+        // Of the three entries one added an address: two duplicates.
+        assert_eq!(3 - (merged.len() - held.len()), 2);
     }
 
     #[test]

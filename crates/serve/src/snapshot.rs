@@ -416,7 +416,7 @@ impl Shard {
     }
 
     /// Iterates the `(bits, first week)` entries in ascending order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
+    pub fn entries(&self) -> impl Iterator<Item = (u128, u32)> + '_ {
         self.run.iter().zip(self.first_week.iter().copied())
     }
 
@@ -576,6 +576,17 @@ impl ShardMerge {
     }
 }
 
+/// One shard's slice of a change to a snapshot (see
+/// [`Snapshot::with_changes`]): addresses to take out, entries to put
+/// in or re-date, alias registrations (`Some(week)`) and removals
+/// (`None`). `removed` and `upserts` are sorted by bits.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ShardChange {
+    pub(crate) removed: Vec<u128>,
+    pub(crate) upserts: Vec<(u128, u32)>,
+    pub(crate) aliases: Vec<(Prefix, Option<u32>)>,
+}
+
 /// Health of a published epoch, as surfaced to readers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeStatus {
@@ -688,22 +699,18 @@ impl Snapshot {
                 }
             }
         }
-        let max_week = shards
-            .iter()
-            .filter_map(|s| s.week_counts.last())
-            .map(|&(w, _)| u64::from(w))
-            .max()
-            .unwrap_or(0);
-        Snapshot {
+        let mut snap = Snapshot {
             name: name.into(),
             epoch: 0,
-            week: max_week,
+            week: 0,
             shard_bits,
             total: shards.iter().map(|s| s.len() as u64).sum(),
             checksum: shards.iter().fold(0, |acc, s| acc.wrapping_add(s.checksum)),
             shards: shards.into_iter().map(Arc::new).collect(),
             missing_shards: Vec::new(),
-        }
+        };
+        snap.week = snap.latest_first_week();
+        snap
     }
 
     /// The next epoch: this snapshot with `delta` applied (remove, then
@@ -718,56 +725,67 @@ impl Snapshot {
     /// did not — the delta does not belong on this snapshot (a missed
     /// epoch, a corrupted record) and nothing was built.
     pub fn apply_delta(&self, delta: &DeltaRecord) -> Option<Snapshot> {
-        let shard_count = self.shards.len();
-        let mut removed: Vec<Vec<u128>> = vec![Vec::new(); shard_count];
+        let mut changes = vec![ShardChange::default(); self.shards.len()];
         for &bits in &delta.removed {
-            removed[shard48(bits, self.shard_bits)].push(bits);
+            changes[shard48(bits, self.shard_bits)].removed.push(bits);
         }
-        let mut upserts: Vec<Vec<(u128, u32)>> = vec![Vec::new(); shard_count];
         for &(bits, week) in &delta.added {
-            upserts[shard48(bits, self.shard_bits)].push((bits, week));
+            changes[shard48(bits, self.shard_bits)]
+                .upserts
+                .push((bits, week));
         }
-        // `(shard, prefix, week)`: no shard = replicated to every shard
-        // (shorter than /48); no week = a removal. Removals come first.
-        let alias_ops: Vec<(Option<usize>, Prefix, Option<u32>)> = delta
-            .removed_aliases
-            .iter()
-            .map(|&(bits, len)| (Prefix::from_bits(bits, len), None))
-            .chain(
-                delta
-                    .added_aliases
-                    .iter()
-                    .map(|a| (Prefix::from_bits(a.bits, a.len), Some(a.week))),
-            )
-            .map(|(prefix, week)| (prefix.shard48(self.shard_bits), prefix, week))
-            .collect();
+        // Removals come first.
+        for &(bits, len) in &delta.removed_aliases {
+            self.route_alias(&mut changes, Prefix::from_bits(bits, len), None);
+        }
+        for a in &delta.added_aliases {
+            self.route_alias(&mut changes, Prefix::from_bits(a.bits, a.len), Some(a.week));
+        }
+        let mut next = self.with_changes(&changes);
+        next.epoch = delta.epoch;
+        next.week = delta.week;
+        next.missing_shards = delta.missing_shards.clone();
+        (next.checksum == delta.content_checksum).then_some(next)
+    }
 
+    /// Files one alias registration (`Some(week)`) or removal (`None`)
+    /// under the shard that holds `prefix` — every shard, for a prefix
+    /// shorter than /48, which is replicated to all of them.
+    pub(crate) fn route_alias(
+        &self,
+        changes: &mut [ShardChange],
+        prefix: Prefix,
+        week: Option<u32>,
+    ) {
+        match prefix.shard48(self.shard_bits) {
+            Some(i) => changes[i].aliases.push((prefix, week)),
+            None => changes
+                .iter_mut()
+                .for_each(|c| c.aliases.push((prefix, week))),
+        }
+    }
+
+    /// This snapshot with one [`ShardChange`] per shard applied, under
+    /// the same name, epoch, week and quarantine list. A shard whose
+    /// change is empty is shared with `self` by pointer; a shard whose
+    /// content changes is rebuilt by [`Shard::merged`]; the total and
+    /// the content checksum move by the difference of each rebuilt
+    /// shard's.
+    pub(crate) fn with_changes(&self, changes: &[ShardChange]) -> Snapshot {
+        assert_eq!(changes.len(), self.shards.len());
         let bloom = bloom_default();
-        let mut next = Snapshot {
-            name: self.name.clone(),
-            epoch: delta.epoch,
-            week: delta.week,
-            shard_bits: self.shard_bits,
-            shards: self.shards.clone(),
-            total: self.total,
-            checksum: self.checksum,
-            missing_shards: delta.missing_shards.clone(),
-        };
-        for (i, prev) in self.shards.iter().enumerate() {
-            let content_touched = !removed[i].is_empty() || !upserts[i].is_empty();
-            let mut ops = alias_ops
-                .iter()
-                .filter(|(shard, _, _)| shard.is_none_or(|s| s == i))
-                .peekable();
-            if !content_touched && ops.peek().is_none() {
+        let mut next = self.clone();
+        for (i, (prev, change)) in self.shards.iter().zip(changes).enumerate() {
+            let content_touched = !change.removed.is_empty() || !change.upserts.is_empty();
+            if !content_touched && change.aliases.is_empty() {
                 continue;
             }
             let mut shard = if content_touched {
-                prev.merged(i, &removed[i], &upserts[i], bloom)
+                prev.merged(i, &change.removed, &change.upserts, bloom)
             } else {
                 Shard::clone(prev)
             };
-            for &(_, prefix, week) in ops {
+            for &(prefix, week) in &change.aliases {
                 match week {
                     Some(week) => shard.aliases.insert(prefix, week),
                     None => shard.aliases.remove(&prefix),
@@ -780,7 +798,25 @@ impl Snapshot {
                 .wrapping_add(shard.checksum);
             next.shards[i] = Arc::new(shard);
         }
-        (next.checksum == delta.content_checksum).then_some(next)
+        next
+    }
+
+    /// The latest first-published week any address carries (0 when
+    /// empty) — the week a snapshot built from content alone reports.
+    pub(crate) fn latest_first_week(&self) -> u64 {
+        self.shards
+            .iter()
+            .filter_map(|s| s.week_counts.last())
+            .map(|&(w, _)| u64::from(w))
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// The week `prefix` is registered as aliased from, if it is.
+    pub(crate) fn alias_week(&self, prefix: &Prefix) -> Option<u32> {
+        // A prefix shorter than /48 is in every shard.
+        let shard = prefix.shard48(self.shard_bits).unwrap_or(0);
+        self.shards[shard].aliases.get(prefix).copied()
     }
 
     /// Service name this snapshot was published under.
@@ -1020,6 +1056,13 @@ impl Snapshot {
     }
 }
 
+/// Sorts alias registrations by `(bits, len)` and keeps one per prefix,
+/// the earliest week.
+pub(crate) fn earliest_aliases(aliases: &mut Vec<(Prefix, u32)>) {
+    aliases.sort_unstable_by_key(|&(p, w)| (p.bits(), p.len(), w));
+    aliases.dedup_by_key(|&mut (p, _)| p);
+}
+
 /// Accumulates addresses and aliases, then builds a [`Snapshot`].
 ///
 /// Accepts unsorted input with duplicates; duplicates keep their earliest
@@ -1135,9 +1178,7 @@ impl SnapshotBuilder {
         for &(b, w) in &self.pending {
             shard_data[shard48(b, self.shard_bits)].push((b, w));
         }
-        self.aliases
-            .sort_unstable_by_key(|&(p, w)| (p.bits(), p.len(), w));
-        self.aliases.dedup_by_key(|&mut (p, _)| p);
+        earliest_aliases(&mut self.aliases);
         let mut snap = Snapshot::from_sorted_parts(
             self.name,
             self.shard_bits,

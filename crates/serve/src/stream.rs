@@ -10,11 +10,15 @@
 //!
 //! * a persistent store's epoch log, tailed in place
 //!   ([`StreamAnalytics::tail_log`] + [`StreamAnalytics::poll`]);
-//! * a cluster follower's replication stream (the node feeds each
-//!   verified delta through [`StreamAnalytics::feed`]);
+//! * deltas handed over one at a time ([`StreamAnalytics::feed`]);
 //! * a full resync from any materialized [`Snapshot`]
 //!   ([`StreamAnalytics::resync_from`]) — the recovery path after a
 //!   replay gap, and the bootstrap path for in-memory stores.
+//!
+//! A cluster replica does not go through here: it holds the pre-delta
+//! snapshot of every delta it applies, so it feeds a bare
+//! [`v6stream::Analytics`] from that (`v6cluster`'s `Node`) and needs
+//! neither the driver's corpus map nor its verification.
 //!
 //! All query answers carry the epoch they reflect; when the driver is
 //! lagging after a detected gap, queries keep answering from the last

@@ -63,14 +63,11 @@ pub const TAG_META: u8 = 3;
 /// prefix above this is treated as torn/corrupt rather than allocated.
 pub const MAX_FRAME_PAYLOAD: u32 = 256 << 20;
 
+pub use v6netsim::rng::{fnv1a, FNV_BASIS};
+
 /// FNV-1a 64 over `bytes` — the per-record checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_BASIS, bytes)
 }
 
 /// One registered aliased prefix: network bits, prefix length, and the

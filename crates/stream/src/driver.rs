@@ -89,6 +89,42 @@ impl Analytics {
         self.rotation.apply(event);
     }
 
+    /// Folds one delta into every operator — the one place a
+    /// [`DeltaRecord`] is resolved into events. `prior` answers "what
+    /// week did this address have before the delta?" from whatever
+    /// holds the pre-delta corpus (a serving snapshot, the driver's
+    /// map): a removal of a held address is a [`Event::Removed`] under
+    /// its old week, an added entry is a [`Event::WeekChanged`] when
+    /// the address was held and an [`Event::Added`] when it was not.
+    ///
+    /// The caller has verified that `delta` extends the corpus `prior`
+    /// reads (checksum chain), so no address is both removed and added.
+    /// Returns the number of events folded.
+    pub fn apply_delta(
+        &mut self,
+        delta: &DeltaRecord,
+        prior: impl Fn(u128) -> Option<u32>,
+    ) -> usize {
+        let mut events = 0;
+        for &bits in &delta.removed {
+            if let Some(week) = prior(bits) {
+                self.apply(&Event::Removed { bits, week });
+                events += 1;
+            }
+        }
+        for &(bits, week) in &delta.added {
+            self.apply(&match prior(bits) {
+                Some(old_week) => Event::WeekChanged {
+                    bits,
+                    old_week,
+                    new_week: week,
+                },
+                None => Event::Added { bits, week },
+            });
+        }
+        events + delta.added.len()
+    }
+
     /// `(operator name, checksum)` for all operators, in fixed order.
     pub fn checksums(&self) -> [(&'static str, u64); 4] {
         [
@@ -97,6 +133,16 @@ impl Analytics {
             (self.devices.name(), self.devices.checksum()),
             (self.rotation.name(), self.rotation.checksum()),
         ]
+    }
+
+    /// Clears every operator and folds `entries` back in as additions:
+    /// the O(corpus) rebuild from an authoritative materialized epoch.
+    /// Operator state does not depend on the order they arrive in.
+    pub fn rebuild(&mut self, entries: impl IntoIterator<Item = (u128, u32)>) {
+        self.reset();
+        for (bits, week) in entries {
+            self.apply(&Event::Added { bits, week });
+        }
     }
 
     /// Clears every operator.
@@ -153,7 +199,9 @@ impl DriverMetrics {
 }
 
 /// Tails a delta stream into an [`Analytics`] set, maintaining a
-/// corpus mirror for verification and event resolution.
+/// corpus mirror for verification and event resolution — for consumers
+/// that hold no snapshot of the corpus themselves (a log tail); one
+/// that does calls [`Analytics::apply_delta`] directly.
 ///
 /// Work per delta is O(|delta| · log corpus) — independent of corpus
 /// *size* except through map-depth, which is what makes per-epoch
@@ -169,8 +217,6 @@ pub struct StreamDriver {
     analytics: Analytics,
     chaos: Option<Arc<dyn Chaos>>,
     metrics: DriverMetrics,
-    /// Scratch event buffer, reused across deltas.
-    events: Vec<Event>,
 }
 
 impl StreamDriver {
@@ -185,7 +231,6 @@ impl StreamDriver {
             analytics: Analytics::new(resolver),
             chaos: None,
             metrics: DriverMetrics::global(),
-            events: Vec::new(),
         }
     }
 
@@ -204,16 +249,6 @@ impl StreamDriver {
     /// The latest study week the operators reflect.
     pub fn week(&self) -> u64 {
         self.week
-    }
-
-    /// Live corpus size in the mirror.
-    pub fn len(&self) -> usize {
-        self.mirror.len()
-    }
-
-    /// True when no entries are mirrored.
-    pub fn is_empty(&self) -> bool {
-        self.mirror.is_empty()
     }
 
     /// The maintained corpus content checksum (the commutative
@@ -272,28 +307,16 @@ impl StreamDriver {
             return Offer::Gap;
         }
 
-        // Verified: resolve events and mutate mirror + operators.
-        self.events.clear();
-        for &bits in &delta.removed {
-            let week = self.mirror.remove(&bits).expect("verified above");
-            self.events.push(Event::Removed { bits, week });
+        // Verified: fold the delta against the pre-delta mirror, then
+        // carry the mirror forward.
+        let mirror = &self.mirror;
+        let count = self
+            .analytics
+            .apply_delta(delta, |bits| mirror.get(&bits).copied());
+        for bits in &delta.removed {
+            self.mirror.remove(bits);
         }
-        for &(bits, week) in &delta.added {
-            match self.mirror.insert(bits, week) {
-                Some(old_week) => self.events.push(Event::WeekChanged {
-                    bits,
-                    old_week,
-                    new_week: week,
-                }),
-                None => self.events.push(Event::Added { bits, week }),
-            }
-        }
-        let events = std::mem::take(&mut self.events);
-        for event in &events {
-            self.analytics.apply(event);
-        }
-        let count = events.len();
-        self.events = events;
+        self.mirror.extend(delta.added.iter().copied());
         self.checksum = next;
         self.epoch = delta.epoch;
         self.week = delta.week;
@@ -360,16 +383,12 @@ impl StreamDriver {
     /// O(corpus), by design: resync is the explicitly-paid fallback
     /// that bounds how wrong the cheap path can ever be.
     pub fn resync(&mut self, epoch: u64, week: u64, entries: &[(u128, u32)]) {
+        self.analytics.rebuild(entries.iter().copied());
         self.mirror.clear();
-        self.mirror.reserve(entries.len());
-        self.analytics.reset();
-        let mut checksum = 0u64;
-        for &(bits, week) in entries {
-            self.mirror.insert(bits, week);
-            checksum = fold_content(checksum, bits, week);
-            self.analytics.apply(&Event::Added { bits, week });
-        }
-        self.checksum = checksum;
+        self.mirror.extend(entries.iter().copied());
+        self.checksum = entries
+            .iter()
+            .fold(0, |acc, &(bits, week)| fold_content(acc, bits, week));
         self.epoch = epoch;
         self.week = week;
         self.lagging = false;

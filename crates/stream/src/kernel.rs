@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 
 use v6addr::Iid;
+use v6store::format::{fnv1a, FNV_BASIS};
 
 /// The /48 network containing `bits` (top 48 bits, low bits zeroed).
 #[inline]
@@ -70,16 +71,13 @@ pub struct Digest(u64);
 impl Digest {
     /// FNV-1a offset basis.
     pub fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(FNV_BASIS)
     }
 
     /// Folds one 64-bit word.
     #[inline]
     pub fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        self.0 = fnv1a(self.0, &w.to_le_bytes());
     }
 
     /// Folds one 128-bit word.

@@ -21,14 +21,17 @@
 //!   over resolved corpus events with a canonical-state checksum.
 //! * [`DensityMap`], [`EntropyProfile`], [`DeviceTracker`],
 //!   [`RotationEstimator`] — the four operators, owned together as an
-//!   [`Analytics`] set.
-//! * [`StreamDriver`] — verified ingestion: detects duplicate and
+//!   [`Analytics`] set. [`Analytics::apply_delta`] is the one place a
+//!   delta is resolved into events; the old week of a removed or
+//!   re-dated address is asked of whoever holds the pre-delta corpus —
+//!   a serving snapshot, or the driver's map.
+//! * [`StreamDriver`] — verified ingestion for consumers that hold no
+//!   snapshot of their own (log tails): detects duplicate and
 //!   out-of-order deliveries by epoch, detects replay **gaps** by
 //!   recomputing each delta's content checksum against its corpus
 //!   mirror before mutating anything, and recovers from gaps with an
 //!   explicit O(corpus) [`StreamDriver::resync`]. It can tail a live
-//!   store's epoch log through [`v6store::LogTailer`], or be fed a
-//!   cluster follower's replication stream.
+//!   store's epoch log through [`v6store::LogTailer`].
 //!
 //! The governing invariant, pinned by proptests and the `stream`
 //! chaos mode: **at every epoch boundary, each operator's checksum

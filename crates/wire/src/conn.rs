@@ -361,9 +361,10 @@ pub fn serve_request_with(
 
 fn lookup_in(snap: &Snapshot, addr: u128) -> WireLookup {
     let a = Ipv6Addr::from(addr);
+    let first_week = snap.first_week(a);
     WireLookup {
-        present: snap.contains(a),
-        first_week: snap.first_week(a),
+        present: first_week.is_some(),
+        first_week,
         alias: snap.longest_alias(a),
         degraded: snap.shard_missing(a),
     }
