@@ -150,6 +150,7 @@ grep -q '"sorted_vec"' BENCH_kernels.json
 grep -q '"compressed_run"' BENCH_kernels.json
 grep -q '"bloom_fronted"' BENCH_kernels.json
 grep -q '"sorted_table"' BENCH_kernels.json
+grep -q '"stream_ops"' BENCH_kernels.json
 
 echo "== observability smoke (trace tree + metrics exposition) =="
 V6HL_SCALE=tiny V6_THREADS=2 V6_TRACE=1 \

@@ -6,6 +6,8 @@
 //! client addresses are near 1.0. Entropy is *normalized* by the maximum
 //! achievable over 16 nibbles, `log2(16) = 4` bits per nibble.
 
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
 use crate::iid::Iid;
@@ -28,14 +30,31 @@ pub fn iid_entropy(iid: Iid) -> f64 {
     for n in iid.nibbles() {
         counts[n as usize] += 1;
     }
+    let term = p_log2_p();
     let mut h = 0.0f64;
     for &c in &counts {
-        if c > 0 {
-            let p = c as f64 / 16.0;
-            h -= p * p.log2();
-        }
+        h -= term[c as usize];
     }
     h / MAX_NIBBLE_ENTROPY
+}
+
+/// `p · log2 p` for `p = c/16`, indexed by the nibble count `c`.
+///
+/// A nibble value occurs 0 to 16 times in an IID, so these seventeen
+/// terms are every one the entropy sum can need. Entry 0 is `0.0`: an
+/// absent value contributes nothing, and `h - 0.0` is `h` exactly, so
+/// the sum needs no branch. The entries are computed, not written out,
+/// so they are whatever this platform's `log2` returns.
+fn p_log2_p() -> &'static [f64; 17] {
+    static TERMS: OnceLock<[f64; 17]> = OnceLock::new();
+    TERMS.get_or_init(|| {
+        let mut terms = [0.0f64; 17];
+        for (c, term) in terms.iter_mut().enumerate().skip(1) {
+            let p = c as f64 / 16.0;
+            *term = p * p.log2();
+        }
+        terms
+    })
 }
 
 /// The paper's three-way entropy banding (Figures 2b and 5).
@@ -83,6 +102,79 @@ impl EntropyClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The definition, term by term: what `iid_entropy` must equal to
+    /// the last bit.
+    fn log2_formula(iid: Iid) -> f64 {
+        let mut counts = [0u8; 16];
+        for n in iid.nibbles() {
+            counts[n as usize] += 1;
+        }
+        let mut h = 0.0f64;
+        for &c in &counts {
+            if c > 0 {
+                let p = c as f64 / 16.0;
+                h -= p * p.log2();
+            }
+        }
+        h / MAX_NIBBLE_ENTROPY
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every way to split 16 into non-increasing positive parts.
+    fn partitions(left: u8, max: u8, parts: &mut Vec<u8>, out: &mut Vec<Vec<u8>>) {
+        if left == 0 {
+            out.push(parts.clone());
+            return;
+        }
+        for part in (1..=left.min(max)).rev() {
+            parts.push(part);
+            partitions(left - part, part, parts, out);
+            parts.pop();
+        }
+    }
+
+    #[test]
+    fn table_sum_is_bit_identical_to_the_log2_formula() {
+        let mut shapes = Vec::new();
+        partitions(16, 16, &mut Vec::new(), &mut shapes);
+        assert_eq!(shapes.len(), 231);
+        let mut rng = 0x1d_e17;
+        let check = |iid: Iid| {
+            let (got, want) = (iid_entropy(iid), log2_formula(iid));
+            assert_eq!(got.to_bits(), want.to_bits(), "{iid:?}: {got} vs {want}");
+        };
+        for shape in &shapes {
+            // Which nibble value gets which count, and where in the IID
+            // each nibble sits, both shuffled: the sum runs in value
+            // order, so the same counts meet it in a different order.
+            for _ in 0..16 {
+                let mut values: Vec<u64> = (0..16).collect();
+                for i in (1..16).rev() {
+                    values.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                }
+                let mut nibbles: Vec<u64> = shape
+                    .iter()
+                    .zip(&values)
+                    .flat_map(|(&count, &v)| std::iter::repeat_n(v, count as usize))
+                    .collect();
+                for i in (1..16).rev() {
+                    nibbles.swap(i, (splitmix(&mut rng) % (i as u64 + 1)) as usize);
+                }
+                check(Iid::new(nibbles.iter().fold(0, |acc, n| acc << 4 | n)));
+            }
+        }
+        for _ in 0..1_000_000 {
+            check(Iid::new(splitmix(&mut rng)));
+        }
+    }
 
     #[test]
     fn zero_iid_has_zero_entropy() {

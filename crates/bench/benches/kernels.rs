@@ -12,18 +12,21 @@
 //! separately from pipeline-level ones. For the merge kernel the
 //! "sequential" column is the pairwise clone-and-merge tree the
 //! tournament merge replaced. The same file carries the layout
-//! comparisons: membership structures, and longest-prefix match.
+//! comparisons — membership structures, longest-prefix match — and the
+//! per-event cost of the streaming operators.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
-use v6bench::{KernelRecord, KernelsBench, LpmRecord, MembershipRecord};
+use v6bench::{KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord};
 use v6serve::{BlockedBloom, CompressedRun};
+use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
 
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};
 use v6netsim::rng::Rng;
@@ -400,6 +403,7 @@ fn emit_par_kernels_json() {
         kernels,
         membership: membership_records(),
         lpm: lpm_records(),
+        stream_ops: stream_op_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
@@ -427,7 +431,98 @@ fn emit_par_kernels_json() {
             l.structure, l.shape, l.prefixes, l.ns_per_probe, l.bytes
         );
     }
+    for o in &bench.stream_ops {
+        println!(
+            "  stream/{:<16} {:>7} events: {:>7.1} ns/event",
+            o.op, o.events, o.ns_per_event
+        );
+    }
     println!("wrote {}", path.display());
+}
+
+/// The streaming operators on the `epoch-churn` partition shape: an
+/// 8 192-entry partition (128 /48s over 64 ASes), a quarter of its IIDs
+/// EUI-64 (2^20 NICs of one vendor), half of it replaced per delta. Operator
+/// rows get the attributes already resolved; `analytics_apply` is the
+/// whole per-event path, resolve included. Rotation has no row: it is a
+/// view of the device table and does nothing per event.
+fn stream_op_records() -> Vec<StreamOpRecord> {
+    const ENTRIES: usize = 8192;
+    let mut rng = Rng::new(0x57e4);
+    let table = Arc::new(PrefixAsTable::new(
+        (0..64u16)
+            .map(|index| {
+                let country = v6stream::country_code(*b"DE");
+                let net = (0x2a00_0100 + u128::from(index)) << 96;
+                (net, 32, AsTag { index, country })
+            })
+            .collect(),
+    ));
+    // 128 /48s of 16 /64s each, as one partition of that workload has.
+    let mut below = |n: u64| rng.next_u64() % n;
+    let sites: Vec<u64> = (0..128)
+        .map(|_| ((0x2a00_0100 + below(64)) << 32) | (below(1 << 16) << 16))
+        .collect();
+    let mut entry = || {
+        let net64 = sites[below(128) as usize] | below(16);
+        let iid = if below(4) == 0 {
+            (0x0002_5056 << 40) | (0xfffe << 24) | below(1 << 20)
+        } else {
+            below(u64::MAX) | 1
+        };
+        let bits = (u128::from(net64) << 64) | u128::from(iid);
+        (bits, below(8) as u32)
+    };
+    let held: Vec<(u128, u32)> = (0..ENTRIES).map(|_| entry()).collect();
+    let fresh: Vec<(u128, u32)> = (0..ENTRIES / 2).map(|_| entry()).collect();
+    let leaving = &held[..ENTRIES / 2];
+
+    // One delta out and its inverse back: every timed round starts from
+    // the same state.
+    let removed = |&(bits, week): &(u128, u32)| Event::Removed { bits, week };
+    let added = |&(bits, week): &(u128, u32)| Event::Added { bits, week };
+    let events: Vec<(Event, Attrs)> = (leaving.iter().map(removed))
+        .chain(fresh.iter().map(added))
+        .chain(fresh.iter().map(removed))
+        .chain(leaving.iter().map(added))
+        .map(|event| (event, Attrs::resolve(&*table, event.bits())))
+        .collect();
+    let time = |op: &str, apply: &mut dyn FnMut(&Event, &Attrs)| {
+        for &(bits, week) in &held {
+            let event = Event::Added { bits, week };
+            apply(&event, &Attrs::resolve(&*table, bits));
+        }
+        let ms = best_ms(9, || events.iter().for_each(|(e, a)| apply(e, a)));
+        StreamOpRecord {
+            op: op.into(),
+            events: events.len(),
+            ns_per_event: ms * 1e6 / events.len() as f64,
+        }
+    };
+
+    let mut analytics = Analytics::new(table.clone());
+    let (mut density, mut entropy, mut devices) = (
+        v6stream::DensityMap::new(),
+        v6stream::EntropyProfile::new(),
+        v6stream::DeviceTracker::new(),
+    );
+    let mut records = vec![
+        time("density", &mut |e, a| density.apply(e, a)),
+        time("entropy", &mut |e, a| entropy.apply(e, a)),
+        time("device", &mut |e, a| devices.apply(e, a)),
+        time("analytics_apply", &mut |e, _| analytics.apply(e)),
+    ];
+    let iids: Vec<Iid> = events
+        .iter()
+        .map(|(e, _)| Iid::new(e.bits() as u64))
+        .collect();
+    let ms = best_ms(9, || iids.iter().map(|&iid| iid_entropy(iid)).sum::<f64>());
+    records.push(StreamOpRecord {
+        op: "iid_entropy".into(),
+        events: iids.len(),
+        ns_per_event: ms * 1e6 / iids.len() as f64,
+    });
+    records
 }
 
 /// Longest-prefix match over the one prefix index, on a flat and a

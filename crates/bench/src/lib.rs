@@ -478,11 +478,27 @@ pub struct LpmRecord {
     pub bytes: usize,
 }
 
+/// One per-event cost of the streaming analytics, as recorded in
+/// `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StreamOpRecord {
+    /// What was timed: one `v6stream` operator's `apply` with the
+    /// attributes already resolved ("density", "entropy", "device"),
+    /// `Analytics::apply` including the resolve ("analytics_apply"), or
+    /// a bare `v6addr::iid_entropy` call ("iid_entropy").
+    pub op: String,
+    /// Events (or calls) per timed round.
+    pub events: usize,
+    /// Mean nanoseconds per event (best of N rounds).
+    pub ns_per_event: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: sequential vs.
 /// parallel timings for the `v6par` kernels at several input sizes (so
 /// kernel-level regressions are visible separately from pipeline-level
 /// ones), the membership-lookup comparison across the address-store
-/// representations, and longest-prefix match over the prefix index.
+/// representations, longest-prefix match over the prefix index, and the
+/// per-event cost of the streaming operators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the parallel timings.
@@ -496,6 +512,9 @@ pub struct KernelsBench {
     pub membership: Vec<MembershipRecord>,
     /// Longest-prefix match over `v6addr::PrefixMap`, flat and nested.
     pub lpm: Vec<LpmRecord>,
+    /// `v6stream` operators on a half-replace delta of one 8 192-entry
+    /// partition (a quarter EUI-64, 64 ASes).
+    pub stream_ops: Vec<StreamOpRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

@@ -168,7 +168,7 @@ impl StreamAnalytics {
 
     /// Per-AS rotation period estimates.
     pub fn rotation(&self) -> Vec<RotationRow> {
-        self.inner.lock().driver.analytics().rotation.snapshot()
+        self.inner.lock().driver.analytics().rotation().snapshot()
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::kernel::{net48, Digest};
-use crate::op::{Event, Operator};
+use crate::op::{Attrs, Event, Operator};
 
 /// Live address count per /48 network.
 ///
@@ -57,7 +57,7 @@ impl Operator for DensityMap {
         "density"
     }
 
-    fn apply(&mut self, event: &Event) {
+    fn apply(&mut self, event: &Event, _attrs: &Attrs) {
         match *event {
             Event::Added { bits, .. } => {
                 *self.per48.entry(net48(bits)).or_insert(0) += 1;
@@ -94,17 +94,25 @@ impl Operator for DensityMap {
 mod tests {
     use super::*;
 
+    fn apply(m: &mut DensityMap, event: Event) {
+        let attrs = Attrs {
+            tag: None,
+            mac: None,
+        };
+        m.apply(&event, &attrs);
+    }
+
     #[test]
     fn add_remove_is_canonical() {
         let mut m = DensityMap::new();
         let empty = m.checksum();
         let a = (0x2001_0db8u128 << 96) | 1;
         let b = (0x2001_0db8u128 << 96) | 2;
-        m.apply(&Event::Added { bits: a, week: 1 });
-        m.apply(&Event::Added { bits: b, week: 2 });
+        apply(&mut m, Event::Added { bits: a, week: 1 });
+        apply(&mut m, Event::Added { bits: b, week: 2 });
         assert_eq!(m.count(a), 2);
-        m.apply(&Event::Removed { bits: a, week: 1 });
-        m.apply(&Event::Removed { bits: b, week: 2 });
+        apply(&mut m, Event::Removed { bits: a, week: 1 });
+        apply(&mut m, Event::Removed { bits: b, week: 2 });
         assert_eq!(m.checksum(), empty, "drained map equals fresh map");
     }
 
@@ -112,18 +120,41 @@ mod tests {
     fn snapshot_orders_by_density() {
         let mut m = DensityMap::new();
         for i in 0..3u128 {
-            m.apply(&Event::Added {
-                bits: (1u128 << 82) | i,
-                week: 0,
-            });
+            apply(
+                &mut m,
+                Event::Added {
+                    bits: (1u128 << 82) | i,
+                    week: 0,
+                },
+            );
         }
-        m.apply(&Event::Added {
-            bits: 2u128 << 82,
-            week: 0,
-        });
+        apply(
+            &mut m,
+            Event::Added {
+                bits: 2u128 << 82,
+                week: 0,
+            },
+        );
         let snap = m.snapshot(8);
         assert_eq!(snap.networks, 2);
         assert_eq!(snap.addresses, 4);
         assert_eq!(snap.top[0].1, 3);
+    }
+
+    #[test]
+    fn unknown_removals_change_nothing() {
+        let mut m = DensityMap::new();
+        let a = (0x2001_0db8u128 << 96) | 1;
+        apply(&mut m, Event::Added { bits: a, week: 1 });
+        let before = m.checksum();
+        apply(
+            &mut m,
+            Event::Removed {
+                bits: a ^ 1 << 100,
+                week: 1,
+            },
+        );
+        assert_eq!(m.checksum(), before, "a /48 it does not hold");
+        assert_eq!(m.count(a), 1);
     }
 }

@@ -1,11 +1,12 @@
 //! EUI-64 device tracking: per-MAC network histories, the paper's
 //! five track classes, and cross-network movement windows.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-use crate::kernel::{eui64_mac, net64, Digest, MacNets};
-use crate::op::{Event, Operator};
-use crate::SharedResolver;
+use crate::kernel::{bump, net64, unbump, Digest, MacNets};
+use crate::op::{Attrs, Event, Operator};
+use crate::resolver::AsTag;
+use crate::rotation::RotationEstimator;
 
 /// The paper's taxonomy of multi-network EUI-64 devices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -27,26 +28,65 @@ pub enum TrackClass {
 /// Transition count above which a device counts as "many moves".
 pub const MANY_TRANSITIONS: usize = 3;
 
+/// One row of the device table: everything known about one MAC.
+///
+/// Both columns are flat sorted rows, so a device that is a single
+/// address — most of them, under churn — costs two one-row `Vec`s.
+/// The per-AS and per-country counts the classes and digests need are
+/// read off `tags` when asked for, not maintained per event.
 #[derive(Debug, Clone, Default)]
-struct Device {
-    nets: MacNets,
-    /// as index → live address count.
-    ases: BTreeMap<u16, u32>,
-    /// country code → live address count.
-    countries: BTreeMap<u16, u32>,
+pub(crate) struct Device {
+    pub(crate) nets: MacNets,
+    /// `((as index, country), live address count)`, ascending; unrouted
+    /// addresses have no row.
+    tags: Vec<((u16, u16), u32)>,
 }
 
 impl Device {
+    /// `(as index, live address count)`, ascending: adjacent `tags`
+    /// rows share their AS.
+    pub(crate) fn ases(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
+        self.tags
+            .chunk_by(|a, b| a.0 .0 == b.0 .0)
+            .map(|rows| (rows[0].0 .0, rows.iter().map(|row| row.1).sum()))
+    }
+
+    /// `(country, live address count)`, ascending.
+    fn countries(&self) -> Vec<(u16, u32)> {
+        let mut rows: Vec<(u16, u32)> = self.tags.iter().map(|&((_, cc), n)| (cc, n)).collect();
+        rows.sort_unstable();
+        rows.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 += next.1;
+            }
+            same
+        });
+        rows
+    }
+
+    /// Folds the network history and per-AS counts: all of a device
+    /// the rotation digest covers, and the head of the device digest.
+    pub(crate) fn digest_into(&self, d: &mut Digest) {
+        self.nets.digest_into(d);
+        d.word(self.ases().count() as u64);
+        for (a, c) in self.ases() {
+            d.word(u64::from(a) << 32 | u64::from(c));
+        }
+    }
+
     fn classify(&self) -> Option<TrackClass> {
         if self.nets.net_count() < 2 {
             return None; // single-network devices carry no track signal
         }
         let transitions = self.nets.net_count() - 1;
-        Some(if self.countries.len() > 1 {
+        let ases = self.ases().count();
+        let multi_country = self.tags.iter().any(|row| row.0 .1 != self.tags[0].0 .1);
+        Some(if multi_country {
             TrackClass::MacReuse
-        } else if self.ases.len() > 1 && transitions > MANY_TRANSITIONS {
+        } else if ases > 1 && transitions > MANY_TRANSITIONS {
             TrackClass::UserMovement
-        } else if self.ases.len() > 1 {
+        } else if ases > 1 {
             TrackClass::ChangingProviders
         } else if transitions > MANY_TRANSITIONS {
             TrackClass::PrefixReassignment
@@ -58,14 +98,14 @@ impl Device {
 
 /// Tracks every EUI-64 device across the corpus, incrementally.
 ///
-/// Keyed by the MAC leaked in the IID; non-EUI-64 addresses are
-/// invisible to this operator. AS and country attribution comes from
-/// the shared resolver; unrouted addresses still contribute their
-/// network history (moves are observable without attribution).
-#[derive(Clone)]
+/// Keyed by the MAC leaked in the IID, ascending (the digest order);
+/// non-EUI-64 addresses are invisible to this operator. Unrouted
+/// addresses still contribute their network history (moves are
+/// observable without attribution). This is the one per-MAC table:
+/// [`RotationEstimator`] is a view of it.
+#[derive(Debug, Clone, Default)]
 pub struct DeviceTracker {
-    resolver: SharedResolver,
-    devices: BTreeMap<u64, Device>,
+    pub(crate) devices: BTreeMap<u64, Device>,
 }
 
 /// A point-in-time view of [`DeviceTracker`].
@@ -94,38 +134,37 @@ pub struct Move {
 }
 
 impl DeviceTracker {
-    /// An empty tracker attributing addresses through `resolver`.
-    pub fn new(resolver: SharedResolver) -> DeviceTracker {
-        DeviceTracker {
-            resolver,
-            devices: BTreeMap::new(),
-        }
+    /// An empty tracker.
+    pub fn new() -> DeviceTracker {
+        DeviceTracker::default()
     }
 
-    fn add(&mut self, bits: u128, week: u32) {
-        let Some(mac) = eui64_mac(bits) else { return };
-        let tag = self.resolver.resolve(bits);
+    /// Per-AS rotation estimates over this table.
+    pub fn rotation(&self) -> RotationEstimator<'_> {
+        RotationEstimator { tracker: self }
+    }
+
+    fn add(&mut self, mac: u64, net: u64, week: u32, tag: Option<AsTag>) {
         let dev = self.devices.entry(mac).or_default();
-        dev.nets.add(net64(bits), week);
+        dev.nets.add(net, week);
         if let Some(tag) = tag {
-            *dev.ases.entry(tag.index).or_insert(0) += 1;
-            *dev.countries.entry(tag.country).or_insert(0) += 1;
+            bump(&mut dev.tags, (tag.index, tag.country));
         }
     }
 
-    fn remove(&mut self, bits: u128, week: u32) {
-        let Some(mac) = eui64_mac(bits) else { return };
-        let tag = self.resolver.resolve(bits);
-        let Some(dev) = self.devices.get_mut(&mac) else {
+    fn remove(&mut self, mac: u64, net: u64, week: u32, tag: Option<AsTag>) {
+        let Entry::Occupied(mut slot) = self.devices.entry(mac) else {
             return;
         };
-        dev.nets.remove(net64(bits), week);
+        let dev = slot.get_mut();
+        if !dev.nets.remove(net, week) {
+            return;
+        }
         if let Some(tag) = tag {
-            decrement(&mut dev.ases, tag.index);
-            decrement(&mut dev.countries, tag.country);
+            unbump(&mut dev.tags, (tag.index, tag.country));
         }
         if dev.nets.is_empty() {
-            self.devices.remove(&mac);
+            slot.remove();
         }
     }
 
@@ -175,33 +214,22 @@ impl DeviceTracker {
     }
 }
 
-fn decrement(map: &mut BTreeMap<u16, u32>, key: u16) {
-    if let Some(c) = map.get_mut(&key) {
-        *c -= 1;
-        if *c == 0 {
-            map.remove(&key);
-        }
-    }
-}
-
 impl Operator for DeviceTracker {
     fn name(&self) -> &'static str {
         "device"
     }
 
-    fn apply(&mut self, event: &Event) {
+    fn apply(&mut self, event: &Event, attrs: &Attrs) {
+        let Some(mac) = attrs.mac else { return };
+        let net = net64(event.bits());
         match *event {
-            Event::Added { bits, week } => self.add(bits, week),
-            Event::Removed { bits, week } => self.remove(bits, week),
+            Event::Added { week, .. } => self.add(mac, net, week, attrs.tag),
+            Event::Removed { week, .. } => self.remove(mac, net, week, attrs.tag),
             Event::WeekChanged {
-                bits,
-                old_week,
-                new_week,
+                old_week, new_week, ..
             } => {
-                if let Some(mac) = eui64_mac(bits) {
-                    if let Some(dev) = self.devices.get_mut(&mac) {
-                        dev.nets.week_changed(net64(bits), old_week, new_week);
-                    }
+                if let Some(dev) = self.devices.get_mut(&mac) {
+                    dev.nets.week_changed(net, old_week, new_week);
                 }
             }
         }
@@ -212,13 +240,10 @@ impl Operator for DeviceTracker {
         d.word(self.devices.len() as u64);
         for (&mac, dev) in &self.devices {
             d.word(mac);
-            dev.nets.digest_into(&mut d);
-            d.word(dev.ases.len() as u64);
-            for (&a, &c) in &dev.ases {
-                d.word(u64::from(a) << 32 | u64::from(c));
-            }
-            d.word(dev.countries.len() as u64);
-            for (&cc, &c) in &dev.countries {
+            dev.digest_into(&mut d);
+            let countries = dev.countries();
+            d.word(countries.len() as u64);
+            for (cc, c) in countries {
                 d.word(u64::from(cc) << 32 | u64::from(c));
             }
         }
@@ -233,11 +258,10 @@ impl Operator for DeviceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resolver::{AsTag, PrefixAsTable};
-    use std::sync::Arc;
+    use crate::resolver::PrefixAsTable;
 
-    fn resolver() -> SharedResolver {
-        Arc::new(PrefixAsTable::new(vec![
+    fn resolver() -> PrefixAsTable {
+        PrefixAsTable::new(vec![
             (
                 0x2a00_0001u128 << 96,
                 32,
@@ -262,7 +286,11 @@ mod tests {
                     country: u16::from_be_bytes(*b"JP"),
                 },
             ),
-        ]))
+        ])
+    }
+
+    fn apply(t: &mut DeviceTracker, event: Event) {
+        t.apply(&event, &Attrs::resolve(&resolver(), event.bits()));
     }
 
     fn eui(prefix: u128, subnet: u64, mac: u64) -> u128 {
@@ -272,31 +300,43 @@ mod tests {
 
     #[test]
     fn classifies_and_windows_moves() {
-        let mut t = DeviceTracker::new(resolver());
+        let mut t = DeviceTracker::new();
         let empty = t.checksum();
         let mac = 0x0012_3456_789a;
         // Week 1: home network; weeks 3 and 5: two more subnets, same AS.
-        t.apply(&Event::Added {
-            bits: eui(0x2a00_0001, 0, mac),
-            week: 1,
-        });
-        t.apply(&Event::Added {
-            bits: eui(0x2a00_0001, 1, mac),
-            week: 3,
-        });
-        t.apply(&Event::Added {
-            bits: eui(0x2a00_0001, 2, mac),
-            week: 5,
-        });
+        apply(
+            &mut t,
+            Event::Added {
+                bits: eui(0x2a00_0001, 0, mac),
+                week: 1,
+            },
+        );
+        apply(
+            &mut t,
+            Event::Added {
+                bits: eui(0x2a00_0001, 1, mac),
+                week: 3,
+            },
+        );
+        apply(
+            &mut t,
+            Event::Added {
+                bits: eui(0x2a00_0001, 2, mac),
+                week: 5,
+            },
+        );
         let snap = t.snapshot();
         assert_eq!((snap.devices, snap.multi_network), (1, 1));
         assert_eq!(snap.classes, vec![(TrackClass::MostlyStatic, 1)]);
 
         // The same MAC in Japan: reuse across countries.
-        t.apply(&Event::Added {
-            bits: eui(0x2a00_0003, 0, mac),
-            week: 4,
-        });
+        apply(
+            &mut t,
+            Event::Added {
+                bits: eui(0x2a00_0003, 0, mac),
+                week: 4,
+            },
+        );
         assert_eq!(t.snapshot().classes, vec![(TrackClass::MacReuse, 1)]);
 
         let moves = t.moved_between(2, 4);
@@ -310,21 +350,79 @@ mod tests {
             (0x2a00_0001, 2, 5),
             (0x2a00_0003, 0, 4),
         ] {
-            t.apply(&Event::Removed {
-                bits: eui(p, s, mac),
-                week: w,
-            });
+            apply(
+                &mut t,
+                Event::Removed {
+                    bits: eui(p, s, mac),
+                    week: w,
+                },
+            );
         }
         assert_eq!(t.checksum(), empty, "drained tracker equals fresh");
     }
 
     #[test]
     fn non_eui64_addresses_are_invisible() {
-        let mut t = DeviceTracker::new(resolver());
-        t.apply(&Event::Added {
-            bits: (0x2a00_0001u128 << 96) | 0xabcd,
-            week: 1,
-        });
+        let mut t = DeviceTracker::new();
+        apply(
+            &mut t,
+            Event::Added {
+                bits: (0x2a00_0001u128 << 96) | 0xabcd,
+                week: 1,
+            },
+        );
         assert_eq!(t.snapshot().devices, 0);
+    }
+
+    #[test]
+    fn unknown_removals_and_week_changes_change_nothing() {
+        let mut t = DeviceTracker::new();
+        let mac = 0x0012_3456_789a;
+        let held = eui(0x2a00_0001, 0, mac);
+        apply(
+            &mut t,
+            Event::Added {
+                bits: held,
+                week: 3,
+            },
+        );
+        let before = t.checksum();
+        for event in [
+            // Held address under a week it does not have; a sibling in
+            // the same AS that was never added; an unknown MAC.
+            Event::Removed {
+                bits: held,
+                week: 2,
+            },
+            Event::Removed {
+                bits: eui(0x2a00_0001, 1, mac),
+                week: 3,
+            },
+            Event::Removed {
+                bits: eui(0x2a00_0002, 0, mac + 1),
+                week: 3,
+            },
+            Event::WeekChanged {
+                bits: held,
+                old_week: 2,
+                new_week: 1,
+            },
+            Event::WeekChanged {
+                bits: eui(0x2a00_0001, 1, mac),
+                old_week: 3,
+                new_week: 1,
+            },
+        ] {
+            apply(&mut t, event);
+            assert_eq!(t.checksum(), before, "{event:?}");
+        }
+        apply(
+            &mut t,
+            Event::Removed {
+                bits: held,
+                week: 3,
+            },
+        );
+        assert_eq!(t.checksum(), DeviceTracker::new().checksum());
     }
 }

@@ -37,35 +37,42 @@ use v6obs::{Counter, Histogram};
 use v6store::DeltaRecord;
 
 use crate::kernel::{content_term, fold_content};
-use crate::op::{Event, Operator};
+use crate::op::{Attrs, Event, Operator};
 use crate::{DensityMap, DeviceTracker, EntropyProfile, RotationEstimator, SharedResolver};
 
 /// The standard operator set, fed as one unit.
 ///
-/// Owns one instance of each analytics operator. Kept separate from
-/// [`StreamDriver`] so batch equivalence checks can build a fresh
-/// `Analytics` from materialized entries and compare checksums — the
-/// invariant the whole crate hangs on.
+/// Owns one instance of each analytics operator and the one resolver:
+/// [`Analytics::apply`] is where an event's address is attributed, once
+/// for all of them. Kept separate from [`StreamDriver`] so batch
+/// equivalence checks can build a fresh `Analytics` from materialized
+/// entries and compare checksums — the invariant the whole crate hangs
+/// on.
 pub struct Analytics {
+    resolver: SharedResolver,
     /// Per-/48 density.
     pub density: DensityMap,
     /// Per-AS IID entropy histograms.
     pub entropy: EntropyProfile,
-    /// EUI-64 device tracking and movement windows.
+    /// EUI-64 device tracking and movement windows — and, through
+    /// [`Analytics::rotation`], per-AS rotation periods.
     pub devices: DeviceTracker,
-    /// Per-AS rotation period estimation.
-    pub rotation: RotationEstimator,
 }
 
 impl Analytics {
     /// Fresh, empty operators attributing addresses through `resolver`.
     pub fn new(resolver: SharedResolver) -> Analytics {
         Analytics {
+            resolver,
             density: DensityMap::new(),
-            entropy: EntropyProfile::new(resolver.clone()),
-            devices: DeviceTracker::new(resolver.clone()),
-            rotation: RotationEstimator::new(resolver),
+            entropy: EntropyProfile::new(),
+            devices: DeviceTracker::new(),
         }
+    }
+
+    /// Per-AS rotation period estimation: a view of the device table.
+    pub fn rotation(&self) -> RotationEstimator<'_> {
+        self.devices.rotation()
     }
 
     /// Builds operators from a materialized corpus — the batch path.
@@ -81,12 +88,13 @@ impl Analytics {
         a
     }
 
-    /// Folds one event into every operator.
+    /// Folds one event into every operator, resolving its address's AS
+    /// and EUI-64 MAC once.
     pub fn apply(&mut self, event: &Event) {
-        self.density.apply(event);
-        self.entropy.apply(event);
-        self.devices.apply(event);
-        self.rotation.apply(event);
+        let attrs = Attrs::resolve(&*self.resolver, event.bits());
+        self.density.apply(event, &attrs);
+        self.entropy.apply(event, &attrs);
+        self.devices.apply(event, &attrs);
     }
 
     /// Folds one delta into every operator — the one place a
@@ -99,11 +107,13 @@ impl Analytics {
     ///
     /// The caller has verified that `delta` extends the corpus `prior`
     /// reads (checksum chain), so no address is both removed and added.
-    /// Returns the number of events folded.
+    /// `prior` is asked exactly once per entry, removals first, in
+    /// record order — a caller that has already looked every entry up
+    /// can replay its answers. Returns the number of events folded.
     pub fn apply_delta(
         &mut self,
         delta: &DeltaRecord,
-        prior: impl Fn(u128) -> Option<u32>,
+        mut prior: impl FnMut(u128) -> Option<u32>,
     ) -> usize {
         let mut events = 0;
         for &bits in &delta.removed {
@@ -131,7 +141,7 @@ impl Analytics {
             (self.density.name(), self.density.checksum()),
             (self.entropy.name(), self.entropy.checksum()),
             (self.devices.name(), self.devices.checksum()),
-            (self.rotation.name(), self.rotation.checksum()),
+            (self.rotation().name(), self.rotation().checksum()),
         ]
     }
 
@@ -150,7 +160,6 @@ impl Analytics {
         self.density.reset();
         self.entropy.reset();
         self.devices.reset();
-        self.rotation.reset();
     }
 }
 
@@ -214,6 +223,9 @@ pub struct StreamDriver {
     /// Running [`fold_content`] sum over the mirror.
     checksum: u64,
     lagging: bool,
+    /// The week each entry of the delta being offered held before it,
+    /// in record order: what the verification pass found in the mirror.
+    priors: Vec<Option<u32>>,
     analytics: Analytics,
     chaos: Option<Arc<dyn Chaos>>,
     metrics: DriverMetrics,
@@ -228,6 +240,7 @@ impl StreamDriver {
             week: 0,
             checksum: 0,
             lagging: false,
+            priors: Vec::new(),
             analytics: Analytics::new(resolver),
             chaos: None,
             metrics: DriverMetrics::global(),
@@ -281,24 +294,28 @@ impl StreamDriver {
         }
 
         // Read-only verification: compute the post-delta checksum from
-        // the mirror. Any inconsistency proves a missing delta.
+        // the mirror. Any inconsistency proves a missing delta. This is
+        // the one lookup of each entry; what it finds is kept for the
+        // operators.
         let mut next = self.checksum;
         let mut consistent = true;
+        self.priors.clear();
         for &bits in &delta.removed {
-            match self.mirror.get(&bits) {
-                Some(&week) => next = next.wrapping_sub(content_term(bits, week)),
-                None => {
-                    consistent = false;
-                    break;
-                }
-            }
+            let Some(&week) = self.mirror.get(&bits) else {
+                consistent = false;
+                break;
+            };
+            next = next.wrapping_sub(content_term(bits, week));
+            self.priors.push(Some(week));
         }
         if consistent {
             for &(bits, week) in &delta.added {
-                if let Some(&old) = self.mirror.get(&bits) {
+                let old = self.mirror.get(&bits).copied();
+                if let Some(old) = old {
                     next = next.wrapping_sub(content_term(bits, old));
                 }
                 next = fold_content(next, bits, week);
+                self.priors.push(old);
             }
         }
         if !consistent || next != delta.content_checksum {
@@ -307,12 +324,12 @@ impl StreamDriver {
             return Offer::Gap;
         }
 
-        // Verified: fold the delta against the pre-delta mirror, then
+        // Verified: fold the delta against the weeks just read, then
         // carry the mirror forward.
-        let mirror = &self.mirror;
-        let count = self
-            .analytics
-            .apply_delta(delta, |bits| mirror.get(&bits).copied());
+        let mut priors = self.priors.iter();
+        let count = self.analytics.apply_delta(delta, |_| {
+            *priors.next().expect("one prior week per delta entry")
+        });
         for bits in &delta.removed {
             self.mirror.remove(bits);
         }

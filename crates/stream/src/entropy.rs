@@ -1,24 +1,24 @@
 //! Per-AS IID entropy histograms, maintained incrementally.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::kernel::{
     entropy_bucket, Digest, ENTROPY_BUCKETS, HIGH_ENTROPY_BUCKET, LOW_ENTROPY_BUCKET,
 };
-use crate::op::{Event, Operator};
-use crate::SharedResolver;
+use crate::op::{Attrs, Event, Operator};
 
 /// Per-AS, per-week histogram of IID entropy buckets.
 ///
 /// Bucketing happens at ingest (an integer in `0..16`), so all stored
 /// state — and every statistic derived from it — is integer-only:
-/// float evaluation order can never perturb a checksum. Addresses the
-/// resolver cannot attribute are skipped.
-#[derive(Clone)]
+/// float evaluation order can never perturb a checksum. Unrouted
+/// addresses are skipped.
+#[derive(Debug, Clone, Default)]
 pub struct EntropyProfile {
-    resolver: SharedResolver,
-    /// as index → week → entropy-bucket counts.
-    per_as: BTreeMap<u16, BTreeMap<u32, [u64; ENTROPY_BUCKETS]>>,
+    /// `(as index, week)` → entropy-bucket counts. Ascending, so the
+    /// weeks of one AS are adjacent; a histogram that empties is
+    /// dropped.
+    hists: BTreeMap<(u16, u32), [u64; ENTROPY_BUCKETS]>,
 }
 
 /// One AS row of an [`EntropyProfile`] snapshot.
@@ -35,42 +35,54 @@ pub struct EntropyRow {
 }
 
 impl EntropyProfile {
-    /// An empty profile attributing addresses through `resolver`.
-    pub fn new(resolver: SharedResolver) -> EntropyProfile {
-        EntropyProfile {
-            resolver,
-            per_as: BTreeMap::new(),
-        }
+    /// An empty profile.
+    pub fn new() -> EntropyProfile {
+        EntropyProfile::default()
     }
 
-    fn bump(&mut self, bits: u128, week: u32, delta: i64) {
-        let Some(tag) = self.resolver.resolve(bits) else {
-            return;
+    fn add(&mut self, as_index: u16, week: u32, bucket: usize) {
+        self.hists
+            .entry((as_index, week))
+            .or_insert([0; ENTROPY_BUCKETS])[bucket] += 1;
+    }
+
+    /// Takes one address out; false, and nothing changed, when the
+    /// histogram of `(as_index, week)` counts none in `bucket`.
+    fn remove(&mut self, as_index: u16, week: u32, bucket: usize) -> bool {
+        let Entry::Occupied(mut slot) = self.hists.entry((as_index, week)) else {
+            return false;
         };
-        let bucket = entropy_bucket(bits);
-        let weeks = self.per_as.entry(tag.index).or_default();
-        let hist = weeks.entry(week).or_insert([0; ENTROPY_BUCKETS]);
-        hist[bucket] = hist[bucket].wrapping_add_signed(delta);
-        if delta < 0 {
-            if hist.iter().all(|&c| c == 0) {
-                weeks.remove(&week);
-            }
-            if self.per_as.get(&tag.index).is_some_and(BTreeMap::is_empty) {
-                self.per_as.remove(&tag.index);
+        let hist = slot.get_mut();
+        if hist[bucket] == 0 {
+            return false;
+        }
+        hist[bucket] -= 1;
+        if hist.iter().all(|&c| c == 0) {
+            slot.remove();
+        }
+        true
+    }
+
+    /// `(as index, weeks held)` per AS, ascending.
+    fn weeks_per_as(&self) -> Vec<(u16, usize)> {
+        let mut out: Vec<(u16, usize)> = Vec::new();
+        for &(as_index, _) in self.hists.keys() {
+            match out.last_mut() {
+                Some((last, weeks)) if *last == as_index => *weeks += 1,
+                _ => out.push((as_index, 1)),
             }
         }
+        out
     }
 
     /// Aggregated histogram of `as_index` over weeks for which
     /// `keep(week)` holds.
     fn histogram(&self, as_index: u16, keep: impl Fn(u32) -> bool) -> [u64; ENTROPY_BUCKETS] {
         let mut out = [0u64; ENTROPY_BUCKETS];
-        if let Some(weeks) = self.per_as.get(&as_index) {
-            for (&week, hist) in weeks {
-                if keep(week) {
-                    for (o, &c) in out.iter_mut().zip(hist) {
-                        *o += c;
-                    }
+        for (&(_, week), hist) in self.hists.range((as_index, 0)..=(as_index, u32::MAX)) {
+            if keep(week) {
+                for (o, &c) in out.iter_mut().zip(hist) {
+                    *o += c;
                 }
             }
         }
@@ -79,9 +91,9 @@ impl EntropyProfile {
 
     /// Per-AS entropy summary rows, ascending by AS index.
     pub fn snapshot(&self) -> Vec<EntropyRow> {
-        self.per_as
-            .keys()
-            .map(|&as_index| {
+        self.weeks_per_as()
+            .into_iter()
+            .map(|(as_index, _)| {
                 let hist = self.histogram(as_index, |_| true);
                 let total: u64 = hist.iter().sum();
                 let high: u64 = hist[HIGH_ENTROPY_BUCKET..].iter().sum();
@@ -131,28 +143,35 @@ impl Operator for EntropyProfile {
         "entropy"
     }
 
-    fn apply(&mut self, event: &Event) {
+    fn apply(&mut self, event: &Event, attrs: &Attrs) {
+        let Some(tag) = attrs.tag else { return };
+        let bucket = entropy_bucket(event.bits());
         match *event {
-            Event::Added { bits, week } => self.bump(bits, week, 1),
-            Event::Removed { bits, week } => self.bump(bits, week, -1),
+            Event::Added { week, .. } => self.add(tag.index, week, bucket),
+            Event::Removed { week, .. } => {
+                self.remove(tag.index, week, bucket);
+            }
             Event::WeekChanged {
-                bits,
-                old_week,
-                new_week,
+                old_week, new_week, ..
             } => {
-                self.bump(bits, old_week, -1);
-                self.bump(bits, new_week, 1);
+                if self.remove(tag.index, old_week, bucket) {
+                    self.add(tag.index, new_week, bucket);
+                }
             }
         }
     }
 
     fn checksum(&self) -> u64 {
+        // Per AS: its index, how many weeks it holds, then each
+        // `(week, histogram)`.
+        let per_as = self.weeks_per_as();
         let mut d = Digest::new();
-        d.word(self.per_as.len() as u64);
-        for (&as_index, weeks) in &self.per_as {
+        d.word(per_as.len() as u64);
+        let mut rows = self.hists.iter();
+        for (as_index, weeks) in per_as {
             d.word(u64::from(as_index));
-            d.word(weeks.len() as u64);
-            for (&week, hist) in weeks {
+            d.word(weeks as u64);
+            for (&(_, week), hist) in rows.by_ref().take(weeks) {
                 d.word(u64::from(week));
                 for &c in hist {
                     d.word(c);
@@ -163,7 +182,7 @@ impl Operator for EntropyProfile {
     }
 
     fn reset(&mut self) {
-        self.per_as.clear();
+        self.hists.clear();
     }
 }
 
@@ -171,17 +190,20 @@ impl Operator for EntropyProfile {
 mod tests {
     use super::*;
     use crate::resolver::{AsTag, PrefixAsTable};
-    use std::sync::Arc;
 
-    fn resolver() -> SharedResolver {
-        Arc::new(PrefixAsTable::new(vec![(
+    fn resolver() -> PrefixAsTable {
+        PrefixAsTable::new(vec![(
             0x2a00_0001u128 << 96,
             32,
             AsTag {
                 index: 1,
                 country: 0,
             },
-        )]))
+        )])
+    }
+
+    fn apply(p: &mut EntropyProfile, event: Event) {
+        p.apply(&event, &Attrs::resolve(&resolver(), event.bits()));
     }
 
     fn addr(iid: u64) -> u128 {
@@ -190,54 +212,120 @@ mod tests {
 
     #[test]
     fn tracks_and_drains_canonically() {
-        let mut p = EntropyProfile::new(resolver());
+        let mut p = EntropyProfile::new();
         let empty = p.checksum();
-        p.apply(&Event::Added {
-            bits: addr(0),
-            week: 1,
-        }); // low entropy
-        p.apply(&Event::Added {
-            bits: addr(0xdead_beef_cafe_f00d),
-            week: 1,
-        });
+        apply(
+            &mut p,
+            Event::Added {
+                bits: addr(0),
+                week: 1,
+            },
+        ); // low entropy
+        apply(
+            &mut p,
+            Event::Added {
+                bits: addr(0xdead_beef_cafe_f00d),
+                week: 1,
+            },
+        );
         let rows = p.snapshot();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].addresses, 2);
         assert_eq!(rows[0].low_per_mille, 500);
         // Unrouted addresses are ignored.
-        p.apply(&Event::Added { bits: 42, week: 1 });
+        apply(&mut p, Event::Added { bits: 42, week: 1 });
         assert_eq!(p.snapshot()[0].addresses, 2);
-        p.apply(&Event::Removed {
-            bits: addr(0),
-            week: 1,
-        });
-        p.apply(&Event::Removed {
-            bits: addr(0xdead_beef_cafe_f00d),
-            week: 1,
-        });
+        apply(
+            &mut p,
+            Event::Removed {
+                bits: addr(0),
+                week: 1,
+            },
+        );
+        apply(
+            &mut p,
+            Event::Removed {
+                bits: addr(0xdead_beef_cafe_f00d),
+                week: 1,
+            },
+        );
         assert_eq!(p.checksum(), empty);
     }
 
     #[test]
     fn shift_sees_allocator_change() {
-        let mut p = EntropyProfile::new(resolver());
+        let mut p = EntropyProfile::new();
         // Established corpus: high-entropy IIDs up to week 2.
         for i in 0..8u64 {
-            p.apply(&Event::Added {
-                bits: addr(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i * 2 + 1)),
-                week: 1 + (i as u32 % 2),
-            });
+            apply(
+                &mut p,
+                Event::Added {
+                    bits: addr(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i * 2 + 1)),
+                    week: 1 + (i as u32 % 2),
+                },
+            );
         }
         // Window (2, 4]: all-zero low-entropy IIDs.
         for i in 0..4u64 {
-            p.apply(&Event::Added {
-                bits: addr(i),
-                week: 3,
-            });
+            apply(
+                &mut p,
+                Event::Added {
+                    bits: addr(i),
+                    week: 3,
+                },
+            );
         }
         let shift = p.shift(1, 2, 4).expect("both sides populated");
         assert!(shift > 500, "allocator flip is a large shift, got {shift}");
         assert_eq!(p.shift(1, 0, 1), None, "empty 'before' side");
         assert_eq!(p.shift(9, 2, 4), None, "unknown AS");
+    }
+
+    #[test]
+    fn unknown_removals_and_week_changes_change_nothing() {
+        let mut p = EntropyProfile::new();
+        apply(
+            &mut p,
+            Event::Added {
+                bits: addr(0),
+                week: 3,
+            },
+        );
+        let before = p.checksum();
+        for event in [
+            // A week the AS does not hold; a held week, but a bucket
+            // nothing in it falls into; either of those as the old side
+            // of a week change.
+            Event::Removed {
+                bits: addr(0),
+                week: 2,
+            },
+            Event::Removed {
+                bits: addr(0x0123_4567_89ab_cdef),
+                week: 3,
+            },
+            Event::WeekChanged {
+                bits: addr(0),
+                old_week: 2,
+                new_week: 1,
+            },
+            Event::WeekChanged {
+                bits: addr(0x0123_4567_89ab_cdef),
+                old_week: 3,
+                new_week: 1,
+            },
+        ] {
+            apply(&mut p, event);
+            assert_eq!(p.checksum(), before, "{event:?}");
+            assert_eq!(p.snapshot()[0].addresses, 1, "{event:?}");
+        }
+        apply(
+            &mut p,
+            Event::Removed {
+                bits: addr(0),
+                week: 3,
+            },
+        );
+        assert_eq!(p.checksum(), EntropyProfile::new().checksum());
     }
 }

@@ -9,8 +9,6 @@
 //! streaming ≡ batch equivalence invariant provable rather than
 //! hoped-for.
 
-use std::collections::BTreeMap;
-
 use v6addr::Iid;
 use v6store::format::{fnv1a, FNV_BASIS};
 
@@ -123,78 +121,85 @@ pub fn fold_content(acc: u64, bits: u128, week: u32) -> u64 {
     acc.wrapping_add(content_term(bits, week))
 }
 
-/// Per-device /64 history: each net maps to a multiset of first-seen
-/// weeks (one per address currently present under that net).
-///
-/// Shared by [`crate::DeviceTracker`] and [`crate::RotationEstimator`]
-/// — the two operators keep *independent* copies (so chaos faults
-/// cannot couple them) built from this one kernel structure.
+/// A small multiset as ascending `(key, count)` rows: one more `key`.
+pub(crate) fn bump<K: Ord + Copy>(rows: &mut Vec<(K, u32)>, key: K) {
+    match rows.binary_search_by_key(&key, |row| row.0) {
+        Ok(i) => rows[i].1 += 1,
+        Err(i) => rows.insert(i, (key, 1)),
+    }
+}
+
+/// One `key` fewer, its row dropped at zero. False, and nothing
+/// changed, when the multiset holds no `key`.
+pub(crate) fn unbump<K: Ord + Copy>(rows: &mut Vec<(K, u32)>, key: K) -> bool {
+    let Ok(i) = rows.binary_search_by_key(&key, |row| row.0) else {
+        return false;
+    };
+    rows[i].1 -= 1;
+    if rows[i].1 == 0 {
+        rows.remove(i);
+    }
+    true
+}
+
+/// Per-device /64 history: a multiset of `(net64, first-seen week)`,
+/// one per address currently present, as ascending rows. A device is a
+/// handful of addresses, so a net's weeks are the adjacent rows that
+/// share it and its earliest week is the first of them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MacNets {
-    /// net64 → (week → live address count).
-    nets: BTreeMap<u64, BTreeMap<u32, u32>>,
+    /// `((net64, week), live address count)`.
+    rows: Vec<((u64, u32), u32)>,
 }
 
 impl MacNets {
     /// Records one address appearing under `net` with first-seen
     /// `week`.
     pub fn add(&mut self, net: u64, week: u32) {
-        *self.nets.entry(net).or_default().entry(week).or_insert(0) += 1;
+        bump(&mut self.rows, (net, week));
     }
 
-    /// Removes one address; returns true when no nets remain.
+    /// Removes one address; false, and nothing changed, when none is
+    /// held under `net` with `week`.
     pub fn remove(&mut self, net: u64, week: u32) -> bool {
-        if let Some(weeks) = self.nets.get_mut(&net) {
-            if let Some(count) = weeks.get_mut(&week) {
-                *count -= 1;
-                if *count == 0 {
-                    weeks.remove(&week);
-                }
-            }
-            if weeks.is_empty() {
-                self.nets.remove(&net);
-            }
-        }
-        self.nets.is_empty()
+        unbump(&mut self.rows, (net, week))
     }
 
-    /// Moves one address's first-seen week (a week-changed upsert).
+    /// Moves one address's first-seen week (a week-changed upsert);
+    /// nothing changes when none is held under `net` with `old_week`.
     pub fn week_changed(&mut self, net: u64, old_week: u32, new_week: u32) {
-        if let Some(weeks) = self.nets.get_mut(&net) {
-            if let Some(count) = weeks.get_mut(&old_week) {
-                *count -= 1;
-                if *count == 0 {
-                    weeks.remove(&old_week);
-                }
-            }
-            *weeks.entry(new_week).or_insert(0) += 1;
+        if self.remove(net, old_week) {
+            self.add(net, new_week);
         }
+    }
+
+    /// The rows of one net at a time, ascending by net.
+    fn by_net(&self) -> impl Iterator<Item = &[((u64, u32), u32)]> {
+        self.rows.chunk_by(|a, b| a.0 .0 == b.0 .0)
     }
 
     /// Distinct /64s this device currently appears in.
     pub fn net_count(&self) -> usize {
-        self.nets.len()
+        self.by_net().count()
     }
 
     /// True when no addresses remain.
     pub fn is_empty(&self) -> bool {
-        self.nets.is_empty()
+        self.rows.is_empty()
     }
 
     /// `(net64, earliest first-seen week)` per net, ascending by net.
     pub fn first_weeks(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.nets
-            .iter()
-            .map(|(&net, weeks)| (net, *weeks.keys().next().expect("nets prune empties")))
+        self.by_net().map(|weeks| weeks[0].0)
     }
 
     /// Folds the full state into a digest (canonical order).
     pub fn digest_into(&self, d: &mut Digest) {
-        d.word(self.nets.len() as u64);
-        for (&net, weeks) in &self.nets {
-            d.word(net);
+        d.word(self.net_count() as u64);
+        for weeks in self.by_net() {
+            d.word(weeks[0].0 .0);
             d.word(weeks.len() as u64);
-            for (&week, &count) in weeks {
+            for &((_, week), count) in weeks {
                 d.word(u64::from(week) << 32 | u64::from(count));
             }
         }
@@ -246,9 +251,10 @@ mod tests {
         m.add(20, 3);
         assert_eq!(m.net_count(), 2);
         assert_eq!(m.first_weeks().collect::<Vec<_>>(), vec![(10, 1), (20, 3)]);
-        assert!(!m.remove(10, 1));
-        assert!(!m.remove(10, 1));
-        assert!(m.remove(20, 3), "now empty");
+        assert!(m.remove(10, 1));
+        assert!(m.remove(10, 1));
+        assert!(!m.is_empty());
+        assert!(m.remove(20, 3));
         assert_eq!(m, MacNets::default(), "state is canonical after drain");
     }
 
@@ -260,5 +266,71 @@ mod tests {
         let mut b = MacNets::default();
         b.add(10, 2);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn mac_nets_ignores_what_it_does_not_hold() {
+        let mut m = MacNets::default();
+        m.add(10, 5);
+        let held = m.clone();
+        assert!(!m.remove(10, 4), "held net, other week");
+        assert!(!m.remove(11, 5), "other net");
+        m.week_changed(10, 4, 2);
+        m.week_changed(11, 5, 2);
+        assert_eq!(m, held, "re-dating an address that is not held adds none");
+        assert_eq!(m.first_weeks().collect::<Vec<_>>(), vec![(10, 5)]);
+    }
+
+    #[test]
+    fn entropy_bucket_matches_log2_formula() {
+        // The definition, kept here so the bucket is pinned even if
+        // `v6addr::iid_entropy` changes how it gets there.
+        let formula = |bits: u128| {
+            let mut counts = [0u32; 16];
+            for n in iid_of(bits).nibbles() {
+                counts[n as usize] += 1;
+            }
+            let mut h = 0.0f64;
+            for c in counts.into_iter().filter(|&c| c > 0) {
+                let p = f64::from(c) / 16.0;
+                h -= p * p.log2();
+            }
+            ((h / 4.0 * ENTROPY_BUCKETS as f64) as usize).min(ENTROPY_BUCKETS - 1)
+        };
+        // Every shape of nibble-count vector (the 231 partitions of
+        // 16), counted from nibble 0 up and from nibble f down.
+        fn shapes(left: u32, max: u32, parts: &mut Vec<u32>, out: &mut Vec<u64>) {
+            if left == 0 {
+                let lay = |value_of: &dyn Fn(u64) -> u64| {
+                    parts.iter().zip(0..).fold(0u64, |iid, (&run, i)| {
+                        (0..run).fold(iid, |iid, _| iid << 4 | value_of(i))
+                    })
+                };
+                out.extend([lay(&|i| i), lay(&|i| 15 - i)]);
+                return;
+            }
+            for part in (1..=left.min(max)).rev() {
+                parts.push(part);
+                shapes(left - part, part, parts, out);
+                parts.pop();
+            }
+        }
+        let mut iids = Vec::new();
+        shapes(16, 16, &mut Vec::new(), &mut iids);
+        assert_eq!(iids.len(), 2 * 231);
+        let mut state = 0x5eedu64;
+        iids.extend((0..1_000_000).map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ state >> 29
+        }));
+        let mut seen = [false; ENTROPY_BUCKETS];
+        for iid in iids {
+            let bits = u128::from(iid) | 0x2a00_0001 << 96;
+            assert_eq!(entropy_bucket(bits), formula(bits), "{iid:#018x}");
+            seen[formula(bits)] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every bucket was reached");
     }
 }

@@ -17,14 +17,18 @@
 //!   operators and batch reference analyses. One kernel, two drivers.
 //! * [`AsResolver`] / [`PrefixAsTable`] — address → AS attribution,
 //!   since deltas carry only `(bits, week)`.
-//! * [`Operator`] / [`Event`] — the operator contract: a pure fold
-//!   over resolved corpus events with a canonical-state checksum.
-//! * [`DensityMap`], [`EntropyProfile`], [`DeviceTracker`],
-//!   [`RotationEstimator`] — the four operators, owned together as an
-//!   [`Analytics`] set. [`Analytics::apply_delta`] is the one place a
-//!   delta is resolved into events; the old week of a removed or
-//!   re-dated address is asked of whoever holds the pre-delta corpus —
-//!   a serving snapshot, or the driver's map.
+//! * [`Operator`] / [`Event`] / [`Attrs`] — the operator contract: a
+//!   pure fold over resolved corpus events, each handed the event's
+//!   already-resolved attributes, with a canonical-state checksum.
+//! * [`DensityMap`], [`EntropyProfile`], [`DeviceTracker`] — the
+//!   operators that hold state, and [`RotationEstimator`], a view of
+//!   the tracker's device table — owned together as an [`Analytics`]
+//!   set, which also holds the one resolver. [`Analytics::apply_delta`]
+//!   is the one place a delta is resolved into events (the old week of
+//!   a removed or re-dated address is asked of whoever holds the
+//!   pre-delta corpus — a serving snapshot, or the driver's map) and
+//!   [`Analytics::apply`] the one place an event's address is resolved
+//!   to its AS and EUI-64 MAC.
 //! * [`StreamDriver`] — verified ingestion for consumers that hold no
 //!   snapshot of their own (log tails): detects duplicate and
 //!   out-of-order deliveries by epoch, detects replay **gaps** by
@@ -59,9 +63,9 @@ pub use device::{DeviceReport, DeviceTracker, Move, TrackClass, MANY_TRANSITIONS
 pub use driver::{Analytics, Offer, StreamDriver};
 pub use entropy::{EntropyProfile, EntropyRow};
 pub use kernel::{content_term, fold_content};
-pub use op::{Event, Operator};
+pub use op::{Attrs, Event, Operator};
 pub use resolver::{country_code, AsResolver, AsTag, PrefixAsTable};
 pub use rotation::{RotationEstimator, RotationRow};
 
-/// The shared, thread-safe resolver handle operators hold.
+/// The shared, thread-safe resolver handle an [`Analytics`] set holds.
 pub type SharedResolver = std::sync::Arc<dyn AsResolver + Send + Sync>;

@@ -1,9 +1,14 @@
 //! The event model and the common operator contract.
 //!
 //! Raw [`v6store::DeltaRecord`]s conflate "added" with "week-changed"
-//! (`added` holds every upsert). The [`crate::StreamDriver`] resolves
-//! each delta against its corpus mirror into unambiguous [`Event`]s so
-//! operators stay pure folds with no corpus knowledge of their own.
+//! (`added` holds every upsert). [`crate::Analytics::apply_delta`]
+//! resolves each delta against the pre-delta corpus into unambiguous
+//! [`Event`]s, and [`crate::Analytics::apply`] attributes each event's
+//! address once ([`Attrs`]), so operators stay pure folds with no corpus
+//! knowledge and no resolver of their own.
+
+use crate::kernel::eui64_mac;
+use crate::resolver::{AsResolver, AsTag};
 
 /// One resolved corpus change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,6 +39,40 @@ pub enum Event {
     },
 }
 
+impl Event {
+    /// The address the event is about.
+    #[inline]
+    pub fn bits(&self) -> u128 {
+        match *self {
+            Event::Added { bits, .. }
+            | Event::Removed { bits, .. }
+            | Event::WeekChanged { bits, .. } => bits,
+        }
+    }
+}
+
+/// What is known of an event's address beyond its bits, looked up once
+/// per event and handed to every operator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Attrs {
+    /// The announcing AS; `None` for unrouted addresses.
+    pub tag: Option<AsTag>,
+    /// The MAC an EUI-64 IID leaks (see [`eui64_mac`]); `None` for any
+    /// other IID.
+    pub mac: Option<u64>,
+}
+
+impl Attrs {
+    /// Attributes `bits`: one longest-prefix match, one EUI-64 screen.
+    #[inline]
+    pub fn resolve(resolver: &dyn AsResolver, bits: u128) -> Attrs {
+        Attrs {
+            tag: resolver.resolve(bits),
+            mac: eui64_mac(bits),
+        }
+    }
+}
+
 /// An incremental analytics operator over the resolved event stream.
 ///
 /// The contract every implementation upholds, and the equivalence
@@ -41,24 +80,20 @@ pub enum Event {
 /// and therefore [`Operator::checksum`] — equals that of a fresh
 /// operator fed only `Added` events for the surviving corpus. That
 /// requires canonical state (prune empty sub-maps and zero counts)
-/// and kernels that depend on `(bits, week)` alone.
+/// and kernels that depend on `(bits, week)` alone — the [`Attrs`] are
+/// a function of `bits` under a resolver that is stable for the
+/// stream's lifetime.
 pub trait Operator {
     /// Stable operator name — used for metrics and transcripts.
     fn name(&self) -> &'static str;
 
-    /// Folds one resolved event into the state.
-    fn apply(&mut self, event: &Event);
+    /// Folds one resolved event into the state. `attrs` are
+    /// [`Attrs::resolve`] of the event's address.
+    fn apply(&mut self, event: &Event, attrs: &Attrs);
 
     /// FNV digest of the full canonical state.
     fn checksum(&self) -> u64;
 
     /// Discards all state (used on resync).
     fn reset(&mut self);
-
-    /// Folds a batch of events in order.
-    fn apply_all(&mut self, events: &[Event]) {
-        for e in events {
-            self.apply(e);
-        }
-    }
 }

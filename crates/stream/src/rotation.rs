@@ -3,30 +3,22 @@
 
 use std::collections::BTreeMap;
 
-use crate::kernel::{eui64_mac, net64, Digest, MacNets};
-use crate::op::{Event, Operator};
-use crate::SharedResolver;
-
-#[derive(Debug, Clone, Default)]
-struct RotDevice {
-    nets: MacNets,
-    /// as index → live address count.
-    ases: BTreeMap<u16, u32>,
-}
+use crate::device::DeviceTracker;
+use crate::kernel::Digest;
 
 /// Estimates each AS's prefix rotation period from the weeks at which
 /// its EUI-64 devices surface in new /64s.
 ///
 /// Only devices attributed to exactly one AS contribute — a device
-/// that changed providers tells us about churn, not rotation. Keeps
-/// its own per-device state rather than sharing [`crate::DeviceTracker`]'s:
-/// operator independence means a fault corrupting one operator is
-/// caught by *its* checksum without masking or contaminating the
-/// other.
-#[derive(Clone)]
-pub struct RotationEstimator {
-    resolver: SharedResolver,
-    devices: BTreeMap<u64, RotDevice>,
+/// that changed providers tells us about churn, not rotation. The
+/// estimator has no state of its own: everything it reads — each
+/// device's /64 history and AS counts — is a column of the
+/// [`DeviceTracker`]'s table, so it is a view of that table, taken with
+/// [`DeviceTracker::rotation`]. Its checksum digests just those
+/// columns.
+#[derive(Debug, Clone, Copy)]
+pub struct RotationEstimator<'a> {
+    pub(crate) tracker: &'a DeviceTracker,
 }
 
 /// One AS row of a [`RotationEstimator`] snapshot.
@@ -41,24 +33,24 @@ pub struct RotationRow {
     pub samples: u64,
 }
 
-impl RotationEstimator {
-    /// An empty estimator attributing addresses through `resolver`.
-    pub fn new(resolver: SharedResolver) -> RotationEstimator {
-        RotationEstimator {
-            resolver,
-            devices: BTreeMap::new(),
-        }
+impl RotationEstimator<'_> {
+    /// Stable operator name — used for metrics and transcripts.
+    pub fn name(&self) -> &'static str {
+        "rotation"
     }
 
     /// Per-AS rotation rows, descending by sample count then
     /// ascending by AS index.
     pub fn snapshot(&self) -> Vec<RotationRow> {
         let mut pools: BTreeMap<u16, Vec<u32>> = BTreeMap::new();
-        for dev in self.devices.values() {
-            if dev.ases.len() != 1 || dev.nets.net_count() < 2 {
+        for dev in self.tracker.devices.values() {
+            let mut ases = dev.ases();
+            let (Some((as_index, _)), None) = (ases.next(), ases.next()) else {
+                continue;
+            };
+            if dev.nets.net_count() < 2 {
                 continue;
             }
-            let as_index = *dev.ases.keys().next().expect("len checked");
             let mut weeks: Vec<u32> = dev.nets.first_weeks().map(|(_, w)| w).collect();
             weeks.sort_unstable();
             weeks.dedup();
@@ -83,91 +75,40 @@ impl RotationEstimator {
         rows.sort_by(|a, b| b.samples.cmp(&a.samples).then(a.as_index.cmp(&b.as_index)));
         rows
     }
-}
 
-impl Operator for RotationEstimator {
-    fn name(&self) -> &'static str {
-        "rotation"
-    }
-
-    fn apply(&mut self, event: &Event) {
-        match *event {
-            Event::Added { bits, week } => {
-                let Some(mac) = eui64_mac(bits) else { return };
-                let tag = self.resolver.resolve(bits);
-                let dev = self.devices.entry(mac).or_default();
-                dev.nets.add(net64(bits), week);
-                if let Some(tag) = tag {
-                    *dev.ases.entry(tag.index).or_insert(0) += 1;
-                }
-            }
-            Event::Removed { bits, week } => {
-                let Some(mac) = eui64_mac(bits) else { return };
-                let tag = self.resolver.resolve(bits);
-                let Some(dev) = self.devices.get_mut(&mac) else {
-                    return;
-                };
-                dev.nets.remove(net64(bits), week);
-                if let Some(tag) = tag {
-                    if let Some(c) = dev.ases.get_mut(&tag.index) {
-                        *c -= 1;
-                        if *c == 0 {
-                            dev.ases.remove(&tag.index);
-                        }
-                    }
-                }
-                if dev.nets.is_empty() {
-                    self.devices.remove(&mac);
-                }
-            }
-            Event::WeekChanged {
-                bits,
-                old_week,
-                new_week,
-            } => {
-                if let Some(mac) = eui64_mac(bits) {
-                    if let Some(dev) = self.devices.get_mut(&mac) {
-                        dev.nets.week_changed(net64(bits), old_week, new_week);
-                    }
-                }
-            }
-        }
-    }
-
-    fn checksum(&self) -> u64 {
+    /// FNV digest of the columns the estimate reads: per device its
+    /// MAC, network history and per-AS counts, ascending by MAC.
+    pub fn checksum(&self) -> u64 {
+        let devices = &self.tracker.devices;
         let mut d = Digest::new();
-        d.word(self.devices.len() as u64);
-        for (&mac, dev) in &self.devices {
+        d.word(devices.len() as u64);
+        for (&mac, dev) in devices {
             d.word(mac);
-            dev.nets.digest_into(&mut d);
-            d.word(dev.ases.len() as u64);
-            for (&a, &c) in &dev.ases {
-                d.word(u64::from(a) << 32 | u64::from(c));
-            }
+            dev.digest_into(&mut d);
         }
         d.finish()
-    }
-
-    fn reset(&mut self) {
-        self.devices.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::{Attrs, Event, Operator};
     use crate::resolver::{AsTag, PrefixAsTable};
-    use std::sync::Arc;
 
-    fn resolver() -> SharedResolver {
-        Arc::new(PrefixAsTable::new(vec![(
+    fn resolver() -> PrefixAsTable {
+        PrefixAsTable::new(vec![(
             0x2a00_0001u128 << 96,
             32,
             AsTag {
                 index: 1,
                 country: 0,
             },
-        )]))
+        )])
+    }
+
+    fn apply(t: &mut DeviceTracker, event: Event) {
+        t.apply(&event, &Attrs::resolve(&resolver(), event.bits()));
     }
 
     fn eui(subnet: u64, mac: u64) -> u128 {
@@ -177,37 +118,85 @@ mod tests {
 
     #[test]
     fn estimates_rotation_period() {
-        let mut r = RotationEstimator::new(resolver());
-        let empty = r.checksum();
+        let mut t = DeviceTracker::new();
+        let empty = t.rotation().checksum();
         // A device rotated to a fresh /64 every 2 weeks.
         for (i, week) in [(0u64, 1u32), (1, 3), (2, 5), (3, 7)] {
-            r.apply(&Event::Added {
-                bits: eui(i, 0xaa),
-                week,
-            });
+            apply(
+                &mut t,
+                Event::Added {
+                    bits: eui(i, 0xaa),
+                    week,
+                },
+            );
         }
-        let rows = r.snapshot();
+        let rows = t.rotation().snapshot();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].as_index, 1);
         assert_eq!(rows[0].median_period_weeks, 2);
         assert_eq!(rows[0].samples, 3);
 
         for (i, week) in [(0u64, 1u32), (1, 3), (2, 5), (3, 7)] {
-            r.apply(&Event::Removed {
-                bits: eui(i, 0xaa),
-                week,
-            });
+            apply(
+                &mut t,
+                Event::Removed {
+                    bits: eui(i, 0xaa),
+                    week,
+                },
+            );
         }
-        assert_eq!(r.checksum(), empty, "drained estimator equals fresh");
+        assert_eq!(
+            t.rotation().checksum(),
+            empty,
+            "drained estimator equals fresh"
+        );
     }
 
     #[test]
     fn single_network_devices_yield_no_rows() {
-        let mut r = RotationEstimator::new(resolver());
-        r.apply(&Event::Added {
-            bits: eui(0, 0xbb),
-            week: 1,
-        });
-        assert!(r.snapshot().is_empty());
+        let mut t = DeviceTracker::new();
+        apply(
+            &mut t,
+            Event::Added {
+                bits: eui(0, 0xbb),
+                week: 1,
+            },
+        );
+        assert!(t.rotation().snapshot().is_empty());
+    }
+
+    #[test]
+    fn unknown_removals_change_nothing() {
+        let mut t = DeviceTracker::new();
+        for (i, week) in [(0u64, 1u32), (1, 4)] {
+            apply(
+                &mut t,
+                Event::Added {
+                    bits: eui(i, 0xcc),
+                    week,
+                },
+            );
+        }
+        let (sum, rows) = (t.rotation().checksum(), t.rotation().snapshot());
+        assert_eq!(rows[0].median_period_weeks, 3);
+        // A /64 the device is not in, and a week change of it: the
+        // device must not grow a third network.
+        apply(
+            &mut t,
+            Event::Removed {
+                bits: eui(2, 0xcc),
+                week: 6,
+            },
+        );
+        apply(
+            &mut t,
+            Event::WeekChanged {
+                bits: eui(2, 0xcc),
+                old_week: 6,
+                new_week: 9,
+            },
+        );
+        assert_eq!(t.rotation().checksum(), sum);
+        assert_eq!(t.rotation().snapshot(), rows);
     }
 }
