@@ -6,8 +6,9 @@
 //! DESIGN.md ablation of sorted-vec sets vs hash sets.
 //!
 //! Besides the printed criterion timings, the run emits
-//! `BENCH_kernels.json` at the repo root: the `v6par` kernels (par_map,
-//! par_sort, k-way merge) measured sequentially and in parallel at
+//! `target/BENCH_kernels.json` (re-recording the committed
+//! `BENCH_kernels.json` is a deliberate `cp`): the `v6par` kernels
+//! (par_map, par_sort, k-way merge) measured sequentially and in parallel at
 //! three input sizes, so kernel-level regressions are visible
 //! separately from pipeline-level ones. For the merge kernel the
 //! "sequential" column is the pairwise clone-and-merge tree the
@@ -285,7 +286,7 @@ fn clustered_input(size: usize, seed: u64) -> Vec<(u128, u64)> {
 }
 
 /// Measures par_map / par_sort / k-way merge sequentially vs. in
-/// parallel and writes `BENCH_kernels.json` at the workspace root.
+/// parallel and writes `target/BENCH_kernels.json`.
 fn emit_par_kernels_json() {
     let threads = v6par::threads().max(2);
     let cores = std::thread::available_parallelism()
@@ -406,8 +407,10 @@ fn emit_par_kernels_json() {
         stream_ops: stream_op_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_kernels.json");
-    std::fs::write(&path, &json).expect("write BENCH_kernels.json");
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
+    std::fs::create_dir_all(&dir).expect("create target/");
+    let path = dir.join("BENCH_kernels.json");
+    std::fs::write(&path, &json).expect("write target/BENCH_kernels.json");
     let back: KernelsBench =
         serde_json::from_str(&std::fs::read_to_string(&path).expect("read back"))
             .expect("BENCH_kernels.json is not valid JSON");

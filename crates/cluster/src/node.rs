@@ -735,11 +735,12 @@ impl Node {
             Some(replica) => {
                 let snap = replica.store.snapshot();
                 let addr = Ipv6Addr::from(bits);
+                let first_week = snap.first_week(addr);
                 ReplMsg::ReadResp {
                     req_id,
                     epoch: snap.epoch(),
-                    present: snap.contains(addr),
-                    first_week: snap.first_week(addr),
+                    present: first_week.is_some(),
+                    first_week,
                     shard_missing: snap.shard_missing(addr),
                 }
             }

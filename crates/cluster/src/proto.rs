@@ -1,12 +1,14 @@
 //! The node-to-node replication protocol: message shapes and their
 //! byte codec.
 //!
-//! Messages reuse the [`v6store::format`] primitives for their bodies
-//! and travel inside [`v6wire::frame`] frames (length prefix +
-//! FNV-checksum), so the replication stream, the front-door wire
-//! protocol, and the on-disk epoch log all share one codec family.
-//! There is no preamble on replication links — both ends are the same
-//! build of the same binary.
+//! Message bodies are written with the [`v6store::format`] primitives
+//! — a delta or a full state inside a message is
+//! [`Enc::delta`] / [`Enc::state`], the very body the epoch log and its
+//! checkpoints store behind their own tag byte — and travel inside
+//! [`v6wire::frame`] frames (length prefix + FNV-checksum), so the
+//! replication stream, the front-door wire protocol, and the on-disk
+//! epoch log share one codec family. There is no preamble on
+//! replication links — both ends are the same build of the same binary.
 //!
 //! Shapes (see DESIGN.md §14 for the state machine around them):
 //!
@@ -97,54 +99,6 @@ pub enum ReplMsg {
     },
 }
 
-fn enc_delta(e: &mut Enc, d: &DeltaRecord) {
-    e.u64(d.epoch);
-    e.u64(d.week);
-    e.u64(d.content_checksum);
-    e.shards(&d.missing_shards);
-    e.removed(&d.removed);
-    e.entries(&d.added);
-    e.removed_aliases(&d.removed_aliases);
-    e.aliases(&d.added_aliases);
-}
-
-fn dec_delta(d: &mut Dec<'_>) -> Option<DeltaRecord> {
-    Some(DeltaRecord {
-        epoch: d.u64()?,
-        week: d.u64()?,
-        content_checksum: d.u64()?,
-        missing_shards: d.shards()?,
-        removed: d.removed()?,
-        added: d.entries()?,
-        removed_aliases: d.removed_aliases()?,
-        added_aliases: d.aliases()?,
-    })
-}
-
-fn enc_state(e: &mut Enc, s: &EpochState) {
-    e.name(&s.name);
-    e.u32(s.shard_bits);
-    e.u64(s.epoch);
-    e.u64(s.week);
-    e.u64(s.content_checksum);
-    e.shards(&s.missing_shards);
-    e.entries(&s.entries);
-    e.aliases(&s.aliases);
-}
-
-fn dec_state(d: &mut Dec<'_>) -> Option<EpochState> {
-    Some(EpochState {
-        name: d.name()?,
-        shard_bits: d.u32()?,
-        epoch: d.u64()?,
-        week: d.u64()?,
-        content_checksum: d.u64()?,
-        missing_shards: d.shards()?,
-        entries: d.entries()?,
-        aliases: d.aliases()?,
-    })
-}
-
 /// The payload of a [`ReplMsg::DeltaPush`], from a borrowed record: a
 /// leader encodes the push it is about to log without giving the
 /// record away.
@@ -153,7 +107,7 @@ pub(crate) fn encode_delta_push(partition: u32, prev_epoch: u64, delta: &DeltaRe
     e.u8(TAG_DELTA_PUSH);
     e.u32(partition);
     e.u64(prev_epoch);
-    enc_delta(&mut e, delta);
+    e.delta(delta);
     e.into_bytes()
 }
 
@@ -196,14 +150,14 @@ impl ReplMsg {
                 match base {
                     Some(state) => {
                         e.u8(1);
-                        enc_state(&mut e, state);
+                        e.state(state);
                     }
                     None => e.u8(0),
                 }
                 e.u32(deltas.len() as u32);
                 for (prev, delta) in deltas {
                     e.u64(*prev);
-                    enc_delta(&mut e, delta);
+                    e.delta(delta);
                 }
             }
             ReplMsg::Read { req_id, bits } => {
@@ -246,7 +200,7 @@ impl ReplMsg {
             TAG_DELTA_PUSH => ReplMsg::DeltaPush {
                 partition: d.u32()?,
                 prev_epoch: d.u64()?,
-                delta: dec_delta(&mut d)?,
+                delta: d.delta()?,
             },
             TAG_DELTA_ACK => ReplMsg::DeltaAck {
                 partition: d.u32()?,
@@ -261,14 +215,14 @@ impl ReplMsg {
                 let partition = d.u32()?;
                 let base = match d.u8()? {
                     0 => None,
-                    1 => Some(dec_state(&mut d)?),
+                    1 => Some(d.state()?),
                     _ => return None,
                 };
                 let count = d.u32()? as usize;
                 let mut deltas = Vec::with_capacity(count.min(1024));
                 for _ in 0..count {
                     let prev = d.u64()?;
-                    deltas.push((prev, dec_delta(&mut d)?));
+                    deltas.push((prev, d.delta()?));
                 }
                 ReplMsg::CatchUpResp {
                     partition,

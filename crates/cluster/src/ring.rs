@@ -132,11 +132,6 @@ impl Ring {
             format!("partition:{partition}").as_bytes(),
         ))
     }
-
-    /// The primary node for a partition (walk-order first replica).
-    pub fn primary_for_partition(&self, partition: u32) -> &str {
-        self.replicas_for_partition(partition)[0]
-    }
 }
 
 #[cfg(test)]

@@ -265,11 +265,6 @@ impl TraceReport {
         self.roots.is_empty()
     }
 
-    /// Total wall time across all root spans, in nanoseconds.
-    pub fn total_wall_ns(&self) -> u64 {
-        self.roots.iter().map(|r| r.wall_ns).sum()
-    }
-
     /// Walk `path` (root name, then child names) to a node, if present.
     pub fn find(&self, path: &[&str]) -> Option<&TraceNode> {
         let (first, rest) = path.split_first()?;

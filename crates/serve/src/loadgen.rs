@@ -219,9 +219,9 @@ struct WorkerResult {
 /// query and whether each was drawn from the known-present pool.
 ///
 /// The stream of these is a pure function of `(seed, thread index)` —
-/// extracting it from the worker loop lets other harnesses (the wire
-/// front door's adversarial bench, cross-host reproductions) replay the
-/// exact request sequence a load run would issue.
+/// extracting it from the worker loop lets other harnesses (wire-level
+/// tests, cross-host reproductions) replay the exact request sequence a
+/// load run would issue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenRequest {
     /// Exact membership probe.
@@ -387,7 +387,7 @@ impl Iterator for RequestStream<'_> {
 
 /// Samples up to `target` present addresses evenly across the snapshot
 /// — the known-present pool a [`RequestStream`] draws hits from. Public
-/// so other harnesses (the wire adversarial bench) can build the same
+/// so other harnesses (`tests/wire_end_to_end.rs`) can build the same
 /// pool a load run would.
 pub fn sample_present(snap: &Snapshot, target: usize) -> Vec<u128> {
     let total = snap.len() as usize;

@@ -393,14 +393,6 @@ impl Shard {
         self.aliases.longest_match(addr).map(|(p, _)| p)
     }
 
-    /// Addresses published in this shard's /48 with the given network bits.
-    pub fn count48(&self, net48: u128) -> u64 {
-        self.agg48
-            .binary_search_by_key(&net48, |&(net, _)| net)
-            .map(|i| u64::from(self.agg48[i].1))
-            .unwrap_or(0)
-    }
-
     /// Heap bytes of the address columns as stored (compressed run +
     /// first-week column + bloom front if built).
     pub fn stored_bytes(&self) -> usize {

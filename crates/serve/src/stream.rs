@@ -32,7 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use v6store::{DeltaRecord, LogTailer};
 use v6stream::{
-    DensityReport, DeviceReport, EntropyRow, Move, Offer, RotationRow, SharedResolver, StreamDriver,
+    DensityReport, DeviceReport, Move, Offer, RotationRow, SharedResolver, StreamDriver,
 };
 
 use crate::persist::flatten_snapshot;
@@ -154,11 +154,6 @@ impl StreamAnalytics {
     /// Per-/48 density snapshot with up to `top` densest networks.
     pub fn density(&self, top: usize) -> DensityReport {
         self.inner.lock().driver.analytics().density.snapshot(top)
-    }
-
-    /// Per-AS entropy summary rows.
-    pub fn entropy_rows(&self) -> Vec<EntropyRow> {
-        self.inner.lock().driver.analytics().entropy.snapshot()
     }
 
     /// EUI-64 device census with track-class counts.

@@ -65,6 +65,8 @@ pub const MAX_FRAME_PAYLOAD: u32 = 256 << 20;
 
 pub use v6netsim::rng::{fnv1a, FNV_BASIS};
 
+use crate::log::{DeltaRecord, EpochState};
+
 /// FNV-1a 64 over `bytes` — the per-record checksum.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     fnv1a(FNV_BASIS, bytes)
@@ -184,6 +186,34 @@ impl Enc {
     /// Appends a `u32`-counted list of shard indices.
     pub fn shards(&mut self, shards: &[u32]) {
         self.u32_list(shards);
+    }
+
+    /// Appends an epoch delta's body (the tag-1 row of the module
+    /// table) — the one encoding the log's delta frame and the
+    /// cluster's `DeltaPush` / `CatchUpResp` messages carry.
+    pub fn delta(&mut self, record: &DeltaRecord) {
+        self.u64(record.epoch);
+        self.u64(record.week);
+        self.u64(record.content_checksum);
+        self.shards(&record.missing_shards);
+        self.removed(&record.removed);
+        self.entries(&record.added);
+        self.removed_aliases(&record.removed_aliases);
+        self.aliases(&record.added_aliases);
+    }
+
+    /// Appends a full epoch state's body (the tag-2 row of the module
+    /// table) — the one encoding a checkpoint frame and the cluster's
+    /// bootstrap `CatchUpResp` carry.
+    pub fn state(&mut self, state: &EpochState) {
+        self.name(&state.name);
+        self.u32(state.shard_bits);
+        self.u64(state.epoch);
+        self.u64(state.week);
+        self.u64(state.content_checksum);
+        self.shards(&state.missing_shards);
+        self.entries(&state.entries);
+        self.aliases(&state.aliases);
     }
 }
 
@@ -316,6 +346,34 @@ impl<'a> Dec<'a> {
     /// Reads a `u32`-counted list of shard indices.
     pub fn shards(&mut self) -> Option<Vec<u32>> {
         self.u32_list()
+    }
+
+    /// Reads an epoch delta's body, as [`Enc::delta`] wrote it.
+    pub fn delta(&mut self) -> Option<DeltaRecord> {
+        Some(DeltaRecord {
+            epoch: self.u64()?,
+            week: self.u64()?,
+            content_checksum: self.u64()?,
+            missing_shards: self.shards()?,
+            removed: self.removed()?,
+            added: self.entries()?,
+            removed_aliases: self.removed_aliases()?,
+            added_aliases: self.aliases()?,
+        })
+    }
+
+    /// Reads a full epoch state's body, as [`Enc::state`] wrote it.
+    pub fn state(&mut self) -> Option<EpochState> {
+        Some(EpochState {
+            name: self.name()?,
+            shard_bits: self.u32()?,
+            epoch: self.u64()?,
+            week: self.u64()?,
+            content_checksum: self.u64()?,
+            missing_shards: self.shards()?,
+            entries: self.entries()?,
+            aliases: self.aliases()?,
+        })
     }
 
     /// Reads a list count and bounds it against the bytes actually

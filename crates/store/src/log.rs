@@ -255,47 +255,24 @@ fn meta_payload(name: &str, shard_bits: u32) -> Vec<u8> {
 pub(crate) fn delta_payload(record: &DeltaRecord) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(TAG_DELTA);
-    e.u64(record.epoch);
-    e.u64(record.week);
-    e.u64(record.content_checksum);
-    e.shards(&record.missing_shards);
-    e.removed(&record.removed);
-    e.entries(&record.added);
-    e.removed_aliases(&record.removed_aliases);
-    e.aliases(&record.added_aliases);
+    e.delta(record);
     e.into_bytes()
 }
 
 pub(crate) fn checkpoint_payload(state: &EpochState) -> Vec<u8> {
     let mut e = Enc::new();
     e.u8(TAG_CHECKPOINT);
-    e.name(&state.name);
-    e.u32(state.shard_bits);
-    e.u64(state.epoch);
-    e.u64(state.week);
-    e.u64(state.content_checksum);
-    e.shards(&state.missing_shards);
-    e.entries(&state.entries);
-    e.aliases(&state.aliases);
+    e.state(state);
     e.into_bytes()
 }
 
-/// Decodes a checkpoint payload (after the tag byte has been matched).
+/// Decodes a checkpoint payload, tag byte included.
 pub(crate) fn decode_checkpoint(payload: &[u8]) -> Option<EpochState> {
     let mut d = Dec::new(payload);
     if d.u8()? != TAG_CHECKPOINT {
         return None;
     }
-    let state = EpochState {
-        name: d.name()?,
-        shard_bits: d.u32()?,
-        epoch: d.u64()?,
-        week: d.u64()?,
-        content_checksum: d.u64()?,
-        missing_shards: d.shards()?,
-        entries: d.entries()?,
-        aliases: d.aliases()?,
-    };
+    let state = d.state()?;
     d.is_exhausted().then_some(state)
 }
 
@@ -327,16 +304,7 @@ pub(crate) fn decode_delta(payload: &[u8]) -> Option<DeltaRecord> {
     if d.u8()? != TAG_DELTA {
         return None;
     }
-    let record = DeltaRecord {
-        epoch: d.u64()?,
-        week: d.u64()?,
-        content_checksum: d.u64()?,
-        missing_shards: d.shards()?,
-        removed: d.removed()?,
-        added: d.entries()?,
-        removed_aliases: d.removed_aliases()?,
-        added_aliases: d.aliases()?,
-    };
+    let record = d.delta()?;
     d.is_exhausted().then_some(record)
 }
 

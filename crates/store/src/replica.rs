@@ -11,16 +11,21 @@
 //!   from one epoch's full content to the next;
 //! * [`apply`] — replay a record into a mirror in place (remove, then
 //!   upsert — exactly what log recovery does);
-//! * [`encode_delta`] / [`decode_delta`] — the record's byte codec,
-//!   identical to the on-disk delta frame payload, so a follower's
-//!   catch-up stream and the leader's log speak one format;
-//! * [`encode_state`] / [`decode_state`] — a full-state codec (the
-//!   checkpoint payload) for bootstrap when a follower is too far
-//!   behind for delta catch-up.
+//! * [`encode_delta`] / [`decode_delta`] — the on-disk delta frame
+//!   payload: the log's tag byte, then the record body;
+//! * [`encode_state`] / [`decode_state`] — the checkpoint payload: its
+//!   tag byte, then the full-state body.
 //!
-//! Framing (length prefix + FNV-1a 64 checksum) is the transport's
-//! concern — `v6wire::frame` wraps these payloads on the wire exactly
-//! as the log wraps them on disk.
+//! The record *bodies* are [`Enc::delta`] and [`Enc::state`]
+//! ([`crate::format`]), and those are what the cluster ships:
+//! `v6cluster`'s `ReplMsg` puts the same body behind its own message
+//! tag and header (partition, previous epoch), so a follower's
+//! catch-up stream and the leader's log hold one encoding without
+//! sharing a tag space. Framing (length prefix + FNV-1a 64 checksum) is
+//! [`crate::format::frame`] on disk and on the wire alike.
+//!
+//! [`Enc::delta`]: crate::format::Enc::delta
+//! [`Enc::state`]: crate::format::Enc::state
 //!
 //! ```
 //! use v6store::replica::{apply, decode_delta, delta_between, encode_delta};

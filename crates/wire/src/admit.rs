@@ -322,8 +322,8 @@ impl ClientState {
     }
 }
 
-/// A classified client's externally visible state (for tests, metrics,
-/// and the adversarial bench).
+/// A classified client's externally visible state (for tests and
+/// metrics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientInfo {
     /// Current behavioral class.

@@ -68,11 +68,6 @@ impl<T: Transport> WireClient<T> {
         })
     }
 
-    /// The underlying transport (for chaos counters, closing, etc.).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
     /// Sends one request; returns the id its response will echo.
     pub fn send(&mut self, req: &Request, now_us: u64) -> Result<u64, WireClientError> {
         let id = self.next_id;

@@ -11,13 +11,14 @@
 //! payload  := tag(u8) request_id(u64 LE) body
 //! ```
 //!
-//! The frame layout is deliberately identical to the `v6store` on-disk
-//! frame (length prefix, FNV-1a 64 over the payload only), and the
-//! payload bodies reuse the same [`v6store::format::Enc`] and
-//! [`v6store::format::Dec`]
-//! primitives — one codec for disk, wire, and the node-to-node
-//! replication stream (`v6cluster` frames its `v6store::replica`
-//! payloads with this same [`frame`]/[`FrameDecoder`] pair).
+//! The frame *is* the `v6store` on-disk frame — [`try_frame`] checks the
+//! wire's smaller cap and then calls [`v6store::format::frame`] — and
+//! the payload bodies are written with the same
+//! [`v6store::format::Enc`] and [`v6store::format::Dec`] primitives:
+//! one codec for disk, wire, and the node-to-node replication stream
+//! (`v6cluster` frames its `ReplMsg` payloads, whose delta and state
+//! bodies are `Enc::delta` / `Enc::state`, with this same
+//! [`try_frame`]/[`FrameDecoder`] pair).
 //!
 //! # Abuse-hardening contract
 //!
@@ -142,11 +143,7 @@ pub fn try_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
             declared: u32::try_from(payload.len()).unwrap_or(u32::MAX),
         });
     }
-    let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
-    Ok(out)
+    Ok(v6store::format::frame(payload))
 }
 
 /// Incremental frame decoder over an untrusted byte stream.

@@ -11,8 +11,7 @@
 //!   (`wire.admit.throttled.{new,steady,burst,flood}`).
 //! * `wire.shed.*` — shed causes: `global_overload`, `too_many_clients`.
 //! * `wire.latency.<class>` — per-behavioral-class service latency
-//!   histograms for *admitted* requests, the percentiles the
-//!   adversarial bench reports.
+//!   histograms for *admitted* requests.
 
 use std::sync::Arc;
 use std::time::Duration;

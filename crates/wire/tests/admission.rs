@@ -114,7 +114,14 @@ impl Actor {
 
 #[test]
 fn steady_pollers_survive_a_query_flood_untouched() {
-    let server = WireServer::new(engine(Vec::new()), test_config(), 0);
+    // Under the tightened test limits and under the shipped defaults.
+    for cfg in [test_config(), AdmissionConfig::default()] {
+        flood_beside_steady_pollers(cfg);
+    }
+}
+
+fn flood_beside_steady_pollers(cfg: AdmissionConfig) {
+    let server = WireServer::new(engine(Vec::new()), cfg, 0);
     // Three steady pollers at 100 req/s, one flooder at 20k req/s.
     let mut pollers: Vec<Actor> = (0..3).map(|i| Actor::new(&server, 10 + i, 100)).collect();
     let mut flooder = Actor::new(&server, 666, 20_000);

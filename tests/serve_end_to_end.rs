@@ -12,6 +12,7 @@ use ipv6_hitlists::netsim::{SimDuration, SimTime, World, WorldConfig};
 use ipv6_hitlists::scan::HitlistCampaignConfig;
 use ipv6_hitlists::serve::{
     loadgen, HitlistStore, Ingestor, LoadSpec, PublicationUpdate, QueryEngine, ServeStatus,
+    SnapshotBuilder,
 };
 
 #[test]
@@ -79,18 +80,55 @@ fn collect_publish_serve_query() {
     let total: u64 = nets.iter().map(|p| engine.count_within(p)).sum();
     assert_eq!(total, service.total_responsive());
 
-    // And a small deterministic load run stays consistent.
-    let report = loadgen::run(
-        &engine,
-        &LoadSpec {
-            queries: 50_000,
-            threads: 2,
-            ..Default::default()
-        },
+    // And a small deterministic load run stays consistent while the next
+    // weekly epoch lands under it: pre-built, so the publisher's only
+    // mid-run work is validate + swap, and published once a quarter of
+    // the queries have been served.
+    let queries = 200_000;
+    let mut next = SnapshotBuilder::new(snap.name(), 4);
+    next.merge_snapshot(&snap);
+    for i in 0..1024u128 {
+        next.add_bits(
+            (0x2001_0db8u128 << 96) | (i << 40) | i,
+            snap.week() as u32 + 1,
+        );
+    }
+    let next = next.build();
+    let threshold = store.metrics().queries_total() + queries / 4;
+    let (report, receipt) = std::thread::scope(|scope| {
+        let publisher = scope.spawn(|| {
+            while store.metrics().queries_total() < threshold {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            }
+            store.publish(next).expect("mid-run publish must succeed")
+        });
+        let report = loadgen::run(
+            &engine,
+            &LoadSpec {
+                queries,
+                threads: 2,
+                ..Default::default()
+            },
+        );
+        (report, publisher.join().expect("publisher thread panicked"))
+    });
+    assert!(report.queries >= queries);
+    assert_eq!(
+        report.verification_failures, 0,
+        "a known-present address was reported absent during the run"
     );
-    assert!(report.queries >= 50_000);
-    assert_eq!(report.verification_failures, 0);
     assert!(report.present_hits > 0);
+    assert!(
+        report.last_epoch > report.first_epoch,
+        "the weekly publish did not land during the run"
+    );
+    assert!(
+        report.queries_after_publish > 0,
+        "no query observed the new epoch; publish did not overlap the load"
+    );
+    let final_snap = store.snapshot();
+    assert!(final_snap.verify_integrity(), "final snapshot corrupted");
+    assert_eq!(final_snap.epoch(), receipt.epoch);
 }
 
 #[test]
