@@ -8,13 +8,12 @@
 //! Besides the printed criterion timings, the run emits
 //! `target/BENCH_kernels.json` (re-recording the committed
 //! `BENCH_kernels.json` is a deliberate `cp`): the `v6par` kernels
-//! (par_map, par_sort, k-way merge) measured sequentially and in parallel at
-//! three input sizes, so kernel-level regressions are visible
-//! separately from pipeline-level ones. For the merge kernel the
-//! "sequential" column is the pairwise clone-and-merge tree the
-//! tournament merge replaced. The same file carries the layout
-//! comparisons — membership structures, longest-prefix match — and the
-//! per-event cost of the streaming operators.
+//! production runs — `par_map_cost` against itself at 1 thread, the
+//! radix sort against `sort_unstable` — at three input sizes, so
+//! kernel-level regressions are visible separately from pipeline-level
+//! ones. The same file carries the layout comparisons — membership
+//! structures, longest-prefix match — and the per-event cost of the
+//! streaming operators.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -260,13 +259,6 @@ fn best_ms<O>(rounds: usize, mut f: impl FnMut() -> O) -> f64 {
 /// The input sizes each `v6par` kernel is measured at.
 const PAR_SIZES: [usize; 3] = [20_000, 100_000, 500_000];
 
-fn sort_input(size: usize, seed: u64) -> Vec<(u128, u64)> {
-    let mut rng = Rng::new(seed);
-    (0..size)
-        .map(|_| (rng.next_u128(), rng.next_u64()))
-        .collect()
-}
-
 /// Hitlist-shaped sort input: a few thousand /48s under one announced
 /// /32, structured subnets and IIDs — the clustering "Clusters in the
 /// Expanse" measured, and the shape that lets the adaptive radix sort
@@ -285,23 +277,24 @@ fn clustered_input(size: usize, seed: u64) -> Vec<(u128, u64)> {
         .collect()
 }
 
-/// Measures par_map / par_sort / k-way merge sequentially vs. in
-/// parallel and writes `target/BENCH_kernels.json`.
+/// Measures `par_map_cost` and the radix sort against their baselines
+/// and writes `target/BENCH_kernels.json`.
 fn emit_par_kernels_json() {
     let threads = v6par::threads().max(2);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut kernels: Vec<KernelRecord> = Vec::new();
-    let record = |kernels: &mut Vec<KernelRecord>, kernel: &str, size, seq_ms: f64, par_ms: f64| {
-        kernels.push(KernelRecord {
-            kernel: kernel.to_string(),
-            size,
-            seq_ms,
-            par_ms,
-            speedup: seq_ms / par_ms.max(1e-9),
-        });
-    };
+    let record =
+        |kernels: &mut Vec<KernelRecord>, kernel: &str, size, baseline_ms: f64, kernel_ms: f64| {
+            kernels.push(KernelRecord {
+                kernel: kernel.to_string(),
+                size,
+                baseline_ms,
+                kernel_ms,
+                speedup: baseline_ms / kernel_ms.max(1e-9),
+            });
+        };
 
     // par_map: a hash-mixing closure heavy enough (~100 ns/item) that
     // the adaptive cutoff commits to the parallel path at every size.
@@ -320,57 +313,9 @@ fn emit_par_kernels_json() {
         record(&mut kernels, "par_map", size, seq, par);
     }
 
-    // par_sort: random (u128, u64) pairs, the pipeline's dominant sort.
-    for size in PAR_SIZES {
-        let data = sort_input(size, 0xbe11);
-        let seq = best_ms(3, || {
-            let mut d = data.clone();
-            d.sort_unstable();
-            d
-        });
-        let par = best_ms(3, || {
-            let mut d = data.clone();
-            v6par::par_sort_unstable(threads, &mut d);
-            d
-        });
-        record(&mut kernels, "par_sort", size, seq, par);
-    }
-
-    // k-way merge: 8 sorted runs. Baseline is the pairwise
-    // clone-and-merge tree this PR replaced; the measured kernel is the
-    // single-output tournament move-merge.
-    for size in PAR_SIZES {
-        let mut runs: Vec<Vec<(u128, u64)>> = v6par::split_ranges(size, 8)
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| sort_input(r.len(), 0x5eed ^ i as u64))
-            .collect();
-        for run in &mut runs {
-            run.sort_unstable();
-        }
-        let seq = best_ms(3, || {
-            let mut rounds = runs.clone();
-            while rounds.len() > 1 {
-                let leftover = (rounds.len() % 2 == 1).then(|| rounds.pop().unwrap());
-                let mut merged: Vec<Vec<(u128, u64)>> = (0..rounds.len() / 2)
-                    .map(|k| v6par::merge_sorted_pair(&rounds[2 * k], &rounds[2 * k + 1]))
-                    .collect();
-                merged.extend(leftover);
-                rounds = merged;
-            }
-            rounds.pop().unwrap_or_default()
-        });
-        let par = best_ms(3, || v6par::par_merge_sorted(threads, runs.clone()));
-        record(&mut kernels, "kway_merge", size, seq, par);
-    }
-
-    // Radix vs comparison sort on the same clustered hitlist-shaped
-    // input: "sort_comparison" rows time `sort_unstable` /
-    // `par_sort_unstable`, "sort_radix" rows time `radix_sort_u128` /
-    // `par_radix_sort`. Same input, same sizes — the seq_ms columns are
-    // directly comparable between the two kernels. The input copy is
-    // restored *outside* the timed section so the rows measure the
-    // sorts, not the allocator.
+    // Radix vs comparison sort on the clustered hitlist-shaped input.
+    // The input copy is restored *outside* the timed section so the rows
+    // measure the sorts, not the allocator.
     type SortFn<'a> = &'a mut dyn FnMut(&mut Vec<(u128, u64)>);
     let sort_ms = |data: &[(u128, u64)], sort: SortFn| -> f64 {
         let mut d = data.to_vec();
@@ -387,15 +332,9 @@ fn emit_par_kernels_json() {
     };
     for size in PAR_SIZES {
         let data = clustered_input(size, 0x4ad1);
-        let seq = sort_ms(&data, &mut |d| d.sort_unstable());
-        let par = sort_ms(&data, &mut |d| v6par::par_sort_unstable(threads, d));
-        record(&mut kernels, "sort_comparison", size, seq, par);
-
-        let seq = sort_ms(&data, &mut v6par::radix_sort_u128);
-        let par = sort_ms(&data, &mut |d| {
-            v6par::par_radix_sort(threads, d, |&(hi, lo)| (hi, lo))
-        });
-        record(&mut kernels, "sort_radix", size, seq, par);
+        let baseline = sort_ms(&data, &mut |d| d.sort_unstable());
+        let radix = sort_ms(&data, &mut v6par::radix_sort_u128);
+        record(&mut kernels, "radix_sort", size, baseline, radix);
     }
 
     let bench = KernelsBench {
@@ -418,8 +357,8 @@ fn emit_par_kernels_json() {
     println!("v6par kernels ({threads} threads, {cores} cores):");
     for k in &bench.kernels {
         println!(
-            "  {:>15} n={:>7}: {:>8.2} ms seq -> {:>8.2} ms par ({:.2}x)",
-            k.kernel, k.size, k.seq_ms, k.par_ms, k.speedup
+            "  {:>15} n={:>7}: {:>8.2} ms baseline -> {:>8.2} ms kernel ({:.2}x)",
+            k.kernel, k.size, k.baseline_ms, k.kernel_ms, k.speedup
         );
     }
     for m in &bench.membership {

@@ -25,19 +25,20 @@ use v6hitlist::{Experiment, ExperimentConfig};
 use v6netsim::WorldConfig;
 use v6scan::{CaidaCampaignConfig, HitlistCampaignConfig};
 
-/// One kernel measured sequentially and in parallel at one input size,
+/// One production kernel timed against its baseline at one input size,
 /// as recorded in `BENCH_kernels.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelRecord {
-    /// Kernel name ("par_map", "par_sort", "kway_merge").
+    /// Kernel name: "par_map" (baseline: the same call at 1 thread) or
+    /// "radix_sort" (baseline: `sort_unstable` on the same input).
     pub kernel: String,
-    /// Input size (items for maps, elements for sorts/merges).
+    /// Input size (items for maps, elements for sorts).
     pub size: usize,
-    /// Best-of-N wall milliseconds with 1 thread.
-    pub seq_ms: f64,
-    /// Best-of-N wall milliseconds with `threads` workers.
-    pub par_ms: f64,
-    /// `seq_ms / par_ms`.
+    /// Best-of-N wall milliseconds of the baseline.
+    pub baseline_ms: f64,
+    /// Best-of-N wall milliseconds of the kernel.
+    pub kernel_ms: f64,
+    /// `baseline_ms / kernel_ms`.
     pub speedup: f64,
 }
 
@@ -91,15 +92,15 @@ pub struct StreamOpRecord {
     pub ns_per_event: f64,
 }
 
-/// The machine-readable output of the `kernels` bench: sequential vs.
-/// parallel timings for the `v6par` kernels at several input sizes (so
-/// kernel-level regressions are visible separately from pipeline-level
-/// ones), the membership-lookup comparison across the address-store
-/// representations, longest-prefix match over the prefix index, and the
-/// per-event cost of the streaming operators.
+/// The machine-readable output of the `kernels` bench: the `v6par`
+/// kernels production runs, each against its baseline at several input
+/// sizes (so kernel-level regressions are visible separately from
+/// pipeline-level ones), the membership-lookup comparison across the
+/// address-store representations, longest-prefix match over the prefix
+/// index, and the per-event cost of the streaming operators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
-    /// Worker count used for the parallel timings.
+    /// Worker count used for the `par_map` timings.
     pub threads: usize,
     /// Hardware threads available when the bench ran.
     pub cores: usize,

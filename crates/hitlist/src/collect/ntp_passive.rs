@@ -342,15 +342,9 @@ impl NtpCorpus {
 
     /// The corpus as a [`Dataset`] named "NTP Pool".
     pub fn dataset(&self) -> Dataset {
-        self.dataset_with_threads(v6par::threads())
-    }
-
-    /// [`NtpCorpus::dataset`] at an explicit thread count.
-    pub fn dataset_with_threads(&self, threads: usize) -> Dataset {
-        Dataset::from_observations_with_threads(
+        Dataset::from_observations(
             "NTP Pool",
             self.observations.iter().map(|o| o.to_observation()),
-            threads,
         )
     }
 

@@ -74,27 +74,13 @@ pub struct Dataset {
 
 impl Dataset {
     /// Builds a dataset from raw observations (any order, duplicates fine).
-    pub fn from_observations<I>(name: impl Into<String>, obs: I) -> Self
-    where
-        I: IntoIterator<Item = Observation>,
-    {
-        Self::from_observations_with_threads(name, obs, 1)
-    }
-
-    /// [`Dataset::from_observations`] with the dedup/sort pass sharded
-    /// across `threads` workers (in-place chunk sorts + one tournament
-    /// move-merge; nothing is cloned, and small inputs sort inline via
-    /// the adaptive cutoff).
     ///
-    /// Sorting `(addr, t)` integer pairs has no distinguishable
-    /// duplicates, so the parallel merge sort and `sort_unstable`
-    /// produce the same sequence — records are bit-identical at any
-    /// thread count.
-    pub fn from_observations_with_threads<I>(
-        name: impl Into<String>,
-        obs: I,
-        threads: usize,
-    ) -> Self
+    /// One sequential radix sort of `(addr, t)` integer pairs
+    /// ([`v6par::radix_sort_u128`]) orders the observations, and one
+    /// linear pass folds them into per-address records. The build uses
+    /// no threads: on the pipeline's corpus a chunked parallel sort plus
+    /// merge measured slower than this one pass.
+    pub fn from_observations<I>(name: impl Into<String>, obs: I) -> Self
     where
         I: IntoIterator<Item = Observation>,
     {
@@ -102,7 +88,7 @@ impl Dataset {
             .into_iter()
             .map(|o| (u128::from(o.addr), o.t.as_secs()))
             .collect();
-        v6par::par_radix_sort(threads, &mut raw, |&(bits, t)| (bits, t));
+        v6par::radix_sort_u128(&mut raw);
         let observations = raw.len() as u64;
         let mut records: Vec<AddrRecord> = Vec::new();
         for (bits, t) in raw {

@@ -413,8 +413,8 @@ fn stage_dag<'e>(
         Some(c) => NtpCorpus::collect_study_chaos(w, threads, c),
         None => NtpCorpus::collect_study_with_threads(w, threads),
     });
-    dag.add("ntp", &["corpus"], move |o| {
-        o.get::<NtpCorpus>("corpus").dataset_with_threads(threads)
+    dag.add("ntp", &["corpus"], |o| {
+        o.get::<NtpCorpus>("corpus").dataset()
     });
 
     // Active baselines, concurrent with collection.

@@ -5,9 +5,8 @@
 //! it) must be a pure function of the config — the thread count may only
 //! change wall-clock time, never a byte of output.
 
-use proptest::prelude::*;
 use v6chaos::{Chaos, FaultPlan, FaultSpec};
-use v6hitlist::{Dataset, Experiment, ExperimentConfig, NtpCorpus, Observation};
+use v6hitlist::{Experiment, ExperimentConfig, NtpCorpus};
 use v6netsim::{SimDuration, SimTime, World, WorldConfig};
 
 #[test]
@@ -170,25 +169,5 @@ fn chaos_permanent_losses_match_the_plan_at_any_thread_count() {
             .failures
             .iter()
             .any(|f| r1.loss.contains(&format!("dag.stage.{}", f.name))));
-    }
-}
-
-proptest! {
-    #[test]
-    fn dataset_build_threadcount_invariant(obs in proptest::collection::vec((any::<u64>(), any::<u32>()), 0..40_000)) {
-        let observations: Vec<Observation> = obs
-            .iter()
-            .map(|&(a, t)| Observation {
-                // Collapse the key space so duplicate addresses occur.
-                addr: std::net::Ipv6Addr::from((a % 257) as u128),
-                t: SimTime((t % 1_000) as u64),
-            })
-            .collect();
-        let seq = Dataset::from_observations_with_threads("d", observations.iter().copied(), 1);
-        for threads in [2usize, 8] {
-            let par = Dataset::from_observations_with_threads("d", observations.iter().copied(), threads);
-            prop_assert_eq!(seq.records(), par.records());
-            prop_assert_eq!(seq.observation_count(), par.observation_count());
-        }
     }
 }

@@ -10,27 +10,18 @@
 //! Building blocks:
 //!
 //! * [`threads`] — the worker count, overridable with `V6_THREADS`.
-//! * [`scope`] — scoped spawning (re-exported [`std::thread::scope`]).
-//! * [`par_map`] / [`par_map_cost`] — order-preserving parallel map:
-//!   participants claim fixed-cost morsels off a shared cursor and
-//!   write each result straight into its final output slot.
+//! * [`par_map_cost`] — order-preserving parallel map: participants
+//!   claim fixed-cost morsels off a shared cursor and write each result
+//!   straight into its final output slot.
 //! * [`par_for_each_mut`] — in-place parallel mutation under the same
 //!   morsel scheduler, for callers that own their buffers.
-//! * [`par_chunks_fold`] / [`par_chunks_fold_cost`] — fold disjoint
-//!   chunks in parallel, returning the per-chunk accumulators in chunk
-//!   order for an exact caller-side merge.
-//! * [`par_merge_sorted`] / [`merge_sorted_pair`] — stable k-way merge
-//!   of sorted runs (earlier runs win ties) via a single-output
-//!   tournament move-merge; no `Clone` required.
-//! * [`par_sort_unstable`] — in-place parallel chunk sorts plus one
-//!   tournament move-merge; equals a global `sort_unstable` for any
-//!   input whose equal elements are indistinguishable. No `Clone`.
-//! * [`radix_sort_u128`] / [`radix_sort_by_key`] / [`par_radix_sort`] —
-//!   adaptive LSD radix sort for 192-bit `(u128, u64)` keys: trivial
-//!   digit positions (shared address-prefix bytes) are detected in one
-//!   pass and skipped, and the parallel variant composes chunked radix
-//!   sorts with the same tournament move-merge. The ingestion paths'
-//!   replacement for comparison sorting of address keys.
+//! * [`split_ranges`] — near-equal contiguous ranges, for callers that
+//!   map over their own shards.
+//! * [`radix_sort_u128`] / [`radix_sort_by_key`] / [`radix_sort_f64`] —
+//!   sequential adaptive radix sort for 192-bit `(u128, u64)` keys:
+//!   trivial digit positions (shared address-prefix bytes) are detected
+//!   in one pass and skipped. The ingestion and analysis paths'
+//!   replacement for comparison sorting.
 //! * [`Cost`] — per-item work hints driving the adaptive
 //!   sequential-vs-parallel cutoff ([`SEQ_CUTOFF_NANOS`]) and morsel
 //!   sizing ([`MORSEL_TARGET_NANOS`]).
@@ -47,10 +38,10 @@
 //! `V6_THREADS=1` (or any call below its work cutoff) never touches the
 //! pool at all.
 //!
-//! Determinism comes from construction, not from luck: `par_map` writes
-//! results into their input positions, folds merge in chunk order, and
-//! the tournament merge resolves ties by run index. Scheduling order
-//! may vary run to run; observable output never does.
+//! Determinism comes from construction, not from luck: `par_map_cost`
+//! writes results into their input positions and `par_for_each_mut`
+//! visits each item exactly once. Scheduling order may vary run to run;
+//! observable output never does.
 //!
 //! Observability: the DAG runner and the pool record into the global
 //! `v6obs` registry — `par.dag.*` (stage completions/failures/retries,
@@ -62,10 +53,11 @@
 //! `par.*` values describe scheduling, not data, and are exempt from
 //! the thread-count-invariance contract above.
 //!
-//! Safety: this crate contains the workspace's only `unsafe` — the
-//! zero-copy output writes, in-place chunk views, and move-merges in
-//! `pool.rs`, each behind a safe API with its disjointness argument
-//! documented at the site. Everything else is `#![deny(unsafe_code)]`.
+//! Safety: this crate contains the workspace's only `unsafe` — the job
+//! hand-off to pool workers and the disjoint per-slot writes of
+//! `par_map_cost` / `par_for_each_mut` in `pool.rs`, each behind a safe
+//! API with its argument documented at the site. Everything else is
+//! `#![deny(unsafe_code)]`.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
@@ -79,15 +71,10 @@ pub use dag::{
     StageFailure, StageTiming, TaskOutputs,
 };
 pub use pool::{
-    merge_sorted_pair, par_chunks_fold, par_chunks_fold_cost, par_for_each_mut, par_map,
-    par_map_cost, par_merge_sorted, par_sort_unstable, pool_threads_spawned, split_ranges, Cost,
-    MORSEL_TARGET_NANOS, SEQ_CUTOFF_NANOS,
+    par_for_each_mut, par_map_cost, pool_threads_spawned, split_ranges, Cost, MORSEL_TARGET_NANOS,
+    SEQ_CUTOFF_NANOS,
 };
-pub use radix::{par_radix_sort, radix_sort_by_key, radix_sort_f64, radix_sort_u128};
-
-/// Scoped thread spawning — re-exported [`std::thread::scope`], so
-/// callers that need bespoke fan-out depend only on `v6par`.
-pub use std::thread::scope;
+pub use radix::{radix_sort_by_key, radix_sort_f64, radix_sort_u128};
 
 /// The worker count the pipeline should use.
 ///

@@ -13,16 +13,15 @@
 //!    fixed-cost morsels (~[`MORSEL_TARGET_NANOS`] each) claimed off an
 //!    atomic cursor. Tiny inputs pay zero scheduling tax; skewed inputs
 //!    rebalance by stealing.
-//! 3. **Zero-copy results** — [`par_map`] writes each result directly
-//!    into its final slot in the preallocated output's spare capacity
-//!    (disjoint indices, one writer per slot), and [`par_sort_unstable`]
-//!    sorts chunk views in place and merges runs with a single-output
-//!    tournament (loser-tree) k-way move-merge. Nothing is cloned and
-//!    nothing is copied twice.
+//! 3. **Zero-copy results** — [`par_map_cost`] writes each result
+//!    directly into its final slot in the preallocated output's spare
+//!    capacity (disjoint indices, one writer per slot), and
+//!    [`par_for_each_mut`] mutates items where they lie. Nothing is
+//!    cloned and nothing is copied twice.
 //!
-//! Determinism is structural: every morsel knows its output range, the
-//! merge resolves ties by run index, and the work estimate depends only
-//! on the input — so results are byte-identical at any thread count.
+//! Determinism is structural: every morsel knows its output range and
+//! the work estimate depends only on the input — so results are
+//! byte-identical at any thread count.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -99,10 +98,6 @@ pub struct Cost {
 }
 
 impl Cost {
-    /// Default per-item estimate when the caller gives no hint:
-    /// a light closure over a small item (hash + a few branches).
-    pub const DEFAULT_PER_ITEM_NS: u64 = 200;
-
     /// A cost hint of `ns` nanoseconds per item (clamped to ≥ 1).
     pub fn per_item_ns(ns: u64) -> Cost {
         Cost {
@@ -116,12 +111,6 @@ impl Cost {
     pub fn labeled(mut self, label: &'static str) -> Cost {
         self.label = Some(label);
         self
-    }
-}
-
-impl Default for Cost {
-    fn default() -> Cost {
-        Cost::per_item_ns(Cost::DEFAULT_PER_ITEM_NS)
     }
 }
 
@@ -265,10 +254,13 @@ fn worker_loop(pool: &'static Pool) {
         }
         // Clone the waiter handle while `active` still pins the job: after
         // the fetch_sub below the caller may free the JobCore at any time,
-        // so from there on we touch only our own clone.
+        // so from there on we touch only our own clone. Whoever takes
+        // `active` to zero unparks unconditionally: a `queued` read taken
+        // here could be stale (the caller's cancel may zero it right
+        // after), and a spurious unpark is harmless because the caller's
+        // wait loop re-checks both counts.
         let waiter = core.waiter.clone();
-        let queued = core.queued.load(Ordering::Acquire);
-        if core.active.fetch_sub(1, Ordering::AcqRel) == 1 && queued == 0 {
+        if core.active.fetch_sub(1, Ordering::AcqRel) == 1 {
             waiter.unpark();
         }
     }
@@ -359,20 +351,24 @@ impl Pool {
     }
 }
 
-/// A raw base pointer that workers write through.
+/// A raw base pointer to `len` slots that workers write through.
 ///
 /// Safety rests with index distribution, not with this type: every
 /// index is claimed by exactly one participant (the atomic morsel
 /// cursor), so accesses through the pointer never alias.
-struct SendPtr<T>(*mut T);
+struct SendPtr<T> {
+    base: *mut T,
+    len: usize,
+}
 impl<T> SendPtr<T> {
     /// The slot at `i`. Going through a method (rather than field
     /// access) makes closures capture the whole `SendPtr` — keeping its
     /// `Send`/`Sync` impls, not the raw pointer's lack of them.
     fn at(&self, i: usize) -> *mut T {
+        debug_assert!(i < self.len, "slot {i} out of {} slots", self.len);
         // SAFETY note for callers: `wrapping_add` does no deref; the
         // unsafe read/write happens at the use site.
-        self.0.wrapping_add(i)
+        self.base.wrapping_add(i)
     }
 }
 impl<T> Clone for SendPtr<T> {
@@ -419,22 +415,11 @@ impl MorselStats {
 }
 
 // ---------------------------------------------------------------------------
-// par_map / par_for_each_mut / par_chunks_fold
+// par_map_cost / par_for_each_mut
 // ---------------------------------------------------------------------------
 
-/// Order-preserving parallel map: `out[i] == f(i, &items[i])` for every
-/// `i`, regardless of `threads`. Uses the default [`Cost`] hint; see
-/// [`par_map_cost`] to pass a real one.
-pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_cost(threads, items, Cost::default(), f)
-}
-
-/// [`par_map`] with an explicit per-item [`Cost`] hint.
+/// Order-preserving parallel map with a per-item [`Cost`] hint:
+/// `out[i] == f(i, &items[i])` for every `i`, regardless of `threads`.
 ///
 /// Below the work cutoff this is a plain sequential map with no thread
 /// machinery at all. Above it, participants claim fixed-cost morsels
@@ -461,8 +446,12 @@ where
     let ranges = split_ranges(n, morsels);
     let share = ranges.len().div_ceil(participants) as u64;
     let cursor = AtomicUsize::new(0);
+    let covered = AtomicUsize::new(0);
     let mut out: Vec<R> = Vec::with_capacity(n);
-    let out_base = SendPtr(out.as_mut_ptr());
+    let out_base = SendPtr {
+        base: out.as_mut_ptr(),
+        len: n,
+    };
     let body = || {
         let mut stats = MorselStats::new();
         loop {
@@ -477,11 +466,21 @@ where
                 // a distinct, in-bounds, uninitialized slot.
                 unsafe { out_base.at(i).write(value) };
             }
+            if cfg!(debug_assertions) {
+                covered.fetch_add(range.len(), Ordering::Relaxed);
+            }
             stats.latencies_ns.push(t0.elapsed().as_nanos() as u64);
         }
         stats.flush(share);
     };
     pool().run_job(participants - 1, &body);
+    // Relaxed suffices: run_job's Acquire wait on each participant's
+    // AcqRel `active` update orders every add before this load.
+    debug_assert_eq!(
+        covered.load(Ordering::Relaxed),
+        n,
+        "claimed morsels must cover exactly n slots"
+    );
     // SAFETY: run_job returned without unwinding, so every morsel ran to
     // completion and all `n` slots are initialized. (On panic we never
     // get here: `out` drops with len 0 and written results leak.)
@@ -490,9 +489,8 @@ where
 }
 
 /// In-place parallel mutation: `f(i, &mut items[i])` for every `i`,
-/// each item visited exactly once. The workhorse behind the in-place
-/// chunk sorts; exposed because callers with their own buffers (e.g.
-/// per-shard runs in `v6serve`) want the same no-copy treatment.
+/// each item visited exactly once — for callers that own their buffers
+/// (e.g. per-shard runs in `v6serve`) and want no copy.
 #[allow(unsafe_code)]
 pub fn par_for_each_mut<T, F>(threads: usize, items: &mut [T], cost: Cost, f: F)
 where
@@ -512,7 +510,10 @@ where
     let ranges = split_ranges(n, morsels);
     let share = ranges.len().div_ceil(participants) as u64;
     let cursor = AtomicUsize::new(0);
-    let base = SendPtr(items.as_mut_ptr());
+    let base = SendPtr {
+        base: items.as_mut_ptr(),
+        len: n,
+    };
     let body = || {
         let mut stats = MorselStats::new();
         loop {
@@ -530,303 +531,6 @@ where
         stats.flush(share);
     };
     pool().run_job(participants - 1, &body);
-}
-
-/// Folds `chunks` disjoint contiguous chunks of `items` in parallel and
-/// returns the per-chunk accumulators **in chunk order**. Default
-/// [`Cost`] hint; see [`par_chunks_fold_cost`].
-pub fn par_chunks_fold<T, A, I, F>(
-    threads: usize,
-    items: &[T],
-    chunks: usize,
-    init: I,
-    fold: F,
-) -> Vec<A>
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize, &T) -> A + Sync,
-{
-    par_chunks_fold_cost(threads, items, chunks, Cost::default(), init, fold)
-}
-
-/// [`par_chunks_fold`] with an explicit per-item [`Cost`] hint.
-///
-/// The caller owns the cross-chunk merge; as long as that merge is
-/// exact (integer sums, ordered concatenation, stable run merges), the
-/// combined result is independent of both `threads` and `chunks`.
-pub fn par_chunks_fold_cost<T, A, I, F>(
-    threads: usize,
-    items: &[T],
-    chunks: usize,
-    cost: Cost,
-    init: I,
-    fold: F,
-) -> Vec<A>
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, usize, &T) -> A + Sync,
-{
-    let ranges = split_ranges(items.len(), chunks);
-    let per_range = cost
-        .per_item_ns
-        .saturating_mul((items.len() / ranges.len().max(1)).max(1) as u64);
-    let range_cost = Cost {
-        per_item_ns: per_range,
-        label: cost.label,
-    };
-    par_map_cost(threads, &ranges, range_cost, |_, range| {
-        range.clone().fold(init(), |acc, i| fold(acc, i, &items[i]))
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Sorting and merging
-// ---------------------------------------------------------------------------
-
-/// Stable two-way merge of sorted runs: on ties, `a`'s element comes
-/// first.
-pub fn merge_sorted_pair<T: Ord + Clone>(a: &[T], b: &[T]) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if b[j] < a[i] {
-            out.push(b[j].clone());
-            j += 1;
-        } else {
-            out.push(a[i].clone());
-            i += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Sentinel for an exhausted run in the tournament tree.
-const EXHAUSTED: usize = usize::MAX;
-
-/// A winner (loser-tree style) tournament over `k` runs: the root holds
-/// the run with the smallest current head, ties won by the lower run
-/// index (lower indices sit in left subtrees, and `play` keeps the left
-/// winner on ties). Replacing one head re-plays only its leaf-to-root
-/// path: `O(log k)` comparisons per merged element.
-struct Tournament {
-    leaves: usize,
-    tree: Vec<usize>,
-}
-
-impl Tournament {
-    /// Builds the tree. `alive(j)` says whether run `j` has a head;
-    /// `less(a, b)` compares the heads of two alive runs.
-    fn new(
-        k: usize,
-        alive: impl Fn(usize) -> bool,
-        less: impl Fn(usize, usize) -> bool,
-    ) -> Tournament {
-        let leaves = k.next_power_of_two().max(1);
-        let mut tree = vec![EXHAUSTED; 2 * leaves];
-        for (j, slot) in tree[leaves..leaves + k].iter_mut().enumerate() {
-            if alive(j) {
-                *slot = j;
-            }
-        }
-        let mut t = Tournament { leaves, tree };
-        for i in (1..leaves).rev() {
-            t.tree[i] = play(t.tree[2 * i], t.tree[2 * i + 1], &less);
-        }
-        t
-    }
-
-    /// The run holding the smallest head, or [`EXHAUSTED`].
-    fn winner(&self) -> usize {
-        self.tree[1]
-    }
-
-    /// Re-plays run `j`'s leaf-to-root path after its head changed.
-    fn refresh(&mut self, j: usize, alive: bool, less: impl Fn(usize, usize) -> bool) {
-        let mut i = self.leaves + j;
-        self.tree[i] = if alive { j } else { EXHAUSTED };
-        while i > 1 {
-            i /= 2;
-            self.tree[i] = play(self.tree[2 * i], self.tree[2 * i + 1], &less);
-        }
-    }
-}
-
-/// One tournament match; exhausted runs lose to everything, ties go to
-/// the left (lower-indexed) contender.
-fn play(a: usize, b: usize, less: &impl Fn(usize, usize) -> bool) -> usize {
-    if a == EXHAUSTED {
-        return b;
-    }
-    if b == EXHAUSTED {
-        return a;
-    }
-    if less(b, a) {
-        b
-    } else {
-        a
-    }
-}
-
-/// Stable k-way merge of sorted runs into one vector, without cloning:
-/// elements are *moved* out of the runs through a single-output-buffer
-/// tournament merge. Ties always resolve in favor of the
-/// earlier-indexed run, exactly as a sequential stable merge of the
-/// concatenated runs would, so equal multisets of runs merge to
-/// identical vectors.
-///
-/// The `threads` argument is accepted for call-site symmetry with the
-/// other kernels but unused: a single merge pass is memory-bound and
-/// `O(n log k)`, and measured slower when split into parallel
-/// sub-merges that re-touch every element.
-pub fn par_merge_sorted<T: Ord>(threads: usize, runs: Vec<Vec<T>>) -> Vec<T> {
-    let _ = threads;
-    let total = runs.iter().map(Vec::len).sum();
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<T>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<T>> = iters.iter_mut().map(Iterator::next).collect();
-    let k = heads.len();
-    let mut t = Tournament::new(k, |j| heads[j].is_some(), |a, b| heads[a] < heads[b]);
-    loop {
-        let w = t.winner();
-        if w == EXHAUSTED {
-            break;
-        }
-        let value = heads[w].take().expect("winning run has a head");
-        heads[w] = iters[w].next();
-        let alive = heads[w].is_some();
-        out.push(value);
-        t.refresh(w, alive, |a, b| heads[a] < heads[b]);
-    }
-    debug_assert_eq!(out.len(), total);
-    out
-}
-
-/// Extra bar for parallel sorting over [`SEQ_CUTOFF_NANOS`]: the k-way
-/// merge re-moves every element once, so chunked sorting must save more
-/// than a full extra pass before it pays.
-const SORT_SEQ_CUTOFF_NANOS: u64 = 8 * SEQ_CUTOFF_NANOS;
-
-/// Calibrated per-element sort cost (comparison-heavy, cache-missing)
-/// used by [`par_sort_unstable`]'s cutoff.
-const SORT_ITEM_NS: u64 = 60;
-
-/// Sorts `data` via in-place parallel chunk sorts plus one tournament
-/// move-merge into a single fresh buffer. No `Clone`: elements are
-/// sorted where they lie and moved exactly once.
-///
-/// For element types whose equal values are indistinguishable (plain
-/// `Ord` data like integers and tuples of integers — everything the
-/// pipeline sorts), the result is byte-identical to
-/// `data.sort_unstable()` at any thread count.
-///
-/// If a comparison panics mid-merge, the elements in flight are leaked
-/// (never double-dropped) and `data` is left empty.
-pub fn par_sort_unstable<T>(threads: usize, data: &mut Vec<T>)
-where
-    T: Ord + Send,
-{
-    let n = data.len();
-    let threads = threads.max(1);
-    if threads == 1 || n < 2 {
-        data.sort_unstable();
-        return;
-    }
-    let estimate = (n as u64).saturating_mul(SORT_ITEM_NS);
-    if estimate < SORT_SEQ_CUTOFF_NANOS {
-        record_cutoff(Some("sort"), false);
-        data.sort_unstable();
-        return;
-    }
-    record_cutoff(Some("sort"), true);
-    let parts = threads
-        .min(((estimate / SORT_SEQ_CUTOFF_NANOS) as usize).max(2))
-        .min(n);
-    let ranges = split_ranges(n, parts);
-    // Disjoint in-place chunk views via repeated split_at_mut — safe
-    // code; the parallel distribution happens one level down.
-    let mut views: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-    let mut rest: &mut [T] = data.as_mut_slice();
-    for r in &ranges[..ranges.len() - 1] {
-        let (head, tail) = rest.split_at_mut(r.len());
-        views.push(head);
-        rest = tail;
-    }
-    views.push(rest);
-    let per_view = estimate / ranges.len() as u64;
-    par_for_each_mut(
-        threads,
-        &mut views,
-        Cost::per_item_ns(per_view).labeled("sort.chunk"),
-        |_, view| view.sort_unstable(),
-    );
-    merge_runs_in_place(data, &ranges);
-}
-
-/// Move-merges `ranges.len()` sorted contiguous runs of `data` into a
-/// fresh buffer with one tournament pass, then replaces `data` with it.
-/// Shared with the radix kernel (`radix.rs`), which sorts the runs by
-/// other means but merges them identically.
-#[allow(unsafe_code)]
-pub(crate) fn merge_runs_in_place<T: Ord>(data: &mut Vec<T>, ranges: &[Range<usize>]) {
-    struct RunCursor {
-        next: usize,
-        end: usize,
-    }
-    let n = data.len();
-    let base = data.as_mut_ptr();
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    let out_base = out.as_mut_ptr();
-    // Logically move every element out of `data` now: from here on the
-    // old buffer is uninitialized storage whose slots are each read
-    // exactly once. A panicking comparison leaks, never double-drops.
-    // SAFETY: shrinking the length only forgets elements.
-    unsafe { data.set_len(0) };
-    let mut runs: Vec<RunCursor> = ranges
-        .iter()
-        .map(|r| RunCursor {
-            next: r.start,
-            end: r.end,
-        })
-        .collect();
-    let k = runs.len();
-    // SAFETY (both closures below): only called for alive runs, whose
-    // `next` is in-bounds and not yet moved out.
-    let mut t = Tournament::new(
-        k,
-        |j| runs[j].next < runs[j].end,
-        |a, b| unsafe { *base.add(runs[a].next) < *base.add(runs[b].next) },
-    );
-    let mut written = 0usize;
-    loop {
-        let w = t.winner();
-        if w == EXHAUSTED {
-            break;
-        }
-        // SAFETY: slot `runs[w].next` is alive (tournament invariant) and
-        // read exactly once; slot `written` of `out` is in-capacity and
-        // unwritten. Both are plain moves.
-        unsafe {
-            let value = std::ptr::read(base.add(runs[w].next));
-            std::ptr::write(out_base.add(written), value);
-        }
-        runs[w].next += 1;
-        written += 1;
-        let alive = runs[w].next < runs[w].end;
-        t.refresh(w, alive, |a, b| unsafe {
-            *base.add(runs[a].next) < *base.add(runs[b].next)
-        });
-    }
-    debug_assert_eq!(written, n);
-    // SAFETY: the tournament drained all k runs, so exactly `n` moved
-    // elements now sit in `out`'s first `n` slots.
-    unsafe { out.set_len(written) };
-    *data = out;
 }
 
 #[cfg(test)]
@@ -855,7 +559,7 @@ mod tests {
         let items: Vec<u64> = (0..999).collect();
         let expect: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
         for threads in [1, 2, 3, 8, 64] {
-            let got = par_map(threads, &items, |i, x| {
+            let got = par_map_cost(threads, &items, Cost::per_item_ns(200), |i, x| {
                 assert_eq!(items[i], *x);
                 x * 3 + 1
             });
@@ -865,7 +569,7 @@ mod tests {
 
     #[test]
     fn par_map_handles_empty_and_unbalanced_work() {
-        assert!(par_map(4, &[] as &[u8], |_, x| *x).is_empty());
+        assert!(par_map_cost(4, &[] as &[u8], Cost::per_item_ns(200), |_, x| *x).is_empty());
         // Skewed cost: later items much more expensive; stealing must
         // still return them in order. The large hint forces the
         // parallel path despite the small item count.
@@ -904,98 +608,5 @@ mod tests {
             let expect: Vec<u64> = (0..257u64).map(|x| x.wrapping_mul(7) + 1).collect();
             assert_eq!(items, expect, "threads={threads} per_item={per_item}");
         }
-    }
-
-    #[test]
-    fn par_chunks_fold_sums_exactly() {
-        let items: Vec<u64> = (0..10_001).collect();
-        let expect: u64 = items.iter().sum();
-        for (threads, chunks) in [(1, 1), (2, 5), (8, 3), (4, 100)] {
-            let parts = par_chunks_fold(threads, &items, chunks, || 0u64, |acc, _, x| acc + x);
-            assert_eq!(parts.iter().sum::<u64>(), expect);
-            assert_eq!(parts.len(), chunks.min(items.len()));
-        }
-    }
-
-    #[test]
-    fn merge_pair_is_stable() {
-        let a = [(1, 'a'), (3, 'a')];
-        let b = [(1, 'b'), (2, 'b')];
-        // Only the first element participates in Ord for this check.
-        let merged = merge_sorted_pair(
-            &a.iter().map(|x| x.0).collect::<Vec<_>>(),
-            &b.iter().map(|x| x.0).collect::<Vec<_>>(),
-        );
-        assert_eq!(merged, vec![1, 1, 2, 3]);
-    }
-
-    #[test]
-    fn par_merge_equals_global_sort() {
-        let runs: Vec<Vec<u32>> = vec![vec![1, 5, 9], vec![], vec![2, 2, 2], vec![0, 10], vec![3]];
-        let mut expect: Vec<u32> = runs.iter().flatten().copied().collect();
-        expect.sort_unstable();
-        for threads in [1, 2, 8] {
-            assert_eq!(par_merge_sorted(threads, runs.clone()), expect);
-        }
-        assert!(par_merge_sorted(4, Vec::<Vec<u32>>::new()).is_empty());
-    }
-
-    #[test]
-    fn par_merge_is_stable_across_runs_without_clone() {
-        // Keys collide across runs; payloads don't participate in Ord.
-        // Earlier runs must win ties — and the element type is not Clone.
-        #[derive(Debug, PartialEq, Eq)]
-        struct NoClone(u32, &'static str);
-        impl PartialOrd for NoClone {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for NoClone {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.0.cmp(&other.0)
-            }
-        }
-        let runs = vec![
-            vec![NoClone(1, "a"), NoClone(4, "a")],
-            vec![NoClone(1, "b"), NoClone(2, "b")],
-            vec![NoClone(1, "c")],
-        ];
-        let merged = par_merge_sorted(3, runs);
-        let tags: Vec<&str> = merged.iter().map(|x| x.1).collect();
-        assert_eq!(tags, vec!["a", "b", "c", "b", "a"]);
-    }
-
-    #[test]
-    fn par_sort_matches_sequential() {
-        let mut data: Vec<(u128, u64)> = (0..40_000u64)
-            .map(|i| {
-                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
-                ((h as u128) << 3 | (i % 5) as u128, h ^ i)
-            })
-            .collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        for threads in [1, 2, 3, 8] {
-            let mut got = data.clone();
-            par_sort_unstable(threads, &mut got);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-        par_sort_unstable(4, &mut data);
-        assert_eq!(data, expect);
-    }
-
-    #[test]
-    fn par_sort_handles_non_clone_elements() {
-        #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-        struct Key(u64);
-        let mut data: Vec<Key> = (0..50_000u64)
-            .map(|i| Key(i.wrapping_mul(0x2545_f491_4f6c_dd1d)))
-            .collect();
-        let mut expect: Vec<u64> = data.iter().map(|k| k.0).collect();
-        expect.sort_unstable();
-        par_sort_unstable(4, &mut data);
-        let got: Vec<u64> = data.iter().map(|k| k.0).collect();
-        assert_eq!(got, expect);
     }
 }

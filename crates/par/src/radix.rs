@@ -28,17 +28,10 @@
 //! `sort_unstable` for keys that are injective over the element and
 //! consistent with `Ord` (every call site sorts plain integer tuples).
 //!
-//! [`par_radix_sort`] composes the same kernel with the persistent
-//! pool's chunking: disjoint chunk views are radix-sorted in parallel
-//! (each with its own live-bit schedule) and combined with the existing
-//! tournament move-merge, so results are byte-identical at any thread
-//! count — the same contract every other kernel in this crate honors.
-//!
-//! This module contains no `unsafe`; the only unsafe code in the crate
-//! remains in `pool.rs` (the merge this calls into is behind its safe
-//! API).
-
-use crate::pool::{merge_runs_in_place, par_for_each_mut, split_ranges, Cost};
+//! The sort is sequential on purpose: radix-sorting chunks on the pool
+//! and merging them re-moves every element once more, and measured
+//! slower than one sequential pass at every recorded size. This module
+//! contains no `unsafe`.
 
 /// Number of 8-bit digits in the 192-bit `(u128, u64)` key.
 const DIGITS: usize = 24;
@@ -185,11 +178,10 @@ where
     }
 }
 
-/// MSD partition of `data` into `scratch` (resized to match) by the top
-/// live bits, followed by an in-place comparison finish per bucket —
-/// the sorted result is left in `scratch`. Returns the bucket count
-/// actually used.
-fn msd_partition_sort<T, K>(data: &[T], scratch: &mut Vec<T>, key: &K, live_bits: &[usize]) -> usize
+/// MSD partition of `data` into a new buffer by the top live bits,
+/// followed by an in-place comparison finish per bucket; returns the
+/// sorted buffer.
+fn msd_partition_sort<T, K>(data: &[T], key: &K, live_bits: &[usize]) -> Vec<T>
 where
     T: Copy + Ord,
     K: Fn(&T) -> (u128, u64),
@@ -215,12 +207,11 @@ where
         *o = sum;
         sum += c;
     }
-    scratch.clear();
-    scratch.resize(n, data[0]);
+    let mut out = vec![data[0]; n];
     for x in data.iter() {
         let (hi, lo) = key(x);
         let b = lut.bucket(hi, lo);
-        scratch[offsets[b] as usize] = *x;
+        out[offsets[b] as usize] = *x;
         offsets[b] += 1;
     }
     // Buckets are ordered by a prefix of the key; finishing each with a
@@ -229,39 +220,10 @@ where
     let mut start = 0usize;
     for &c in counts.iter() {
         let end = start + c as usize;
-        scratch[start..end].sort_unstable();
+        out[start..end].sort_unstable();
         start = end;
     }
-    buckets
-}
-
-/// Slice-level kernel: dispatches to the comparison fallback, the LSD
-/// counting path, or the MSD partition (paying one copy back into
-/// `data`). Used for parallel chunk views; the `Vec` entry points below
-/// avoid the copy by swapping buffers.
-fn radix_sort_slice<T, K>(data: &mut [T], key: &K)
-where
-    T: Copy + Ord,
-    K: Fn(&T) -> (u128, u64),
-{
-    if data.len() < RADIX_MIN_LEN {
-        data.sort_unstable();
-        return;
-    }
-    let live = live_bit_positions(data, key);
-    if live.is_empty() {
-        // Every key is identical; for injective keys there is nothing
-        // to reorder.
-        return;
-    }
-    let live_bytes = live_bytes_asc(&live);
-    if live_bytes.len() <= LSD_MAX_LIVE {
-        lsd_sort(data, key, &live_bytes);
-    } else {
-        let mut scratch = Vec::new();
-        msd_partition_sort(data, &mut scratch, key, &live);
-        data.copy_from_slice(&scratch);
-    }
+    out
 }
 
 /// Ascending byte positions touched by the given live bit positions.
@@ -302,12 +264,9 @@ where
     if live_bytes.len() <= LSD_MAX_LIVE {
         lsd_sort(data, &key, &live_bytes);
     } else {
-        // The Vec entry point hands the scratch buffer back as the
-        // result instead of copying it — the partitioned, finished
-        // buffer simply becomes `data`.
-        let mut scratch = Vec::new();
-        msd_partition_sort(data, &mut scratch, &key, &live);
-        std::mem::swap(data, &mut scratch);
+        // The partitioned, finished buffer simply becomes `data`: no
+        // copy back.
+        *data = msd_partition_sort(data, &key, &live);
     }
 }
 
@@ -357,57 +316,6 @@ pub fn radix_sort_f64(data: &mut [f64]) {
     for (dst, k) in data.iter_mut().zip(&keys) {
         *dst = f64_unkey(*k);
     }
-}
-
-/// Calibrated per-element radix cost for the parallel cutoff: cheaper
-/// than [`super::pool::par_sort_unstable`]'s comparison estimate because
-/// the passes are branch-free linear sweeps.
-const RADIX_ITEM_NS: u64 = 25;
-
-/// Work below this estimate sorts inline: chunked radix sorting pays
-/// the tournament merge's extra move of every element, mirroring the
-/// bar `par_sort_unstable` applies.
-const RADIX_PAR_CUTOFF_NANOS: u64 = 8 * crate::pool::SEQ_CUTOFF_NANOS;
-
-/// Parallel adaptive radix sort: disjoint chunk views are radix-sorted
-/// on the persistent pool and combined with one tournament move-merge.
-///
-/// Same determinism contract as [`super::pool::par_sort_unstable`]: for
-/// element types whose equal values are indistinguishable and a `key`
-/// consistent with `Ord`, the result is byte-identical to
-/// `data.sort_unstable()` at any thread count (including 1).
-pub fn par_radix_sort<T, K>(threads: usize, data: &mut Vec<T>, key: K)
-where
-    T: Copy + Ord + Send + Sync,
-    K: Fn(&T) -> (u128, u64) + Sync,
-{
-    let n = data.len();
-    let threads = threads.max(1);
-    let estimate = (n as u64).saturating_mul(RADIX_ITEM_NS);
-    if threads == 1 || n < 2 * RADIX_MIN_LEN || estimate < RADIX_PAR_CUTOFF_NANOS {
-        radix_sort_by_key(data, key);
-        return;
-    }
-    let parts = threads
-        .min(((estimate / RADIX_PAR_CUTOFF_NANOS) as usize).max(2))
-        .min(n);
-    let ranges = split_ranges(n, parts);
-    let mut views: Vec<&mut [T]> = Vec::with_capacity(ranges.len());
-    let mut rest: &mut [T] = data.as_mut_slice();
-    for r in &ranges[..ranges.len() - 1] {
-        let (head, tail) = rest.split_at_mut(r.len());
-        views.push(head);
-        rest = tail;
-    }
-    views.push(rest);
-    let per_view = estimate / ranges.len() as u64;
-    par_for_each_mut(
-        threads,
-        &mut views,
-        Cost::per_item_ns(per_view).labeled("radix.chunk"),
-        |_, view| radix_sort_slice(view, &key),
-    );
-    merge_runs_in_place(data, &ranges);
 }
 
 #[cfg(test)]
@@ -532,40 +440,5 @@ mod tests {
         let mut infs = vec![f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0];
         radix_sort_f64(&mut infs);
         assert_eq!(infs, vec![f64::NEG_INFINITY, -1.0, 1.0, f64::INFINITY]);
-    }
-
-    #[test]
-    fn slice_kernel_matches_vec_kernel() {
-        for gen in [clustered as fn(usize, u64) -> _, random] {
-            let mut via_slice = gen(40_000, 9);
-            let mut via_vec = via_slice.clone();
-            let mut expect = via_slice.clone();
-            expect.sort_unstable();
-            radix_sort_slice(&mut via_slice, &|&(hi, lo): &(u128, u64)| (hi, lo));
-            radix_sort_u128(&mut via_vec);
-            assert_eq!(via_slice, expect);
-            assert_eq!(via_vec, expect);
-        }
-    }
-
-    #[test]
-    fn par_radix_matches_sequential_at_any_thread_count() {
-        let data = clustered(120_000, 11);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        for threads in [1usize, 2, 3, 8] {
-            let mut got = data.clone();
-            par_radix_sort(threads, &mut got, |&(hi, lo)| (hi, lo));
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_radix_small_input_stays_inline_and_exact() {
-        let mut data = random(500, 5);
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        par_radix_sort(8, &mut data, |&(hi, lo)| (hi, lo));
-        assert_eq!(data, expect);
     }
 }

@@ -7,7 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use v6par::{par_map, par_map_cost, pool_threads_spawned, Cost};
+use v6par::{par_map_cost, pool_threads_spawned, Cost};
 
 /// A hint far above the cutoff, so every call below commits to the
 /// parallel path regardless of item count.
@@ -18,7 +18,7 @@ fn pool_spawns_once_survives_panics_and_serves_concurrent_callers() {
     // Phase 1 — zero-machinery path: single-thread calls and calls
     // below the work cutoff never touch the pool.
     let items: Vec<u64> = (0..512).collect();
-    let seq: Vec<u64> = par_map(1, &items, |_, &x| x + 1);
+    let seq: Vec<u64> = par_map_cost(1, &items, Cost::per_item_ns(HEAVY), |_, &x| x + 1);
     assert_eq!(seq[511], 512);
     let tiny: Vec<u64> = par_map_cost(8, &items[..4], Cost::per_item_ns(1), |_, &x| x + 1);
     assert_eq!(tiny, vec![1, 2, 3, 4]);

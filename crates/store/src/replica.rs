@@ -10,11 +10,7 @@
 //! * [`delta_between`] — compute the [`DeltaRecord`] carrying a mirror
 //!   from one epoch's full content to the next;
 //! * [`apply`] — replay a record into a mirror in place (remove, then
-//!   upsert — exactly what log recovery does);
-//! * [`encode_delta`] / [`decode_delta`] — the on-disk delta frame
-//!   payload: the log's tag byte, then the record body;
-//! * [`encode_state`] / [`decode_state`] — the checkpoint payload: its
-//!   tag byte, then the full-state body.
+//!   upsert — exactly what log recovery does).
 //!
 //! The record *bodies* are [`Enc::delta`] and [`Enc::state`]
 //! ([`crate::format`]), and those are what the cluster ships:
@@ -28,7 +24,8 @@
 //! [`Enc::state`]: crate::format::Enc::state
 //!
 //! ```
-//! use v6store::replica::{apply, decode_delta, delta_between, encode_delta};
+//! use v6store::format::{Dec, Enc};
+//! use v6store::replica::{apply, delta_between};
 //! use v6store::{EpochState, EpochView};
 //!
 //! let mut leader = EpochState {
@@ -49,9 +46,11 @@
 //! let delta = delta_between(&leader, &next);
 //! apply(&mut leader, &delta);
 //!
-//! // Ship the encoded record; the follower replays it bit-for-bit.
-//! let wire = encode_delta(&delta);
-//! apply(&mut follower, &decode_delta(&wire).unwrap());
+//! // Ship the encoded body; the follower replays it bit-for-bit.
+//! let mut enc = Enc::new();
+//! enc.delta(&delta);
+//! let wire = enc.into_bytes();
+//! apply(&mut follower, &Dec::new(&wire).delta().unwrap());
 //! assert_eq!(leader, follower);
 //! ```
 //!
@@ -96,32 +95,10 @@ pub fn apply(state: &mut EpochState, record: &DeltaRecord) {
     log::apply_delta(state, record);
 }
 
-/// Encodes a delta record as the on-disk/on-wire delta payload.
-pub fn encode_delta(record: &DeltaRecord) -> Vec<u8> {
-    log::delta_payload(record)
-}
-
-/// Decodes a delta payload produced by [`encode_delta`] (or read back
-/// from an epoch log). `None` on truncation, trailing bytes, or a
-/// foreign tag.
-pub fn decode_delta(payload: &[u8]) -> Option<DeltaRecord> {
-    log::decode_delta(payload)
-}
-
-/// Encodes a full epoch state as the checkpoint payload — the bootstrap
-/// path when a follower is too far behind to catch up by deltas.
-pub fn encode_state(state: &EpochState) -> Vec<u8> {
-    log::checkpoint_payload(state)
-}
-
-/// Decodes a full-state payload produced by [`encode_state`].
-pub fn decode_state(payload: &[u8]) -> Option<EpochState> {
-    log::decode_checkpoint(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::{checkpoint_payload, decode_checkpoint, decode_delta, delta_payload};
 
     fn view(state: &EpochState) -> EpochView<'_> {
         EpochView {
@@ -172,7 +149,7 @@ mod tests {
         assert_eq!(record.removed, vec![5]);
         assert_eq!(record.added, vec![(9, 3), (12, 7)]);
 
-        let decoded = decode_delta(&encode_delta(&record)).expect("codec round trip");
+        let decoded = decode_delta(&delta_payload(&record)).expect("codec round trip");
         assert_eq!(decoded, record);
 
         let mut mirror = prev.clone();
@@ -212,12 +189,12 @@ mod tests {
             entries: vec![(3, 1), (8, 2)],
             aliases: vec![],
         };
-        let bytes = encode_state(&state);
-        assert_eq!(decode_state(&bytes), Some(state.clone()));
+        let bytes = checkpoint_payload(&state);
+        assert_eq!(decode_checkpoint(&bytes), Some(state.clone()));
         // The two payload kinds are tagged; each decoder rejects the
         // other's bytes instead of misparsing them.
         assert_eq!(decode_delta(&bytes), None);
         let record = delta_between(&EpochState::default(), &view(&state));
-        assert_eq!(decode_state(&encode_delta(&record)), None);
+        assert_eq!(decode_checkpoint(&delta_payload(&record)), None);
     }
 }
