@@ -12,8 +12,9 @@
 //! radix sort against `sort_unstable` — at three input sizes, so
 //! kernel-level regressions are visible separately from pipeline-level
 //! ones. The same file carries the layout comparisons — membership
-//! structures, longest-prefix match — and the per-event cost of the
-//! streaming operators.
+//! structures, longest-prefix match — the per-event cost of the
+//! streaming operators, and the time and heap allocations of one request
+//! through the front door.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -24,9 +25,12 @@ use std::time::Instant;
 
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
-use v6bench::{KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord};
-use v6serve::{BlockedBloom, CompressedRun};
+use v6bench::{
+    KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord, WireRoundtripRecord,
+};
+use v6serve::{BlockedBloom, CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
+use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};
 use v6netsim::rng::Rng;
@@ -101,6 +105,8 @@ fn bench_sets(c: &mut Criterion) {
 /// Live heap bytes, so the `lpm` rows report what a structure occupies
 /// without the structure exposing its layout.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// Allocations and reallocations so far, for the `wire_roundtrip` rows.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct CountingAlloc;
 
@@ -109,10 +115,12 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -122,6 +130,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LIVE_BYTES.fetch_add(new_size, Relaxed);
         LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        ALLOCS.fetch_add(1, Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -344,6 +353,7 @@ fn emit_par_kernels_json() {
         membership: membership_records(),
         lpm: lpm_records(),
         stream_ops: stream_op_records(),
+        wire_roundtrip: wire_roundtrip_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
@@ -379,7 +389,109 @@ fn emit_par_kernels_json() {
             o.op, o.events, o.ns_per_event
         );
     }
+    for w in &bench.wire_roundtrip {
+        println!(
+            "  wire/{:<10} {:>7} addrs: {:>7.1} ns/request, {:.2} allocations/request",
+            w.mix, w.addresses, w.ns_per_request, w.allocs_per_request
+        );
+    }
     println!("wrote {}", path.display());
+}
+
+/// A request through the front door, closed loop over an in-memory pipe
+/// — `WireClient::send → ServerConn::pump → WireClient::poll` — on the
+/// `query-hot` corpus size, admission limits out of reach: time and
+/// heap allocations per request for single-answer requests and for
+/// 16-address batches.
+fn wire_roundtrip_records() -> Vec<WireRoundtripRecord> {
+    const SHARDS: usize = 8;
+    let mut bits: Vec<u128> = clustered_input(65_536, 0x3e7)
+        .into_iter()
+        .map(|(b, _)| b)
+        .collect();
+    bits.sort_unstable();
+    bits.dedup();
+    let mut builder = SnapshotBuilder::new("kernels", SHARDS);
+    for (i, &b) in bits.iter().enumerate() {
+        builder.add_bits(b, (i % 8) as u32);
+    }
+    builder.add_alias(Prefix::from_bits(bits[0], 48), 0);
+    let store = Arc::new(HitlistStore::new("kernels", SHARDS));
+    store.publish(builder.build()).expect("publish");
+    const UNREACHABLE: u64 = 1_000_000_000;
+    let admission = AdmissionConfig {
+        client_rate_per_sec: UNREACHABLE,
+        client_burst: UNREACHABLE,
+        global_rate_per_sec: UNREACHABLE,
+        global_burst: UNREACHABLE,
+        flood_rate_per_sec: UNREACHABLE,
+        ..AdmissionConfig::default()
+    };
+    let server = WireServer::new(QueryEngine::new(store), admission, 0);
+
+    let mut rng = Rng::new(0x3e8);
+    let addr = |rng: &mut Rng| {
+        if rng.next_u64().is_multiple_of(2) {
+            bits[(rng.next_u64() % bits.len() as u64) as usize]
+        } else {
+            (bits[0] >> 64 << 64) | u128::from(rng.next_u64())
+        }
+    };
+    let point: Vec<Request> = (0..1 << 16)
+        .map(|_| match rng.next_u64() % 95 {
+            0..40 => Request::Membership {
+                addr: addr(&mut rng),
+            },
+            40..55 => Request::MembershipUnaliased {
+                addr: addr(&mut rng),
+            },
+            55..80 => Request::Lookup {
+                addr: addr(&mut rng),
+            },
+            80..90 => Request::Density {
+                prefix: Prefix::from_bits(addr(&mut rng), 48),
+            },
+            _ => Request::NewSince {
+                week: rng.next_u64() % 10,
+            },
+        })
+        .collect();
+    let batches: Vec<Request> = (0..1 << 12)
+        .map(|_| Request::Batch {
+            addrs: (0..16).map(|_| addr(&mut rng)).collect(),
+        })
+        .collect();
+
+    let mut conn = server.open_connection(1);
+    let (client_end, mut server_end) = duplex();
+    let mut client = WireClient::connect(client_end, 0).expect("connect");
+    conn.pump(&mut server_end, 0).expect("handshake");
+    let mut now_us = 0;
+    let mut run = |requests: &[Request]| {
+        for req in requests {
+            now_us += 1;
+            client.send(req, now_us).expect("send");
+            conn.pump(&mut server_end, now_us).expect("pump");
+            black_box(client.poll(now_us).expect("poll"));
+        }
+    };
+    [("point", &point), ("batch16", &batches)]
+        .into_iter()
+        .map(|(mix, requests)| {
+            run(requests); // warm-up: every buffer at its working size
+            let before = ALLOCS.load(Relaxed);
+            run(requests);
+            let allocs = ALLOCS.load(Relaxed) - before;
+            let ms = best_ms(5, || run(requests));
+            WireRoundtripRecord {
+                mix: mix.into(),
+                addresses: bits.len(),
+                requests: requests.len(),
+                ns_per_request: ms * 1e6 / requests.len() as f64,
+                allocs_per_request: allocs as f64 / requests.len() as f64,
+            }
+        })
+        .collect()
 }
 
 /// The streaming operators on the `epoch-churn` partition shape: an

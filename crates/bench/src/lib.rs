@@ -92,12 +92,32 @@ pub struct StreamOpRecord {
     pub ns_per_event: f64,
 }
 
+/// One closed-loop request mix through the front door — `WireClient::send
+/// → ServerConn::pump → WireClient::poll` over an in-memory pipe — as
+/// recorded in `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WireRoundtripRecord {
+    /// Request mix: "point" (membership, unaliased membership, lookup,
+    /// /48 density and new-since, half of the addresses stored) or
+    /// "batch16" (16-address batch lookups).
+    pub mix: String,
+    /// Addresses in the served snapshot.
+    pub addresses: usize,
+    /// Requests per timed round.
+    pub requests: usize,
+    /// Mean nanoseconds per request (best of N rounds).
+    pub ns_per_request: f64,
+    /// Heap allocations and reallocations per request, after warm-up.
+    pub allocs_per_request: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: the `v6par`
 /// kernels production runs, each against its baseline at several input
 /// sizes (so kernel-level regressions are visible separately from
 /// pipeline-level ones), the membership-lookup comparison across the
 /// address-store representations, longest-prefix match over the prefix
-/// index, and the per-event cost of the streaming operators.
+/// index, the per-event cost of the streaming operators, and the cost of
+/// a request through the front door.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the `par_map` timings.
@@ -114,6 +134,9 @@ pub struct KernelsBench {
     /// `v6stream` operators on a half-replace delta of one 8 192-entry
     /// partition (a quarter EUI-64, 64 ASes).
     pub stream_ops: Vec<StreamOpRecord>,
+    /// Time and heap allocations per request through the front door, on
+    /// a 65 536-address snapshot.
+    pub wire_roundtrip: Vec<WireRoundtripRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

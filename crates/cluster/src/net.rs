@@ -218,21 +218,20 @@ impl Transport for Link {
         Ok(())
     }
 
-    fn recv(&mut self, now_us: u64) -> Result<Vec<u8>, TransportError> {
+    fn recv_into(&mut self, now_us: u64, buf: &mut Vec<u8>) -> Result<(), TransportError> {
         let mut core = self.core.lock();
         if core.crashed.contains(&self.from) {
             return Err(TransportError::Closed);
         }
-        let mut out = Vec::new();
         if let Some(lane) = core.lanes.get_mut(&(self.to.clone(), self.from.clone())) {
             // FIFO with head-of-line blocking: a stalled chunk delays
             // everything behind it, preserving byte order like TCP.
             while lane.front().is_some_and(|&(release, _)| release <= now_us) {
                 let (_, chunk) = lane.pop_front().expect("front checked");
-                out.extend_from_slice(&chunk);
+                buf.extend_from_slice(&chunk);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn close(&mut self) {

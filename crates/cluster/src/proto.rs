@@ -36,6 +36,11 @@ const TAG_CATCHUP_RESP: u8 = 0x44;
 const TAG_READ: u8 = 0x45;
 const TAG_READ_RESP: u8 = 0x46;
 
+/// Fewest bytes one `(prev_epoch, delta)` link of a catch-up chain
+/// encodes to: `prev_epoch`, the delta's epoch, week and checksum, and
+/// its five empty list counts.
+const CHAINED_DELTA_MIN_BYTES: usize = 8 + 3 * 8 + 5 * 4;
+
 /// One replication-protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplMsg {
@@ -218,8 +223,8 @@ impl ReplMsg {
                     1 => Some(d.state()?),
                     _ => return None,
                 };
-                let count = d.u32()? as usize;
-                let mut deltas = Vec::with_capacity(count.min(1024));
+                let count = d.counted(CHAINED_DELTA_MIN_BYTES)?;
+                let mut deltas = Vec::with_capacity(count);
                 for _ in 0..count {
                     let prev = d.u64()?;
                     deltas.push((prev, d.delta()?));

@@ -94,6 +94,12 @@ impl Enc {
         Enc(Vec::new())
     }
 
+    /// An encoder that appends to `buf`: a caller that reuses one buffer
+    /// moves it in here and takes it back with [`Enc::into_bytes`].
+    pub fn appending(buf: Vec<u8>) -> Self {
+        Enc(buf)
+    }
+
     /// The encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.0
@@ -376,10 +382,12 @@ impl<'a> Dec<'a> {
         })
     }
 
-    /// Reads a list count and bounds it against the bytes actually
-    /// remaining (`item_size` bytes each), so a corrupt count can never
-    /// drive an over-allocation.
-    fn counted(&mut self, item_size: usize) -> Option<usize> {
+    /// Reads a `u32` list count and bounds it against the bytes actually
+    /// remaining, `item_size` being the fewest bytes one item can encode
+    /// to: a count that cannot fit is refused before the caller sizes a
+    /// buffer from it, so a corrupt count never drives an allocation.
+    /// The one count rule of every decoder built on this module.
+    pub fn counted(&mut self, item_size: usize) -> Option<usize> {
         let n = self.u32()? as usize;
         if n.checked_mul(item_size)? > self.buf.len() - self.pos {
             return None;
@@ -410,12 +418,27 @@ pub fn parse_header(buf: &[u8]) -> Option<u32> {
     Some(kind)
 }
 
-/// Wraps a payload in a frame: length prefix + payload + FNV checksum.
+/// Appends one frame to `buf` with the payload written in place:
+/// reserves the length prefix, lets `write` append the payload, then
+/// patches the length and appends the FNV checksum. Returns the payload
+/// length. `write` must only append.
+pub fn frame_into(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 4]);
+    write(buf);
+    let len = buf.len() - start - 4;
+    let prefix = u32::try_from(len).expect("frame payload beyond the u32 length prefix");
+    buf[start..start + 4].copy_from_slice(&prefix.to_le_bytes());
+    let sum = fnv64(&buf[start + 4..]);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    len
+}
+
+/// Wraps a payload in a frame: length prefix + payload + FNV checksum
+/// ([`frame_into`] a fresh buffer).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(4 + payload.len() + 8);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&fnv64(payload).to_le_bytes());
+    frame_into(&mut out, |b| b.extend_from_slice(payload));
     out
 }
 
@@ -507,6 +530,11 @@ mod tests {
             }
             other => panic!("expected valid frame, got {other:?}"),
         }
+        // In place after bytes already in the buffer: the same frame.
+        let mut buf = b"head".to_vec();
+        assert_eq!(frame_into(&mut buf, |b| b.extend_from_slice(b"hello")), 5);
+        assert_eq!(&buf[..4], b"head");
+        assert_eq!(&buf[4..], &f[..]);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! [`WireClientError`], at which point the caller reconnects (the
 //! chaos bench does exactly that).
 
-use crate::frame::{check_preamble, frame, preamble, FrameDecoder, FrameError, PREAMBLE_LEN};
+use crate::frame::{
+    check_preamble, frame_into, preamble, trim, FrameDecoder, FrameError, PREAMBLE_LEN,
+};
 use crate::proto::{Request, Response};
 use crate::transport::{Transport, TransportError};
 
@@ -53,6 +55,10 @@ pub struct WireClient<T> {
     preamble_buf: Vec<u8>,
     preamble_ok: bool,
     next_id: u64,
+    /// What `poll` receives into, reused across calls.
+    inbuf: Vec<u8>,
+    /// The request frame `send` encodes in place, reused across calls.
+    outbuf: Vec<u8>,
 }
 
 impl<T: Transport> WireClient<T> {
@@ -65,6 +71,8 @@ impl<T: Transport> WireClient<T> {
             preamble_buf: Vec::with_capacity(PREAMBLE_LEN),
             preamble_ok: false,
             next_id: 1,
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
         })
     }
 
@@ -72,19 +80,26 @@ impl<T: Transport> WireClient<T> {
     pub fn send(&mut self, req: &Request, now_us: u64) -> Result<u64, WireClientError> {
         let id = self.next_id;
         self.next_id += 1;
-        self.transport.send(&frame(&req.encode(id)), now_us)?;
+        self.outbuf.clear();
+        frame_into(&mut self.outbuf, |b| req.encode_into(id, b));
+        let sent = self.transport.send(&self.outbuf, now_us);
+        trim(&mut self.outbuf);
+        sent?;
         Ok(id)
     }
 
     /// Drains every `(request_id, response)` pair that has arrived by
-    /// `now_us`.
+    /// `now_us`. The returned `Vec` is the only allocation a poll of
+    /// single-address answers makes.
     pub fn poll(&mut self, now_us: u64) -> Result<Vec<(u64, Response)>, WireClientError> {
-        let mut bytes = self.transport.recv(now_us)?;
+        self.inbuf.clear();
+        self.transport.recv_into(now_us, &mut self.inbuf)?;
+        let mut bytes = &self.inbuf[..];
         if !self.preamble_ok {
             let need = PREAMBLE_LEN - self.preamble_buf.len();
             let take = need.min(bytes.len());
             self.preamble_buf.extend_from_slice(&bytes[..take]);
-            bytes.drain(..take);
+            bytes = &bytes[take..];
             if self.preamble_buf.len() < PREAMBLE_LEN {
                 return Ok(Vec::new());
             }
@@ -93,14 +108,23 @@ impl<T: Transport> WireClient<T> {
             check_preamble(&fixed)?;
             self.preamble_ok = true;
         }
-        if bytes.is_empty() {
-            return Ok(Vec::new());
+        let mut responses = Vec::new();
+        let mut undecodable = None;
+        let fed = self.decoder.feed_each(bytes, |payload| {
+            if undecodable.is_none() {
+                match Response::decode(payload) {
+                    Ok(pair) => responses.push(pair),
+                    Err(e) => undecodable = Some(e),
+                }
+            }
+        });
+        self.inbuf.clear();
+        trim(&mut self.inbuf);
+        fed?;
+        match undecodable {
+            Some(e) => Err(e.into()),
+            None => Ok(responses),
         }
-        let payloads = self.decoder.feed(&bytes)?;
-        payloads
-            .iter()
-            .map(|p| Response::decode(p).map_err(WireClientError::from))
-            .collect()
     }
 
     /// Closes this end of the connection.

@@ -15,8 +15,14 @@
 //!
 //! Batch coalescing: all requests decoded from one `on_bytes` chunk are
 //! answered against a single snapshot clone (one `Arc` bump, one
-//! epoch), so pipelined requests cost one snapshot resolution and can
-//! never straddle a publication mid-chunk.
+//! epoch, taken when the first request gets past admission), so
+//! pipelined requests cost one snapshot resolution and can never
+//! straddle a publication mid-chunk.
+//!
+//! A chunk with a framing violation anywhere in it (oversized length,
+//! bad checksum) is answered not at all: the decoder validates the whole
+//! chunk before handing out its first payload, then the connection
+//! closes.
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -25,7 +31,7 @@ use std::time::Instant;
 use v6serve::{ServeStatus, Snapshot, StreamAnalytics};
 
 use crate::admit::AdmitDecision;
-use crate::frame::{check_preamble, frame, FrameDecoder, FrameError, PREAMBLE_LEN};
+use crate::frame::{check_preamble, frame_into, trim, FrameDecoder, FrameError, PREAMBLE_LEN};
 use crate::proto::{Request, Response, WireLookup, WireMove, MAX_MOVED_ROWS};
 use crate::server::WireServer;
 use crate::transport::{Transport, TransportError};
@@ -34,6 +40,8 @@ use crate::transport::{Transport, TransportError};
 #[derive(Debug, Default)]
 pub struct ConnOutput {
     /// Bytes to write back to the client (response frames, in order).
+    /// Empty in what [`ServerConn::pump`] returns: it has already sent
+    /// them.
     pub bytes: Vec<u8>,
     /// True when the connection must close (protocol violation or
     /// explicit shutdown); `error` says why.
@@ -57,6 +65,11 @@ pub struct ServerConn {
     preamble_buf: Vec<u8>,
     decoder: FrameDecoder,
     handshake_sent: bool,
+    /// What [`ServerConn::pump`] receives into, reused across rounds.
+    inbuf: Vec<u8>,
+    /// The response frames [`ServerConn::pump`] encodes in place,
+    /// reused across rounds.
+    outbuf: Vec<u8>,
 }
 
 impl ServerConn {
@@ -69,6 +82,8 @@ impl ServerConn {
             preamble_buf: Vec::with_capacity(PREAMBLE_LEN),
             decoder: FrameDecoder::new(),
             handshake_sent: false,
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
         }
     }
 
@@ -92,9 +107,20 @@ impl ServerConn {
     /// bytes and the close verdict.
     pub fn on_bytes(&mut self, bytes: &[u8], now_us: u64) -> ConnOutput {
         let mut out = ConnOutput::default();
+        (out.close, out.error) = self.consume(bytes, now_us, &mut out.bytes);
+        out
+    }
+
+    /// [`ServerConn::on_bytes`] appending the response frames to `out`;
+    /// returns the close verdict and the violation behind it.
+    fn consume(
+        &mut self,
+        bytes: &[u8],
+        now_us: u64,
+        out: &mut Vec<u8>,
+    ) -> (bool, Option<FrameError>) {
         if self.phase == ConnPhase::Closed {
-            out.close = true;
-            return out;
+            return (true, None);
         }
         let mut rest = bytes;
         if self.phase == ConnPhase::AwaitPreamble {
@@ -103,35 +129,34 @@ impl ServerConn {
             self.preamble_buf.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
             if self.preamble_buf.len() < PREAMBLE_LEN {
-                return out;
+                return (false, None);
             }
             let fixed: [u8; PREAMBLE_LEN] =
                 self.preamble_buf[..].try_into().expect("length checked");
             if let Err(e) = check_preamble(&fixed) {
-                return self.fail(out, e);
+                return self.fail(e);
             }
             self.phase = ConnPhase::Open;
         }
         if rest.is_empty() {
-            return out;
+            return (false, None);
         }
-        let payloads = match self.decoder.feed(rest) {
-            Ok(p) => p,
-            Err(e) => return self.fail(out, e),
-        };
-        if payloads.is_empty() {
-            return out;
-        }
-        self.server
-            .metrics()
-            .record_frames_in(payloads.len() as u64);
 
-        // One snapshot resolves every request in this chunk: batch
-        // coalescing at the connection boundary.
-        let snap = self.server.engine().store().snapshot();
-        for payload in &payloads {
-            let (id, req) = match Request::decode(payload) {
-                Ok(pair) => pair,
+        // One snapshot answers every request in this chunk — batch
+        // coalescing at the connection boundary — resolved when the
+        // first request needs it.
+        let (server, client_id) = (&*self.server, self.client_id);
+        let mut snap: Option<Arc<Snapshot>> = None;
+        let mut undecodable = None;
+        let decoded = self.decoder.feed_each(rest, |payload| {
+            if undecodable.is_some() {
+                return;
+            }
+            match Request::decode(payload) {
+                Ok((id, req)) => {
+                    let resp = answer(server, client_id, &mut snap, req, now_us);
+                    frame_into(out, |b| resp.encode_into(id, b));
+                }
                 Err(e) => {
                     // The frame was intact (checksum passed) but the
                     // payload is not a request we speak: tell the
@@ -139,61 +164,29 @@ impl ServerConn {
                     let resp = Response::Error {
                         message: e.to_string(),
                     };
-                    out.bytes.extend_from_slice(&frame(&resp.encode(0)));
-                    self.server.metrics().record_frame_out();
-                    return self.fail(out, e);
+                    frame_into(out, |b| resp.encode_into(0, b));
+                    undecodable = Some(e);
                 }
-            };
-            let resp = self.answer(&snap, req, now_us);
-            out.bytes.extend_from_slice(&frame(&resp.encode(id)));
-            self.server.metrics().record_frame_out();
-        }
-        out
-    }
-
-    /// Admission + dispatch for one decoded request.
-    fn answer(&self, snap: &Snapshot, req: Request, now_us: u64) -> Response {
-        // Pings are liveness probes: answered before admission so a
-        // throttled client can still see the server is up.
-        if req == Request::Ping {
-            return Response::Pong;
-        }
-        let metrics = self.server.metrics();
-        let decision = self.server.admit(self.client_id, now_us);
-        let class = match decision {
-            AdmitDecision::Admit => {
-                metrics.record_admitted();
-                self.server
-                    .client_class(self.client_id)
-                    .unwrap_or(crate::admit::ClientClass::New)
             }
-            AdmitDecision::Throttle {
-                retry_after_ms,
-                class,
-            } => {
-                metrics.record_throttled(class);
-                return Response::Throttled {
-                    retry_after_ms,
-                    class,
-                };
-            }
-            AdmitDecision::Shed { reason } => {
-                metrics.record_shed(reason);
-                return Response::Shed { reason };
-            }
+            server.metrics().record_frame_out();
+        });
+        let frames = match decoded {
+            Ok(n) => n,
+            Err(e) => return self.fail(e),
         };
-        let started = Instant::now();
-        let resp = serve_request_with(snap, self.server.engine().analytics().map(|a| &**a), req);
-        metrics.record_latency(class, started.elapsed());
-        resp
+        if frames > 0 {
+            self.server.metrics().record_frames_in(frames as u64);
+        }
+        match undecodable {
+            Some(e) => self.fail(e),
+            None => (false, None),
+        }
     }
 
-    fn fail(&mut self, mut out: ConnOutput, error: FrameError) -> ConnOutput {
+    fn fail(&mut self, error: FrameError) -> (bool, Option<FrameError>) {
         self.server.metrics().record_protocol_error();
         self.close_internal();
-        out.close = true;
-        out.error = Some(error);
-        out
+        (true, Some(error))
     }
 
     fn close_internal(&mut self) {
@@ -210,8 +203,15 @@ impl ServerConn {
 
     /// Moves bytes through `transport`: sends the server preamble on
     /// the first call, receives whatever the client sent by `now_us`,
-    /// processes it, and sends the responses back. Returns the close
-    /// verdict of this round.
+    /// processes it as [`ServerConn::on_bytes`] does, and sends the
+    /// responses back.
+    ///
+    /// The connection receives into and encodes into two buffers it
+    /// owns and reuses, so a steady round allocates nothing here. The
+    /// returned [`ConnOutput`] carries the close verdict of this round
+    /// with `bytes` empty — they went to the transport. A buffer one
+    /// burst grew past [`FrameDecoder::MAX_BUFFERED`] is shrunk back
+    /// before this returns.
     pub fn pump<T: Transport>(
         &mut self,
         transport: &mut T,
@@ -221,21 +221,35 @@ impl ServerConn {
             transport.send(&self.handshake_bytes(), now_us)?;
             self.handshake_sent = true;
         }
-        let inbound = match transport.recv(now_us) {
-            Ok(b) => b,
-            Err(TransportError::Closed) => {
-                self.close_internal();
-                return Err(TransportError::Closed);
-            }
-        };
-        let out = self.on_bytes(&inbound, now_us);
-        if !out.bytes.is_empty() {
-            transport.send(&out.bytes, now_us)?;
+        // Both buffers are empty between rounds; taken out of `self` so
+        // that `consume` can borrow the connection beside them.
+        let mut inbound = std::mem::take(&mut self.inbuf);
+        if let Err(e) = transport.recv_into(now_us, &mut inbound) {
+            self.inbuf = inbound;
+            self.close_internal();
+            return Err(e);
         }
-        if out.close {
+        let mut reply = std::mem::take(&mut self.outbuf);
+        let (close, error) = self.consume(&inbound, now_us, &mut reply);
+        let sent = if reply.is_empty() {
+            Ok(())
+        } else {
+            transport.send(&reply, now_us)
+        };
+        for buf in [&mut inbound, &mut reply] {
+            buf.clear();
+            trim(buf);
+        }
+        (self.inbuf, self.outbuf) = (inbound, reply);
+        sent?;
+        if close {
             transport.close();
         }
-        Ok(out)
+        Ok(ConnOutput {
+            bytes: Vec::new(),
+            close,
+            error,
+        })
     }
 }
 
@@ -243,6 +257,52 @@ impl Drop for ServerConn {
     fn drop(&mut self) {
         self.close_internal();
     }
+}
+
+/// Admission + dispatch for one decoded request from `client_id`;
+/// `snap` is the chunk's snapshot, resolved by the first request that
+/// gets past admission.
+fn answer(
+    server: &WireServer,
+    client_id: u64,
+    snap: &mut Option<Arc<Snapshot>>,
+    req: Request,
+    now_us: u64,
+) -> Response {
+    // Pings are liveness probes: answered before admission so a
+    // throttled client can still see the server is up.
+    if req == Request::Ping {
+        return Response::Pong;
+    }
+    let metrics = server.metrics();
+    let class = match server.admit_classified(client_id, now_us) {
+        (AdmitDecision::Admit, class) => {
+            metrics.record_admitted();
+            class
+        }
+        (
+            AdmitDecision::Throttle {
+                retry_after_ms,
+                class,
+            },
+            _,
+        ) => {
+            metrics.record_throttled(class);
+            return Response::Throttled {
+                retry_after_ms,
+                class,
+            };
+        }
+        (AdmitDecision::Shed { reason }, _) => {
+            metrics.record_shed(reason);
+            return Response::Shed { reason };
+        }
+    };
+    let snap = snap.get_or_insert_with(|| server.engine().store().snapshot());
+    let started = Instant::now();
+    let resp = serve_request_with(snap, server.engine().analytics().map(|a| &**a), req);
+    metrics.record_latency(class, started.elapsed());
+    resp
 }
 
 /// Answers one admitted request from `snap`. Pure — no admission, no
@@ -367,5 +427,55 @@ fn lookup_in(snap: &Snapshot, addr: u128) -> WireLookup {
         first_week,
         alias: snap.longest_alias(a),
         degraded: snap.shard_missing(a),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{duplex, AdmissionConfig, WireClient, MAX_BATCH_ADDRS};
+    use v6addr::Prefix;
+    use v6serve::{HitlistStore, QueryEngine, SnapshotBuilder};
+
+    #[test]
+    fn buffers_a_burst_grew_are_shrunk_back_by_the_pump() {
+        let store = Arc::new(HitlistStore::new("burst", 4));
+        let mut b = SnapshotBuilder::new("burst", 4);
+        b.add_bits(1, 0);
+        b.add_alias(Prefix::from_bits(0, 16), 0);
+        store.publish(b.build()).expect("publish");
+        let server = WireServer::new(QueryEngine::new(store), AdmissionConfig::default(), 0);
+        let mut conn = server.open_connection(1);
+        let (client_end, mut server_end) = duplex();
+        let mut client = WireClient::connect(client_end, 0).expect("connect");
+        let bounded = |conn: &ServerConn| {
+            for (name, buf) in [("in", &conn.inbuf), ("out", &conn.outbuf)] {
+                assert!(
+                    buf.capacity() <= FrameDecoder::MAX_BUFFERED,
+                    "{name}-buffer keeps {} bytes",
+                    buf.capacity()
+                );
+            }
+        };
+
+        // Two maximal batches in one round: ~1.3 MB of requests in and,
+        // every address under an alias, ~1.7 MB of answers out.
+        let big = Request::Batch {
+            addrs: (0..MAX_BATCH_ADDRS as u128).collect(),
+        };
+        client.send(&big, 0).expect("send");
+        client.send(&big, 0).expect("send");
+        conn.pump(&mut server_end, 0).expect("pump");
+        let answers = client.poll(0).expect("poll");
+        assert_eq!(answers.len(), 2);
+        assert!(
+            matches!(&answers[0].1, Response::Batch { aliased, .. } if *aliased == MAX_BATCH_ADDRS as u64)
+        );
+        bounded(&conn);
+
+        client.send(&Request::Ping, 1).expect("send");
+        conn.pump(&mut server_end, 1).expect("pump");
+        assert_eq!(client.poll(1).expect("poll").len(), 1);
+        bounded(&conn);
     }
 }

@@ -11,8 +11,9 @@
 //! payload  := tag(u8) request_id(u64 LE) body
 //! ```
 //!
-//! The frame *is* the `v6store` on-disk frame — [`try_frame`] checks the
-//! wire's smaller cap and then calls [`v6store::format::frame`] — and
+//! The frame *is* the `v6store` on-disk frame — [`frame_into`] and
+//! [`try_frame`] check the wire's smaller cap around
+//! [`v6store::format::frame_into`] / [`v6store::format::frame`] — and
 //! the payload bodies are written with the same
 //! [`v6store::format::Enc`] and [`v6store::format::Dec`] primitives:
 //! one codec for disk, wire, and the node-to-node replication stream
@@ -37,6 +38,9 @@
 //!   to the frames it completes and waits for the rest; only structural
 //!   violations (bad magic, oversized prefix, checksum mismatch)
 //!   produce errors.
+//! * **A bad chunk yields nothing.** A chunk is validated whole before
+//!   any of its payloads is handed out ([`FrameDecoder::feed_each`]), so
+//!   the valid frames ahead of a violation are never answered.
 
 use v6store::format::fnv64;
 
@@ -117,14 +121,28 @@ pub fn check_preamble(bytes: &[u8; PREAMBLE_LEN]) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// Wraps a payload in a wire frame: length prefix + payload + FNV-1a 64
-/// checksum.
+/// Appends one wire frame to `buf`, the payload written in place by
+/// `write` ([`v6store::format::frame_into`] under the wire's cap): how
+/// connections encode into the buffers they reuse.
 ///
 /// # Panics
 /// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`] — for encoders
 /// that build payloads from typed requests, which are capped long
 /// before this. A payload whose size follows from data (a replicated
 /// delta, a full-state bootstrap) goes through [`try_frame`].
+pub fn frame_into(buf: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let len = v6store::format::frame_into(buf, write);
+    assert!(
+        len <= MAX_FRAME_PAYLOAD as usize,
+        "encoder produced a {len}-byte payload (cap {MAX_FRAME_PAYLOAD})"
+    );
+}
+
+/// Wraps a payload in a wire frame: length prefix + payload + FNV-1a 64
+/// checksum, in a fresh buffer.
+///
+/// # Panics
+/// As [`frame_into`], on a payload above [`MAX_FRAME_PAYLOAD`].
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     try_frame(payload).unwrap_or_else(|_| {
         panic!(
@@ -144,6 +162,42 @@ pub fn try_frame(payload: &[u8]) -> Result<Vec<u8>, FrameError> {
         });
     }
     Ok(v6store::format::frame(payload))
+}
+
+/// Gives back the memory of a reused buffer that one burst grew past
+/// [`FrameDecoder::MAX_BUFFERED`], keeping its contents, so a connection
+/// does not pin the largest burst it ever saw.
+pub(crate) fn trim(buf: &mut Vec<u8>) {
+    if buf.capacity() > FrameDecoder::MAX_BUFFERED {
+        buf.shrink_to_fit();
+    }
+}
+
+/// Validates every complete frame at the front of `bytes` — length cap
+/// and checksum — and returns where the last one ends; what follows is
+/// a partial frame.
+fn complete_frames(bytes: &[u8]) -> Result<usize, FrameError> {
+    let mut pos = 0usize;
+    loop {
+        let rest = &bytes[pos..];
+        if rest.len() < 4 {
+            return Ok(pos);
+        }
+        let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes checked"));
+        if len > MAX_FRAME_PAYLOAD {
+            return Err(FrameError::Oversized { declared: len });
+        }
+        let total = len as usize + FRAME_OVERHEAD;
+        if rest.len() < total {
+            return Ok(pos);
+        }
+        let payload = &rest[4..4 + len as usize];
+        let sum = u64::from_le_bytes(rest[4 + len as usize..total].try_into().expect("8 bytes"));
+        if fnv64(payload) != sum {
+            return Err(FrameError::BadChecksum);
+        }
+        pos += total;
+    }
 }
 
 /// Incremental frame decoder over an untrusted byte stream.
@@ -179,51 +233,64 @@ impl FrameDecoder {
         self.poisoned
     }
 
-    /// Consumes a chunk, returning every complete payload it yields.
-    ///
-    /// Frames are validated front to back: an oversized length prefix
-    /// or checksum mismatch fails the whole feed (the stream cannot be
-    /// resynchronized past it), but the payloads decoded *before* the
-    /// violation were already valid and are lost with the connection —
-    /// callers respond to the error by closing, so nothing is silently
-    /// dropped mid-session.
+    /// Consumes a chunk, returning every complete payload it yields
+    /// ([`FrameDecoder::feed_each`], each payload copied out).
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<Vec<u8>>, FrameError> {
+        let mut out = Vec::new();
+        self.feed_each(chunk, |p| out.push(p.to_vec()))?;
+        Ok(out)
+    }
+
+    /// Consumes a chunk, handing every complete payload it yields to
+    /// `each` in stream order, borrowed: straight from `chunk` when no
+    /// partial frame was pending, from the decoder's buffer otherwise.
+    /// Only the partial tail is copied, and kept. Returns how many
+    /// payloads were handed out.
+    ///
+    /// The whole chunk is validated — every complete frame's length and
+    /// checksum — before the first payload is handed out, so a
+    /// violation anywhere in the chunk delivers nothing from it: an
+    /// oversized length prefix or checksum mismatch fails the feed (the
+    /// stream cannot be resynchronized past it) and callers respond by
+    /// closing the connection, so nothing is answered from a chunk that
+    /// also carried garbage.
+    pub fn feed_each(
+        &mut self,
+        chunk: &[u8],
+        mut each: impl FnMut(&[u8]),
+    ) -> Result<usize, FrameError> {
         if self.poisoned {
             return Err(FrameError::Malformed("decoder poisoned by earlier error"));
         }
-        self.buf.extend_from_slice(chunk);
-        let mut out = Vec::new();
-        let mut pos = 0usize;
-        let err = loop {
-            let rest = &self.buf[pos..];
-            if rest.len() < 4 {
-                break None;
-            }
-            let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes checked"));
-            if len > MAX_FRAME_PAYLOAD {
-                break Some(FrameError::Oversized { declared: len });
-            }
-            let total = 4 + len as usize + 8;
-            if rest.len() < total {
-                break None;
-            }
-            let payload = &rest[4..4 + len as usize];
-            let sum =
-                u64::from_le_bytes(rest[4 + len as usize..total].try_into().expect("8 bytes"));
-            if fnv64(payload) != sum {
-                break Some(FrameError::BadChecksum);
-            }
-            out.push(payload.to_vec());
-            pos += total;
-        };
-        self.buf.drain(..pos);
-        if let Some(e) = err {
-            self.poisoned = true;
-            self.buf.clear();
-            return Err(e);
+        let direct = self.buf.is_empty();
+        if !direct {
+            self.buf.extend_from_slice(chunk);
         }
+        let bytes = if direct { chunk } else { &self.buf[..] };
+        let end = match complete_frames(bytes) {
+            Ok(end) => end,
+            Err(e) => {
+                self.poisoned = true;
+                self.buf = Vec::new();
+                return Err(e);
+            }
+        };
+        let (mut pos, mut delivered) = (0usize, 0usize);
+        while pos < end {
+            let len =
+                u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("validated")) as usize;
+            each(&bytes[pos + 4..pos + 4 + len]);
+            pos += len + FRAME_OVERHEAD;
+            delivered += 1;
+        }
+        if direct {
+            self.buf.extend_from_slice(&chunk[end..]);
+        } else {
+            self.buf.drain(..end);
+        }
+        trim(&mut self.buf);
         debug_assert!(self.buf.len() <= Self::MAX_BUFFERED);
-        Ok(out)
+        Ok(delivered)
     }
 }
 
@@ -303,6 +370,21 @@ mod tests {
         rotten[7] ^= 0x20;
         let mut dec = FrameDecoder::new();
         assert_eq!(dec.feed(&rotten), Err(FrameError::BadChecksum));
+    }
+
+    #[test]
+    fn a_violation_anywhere_in_a_chunk_delivers_nothing_from_it() {
+        let mut chunk = frame(b"valid");
+        let mut rotten = frame(b"bad");
+        rotten[5] ^= 1;
+        chunk.extend_from_slice(&rotten);
+        let mut seen = 0;
+        let mut dec = FrameDecoder::new();
+        assert_eq!(
+            dec.feed_each(&chunk, |_| seen += 1),
+            Err(FrameError::BadChecksum)
+        );
+        assert_eq!(seen, 0);
     }
 
     #[test]

@@ -58,6 +58,13 @@ const RESP_ENTROPY_SHIFT: u8 = 0x8b;
 /// [`crate::frame::MAX_FRAME_PAYLOAD`] with header headroom.
 pub const MAX_MOVED_ROWS: usize = 30_000;
 
+/// Fewest bytes one [`WireLookup`] encodes to (four flag bytes): the
+/// item size a batch answer count is checked against.
+const LOOKUP_MIN_BYTES: usize = 4;
+
+/// Bytes one [`WireMove`] row encodes to.
+const MOVE_ROW_BYTES: usize = 28;
+
 /// A client request. Addresses travel as raw `u128` bits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -335,13 +342,25 @@ fn dec_lookup(d: &mut Dec<'_>) -> Option<WireLookup> {
 
 impl Request {
     /// Encodes this request as a wire payload (tag + id + body), ready
-    /// for [`crate::frame::frame`].
+    /// for [`crate::frame::frame`] ([`Request::encode_into`] a fresh
+    /// buffer).
     ///
     /// # Panics
     /// Panics if a batch exceeds [`MAX_BATCH_ADDRS`] — callers split
     /// larger batches.
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut out = Vec::new();
+        self.encode_into(request_id, &mut out);
+        out
+    }
+
+    /// Appends this request's wire payload to `buf` — inside
+    /// [`crate::frame::frame_into`], the frame is written in place.
+    ///
+    /// # Panics
+    /// As [`Request::encode`].
+    pub fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        let mut e = Enc::appending(std::mem::take(buf));
         match self {
             Request::Ping => {
                 e.u8(REQ_PING);
@@ -401,7 +420,7 @@ impl Request {
                 e.u32(*w1);
             }
         }
-        e.into_bytes()
+        *buf = e.into_bytes();
     }
 
     /// Decodes a wire payload into `(request_id, request)`.
@@ -469,9 +488,18 @@ impl Request {
 
 impl Response {
     /// Encodes this response as a wire payload (tag + id + body), ready
-    /// for [`crate::frame::frame`].
+    /// for [`crate::frame::frame`] ([`Response::encode_into`] a fresh
+    /// buffer).
     pub fn encode(&self, request_id: u64) -> Vec<u8> {
-        let mut e = Enc::new();
+        let mut out = Vec::new();
+        self.encode_into(request_id, &mut out);
+        out
+    }
+
+    /// Appends this response's wire payload to `buf` — inside
+    /// [`crate::frame::frame_into`], the frame is written in place.
+    pub fn encode_into(&self, request_id: u64, buf: &mut Vec<u8>) {
+        let mut e = Enc::appending(std::mem::take(buf));
         match self {
             Response::Pong => {
                 e.u8(RESP_PONG);
@@ -575,7 +603,7 @@ impl Response {
                 enc_opt_week(&mut e, *shift);
             }
         }
-        e.into_bytes()
+        *buf = e.into_bytes();
     }
 
     /// Decodes a wire payload into `(request_id, response)`.
@@ -609,13 +637,12 @@ impl Response {
                     .u32_list()
                     .ok_or(FrameError::Malformed("truncated shard list"))?;
                 let n = d
-                    .u32()
-                    .ok_or(FrameError::Malformed("truncated answer count"))?
-                    as usize;
+                    .counted(LOOKUP_MIN_BYTES)
+                    .ok_or(FrameError::Malformed("batch answer count exceeds payload"))?;
                 if n > MAX_BATCH_ADDRS {
                     return Err(FrameError::Malformed("batch answers exceed cap"));
                 }
-                let mut answers = Vec::with_capacity(n.min(4096));
+                let mut answers = Vec::with_capacity(n);
                 for _ in 0..n {
                     answers.push(
                         dec_lookup(&mut d)
@@ -669,13 +696,12 @@ impl Response {
                     _ => return Err(FrameError::Malformed("lagging flag out of range")),
                 };
                 let n = d
-                    .u32()
-                    .ok_or(FrameError::Malformed("truncated move count"))?
-                    as usize;
+                    .counted(MOVE_ROW_BYTES)
+                    .ok_or(FrameError::Malformed("move count exceeds payload"))?;
                 if n > MAX_MOVED_ROWS {
                     return Err(FrameError::Malformed("moves exceed row cap"));
                 }
-                let mut moves = Vec::with_capacity(n.min(4096));
+                let mut moves = Vec::with_capacity(n);
                 for _ in 0..n {
                     moves.push(WireMove {
                         mac: d.u64().ok_or(FrameError::Malformed("truncated move"))?,

@@ -53,6 +53,21 @@ impl WireServer {
         self.admission.lock().admit(client_id, now_us)
     }
 
+    /// One admission decision and the class the client holds after it,
+    /// under one lock: what a connection needs per request.
+    pub(crate) fn admit_classified(
+        &self,
+        client_id: u64,
+        now_us: u64,
+    ) -> (AdmitDecision, ClientClass) {
+        let mut admission = self.admission.lock();
+        let decision = admission.admit(client_id, now_us);
+        let class = admission
+            .client_info(client_id)
+            .map_or(ClientClass::New, |i| i.class);
+        (decision, class)
+    }
+
     /// The behavioral class currently assigned to a client.
     pub fn client_class(&self, client_id: u64) -> Option<ClientClass> {
         self.admission

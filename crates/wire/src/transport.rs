@@ -21,7 +21,6 @@
 //! with their own fault semantics at `cluster.<node>.<seq>` sites
 //! (there, `Panic` kills the sending node rather than flipping a bit).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -48,15 +47,30 @@ impl std::error::Error for TransportError {}
 ///
 /// `now_us` is the caller's simulated clock; pipes ignore it, the chaos
 /// wrapper uses it to release stalled chunks. Chunk boundaries are NOT
-/// preserved end-to-end: `recv` may coalesce several sends, exactly
+/// preserved end-to-end: a receive may coalesce several sends, exactly
 /// like a TCP stream — which is why the frame decoder is incremental.
+///
+/// Receiving is [`Transport::recv_into`], which appends to a buffer the
+/// caller owns and reuses, so a steady connection receives without
+/// allocating; [`Transport::recv`] is it over a fresh `Vec`.
 pub trait Transport {
-    /// Queues `bytes` toward the peer.
+    /// Queues `bytes` toward the peer. The transport copies what it
+    /// keeps: `bytes` is the caller's to reuse once this returns.
     fn send(&mut self, bytes: &[u8], now_us: u64) -> Result<(), TransportError>;
+
+    /// Appends every byte that has arrived from the peer by `now_us` to
+    /// `buf` (nothing when nothing is pending). An implementation may
+    /// swap its own buffer with an empty `buf` instead of copying, so
+    /// the capacity `buf` comes back with is not necessarily its own.
+    fn recv_into(&mut self, now_us: u64, buf: &mut Vec<u8>) -> Result<(), TransportError>;
 
     /// Takes every byte that has arrived from the peer by `now_us`
     /// (empty when nothing is pending).
-    fn recv(&mut self, now_us: u64) -> Result<Vec<u8>, TransportError>;
+    fn recv(&mut self, now_us: u64) -> Result<Vec<u8>, TransportError> {
+        let mut out = Vec::new();
+        self.recv_into(now_us, &mut out)?;
+        Ok(out)
+    }
 
     /// Closes this end; the peer sees [`TransportError::Closed`] once
     /// it drains what was already sent.
@@ -65,7 +79,8 @@ pub trait Transport {
 
 #[derive(Debug, Default)]
 struct PipeLane {
-    chunks: VecDeque<Vec<u8>>,
+    /// Bytes sent and not yet received, in order.
+    bytes: Vec<u8>,
     closed: bool,
 }
 
@@ -99,24 +114,28 @@ impl Transport for PipeTransport {
         if lane.closed {
             return Err(TransportError::Closed);
         }
-        lane.chunks.push_back(bytes.to_vec());
+        lane.bytes.extend_from_slice(bytes);
         Ok(())
     }
 
-    fn recv(&mut self, _now_us: u64) -> Result<Vec<u8>, TransportError> {
+    fn recv_into(&mut self, _now_us: u64, buf: &mut Vec<u8>) -> Result<(), TransportError> {
         let mut lane = self.incoming.lock();
-        if lane.chunks.is_empty() {
+        if lane.bytes.is_empty() {
             return if lane.closed {
                 Err(TransportError::Closed)
             } else {
-                Ok(Vec::new())
+                Ok(())
             };
         }
-        let mut out = Vec::new();
-        while let Some(chunk) = lane.chunks.pop_front() {
-            out.extend_from_slice(&chunk);
+        if buf.is_empty() {
+            // The lane takes the caller's spent buffer in exchange: two
+            // buffers circulate and neither side copies or allocates.
+            std::mem::swap(buf, &mut lane.bytes);
+        } else {
+            buf.extend_from_slice(&lane.bytes);
+            lane.bytes.clear();
         }
-        Ok(out)
+        Ok(())
     }
 
     fn close(&mut self) {
@@ -205,9 +224,9 @@ impl<T: Transport, C: Chaos> Transport for ChaosTransport<T, C> {
         }
     }
 
-    fn recv(&mut self, now_us: u64) -> Result<Vec<u8>, TransportError> {
+    fn recv_into(&mut self, now_us: u64, buf: &mut Vec<u8>) -> Result<(), TransportError> {
         self.release_due(now_us)?;
-        self.inner.recv(now_us)
+        self.inner.recv_into(now_us, buf)
     }
 
     fn close(&mut self) {
@@ -230,6 +249,21 @@ mod tests {
         assert_eq!(b.recv(0).unwrap(), Vec::<u8>::new());
         b.send(b"back", 0).unwrap();
         assert_eq!(a.recv(0).unwrap(), b"back".to_vec());
+    }
+
+    #[test]
+    fn recv_into_appends_to_what_the_buffer_holds() {
+        let (mut a, mut b) = duplex();
+        a.send(b"one", 0).unwrap();
+        let mut buf = b"kept:".to_vec();
+        b.recv_into(0, &mut buf).unwrap();
+        assert_eq!(buf, b"kept:one".to_vec());
+        a.send(b"two", 0).unwrap();
+        buf.clear();
+        b.recv_into(0, &mut buf).unwrap();
+        assert_eq!(buf, b"two".to_vec());
+        b.recv_into(0, &mut buf).unwrap();
+        assert_eq!(buf, b"two".to_vec(), "nothing pending appends nothing");
     }
 
     #[test]
