@@ -89,6 +89,9 @@ echo "== observability smoke (trace tree + metrics exposition) =="
 V6HL_SCALE=tiny V6_THREADS=2 V6_TRACE=1 \
   cargo run --release -q -p v6bench --bin obs
 
+echo "== serving walkthrough example runs end to end =="
+cargo run --release -q --example serve_hitlist >/dev/null
+
 echo "== the gate left the working tree as it found it =="
 [ "$tree_before" = "$(tree_state)" ] || { git status --porcelain; exit 1; }
 

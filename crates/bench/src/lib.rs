@@ -46,7 +46,7 @@ pub struct KernelRecord {
 /// recorded in `BENCH_kernels.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MembershipRecord {
-    /// Structure probed ("sorted_vec", "compressed_run", "bloom_compressed").
+    /// Structure probed ("sorted_vec", "compressed_run", "bloom_fronted").
     pub structure: String,
     /// Addresses the structure holds.
     pub addresses: usize,

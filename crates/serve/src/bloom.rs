@@ -1,5 +1,5 @@
 //! Blocked bloom filter: the optional approximate-membership front for
-//! the hot `serve.query.membership` path.
+//! the hot membership probe ([`crate::snapshot::Snapshot::membership`]).
 //!
 //! Layout: one 512-bit block (a cache line) per 32 keys, so every probe
 //! touches exactly one cache line. Each key sets `PROBES` bits inside

@@ -12,13 +12,16 @@
 //!   plus a per-shard `PrefixMap` of aliased prefixes, partitioned by /48
 //!   so density aggregates stay shard-local.
 //! - [`bloom`] — the optional blocked bloom filter fronting membership
-//!   probes (the `V6_BLOOM` toggle); traffic lands in `serve.bloom.*`.
+//!   probes (the `V6_BLOOM` toggle).
 //! - [`store`] — epoch-swapped publication: readers clone an `Arc` to the
 //!   current [`snapshot::Snapshot`]; publishing swaps the `Arc` under a
 //!   briefly held write lock, so reads never block on ingestion.
 //! - [`ingest`] — bounded-channel worker pipeline turning campaign and
 //!   passive-corpus publications into snapshots off the serving threads.
-//! - [`query`] — the typed query API served from any snapshot.
+//! - [`query`] — [`QueryEngine`], the `(store, analytics)` handle a
+//!   server answers through; the answers themselves are the front
+//!   door's (`v6wire::serve_request_with`), read straight off a
+//!   [`Snapshot`].
 //! - [`stream`] — the bridge to [`v6stream`]: a [`StreamAnalytics`]
 //!   handle kept current from publishes or a tailed epoch log, powering
 //!   the windowed `moved_between`/`entropy_shift` queries.
@@ -26,11 +29,11 @@
 //!   write-ahead epoch log: `HitlistStore::persistent` fsyncs each
 //!   epoch before the swap and `HitlistStore::recover` rebuilds the
 //!   store from disk after a crash.
-//! - [`metrics`] — a per-store [`v6obs::Registry`] facade: `serve.*`
-//!   counters plus per-query-type and ingest latency histograms (and,
-//!   for persistent stores, the `store.*` log/recovery metrics).
-//! - [`loadgen`] — deterministic load harness replaying seeded query
-//!   mixes across client threads, with latency percentiles.
+//! - [`metrics`] — a per-store [`v6obs::Registry`] facade: publish and
+//!   ingest counters, ingest latency histograms and store-size gauges
+//!   (and, for persistent stores, the `store.*` log/recovery metrics).
+//!   Per-request counters and latencies are the front door's
+//!   (`wire.*`).
 //!
 //! # Observability
 //!
@@ -46,7 +49,6 @@
 
 pub mod bloom;
 pub mod ingest;
-pub mod loadgen;
 pub mod metrics;
 pub mod persist;
 pub mod query;
@@ -58,9 +60,8 @@ pub use bloom::BlockedBloom;
 pub use ingest::{
     IngestError, IngestHandle, IngestReport, IngestStats, Ingestor, PublicationUpdate,
 };
-pub use loadgen::{sample_present, GenRequest, LoadReport, LoadSpec, QueryMix, RequestStream};
 pub use metrics::ServeMetrics;
-pub use query::{BatchAnswer, LookupAnswer, MovedAnswer, QueryEngine};
+pub use query::QueryEngine;
 pub use snapshot::{CompressedRun, Membership, ServeStatus, Shard, Snapshot, SnapshotBuilder};
 pub use store::{HitlistStore, PublishError, PublishReceipt};
 pub use stream::{analytics_for, StreamAnalytics};

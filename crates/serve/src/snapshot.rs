@@ -268,17 +268,17 @@ impl Iterator for RunIter<'_> {
     }
 }
 
-/// What a bloom-fronted membership probe observed — enough for the
-/// query layer to answer *and* account `serve.bloom.*` traffic without
-/// re-deriving anything.
+/// What a bloom-fronted membership probe observed: the answer, and
+/// whether the approximate front filtered it, passed it through, or was
+/// not built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Membership {
     /// The bloom front answered "definitely absent"; the exact tier was
-    /// never consulted (`serve.bloom.hit`).
+    /// never consulted.
     BloomFiltered,
     /// The exact tier confirmed the address, at the given global rank in
     /// its shard. `bloom_checked` is true when a bloom front passed the
-    /// probe through first (`serve.bloom.miss`).
+    /// probe through first.
     Present {
         /// Global rank inside the shard's run (indexes `first_week`).
         rank: usize,
@@ -287,7 +287,7 @@ pub enum Membership {
     },
     /// The exact tier did not find the address. `bloom_checked` true
     /// means the bloom front let an absent address through — a false
-    /// positive (`serve.bloom.false_positive`).
+    /// positive.
     Absent {
         /// True when a bloom front was consulted before the exact tier.
         bloom_checked: bool,
@@ -605,6 +605,10 @@ pub struct Snapshot {
     pub(crate) checksum: u64,
     /// Sorted indices of shards serving stale (pre-quarantine) content.
     pub(crate) missing_shards: Vec<u32>,
+    /// Whether shards get a bloom front: decided once when the snapshot
+    /// is built and kept by every epoch derived from it, so a rebuilt
+    /// shard gains or loses one only with a new build.
+    bloom: bool,
 }
 
 /// Order-independent content checksum over `(bits, week)` pairs.
@@ -657,6 +661,7 @@ impl Snapshot {
             total: 0,
             checksum: 0,
             missing_shards: Vec::new(),
+            bloom: bloom_default(),
         }
     }
 
@@ -700,6 +705,7 @@ impl Snapshot {
             checksum: shards.iter().fold(0, |acc, s| acc.wrapping_add(s.checksum)),
             shards: shards.into_iter().map(Arc::new).collect(),
             missing_shards: Vec::new(),
+            bloom,
         };
         snap.week = snap.latest_first_week();
         snap
@@ -765,7 +771,6 @@ impl Snapshot {
     /// shard's.
     pub(crate) fn with_changes(&self, changes: &[ShardChange]) -> Snapshot {
         assert_eq!(changes.len(), self.shards.len());
-        let bloom = bloom_default();
         let mut next = self.clone();
         for (i, (prev, change)) in self.shards.iter().zip(changes).enumerate() {
             let content_touched = !change.removed.is_empty() || !change.upserts.is_empty();
@@ -773,7 +778,7 @@ impl Snapshot {
                 continue;
             }
             let mut shard = if content_touched {
-                prev.merged(i, &change.removed, &change.upserts, bloom)
+                prev.merged(i, &change.removed, &change.upserts, self.bloom)
             } else {
                 Shard::clone(prev)
             };
@@ -978,9 +983,9 @@ impl Snapshot {
 
     /// Recomputes every structural invariant and the content checksum.
     ///
-    /// The store calls this before publishing; the load harness calls it
-    /// on snapshots observed mid-run to prove concurrent publication
-    /// never exposed a torn view.
+    /// The store calls this before publishing; the end-to-end serving
+    /// test calls it on the snapshot left after a publish under load to
+    /// prove concurrent publication never exposed a torn view.
     pub fn verify_integrity(&self) -> bool {
         self.verify(None)
     }
@@ -1382,6 +1387,36 @@ mod tests {
         let mut forged = delta;
         forged.content_checksum ^= 1;
         assert!(s.apply_delta(&forged).is_none());
+    }
+
+    #[test]
+    fn bloom_decision_survives_apply_delta() {
+        for bloom in [true, false] {
+            let mut b = SnapshotBuilder::new("test", 4).with_bloom(bloom);
+            for i in 0..64u32 {
+                b.add_address(addr(&format!("2001:db8:{:x}::{:x}", i % 4, i)), 0);
+            }
+            let s = b.build();
+            let new = u128::from(addr("2001:db8:1::beef"));
+            let delta = DeltaRecord {
+                epoch: 1,
+                week: 1,
+                content_checksum: fold_addr(s.content_checksum(), new, 1),
+                missing_shards: vec![],
+                removed: vec![],
+                added: vec![(new, 1)],
+                removed_aliases: vec![],
+                added_aliases: vec![],
+            };
+            let next = s.apply_delta(&delta).expect("checksum carried forward");
+            let touched = shard48(new, s.shard_bits);
+            assert!(!Arc::ptr_eq(&s.shards[touched], &next.shards[touched]));
+            for shard in next.shards() {
+                assert_eq!(shard.bloom.is_some(), bloom, "with_bloom({bloom})");
+            }
+            assert!(next.stored_bytes() > s.stored_bytes());
+            assert!(next.verify_integrity());
+        }
     }
 
     #[test]

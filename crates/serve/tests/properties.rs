@@ -5,12 +5,11 @@
 //! not found, and all shardings answer every query identically.
 
 use std::net::Ipv6Addr;
-use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use v6addr::Prefix;
-use v6serve::{HitlistStore, QueryEngine, SnapshotBuilder};
+use v6serve::{Snapshot, SnapshotBuilder};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 16];
 
@@ -20,17 +19,15 @@ fn addr_bits() -> impl Strategy<Value = u128> {
     (0u128..64, 0u128..256).prop_map(|(net48, iid)| (0x2001_0db8u128 << 96) | (net48 << 80) | iid)
 }
 
-fn engines_for(entries: &[(u128, u32)]) -> Vec<QueryEngine> {
+fn snapshots_for(entries: &[(u128, u32)]) -> Vec<Snapshot> {
     SHARD_COUNTS
         .iter()
         .map(|&shards| {
-            let store = HitlistStore::new("prop", shards);
             let mut b = SnapshotBuilder::new("prop", shards);
             for &(bits, week) in entries {
                 b.add_bits(bits, week);
             }
-            store.publish(b.build()).unwrap();
-            QueryEngine::new(Arc::new(store))
+            b.build()
         })
         .collect()
 }
@@ -41,9 +38,7 @@ proptest! {
         entries in proptest::collection::vec((addr_bits(), 0u32..8), 0..200),
         probes in proptest::collection::vec(addr_bits(), 0..50),
     ) {
-        let engines = engines_for(&entries);
-        for engine in &engines {
-            let snap = engine.store().snapshot();
+        for snap in &snapshots_for(&entries) {
             prop_assert!(snap.verify_integrity());
             prop_assert_eq!(
                 snap.len(),
@@ -52,19 +47,19 @@ proptest! {
             // Every inserted address is present with its earliest week.
             for &(bits, _) in &entries {
                 let a = Ipv6Addr::from(bits);
-                prop_assert!(engine.contains(a));
+                prop_assert!(snap.contains(a));
                 let earliest = entries
                     .iter()
                     .filter(|&&(b, _)| b == bits)
                     .map(|&(_, w)| w)
                     .min()
                     .unwrap();
-                prop_assert_eq!(engine.lookup(a).first_week, Some(earliest));
+                prop_assert_eq!(snap.first_week(a), Some(earliest));
             }
             // Probes not inserted are absent.
             for &bits in &probes {
                 if !entries.iter().any(|&(b, _)| b == bits) {
-                    prop_assert!(!engine.contains(Ipv6Addr::from(bits)));
+                    prop_assert!(!snap.contains(Ipv6Addr::from(bits)));
                 }
             }
         }
@@ -76,21 +71,18 @@ proptest! {
         probes in proptest::collection::vec(addr_bits(), 1..50),
         week in 0u64..10,
     ) {
-        let engines = engines_for(&entries);
-        let reference = &engines[0];
-        for engine in &engines[1..] {
+        let snaps = snapshots_for(&entries);
+        let reference = &snaps[0];
+        for snap in &snaps[1..] {
             for &bits in &probes {
                 let a = Ipv6Addr::from(bits);
-                prop_assert_eq!(engine.contains(a), reference.contains(a));
-                prop_assert_eq!(engine.lookup(a).first_week, reference.lookup(a).first_week);
+                prop_assert_eq!(snap.contains(a), reference.contains(a));
+                prop_assert_eq!(snap.first_week(a), reference.first_week(a));
                 let p = Prefix::of(a, 48);
-                prop_assert_eq!(engine.count_within(&p), reference.count_within(&p));
+                prop_assert_eq!(snap.count_within(&p), reference.count_within(&p));
             }
-            prop_assert_eq!(engine.new_since(week), reference.new_since(week));
-            prop_assert_eq!(
-                engine.store().snapshot().len(),
-                reference.store().snapshot().len()
-            );
+            prop_assert_eq!(snap.new_since(week), reference.new_since(week));
+            prop_assert_eq!(snap.len(), reference.len());
         }
     }
 
@@ -104,20 +96,18 @@ proptest! {
             48,
         );
         for &shards in &SHARD_COUNTS {
-            let store = HitlistStore::new("prop", shards);
             let mut b = SnapshotBuilder::new("prop", shards);
             for &(bits, week) in &entries {
                 b.add_bits(bits, week);
             }
             b.add_alias(alias, 0);
-            store.publish(b.build()).unwrap();
-            let engine = QueryEngine::new(Arc::new(store));
+            let snap = b.build();
             for &(bits, _) in &entries {
                 let a = Ipv6Addr::from(bits);
-                prop_assert!(engine.contains(a));
+                prop_assert!(snap.contains(a));
                 let expect_aliased = alias.contains(a);
-                prop_assert_eq!(engine.lookup(a).alias.is_some(), expect_aliased);
-                prop_assert_eq!(engine.contains_unaliased(a), !expect_aliased);
+                prop_assert_eq!(snap.longest_alias(a).is_some(), expect_aliased);
+                prop_assert_eq!(snap.is_aliased(a), expect_aliased);
             }
         }
     }

@@ -316,7 +316,9 @@ pub fn serve_request(snap: &Snapshot, req: Request) -> Response {
 
 /// Answers one admitted request from `snap`, routing the windowed
 /// streaming-analytics requests ([`Request::MovedBetween`],
-/// [`Request::EntropyShift`]) to `analytics` when present.
+/// [`Request::EntropyShift`]) to `analytics` when present. This is the
+/// one dispatcher: served connections and in-process callers alike get
+/// their answers here.
 pub fn serve_request_with(
     snap: &Snapshot,
     analytics: Option<&StreamAnalytics>,
@@ -436,6 +438,148 @@ mod tests {
     use crate::{duplex, AdmissionConfig, WireClient, MAX_BATCH_ADDRS};
     use v6addr::Prefix;
     use v6serve::{HitlistStore, QueryEngine, SnapshotBuilder};
+
+    fn addr(s: &str) -> u128 {
+        s.parse::<Ipv6Addr>().unwrap().into()
+    }
+
+    /// Weeks {0, 0, 3}, with `2001:db8:2::/48` aliased.
+    fn snapshot() -> Snapshot {
+        let mut b = SnapshotBuilder::new("svc", 4);
+        b.add_bits(addr("2001:db8:1::1"), 0);
+        b.add_bits(addr("2001:db8:2::1"), 0);
+        b.add_bits(addr("2001:db8:3::1"), 3);
+        b.add_alias("2001:db8:2::/48".parse().unwrap(), 0);
+        b.build()
+    }
+
+    fn count(snap: &Snapshot, req: Request) -> u64 {
+        match serve_request(snap, req) {
+            Response::Count { value, .. } => value,
+            other => panic!("expected Count, got {other:?}"),
+        }
+    }
+
+    fn new_since(snap: &Snapshot, week: u64) -> u64 {
+        count(snap, Request::NewSince { week })
+    }
+
+    #[test]
+    fn typed_requests_answer() {
+        let store = HitlistStore::new("svc", 4);
+        store.publish(snapshot()).unwrap();
+        let snap = store.snapshot();
+        let ask = |req| serve_request(&snap, req);
+        let bool_of = |req| match ask(req) {
+            Response::Bool { value } => value,
+            other => panic!("expected Bool, got {other:?}"),
+        };
+        let (plain, aliased) = (addr("2001:db8:1::1"), addr("2001:db8:2::1"));
+        assert!(bool_of(Request::Membership { addr: plain }));
+        assert!(bool_of(Request::Membership { addr: aliased }));
+        assert!(!bool_of(Request::MembershipUnaliased { addr: aliased }));
+        assert!(bool_of(Request::MembershipUnaliased { addr: plain }));
+
+        assert_eq!(
+            ask(Request::Lookup {
+                addr: addr("2001:db8:3::1")
+            }),
+            Response::Lookup {
+                epoch: 1,
+                answer: WireLookup {
+                    present: true,
+                    first_week: Some(3),
+                    alias: None,
+                    degraded: false,
+                },
+            }
+        );
+        let prefix = "2001:db8::/32".parse().unwrap();
+        assert_eq!(count(&snap, Request::Density { prefix }), 3);
+        assert_eq!(new_since(&snap, 0), 1);
+        assert_eq!(new_since(&snap, 3), 0);
+
+        // A batch resolves against one epoch and counts as it goes.
+        let addrs = vec![plain, aliased, addr("2001:db8:9::9")];
+        match ask(Request::Batch { addrs }) {
+            Response::Batch {
+                epoch,
+                missing_shards,
+                answers,
+                present,
+                aliased,
+            } => {
+                assert_eq!(epoch, 1);
+                assert!(missing_shards.is_empty());
+                assert_eq!(answers.len(), 3);
+                assert_eq!((present, aliased), (2, 1));
+                assert!(!answers[2].present);
+            }
+            other => panic!("expected Batch, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn new_since_edges() {
+        // Fresh store, nothing published: the empty epoch-0 snapshot
+        // has nothing newer than any week, including week 0.
+        let empty = HitlistStore::new("svc", 4).snapshot();
+        assert_eq!(empty.epoch(), 0);
+        assert_eq!(new_since(&empty, 0), 0);
+
+        // A published but empty epoch answers the same way.
+        let store = HitlistStore::new("svc", 4);
+        store
+            .publish(SnapshotBuilder::new("svc", 4).build())
+            .unwrap();
+        let snap = store.snapshot();
+        assert_eq!(new_since(&snap, 0), 0);
+        assert_eq!(new_since(&snap, u64::from(u32::MAX)), 0);
+
+        // Week 0 counts strictly-later first sightings; week numbers
+        // beyond every entry count nothing.
+        let snap = snapshot();
+        assert_eq!(new_since(&snap, 0), 1, "only the week-3 entry is after 0");
+        assert_eq!(new_since(&snap, 2), 1);
+        assert_eq!(new_since(&snap, 3), 0, "a week is not after itself");
+        assert_eq!(new_since(&snap, u64::from(u32::MAX)), 0);
+    }
+
+    #[test]
+    fn degraded_snapshots_label_status_and_batches() {
+        let mut b = SnapshotBuilder::new("svc", 4);
+        b.add_bits(addr("2001:db8:1::1"), 0);
+        b.add_bits(addr("2001:db8:2::1"), 0);
+        b.add_bits(addr("2001:db8:3::1"), 5);
+        let snap = b.with_quarantined(vec![0, 2]).build();
+
+        // The diff still answers from the stale-but-consistent corpus…
+        assert_eq!(new_since(&snap, 0), 1);
+        assert_eq!(new_since(&snap, 5), 0);
+        // …and the degraded label travels alongside, never silently.
+        match serve_request(&snap, Request::Status) {
+            Response::Status { missing_shards, .. } => assert_eq!(missing_shards, vec![0, 2]),
+            other => panic!("expected Status, got {other:?}"),
+        }
+        let addrs = ["2001:db8:1::1", "2001:db8:2::1", "2001:db8:3::1"]
+            .map(addr)
+            .to_vec();
+        match serve_request(&snap, Request::Batch { addrs }) {
+            Response::Batch {
+                missing_shards,
+                answers,
+                present,
+                ..
+            } => {
+                assert_eq!(missing_shards, vec![0, 2]);
+                assert_eq!(present, 3);
+                // 2001:db8:N::/48 lands in shard N of 4.
+                let flagged: Vec<bool> = answers.iter().map(|a| a.degraded).collect();
+                assert_eq!(flagged, [false, true, false]);
+            }
+            other => panic!("expected Batch, got {other:?}"),
+        }
+    }
 
     #[test]
     fn buffers_a_burst_grew_are_shrunk_back_by_the_pump() {

@@ -15,7 +15,7 @@
 //!   decoder hardened against arbitrary bytes (never panics, never
 //!   over-allocates; see the fuzz battery in `tests/fuzz_codec.rs`).
 //! - [`proto`] — the typed request/response codec covering every
-//!   `v6serve` query type plus batch coalescing, and the explicit
+//!   query the service answers plus batch coalescing, and the explicit
 //!   `Throttled` / `Shed` / `Error` verdict frames. The byte layout is
 //!   pinned by `tests/golden/wire_format_v1/`.
 //! - [`transport`] — the in-repo socket stand-in: [`transport::duplex`]

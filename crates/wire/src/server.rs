@@ -1,5 +1,6 @@
 //! The front-door server: one admission gate + metrics registry shared
-//! by every connection, bound to a `v6serve` query engine.
+//! by every connection, bound to the `v6serve` store (and analytics)
+//! its requests are answered from.
 
 use std::sync::Arc;
 
@@ -37,7 +38,8 @@ impl WireServer {
         ServerConn::new(Arc::clone(self), client_id)
     }
 
-    /// The query engine answering admitted requests.
+    /// The `(store, analytics)` handle admitted requests are answered
+    /// from.
     pub fn engine(&self) -> &QueryEngine {
         &self.engine
     }

@@ -99,6 +99,35 @@ fn windowed_queries_answer_over_the_wire() {
         }
         other => panic!("expected EntropyShift, got {other:?}"),
     }
+
+    // Outside the window the same device never moved, and an AS with no
+    // attributed addresses has no shift to report.
+    client
+        .send(&Request::MovedBetween { w0: 5, w1: 9 }, 2_000)
+        .unwrap();
+    client
+        .send(
+            &Request::EntropyShift {
+                as_index: 7,
+                w0: 2,
+                w1: 6,
+            },
+            2_000,
+        )
+        .unwrap();
+    conn.pump(&mut server_end, 2_000).unwrap();
+    let resps = client.poll(2_000).unwrap();
+    assert_eq!(resps.len(), 2);
+    assert!(
+        matches!(&resps[0].1, Response::Moved { moves, .. } if moves.is_empty()),
+        "got {:?}",
+        resps[0].1
+    );
+    assert!(
+        matches!(&resps[1].1, Response::EntropyShift { shift: None, .. }),
+        "got {:?}",
+        resps[1].1
+    );
     assert!(!conn.is_closed(), "windowed queries are ordinary traffic");
 }
 

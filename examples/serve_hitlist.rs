@@ -13,7 +13,9 @@ use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::HitlistService;
 use ipv6_hitlists::netsim::{World, WorldConfig};
 use ipv6_hitlists::scan::HitlistCampaignConfig;
-use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate, QueryEngine};
+use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate};
+use ipv6_hitlists::wire::proto::{Request, Response};
+use ipv6_hitlists::wire::serve_request;
 
 fn main() {
     // 1. Run a 3-week hitlist campaign on a tiny synthetic Internet.
@@ -50,44 +52,50 @@ fn main() {
         store.epoch()
     );
 
-    // 3. Query it. Readers clone an Arc to the current snapshot, so
-    //    these calls never block publication (and vice versa).
-    let engine = QueryEngine::new(store.clone());
+    // 3. Query it the way the wire front door does: take the current
+    //    snapshot (an Arc clone, so publication never blocks readers and
+    //    vice versa) and answer typed requests from it.
+    let snap = store.snapshot();
     let sample = service.snapshots[0].new_responsive[0];
+    let ask = |req| serve_request(&snap, req);
 
-    let ans = engine.lookup(sample);
-    println!(
-        "lookup {sample}: present={}, first seen week {:?}, aliased={}",
-        ans.present,
-        ans.first_week,
-        ans.alias.is_some()
-    );
+    if let Response::Lookup { answer, .. } = ask(Request::Lookup {
+        addr: sample.into(),
+    }) {
+        println!(
+            "lookup {sample}: present={}, first seen week {:?}, aliased={}",
+            answer.present,
+            answer.first_week,
+            answer.alias.is_some()
+        );
+    }
 
     let net = Prefix::of(sample, 48);
-    println!(
-        "density: {} responsive addresses in {net}",
-        engine.count_within(&net)
-    );
+    if let Response::Count { value, .. } = ask(Request::Density { prefix: net }) {
+        println!("density: {value} responsive addresses in {net}");
+    }
 
     let first_week = service.snapshots.first().map(|s| s.week).unwrap_or(0);
-    println!(
-        "weekly diff: {} addresses are new since the week-{first_week} release",
-        engine.new_since(first_week)
-    );
+    if let Response::Count { value, .. } = ask(Request::NewSince { week: first_week }) {
+        println!("weekly diff: {value} addresses are new since the week-{first_week} release");
+    }
 
-    let batch: Vec<_> = service
+    let addrs: Vec<u128> = service
         .responsive_as_of(u64::MAX)
         .into_iter()
         .take(64)
+        .map(u128::from)
         .collect();
-    let ans = engine.batch_lookup(&batch);
-    println!(
-        "batch of {}: {} present, {} aliased (served by epoch {})",
-        batch.len(),
-        ans.present,
-        ans.aliased,
-        ans.epoch
-    );
+    let n = addrs.len();
+    if let Response::Batch {
+        epoch,
+        present,
+        aliased,
+        ..
+    } = ask(Request::Batch { addrs })
+    {
+        println!("batch of {n}: {present} present, {aliased} aliased (served by epoch {epoch})");
+    }
 
     print!("{}", store.metrics().render_text());
 }

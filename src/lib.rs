@@ -21,7 +21,7 @@
 //!   and the ethical /48 release.
 //! * [`serve`] (`v6serve`) — the serving half of a hitlist service:
 //!   sharded immutable snapshots, epoch-swapped publication, concurrent
-//!   ingestion, a typed query API, and a deterministic load harness.
+//!   ingestion, and durable recovery; [`wire`] answers queries from them.
 //! * [`store`] (`v6store`) — durable epoch persistence behind the
 //!   serving store: an append-only checksummed delta log with compacted
 //!   checkpoints, torn-tail/bit-rot classifying crash recovery, and

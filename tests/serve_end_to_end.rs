@@ -2,6 +2,8 @@
 //! publish it through the v6serve ingestion pipeline, and query the
 //! resulting store — the full collect → publish → serve → query loop.
 
+use std::net::Ipv6Addr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ipv6_hitlists::addr::shard48;
@@ -10,10 +12,17 @@ use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::{HitlistService, NtpCorpus};
 use ipv6_hitlists::netsim::{SimDuration, SimTime, World, WorldConfig};
 use ipv6_hitlists::scan::HitlistCampaignConfig;
-use ipv6_hitlists::serve::{
-    loadgen, HitlistStore, Ingestor, LoadSpec, PublicationUpdate, QueryEngine, ServeStatus,
-    SnapshotBuilder,
-};
+use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate, Snapshot, SnapshotBuilder};
+use ipv6_hitlists::wire::proto::{Request, Response, WireLookup};
+use ipv6_hitlists::wire::serve_request;
+
+/// The front door's `Lookup` answer for `addr`, with its epoch.
+fn lookup(snap: &Snapshot, addr: Ipv6Addr) -> (u64, WireLookup) {
+    match serve_request(snap, Request::Lookup { addr: addr.into() }) {
+        Response::Lookup { epoch, answer } => (epoch, answer),
+        other => panic!("expected Lookup, got {other:?}"),
+    }
+}
 
 #[test]
 fn collect_publish_serve_query() {
@@ -56,19 +65,18 @@ fn collect_publish_serve_query() {
     let snap = store.snapshot();
     assert!(snap.verify_integrity());
     assert_eq!(snap.len(), service.total_responsive());
-    let engine = QueryEngine::new(store.clone());
 
     // Query: every published address answers, with its publication week.
     for weekly in &service.snapshots {
         for &a in &weekly.new_responsive {
-            let ans = engine.lookup(a);
+            let (_, ans) = lookup(&snap, a);
             assert!(ans.present, "{a} missing from the served snapshot");
             assert_eq!(ans.first_week, Some(weekly.week as u32));
         }
     }
     // The alias list is served too.
     for p in &service.aliased {
-        assert!(engine.lookup(p.offset(1)).alias.is_some());
+        assert!(lookup(&snap, p.offset(1)).1.alias.is_some());
     }
     // Density totals across all /48s equal the full set.
     let mut nets: Vec<_> = service
@@ -77,14 +85,33 @@ fn collect_publish_serve_query() {
         .map(|&a| ipv6_hitlists::addr::Prefix::of(a, 48))
         .collect();
     nets.dedup();
-    let total: u64 = nets.iter().map(|p| engine.count_within(p)).sum();
+    let total: u64 = nets
+        .iter()
+        .map(
+            |&prefix| match serve_request(&snap, Request::Density { prefix }) {
+                Response::Count { value, .. } => value,
+                other => panic!("expected Count, got {other:?}"),
+            },
+        )
+        .sum();
     assert_eq!(total, service.total_responsive());
 
-    // And a small deterministic load run stays consistent while the next
-    // weekly epoch lands under it: pre-built, so the publisher's only
-    // mid-run work is validate + swap, and published once a quarter of
-    // the queries have been served.
-    let queries = 200_000;
+    // And two reader threads stay consistent while the next weekly
+    // epoch lands under them: pre-built, so the publisher's only mid-run
+    // work is validate + swap, and published once a quarter of the
+    // readers' quota has been answered. Each reader resolves the store's
+    // current snapshot per request and stops only after a request it
+    // sent once the publish had returned, so the publish lands mid-run
+    // (`published` is stored with Release after the swap and loaded with
+    // Acquire before the request, which then resolves the new epoch).
+    let quota = 50_000u64;
+    let pool: Vec<Ipv6Addr> = snap
+        .shards()
+        .iter()
+        .flat_map(|s| s.iter_bits().step_by(7))
+        .map(Ipv6Addr::from)
+        .collect();
+    assert!(!pool.is_empty());
     let mut next = SnapshotBuilder::new(snap.name(), 4);
     next.merge_snapshot(&snap);
     for i in 0..1024u128 {
@@ -94,37 +121,52 @@ fn collect_publish_serve_query() {
         );
     }
     let next = next.build();
-    let threshold = store.metrics().queries_total() + queries / 4;
-    let (report, receipt) = std::thread::scope(|scope| {
+    let answered = AtomicU64::new(0);
+    let published = AtomicBool::new(false);
+    let reader = |offset: usize| {
+        // (answers from the first epoch, from a later one, absent)
+        let mut seen = (0u64, 0u64, 0u64);
+        for (i, &a) in pool.iter().cycle().skip(offset).enumerate() {
+            let done = published.load(Ordering::Acquire);
+            let (epoch, ans) = lookup(&store.snapshot(), a);
+            answered.fetch_add(1, Ordering::Relaxed);
+            if epoch > snap.epoch() {
+                seen.1 += 1;
+            } else {
+                seen.0 += 1;
+            }
+            seen.2 += u64::from(!ans.present);
+            if done && i as u64 + 1 >= quota {
+                break;
+            }
+        }
+        seen
+    };
+    let (seen, receipt) = std::thread::scope(|scope| {
         let publisher = scope.spawn(|| {
-            while store.metrics().queries_total() < threshold {
+            while answered.load(Ordering::Relaxed) < quota / 2 {
                 std::thread::sleep(std::time::Duration::from_micros(200));
             }
-            store.publish(next).expect("mid-run publish must succeed")
+            let receipt = store.publish(next);
+            published.store(true, Ordering::Release);
+            receipt.expect("mid-run publish must succeed")
         });
-        let report = loadgen::run(
-            &engine,
-            &LoadSpec {
-                queries,
-                threads: 2,
-                ..Default::default()
-            },
-        );
-        (report, publisher.join().expect("publisher thread panicked"))
+        let readers = [0, pool.len() / 2].map(|offset| scope.spawn(move || reader(offset)));
+        let seen = readers
+            .map(|r| r.join().expect("reader thread panicked"))
+            .into_iter()
+            .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2));
+        (seen, publisher.join().expect("publisher thread panicked"))
     });
-    assert!(report.queries >= queries);
+    assert!(seen.0 + seen.1 >= 2 * quota);
     assert_eq!(
-        report.verification_failures, 0,
+        seen.2, 0,
         "a known-present address was reported absent during the run"
     );
-    assert!(report.present_hits > 0);
+    assert!(seen.0 > 0, "no answer predates the publish");
     assert!(
-        report.last_epoch > report.first_epoch,
-        "the weekly publish did not land during the run"
-    );
-    assert!(
-        report.queries_after_publish > 0,
-        "no query observed the new epoch; publish did not overlap the load"
+        seen.1 > 0,
+        "no answer observed the new epoch; publish did not overlap the load"
     );
     let final_snap = store.snapshot();
     assert!(final_snap.verify_integrity(), "final snapshot corrupted");
@@ -226,25 +268,29 @@ fn degraded_epochs_surface_end_to_end() {
 
     // Readers get the surviving shards' answers plus a Degraded status;
     // every answer touching the stale shard is flagged.
-    let engine = QueryEngine::new(store.clone());
-    assert_eq!(
-        engine.status(),
-        ServeStatus::Degraded {
-            missing_shards: vec![target]
-        }
+    match serve_request(&snap, Request::Status) {
+        Response::Status { missing_shards, .. } => assert_eq!(missing_shards, vec![target]),
+        other => panic!("expected Status, got {other:?}"),
+    }
+    let batch = serve_request(
+        &snap,
+        Request::Batch {
+            addrs: union.clone(),
+        },
     );
-    let queries: Vec<std::net::Ipv6Addr> =
-        union.iter().map(|&b| std::net::Ipv6Addr::from(b)).collect();
-    let batch = engine.batch_lookup(&queries);
-    assert_eq!(
-        batch.status,
-        ServeStatus::Degraded {
-            missing_shards: vec![target]
-        }
-    );
-    for (&b, ans) in union.iter().zip(&batch.answers) {
+    let Response::Batch {
+        missing_shards,
+        answers,
+        present,
+        ..
+    } = batch
+    else {
+        panic!("expected Batch, got {batch:?}");
+    };
+    assert_eq!(missing_shards, vec![target]);
+    for (&b, ans) in union.iter().zip(&answers) {
         assert_eq!(ans.degraded, in_lost_shard(b), "{b:x}");
         assert_eq!(ans.present, !in_lost_shard(b), "{b:x}");
     }
-    assert_eq!(batch.present + lost_count, union.len() as u64);
+    assert_eq!(present + lost_count, union.len() as u64);
 }

@@ -12,13 +12,18 @@ use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::HitlistService;
 use ipv6_hitlists::netsim::{World, WorldConfig};
 use ipv6_hitlists::scan::HitlistCampaignConfig;
-use ipv6_hitlists::serve::{
-    sample_present, HitlistStore, Ingestor, PublicationUpdate, QueryEngine,
-};
+use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate, QueryEngine, Snapshot};
 use ipv6_hitlists::wire::proto::{Request, Response};
 use ipv6_hitlists::wire::{
     duplex, serve_request, AdmissionConfig, ChaosTransport, WireClient, WireServer,
 };
+
+/// Up to about `target` present addresses, spread evenly over `snap`.
+fn sample_present(snap: &Snapshot, target: usize) -> Vec<u128> {
+    let stride = (snap.len() as usize / target).max(1);
+    let shards = snap.shards().iter();
+    shards.flat_map(|s| s.iter_bits().step_by(stride)).collect()
+}
 
 /// Collects a small campaign and publishes it through the ingestion
 /// pipeline, returning the store the front door will serve from.
