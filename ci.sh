@@ -8,6 +8,15 @@ cd "$(dirname "$0")"
 tree_state() { git status --porcelain; git diff | cksum; }
 tree_before=$(tree_state)
 
+echo "== library code reads a fixed set of environment variables =="
+# The tools crate (crates/bench) reads its own run knobs; nothing else
+# may add one.
+env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates/*/src \
+  | grep -v '^crates/bench/src/' \
+  | sed -E 's/.*\("([A-Za-z0-9_]+)"\)/\1/' | sort -u | tr '\n' ' ')
+[ "$env_vars" = "V6_CHAOS_SEED V6_DATA_DIR V6_THREADS V6_TRACE " ] \
+  || { echo "library env vars: $env_vars"; exit 1; }
+
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 

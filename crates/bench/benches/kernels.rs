@@ -28,7 +28,7 @@ use criterion::{black_box, criterion_group, BatchSize, Criterion};
 use v6bench::{
     KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord, WireRoundtripRecord,
 };
-use v6serve::{BlockedBloom, CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
+use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
 use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
@@ -604,8 +604,8 @@ fn lpm_records() -> Vec<LpmRecord> {
 }
 
 /// Membership-lookup comparison: the same clustered content held as a
-/// raw sorted vec, a compressed run, and a bloom-fronted compressed run,
-/// probed with a half-present/half-absent mix.
+/// raw sorted vec and as a compressed run, probed with a
+/// half-present/half-absent mix.
 fn membership_records() -> Vec<MembershipRecord> {
     const ADDRESSES: usize = 200_000;
     const PROBES: usize = 1 << 16;
@@ -630,7 +630,6 @@ fn membership_records() -> Vec<MembershipRecord> {
         .collect();
 
     let run = CompressedRun::from_sorted(bits.iter().copied());
-    let bloom = BlockedBloom::build(0x5eed, bits.iter().copied(), bits.len());
     let probe_ns = |ms: f64| -> f64 { ms * 1e6 / PROBES as f64 };
 
     let sorted_ms = best_ms(5, || {
@@ -641,12 +640,6 @@ fn membership_records() -> Vec<MembershipRecord> {
     });
     let run_ms = best_ms(5, || {
         probes.iter().filter(|&&p| run.rank(p).is_some()).count()
-    });
-    let bloom_ms = best_ms(5, || {
-        probes
-            .iter()
-            .filter(|&&p| bloom.may_contain(p) && run.rank(p).is_some())
-            .count()
     });
 
     vec![
@@ -663,13 +656,6 @@ fn membership_records() -> Vec<MembershipRecord> {
             probes: PROBES,
             ns_per_probe: probe_ns(run_ms),
             bytes: run.heap_bytes(),
-        },
-        MembershipRecord {
-            structure: "bloom_fronted".into(),
-            addresses: bits.len(),
-            probes: PROBES,
-            ns_per_probe: probe_ns(bloom_ms),
-            bytes: run.heap_bytes() + bloom.heap_bytes(),
         },
     ]
 }

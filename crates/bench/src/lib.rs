@@ -46,7 +46,7 @@ pub struct KernelRecord {
 /// recorded in `BENCH_kernels.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MembershipRecord {
-    /// Structure probed ("sorted_vec", "compressed_run", "bloom_fronted").
+    /// Structure probed ("sorted_vec", "compressed_run").
     pub structure: String,
     /// Addresses the structure holds.
     pub addresses: usize,
@@ -126,8 +126,8 @@ pub struct KernelsBench {
     pub cores: usize,
     /// Per-kernel, per-size comparisons.
     pub kernels: Vec<KernelRecord>,
-    /// Membership-lookup comparison: sorted-vec vs compressed-run vs
-    /// bloom-fronted compressed-run over the same clustered content.
+    /// Membership-lookup comparison: sorted-vec vs compressed-run over
+    /// the same clustered content.
     pub membership: Vec<MembershipRecord>,
     /// Longest-prefix match over `v6addr::PrefixMap`, flat and nested.
     pub lpm: Vec<LpmRecord>,

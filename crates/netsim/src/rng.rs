@@ -26,7 +26,7 @@ pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a 64: folds `bytes` into the running state `h`. The workspace's
 /// one byte-hash loop — record checksums, operator digests, the artifact
-/// digest, bloom probes and fork seeds all start it from their own basis
+/// digest and fork seeds all start it from their own basis
 /// and feed it their own byte order.
 #[inline]
 pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {

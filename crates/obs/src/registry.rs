@@ -74,8 +74,8 @@ struct HistogramInner {
 ///
 /// Recording touches two or three relaxed atomics; quantiles are computed
 /// on demand from the bucket array and reported as the inclusive upper
-/// bound of the bucket containing the requested rank (so `p50_ns` of a
-/// histogram whose samples all fall in `[512, 1023]` is `1023`).
+/// bound of the bucket, capped at the largest sample (so `p50_ns` of a
+/// histogram whose samples all fall in `[512, 1023]` is at most `1023`).
 #[derive(Clone, Debug)]
 pub struct Histogram(Arc<HistogramInner>);
 
@@ -95,9 +95,14 @@ fn bucket_of(ns: u64) -> usize {
     ((u64::BITS - ns.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
-/// Inclusive upper bound of bucket `i` in nanoseconds.
+/// Inclusive upper bound of bucket `i` in nanoseconds; the last bucket
+/// saturates, so it has none below `u64::MAX`.
 fn bucket_upper(i: usize) -> u64 {
-    (1u64 << i) - 1
+    if i == BUCKETS - 1 {
+        u64::MAX
+    } else {
+        (1u64 << i) - 1
+    }
 }
 
 impl Histogram {
@@ -138,7 +143,8 @@ impl Histogram {
     }
 
     /// Upper-bound estimate of the `q`-quantile (`0.0 < q <= 1.0`) in
-    /// nanoseconds; 0 if the histogram is empty.
+    /// nanoseconds: the upper bound of the bucket holding the rank,
+    /// capped at the largest sample; 0 if the histogram is empty.
     pub fn quantile_ns(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
@@ -149,7 +155,7 @@ impl Histogram {
         for (i, b) in self.0.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                return bucket_upper(i);
+                return bucket_upper(i).min(self.max_ns());
             }
         }
         self.max_ns()
@@ -504,11 +510,33 @@ mod tests {
         assert_eq!(h.quantile_ns(0.5), 3);
         // p75 rank 6 lands in the [512,1023] bucket -> upper bound 1023.
         assert_eq!(h.quantile_ns(0.75), 1023);
-        // p99 rank 8 lands in the bucket holding 1_000_000 (2^19..2^20-1).
-        assert_eq!(h.quantile_ns(0.99), (1 << 20) - 1);
+        // p99 rank 8 lands in the bucket holding 1_000_000 (2^19..2^20-1),
+        // whose upper bound is capped at the largest sample.
+        assert_eq!(h.quantile_ns(0.99), 1_000_000);
         // Saturating bucket: enormous samples still land somewhere.
         h.record(u64::MAX);
         assert_eq!(h.max_ns(), u64::MAX);
+    }
+
+    #[test]
+    fn histogram_quantiles_never_exceed_the_largest_sample() {
+        let one = Histogram::default();
+        one.record(5_550_000);
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(one.quantile_ns(q), 5_550_000);
+        }
+        // The golden exposition's samples: p50 stays its bucket's bound,
+        // p90 and p99 land in 700 000's bucket and read 700 000.
+        let h = Histogram::default();
+        for ns in [300_000u64, 500_000, 700_000] {
+            h.record(ns);
+        }
+        assert_eq!(h.quantile_ns(0.5), (1 << 19) - 1);
+        assert_eq!(h.quantile_ns(0.9), 700_000);
+        assert_eq!(h.quantile_ns(0.99), 700_000);
+        // A sample in the saturating bucket reads back exactly.
+        h.record(u64::MAX - 1);
+        assert_eq!(h.quantile_ns(1.0), u64::MAX - 1);
     }
 
     #[test]

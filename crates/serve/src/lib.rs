@@ -11,8 +11,6 @@
 //!   prefix-compressed sorted address runs ([`snapshot::CompressedRun`])
 //!   plus a per-shard `PrefixMap` of aliased prefixes, partitioned by /48
 //!   so density aggregates stay shard-local.
-//! - [`bloom`] — the optional blocked bloom filter fronting membership
-//!   probes (the `V6_BLOOM` toggle).
 //! - [`store`] — epoch-swapped publication: readers clone an `Arc` to the
 //!   current [`snapshot::Snapshot`]; publishing swaps the `Arc` under a
 //!   briefly held write lock, so reads never block on ingestion.
@@ -47,7 +45,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bloom;
 pub mod ingest;
 pub mod metrics;
 pub mod persist;
@@ -56,13 +53,12 @@ pub mod snapshot;
 pub mod store;
 pub mod stream;
 
-pub use bloom::BlockedBloom;
 pub use ingest::{
     IngestError, IngestHandle, IngestReport, IngestStats, Ingestor, PublicationUpdate,
 };
 pub use metrics::ServeMetrics;
 pub use query::QueryEngine;
-pub use snapshot::{CompressedRun, Membership, ServeStatus, Shard, Snapshot, SnapshotBuilder};
+pub use snapshot::{CompressedRun, ServeStatus, Shard, Snapshot, SnapshotBuilder};
 pub use store::{HitlistStore, PublishError, PublishReceipt};
 pub use stream::{analytics_for, StreamAnalytics};
 pub use v6store::{RecoverError, RecoveryReport, StoreConfig};

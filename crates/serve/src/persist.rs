@@ -33,7 +33,7 @@ use v6addr::{shard48, Prefix};
 use v6store::{replica, AliasEntry, DeltaRecord, EpochState};
 use v6stream::content_term;
 
-use crate::snapshot::{bloom_default, Shard, Snapshot};
+use crate::snapshot::{Shard, Snapshot};
 
 #[allow(unused_imports)] // doc links
 use crate::store::HitlistStore;
@@ -261,15 +261,8 @@ pub fn snapshot_from_state(state: &EpochState) -> Snapshot {
         .iter()
         .map(|a| (Prefix::from_bits(a.bits, a.len), a.week))
         .collect();
-    // Recovery rebuilds directly into the compressed tier; the bloom
-    // front follows the `V6_BLOOM` toggle like any fresh build.
-    let mut snap = Snapshot::from_sorted_parts(
-        &state.name,
-        state.shard_bits,
-        &shard_data,
-        &aliases,
-        bloom_default(),
-    );
+    let mut snap =
+        Snapshot::from_sorted_parts(&state.name, state.shard_bits, &shard_data, &aliases);
     snap.epoch = state.epoch;
     snap.week = state.week;
     snap.missing_shards = state.missing_shards.clone();

@@ -13,10 +13,8 @@
 //! Each shard stores its addresses as a [`CompressedRun`] — a
 //! prefix-compressed sorted run that factors out the shared high-64 bits
 //! real hitlists cluster under ("Clusters in the Expanse", IMC 2018) —
-//! with a parallel first-published-week vector, an optional blocked
-//! bloom front ([`crate::bloom::BlockedBloom`], the `V6_BLOOM` toggle)
-//! for cheap "definitely absent" answers, plus a radix trie of aliased
-//! prefixes for longest-prefix alias answers.
+//! with a parallel first-published-week vector, plus a radix trie of
+//! aliased prefixes for longest-prefix alias answers.
 //!
 //! A snapshot holds its shards as `Arc<Shard>`, so the next epoch can
 //! be derived from this one by [`Snapshot::apply_delta`]: shards the
@@ -29,8 +27,6 @@ use std::sync::Arc;
 
 use v6addr::{shard48, Prefix, PrefixMap};
 use v6store::DeltaRecord;
-
-use crate::bloom::BlockedBloom;
 
 /// A prefix-compressed sorted run of address bits.
 ///
@@ -268,39 +264,6 @@ impl Iterator for RunIter<'_> {
     }
 }
 
-/// What a bloom-fronted membership probe observed: the answer, and
-/// whether the approximate front filtered it, passed it through, or was
-/// not built.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Membership {
-    /// The bloom front answered "definitely absent"; the exact tier was
-    /// never consulted.
-    BloomFiltered,
-    /// The exact tier confirmed the address, at the given global rank in
-    /// its shard. `bloom_checked` is true when a bloom front passed the
-    /// probe through first.
-    Present {
-        /// Global rank inside the shard's run (indexes `first_week`).
-        rank: usize,
-        /// True when a bloom front was consulted before the exact tier.
-        bloom_checked: bool,
-    },
-    /// The exact tier did not find the address. `bloom_checked` true
-    /// means the bloom front let an absent address through — a false
-    /// positive.
-    Absent {
-        /// True when a bloom front was consulted before the exact tier.
-        bloom_checked: bool,
-    },
-}
-
-impl Membership {
-    /// Whether the probed address is in the hitlist.
-    pub fn is_present(&self) -> bool {
-        matches!(self, Membership::Present { .. })
-    }
-}
-
 /// One partition of a snapshot: the addresses whose /48 low bits select it.
 #[derive(Debug, Clone, Default)]
 pub struct Shard {
@@ -309,8 +272,6 @@ pub struct Shard {
     /// Parallel to the run's global ranks: study week each address was
     /// first published.
     pub(crate) first_week: Vec<u32>,
-    /// Optional approximate-membership front over the run.
-    pub(crate) bloom: Option<BlockedBloom>,
     /// Aliased prefixes relevant to this shard (week registered as value).
     pub(crate) aliases: PrefixMap<u32>,
     /// `(network bits, count)` per distinct /48, ascending.
@@ -343,49 +304,14 @@ impl Shard {
         self.run.iter()
     }
 
-    /// The address bits at global rank `i` (ascending order).
-    pub fn get_bits(&self, i: usize) -> u128 {
-        self.run.get(i)
-    }
-
-    /// Exact membership of an address (by bits), bypassing any bloom front.
+    /// Exact membership of an address (by bits).
     pub fn contains_bits(&self, bits: u128) -> bool {
         self.run.rank(bits).is_some()
-    }
-
-    /// Bloom-fronted membership probe: consults the approximate front
-    /// first when one was built, then the exact tier only if needed.
-    pub fn membership_bits(&self, bits: u128) -> Membership {
-        let bloom_checked = match &self.bloom {
-            Some(bloom) => {
-                if !bloom.may_contain(bits) {
-                    return Membership::BloomFiltered;
-                }
-                true
-            }
-            None => false,
-        };
-        match self.run.rank(bits) {
-            Some(rank) => Membership::Present {
-                rank,
-                bloom_checked,
-            },
-            None => Membership::Absent { bloom_checked },
-        }
     }
 
     /// The week an address was first published, if present.
     pub fn first_week_of(&self, bits: u128) -> Option<u32> {
         self.run.rank(bits).map(|i| self.first_week[i])
-    }
-
-    /// First-published week at a global rank (as returned by
-    /// [`Membership::Present`] or [`CompressedRun::rank`]).
-    ///
-    /// # Panics
-    /// Panics when `rank >= len()`.
-    pub fn first_week_at(&self, rank: usize) -> u32 {
-        self.first_week[rank]
     }
 
     /// Longest aliased prefix covering `addr`, if any.
@@ -394,11 +320,9 @@ impl Shard {
     }
 
     /// Heap bytes of the address columns as stored (compressed run +
-    /// first-week column + bloom front if built).
+    /// first-week column).
     pub fn stored_bytes(&self) -> usize {
-        self.run.heap_bytes()
-            + self.first_week.len() * 4
-            + self.bloom.as_ref().map_or(0, |b| b.heap_bytes())
+        self.run.heap_bytes() + self.first_week.len() * 4
     }
 
     /// Heap bytes the old raw representation would need for the same
@@ -412,8 +336,8 @@ impl Shard {
         self.run.iter().zip(self.first_week.iter().copied())
     }
 
-    /// Builds shard `index` from entries sorted by bits and deduplicated.
-    fn from_sorted(index: usize, entries: &[(u128, u32)], bloom: bool) -> Shard {
+    /// Builds a shard from entries sorted by bits and deduplicated.
+    fn from_sorted(entries: &[(u128, u32)]) -> Shard {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
         let mut shard = Shard {
             first_week: Vec::with_capacity(entries.len()),
@@ -432,7 +356,7 @@ impl Shard {
                 _ => shard.week_counts.push((w, 1)),
             }
         }
-        shard.finish(index, bloom);
+        shard.finish();
         shard
     }
 
@@ -443,13 +367,7 @@ impl Shard {
     /// checksum and the per-week counts move by one term per entry the
     /// delta changes, so they are independent of the full recomputation
     /// [`Snapshot::verify_integrity`] does on the result.
-    fn merged(
-        &self,
-        index: usize,
-        removed: &[u128],
-        upserts: &[(u128, u32)],
-        bloom: bool,
-    ) -> Shard {
+    fn merged(&self, removed: &[u128], upserts: &[(u128, u32)]) -> Shard {
         let mut m = ShardMerge {
             out: Shard {
                 // Room for every upsert being a new address under a new key.
@@ -517,20 +435,13 @@ impl Shard {
             .filter(|&(_, n)| n != 0)
             .map(|(w, n)| (w, n as u64))
             .collect();
-        out.finish(index, bloom);
+        out.finish();
         out
     }
 
-    /// Derives what a built run implies: the bloom front and the
-    /// per-/48 aggregate (one step per key block).
-    fn finish(&mut self, index: usize, bloom: bool) {
-        if bloom && !self.run.is_empty() {
-            self.bloom = Some(BlockedBloom::build(
-                bloom_seed(index),
-                self.run.iter(),
-                self.run.len(),
-            ));
-        }
+    /// Derives what a built run implies: the per-/48 aggregate (one
+    /// step per key block).
+    fn finish(&mut self) {
         let mask48 = Prefix::mask(48);
         for (_, hi, lows) in self.run.blocks() {
             let net = (u128::from(hi) << 64) & mask48;
@@ -605,10 +516,6 @@ pub struct Snapshot {
     pub(crate) checksum: u64,
     /// Sorted indices of shards serving stale (pre-quarantine) content.
     pub(crate) missing_shards: Vec<u32>,
-    /// Whether shards get a bloom front: decided once when the snapshot
-    /// is built and kept by every epoch derived from it, so a rebuilt
-    /// shard gains or loses one only with a new build.
-    bloom: bool,
 }
 
 /// Order-independent content checksum over `(bits, week)` pairs.
@@ -621,22 +528,6 @@ pub struct Snapshot {
 #[inline]
 fn fold_addr(acc: u64, bits: u128, week: u32) -> u64 {
     v6stream::fold_content(acc, bits, week)
-}
-
-/// Whether snapshots should build a bloom front by default: the
-/// `V6_BLOOM` environment toggle (`1`/`true` enable). Builders can
-/// override explicitly so tests never race on the environment.
-pub(crate) fn bloom_default() -> bool {
-    matches!(
-        std::env::var("V6_BLOOM").as_deref(),
-        Ok("1") | Ok("true") | Ok("TRUE")
-    )
-}
-
-/// Per-shard bloom seed: fixed base mixed with the shard index so equal
-/// content always builds an identical filter.
-fn bloom_seed(shard_index: usize) -> u64 {
-    0x06b1_00f1_17e5_5eed_u64 ^ ((shard_index as u64) << 32)
 }
 
 impl Snapshot {
@@ -661,7 +552,6 @@ impl Snapshot {
             total: 0,
             checksum: 0,
             missing_shards: Vec::new(),
-            bloom: bloom_default(),
         }
     }
 
@@ -669,20 +559,17 @@ impl Snapshot {
     /// sorted by bits and deduplicated, plus `(prefix, week)` alias
     /// registrations. This is the O(n) path the ingestion merger uses;
     /// the compressed run is assembled directly from the sorted stream,
-    /// never materializing a raw `Vec<u128>`. `bloom` controls whether
-    /// each shard gets an approximate-membership front.
+    /// never materializing a raw `Vec<u128>`.
     pub(crate) fn from_sorted_parts(
         name: impl Into<String>,
         shard_bits: u32,
         shard_data: &[Vec<(u128, u32)>],
         aliases: &[(Prefix, u32)],
-        bloom: bool,
     ) -> Self {
         assert_eq!(shard_data.len(), 1usize << shard_bits);
         let mut shards: Vec<Shard> = shard_data
             .iter()
-            .enumerate()
-            .map(|(i, data)| Shard::from_sorted(i, data, bloom))
+            .map(|data| Shard::from_sorted(data))
             .collect();
         for &(prefix, week) in aliases {
             match prefix.shard48(shard_bits) {
@@ -705,7 +592,6 @@ impl Snapshot {
             checksum: shards.iter().fold(0, |acc, s| acc.wrapping_add(s.checksum)),
             shards: shards.into_iter().map(Arc::new).collect(),
             missing_shards: Vec::new(),
-            bloom,
         };
         snap.week = snap.latest_first_week();
         snap
@@ -778,7 +664,7 @@ impl Snapshot {
                 continue;
             }
             let mut shard = if content_touched {
-                prev.merged(i, &change.removed, &change.upserts, self.bloom)
+                prev.merged(&change.removed, &change.upserts)
             } else {
                 Shard::clone(prev)
             };
@@ -900,20 +786,14 @@ impl Snapshot {
         self.shard_for(addr).contains_bits(u128::from(addr))
     }
 
-    /// Bloom-fronted membership probe (see [`Membership`]); answers are
-    /// identical to [`Snapshot::contains`], the variants additionally
-    /// carry what the approximate front observed.
-    pub fn membership(&self, addr: Ipv6Addr) -> Membership {
-        self.shard_for(addr).membership_bits(u128::from(addr))
-    }
-
-    /// True when any shard carries a bloom front.
-    pub fn has_bloom(&self) -> bool {
-        self.shards.iter().any(|s| s.bloom.is_some())
+    /// [`Snapshot::contains`] under the name the frozen benchmark's
+    /// `serve.snapshot.member` stage times.
+    pub fn membership(&self, addr: Ipv6Addr) -> bool {
+        self.contains(addr)
     }
 
     /// Heap bytes of the address columns as stored across all shards
-    /// (compressed runs + week columns + bloom fronts).
+    /// (compressed runs + week columns).
     pub fn stored_bytes(&self) -> u64 {
         self.shards.iter().map(|s| s.stored_bytes() as u64).sum()
     }
@@ -1037,12 +917,7 @@ impl Snapshot {
                     return false;
                 }
                 for (&lo, &w) in lows.iter().zip(&shard.first_week[start..]) {
-                    let b = first | u128::from(lo);
-                    // A bloom front must never produce a false negative.
-                    if shard.bloom.as_ref().is_some_and(|f| !f.may_contain(b)) {
-                        return false;
-                    }
-                    folded = fold_addr(folded, b, w);
+                    folded = fold_addr(folded, first | u128::from(lo), w);
                 }
             }
             if folded != shard.checksum {
@@ -1070,7 +945,6 @@ pub struct SnapshotBuilder {
     shard_bits: u32,
     pending: Vec<(u128, u32)>,
     aliases: Vec<(Prefix, u32)>,
-    bloom: Option<bool>,
     quarantined: Vec<u32>,
 }
 
@@ -1086,7 +960,6 @@ impl SnapshotBuilder {
             shard_bits: shard_count.trailing_zeros(),
             pending: Vec::new(),
             aliases: Vec::new(),
-            bloom: None,
             quarantined: Vec::new(),
         }
     }
@@ -1110,15 +983,6 @@ impl SnapshotBuilder {
             "quarantined shard index out of range (shard count {count})"
         );
         self.quarantined = shards;
-        self
-    }
-
-    /// Overrides the bloom-front decision for this build. Without an
-    /// override the `V6_BLOOM` environment toggle decides (read once at
-    /// build time); tests pin behavior here instead of mutating the
-    /// environment.
-    pub fn with_bloom(mut self, bloom: bool) -> Self {
-        self.bloom = Some(bloom);
         self
     }
 
@@ -1176,13 +1040,8 @@ impl SnapshotBuilder {
             shard_data[shard48(b, self.shard_bits)].push((b, w));
         }
         earliest_aliases(&mut self.aliases);
-        let mut snap = Snapshot::from_sorted_parts(
-            self.name,
-            self.shard_bits,
-            &shard_data,
-            &self.aliases,
-            self.bloom.unwrap_or_else(bloom_default),
-        );
+        let mut snap =
+            Snapshot::from_sorted_parts(self.name, self.shard_bits, &shard_data, &self.aliases);
         snap.missing_shards = self.quarantined;
         (snap, duplicates)
     }
@@ -1255,51 +1114,6 @@ mod tests {
         // clustered run (1.7 addrs/key) matches 5 × 16 raw; real
         // clustering wins outright (see stored_bytes_beat_raw_* below).
         assert_eq!(run.heap_bytes(), bits.len() * 16);
-    }
-
-    #[test]
-    fn bloom_front_preserves_answers_and_accounts_probes() {
-        let mut b = SnapshotBuilder::new("test", 4).with_bloom(true);
-        for i in 0..500u32 {
-            b.add_address(addr(&format!("2001:db8:{:x}::{:x}", i % 7, i)), i % 3);
-        }
-        let s = b.build();
-        assert!(s.has_bloom());
-        assert!(s.verify_integrity());
-        // Present addresses are found at their first-week rank.
-        let probe = addr("2001:db8:1::1");
-        assert!(matches!(
-            s.membership(probe),
-            Membership::Present {
-                bloom_checked: true,
-                ..
-            }
-        ));
-        // Absent probes are either bloom-filtered or confirmed absent —
-        // never reported present.
-        for i in 1000..1200u32 {
-            let a = addr(&format!("2001:db8:{:x}::dead:{:x}", i % 7, i));
-            assert!(!s.membership(a).is_present());
-            assert!(!s.contains(a));
-        }
-        // Same content without the front: identical checksum and answers.
-        let mut b2 = SnapshotBuilder::new("test", 4).with_bloom(false);
-        for i in 0..500u32 {
-            b2.add_address(addr(&format!("2001:db8:{:x}::{:x}", i % 7, i)), i % 3);
-        }
-        let s2 = b2.build();
-        assert!(!s2.has_bloom());
-        assert_eq!(s.content_checksum(), s2.content_checksum());
-        assert_eq!(
-            s2.membership(probe),
-            Membership::Present {
-                rank: match s2.shard_for(probe).run().rank(u128::from(probe)) {
-                    Some(r) => r,
-                    None => unreachable!(),
-                },
-                bloom_checked: false,
-            }
-        );
     }
 
     #[test]
@@ -1390,38 +1204,8 @@ mod tests {
     }
 
     #[test]
-    fn bloom_decision_survives_apply_delta() {
-        for bloom in [true, false] {
-            let mut b = SnapshotBuilder::new("test", 4).with_bloom(bloom);
-            for i in 0..64u32 {
-                b.add_address(addr(&format!("2001:db8:{:x}::{:x}", i % 4, i)), 0);
-            }
-            let s = b.build();
-            let new = u128::from(addr("2001:db8:1::beef"));
-            let delta = DeltaRecord {
-                epoch: 1,
-                week: 1,
-                content_checksum: fold_addr(s.content_checksum(), new, 1),
-                missing_shards: vec![],
-                removed: vec![],
-                added: vec![(new, 1)],
-                removed_aliases: vec![],
-                added_aliases: vec![],
-            };
-            let next = s.apply_delta(&delta).expect("checksum carried forward");
-            let touched = shard48(new, s.shard_bits);
-            assert!(!Arc::ptr_eq(&s.shards[touched], &next.shards[touched]));
-            for shard in next.shards() {
-                assert_eq!(shard.bloom.is_some(), bloom, "with_bloom({bloom})");
-            }
-            assert!(next.stored_bytes() > s.stored_bytes());
-            assert!(next.verify_integrity());
-        }
-    }
-
-    #[test]
     fn stored_bytes_beat_raw_on_clustered_content() {
-        let mut b = SnapshotBuilder::new("test", 4).with_bloom(false);
+        let mut b = SnapshotBuilder::new("test", 4);
         // 32 /64s × 512 structured IIDs: the clustering real hitlists show.
         for net in 0..32u32 {
             for iid in 0..512u32 {

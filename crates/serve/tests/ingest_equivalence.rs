@@ -148,7 +148,7 @@ proptest! {
 
         // The union, the way one batch build sees it, and the same
         // content merged update by update (earliest week wins).
-        let mut union = SnapshotBuilder::new("eq", SHARDS).with_bloom(false);
+        let mut union = SnapshotBuilder::new("eq", SHARDS);
         let mut held: BTreeMap<u128, u32> = BTreeMap::new();
         let mut held_aliases: BTreeMap<(u128, u8), u32> = BTreeMap::new();
         let mut submitted_distinct = 0u64;

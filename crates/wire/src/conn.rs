@@ -365,12 +365,12 @@ pub fn serve_request_with(
     match req {
         Request::Ping => Response::Pong,
         Request::Membership { addr } => Response::Bool {
-            value: snap.membership(Ipv6Addr::from(addr)).is_present(),
+            value: snap.contains(Ipv6Addr::from(addr)),
         },
         Request::MembershipUnaliased { addr } => {
             let a = Ipv6Addr::from(addr);
             Response::Bool {
-                value: snap.membership(a).is_present() && !snap.is_aliased(a),
+                value: snap.contains(a) && !snap.is_aliased(a),
             }
         }
         Request::Lookup { addr } => Response::Lookup {

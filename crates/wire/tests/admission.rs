@@ -27,7 +27,7 @@ fn addr(s: &str) -> Ipv6Addr {
 
 fn engine(quarantined: Vec<u32>) -> QueryEngine {
     let store = HitlistStore::new("front", 4);
-    let mut b = SnapshotBuilder::new("front", 4).with_bloom(false);
+    let mut b = SnapshotBuilder::new("front", 4);
     if !quarantined.is_empty() {
         b = b.with_quarantined(quarantined);
     }

@@ -31,7 +31,7 @@ fn eui_addr(subnet: u64, mac: u64) -> u128 {
 
 fn store_with_move() -> Arc<HitlistStore> {
     let store = Arc::new(HitlistStore::new("front", 4));
-    let mut b = SnapshotBuilder::new("front", 4).with_bloom(false);
+    let mut b = SnapshotBuilder::new("front", 4);
     let mac = 0x0050_56ab_cdef;
     b.add_bits(eui_addr(1, mac), 1);
     b.add_bits(eui_addr(2, mac), 5);
