@@ -8,7 +8,7 @@ cd "$(dirname "$0")"
 tree_state() { git status --porcelain; git diff | cksum; }
 tree_before=$(tree_state)
 
-echo "== library code reads a fixed set of environment variables =="
+echo "== library code reads a fixed set of environment variables; crates/*/src does not grow =="
 # The tools crate (crates/bench) reads its own run knobs; nothing else
 # may add one.
 env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates/*/src \
@@ -16,6 +16,13 @@ env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates
   | sed -E 's/.*\("([A-Za-z0-9_]+)"\)/\1/' | sort -u | tr '\n' ' ')
 [ "$env_vars" = "V6_CHAOS_SEED V6_DATA_DIR V6_THREADS V6_TRACE " ] \
   || { echo "library env vars: $env_vars"; exit 1; }
+# Size ratchet (ROADMAP item 8): a PR that shrinks crates/*/src lowers
+# this ceiling to its own count; one that grows it raises the ceiling in
+# its own diff and says why.
+src_ceiling=38241
+src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
+[ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }
 
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace

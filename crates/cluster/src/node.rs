@@ -54,7 +54,7 @@ use v6serve::{HitlistStore, PublishError, RecoverError, Snapshot, StoreConfig};
 use v6store::format::AliasEntry;
 use v6store::replica::DeltaRecord;
 use v6store::EpochState;
-use v6stream::{Analytics, SharedResolver};
+use v6stream::SharedResolver;
 use v6wire::frame::{try_frame, FrameDecoder, MAX_FRAME_PAYLOAD};
 use v6wire::transport::Transport;
 
@@ -105,25 +105,14 @@ impl NodeOpts {
 }
 
 /// One partition's replica on this node: the durable store, whose
-/// serving snapshot is the only copy of the content, and the retained
-/// delta chain.
+/// serving snapshot is the only copy of the content (and whose
+/// publishes feed its streaming operators, when enabled), and the
+/// retained delta chain.
 struct PartitionReplica {
     store: HitlistStore,
     /// `(prev_epoch, delta)` pairs, contiguous by construction —
     /// each delta was applied when the store sat at its `prev_epoch`.
     history: VecDeque<(u64, DeltaRecord)>,
-    /// Incremental streaming analytics riding the replication stream,
-    /// when [`Node::enable_streaming`] turned them on.
-    stream: Option<Streaming>,
-}
-
-/// A replica's streaming operators and the store epoch they reflect.
-/// They hold no corpus of their own: every delta that reaches them was
-/// just applied to the serving snapshot, which answers what week a
-/// removed or re-dated address had before.
-struct Streaming {
-    analytics: Analytics,
-    epoch: u64,
 }
 
 impl PartitionReplica {
@@ -131,7 +120,6 @@ impl PartitionReplica {
         PartitionReplica {
             store,
             history: VecDeque::new(),
-            stream: None,
         }
     }
 
@@ -151,36 +139,16 @@ impl PartitionReplica {
         let next = current.apply_delta(&delta)?;
         self.store.publish_delta(next, &delta).ok()?;
         let reached = (delta.epoch, delta.content_checksum);
-        self.adopt(&current, delta, history_cap);
+        self.adopt(prev_epoch, delta, history_cap);
         Some(reached)
     }
 
-    /// After `delta` carried `prev` to the epoch now published: fold it
-    /// into the streaming operators and retain it for catch-up.
-    fn adopt(&mut self, prev: &Snapshot, delta: DeltaRecord, history_cap: usize) {
-        if let Some(stream) = self.stream.as_mut() {
-            debug_assert_eq!(stream.epoch, prev.epoch());
-            stream
-                .analytics
-                .apply_delta(&delta, |bits| prev.first_week(Ipv6Addr::from(bits)));
-            stream.epoch = delta.epoch;
-        }
-        self.history.push_back((prev.epoch(), delta));
+    /// After `delta` carried `prev_epoch` to the epoch now published:
+    /// retain it for catch-up.
+    fn adopt(&mut self, prev_epoch: u64, delta: DeltaRecord, history_cap: usize) {
+        self.history.push_back((prev_epoch, delta));
         while self.history.len() > history_cap {
             self.history.pop_front();
-        }
-    }
-
-    /// Rebuilds the streaming operators from the serving snapshot, shard
-    /// by shard (operator state does not depend on the order entries
-    /// arrive in) — enabling, and adopting a bootstrap.
-    fn stream_resync(&mut self) {
-        if let Some(stream) = self.stream.as_mut() {
-            let snap = self.store.snapshot();
-            stream
-                .analytics
-                .rebuild(snap.shards().iter().flat_map(|shard| shard.entries()));
-            stream.epoch = snap.epoch();
         }
     }
 
@@ -342,24 +310,21 @@ impl Node {
     }
 
     /// Turns on incremental streaming analytics for every hosted
-    /// partition, built from the serving snapshots. From here on each
-    /// delta the replica publishes updates the operators in O(Δ), and a
-    /// bootstrap adoption rebuilds them from the adopted snapshot.
-    /// Re-enabling rebuilds from scratch.
+    /// partition ([`HitlistStore::enable_analytics`]), built from the
+    /// serving snapshots. From here on every epoch the replica
+    /// publishes — a delta it leads or follows, or a bootstrap it
+    /// adopts — updates the operators in O(Δ). Re-enabling rebuilds
+    /// from scratch.
     pub fn enable_streaming(&mut self, resolver: SharedResolver) {
-        for replica in self.replicas.values_mut() {
-            replica.stream = Some(Streaming {
-                analytics: Analytics::new(Arc::clone(&resolver)),
-                epoch: 0,
-            });
-            replica.stream_resync();
+        for replica in self.replicas.values() {
+            replica.store.enable_analytics(Arc::clone(&resolver));
         }
     }
 
     /// The epoch the streaming operators of `pid` reflect, when
     /// streaming is enabled there.
     pub fn stream_epoch(&self, pid: u32) -> Option<u64> {
-        Some(self.replicas.get(&pid)?.stream.as_ref()?.epoch)
+        self.replicas.get(&pid)?.store.analytics(|epoch, _| epoch)
     }
 
     /// `(operator name, checksum)` for `pid`'s streaming operators —
@@ -367,8 +332,10 @@ impl Node {
     /// checksums, regardless of the delta/bootstrap path each replica
     /// took.
     pub fn stream_checksums(&self, pid: u32) -> Option<[(&'static str, u64); 4]> {
-        let stream = self.replicas.get(&pid)?.stream.as_ref()?;
-        Some(stream.analytics.checksums())
+        self.replicas
+            .get(&pid)?
+            .store
+            .analytics(|_, ops| ops.checksums())
     }
 
     /// The `(epoch, content_checksum)` this node's store currently
@@ -467,7 +434,7 @@ impl Node {
         // Durable before visible, visible before pushed: a crash
         // here loses an epoch, never advertises a phantom one.
         replica.store.publish_delta(next, &delta)?;
-        replica.adopt(&current, delta, self.opts.history_cap);
+        replica.adopt(prev_epoch, delta, self.opts.history_cap);
         self.acks
             .entry((pid, epoch))
             .or_default()
@@ -678,9 +645,6 @@ impl Node {
                     // The chain that built the old epoch is now
                     // meaningless; future catch-ups we serve bootstrap.
                     replica.history.clear();
-                    // The operators jumped epochs wholesale: rebuild
-                    // them from the adopted corpus.
-                    replica.stream_resync();
                 } else {
                     self.counters.rejected.inc();
                 }

@@ -13,16 +13,15 @@
 //!   so density aggregates stay shard-local.
 //! - [`store`] — epoch-swapped publication: readers clone an `Arc` to the
 //!   current [`snapshot::Snapshot`]; publishing swaps the `Arc` under a
-//!   briefly held write lock, so reads never block on ingestion.
+//!   briefly held write lock, so reads never block on ingestion. Once
+//!   `HitlistStore::enable_analytics` is called, every publish also
+//!   folds its epoch's record into the store's [`v6stream::Analytics`],
+//!   which answer the windowed `MovedBetween`/`EntropyShift` queries.
 //! - [`ingest`] — bounded-channel worker pipeline turning campaign and
 //!   passive-corpus publications into snapshots off the serving threads.
-//! - [`query`] — [`QueryEngine`], the `(store, analytics)` handle a
-//!   server answers through; the answers themselves are the front
-//!   door's (`v6wire::serve_request_with`), read straight off a
-//!   [`Snapshot`].
-//! - [`stream`] — the bridge to [`v6stream`]: a [`StreamAnalytics`]
-//!   handle kept current from publishes or a tailed epoch log, powering
-//!   the windowed `moved_between`/`entropy_shift` queries.
+//! - [`query`] — [`QueryEngine`], the store handle a server answers
+//!   through; the answers themselves are the front door's
+//!   (`v6wire::serve_request_with`), read straight off a [`Snapshot`].
 //! - [`persist`] — durable publication through the [`v6store`]
 //!   write-ahead epoch log: `HitlistStore::persistent` fsyncs each
 //!   epoch before the swap and `HitlistStore::recover` rebuilds the
@@ -51,7 +50,6 @@ pub mod persist;
 pub mod query;
 pub mod snapshot;
 pub mod store;
-pub mod stream;
 
 pub use ingest::{
     IngestError, IngestHandle, IngestReport, IngestStats, Ingestor, PublicationUpdate,
@@ -60,5 +58,4 @@ pub use metrics::ServeMetrics;
 pub use query::QueryEngine;
 pub use snapshot::{CompressedRun, ServeStatus, Shard, Snapshot, SnapshotBuilder};
 pub use store::{HitlistStore, PublishError, PublishReceipt};
-pub use stream::{analytics_for, StreamAnalytics};
 pub use v6store::{RecoverError, RecoveryReport, StoreConfig};

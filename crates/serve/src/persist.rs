@@ -49,10 +49,8 @@ use crate::store::HitlistStore;
 /// are replicated into every shard at build time and are deduplicated
 /// back to one registration here.
 ///
-/// Public because the cluster layer ([`v6cluster`]) uses the same
-/// flattening to seed replication mirrors and compute epoch deltas.
-///
-/// [`v6cluster`]: ../../v6cluster/index.html
+/// O(content): what a checkpoint writes and a replica bootstrap sends
+/// ([`state_from_snapshot`]), never the per-epoch path.
 pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) {
     let mut entries = Vec::with_capacity(snap.len() as usize);
     for shard in snap.shards() {
@@ -247,8 +245,9 @@ impl EntryDiff {
 /// to detect any divergence between the persisted delta chain and the
 /// serving data structures.
 ///
-/// Public because cluster followers rebuild their serving snapshot
-/// from a replicated [`EpochState`] mirror through exactly this path.
+/// Public because a cluster replica adopting a bootstrap rebuilds its
+/// serving snapshot from the [`EpochState`] it was sent through exactly
+/// this path.
 pub fn snapshot_from_state(state: &EpochState) -> Snapshot {
     let shard_count = 1usize << state.shard_bits;
     let mut shard_data: Vec<Vec<(u128, u32)>> =

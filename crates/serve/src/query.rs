@@ -1,43 +1,25 @@
-//! The handle a server answers queries through: a store plus, when
-//! attached, the streaming analytics behind the windowed query family.
+//! The handle a server answers queries through.
 //!
 //! Answering itself lives at the front door (`v6wire::serve_request_with`),
 //! which clones the store's current snapshot `Arc` once per chunk of
-//! requests and answers every one of them from that immutable view.
+//! requests and answers every one of them from that immutable view; the
+//! windowed query family reads the store's own streaming operators
+//! ([`HitlistStore::enable_analytics`]).
 
 use std::sync::Arc;
 
 use crate::store::HitlistStore;
-use crate::stream::StreamAnalytics;
 
-/// A cheaply cloneable `(store, analytics)` handle.
+/// A cheaply cloneable store handle.
 #[derive(Clone)]
 pub struct QueryEngine {
     store: Arc<HitlistStore>,
-    /// Streaming operators answering the windowed query family;
-    /// `None` until attached with [`QueryEngine::with_analytics`].
-    analytics: Option<Arc<StreamAnalytics>>,
 }
 
 impl QueryEngine {
     /// An engine over `store`.
     pub fn new(store: Arc<HitlistStore>) -> Self {
-        QueryEngine {
-            store,
-            analytics: None,
-        }
-    }
-
-    /// Attaches streaming analytics, enabling the windowed query
-    /// family (`MovedBetween`, `EntropyShift`).
-    pub fn with_analytics(mut self, analytics: Arc<StreamAnalytics>) -> Self {
-        self.analytics = Some(analytics);
-        self
-    }
-
-    /// The attached streaming analytics, if any.
-    pub fn analytics(&self) -> Option<&Arc<StreamAnalytics>> {
-        self.analytics.as_ref()
+        QueryEngine { store }
     }
 
     /// The underlying store.

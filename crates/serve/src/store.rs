@@ -3,9 +3,11 @@
 //! The store holds the current [`Snapshot`] behind `RwLock<Arc<Snapshot>>`.
 //! Readers take the read lock just long enough to clone the `Arc` — a
 //! few nanoseconds — and then query their snapshot without any lock at
-//! all. Publishing validates the new snapshot *outside* the lock, then
-//! takes the write lock only to compare epochs and swap one pointer, so
-//! a publication never blocks readers for longer than that swap.
+//! all. Publishing validates the new snapshot *outside* any lock, then
+//! serializes on one writer mutex (epoch allocation, log append, swap,
+//! analytics fold) and takes the read-side write lock only to swap one
+//! pointer, so a publication never blocks readers for longer than that
+//! swap.
 //!
 //! The alternative — a mutex around a mutable store — would stall every
 //! reader for the full duration of a weekly merge (millions of
@@ -23,18 +25,29 @@
 //! publisher already holds ([`HitlistStore::publish_delta`]), or one
 //! derived by diffing the served snapshot against the new one, shard by
 //! shard ([`crate::persist::delta_between`]). The served snapshot *is*
-//! the log's last epoch — the swap happens under the log mutex — so no
-//! flat copy of the content is kept beside it, and the content is
+//! the log's last epoch — the swap happens under the writer mutex — so
+//! no flat copy of the content is kept beside it, and the content is
 //! flattened only on the append that owes a checkpoint.
+//!
+//! # Streaming analytics
+//!
+//! [`HitlistStore::enable_analytics`] gives the store a
+//! [`v6stream::Analytics`] operator set, and from then on every publish
+//! folds the same record into it, asking the snapshot it replaces for
+//! the old week of each removed or re-dated address. The swap and the
+//! fold happen under the operators' lock, so they always reflect the
+//! served epoch, and [`HitlistStore::analytics`] hands out that epoch
+//! together with them.
 
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use v6chaos::{Chaos, NoChaos};
 use v6store::{DeltaRecord, EpochLog, RecoverError, RecoveryReport, StoreConfig};
+use v6stream::{Analytics, SharedResolver};
 
 use crate::metrics::ServeMetrics;
 use crate::persist::{delta_between, flatten_snapshot, snapshot_from_state};
@@ -102,19 +115,27 @@ pub struct PublishReceipt {
     pub persist: Duration,
 }
 
+/// What only a publisher touches. One mutex covers epoch allocation,
+/// the append, the pointer swap and the analytics fold, so epochs are
+/// served in the order they are allocated, the on-disk epoch sequence
+/// is strictly monotonic even with concurrent publishers, and `current`
+/// is always the log's last epoch — what the next record is a delta
+/// from.
+struct Writer {
+    next_epoch: u64,
+    /// Write-ahead epoch log; `None` for in-memory stores.
+    log: Option<EpochLog>,
+}
+
 /// The concurrently readable hitlist store.
-#[derive(Debug)]
 pub struct HitlistStore {
     current: RwLock<Arc<Snapshot>>,
-    next_epoch: AtomicU64,
+    writer: Mutex<Writer>,
+    /// Streaming operators and the epoch they reflect; `None` until
+    /// [`HitlistStore::enable_analytics`].
+    analytics: RwLock<Option<(u64, Analytics)>>,
     shard_count: usize,
     metrics: Arc<ServeMetrics>,
-    /// Write-ahead epoch log; `None` for in-memory stores. The mutex
-    /// covers epoch allocation, append and the pointer swap, so the
-    /// on-disk epoch sequence is strictly monotonic even with concurrent
-    /// publishers and `current` is always the log's last epoch — what
-    /// the next record is a delta from.
-    log: Option<Mutex<EpochLog>>,
 }
 
 impl HitlistStore {
@@ -122,12 +143,23 @@ impl HitlistStore {
     /// shards. State does not survive a restart; see
     /// [`HitlistStore::persistent`].
     pub fn new(name: impl Into<String>, shard_count: usize) -> Self {
+        Self::serving(
+            Snapshot::empty(name, shard_count),
+            None,
+            Arc::new(ServeMetrics::default()),
+        )
+    }
+
+    fn serving(snapshot: Snapshot, log: Option<EpochLog>, metrics: Arc<ServeMetrics>) -> Self {
         HitlistStore {
-            current: RwLock::new(Arc::new(Snapshot::empty(name, shard_count))),
-            next_epoch: AtomicU64::new(1),
-            shard_count,
-            metrics: Arc::new(ServeMetrics::default()),
-            log: None,
+            shard_count: snapshot.shard_count(),
+            writer: Mutex::new(Writer {
+                next_epoch: snapshot.epoch() + 1,
+                log,
+            }),
+            current: RwLock::new(Arc::new(snapshot)),
+            analytics: RwLock::new(None),
+            metrics,
         }
     }
 
@@ -165,13 +197,11 @@ impl HitlistStore {
             metrics.registry(),
             chaos,
         )?;
-        Ok(HitlistStore {
-            current: RwLock::new(Arc::new(Snapshot::empty(name, shard_count))),
-            next_epoch: AtomicU64::new(1),
-            shard_count,
+        Ok(Self::serving(
+            Snapshot::empty(name, shard_count),
+            Some(log),
             metrics,
-            log: Some(Mutex::new(log)),
-        })
+        ))
     }
 
     /// Rebuilds a durable store from its directory: loads the newest
@@ -200,25 +230,37 @@ impl HitlistStore {
                 rec.state.content_checksum
             ))));
         }
-        let shard_count = 1usize << rec.state.shard_bits;
-        let next = rec.state.epoch + 1;
         let log = EpochLog::resume(cfg, &rec.state, &rec.report, metrics.registry(), chaos)
             .map_err(RecoverError::Io)?;
-        Ok((
-            HitlistStore {
-                current: RwLock::new(Arc::new(snapshot)),
-                next_epoch: AtomicU64::new(next),
-                shard_count,
-                metrics,
-                log: Some(Mutex::new(log)),
-            },
-            rec.report,
-        ))
+        Ok((Self::serving(snapshot, Some(log), metrics), rec.report))
     }
 
     /// True when this store writes epochs through a write-ahead log.
     pub fn is_persistent(&self) -> bool {
-        self.log.is_some()
+        self.writer.lock().log.is_some()
+    }
+
+    /// Turns on streaming analytics attributing addresses through
+    /// `resolver`: the operators are rebuilt from the served snapshot,
+    /// shard by shard (operator state does not depend on the order
+    /// entries arrive in, so nothing is flattened or sorted), and every
+    /// later publish folds its epoch's record into them. Calling it
+    /// again rebuilds from scratch.
+    pub fn enable_analytics(&self, resolver: SharedResolver) {
+        let _writer = self.writer.lock();
+        let served = self.snapshot();
+        let mut ops = Analytics::new(resolver);
+        ops.rebuild(served.shards().iter().flat_map(|shard| shard.entries()));
+        *self.analytics.write() = Some((served.epoch(), ops));
+    }
+
+    /// Reads the streaming operators together with the epoch they
+    /// reflect, under one lock; `None` until
+    /// [`HitlistStore::enable_analytics`].
+    pub fn analytics<R>(&self, read: impl FnOnce(u64, &Analytics) -> R) -> Option<R> {
+        let fed = self.analytics.read();
+        let (epoch, ops) = fed.as_ref()?;
+        Some(read(*epoch, ops))
     }
 
     /// The shared metrics counters.
@@ -238,10 +280,11 @@ impl HitlistStore {
 
     /// Validates and publishes a snapshot, assigning it the next epoch.
     ///
-    /// Integrity verification runs before taking any lock; the write lock
-    /// is held only for an epoch comparison and an `Arc` swap. Concurrent
-    /// publishers are safe: epochs are allocated atomically and a stale
-    /// publisher can never roll back a newer epoch.
+    /// Integrity verification runs before taking any lock; readers wait
+    /// only for an `Arc` swap. Concurrent publishers are safe: each
+    /// allocates, appends and swaps under the writer mutex, so every
+    /// epoch a publish returns was served, and a stale publisher can
+    /// never roll back a newer epoch.
     ///
     /// On a persistent store the epoch is appended and fsynced to the
     /// write-ahead log *before* the swap. A failed append returns
@@ -262,7 +305,8 @@ impl HitlistStore {
     /// gaps are fine, rollback is not. On a persistent store a
     /// non-monotonic epoch fails the write-ahead append and returns
     /// [`PublishError::Persistence`]; on an in-memory store the swap is
-    /// skipped and readers keep the newer epoch.
+    /// skipped, readers keep the newer epoch and the analytics do not
+    /// move.
     pub fn publish_as(
         &self,
         snapshot: Snapshot,
@@ -273,8 +317,8 @@ impl HitlistStore {
 
     /// [`HitlistStore::publish_as`] for a publisher that already holds
     /// the epoch's delta: `snapshot` is published as `delta.epoch` and
-    /// `delta` itself is what the write-ahead log appends — nothing is
-    /// flattened or re-diffed.
+    /// `delta` itself is what the write-ahead log appends and the
+    /// analytics fold — nothing is flattened or re-diffed.
     ///
     /// `delta` must be the record that carries the snapshot this store
     /// currently serves to `snapshot` (a replica gets the pair from
@@ -317,31 +361,35 @@ impl HitlistStore {
         }
         let validate = t0.elapsed();
 
-        // An explicit epoch reserves itself in the allocator so later
-        // auto-assigned epochs continue past it; auto allocation keeps
-        // the fetch_add fast path.
-        let allocate = |explicit: Option<u64>| match explicit {
-            None => self.next_epoch.fetch_add(1, Ordering::Relaxed),
+        // Held until the swap and the fold are done: see `Writer`.
+        let mut writer = self.writer.lock();
+        let epoch = match explicit {
+            // An explicit epoch reserves itself in the allocator so later
+            // auto-assigned epochs continue past it.
             Some(e) => {
-                self.next_epoch.fetch_max(e + 1, Ordering::Relaxed);
+                writer.next_epoch = writer.next_epoch.max(e + 1);
                 e
             }
+            None => {
+                writer.next_epoch += 1;
+                writer.next_epoch - 1
+            }
         };
+        let served = self.snapshot();
+        let feeds = self.analytics.read().is_some();
 
+        let tp = Instant::now();
+        let derived;
+        let record = match delta {
+            Some(delta) => Some(delta),
+            None if writer.log.is_some() || feeds => {
+                derived = delta_between(&served, &snapshot, epoch);
+                Some(&derived)
+            }
+            None => None,
+        };
         let mut persist = Duration::ZERO;
-        // Held (on a persistent store) until after the swap: see `log`.
-        let mut log = self.log.as_ref().map(|log| log.lock());
-        let epoch = allocate(explicit);
-        if let Some(log) = log.as_mut() {
-            let tp = Instant::now();
-            let derived;
-            let record = match delta {
-                Some(delta) => delta,
-                None => {
-                    derived = delta_between(&self.snapshot(), &snapshot, epoch);
-                    &derived
-                }
-            };
+        if let (Some(log), Some(record)) = (writer.log.as_mut(), record) {
             log.append_delta(record, || flatten_snapshot(&snapshot))
                 .map_err(|e| PublishError::Persistence(e.to_string()))?;
             persist = tp.elapsed();
@@ -351,15 +399,24 @@ impl HitlistStore {
         let degraded = snapshot.is_degraded();
         let arc = Arc::new(snapshot);
 
+        // A stale explicit epoch is not served and advances nothing.
+        let advances = served.epoch() < epoch;
+        // Swapped and folded under the analytics lock: whoever reads the
+        // served snapshot while holding it sees the operators' epoch.
+        let mut fed = (advances && feeds).then(|| self.analytics.write());
         let t1 = Instant::now();
-        {
-            let mut current = self.current.write();
-            if current.epoch() < epoch {
-                *current = arc;
-            }
+        if advances {
+            *self.current.write() = arc;
         }
         let swap = t1.elapsed();
-        drop(log);
+        if let (Some((at, ops)), Some(record)) =
+            (fed.as_deref_mut().and_then(Option::as_mut), record)
+        {
+            ops.apply_delta(record, |bits| served.first_week(Ipv6Addr::from(bits)));
+            *at = epoch;
+        }
+        drop(fed);
+        drop(writer);
         self.metrics.record_publish();
         {
             // Export the published epoch's memory footprint: raw is what
@@ -386,7 +443,6 @@ impl HitlistStore {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotBuilder;
-    use std::net::Ipv6Addr;
 
     fn addr(s: &str) -> Ipv6Addr {
         s.parse().unwrap()

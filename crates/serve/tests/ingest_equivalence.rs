@@ -12,6 +12,10 @@
 //! weeks) so updates keep re-publishing held addresses at earlier and
 //! later weeks, and one shard starts out quarantined so runs pile up
 //! and are released together.
+//!
+//! The store runs with streaming analytics on, and after every epoch
+//! the ingestor publishes its operators must sit at the served epoch on
+//! a batch build over the served content.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -23,6 +27,7 @@ use v6addr::{shard48, Prefix};
 use v6chaos::{ScriptedChaos, SiteScript};
 use v6serve::persist::flatten_snapshot;
 use v6serve::{HitlistStore, Ingestor, PublicationUpdate, Snapshot, SnapshotBuilder, StoreConfig};
+use v6stream::{country_code, Analytics, AsTag, PrefixAsTable, SharedResolver};
 
 const SHARDS: usize = 4;
 const SHARD_BITS: u32 = 2;
@@ -116,6 +121,17 @@ fn alias_shards(prefix: &Prefix) -> Vec<usize> {
     }
 }
 
+fn resolver() -> SharedResolver {
+    Arc::new(PrefixAsTable::new(vec![(
+        BASE,
+        32,
+        AsTag {
+            index: 1,
+            country: country_code(*b"DE"),
+        },
+    )]))
+}
+
 /// Submits one update and returns the epoch it produced.
 fn ingest_one(
     handle: &v6serve::IngestHandle,
@@ -139,6 +155,7 @@ proptest! {
         failures in 0u32..4,
     ) {
         let store = Arc::new(HitlistStore::new("eq", SHARDS));
+        store.enable_analytics(resolver());
         let chaos = ScriptedChaos::new().with(
             format!("serve.shard.{quarantined}"),
             SiteScript::transient(failures),
@@ -188,6 +205,14 @@ proptest! {
 
             let next = ingest_one(&handle, &store, update);
             prop_assert!(next.verify_integrity());
+            // Read under the operators' lock, which a publish holds
+            // across its swap and its fold.
+            let (at, served, sums) = store
+                .analytics(|epoch, ops| (epoch, store.snapshot(), ops.checksums()))
+                .expect("analytics enabled");
+            prop_assert_eq!(at, served.epoch());
+            let batch = Analytics::from_entries(resolver(), &flatten_snapshot(&served).0);
+            prop_assert_eq!(sums, batch.checksums());
             for i in 0..SHARDS {
                 let shared = Arc::ptr_eq(&prev.shards()[i], &next.shards()[i]);
                 if failures == 0 {

@@ -210,7 +210,8 @@ impl DriverMetrics {
 /// Tails a delta stream into an [`Analytics`] set, maintaining a
 /// corpus mirror for verification and event resolution — for consumers
 /// that hold no snapshot of the corpus themselves (a log tail); one
-/// that does calls [`Analytics::apply_delta`] directly.
+/// that does (a serving store, a cluster replica) calls
+/// [`Analytics::apply_delta`] directly from its publish.
 ///
 /// Work per delta is O(|delta| · log corpus) — independent of corpus
 /// *size* except through map-depth, which is what makes per-epoch
@@ -219,7 +220,6 @@ pub struct StreamDriver {
     /// bits → first-seen week; the verified corpus mirror.
     mirror: HashMap<u128, u32>,
     epoch: u64,
-    week: u64,
     /// Running [`fold_content`] sum over the mirror.
     checksum: u64,
     lagging: bool,
@@ -237,7 +237,6 @@ impl StreamDriver {
         StreamDriver {
             mirror: HashMap::new(),
             epoch: 0,
-            week: 0,
             checksum: 0,
             lagging: false,
             priors: Vec::new(),
@@ -257,11 +256,6 @@ impl StreamDriver {
     /// The epoch the operators reflect.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The latest study week the operators reflect.
-    pub fn week(&self) -> u64 {
-        self.week
     }
 
     /// The maintained corpus content checksum (the commutative
@@ -336,7 +330,6 @@ impl StreamDriver {
         self.mirror.extend(delta.added.iter().copied());
         self.checksum = next;
         self.epoch = delta.epoch;
-        self.week = delta.week;
         self.metrics.applied.inc();
         self.metrics.events.add(count as u64);
         self.metrics
@@ -398,8 +391,10 @@ impl StreamDriver {
     /// authoritative materialized epoch — the gap recovery path.
     ///
     /// O(corpus), by design: resync is the explicitly-paid fallback
-    /// that bounds how wrong the cheap path can ever be.
-    pub fn resync(&mut self, epoch: u64, week: u64, entries: &[(u128, u32)]) {
+    /// that bounds how wrong the cheap path can ever be. The epoch's
+    /// study week is accepted beside its entries but is not part of any
+    /// operator's state.
+    pub fn resync(&mut self, epoch: u64, _week: u64, entries: &[(u128, u32)]) {
         self.analytics.rebuild(entries.iter().copied());
         self.mirror.clear();
         self.mirror.extend(entries.iter().copied());
@@ -407,7 +402,6 @@ impl StreamDriver {
             .iter()
             .fold(0, |acc, &(bits, week)| fold_content(acc, bits, week));
         self.epoch = epoch;
-        self.week = week;
         self.lagging = false;
         self.metrics.resyncs.inc();
     }

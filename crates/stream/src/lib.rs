@@ -34,8 +34,11 @@
 //!   out-of-order deliveries by epoch, detects replay **gaps** by
 //!   recomputing each delta's content checksum against its corpus
 //!   mirror before mutating anything, and recovers from gaps with an
-//!   explicit O(corpus) [`StreamDriver::resync`]. It can tail a live
-//!   store's epoch log through [`v6store::LogTailer`].
+//!   explicit O(corpus) [`StreamDriver::resync`]. It reads a store's
+//!   epoch log through [`v6store::LogTailer`]
+//!   ([`StreamDriver::poll_log`]). A process that holds the snapshot
+//!   needs none of this: `v6serve`'s `HitlistStore` folds each record it
+//!   publishes into its own [`Analytics`].
 //!
 //! The governing invariant, pinned by proptests and the `stream`
 //! chaos mode: **at every epoch boundary, each operator's checksum

@@ -28,7 +28,7 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 use std::time::Instant;
 
-use v6serve::{ServeStatus, Snapshot, StreamAnalytics};
+use v6serve::{HitlistStore, ServeStatus, Snapshot};
 
 use crate::admit::AdmitDecision;
 use crate::frame::{check_preamble, frame_into, trim, FrameDecoder, FrameError, PREAMBLE_LEN};
@@ -300,7 +300,7 @@ fn answer(
     };
     let snap = snap.get_or_insert_with(|| server.engine().store().snapshot());
     let started = Instant::now();
-    let resp = serve_request_with(snap, server.engine().analytics().map(|a| &**a), req);
+    let resp = serve_request_with(snap, Some(server.engine().store().as_ref()), req);
     metrics.record_latency(class, started.elapsed());
     resp
 }
@@ -316,53 +316,45 @@ pub fn serve_request(snap: &Snapshot, req: Request) -> Response {
 
 /// Answers one admitted request from `snap`, routing the windowed
 /// streaming-analytics requests ([`Request::MovedBetween`],
-/// [`Request::EntropyShift`]) to `analytics` when present. This is the
-/// one dispatcher: served connections and in-process callers alike get
-/// their answers here.
-pub fn serve_request_with(
-    snap: &Snapshot,
-    analytics: Option<&StreamAnalytics>,
-    req: Request,
-) -> Response {
+/// [`Request::EntropyShift`]) to the operators of `store`
+/// ([`HitlistStore::enable_analytics`]). This is the one dispatcher:
+/// served connections and in-process callers alike get their answers
+/// here.
+///
+/// A windowed answer is labeled with the epoch its operators reflect,
+/// read under the same lock as its rows. The operators are fed by the
+/// store's own publishes and never skip an epoch, so `lagging` is
+/// always `false`.
+pub fn serve_request_with(snap: &Snapshot, store: Option<&HitlistStore>, req: Request) -> Response {
     match req {
-        Request::MovedBetween { w0, w1 } => {
-            let Some(analytics) = analytics else {
-                return Response::Error {
-                    message: "streaming analytics not enabled on this server".to_string(),
-                };
-            };
-            let mut moves: Vec<WireMove> = analytics
-                .moved_between(w0, w1)
-                .into_iter()
-                .map(|m| WireMove {
-                    mac: m.mac,
-                    from_net: m.from_net,
-                    to_net: m.to_net,
-                    week: m.week,
-                })
-                .collect();
-            moves.truncate(MAX_MOVED_ROWS);
-            return Response::Moved {
-                epoch: analytics.epoch(),
-                lagging: analytics.is_lagging(),
-                moves,
-            };
-        }
-        Request::EntropyShift { as_index, w0, w1 } => {
-            let Some(analytics) = analytics else {
-                return Response::Error {
-                    message: "streaming analytics not enabled on this server".to_string(),
-                };
-            };
-            return Response::EntropyShift {
-                epoch: analytics.epoch(),
-                lagging: analytics.is_lagging(),
-                shift: analytics.entropy_shift(as_index, w0, w1),
-            };
-        }
-        _ => {}
-    }
-    match req {
+        Request::MovedBetween { w0, w1 } => windowed(store.and_then(|store| {
+            store.analytics(|epoch, ops| {
+                let mut moves: Vec<WireMove> = ops
+                    .devices
+                    .moved_between(w0, w1)
+                    .into_iter()
+                    .map(|m| WireMove {
+                        mac: m.mac,
+                        from_net: m.from_net,
+                        to_net: m.to_net,
+                        week: m.week,
+                    })
+                    .collect();
+                moves.truncate(MAX_MOVED_ROWS);
+                Response::Moved {
+                    epoch,
+                    lagging: false,
+                    moves,
+                }
+            })
+        })),
+        Request::EntropyShift { as_index, w0, w1 } => windowed(store.and_then(|store| {
+            store.analytics(|epoch, ops| Response::EntropyShift {
+                epoch,
+                lagging: false,
+                shift: ops.entropy.shift(as_index, w0, w1),
+            })
+        })),
         Request::Ping => Response::Pong,
         Request::Membership { addr } => Response::Bool {
             value: snap.contains(Ipv6Addr::from(addr)),
@@ -415,10 +407,15 @@ pub fn serve_request_with(
                 ServeStatus::Degraded { missing_shards } => missing_shards,
             },
         },
-        Request::MovedBetween { .. } | Request::EntropyShift { .. } => {
-            unreachable!("windowed requests answered before snapshot dispatch")
-        }
     }
+}
+
+/// A windowed answer, or the labeled refusal of a server whose store
+/// has no streaming analytics.
+fn windowed(answer: Option<Response>) -> Response {
+    answer.unwrap_or_else(|| Response::Error {
+        message: "streaming analytics not enabled on this server".to_string(),
+    })
 }
 
 fn lookup_in(snap: &Snapshot, addr: u128) -> WireLookup {

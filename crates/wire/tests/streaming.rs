@@ -1,17 +1,19 @@
-//! Windowed streaming-analytics queries over the wire (this PR's
-//! tentpole, serve/wire layer): `MovedBetween` and `EntropyShift`
-//! travel as first-class frames, answered from the server's attached
-//! [`v6serve::StreamAnalytics`] — and get a labeled `Error` frame
+//! Windowed streaming-analytics queries over the wire: `MovedBetween`
+//! and `EntropyShift` travel as first-class frames, answered from the
+//! store's own operators ([`HitlistStore::enable_analytics`]), which
+//! every later publish keeps current — and get a labeled `Error` frame
 //! (never a silent drop or a close) from a server running without
 //! streaming analytics.
 
 use std::sync::Arc;
 
-use v6serve::{analytics_for, HitlistStore, QueryEngine, SnapshotBuilder};
+use v6serve::{HitlistStore, QueryEngine, SnapshotBuilder};
 use v6stream::{country_code, AsTag, PrefixAsTable, SharedResolver};
 use v6wire::proto::{Request, Response};
 use v6wire::transport::duplex;
 use v6wire::{serve_request, AdmissionConfig, WireClient, WireServer};
+
+const MAC: u64 = 0x0050_56ab_cdef;
 
 fn resolver() -> SharedResolver {
     Arc::new(PrefixAsTable::new(vec![(
@@ -29,12 +31,15 @@ fn eui_addr(subnet: u64, mac: u64) -> u128 {
     (0x2001_0db8u128 << 96) | (u128::from(subnet) << 64) | u128::from(iid.as_u64())
 }
 
-fn store_with_move() -> Arc<HitlistStore> {
-    let store = Arc::new(HitlistStore::new("front", 4));
+/// The MAC in /64s 1 (week 1) and 2 (week 5) — plus, with `third`, in
+/// /64 5 at week 7 — beside sixteen non-EUI-64 addresses.
+fn corpus(third: bool) -> SnapshotBuilder {
     let mut b = SnapshotBuilder::new("front", 4);
-    let mac = 0x0050_56ab_cdef;
-    b.add_bits(eui_addr(1, mac), 1);
-    b.add_bits(eui_addr(2, mac), 5);
+    b.add_bits(eui_addr(1, MAC), 1);
+    b.add_bits(eui_addr(2, MAC), 5);
+    if third {
+        b.add_bits(eui_addr(5, MAC), 7);
+    }
     for i in 0..8u128 {
         b.add_bits(
             (0x2001_0db8u128 << 96) | (3 << 64) | (0x9e37_79b9 * (i + 1)),
@@ -42,15 +47,20 @@ fn store_with_move() -> Arc<HitlistStore> {
         );
         b.add_bits((0x2001_0db8u128 << 96) | (4 << 64) | (i + 4), 5);
     }
-    store.publish(b.build()).unwrap();
+    b
+}
+
+fn store_with_move() -> Arc<HitlistStore> {
+    let store = Arc::new(HitlistStore::new("front", 4));
+    store.publish(corpus(false).build()).unwrap();
     store
 }
 
 #[test]
 fn windowed_queries_answer_over_the_wire() {
     let store = store_with_move();
-    let analytics = analytics_for(&store, resolver());
-    let engine = QueryEngine::new(Arc::clone(&store)).with_analytics(analytics);
+    store.enable_analytics(resolver());
+    let engine = QueryEngine::new(Arc::clone(&store));
     let server = WireServer::new(engine, AdmissionConfig::default(), 0);
 
     let (client_end, mut server_end) = duplex();
@@ -72,7 +82,7 @@ fn windowed_queries_answer_over_the_wire() {
             assert_eq!(*epoch, store.snapshot().epoch());
             assert!(!lagging);
             assert_eq!(moves.len(), 1);
-            assert_eq!(moves[0].mac, 0x0050_56ab_cdef);
+            assert_eq!(moves[0].mac, MAC);
             assert_eq!(moves[0].week, 5);
             assert_ne!(moves[0].from_net, moves[0].to_net);
         }
@@ -129,6 +139,32 @@ fn windowed_queries_answer_over_the_wire() {
         resps[1].1
     );
     assert!(!conn.is_closed(), "windowed queries are ordinary traffic");
+
+    // The next publish reaches the operators with no further call: the
+    // device turns up in a third /64 at week 7, inside the window that
+    // was empty a moment ago, and the answer is labeled with the epoch
+    // that carries it.
+    store.publish(corpus(true).build()).unwrap();
+    client
+        .send(&Request::MovedBetween { w0: 5, w1: 9 }, 3_000)
+        .unwrap();
+    conn.pump(&mut server_end, 3_000).unwrap();
+    let resps = client.poll(3_000).unwrap();
+    assert_eq!(resps.len(), 1);
+    match &resps[0].1 {
+        Response::Moved {
+            epoch,
+            lagging,
+            moves,
+        } => {
+            assert_eq!(*epoch, 2);
+            assert!(!lagging);
+            assert_eq!(moves.len(), 1, "got {moves:?}");
+            assert_eq!((moves[0].mac, moves[0].week), (MAC, 7));
+            assert_eq!(moves[0].to_net, (0x2001_0db8u64 << 32) | 5);
+        }
+        other => panic!("expected Moved, got {other:?}"),
+    }
 }
 
 #[test]
