@@ -126,6 +126,22 @@ impl<T> PrefixMap<T> {
         self.covering_prefix(&Prefix::new(addr, 128))
     }
 
+    /// [`PrefixMap::longest_match`] of `addr`, and the last address of
+    /// the run from `addr` on that gets the same answer: the smaller of
+    /// the match's last address and the address before the next stored
+    /// prefix starts. No prefix starts inside the run, so all of it gets
+    /// `addr`'s answer; the address after it lies outside the match or
+    /// is the start of the next prefix, so it does not.
+    pub fn longest_match_span(&self, addr: Ipv6Addr) -> (Option<(Prefix, &T)>, Ipv6Addr) {
+        let probe = Prefix::new(addr, 128);
+        let below = self.entries.partition_point(|e| e.prefix <= probe);
+        let found = self.entries.get(self.enclosing(below, &probe) as usize);
+        // `entries[below]` sorts after `probe`, so it starts above `addr`.
+        let next = (self.entries.get(below)).map_or(u128::MAX, |e| e.prefix.bits() - 1);
+        let until = found.map_or(next, |e| next.min(e.prefix.last().into()));
+        (found.map(|e| (e.prefix, &e.value)), until.into())
+    }
+
     /// True when any stored prefix covers `addr`.
     pub fn covers(&self, addr: Ipv6Addr) -> bool {
         self.longest_match(addr).is_some()

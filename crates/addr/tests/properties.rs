@@ -177,6 +177,56 @@ proptest! {
         }
     }
 
+    /// `longest_match_span` is exact: every sampled address of
+    /// `[addr, until]` gets `addr`'s longest match and `until + 1` does
+    /// not. On a flat table (scattered prefixes up to /64) and a nested
+    /// one (chains along two bases, and one covering the top of the
+    /// space), probed at random, at `::` and `u128::MAX` (the gaps
+    /// before the first and after the last entry, where the table leaves
+    /// them), and on both sides of every stored prefix's edges.
+    #[test]
+    fn lpm_span_is_exact(scattered in prop::collection::vec((any::<u128>(), 0u8..=64), 0..30),
+                         bases in (any::<u128>(), any::<u128>()),
+                         chain in prop::collection::vec((0usize..2, 1u8..=128), 0..20),
+                         probes in prop::collection::vec(any::<u128>(), 8),
+                         offsets in prop::collection::vec(any::<u128>(), 8)) {
+        let flat: PrefixMap<usize> = scattered
+            .iter()
+            .enumerate()
+            .map(|(i, &(bits, len))| (Prefix::from_bits(bits, len), i))
+            .collect();
+        let nested: PrefixMap<usize> = chain
+            .iter()
+            .map(|&(b, len)| Prefix::from_bits([bases.0, bases.1][b], len))
+            .chain([Prefix::from_bits(u128::MAX, 112)])
+            .enumerate()
+            .map(|(i, p)| (p, i))
+            .collect();
+        for map in [&flat, &nested] {
+            let mut addrs = probes.clone();
+            addrs.extend([0, u128::MAX]);
+            for (p, _) in map.iter() {
+                let (lo, hi) = (p.bits(), u128::from(p.last()));
+                addrs.extend([lo, lo.wrapping_sub(1), hi, hi.wrapping_add(1)]);
+            }
+            for &addr in &addrs {
+                let (found, until) = map.longest_match_span(addr.into());
+                let until = u128::from(until);
+                prop_assert_eq!(found, map.longest_match(addr.into()));
+                prop_assert!(until >= addr);
+                let width = until - addr;
+                let mut inside = vec![addr, until, addr + width / 2];
+                inside.extend(offsets.iter().map(|&r| addr + r % width.saturating_add(1)));
+                for x in inside {
+                    prop_assert_eq!(map.longest_match(x.into()), found, "{:#x} in span of {:#x}", x, addr);
+                }
+                if until != u128::MAX {
+                    prop_assert_ne!(map.longest_match((until + 1).into()), found);
+                }
+            }
+        }
+    }
+
     /// MAC NIC offsets invert correctly within an OUI.
     #[test]
     fn mac_offset_inverts(base in any::<u64>(), off in -0x7f_ffffi64..=0x80_0000) {

@@ -12,12 +12,12 @@
 //! radix sort against `sort_unstable` — at three input sizes, so
 //! kernel-level regressions are visible separately from pipeline-level
 //! ones. The same file carries the layout comparisons — membership
-//! structures, longest-prefix match — the per-event cost of the
-//! streaming operators, and the time and heap allocations of one request
-//! through the front door.
+//! structures, longest-prefix match — the per-event time and heap
+//! allocations of the streaming operators, and the same two of one
+//! request through the front door.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::net::Ipv6Addr;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -29,6 +29,7 @@ use v6bench::{
     KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord, WireRoundtripRecord,
 };
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
+use v6store::DeltaRecord;
 use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
 use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
@@ -105,7 +106,8 @@ fn bench_sets(c: &mut Criterion) {
 /// Live heap bytes, so the `lpm` rows report what a structure occupies
 /// without the structure exposing its layout.
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
-/// Allocations and reallocations so far, for the `wire_roundtrip` rows.
+/// Allocations and reallocations so far, for the `wire_roundtrip` and
+/// `stream_ops` rows.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 
 struct CountingAlloc;
@@ -385,8 +387,8 @@ fn emit_par_kernels_json() {
     }
     for o in &bench.stream_ops {
         println!(
-            "  stream/{:<16} {:>7} events: {:>7.1} ns/event",
-            o.op, o.events, o.ns_per_event
+            "  stream/{:<21} {:>7} events: {:>7.1} ns/event, {:.3} allocations/event",
+            o.op, o.events, o.ns_per_event, o.allocs_per_event
         );
     }
     for w in &bench.wire_roundtrip {
@@ -498,8 +500,11 @@ fn wire_roundtrip_records() -> Vec<WireRoundtripRecord> {
 /// 8 192-entry partition (128 /48s over 64 ASes), a quarter of its IIDs
 /// EUI-64 (2^20 NICs of one vendor), half of it replaced per delta. Operator
 /// rows get the attributes already resolved; `analytics_apply` is the
-/// whole per-event path, resolve included. Rotation has no row: it is a
-/// view of the device table and does nothing per event.
+/// whole per-event path, resolve included, and `analytics_apply_delta`
+/// the same churn as the sorted records a replica folds, one resolve
+/// per prefix span. Rotation has no row: it is a view of the device
+/// table and does nothing per event. Every row also counts the heap
+/// allocations of one round.
 fn stream_op_records() -> Vec<StreamOpRecord> {
     const ENTRIES: usize = 8192;
     let mut rng = Rng::new(0x57e4);
@@ -541,17 +546,26 @@ fn stream_op_records() -> Vec<StreamOpRecord> {
         .chain(leaving.iter().map(added))
         .map(|event| (event, Attrs::resolve(&*table, event.bits())))
         .collect();
+    let record = |op: &str, events: usize, round: &mut dyn FnMut()| {
+        let before = ALLOCS.load(Relaxed);
+        round();
+        let allocs = ALLOCS.load(Relaxed) - before;
+        let ms = best_ms(9, &mut *round);
+        StreamOpRecord {
+            op: op.into(),
+            events,
+            ns_per_event: ms * 1e6 / events as f64,
+            allocs_per_event: allocs as f64 / events as f64,
+        }
+    };
     let time = |op: &str, apply: &mut dyn FnMut(&Event, &Attrs)| {
         for &(bits, week) in &held {
             let event = Event::Added { bits, week };
             apply(&event, &Attrs::resolve(&*table, bits));
         }
-        let ms = best_ms(9, || events.iter().for_each(|(e, a)| apply(e, a)));
-        StreamOpRecord {
-            op: op.into(),
-            events: events.len(),
-            ns_per_event: ms * 1e6 / events.len() as f64,
-        }
+        record(op, events.len(), &mut || {
+            events.iter().for_each(|(e, a)| apply(e, a))
+        })
     };
 
     let mut analytics = Analytics::new(table.clone());
@@ -566,17 +580,65 @@ fn stream_op_records() -> Vec<StreamOpRecord> {
         time("device", &mut |e, a| devices.apply(e, a)),
         time("analytics_apply", &mut |e, _| analytics.apply(e)),
     ];
+
+    // The same churn out and back as two records, each list sorted; the
+    // prior weeks `apply_delta` asks for are replayed from lists
+    // computed up front, as a replica replays its snapshot's answers.
+    let before: BTreeMap<u128, u32> = held.iter().copied().collect();
+    let mut after = before.clone();
+    for (bits, _) in leaving {
+        after.remove(bits);
+    }
+    after.extend(fresh.iter().copied());
+    let deltas = [churn_delta(&before, &after), churn_delta(&after, &before)];
+    let entries: Vec<(u128, u32)> = before.into_iter().collect();
+    let mut folded = Analytics::from_entries(table.clone(), &entries);
+    let delta_events = deltas.iter().map(|(_, priors)| priors.len()).sum();
+    records.push(record("analytics_apply_delta", delta_events, &mut || {
+        for (delta, priors) in &deltas {
+            let mut priors = priors.iter();
+            folded.apply_delta(delta, |_| *priors.next().expect("one per entry"));
+        }
+    }));
+
     let iids: Vec<Iid> = events
         .iter()
         .map(|(e, _)| Iid::new(e.bits() as u64))
         .collect();
-    let ms = best_ms(9, || iids.iter().map(|&iid| iid_entropy(iid)).sum::<f64>());
-    records.push(StreamOpRecord {
-        op: "iid_entropy".into(),
-        events: iids.len(),
-        ns_per_event: ms * 1e6 / iids.len() as f64,
-    });
+    records.push(record("iid_entropy", iids.len(), &mut || {
+        black_box(iids.iter().map(|&iid| iid_entropy(iid)).sum::<f64>());
+    }));
     records
+}
+
+/// The record carrying `from` to `to`, and the week before it of each
+/// of its entries in record order — removals, then additions.
+fn churn_delta(
+    from: &BTreeMap<u128, u32>,
+    to: &BTreeMap<u128, u32>,
+) -> (DeltaRecord, Vec<Option<u32>>) {
+    let removed: Vec<u128> = (from.keys())
+        .filter(|bits| !to.contains_key(bits))
+        .copied()
+        .collect();
+    let added: Vec<(u128, u32)> = (to.iter())
+        .filter(|&(bits, week)| from.get(bits) != Some(week))
+        .map(|(&bits, &week)| (bits, week))
+        .collect();
+    let priors = (removed.iter().chain(added.iter().map(|e| &e.0)))
+        .map(|bits| from.get(bits).copied())
+        .collect();
+    let delta = DeltaRecord {
+        epoch: 1,
+        week: 0,
+        content_checksum: 0,
+        missing_shards: Vec::new(),
+        removed,
+        added,
+        removed_aliases: Vec::new(),
+        added_aliases: Vec::new(),
+    };
+    (delta, priors)
 }
 
 /// Longest-prefix match over the one prefix index, on a flat and a

@@ -83,13 +83,17 @@ pub struct LpmRecord {
 pub struct StreamOpRecord {
     /// What was timed: one `v6stream` operator's `apply` with the
     /// attributes already resolved ("density", "entropy", "device"),
-    /// `Analytics::apply` including the resolve ("analytics_apply"), or
-    /// a bare `v6addr::iid_entropy` call ("iid_entropy").
+    /// `Analytics::apply` including the resolve ("analytics_apply"), the
+    /// same churn as two sorted deltas through `Analytics::apply_delta`,
+    /// resolving once per prefix span ("analytics_apply_delta"), or a
+    /// bare `v6addr::iid_entropy` call ("iid_entropy").
     pub op: String,
     /// Events (or calls) per timed round.
     pub events: usize,
     /// Mean nanoseconds per event (best of N rounds).
     pub ns_per_event: f64,
+    /// Heap allocations and reallocations per event over one round.
+    pub allocs_per_event: f64,
 }
 
 /// One closed-loop request mix through the front door — `WireClient::send

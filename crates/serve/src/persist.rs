@@ -26,7 +26,9 @@
 //! [`v6store::data_dir_from_env`]; see the README "Durability" section
 //! and DESIGN.md §11 for the on-disk format.
 
-use std::iter::Peekable;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::iter::{zip, Peekable};
 use std::sync::Arc;
 
 use v6addr::{shard48, Prefix};
@@ -42,23 +44,32 @@ use crate::store::HitlistStore;
 /// an [`v6store::EpochView`] wants.
 ///
 /// Shards partition by the *low* bits of each /48, so per-shard order
-/// does not concatenate into global order — this re-sorts (with the
-/// radix kernel: the entries are exactly its `(bits, week)` key shape).
-/// Entries stream straight out of each shard's compressed run — no raw
-/// per-shard `Vec<u128>` is ever materialized. Aliases shorter than /48
-/// are replicated into every shard at build time and are deduplicated
-/// back to one registration here.
+/// does not concatenate into global order. But a /64 key block of a
+/// shard's compressed run lies in that shard alone, so merging the
+/// shards' blocks by key — a heap over one cursor per shard, each block
+/// copied whole — yields the global order without a sort. Aliases
+/// shorter than /48 are replicated into every shard at build time and
+/// are deduplicated back to one registration here.
 ///
 /// O(content): what a checkpoint writes and a replica bootstrap sends
 /// ([`state_from_snapshot`]), never the per-epoch path.
 pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) {
     let mut entries = Vec::with_capacity(snap.len() as usize);
-    for shard in snap.shards() {
-        entries.extend(shard.iter_bits().zip(shard.first_week.iter().copied()));
+    let mut cursors: Vec<_> = (snap.shards().iter())
+        .map(|shard| (shard, shard.run.blocks().peekable()))
+        .collect();
+    let mut next: BinaryHeap<Reverse<(u64, usize)>> = (cursors.iter_mut().enumerate())
+        .filter_map(|(i, (_, blocks))| Some(Reverse((blocks.peek()?.1, i))))
+        .collect();
+    while let Some(Reverse((hi, i))) = next.pop() {
+        let (shard, blocks) = &mut cursors[i];
+        let (start, _, lows) = blocks.next().expect("a queued shard has a block");
+        let (net, weeks) = (u128::from(hi) << 64, &shard.first_week[start..]);
+        entries.extend(zip(lows, weeks).map(|(&lo, &w)| (net | u128::from(lo), w)));
+        if let Some(&(_, hi, _)) = blocks.peek() {
+            next.push(Reverse((hi, i)));
+        }
     }
-    // Addresses are globally unique, so keying by (bits, week) sorts by
-    // bits while staying exact-equivalent to the old comparison sort.
-    v6par::radix_sort_by_key(&mut entries, |&(bits, week)| (bits, u64::from(week)));
     (entries, flat_aliases(snap))
 }
 

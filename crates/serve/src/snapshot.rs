@@ -21,7 +21,6 @@
 //! delta does not touch are shared by pointer, and a touched shard is
 //! rebuilt by one linear merge of its run with its slice of the delta.
 
-use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
@@ -123,7 +122,7 @@ impl CompressedRun {
 
     /// Iterates `(rank of the block's first address, high-64 key, sorted
     /// low-64 block)` in ascending key order.
-    fn blocks(&self) -> impl Iterator<Item = (usize, u64, &[u64])> + '_ {
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (usize, u64, &[u64])> + '_ {
         self.keys.iter().enumerate().map(move |(k, &hi)| {
             let (start, end) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
             (start, hi, &self.lows[start..end])
@@ -380,7 +379,9 @@ impl Shard {
                 checksum: self.checksum,
                 ..Shard::default()
             },
-            week_moves: BTreeMap::new(),
+            weeks: (self.week_counts.iter())
+                .map(|&(w, n)| (w, n as i64))
+                .collect(),
         };
         let mut removed = removed.iter().copied().peekable();
         let mut upserts = upserts.iter().copied().peekable();
@@ -423,14 +424,8 @@ impl Shard {
         for (b, w) in upserts {
             m.add(b, w);
         }
-        let ShardMerge {
-            mut out,
-            week_moves: mut counts,
-        } = m;
-        for &(w, n) in &self.week_counts {
-            *counts.entry(w).or_default() += n as i64;
-        }
-        out.week_counts = counts
+        let ShardMerge { mut out, weeks } = m;
+        out.week_counts = weeks
             .into_iter()
             .filter(|&(_, n)| n != 0)
             .map(|(w, n)| (w, n as u64))
@@ -454,10 +449,11 @@ impl Shard {
 }
 
 /// The output side of [`Shard::merged`]: the shard being assembled and
-/// how many entries each week gained or lost on the way.
+/// its per-week counts, the input shard's moved by what the delta adds
+/// and takes — a handful of weeks, so a sorted `Vec`.
 struct ShardMerge {
     out: Shard,
-    week_moves: BTreeMap<u32, i64>,
+    weeks: Vec<(u32, i64)>,
 }
 
 impl ShardMerge {
@@ -466,7 +462,7 @@ impl ShardMerge {
         self.out.run.push(bits);
         self.out.first_week.push(week);
         self.out.checksum = fold_addr(self.out.checksum, bits, week);
-        *self.week_moves.entry(week).or_default() += 1;
+        self.tally(week, 1);
     }
 
     /// Accounts for an old entry the delta removes or replaces.
@@ -475,7 +471,15 @@ impl ShardMerge {
             .out
             .checksum
             .wrapping_sub(v6stream::content_term(bits, week));
-        *self.week_moves.entry(week).or_default() -= 1;
+        self.tally(week, -1);
+    }
+
+    /// Moves `week`'s count by `by`.
+    fn tally(&mut self, week: u32, by: i64) {
+        match self.weeks.binary_search_by_key(&week, |w| w.0) {
+            Ok(i) => self.weeks[i].1 += by,
+            Err(i) => self.weeks.insert(i, (week, by)),
+        }
     }
 }
 

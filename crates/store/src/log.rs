@@ -259,8 +259,9 @@ pub(crate) fn delta_payload(record: &DeltaRecord) -> Vec<u8> {
     e.into_bytes()
 }
 
-pub(crate) fn checkpoint_payload(state: &EpochState) -> Vec<u8> {
-    let mut e = Enc::new();
+/// `buf` with a checkpoint payload, tag byte included, appended.
+pub(crate) fn checkpoint_payload(buf: Vec<u8>, state: &EpochState) -> Vec<u8> {
+    let mut e = Enc::appending(buf);
     e.u8(TAG_CHECKPOINT);
     e.state(state);
     e.into_bytes()
@@ -724,12 +725,19 @@ impl EpochLog {
         aliases: Vec<AliasEntry>,
     ) -> io::Result<bool> {
         let epoch = self.head.epoch;
-        let mut bytes = format::header(KIND_CHECKPOINT);
-        bytes.extend_from_slice(&format::frame(&checkpoint_payload(&EpochState {
+        let state = EpochState {
             entries,
             aliases,
             ..self.head.clone()
-        })));
+        };
+        // Header and frame in one buffer sized up front (fixed fields and
+        // counts take under 64 bytes), the payload encoded in place.
+        let mut bytes = format::header(KIND_CHECKPOINT);
+        let lists = 4 * state.missing_shards.len() + 20 * state.entries.len();
+        bytes.reserve(64 + state.name.len() + lists + 21 * state.aliases.len());
+        format::frame_into(&mut bytes, |buf| {
+            *buf = checkpoint_payload(std::mem::take(buf), &state);
+        });
         let final_path = self.cfg.dir.join(checkpoint_file(epoch));
 
         if self.chaos.fails(&format!("store.checkpoint.{epoch}"), 0) {

@@ -189,7 +189,7 @@ mod tests {
             entries: vec![(3, 1), (8, 2)],
             aliases: vec![],
         };
-        let bytes = checkpoint_payload(&state);
+        let bytes = checkpoint_payload(Vec::new(), &state);
         assert_eq!(decode_checkpoint(&bytes), Some(state.clone()));
         // The two payload kinds are tagged; each decoder rejects the
         // other's bytes instead of misparsing them.

@@ -3,7 +3,7 @@
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
-use crate::kernel::{bump, net64, unbump, Digest, MacNets};
+use crate::kernel::{net64, Digest, MacNets, Rows};
 use crate::op::{Attrs, Event, Operator};
 use crate::resolver::AsTag;
 use crate::rotation::RotationEstimator;
@@ -30,16 +30,17 @@ pub const MANY_TRANSITIONS: usize = 3;
 
 /// One row of the device table: everything known about one MAC.
 ///
-/// Both columns are flat sorted rows, so a device that is a single
-/// address — most of them, under churn — costs two one-row `Vec`s.
-/// The per-AS and per-country counts the classes and digests need are
-/// read off `tags` when asked for, not maintained per event.
+/// Both columns are sorted [`Rows`] that hold their first row in place,
+/// so a device that is a single address — most of them, under churn —
+/// allocates nothing beyond its table slot. The per-AS and per-country
+/// counts the classes and digests need are read off `tags` when asked
+/// for, not maintained per event.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Device {
     pub(crate) nets: MacNets,
     /// `((as index, country), live address count)`, ascending; unrouted
     /// addresses have no row.
-    tags: Vec<((u16, u16), u32)>,
+    tags: Rows<(u16, u16)>,
 }
 
 impl Device {
@@ -148,7 +149,7 @@ impl DeviceTracker {
         let dev = self.devices.entry(mac).or_default();
         dev.nets.add(net, week);
         if let Some(tag) = tag {
-            bump(&mut dev.tags, (tag.index, tag.country));
+            dev.tags.bump((tag.index, tag.country));
         }
     }
 
@@ -161,7 +162,7 @@ impl DeviceTracker {
             return;
         }
         if let Some(tag) = tag {
-            unbump(&mut dev.tags, (tag.index, tag.country));
+            dev.tags.unbump((tag.index, tag.country));
         }
         if dev.nets.is_empty() {
             slot.remove();

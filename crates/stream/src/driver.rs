@@ -36,7 +36,7 @@ use v6chaos::{Chaos, Fault};
 use v6obs::{Counter, Histogram};
 use v6store::DeltaRecord;
 
-use crate::kernel::{content_term, fold_content};
+use crate::kernel::{content_term, eui64_mac, fold_content};
 use crate::op::{Attrs, Event, Operator};
 use crate::{DensityMap, DeviceTracker, EntropyProfile, RotationEstimator, SharedResolver};
 
@@ -92,9 +92,13 @@ impl Analytics {
     /// and EUI-64 MAC once.
     pub fn apply(&mut self, event: &Event) {
         let attrs = Attrs::resolve(&*self.resolver, event.bits());
-        self.density.apply(event, &attrs);
-        self.entropy.apply(event, &attrs);
-        self.devices.apply(event, &attrs);
+        self.fold(event, &attrs);
+    }
+
+    fn fold(&mut self, event: &Event, attrs: &Attrs) {
+        self.density.apply(event, attrs);
+        self.entropy.apply(event, attrs);
+        self.devices.apply(event, attrs);
     }
 
     /// Folds one delta into every operator — the one place a
@@ -110,27 +114,46 @@ impl Analytics {
     /// `prior` is asked exactly once per entry, removals first, in
     /// record order — a caller that has already looked every entry up
     /// can replay its answers. Returns the number of events folded.
+    ///
+    /// Both lists are sorted, so neighbouring events mostly share an AS:
+    /// the resolver is asked once per run of addresses that resolve
+    /// alike ([`crate::AsResolver::resolve_span`]), which folds exactly what
+    /// [`Analytics::apply`] per event would.
     pub fn apply_delta(
         &mut self,
         delta: &DeltaRecord,
         mut prior: impl FnMut(u128) -> Option<u32>,
     ) -> usize {
+        // Every address of `[from, until]` resolves to `tag`; starts empty.
+        let (mut from, mut until, mut tag) = (1, 0, None);
+        let resolver = Arc::clone(&self.resolver);
+        let mut attrs = |bits: u128| {
+            if !(from..=until).contains(&bits) {
+                (tag, until) = resolver.resolve_span(bits);
+                from = bits;
+            }
+            Attrs {
+                tag,
+                mac: eui64_mac(bits),
+            }
+        };
         let mut events = 0;
         for &bits in &delta.removed {
             if let Some(week) = prior(bits) {
-                self.apply(&Event::Removed { bits, week });
+                self.fold(&Event::Removed { bits, week }, &attrs(bits));
                 events += 1;
             }
         }
         for &(bits, week) in &delta.added {
-            self.apply(&match prior(bits) {
+            let event = match prior(bits) {
                 Some(old_week) => Event::WeekChanged {
                     bits,
                     old_week,
                     new_week: week,
                 },
                 None => Event::Added { bits, week },
-            });
+            };
+            self.fold(&event, &attrs(bits));
         }
         events + delta.added.len()
     }

@@ -1,11 +1,12 @@
 //! Per-AS IID entropy histograms, maintained incrementally.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-
 use crate::kernel::{
     entropy_bucket, Digest, ENTROPY_BUCKETS, HIGH_ENTROPY_BUCKET, LOW_ENTROPY_BUCKET,
 };
 use crate::op::{Attrs, Event, Operator};
+
+/// One week's entropy-bucket counts.
+type WeekRow = (u32, [u32; ENTROPY_BUCKETS]);
 
 /// Per-AS, per-week histogram of IID entropy buckets.
 ///
@@ -15,10 +16,10 @@ use crate::op::{Attrs, Event, Operator};
 /// addresses are skipped.
 #[derive(Debug, Clone, Default)]
 pub struct EntropyProfile {
-    /// `(as index, week)` → entropy-bucket counts. Ascending, so the
-    /// weeks of one AS are adjacent; a histogram that empties is
-    /// dropped.
-    hists: BTreeMap<(u16, u32), [u64; ENTROPY_BUCKETS]>,
+    /// Indexed by the dense [`crate::AsTag::index`]: the AS's
+    /// `(week, bucket counts)` rows, ascending by week. A histogram that
+    /// empties is dropped, and an AS with no rows is in no view.
+    by_as: Vec<Vec<WeekRow>>,
 }
 
 /// One AS row of an [`EntropyProfile`] snapshot.
@@ -41,48 +42,56 @@ impl EntropyProfile {
     }
 
     fn add(&mut self, as_index: u16, week: u32, bucket: usize) {
-        self.hists
-            .entry((as_index, week))
-            .or_insert([0; ENTROPY_BUCKETS])[bucket] += 1;
+        let i = usize::from(as_index);
+        if i >= self.by_as.len() {
+            self.by_as.resize_with(i + 1, Vec::new);
+        }
+        let rows = &mut self.by_as[i];
+        let at = rows
+            .binary_search_by_key(&week, |row| row.0)
+            .unwrap_or_else(|at| {
+                rows.insert(at, (week, [0; ENTROPY_BUCKETS]));
+                at
+            });
+        rows[at].1[bucket] += 1;
     }
 
     /// Takes one address out; false, and nothing changed, when the
     /// histogram of `(as_index, week)` counts none in `bucket`.
     fn remove(&mut self, as_index: u16, week: u32, bucket: usize) -> bool {
-        let Entry::Occupied(mut slot) = self.hists.entry((as_index, week)) else {
+        let Some(rows) = self.by_as.get_mut(usize::from(as_index)) else {
             return false;
         };
-        let hist = slot.get_mut();
+        let Ok(at) = rows.binary_search_by_key(&week, |row| row.0) else {
+            return false;
+        };
+        let hist = &mut rows[at].1;
         if hist[bucket] == 0 {
             return false;
         }
         hist[bucket] -= 1;
         if hist.iter().all(|&c| c == 0) {
-            slot.remove();
+            rows.remove(at);
         }
         true
     }
 
-    /// `(as index, weeks held)` per AS, ascending.
-    fn weeks_per_as(&self) -> Vec<(u16, usize)> {
-        let mut out: Vec<(u16, usize)> = Vec::new();
-        for &(as_index, _) in self.hists.keys() {
-            match out.last_mut() {
-                Some((last, weeks)) if *last == as_index => *weeks += 1,
-                _ => out.push((as_index, 1)),
-            }
-        }
-        out
+    /// `(as index, week rows)` of every AS holding any, ascending.
+    fn ases(&self) -> impl Iterator<Item = (u16, &[WeekRow])> + '_ {
+        (0..=u16::MAX)
+            .zip(&self.by_as)
+            .filter(|(_, rows)| !rows.is_empty())
+            .map(|(as_index, rows)| (as_index, rows.as_slice()))
     }
 
     /// Aggregated histogram of `as_index` over weeks for which
     /// `keep(week)` holds.
     fn histogram(&self, as_index: u16, keep: impl Fn(u32) -> bool) -> [u64; ENTROPY_BUCKETS] {
         let mut out = [0u64; ENTROPY_BUCKETS];
-        for (&(_, week), hist) in self.hists.range((as_index, 0)..=(as_index, u32::MAX)) {
-            if keep(week) {
+        for (week, hist) in self.by_as.get(usize::from(as_index)).into_iter().flatten() {
+            if keep(*week) {
                 for (o, &c) in out.iter_mut().zip(hist) {
-                    *o += c;
+                    *o += u64::from(c);
                 }
             }
         }
@@ -91,8 +100,7 @@ impl EntropyProfile {
 
     /// Per-AS entropy summary rows, ascending by AS index.
     pub fn snapshot(&self) -> Vec<EntropyRow> {
-        self.weeks_per_as()
-            .into_iter()
+        self.ases()
             .map(|(as_index, _)| {
                 let hist = self.histogram(as_index, |_| true);
                 let total: u64 = hist.iter().sum();
@@ -164,17 +172,15 @@ impl Operator for EntropyProfile {
     fn checksum(&self) -> u64 {
         // Per AS: its index, how many weeks it holds, then each
         // `(week, histogram)`.
-        let per_as = self.weeks_per_as();
         let mut d = Digest::new();
-        d.word(per_as.len() as u64);
-        let mut rows = self.hists.iter();
-        for (as_index, weeks) in per_as {
+        d.word(self.ases().count() as u64);
+        for (as_index, rows) in self.ases() {
             d.word(u64::from(as_index));
-            d.word(weeks as u64);
-            for (&(_, week), hist) in rows.by_ref().take(weeks) {
-                d.word(u64::from(week));
+            d.word(rows.len() as u64);
+            for (week, hist) in rows {
+                d.word(u64::from(*week));
                 for &c in hist {
-                    d.word(c);
+                    d.word(u64::from(c));
                 }
             }
         }
@@ -182,7 +188,7 @@ impl Operator for EntropyProfile {
     }
 
     fn reset(&mut self) {
-        self.hists.clear();
+        self.by_as.clear();
     }
 }
 

@@ -9,6 +9,8 @@
 //! streaming ≡ batch equivalence invariant provable rather than
 //! hoped-for.
 
+use std::ops::Deref;
+
 use v6addr::Iid;
 use v6store::format::{fnv1a, FNV_BASIS};
 
@@ -121,25 +123,81 @@ pub fn fold_content(acc: u64, bits: u128, week: u32) -> u64 {
     acc.wrapping_add(content_term(bits, week))
 }
 
-/// A small multiset as ascending `(key, count)` rows: one more `key`.
-pub(crate) fn bump<K: Ord + Copy>(rows: &mut Vec<(K, u32)>, key: K) {
-    match rows.binary_search_by_key(&key, |row| row.0) {
-        Ok(i) => rows[i].1 += 1,
-        Err(i) => rows.insert(i, (key, 1)),
+/// A small multiset as ascending `(key, count)` rows. One row is held
+/// in place and a `Vec` is allocated only at a second, so the common
+/// one-row list (a device that is a single address) costs no heap.
+/// Canonical: a list shrunk back to one row drops its `Vec`, so equal
+/// multisets are equal values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Rows<K> {
+    /// No row, or one.
+    Inline(Option<(K, u32)>),
+    /// Two rows or more, ascending by key.
+    Spilled(Vec<(K, u32)>),
+}
+
+impl<K> Default for Rows<K> {
+    fn default() -> Self {
+        Rows::Inline(None)
     }
 }
 
-/// One `key` fewer, its row dropped at zero. False, and nothing
-/// changed, when the multiset holds no `key`.
-pub(crate) fn unbump<K: Ord + Copy>(rows: &mut Vec<(K, u32)>, key: K) -> bool {
-    let Ok(i) = rows.binary_search_by_key(&key, |row| row.0) else {
-        return false;
-    };
-    rows[i].1 -= 1;
-    if rows[i].1 == 0 {
-        rows.remove(i);
+/// The rows, ascending by key.
+impl<K> Deref for Rows<K> {
+    type Target = [(K, u32)];
+
+    fn deref(&self) -> &[(K, u32)] {
+        match self {
+            Rows::Inline(row) => row.as_slice(),
+            Rows::Spilled(rows) => rows,
+        }
     }
-    true
+}
+
+impl<K: Ord + Copy> Rows<K> {
+    /// One more `key`.
+    pub(crate) fn bump(&mut self, key: K) {
+        match self {
+            Rows::Inline(None) => *self = Rows::Inline(Some((key, 1))),
+            Rows::Inline(Some(row)) if row.0 == key => row.1 += 1,
+            Rows::Inline(Some(row)) => {
+                let (row, new) = (*row, (key, 1));
+                let pair = if row.0 < key { [row, new] } else { [new, row] };
+                *self = Rows::Spilled(pair.to_vec());
+            }
+            Rows::Spilled(rows) => match rows.binary_search_by_key(&key, |row| row.0) {
+                Ok(i) => rows[i].1 += 1,
+                Err(i) => rows.insert(i, (key, 1)),
+            },
+        }
+    }
+
+    /// One `key` fewer, its row dropped at zero. False, and nothing
+    /// changed, when the multiset holds no `key`.
+    pub(crate) fn unbump(&mut self, key: K) -> bool {
+        match self {
+            Rows::Inline(Some(row)) if row.0 == key => {
+                row.1 -= 1;
+                if row.1 == 0 {
+                    *self = Rows::Inline(None);
+                }
+            }
+            Rows::Inline(_) => return false,
+            Rows::Spilled(rows) => {
+                let Ok(i) = rows.binary_search_by_key(&key, |row| row.0) else {
+                    return false;
+                };
+                rows[i].1 -= 1;
+                if rows[i].1 == 0 {
+                    rows.remove(i);
+                    if let [row] = rows[..] {
+                        *self = Rows::Inline(Some(row));
+                    }
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Per-device /64 history: a multiset of `(net64, first-seen week)`,
@@ -149,20 +207,20 @@ pub(crate) fn unbump<K: Ord + Copy>(rows: &mut Vec<(K, u32)>, key: K) -> bool {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MacNets {
     /// `((net64, week), live address count)`.
-    rows: Vec<((u64, u32), u32)>,
+    rows: Rows<(u64, u32)>,
 }
 
 impl MacNets {
     /// Records one address appearing under `net` with first-seen
     /// `week`.
     pub fn add(&mut self, net: u64, week: u32) {
-        bump(&mut self.rows, (net, week));
+        self.rows.bump((net, week));
     }
 
     /// Removes one address; false, and nothing changed, when none is
     /// held under `net` with `week`.
     pub fn remove(&mut self, net: u64, week: u32) -> bool {
-        unbump(&mut self.rows, (net, week))
+        self.rows.unbump((net, week))
     }
 
     /// Moves one address's first-seen week (a week-changed upsert);
@@ -256,6 +314,24 @@ mod tests {
         assert!(!m.is_empty());
         assert!(m.remove(20, 3));
         assert_eq!(m, MacNets::default(), "state is canonical after drain");
+    }
+
+    #[test]
+    fn rows_hold_one_row_inline_and_fold_back() {
+        let mut r = Rows::default();
+        r.bump(5u32);
+        r.bump(5);
+        assert_eq!(r, Rows::Inline(Some((5, 2))));
+        r.bump(3);
+        r.bump(9);
+        assert_eq!(*r, [(3, 1), (5, 2), (9, 1)]);
+        assert!(r.unbump(3));
+        assert!(r.unbump(9));
+        assert_eq!(r, Rows::Inline(Some((5, 2))), "one row left: no Vec");
+        assert!(!r.unbump(4), "a key it does not hold");
+        assert!(r.unbump(5) && r.unbump(5));
+        assert_eq!(r, Rows::default());
+        assert!(!r.unbump(5));
     }
 
     #[test]

@@ -28,6 +28,14 @@ pub trait AsResolver {
     /// The owning AS, or `None` when no covering route exists
     /// (unrouted addresses are skipped by per-AS operators).
     fn resolve(&self, bits: u128) -> Option<AsTag>;
+
+    /// [`AsResolver::resolve`] of `bits`, and the last address of the
+    /// run from `bits` on that resolves the same: a caller walking
+    /// sorted addresses asks again only past it. The default claims no
+    /// run beyond `bits` itself.
+    fn resolve_span(&self, bits: u128) -> (Option<AsTag>, u128) {
+        (self.resolve(bits), bits)
+    }
 }
 
 /// A longest-prefix table over [`PrefixMap`] — the standard
@@ -67,6 +75,11 @@ impl PrefixAsTable {
 impl AsResolver for PrefixAsTable {
     fn resolve(&self, bits: u128) -> Option<AsTag> {
         self.0.longest_match(bits.into()).map(|(_, &tag)| tag)
+    }
+
+    fn resolve_span(&self, bits: u128) -> (Option<AsTag>, u128) {
+        let (found, until) = self.0.longest_match_span(bits.into());
+        (found.map(|(_, &tag)| tag), until.into())
     }
 }
 

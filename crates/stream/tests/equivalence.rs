@@ -7,6 +7,7 @@
 //! never an approximation.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -14,14 +15,21 @@ use proptest::prelude::*;
 use v6store::replica::{self, DeltaRecord};
 use v6store::{EpochState, EpochView};
 use v6stream::{
-    fold_content, Analytics, AsTag, Offer, PrefixAsTable, SharedResolver, StreamDriver,
+    fold_content, Analytics, AsResolver, AsTag, Event, Offer, PrefixAsTable, SharedResolver,
+    StreamDriver,
 };
 
-/// Three routed /32s (two in DE, one in JP) plus addresses outside
-/// any route, so per-AS operators see both attributed and unrouted
-/// traffic.
-fn resolver() -> SharedResolver {
-    Arc::new(PrefixAsTable::new(vec![
+/// A more-specific /48 inside AS 1's /32, announced by AS 4 in FR.
+const INNER: u128 = (0x2a00_0001 << 96) | (0x0042 << 80);
+/// The last address of [`INNER`].
+const INNER_LAST: u128 = INNER | ((1 << 80) - 1);
+
+/// Three routed /32s (two in DE, one in JP) with a more-specific /48
+/// of another AS and country nested in the first, plus addresses outside
+/// any route, so per-AS operators see attributed and unrouted traffic
+/// and a sorted delta crosses AS boundaries both ways.
+fn table() -> PrefixAsTable {
+    PrefixAsTable::new(vec![
         (
             0x2a00_0001u128 << 96,
             32,
@@ -46,7 +54,19 @@ fn resolver() -> SharedResolver {
                 country: u16::from_be_bytes(*b"JP"),
             },
         ),
-    ]))
+        (
+            INNER,
+            48,
+            AsTag {
+                index: 4,
+                country: u16::from_be_bytes(*b"FR"),
+            },
+        ),
+    ])
+}
+
+fn resolver() -> SharedResolver {
+    Arc::new(table())
 }
 
 /// One corpus mutation: upsert (add or week-change) or removal of a
@@ -57,28 +77,37 @@ enum Op {
     Remove { slot: usize },
 }
 
+const MACS: [u64; 3] = [0x0012_3456_789a, 0x0012_3456_aaaa, 0xdead_beef_0001];
+
+fn eui(mac: u64) -> u128 {
+    u128::from(v6addr::Iid::from_mac(v6addr::Mac::from_u64(mac)).as_u64())
+}
+
 /// A small address pool mixing EUI-64 IIDs (a handful of MACs, so
-/// devices genuinely span networks) with opaque IIDs, spread over the
-/// routed prefixes, several subnets, and unrouted space.
+/// devices genuinely span networks and ASes) with opaque IIDs, spread
+/// over the routed prefixes, several subnets, and unrouted space —
+/// and, around the nested /48, the addresses on both sides of both its
+/// edges and the unrouted holes just before AS 1 and just after AS 3.
 fn pool() -> Vec<u128> {
     let mut out = Vec::new();
     for prefix in [0x2a00_0001u128, 0x2a00_0002, 0x2a00_0003, 0x3fff_0001] {
         for subnet in 0..3u64 {
-            for mac in [0x0012_3456_789au64, 0x0012_3456_aaaa, 0xdead_beef_0001] {
-                let iid = v6addr::Iid::from_mac(v6addr::Mac::from_u64(mac));
-                out.push((prefix << 96) | (u128::from(subnet) << 64) | u128::from(iid.as_u64()));
-            }
+            let net = (prefix << 96) | (u128::from(subnet) << 64);
+            out.extend(MACS.map(|mac| net | eui(mac)));
             for iid in [0x1u64, 0x9e37_79b9_7f4a_7c15] {
-                out.push((prefix << 96) | (u128::from(subnet) << 64) | u128::from(iid));
+                out.push(net | u128::from(iid));
             }
         }
     }
+    out.extend(MACS.map(|mac| INNER | 1 << 64 | eui(mac)));
+    out.extend([INNER - 1, INNER, INNER_LAST, INNER_LAST + 1]);
+    out.extend([(0x2a00_0001 << 96) - 1, 0x2a00_0004 << 96]);
     out
 }
 
 fn ops() -> impl Strategy<Value = Vec<Vec<Op>>> {
     // kind 0 removes, kinds 1-3 upsert: a 1:3 churn mix.
-    let op = (0usize..4, 0usize..60, 0u32..8).prop_map(|(kind, slot, week)| {
+    let op = (0usize..4, 0usize..pool().len(), 0u32..8).prop_map(|(kind, slot, week)| {
         if kind == 0 {
             Op::Remove { slot }
         } else {
@@ -225,4 +254,90 @@ proptest! {
         }
         assert_equivalent(&driver, last);
     }
+}
+
+/// [`table`], counting how often it is asked for a span.
+struct Counting {
+    table: PrefixAsTable,
+    spans: AtomicUsize,
+}
+
+impl AsResolver for Counting {
+    fn resolve(&self, bits: u128) -> Option<AsTag> {
+        self.table.resolve(bits)
+    }
+
+    fn resolve_span(&self, bits: u128) -> (Option<AsTag>, u128) {
+        self.spans.fetch_add(1, Relaxed);
+        self.table.resolve_span(bits)
+    }
+}
+
+/// A delta whose sorted entries step across both edges of the nested
+/// /48 and through the unrouted holes folds, one resolve per span, to
+/// exactly what folding the same events through `Analytics::apply`
+/// (one resolve each) gives — and both equal the batch rebuild.
+#[test]
+fn apply_delta_by_span_equals_apply_per_event() {
+    let pool = pool();
+    // Before: every other pool address; after: the others, plus every
+    // fourth address re-dated, so the delta removes, adds and re-dates
+    // on both sides of every edge.
+    let before: BTreeMap<u128, u32> = pool.iter().step_by(2).map(|&b| (b, 1)).collect();
+    let mut after: BTreeMap<u128, u32> = pool.iter().skip(1).step_by(2).map(|&b| (b, 2)).collect();
+    after.extend(pool.iter().step_by(4).map(|&b| (b, 3)));
+    let upserts = |m: &BTreeMap<u128, u32>| -> Vec<Op> {
+        let week = |bits| m.get(bits).copied();
+        (pool.iter().enumerate())
+            .filter_map(|(slot, bits)| {
+                Some(Op::Upsert {
+                    slot,
+                    week: week(bits)?,
+                })
+            })
+            .collect()
+    };
+    let (mut corpus, mut state) = (BTreeMap::new(), EpochState::default());
+    advance(&mut corpus, &mut state, &upserts(&before), 1);
+    let mut replace: Vec<Op> = (0..pool.len()).map(|slot| Op::Remove { slot }).collect();
+    replace.extend(upserts(&after));
+    let delta = advance(&mut corpus, &mut state, &replace, 2);
+    assert_eq!(corpus, after);
+    for edge in [INNER - 1, INNER, INNER_LAST, INNER_LAST + 1] {
+        let touched = delta.removed.contains(&edge) || delta.added.iter().any(|e| e.0 == edge);
+        assert!(touched, "the delta crosses {edge:#x}");
+    }
+
+    let entries = |m: &BTreeMap<u128, u32>| m.iter().map(|(&b, &w)| (b, w)).collect::<Vec<_>>();
+    let counting = Arc::new(Counting {
+        table: table(),
+        spans: AtomicUsize::new(0),
+    });
+    let mut by_span = Analytics::from_entries(counting.clone(), &entries(&before));
+    let mut per_event = Analytics::from_entries(resolver(), &entries(&before));
+    let events = by_span.apply_delta(&delta, |bits| before.get(&bits).copied());
+    for &bits in &delta.removed {
+        let week = before[&bits];
+        per_event.apply(&Event::Removed { bits, week });
+    }
+    for &(bits, week) in &delta.added {
+        per_event.apply(&match before.get(&bits) {
+            Some(&old_week) => Event::WeekChanged {
+                bits,
+                old_week,
+                new_week: week,
+            },
+            None => Event::Added { bits, week },
+        });
+    }
+    assert_eq!(by_span.checksums(), per_event.checksums());
+    assert_eq!(by_span.entropy.snapshot(), per_event.entropy.snapshot());
+    assert_eq!(by_span.devices.snapshot(), per_event.devices.snapshot());
+    let batch = Analytics::from_entries(resolver(), &entries(&after));
+    assert_eq!(by_span.checksums(), batch.checksums());
+    let asked = counting.spans.load(Relaxed);
+    assert!(
+        0 < asked && asked < events,
+        "{asked} resolves for {events} events"
+    );
 }
