@@ -19,7 +19,7 @@ env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates
 # Size ratchet (ROADMAP item 8): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
 # its own diff and says why.
-src_ceiling=38403
+src_ceiling=38300
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }
@@ -85,8 +85,10 @@ for seed in 13 27; do
 done
 
 echo "== wire chaos: faulty-transport reconnect/retry converges on exact answers =="
-V6_CHAOS_MODE=wire V6_CHAOS_SEED=31 \
-  cargo run --release -q -p v6bench --bin chaos 2>/dev/null | grep -q '^CHAOS_OK mode=wire'
+for seed in 7 8 9 31; do
+  V6_CHAOS_MODE=wire V6_CHAOS_SEED="$seed" \
+    cargo run --release -q -p v6bench --bin chaos 2>/dev/null | grep -q '^CHAOS_OK mode=wire'
+done
 
 echo "== wire format v1 is byte-pinned to the golden fixtures =="
 cargo test -q -p v6wire --test golden_wire

@@ -270,7 +270,9 @@ const WIRE_MAX_GENERATIONS: u64 = 512;
 /// `V6_CHAOS_MODE=wire`: every wire answer must equal the direct
 /// snapshot answer, no matter what the transport does to the bytes.
 fn run_wire(seed: u64, plan: FaultPlan) {
-    use v6wire::{serve_request, AdmissionConfig, ChaosTransport, Request, WireClient, WireServer};
+    use v6wire::{
+        serve_request, AdmissionConfig, Fabric, OnPanic, Request, WireClient, WireServer,
+    };
 
     // A seeded snapshot served in-process.
     let store = Arc::new(HitlistStore::new("chaos-wire", RECOVERY_SHARDS));
@@ -308,6 +310,8 @@ fn run_wire(seed: u64, plan: FaultPlan) {
         .map(|r| serve_request(&snap, r.clone()))
         .collect();
 
+    // Both directions of every connection corrupt on `Panic`.
+    let fabric = Fabric::new("wire", Arc::new(plan.clone()), &v6obs::Registry::new());
     let mut pending: Vec<usize> = (0..requests.len()).collect();
     let mut generations = 0u64;
     let mut resent = 0u64;
@@ -319,11 +323,9 @@ fn run_wire(seed: u64, plan: FaultPlan) {
             pending.len()
         );
         // Fresh connection, fresh fault sites on both directions.
-        let (client_end, server_end) = v6wire::duplex();
-        let faulty_client =
-            ChaosTransport::new(client_end, plan.clone(), format!("c2s.g{generations}"));
-        let mut faulty_server =
-            ChaosTransport::new(server_end, plan.clone(), format!("s2c.g{generations}"));
+        let (c2s, s2c) = (format!("c2s.g{generations}"), format!("s2c.g{generations}"));
+        let faulty_client = fabric.link(&c2s, &s2c, Some(OnPanic::Corrupt));
+        let mut faulty_server = fabric.link(&s2c, &c2s, Some(OnPanic::Corrupt));
         let mut conn = server.open_connection(1_000 + generations);
         let mut client = WireClient::connect(faulty_client, 0).expect("connect");
         let mut by_id = std::collections::HashMap::new();

@@ -38,19 +38,20 @@
 //! |                            | recovery detects and quarantines it    |
 //! | `store.checkpoint.<epoch>` | checkpoint compaction: the checkpoint  |
 //! |                            | file tears and the log is kept intact  |
-//! | `wire.<label>.<seq>`       | one chunk sent on a `v6wire`           |
-//! |                            | `ChaosTransport`: `Error` drops the    |
-//! |                            | chunk (loss), `Panic` flips one        |
-//! |                            | deterministic bit (corruption the      |
-//! |                            | frame checksums must catch), `Stall`   |
-//! |                            | defers delivery until the release      |
-//! |                            | time passes (slow peer)                |
-//! | `cluster.<node>.<seq>`     | one chunk a cluster node sends on the  |
-//! |                            | `v6cluster` fabric: `Error` drops the  |
-//! |                            | chunk (loss), `Stall` defers delivery, |
-//! |                            | `Panic` **kills the sending node** —   |
-//! |                            | its stores drop and it later restarts  |
-//! |                            | through crash recovery                 |
+//! | `<ns>.<endpoint>.<seq>`    | one chunk an endpoint sends on a       |
+//! |                            | `v6wire::Fabric` (namespace `wire` for |
+//! |                            | front-door connections, `cluster` for  |
+//! |                            | nodes): `Error` drops the chunk        |
+//! |                            | (loss), `Stall` holds it and all sent  |
+//! |                            | behind it until the receiver's clock   |
+//! |                            | passes the release (slow peer), and    |
+//! |                            | `Panic` is the endpoint's hook — a     |
+//! |                            | `wire.*` end flips one deterministic   |
+//! |                            | bit (corruption the frame checksums    |
+//! |                            | must catch), a `cluster.*` node        |
+//! |                            | **dies**: its stores drop and it later |
+//! |                            | restarts through crash recovery. The   |
+//! |                            | read client is never consulted         |
 //!
 //! The seed comes from the caller or from the `V6_CHAOS_SEED`
 //! environment variable (see [`seed_from_env`]).

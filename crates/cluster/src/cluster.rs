@@ -2,7 +2,7 @@
 //! fault orchestration, and the convergence check.
 //!
 //! A [`Cluster`] owns N simulated [`Node`]s (named `n0..n{N-1}`), the
-//! shared fabric ([`ClusterNet`]), and a consistent-hash [`Ring`] that
+//! shared [`Fabric`], and a consistent-hash [`Ring`] that
 //! assigns every partition a replica set. Time is caller-driven: one
 //! [`Cluster::pump_round`] advances the simulated clock by 1 ms, pumps
 //! every live node once, then **reaps** nodes a chaos `Panic` (or
@@ -44,12 +44,16 @@ use v6chaos::{Chaos, NoChaos};
 use v6obs::{MetricsSnapshot, Registry};
 use v6store::format::AliasEntry;
 use v6wire::frame::{frame, FrameDecoder};
-use v6wire::transport::Transport;
+use v6wire::transport::{Fabric, Link, OnPanic, Transport};
 
-use crate::net::{ClusterNet, Link, CLIENT};
 use crate::node::{Node, NodeOpts};
 use crate::proto::ReplMsg;
 use crate::ring::{partition_of, Ring};
+
+/// The reserved endpoint name of the read coordinator. Its links are
+/// hook-less — exempt from chaos decisions, since the fabric models the
+/// service's replication plane — but fully subject to partitions.
+pub const CLIENT: &str = "client";
 
 /// Distinguishes scratch directories of clusters built in one process.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -263,7 +267,7 @@ pub type StreamChecksumRow = (String, u64, [(&'static str, u64); 4]);
 pub struct Cluster {
     cfg: ClusterConfig,
     ring: Ring,
-    net: ClusterNet,
+    net: Fabric,
     fabric_registry: Registry,
     slots: BTreeMap<String, NodeSlot>,
     /// The coordinator's half of each client↔node lane.
@@ -272,8 +276,6 @@ pub struct Cluster {
     /// `pid` → committed `(epoch, checksum)`: what a fresh read must
     /// match. Committed means leader-durable.
     committed: BTreeMap<u32, (u64, u64)>,
-    /// Current partition group map (empty = fully connected).
-    groups: BTreeMap<String, u8>,
     /// When set, every node runs per-partition streaming analytics on
     /// its replication stream; restarts re-enable with this resolver.
     stream_resolver: Option<v6stream::SharedResolver>,
@@ -291,7 +293,8 @@ impl Cluster {
     }
 
     /// A cluster whose fabric consults `chaos` at
-    /// `cluster.<node>.<seq>` sites (see [`crate::net`]).
+    /// `cluster.<node>.<seq>` sites, where a `Panic` crashes the node
+    /// (see [`v6wire::transport`]).
     pub fn with_chaos(cfg: ClusterConfig, chaos: Arc<dyn Chaos>) -> io::Result<Cluster> {
         assert!(cfg.nodes >= 1, "a cluster needs at least one node");
         assert!(
@@ -301,7 +304,7 @@ impl Cluster {
         let names: Vec<String> = (0..cfg.nodes).map(|i| format!("n{i}")).collect();
         let ring = Ring::build(names.clone(), cfg.vnodes, cfg.replication);
         let fabric_registry = Registry::new();
-        let net = ClusterNet::new(chaos, &fabric_registry);
+        let net = Fabric::new("cluster", chaos, &fabric_registry);
         let mut cluster = Cluster {
             ring,
             net,
@@ -310,7 +313,6 @@ impl Cluster {
             client_links: BTreeMap::new(),
             client_decoders: BTreeMap::new(),
             committed: BTreeMap::new(),
-            groups: BTreeMap::new(),
             stream_resolver: None,
             round: 0,
             next_epoch: 1,
@@ -328,7 +330,7 @@ impl Cluster {
                 .insert(name.clone(), NodeSlot::Up(Box::new(node)));
             cluster
                 .client_links
-                .insert(name.clone(), cluster.net.link(CLIENT, name.clone()));
+                .insert(name.clone(), cluster.net.link(CLIENT, name, None));
             cluster
                 .client_decoders
                 .insert(name.clone(), FrameDecoder::new());
@@ -356,13 +358,12 @@ impl Cluster {
     fn wire_node(&self, node: &mut Node) {
         for peer in self.ring.nodes() {
             if peer != node.name() {
-                node.connect(
-                    peer.clone(),
-                    self.net.link(node.name().to_string(), peer.clone()),
-                );
+                let link = self.net.link(node.name(), peer, Some(OnPanic::Crash));
+                node.connect(peer, link);
             }
         }
-        node.connect(CLIENT, self.net.link(node.name().to_string(), CLIENT));
+        let link = self.net.link(node.name(), CLIENT, Some(OnPanic::Crash));
+        node.connect(CLIENT, link);
     }
 
     /// Turns on streaming analytics cluster-wide: every live node gets
@@ -443,9 +444,7 @@ impl Cluster {
     /// True when `name` is up, not mid-crash, and on the client's side
     /// of any partition.
     fn is_reachable(&self, name: &str) -> bool {
-        self.is_up(name)
-            && self.groups.get(name).copied().unwrap_or(0)
-                == self.groups.get(CLIENT).copied().unwrap_or(0)
+        self.is_up(name) && self.net.group(name) == self.net.group(CLIENT)
     }
 
     fn is_up(&self, name: &str) -> bool {
@@ -539,7 +538,6 @@ impl Cluster {
     /// Imposes a network partition: endpoints in different groups lose
     /// every chunk between them. The [`CLIENT`] defaults to group 0.
     pub fn set_partition(&mut self, groups: &BTreeMap<String, u8>) {
-        self.groups = groups.clone();
         self.net.set_groups(groups);
         let desc: Vec<String> = groups.iter().map(|(n, g)| format!("{n}={g}")).collect();
         self.events.push(format!(
@@ -551,7 +549,6 @@ impl Cluster {
 
     /// Heals any partition.
     pub fn heal(&mut self) {
-        self.groups.clear();
         self.net.heal();
         self.events.push(format!("round {}: HEAL", self.round));
     }

@@ -9,8 +9,8 @@
 //!
 //! Everything between nodes is a real message: epoch replication
 //! streams [`v6store::replica::DeltaRecord`]s framed with the
-//! [`v6wire`] frame codec over [`v6wire::Transport`] links
-//! ([`net::Link`]), never shared memory. The protocol
+//! [`v6wire`] frame codec over [`v6wire::Link`]s of one
+//! [`v6wire::Fabric`], never shared memory. The protocol
 //! ([`proto::ReplMsg`]) is the classic replicated-log shape:
 //!
 //! * the partition **leader** publishes an epoch locally (write-ahead,
@@ -29,7 +29,9 @@
 //! loss), `Stall` defers it, and `Panic` **kills the sending node** —
 //! its in-memory state is dropped and it later restarts through
 //! [`v6serve::HitlistStore::recover`] crash recovery, exactly like a
-//! process dying. Network partitions are group maps on the fabric.
+//! process dying (each node's links carry the fabric's
+//! [`v6wire::OnPanic::Crash`] hook; the read coordinator's are
+//! hook-less). Network partitions are group maps on the fabric.
 //! The convergence invariant (pinned by `tests/cluster_end_to_end.rs`
 //! and the `V6_CHAOS_MODE=cluster` CI matrix): after faults heal, all
 //! R replicas of every partition reach byte-identical epoch
@@ -45,16 +47,14 @@
 #![deny(missing_docs)]
 
 pub mod cluster;
-pub mod net;
 pub mod node;
 pub mod proto;
 pub mod ring;
 
 pub use cluster::{
     Cluster, ClusterConfig, ConvergenceReport, PartitionStatus, PublishOutcome, ReadOutcome,
-    ReadRecord, ReadStatus,
+    ReadRecord, ReadStatus, CLIENT,
 };
-pub use net::{ClusterNet, Link, CLIENT};
 pub use node::{partition_name, Node, NodeOpts};
 pub use proto::ReplMsg;
 pub use ring::{partition_of, Ring};

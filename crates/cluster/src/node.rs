@@ -35,7 +35,7 @@
 //!   label anything that isn't provably fresh.
 //!
 //! Every message leaves as exactly one [`v6wire::frame`] frame in one
-//! transport chunk. The fabric ([`crate::net`]) loses whole chunks,
+//! transport chunk. The fabric ([`v6wire::Fabric`]) loses whole chunks,
 //! never bytes, so a loss costs a message — the [`FrameDecoder`] on
 //! the receiving side stays frame-aligned and catch-up heals the gap.
 //! A message too large for a frame is never sent: a leader refuses the
@@ -56,9 +56,8 @@ use v6store::replica::DeltaRecord;
 use v6store::EpochState;
 use v6stream::SharedResolver;
 use v6wire::frame::{try_frame, FrameDecoder, MAX_FRAME_PAYLOAD};
-use v6wire::transport::Transport;
+use v6wire::transport::{Link, Transport};
 
-use crate::net::Link;
 use crate::proto::{encode_delta_push, ReplMsg};
 use crate::ring::partition_of;
 
@@ -737,9 +736,10 @@ impl Node {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::ClusterNet;
+    use crate::CLIENT;
     use v6chaos::NoChaos;
     use v6wire::frame::frame;
+    use v6wire::{Fabric, OnPanic};
 
     fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("v6cluster-node-{tag}-{}", std::process::id()));
@@ -756,22 +756,20 @@ mod tests {
         }
     }
 
-    fn wire(net: &ClusterNet, a: &mut Node, b: &mut Node) {
-        a.connect(
-            b.name().to_string(),
-            net.link(a.name().to_string(), b.name().to_string()),
-        );
-        b.connect(
-            a.name().to_string(),
-            net.link(b.name().to_string(), a.name().to_string()),
-        );
+    fn quiet_net() -> Fabric {
+        Fabric::new("cluster", Arc::new(NoChaos), &Registry::new())
+    }
+
+    fn wire(net: &Fabric, a: &mut Node, b: &mut Node) {
+        let (an, bn) = (a.name().to_string(), b.name().to_string());
+        a.connect(&bn, net.link(&an, &bn, Some(OnPanic::Crash)));
+        b.connect(&an, net.link(&bn, &an, Some(OnPanic::Crash)));
     }
 
     #[test]
     fn push_apply_ack_round_trip() {
         let root = scratch("push");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut leader = Node::create("n0", &[1], opts(&root)).unwrap();
         let mut follower = Node::create("n1", &[1], opts(&root)).unwrap();
         wire(&net, &mut leader, &mut follower);
@@ -790,8 +788,7 @@ mod tests {
     #[test]
     fn gap_triggers_catchup_chain_replay() {
         let root = scratch("gap");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
         let mut follower = Node::create("n1", &[0], opts(&root)).unwrap();
         wire(&net, &mut leader, &mut follower);
@@ -799,7 +796,7 @@ mod tests {
         // Epoch 1 never reaches the follower (no pump before the next
         // publish drains the lane into the decoder in order — simulate
         // loss by publishing twice, then dropping the first chunk).
-        let drop_link = net.link("n1", "n0");
+        let drop_link = net.link("n1", "n0", Some(OnPanic::Crash));
         leader
             .lead_publish(0, 1, 0, vec![(1, 0)], vec![], &["n1".into()], 0)
             .unwrap();
@@ -835,8 +832,7 @@ mod tests {
     #[test]
     fn restart_recovers_the_store_and_catches_up_forward() {
         let root = scratch("restart");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut leader = Node::create("n0", &[2], opts(&root)).unwrap();
         let mut follower = Node::create("n1", &[2], opts(&root)).unwrap();
         wire(&net, &mut leader, &mut follower);
@@ -880,8 +876,7 @@ mod tests {
     #[test]
     fn oversized_push_is_refused_before_anything_commits() {
         let root = scratch("oversize-push");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
         let mut follower = Node::create("n1", &[0], opts(&root)).unwrap();
         wire(&net, &mut leader, &mut follower);
@@ -917,8 +912,7 @@ mod tests {
     #[test]
     fn oversized_bootstrap_is_dropped_and_counted() {
         let root = scratch("oversize-bootstrap");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
         leader
             .lead_publish(0, 1, 1, oversized_content(), vec![], &[], 0)
@@ -944,11 +938,10 @@ mod tests {
     #[test]
     fn reads_answer_with_epoch_and_quarantine_bit() {
         let root = scratch("read");
-        let registry = Registry::new();
-        let net = ClusterNet::new(Arc::new(NoChaos), &registry);
+        let net = quiet_net();
         let mut node = Node::create("n0", &[0, 1, 2, 3], opts(&root)).unwrap();
-        node.connect(crate::net::CLIENT, net.link("n0", crate::net::CLIENT));
-        let mut client = net.link(crate::net::CLIENT, "n0");
+        node.connect(CLIENT, net.link("n0", CLIENT, Some(OnPanic::Crash)));
+        let mut client = net.link(CLIENT, "n0", None);
 
         let bits: u128 = 0x2001_0db8 << 96 | 0x1;
         let pid = partition_of(bits, 4);

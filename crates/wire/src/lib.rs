@@ -18,9 +18,11 @@
 //!   query the service answers plus batch coalescing, and the explicit
 //!   `Throttled` / `Shed` / `Error` verdict frames. The byte layout is
 //!   pinned by `tests/golden/wire_format_v1/`.
-//! - [`transport`] — the in-repo socket stand-in: [`transport::duplex`]
-//!   byte pipes plus [`transport::ChaosTransport`] injecting seeded
-//!   loss, corruption, and stalls at `wire.*` fault sites.
+//! - [`transport`] — the in-repo socket stand-in and the one in-memory
+//!   fabric: bare [`transport::duplex`] pipes, and [`transport::Fabric`]
+//!   links that inject seeded loss, head-of-line stalls, and a
+//!   per-endpoint `Panic` (a flipped bit here, a crashed node in
+//!   `v6cluster`) at `<namespace>.<endpoint>.<seq>` fault sites.
 //! - [`admit`] — per-client token buckets, a global load-shedding
 //!   budget, and the behavioral classifier (steady poller / burst
 //!   scraper / query flood) that adapts throttle tiers.
@@ -60,4 +62,4 @@ pub use proto::{
     Request, Response, ShedReason, WireLookup, WireMove, MAX_BATCH_ADDRS, MAX_MOVED_ROWS,
 };
 pub use server::WireServer;
-pub use transport::{duplex, ChaosTransport, PipeTransport, Transport, TransportError};
+pub use transport::{duplex, Fabric, Link, OnPanic, PipeTransport, Transport, TransportError};

@@ -7,15 +7,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ipv6_hitlists::chaos::{ScriptedChaos, SiteScript};
+use ipv6_hitlists::chaos::{Chaos, ScriptedChaos, SiteScript};
 use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::HitlistService;
 use ipv6_hitlists::netsim::{World, WorldConfig};
+use ipv6_hitlists::obs::Registry;
 use ipv6_hitlists::scan::HitlistCampaignConfig;
 use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate, QueryEngine, Snapshot};
 use ipv6_hitlists::wire::proto::{Request, Response};
 use ipv6_hitlists::wire::{
-    duplex, serve_request, AdmissionConfig, ChaosTransport, WireClient, WireServer,
+    duplex, serve_request, AdmissionConfig, Fabric, Link, OnPanic, WireClient, WireServer,
 };
 
 /// Up to about `target` present addresses, spread evenly over `snap`.
@@ -23,6 +24,15 @@ fn sample_present(snap: &Snapshot, target: usize) -> Vec<u128> {
     let stride = (snap.len() as usize / target).max(1);
     let shards = snap.shards().iter();
     shards.flat_map(|s| s.iter_bits().step_by(stride)).collect()
+}
+
+/// A connection over a `wire` fabric whose client end, `<label>`,
+/// corrupts on `Panic`: `(client end, server end)`.
+fn faulty_pair(chaos: &Arc<dyn Chaos>, label: &str) -> (Link, Link) {
+    let fabric = Fabric::new("wire", Arc::clone(chaos), &Registry::new());
+    let server = format!("{label}.server");
+    let client_end = fabric.link(label, &server, Some(OnPanic::Corrupt));
+    (client_end, fabric.link(&server, label, None))
 }
 
 /// Collects a small campaign and publishes it through the ingestion
@@ -126,17 +136,18 @@ fn chaos_corruption_and_loss_survive_reconnect_and_retry() {
     // frame is corrupted in transit — the flip lands in the payload,
     // the server's checksum catches it, and the connection closes.
     // Attempt 1: the lookup frame is lost. Attempt 2: clean. Sites are
-    // sequence-numbered per transport, so each attempt's fate is
+    // sequence-numbered per sending endpoint, so each attempt's fate is
     // scripted exactly.
-    let chaos = ScriptedChaos::new()
-        .with("wire.c2s0.3", SiteScript::permanent_panic())
-        .with("wire.c2s1.3", SiteScript::permanent());
+    let chaos: Arc<dyn Chaos> = Arc::new(
+        ScriptedChaos::new()
+            .with("wire.c2s0.3", SiteScript::permanent_panic())
+            .with("wire.c2s1.3", SiteScript::permanent()),
+    );
 
     let mut answer = None;
     let mut attempts = 0u32;
     while answer.is_none() && attempts < 5 {
-        let (client_end, mut server_end) = duplex();
-        let faulty = ChaosTransport::new(client_end, chaos.clone(), format!("c2s{attempts}"));
+        let (faulty, mut server_end) = faulty_pair(&chaos, &format!("c2s{attempts}"));
         let mut conn = server.open_connection(100 + u64::from(attempts));
         let mut client = WireClient::connect(faulty, 0).expect("connect");
         client.send(&Request::Ping, 0).expect("send");
@@ -186,14 +197,13 @@ fn stalled_requests_answer_late_but_correct() {
 
     // The request frame stalls 5 ms in transit (slow peer): invisible
     // to the server until release, answered correctly afterwards.
-    let chaos = ScriptedChaos::new().with(
+    let chaos: Arc<dyn Chaos> = Arc::new(ScriptedChaos::new().with(
         "wire.slow.1",
         SiteScript::ok().with_stall(Duration::from_millis(5)),
-    );
-    let (client_end, mut server_end) = duplex();
+    ));
+    let (client_end, mut server_end) = faulty_pair(&chaos, "slow");
     let mut conn = server.open_connection(7);
-    let mut client =
-        WireClient::connect(ChaosTransport::new(client_end, chaos, "slow"), 0).expect("connect");
+    let mut client = WireClient::connect(client_end, 0).expect("connect");
     client
         .send(&Request::Lookup { addr: probe }, 0)
         .expect("send");
@@ -201,8 +211,8 @@ fn stalled_requests_answer_late_but_correct() {
     conn.pump(&mut server_end, 1_000).expect("pump");
     assert!(client.poll(1_000).expect("poll").is_empty(), "not due yet");
 
-    // Past the stall deadline the client's recv releases the chunk.
-    assert!(client.poll(6_000).expect("poll").is_empty());
+    // Past the stall deadline the server's own receive releases the
+    // chunk: the client does nothing in between.
     conn.pump(&mut server_end, 6_000).expect("pump");
     let responses = client.poll(6_000).expect("poll");
     assert_eq!(responses.len(), 1);
