@@ -14,12 +14,12 @@ echo "== library code reads a fixed set of environment variables; crates/*/src d
 env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates/*/src \
   | grep -v '^crates/bench/src/' \
   | sed -E 's/.*\("([A-Za-z0-9_]+)"\)/\1/' | sort -u | tr '\n' ' ')
-[ "$env_vars" = "V6_CHAOS_SEED V6_DATA_DIR V6_THREADS V6_TRACE " ] \
+[ "$env_vars" = "V6_THREADS V6_TRACE " ] \
   || { echo "library env vars: $env_vars"; exit 1; }
 # Size ratchet (ROADMAP item 8): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
 # its own diff and says why.
-src_ceiling=38300
+src_ceiling=37442
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }
@@ -51,44 +51,6 @@ cargo fmt --check
 
 echo "== cargo doc --no-deps (rustdoc warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
-
-echo "== chaos suite: transient fault plans reproduce the fault-free digest =="
-for seed in 7 19 1041; do
-  V6HL_SCALE=tiny V6_CHAOS_MODE=transient V6_CHAOS_SEED="$seed" V6_THREADS=4 \
-    cargo run --release -q -p v6bench --bin chaos
-done
-
-echo "== chaos suite: permanent-fault loss report matches the golden file =="
-V6HL_SCALE=tiny V6_CHAOS_MODE=permanent V6_CHAOS_SEED=11 V6_THREADS=4 \
-  cargo run --release -q -p v6bench --bin chaos 2>/dev/null | grep '^LOST ' \
-  | diff -u tests/golden/chaos_loss_seed11.txt -
-
-echo "== crash-recovery matrix: kill-and-recover matches the golden reports =="
-for seed in 5 23; do
-  V6_CHAOS_MODE=recovery V6_CHAOS_SEED="$seed" \
-    cargo run --release -q -p v6bench --bin chaos 2>/dev/null | grep '^RECOVER' \
-    | diff -u "tests/golden/store_recovery_seed${seed}.txt" -
-done
-
-echo "== cluster chaos matrix: kill/partition runs match the golden fixtures =="
-for seed in 41 97; do
-  V6_CHAOS_MODE=cluster V6_CHAOS_SEED="$seed" \
-    cargo run --release -q -p v6bench --bin chaos 2>/dev/null \
-    | diff -u "tests/golden/cluster_seed${seed}.txt" -
-done
-
-echo "== stream chaos matrix: faulty-delivery operator runs match the golden fixtures =="
-for seed in 13 27; do
-  V6_CHAOS_MODE=stream V6_CHAOS_SEED="$seed" \
-    cargo run --release -q -p v6bench --bin chaos 2>/dev/null \
-    | diff -u "tests/golden/stream_seed${seed}.txt" -
-done
-
-echo "== wire chaos: faulty-transport reconnect/retry converges on exact answers =="
-for seed in 7 8 9 31; do
-  V6_CHAOS_MODE=wire V6_CHAOS_SEED="$seed" \
-    cargo run --release -q -p v6bench --bin chaos 2>/dev/null | grep -q '^CHAOS_OK mode=wire'
-done
 
 echo "== wire format v1 is byte-pinned to the golden fixtures =="
 cargo test -q -p v6wire --test golden_wire

@@ -53,8 +53,8 @@
 //! |                            | restarts through crash recovery. The   |
 //! |                            | read client is never consulted         |
 //!
-//! The seed comes from the caller or from the `V6_CHAOS_SEED`
-//! environment variable (see [`seed_from_env`]).
+//! The seed always comes from the caller: a test names its seeds as
+//! consts, so a failing assert message is enough to replay the schedule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,16 +84,6 @@ fn decision_metrics() -> &'static DecisionMetrics {
 /// Domain separator so chaos draws never collide with simulator draws
 /// made from the same numeric seed.
 const CHAOS_SALT: u64 = 0x6368_616f_735f_7631; // "chaos_v1"
-
-/// The chaos seed, honoring a `V6_CHAOS_SEED` environment override.
-///
-/// Returns `default` when the variable is unset or unparseable.
-pub fn seed_from_env(default: u64) -> u64 {
-    std::env::var("V6_CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(default)
-}
 
 /// What the injector tells a site to do on one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,11 +303,6 @@ impl FaultPlan {
     /// A plan for `seed` under `spec`.
     pub fn new(seed: u64, spec: FaultSpec) -> Self {
         FaultPlan { seed, spec }
-    }
-
-    /// A plan whose seed honors the `V6_CHAOS_SEED` env override.
-    pub fn from_env(default_seed: u64, spec: FaultSpec) -> Self {
-        FaultPlan::new(seed_from_env(default_seed), spec)
     }
 
     /// The seed this plan replays.
@@ -616,11 +601,5 @@ mod tests {
         r.merge(&other);
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
-    }
-
-    #[test]
-    fn env_seed_override() {
-        // No env set in tests: default wins.
-        assert_eq!(seed_from_env(77), 77);
     }
 }

@@ -31,7 +31,7 @@
 //! live peer for catch-up) until every replica of every published
 //! partition serves the committed `(epoch, content_checksum)` —
 //! byte-identical content — and renders a deterministic
-//! [`ConvergenceReport`] the golden fixtures pin.
+//! [`ConvergenceReport`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -205,8 +205,8 @@ pub struct PartitionStatus {
     pub in_sync: bool,
 }
 
-/// What [`Cluster::converge`] reached, rendered deterministically —
-/// the golden chaos fixtures diff its `Display` output.
+/// What [`Cluster::converge`] reached; its `Display` output is
+/// deterministic per seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConvergenceReport {
     /// True when every replica of every published partition serves the
@@ -422,7 +422,7 @@ impl Cluster {
     }
 
     /// The deterministic event log (kills, restarts, publishes,
-    /// partitions) — golden fixtures pin these lines.
+    /// partitions), deterministic per seed.
     pub fn events(&self) -> &[String] {
         &self.events
     }

@@ -33,8 +33,8 @@
 //! [`v6wire::OnPanic::Crash`] hook; the read coordinator's are
 //! hook-less). Network partitions are group maps on the fabric.
 //! The convergence invariant (pinned by `tests/cluster_end_to_end.rs`
-//! and the `V6_CHAOS_MODE=cluster` CI matrix): after faults heal, all
-//! R replicas of every partition reach byte-identical epoch
+//! over seeded kill/partition schedules): after faults heal, all R
+//! replicas of every partition reach byte-identical epoch
 //! `content_checksum`s, and every read answered below the committed
 //! epoch was labeled degraded.
 //!

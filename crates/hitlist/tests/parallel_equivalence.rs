@@ -124,18 +124,31 @@ fn expected_loss(plan: &dyn Chaos) -> Vec<String> {
 #[test]
 fn chaos_transient_runs_reproduce_the_fault_free_digest() {
     let digest = Experiment::run_with_threads(ExperimentConfig::tiny(4242), 2).artifact_digest();
-    let plan = FaultPlan::new(7, FaultSpec::transient(0.35));
-    // Non-vacuity: the plan actually faults sites this pipeline visits.
-    let faulted = pipeline_sites().iter().filter(|s| plan.fails(s, 0)).count();
-    assert!(faulted > 0, "seed 7 injects nothing; the test is vacuous");
-    for threads in [1usize, 4] {
+    // Plan seed 7 at both ends of the thread range; two more schedules
+    // at the parallel end.
+    for (seed, threads) in [(7u64, 1usize), (7, 4), (19, 4), (1041, 4)] {
+        let plan = FaultPlan::new(seed, FaultSpec::transient(0.35));
+        // Non-vacuity: the plan actually faults sites this pipeline visits.
+        let faulted = pipeline_sites().iter().filter(|s| plan.fails(s, 0)).count();
+        assert!(
+            faulted > 0,
+            "seed {seed} injects nothing; the test is vacuous"
+        );
         let run = Experiment::run_chaos(ExperimentConfig::tiny(4242), threads, &plan);
-        assert!(run.converged(), "threads={threads} lost:\n{}", run.loss);
-        assert!(run.failures.is_empty());
+        assert!(
+            run.converged(),
+            "seed={seed} threads={threads} lost:\n{}",
+            run.loss
+        );
+        assert!(
+            run.failures.is_empty(),
+            "seed={seed} threads={threads} failures: {:?}",
+            run.failures
+        );
         assert_eq!(
             run.digest(),
             Some(digest),
-            "transient chaos diverged from the fault-free digest (threads={threads})"
+            "transient chaos diverged from the fault-free digest (seed={seed} threads={threads})"
         );
     }
 }

@@ -21,10 +21,9 @@
 //! [`snapshot_from_state`] — are for the rare paths that need the whole
 //! content at once: a checkpoint, a recovery, a replica bootstrap.
 //!
-//! The store directory defaults can be overridden with the
-//! `V6_DATA_DIR` environment variable via
-//! [`v6store::data_dir_from_env`]; see the README "Durability" section
-//! and DESIGN.md §11 for the on-disk format.
+//! A store's directory is the one its [`v6store::StoreConfig`] names;
+//! see the README "Durability" section and DESIGN.md §11 for the
+//! on-disk format.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -8,15 +8,15 @@
 //!    time-travel recovery over the un-compacted log), not just the
 //!    newest.
 //! 2. **Crash invariant**: for every injected crash point (torn write,
-//!    partial flush, bit rot), recovery yields a `content_checksum`
-//!    equal to some epoch that was previously published — never a torn
-//!    or invented state — and the truncate/quarantine report matches
-//!    the injected fault.
+//!    partial flush, bit rot, torn checkpoint), recovery yields a
+//!    `content_checksum` equal to some epoch that was previously
+//!    published — never a torn or invented state — and the
+//!    truncate/quarantine report matches the injected fault.
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use v6chaos::{ScriptedChaos, SiteScript};
+use v6chaos::{FaultPlan, FaultSpec, ScriptedChaos, SiteScript};
 use v6serve::persist::delta_between;
 use v6serve::{
     HitlistStore, Ingestor, PublicationUpdate, PublishError, SnapshotBuilder, StoreConfig,
@@ -259,4 +259,142 @@ fn ingest_pipeline_drives_a_persistent_store() {
     assert_eq!(store.snapshot().content_checksum(), final_checksum);
     assert!(store.snapshot().contains(addr("2001:db8:0::3")));
     std::fs::remove_dir_all(dir).ok();
+}
+
+/// Publication steps one seeded kill-and-recover run drives.
+const RECOVERY_STEPS: u32 = 24;
+
+/// Plan seeds the kill-and-recover run replays: 5 and 23, then 1–16.
+fn recovery_seeds() -> impl Iterator<Item = u64> {
+    [5, 23].into_iter().chain(1..=16)
+}
+
+/// Cumulative content after `step`: three hashed addresses per week,
+/// weeks `0..=step`, a function of `seed` and `step` only.
+fn seeded_snapshot(seed: u64, step: u32) -> v6serve::Snapshot {
+    let mut b = SnapshotBuilder::new("persist", 4);
+    for w in 0..=step {
+        for i in 0..3u64 {
+            let h = v6netsim::rng::hash64(seed ^ (u64::from(w) << 8 | i), b"persist-seeded-addr");
+            b.add_bits((0x2001_0db8u128 << 96) | u128::from(h & 0xffff_ffff), w);
+        }
+    }
+    b.build()
+}
+
+/// How often each write fault showed up over the whole seed set.
+#[derive(Default)]
+struct FaultsSeen {
+    torn_writes: u32,
+    partial_flushes: u32,
+    quarantined: u32,
+    corrupt_checkpoints: u32,
+}
+
+/// Recovers a killed store and checks where it landed against `acked`,
+/// the acknowledged `(epoch, checksum)` history: on the last entry, or
+/// on an earlier one only when recovery quarantined a rotten frame.
+/// Cuts `acked` back to where recovery landed — the epochs after it are
+/// gone, and their numbers will be handed out again.
+fn recover_checked(
+    cfg: &StoreConfig,
+    plan: &Arc<FaultPlan>,
+    acked: &mut Vec<(u64, u64)>,
+    seen: &mut FaultsSeen,
+    step: u32,
+) -> HitlistStore {
+    let seed = plan.seed();
+    let (store, report) = HitlistStore::recover_with(cfg.clone(), plan.clone())
+        .unwrap_or_else(|e| panic!("seed {seed} step {step}: recovery failed: {e}"));
+    let landed = (store.epoch(), store.snapshot().content_checksum());
+    let at = acked.iter().rposition(|&a| a == landed).unwrap_or_else(|| {
+        panic!("seed {seed} step {step}: recovered {landed:?}, never acknowledged ({report})")
+    });
+    assert!(
+        at + 1 == acked.len() || report.quarantined > 0,
+        "seed {seed} step {step}: recovered {landed:?} behind the last ack {:?} with nothing \
+         quarantined ({report})",
+        acked.last()
+    );
+    acked.truncate(at + 1);
+    seen.quarantined += report.quarantined;
+    seen.corrupt_checkpoints += report.corrupt_checkpoints;
+    store
+}
+
+/// One seeded run: every publish a write fault fails is a crash, and
+/// every seventh step a kill (silent bit rot never fails a publish, so
+/// only an unprompted recovery surfaces it).
+fn kill_and_recover_run(seed: u64, seen: &mut FaultsSeen) {
+    // Write-path faults only, no stalls.
+    let plan = Arc::new(FaultPlan::new(
+        seed,
+        FaultSpec {
+            stall_rate: 0.0,
+            stall_ms: 0,
+            ..FaultSpec::with_permanent(0.45, 0.0)
+        },
+    ));
+    let dir = v6store::scratch_dir("serve-seeded");
+    let cfg = StoreConfig::new(&dir).checkpoint_every(4).with_fsync(false);
+    let mut store = HitlistStore::persistent_with("persist", 4, cfg.clone(), plan.clone())
+        .expect("create durable store");
+    let mut acked = vec![(0, store.snapshot().content_checksum())];
+
+    for step in 1..=RECOVERY_STEPS {
+        let checksum = seeded_snapshot(seed, step).content_checksum();
+        let mut failures = 0u32;
+        loop {
+            match store.publish(seeded_snapshot(seed, step)) {
+                Ok(receipt) => {
+                    acked.push((receipt.epoch, checksum));
+                    break;
+                }
+                Err(PublishError::Persistence(err)) => {
+                    if err.contains("torn write") {
+                        seen.torn_writes += 1;
+                    } else if err.contains("partial flush") {
+                        seen.partial_flushes += 1;
+                    }
+                    failures += 1;
+                    assert!(
+                        failures <= 64,
+                        "seed {seed} step {step}: 64 failed publishes"
+                    );
+                    // Crash with the damage on disk on the first failure.
+                    // A retry burns the failed epoch's number, so it
+                    // reaches a fresh fault site.
+                    if failures == 1 {
+                        drop(store);
+                        store = recover_checked(&cfg, &plan, &mut acked, seen, step);
+                    }
+                }
+                Err(other) => panic!("seed {seed} step {step}: unexpected publish error: {other}"),
+            }
+        }
+        if step % 7 == 0 {
+            drop(store);
+            store = recover_checked(&cfg, &plan, &mut acked, seen, step);
+        }
+    }
+    assert_eq!(
+        store.snapshot().content_checksum(),
+        seeded_snapshot(seed, RECOVERY_STEPS).content_checksum(),
+        "seed {seed}: the store does not serve the last step's content"
+    );
+    drop(store);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn seeded_write_faults_never_lose_an_acknowledged_epoch() {
+    let mut seen = FaultsSeen::default();
+    for seed in recovery_seeds() {
+        kill_and_recover_run(seed, &mut seen);
+    }
+    // Non-vacuity: the seed set reaches every write fault there is.
+    assert!(seen.torn_writes > 0, "no seed tore a write");
+    assert!(seen.partial_flushes > 0, "no seed lost a flush");
+    assert!(seen.quarantined > 0, "no seed rotted an acknowledged frame");
+    assert!(seen.corrupt_checkpoints > 0, "no seed tore a checkpoint");
 }

@@ -69,8 +69,8 @@ pub mod tail;
 pub use format::{AliasEntry, FORMAT_VERSION, MAGIC};
 pub use log::DeltaRecord;
 pub use log::{
-    checkpoint_file, data_dir_from_env, parse_checkpoint_name, scratch_dir, AppendReceipt,
-    EpochLog, EpochState, EpochView, StateLog, StoreConfig, LOG_FILE,
+    checkpoint_file, parse_checkpoint_name, scratch_dir, AppendReceipt, EpochLog, EpochState,
+    EpochView, StateLog, StoreConfig, LOG_FILE,
 };
 pub use recover::{recover, recover_at, recover_with, RecoverError, Recovery, RecoveryReport};
 pub use tail::{LogTailer, TailReport};

@@ -69,16 +69,6 @@ pub fn parse_checkpoint_name(name: &str) -> Option<u64> {
         .ok()
 }
 
-/// The store directory, honoring a `V6_DATA_DIR` environment override.
-///
-/// Returns `default` when the variable is unset or empty.
-pub fn data_dir_from_env(default: impl Into<PathBuf>) -> PathBuf {
-    match std::env::var("V6_DATA_DIR") {
-        Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
-        _ => default.into(),
-    }
-}
-
 /// A fresh, unique scratch directory under the system temp dir — shared
 /// by the tests and benches, which have no tempdir dependency.
 pub fn scratch_dir(tag: &str) -> PathBuf {
@@ -1004,14 +994,5 @@ mod tests {
         assert_eq!(parse_checkpoint_name(&checkpoint_file(17)), Some(17),);
         assert_eq!(parse_checkpoint_name("epochs.v6log"), None);
         assert_eq!(parse_checkpoint_name("checkpoint-x.v6ck"), None);
-    }
-
-    #[test]
-    fn data_dir_env_default() {
-        // V6_DATA_DIR unset in tests: the default wins.
-        assert_eq!(
-            data_dir_from_env("/tmp/fallback"),
-            PathBuf::from("/tmp/fallback")
-        );
     }
 }

@@ -5,12 +5,11 @@
 //!
 //! Delta streams in this system are *mostly* reliable — the epoch log
 //! is checksummed per frame, replication verifies the checksum chain —
-//! but a tailer can race a compaction (epochs vanish from the log), a
-//! cluster push can be re-delivered, and chaos injection deliberately
-//! drops and duplicates. A streaming analytics layer that silently
-//! mis-applies any of those diverges from the corpus *forever*, which
-//! is strictly worse than batch re-analysis being slow. The driver
-//! therefore refuses to guess:
+//! but a tailer can race a compaction (epochs vanish from the log) and
+//! a lossy transport can drop or re-deliver a push. A streaming
+//! analytics layer that silently mis-applies any of those diverges from
+//! the corpus *forever*, which is strictly worse than batch re-analysis
+//! being slow. The driver therefore refuses to guess:
 //!
 //! * **Duplicates / reordering** — every delta targets exactly one
 //!   epoch; `delta.epoch <= current` is dropped as a duplicate (the
@@ -32,7 +31,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use v6chaos::{Chaos, Fault};
 use v6obs::{Counter, Histogram};
 use v6store::DeltaRecord;
 
@@ -186,7 +184,7 @@ impl Analytics {
     }
 }
 
-/// What [`StreamDriver::offer`] did with one delta.
+/// What [`StreamDriver::feed`] did with one delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
     /// Verified and applied; this many resolved events were folded.
@@ -200,10 +198,6 @@ pub enum Offer {
     /// Dropped because the driver is lagging from an earlier gap and
     /// awaits [`StreamDriver::resync`].
     Lagging,
-    /// Dropped by the installed fault injector before the driver saw
-    /// it — a lost delivery. Surfaces as [`Offer::Gap`] at the next
-    /// non-empty delta.
-    Dropped,
 }
 
 struct DriverMetrics {
@@ -250,7 +244,6 @@ pub struct StreamDriver {
     /// in record order: what the verification pass found in the mirror.
     priors: Vec<Option<u32>>,
     analytics: Analytics,
-    chaos: Option<Arc<dyn Chaos>>,
     metrics: DriverMetrics,
 }
 
@@ -264,16 +257,8 @@ impl StreamDriver {
             lagging: false,
             priors: Vec::new(),
             analytics: Analytics::new(resolver),
-            chaos: None,
             metrics: DriverMetrics::global(),
         }
-    }
-
-    /// Installs a fault injector consulted by [`StreamDriver::feed`]
-    /// at `stream.delta.<epoch>` sites.
-    pub fn with_chaos(mut self, chaos: Arc<dyn Chaos>) -> StreamDriver {
-        self.chaos = Some(chaos);
-        self
     }
 
     /// The epoch the operators reflect.
@@ -299,7 +284,7 @@ impl StreamDriver {
     }
 
     /// Verifies and applies one delta.
-    pub fn offer(&mut self, delta: &DeltaRecord) -> Offer {
+    pub fn feed(&mut self, delta: &DeltaRecord) -> Offer {
         let started = Instant::now();
         if self.lagging {
             self.metrics.dropped.inc();
@@ -359,55 +344,6 @@ impl StreamDriver {
             .apply_latency
             .record_duration(started.elapsed());
         Offer::Applied(count)
-    }
-
-    /// Chaos-aware delivery: consults the injector at
-    /// `stream.delta.<epoch>` and simulates the transport faults the
-    /// driver must survive — `Error`/`Panic` drop the delta entirely
-    /// (a lost delivery, surfacing as a gap at the next delta),
-    /// `Stall` delivers it twice (a retried send). Without an
-    /// installed injector this is exactly [`StreamDriver::offer`].
-    pub fn feed(&mut self, delta: &DeltaRecord) -> Offer {
-        let fault = match &self.chaos {
-            Some(chaos) => chaos.decide(&format!("stream.delta.{}", delta.epoch), 0),
-            None => Fault::None,
-        };
-        match fault {
-            Fault::Error | Fault::Panic => {
-                self.metrics.dropped.inc();
-                // The delta is lost in transit; the driver only learns
-                // at the next delivery, when the chain breaks.
-                Offer::Dropped
-            }
-            Fault::Stall(_) => {
-                let first = self.offer(delta);
-                let second = self.offer(delta);
-                debug_assert!(
-                    !matches!(second, Offer::Applied(_)),
-                    "re-delivery must be deduped"
-                );
-                first
-            }
-            Fault::None => self.offer(delta),
-        }
-    }
-
-    /// Polls a live epoch-log tailer and feeds every newly delivered
-    /// delta — the "analytics sidecar tailing a serving store's
-    /// epoch log" deployment shape.
-    ///
-    /// Returns the per-delta outcomes plus the tailer's own report.
-    /// Note a tailer can race the log's checkpoint compaction, in
-    /// which case compacted epochs are genuine gaps: the driver
-    /// detects them via the checksum chain and goes lagging, and the
-    /// caller resyncs from the store's materialized state.
-    pub fn poll_log(
-        &mut self,
-        tailer: &mut v6store::LogTailer,
-    ) -> std::io::Result<(Vec<Offer>, v6store::TailReport)> {
-        let (deltas, report) = tailer.poll()?;
-        let outcomes = deltas.iter().map(|d| self.feed(d)).collect();
-        Ok((outcomes, report))
     }
 
     /// Rebuilds mirror, checksum, and all operators from an
@@ -474,20 +410,16 @@ mod tests {
         let d2 = advance(&mut state, 2, vec![(10, 1), (30, 2)]);
         let d3 = advance(&mut state, 3, vec![(10, 2), (30, 2), (40, 3)]);
 
-        assert_eq!(driver.offer(&d1), Offer::Applied(2));
-        assert_eq!(driver.offer(&d1), Offer::Duplicate, "re-delivery is inert");
-        assert_eq!(driver.offer(&d2), Offer::Applied(2), "remove 20, add 30");
+        assert_eq!(driver.feed(&d1), Offer::Applied(2));
+        assert_eq!(driver.feed(&d1), Offer::Duplicate, "re-delivery is inert");
+        assert_eq!(driver.feed(&d2), Offer::Applied(2), "remove 20, add 30");
         assert_eq!(driver.content_checksum(), d2.content_checksum);
 
         // Skip d3's predecessor? No — drop d3 and offer a later delta:
         let d4 = advance(&mut state, 4, vec![(10, 2), (40, 3)]);
-        assert_eq!(driver.offer(&d4), Offer::Gap, "missing d3 breaks the chain");
+        assert_eq!(driver.feed(&d4), Offer::Gap, "missing d3 breaks the chain");
         assert!(driver.is_lagging());
-        assert_eq!(
-            driver.offer(&d3),
-            Offer::Lagging,
-            "lagging drops everything"
-        );
+        assert_eq!(driver.feed(&d3), Offer::Lagging, "lagging drops everything");
         assert_eq!(
             driver.content_checksum(),
             d2.content_checksum,
@@ -510,8 +442,8 @@ mod tests {
         let mut driver = StreamDriver::new(resolver());
         let d1 = advance(&mut state, 1, vec![(10, 5)]);
         let d2 = advance(&mut state, 2, vec![(10, 2)]);
-        assert_eq!(driver.offer(&d1), Offer::Applied(1));
-        assert_eq!(driver.offer(&d2), Offer::Applied(1));
+        assert_eq!(driver.feed(&d1), Offer::Applied(1));
+        assert_eq!(driver.feed(&d2), Offer::Applied(1));
         let batch = Analytics::from_entries(resolver(), &state.entries);
         assert_eq!(driver.analytics().checksums(), batch.checksums());
     }
@@ -521,7 +453,7 @@ mod tests {
         let mut state = EpochState::default();
         let mut driver = StreamDriver::new(resolver());
         let d1 = advance(&mut state, 1, vec![(10, 1), (20, 1)]);
-        driver.offer(&d1);
+        driver.feed(&d1);
         let bogus = DeltaRecord {
             epoch: 2,
             week: 2,
@@ -532,6 +464,6 @@ mod tests {
             removed_aliases: vec![],
             added_aliases: vec![],
         };
-        assert_eq!(driver.offer(&bogus), Offer::Gap);
+        assert_eq!(driver.feed(&bogus), Offer::Gap);
     }
 }

@@ -34,14 +34,12 @@
 //!   out-of-order deliveries by epoch, detects replay **gaps** by
 //!   recomputing each delta's content checksum against its corpus
 //!   mirror before mutating anything, and recovers from gaps with an
-//!   explicit O(corpus) [`StreamDriver::resync`]. It reads a store's
-//!   epoch log through [`v6store::LogTailer`]
-//!   ([`StreamDriver::poll_log`]). A process that holds the snapshot
-//!   needs none of this: `v6serve`'s `HitlistStore` folds each record it
-//!   publishes into its own [`Analytics`].
+//!   explicit O(corpus) [`StreamDriver::resync`]. A process that holds
+//!   the snapshot needs none of this: `v6serve`'s `HitlistStore` folds
+//!   each record it publishes into its own [`Analytics`].
 //!
-//! The governing invariant, pinned by proptests and the `stream`
-//! chaos mode: **at every epoch boundary, each operator's checksum
+//! The governing invariant, pinned by proptests that drop, repeat and
+//! reorder deliveries: **at every epoch boundary, each operator's checksum
 //! equals the checksum of the same operator built fresh from the
 //! materialized corpus.** Streaming is an optimization, never an
 //! approximation — and when delivery faults make the cheap path

@@ -184,7 +184,7 @@ proptest! {
         let (deltas, materialized) = build_epochs(&epochs);
         let mut driver = StreamDriver::new(resolver());
         for (delta, entries) in deltas.iter().zip(&materialized) {
-            prop_assert_eq!(driver.offer(delta), Offer::Applied(
+            prop_assert_eq!(driver.feed(delta), Offer::Applied(
                 delta.removed.len() + delta.added.len()
             ));
             prop_assert_eq!(driver.content_checksum(), delta.content_checksum);
@@ -199,9 +199,9 @@ proptest! {
         let (deltas, materialized) = build_epochs(&epochs);
         let mut driver = StreamDriver::new(resolver());
         for (i, delta) in deltas.iter().enumerate() {
-            driver.offer(delta);
+            driver.feed(delta);
             let stale = dup % (i + 1); // any already-applied delta
-            prop_assert_eq!(driver.offer(&deltas[stale]), Offer::Duplicate);
+            prop_assert_eq!(driver.feed(&deltas[stale]), Offer::Duplicate);
             prop_assert_eq!(driver.content_checksum(), delta.content_checksum);
         }
         assert_equivalent(&driver, materialized.last().unwrap());
@@ -221,11 +221,11 @@ proptest! {
 
         let mut driver = StreamDriver::new(resolver());
         for delta in &deltas[..drop] {
-            driver.offer(delta);
+            driver.feed(delta);
         }
         let mut detected = false;
         for delta in &deltas[drop + 1..] {
-            match driver.offer(delta) {
+            match driver.feed(delta) {
                 Offer::Gap => { detected = true; break; }
                 Offer::Applied(_) => {
                     // A delta only applies when its verified checksum

@@ -25,10 +25,10 @@
 //! * [`store`] (`v6store`) — durable epoch persistence behind the
 //!   serving store: an append-only checksummed delta log with compacted
 //!   checkpoints, torn-tail/bit-rot classifying crash recovery, and
-//!   read-only time travel to any logged epoch (`V6_DATA_DIR` knob).
+//!   read-only time travel to any logged epoch.
 //! * [`chaos`] (`v6chaos`) — seeded deterministic fault injection for
 //!   the pipeline and the serving path, plus the loss-report accounting
-//!   the chaos test suite pins (`V6_CHAOS_SEED` knob).
+//!   the chaos test suite pins over many seeds per invariant.
 //! * [`wire`] (`v6wire`) — the service front door: a versioned,
 //!   checksummed binary wire protocol over in-repo byte transports,
 //!   with admission control (per-client token buckets, global

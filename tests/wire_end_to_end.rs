@@ -2,21 +2,26 @@
 //! publish it into the serving store, and query it through the v6wire
 //! front door — including over a faulty transport, where the client
 //! reconnects and retries until the wire answers match direct snapshot
-//! answers byte for byte.
+//! answers byte for byte, under scripted faults and under seeded plans.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ipv6_hitlists::chaos::{Chaos, ScriptedChaos, SiteScript};
+use ipv6_hitlists::chaos::{Chaos, FaultPlan, FaultSpec, ScriptedChaos, SiteScript};
 use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::HitlistService;
+use ipv6_hitlists::netsim::rng::hash64;
 use ipv6_hitlists::netsim::{World, WorldConfig};
 use ipv6_hitlists::obs::Registry;
 use ipv6_hitlists::scan::HitlistCampaignConfig;
-use ipv6_hitlists::serve::{HitlistStore, Ingestor, PublicationUpdate, QueryEngine, Snapshot};
+use ipv6_hitlists::serve::{
+    HitlistStore, Ingestor, PublicationUpdate, QueryEngine, Snapshot, SnapshotBuilder,
+};
 use ipv6_hitlists::wire::proto::{Request, Response};
 use ipv6_hitlists::wire::{
-    duplex, serve_request, AdmissionConfig, Fabric, Link, OnPanic, WireClient, WireServer,
+    duplex, serve_request, AdmissionConfig, Fabric, FrameError, Link, OnPanic, WireClient,
+    WireClientError, WireServer,
 };
 
 /// Up to about `target` present addresses, spread evenly over `snap`.
@@ -217,4 +222,146 @@ fn stalled_requests_answer_late_but_correct() {
     let responses = client.poll(6_000).expect("poll");
     assert_eq!(responses.len(), 1);
     assert_eq!(responses[0].1, want);
+}
+
+/// Requests each seeded run must get exact answers to.
+const SEEDED_REQUESTS: usize = 48;
+
+/// Reconnects before a seeded run counts as diverged: far above what
+/// any seed needs, since every reconnect draws fresh fault sites.
+const MAX_RECONNECTS: u64 = 512;
+
+/// Plan seeds for the faulty-wire run: 7, 8, 9 and 31, then 1–16.
+fn wire_seeds() -> impl Iterator<Item = u64> {
+    [7, 8, 9, 31].into_iter().chain(1..=16)
+}
+
+/// Drives `SEEDED_REQUESTS` mixed requests through the front door over
+/// a fabric that loses, corrupts and stalls chunks in both directions
+/// per `seed`'s plan. The client reconnects and re-sends what is
+/// unanswered until every request has an answer, each checked against
+/// [`serve_request`] on the same snapshot. Returns the faults the run
+/// saw: `[server protocol errors, client checksum errors, chunks lost,
+/// chunks stalled]`.
+fn seeded_wire_run(seed: u64) -> [u64; 4] {
+    let store = Arc::new(HitlistStore::new("wire-seeded", 4));
+    let mut b = SnapshotBuilder::new("wire-seeded", 4);
+    let probes: Vec<u128> = (0..256u64)
+        .map(|i| (0x2001_0db8u128 << 96) | u128::from(hash64(seed ^ i, b"wire-seeded-addr")))
+        .collect();
+    for (i, &bits) in probes.iter().enumerate() {
+        b.add_bits(bits, (i % 5) as u32);
+    }
+    store.publish(b.build()).expect("publish");
+    let snap = store.snapshot();
+    let server = WireServer::new(QueryEngine::new(store), AdmissionConfig::default(), 0);
+
+    let requests: Vec<Request> = (0..SEEDED_REQUESTS)
+        .map(|i| match i % 4 {
+            0 => Request::Lookup {
+                addr: probes[i * 5 % probes.len()],
+            },
+            1 => Request::Membership {
+                addr: probes[i * 3 % probes.len()] ^ u128::from(i as u64 % 2),
+            },
+            2 => Request::NewSince { week: i as u64 % 6 },
+            _ => Request::Status,
+        })
+        .collect();
+
+    let plan = FaultPlan::new(
+        seed,
+        FaultSpec {
+            stall_ms: 2,
+            ..FaultSpec::with_permanent(0.35, 0.3)
+        },
+    );
+    let registry = Registry::new();
+    let fabric = Fabric::new("wire", Arc::new(plan), &registry);
+    let mut pending: Vec<usize> = (0..requests.len()).collect();
+    let (mut reconnects, mut bad_checksums) = (0u64, 0u64);
+    while !pending.is_empty() {
+        assert!(
+            reconnects < MAX_RECONNECTS,
+            "seed {seed}: {} request(s) unanswered after {reconnects} reconnects",
+            pending.len()
+        );
+        // Fresh connection, fresh fault sites on both directions; both
+        // ends corrupt on `Panic`.
+        let (c2s, s2c) = (format!("c2s.g{reconnects}"), format!("s2c.g{reconnects}"));
+        let client_end = fabric.link(&c2s, &s2c, Some(OnPanic::Corrupt));
+        let mut server_end = fabric.link(&s2c, &c2s, Some(OnPanic::Corrupt));
+        let mut conn = server.open_connection(1_000 + reconnects);
+        let mut client = WireClient::connect(client_end, 0).expect("connect");
+        let mut by_id = HashMap::new();
+        // One request per round: a corrupted chunk poisons the whole
+        // connection, so pipelining the backlog would forfeit all of
+        // it to the first flipped bit. The extra rounds at the end let
+        // stalled chunks release.
+        let mut queue: Vec<usize> = pending.iter().rev().copied().collect();
+        for round in 0..queue.len() as u64 + 8 {
+            let now = round * 1_000;
+            if let Some(idx) = queue.pop() {
+                match client.send(&requests[idx], now) {
+                    Ok(id) => {
+                        by_id.insert(id, idx);
+                    }
+                    Err(_) => break,
+                }
+            }
+            if conn.pump(&mut server_end, now).is_err() {
+                break;
+            }
+            let responses = match client.poll(now) {
+                Ok(responses) => responses,
+                Err(e) => {
+                    // Corruption or close detected: reconnect.
+                    let flipped = WireClientError::Protocol(FrameError::BadChecksum);
+                    bad_checksums += u64::from(e == flipped);
+                    break;
+                }
+            };
+            for (id, resp) in responses {
+                let Some(idx) = by_id.remove(&id) else {
+                    continue;
+                };
+                assert_eq!(
+                    resp,
+                    serve_request(&snap, requests[idx].clone()),
+                    "seed {seed}: wire answer to request {idx} diverged from the snapshot"
+                );
+                pending.retain(|&p| p != idx);
+            }
+            if pending.is_empty() {
+                break;
+            }
+        }
+        reconnects += 1;
+    }
+
+    let net = registry.snapshot();
+    let wire = server.metrics().registry().snapshot();
+    [
+        wire.counter("wire.conn.protocol_errors").unwrap_or(0),
+        bad_checksums,
+        net.counter("wire.net.lost").unwrap_or(0),
+        net.counter("wire.net.stalled").unwrap_or(0),
+    ]
+}
+
+#[test]
+fn seeded_fault_plans_converge_on_exact_answers() {
+    let mut seen = [0u64; 4];
+    for seed in wire_seeds() {
+        for (total, n) in seen.iter_mut().zip(seeded_wire_run(seed)) {
+            *total += n;
+        }
+    }
+    // Non-vacuity: the seed set corrupts, loses and stalls chunks, and
+    // the server and the client each catch a broken stream.
+    let [protocol_errors, bad_checksums, lost, stalled] = seen;
+    assert!(protocol_errors > 0, "the server caught no protocol error");
+    assert!(bad_checksums > 0, "no flipped bit failed a frame checksum");
+    assert!(lost > 0, "no chunk was lost");
+    assert!(stalled > 0, "no chunk stalled");
 }
