@@ -34,8 +34,8 @@ pub mod mac;
 pub mod oui_db;
 pub mod pattern;
 pub mod prefix;
+pub mod prefix_map;
 pub mod set;
-pub mod trie;
 
 mod iid;
 
@@ -44,8 +44,8 @@ pub use iid::Iid;
 pub use mac::{Mac, Oui};
 pub use pattern::AddressClass;
 pub use prefix::{Prefix, PrefixParseError};
+pub use prefix_map::PrefixMap;
 pub use set::{shard48, AddrSet};
-pub use trie::PrefixMap;
 
 use std::net::Ipv6Addr;
 

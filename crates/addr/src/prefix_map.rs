@@ -14,8 +14,7 @@
 //! a lookup is one binary search plus a climb of at most nesting-depth
 //! links. A mutation shifts the tail of the `Vec` and recomputes that
 //! tail's links in one linear pass; bulk loads go through `collect()`,
-//! which sorts once. (The module keeps the name of the bit-per-level
-//! trie it replaced.)
+//! which sorts once.
 
 use crate::prefix::Prefix;
 use std::net::Ipv6Addr;

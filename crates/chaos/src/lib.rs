@@ -14,8 +14,9 @@
 //! `crates/serve/tests`):
 //!
 //! * **Transient faults converge.** If every injected fault is
-//!   transient, retry/backoff/backfill must reproduce the byte-identical
-//!   artifacts of a fault-free run.
+//!   transient, retry and backfill must reproduce the byte-identical
+//!   artifacts of a fault-free run (which is the same run at
+//!   [`NoChaos`]).
 //! * **Permanent faults are accounted.** If a site fails permanently,
 //!   the run must report exactly which units were lost (a [`LossReport`])
 //!   — never a silently truncated artifact.
@@ -426,6 +427,10 @@ impl v6par::FaultInjector for DagInjector<'_> {
                 "injected panic (stage `{stage}`, attempt {attempt})"
             )),
         }
+    }
+
+    fn retry_budget(&self) -> u32 {
+        self.chaos.retry_budget()
     }
 }
 

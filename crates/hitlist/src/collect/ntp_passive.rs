@@ -6,7 +6,7 @@
 //! source address, and answers. What the study keeps is exactly what the
 //! paper kept: `(time, source address)` per query, per server.
 
-use v6chaos::{Chaos, Fault};
+use v6chaos::{Chaos, Fault, NoChaos};
 use v6netsim::{Country, NtpEventStream, SimDuration, SimTime, World};
 use v6ntp::{NtpClient, NtpPool, NtpTimestamp, Stratum2Server};
 
@@ -47,7 +47,7 @@ fn record_corpus(corpus: &NtpCorpus, days_total: u64) {
 }
 
 /// One shard's worth of collection: the observations of a contiguous
-/// day-slice, plus the bookkeeping needed to merge shards back into the
+/// run of days, plus the bookkeeping needed to merge shards back into the
 /// exact sequential order.
 struct CollectShard {
     observations: Vec<NtpObservation>,
@@ -105,7 +105,7 @@ pub struct NtpCorpus {
     pub initial_capacity: usize,
     /// Days (study-day indices) whose collection failed permanently
     /// under fault injection and were skipped after backfill. Always
-    /// empty for the fault-free collectors; sorted ascending.
+    /// empty under [`NoChaos`]; sorted ascending.
     pub lost_days: Vec<u64>,
 }
 
@@ -115,23 +115,44 @@ impl NtpCorpus {
     /// Every query runs the full wire path (encode → geo-DNS select →
     /// server decode/log → response → client validate).
     pub fn collect(world: &World, start: SimTime, window: SimDuration) -> Self {
-        Self::collect_with_threads(world, start, window, v6par::threads())
+        Self::collect_with(world, start, window, v6par::threads(), &NoChaos)
+    }
+
+    /// Collects over the paper's full study window.
+    pub fn collect_study(world: &World) -> Self {
+        Self::collect(world, SimTime::START, v6netsim::time::STUDY_DURATION)
+    }
+
+    /// The chaos site name one collection day maps to.
+    pub fn day_site(day: u64) -> String {
+        format!("collect.day.{day}")
     }
 
     /// [`NtpCorpus::collect`] sharded by time-slice across `threads`
-    /// workers.
+    /// workers, under the fault decisions of `chaos`.
     ///
-    /// The day range is cut into contiguous slices; each slice runs the
-    /// full wire path against its own [`Stratum2Server`] replicas
-    /// (responses depend only on the request, so replicas serve
-    /// identically), and shards merge back in device-major order via
-    /// per-device run-lengths. `observations` is bit-identical to the
-    /// sequential collection at any thread count.
-    pub fn collect_with_threads(
+    /// The day range is cut into contiguous slices (one at `threads <= 1`,
+    /// else `threads * 4`); each slice runs the full wire path against
+    /// its own [`Stratum2Server`] replicas (responses depend only on the
+    /// request, so replicas serve identically). Inside a slice every day
+    /// consults its `collect.day.<d>` site once: a failure skips the day,
+    /// splitting the slice into the runs of clean days around it, and a
+    /// stall sleeps before the run. Skipped days are backfilled one by one
+    /// at attempts `1..=`[`Chaos::retry_budget`]; days that still fail
+    /// (permanent scripts) end up in [`NtpCorpus::lost_days`] and
+    /// contribute no observations.
+    ///
+    /// Shards merge back in start-day order into the device-major stream
+    /// via per-device run-lengths, so `observations` is bit-identical to
+    /// the sequential collection at any thread count, and under any plan
+    /// whose faults are all transient. Faults decide only *whether* a
+    /// day's collection runs, never what it observes.
+    pub fn collect_with(
         world: &World,
         start: SimTime,
         window: SimDuration,
         threads: usize,
+        chaos: &dyn Chaos,
     ) -> Self {
         let (start_day, end_day) = v6netsim::day_range(start, window);
         let days = (end_day - start_day) as usize;
@@ -140,204 +161,101 @@ impl NtpCorpus {
             world.vantage_points.clone(),
             v6netsim::CountryRegistry::builtin(),
         );
-
-        if threads <= 1 || days < 2 {
-            let shard = collect_days(world, &pool, start_day, end_day, expected as usize);
-            let corpus = NtpCorpus {
-                observations: shard.observations,
-                served_per_vp: shard.served_per_vp,
-                protocol_failures: shard.protocol_failures,
-                start,
-                window,
-                expected_queries: expected,
-                initial_capacity: shard.initial_capacity,
-                lost_days: Vec::new(),
-            };
-            record_corpus(&corpus, days as u64);
-            return corpus;
-        }
-
-        let slices = v6par::split_ranges(days, (threads * 4).min(days));
+        // `split_ranges` caps the slice count at the day count.
+        let slices = v6par::split_ranges(days, if threads <= 1 { 1 } else { threads * 4 });
         // Cost hint: one study day of simulated queries is ~1 ms, far
         // above the cutoff — sharded collection always parallelizes
         // once `threads > 1`, sized by days-per-slice.
-        let slice_cost = v6par::Cost::per_item_ns(1_000_000 * (days / slices.len()).max(1) as u64)
-            .labeled("collect.shard");
-        let shards = v6par::par_map_cost(threads, &slices, slice_cost, |_, r| {
-            collect_days(
-                world,
-                &pool,
-                start_day + r.start as u64,
-                start_day + r.end as u64,
-                expected as usize / slices.len() + 64,
-            )
+        let slice_cost =
+            v6par::Cost::per_item_ns(1_000_000 * (days / slices.len().max(1)).max(1) as u64)
+                .labeled("collect.shard");
+        let collect_run = |d0: u64, d1: u64| {
+            let capacity = (expected as usize * (d1 - d0) as usize) / days + 64;
+            (d0, collect_days(world, &pool, d0, d1, capacity))
+        };
+        let passes = v6par::par_map_cost(threads.max(1), &slices, slice_cost, |_, r| {
+            let (d0, d1) = (start_day + r.start as u64, start_day + r.end as u64);
+            let (mut shards, mut skipped) = (Vec::new(), Vec::new());
+            let mut run_start = d0;
+            for day in d0..d1 {
+                if !day_clears(chaos, day, 0) {
+                    if run_start < day {
+                        shards.push(collect_run(run_start, day));
+                    }
+                    skipped.push(day);
+                    run_start = day + 1;
+                }
+            }
+            if run_start < d1 {
+                shards.push(collect_run(run_start, d1));
+            }
+            (shards, skipped)
         });
+
+        // Backfill: retry each skipped day until it clears or the retry
+        // budget is exhausted.
+        let mut shards = Vec::new();
+        let mut lost_days = Vec::new();
+        for (slice_shards, skipped) in passes {
+            shards.extend(slice_shards);
+            for day in skipped {
+                if (1..=chaos.retry_budget()).any(|attempt| day_clears(chaos, day, attempt)) {
+                    shards.push(collect_run(day, day + 1));
+                } else {
+                    lost_days.push(day);
+                }
+            }
+        }
+
+        let mut served_per_vp = vec![0u64; world.vantage_points.len()];
+        for (_, shard) in &shards {
+            for (vp, &n) in shard.served_per_vp.iter().enumerate() {
+                served_per_vp[vp] += n;
+            }
+        }
+        let protocol_failures = shards.iter().map(|(_, s)| s.protocol_failures).sum();
 
         // Order-preserving merge: the sequential stream is device-major
         // (all of device 0's days, then device 1's, …), so walk devices
         // in index order, appending each shard's run for that device in
-        // shard (time-slice) order.
-        let total: usize = shards.iter().map(|s| s.observations.len()).sum();
-        let mut observations: Vec<NtpObservation> =
-            Vec::with_capacity((expected as usize).max(total));
-        let initial_capacity = observations.capacity();
-        let mut cursors = vec![(0usize, 0usize); shards.len()]; // (run, obs) per shard
-        for dev in 0..world.devices.len() as u32 {
-            for (si, shard) in shards.iter().enumerate() {
-                let (run, obs) = &mut cursors[si];
-                if *run < shard.runs.len() && shard.runs[*run].0 == dev {
-                    let n = shard.runs[*run].1 as usize;
-                    observations.extend_from_slice(&shard.observations[*obs..*obs + n]);
-                    *obs += n;
-                    *run += 1;
+        // start-day order. A lone shard already is that stream.
+        shards.sort_unstable_by_key(|&(day, _)| day);
+        let (observations, initial_capacity) = match <[_; 1]>::try_from(shards) {
+            Ok([(_, only)]) => (only.observations, only.initial_capacity),
+            Err(shards) => {
+                let total: usize = shards.iter().map(|(_, s)| s.observations.len()).sum();
+                let mut observations: Vec<NtpObservation> =
+                    Vec::with_capacity((expected as usize).max(total));
+                let initial_capacity = observations.capacity();
+                let mut cursors = vec![(0usize, 0usize); shards.len()]; // (run, obs) per shard
+                for dev in 0..world.devices.len() as u32 {
+                    for ((_, shard), (run, obs)) in shards.iter().zip(&mut cursors) {
+                        if *run < shard.runs.len() && shard.runs[*run].0 == dev {
+                            let n = shard.runs[*run].1 as usize;
+                            observations.extend_from_slice(&shard.observations[*obs..*obs + n]);
+                            *obs += n;
+                            *run += 1;
+                        }
+                    }
                 }
+                debug_assert_eq!(observations.len(), total, "merge lost observations");
+                (observations, initial_capacity)
             }
-        }
-        debug_assert_eq!(observations.len(), total, "merge lost observations");
-
-        let mut served_per_vp = vec![0u64; world.vantage_points.len()];
-        for shard in &shards {
-            for (vp, &n) in shard.served_per_vp.iter().enumerate() {
-                served_per_vp[vp] += n;
-            }
-        }
-        debug_assert_eq!(served_per_vp.iter().sum::<u64>(), observations.len() as u64);
-        let corpus = NtpCorpus {
-            observations,
-            served_per_vp,
-            protocol_failures: shards.iter().map(|s| s.protocol_failures).sum(),
-            start,
-            window,
-            expected_queries: expected,
-            initial_capacity,
-            lost_days: Vec::new(),
         };
-        record_corpus(&corpus, days as u64);
-        corpus
-    }
+        debug_assert_eq!(served_per_vp.iter().sum::<u64>(), observations.len() as u64);
 
-    /// The chaos site name one collection day maps to.
-    pub fn day_site(day: u64) -> String {
-        format!("collect.day.{day}")
-    }
-
-    /// [`NtpCorpus::collect_with_threads`] under fault injection, with
-    /// skip-and-backfill recovery.
-    ///
-    /// The window is cut into one slice per study day and each day
-    /// consults its `collect.day.<d>` site before collecting. Pass 1
-    /// attempts every day once, in parallel; days whose attempt 0 faults
-    /// are *skipped* and retried sequentially in a backfill pass, up to
-    /// [`Chaos::retry_budget`] extra attempts each. Days that still fail
-    /// (permanent scripts) end up in [`NtpCorpus::lost_days`] and
-    /// contribute no observations.
-    ///
-    /// When every injected fault is transient the result is
-    /// bit-identical to the fault-free collection — faults decide only
-    /// *whether* a day's collection runs, never what it observes.
-    pub fn collect_with_faults(
-        world: &World,
-        start: SimTime,
-        window: SimDuration,
-        threads: usize,
-        chaos: &dyn Chaos,
-    ) -> Self {
-        let (start_day, end_day) = v6netsim::day_range(start, window);
-        let days: Vec<u64> = (start_day..end_day).collect();
-        let expected = v6netsim::expected_query_volume(world, start, window);
-        let per_day = expected as usize / days.len().max(1) + 64;
-        let pool = NtpPool::new(
-            world.vantage_points.clone(),
-            v6netsim::CountryRegistry::builtin(),
-        );
-
-        // Pass 1: one parallel attempt per day; faulted days stay None.
-        // Same ~1 ms/day hint as the fault-free path.
-        let day_cost = v6par::Cost::per_item_ns(1_000_000).labeled("collect.day");
-        let mut shards: Vec<Option<CollectShard>> =
-            v6par::par_map_cost(threads.max(1), &days, day_cost, |_, &day| {
-                collect_day_faulted(world, &pool, day, per_day, chaos, 0)
-            });
-
-        // Backfill: retry the skipped days until they clear or the
-        // retry budget is exhausted.
-        let mut lost_days = Vec::new();
-        for (i, &day) in days.iter().enumerate() {
-            let mut attempt = 1u32;
-            while shards[i].is_none() && attempt <= chaos.retry_budget() {
-                shards[i] = collect_day_faulted(world, &pool, day, per_day, chaos, attempt);
-                attempt += 1;
-            }
-            if shards[i].is_none() {
-                lost_days.push(day);
-            }
-        }
-
-        // Device-major merge of the surviving days (identical to the
-        // fault-free merge; lost days simply contribute no runs).
-        let collected: Vec<&CollectShard> = shards.iter().flatten().collect();
-        let total: usize = collected.iter().map(|s| s.observations.len()).sum();
-        let mut observations: Vec<NtpObservation> =
-            Vec::with_capacity((expected as usize).max(total));
-        let initial_capacity = observations.capacity();
-        let mut cursors = vec![(0usize, 0usize); collected.len()];
-        for dev in 0..world.devices.len() as u32 {
-            for (si, shard) in collected.iter().enumerate() {
-                let (run, obs) = &mut cursors[si];
-                if *run < shard.runs.len() && shard.runs[*run].0 == dev {
-                    let n = shard.runs[*run].1 as usize;
-                    observations.extend_from_slice(&shard.observations[*obs..*obs + n]);
-                    *obs += n;
-                    *run += 1;
-                }
-            }
-        }
-        debug_assert_eq!(observations.len(), total, "merge lost observations");
-
-        let mut served_per_vp = vec![0u64; world.vantage_points.len()];
-        for shard in &collected {
-            for (vp, &n) in shard.served_per_vp.iter().enumerate() {
-                served_per_vp[vp] += n;
-            }
-        }
         let corpus = NtpCorpus {
             observations,
             served_per_vp,
-            protocol_failures: collected.iter().map(|s| s.protocol_failures).sum(),
+            protocol_failures,
             start,
             window,
             expected_queries: expected,
             initial_capacity,
             lost_days,
         };
-        record_corpus(&corpus, days.len() as u64);
+        record_corpus(&corpus, days as u64);
         corpus
-    }
-
-    /// [`NtpCorpus::collect_study`] under fault injection.
-    pub fn collect_study_chaos(world: &World, threads: usize, chaos: &dyn Chaos) -> Self {
-        Self::collect_with_faults(
-            world,
-            SimTime::START,
-            v6netsim::time::STUDY_DURATION,
-            threads,
-            chaos,
-        )
-    }
-
-    /// Collects over the paper's full study window.
-    pub fn collect_study(world: &World) -> Self {
-        Self::collect(world, SimTime::START, v6netsim::time::STUDY_DURATION)
-    }
-
-    /// [`NtpCorpus::collect_study`] at an explicit thread count.
-    pub fn collect_study_with_threads(world: &World, threads: usize) -> Self {
-        Self::collect_with_threads(
-            world,
-            SimTime::START,
-            v6netsim::time::STUDY_DURATION,
-            threads,
-        )
     }
 
     /// The corpus as a [`Dataset`] named "NTP Pool".
@@ -425,32 +343,24 @@ fn collect_days(world: &World, pool: &NtpPool, d0: u64, d1: u64, capacity: usize
     }
 }
 
-/// One fault-aware collection attempt of a single day.
-///
-/// Consults the day's `collect.day.<d>` site: a failure decision skips
-/// the day (returns `None`, letting the backfill pass retry it), a stall
-/// sleeps first, and a clean decision runs the normal kernel. The fault
-/// never alters what a successful collection observes.
-fn collect_day_faulted(
-    world: &World,
-    pool: &NtpPool,
-    day: u64,
-    capacity: usize,
-    chaos: &dyn Chaos,
-    attempt: u32,
-) -> Option<CollectShard> {
+/// Consults `day`'s `collect.day.<d>` site at `attempt`: false when the
+/// decision fails the attempt, true otherwise (after sleeping out a
+/// stall). The decision never alters what a collection observes.
+fn day_clears(chaos: &dyn Chaos, day: u64, attempt: u32) -> bool {
     match chaos.decide(&NtpCorpus::day_site(day), attempt) {
-        Fault::Error | Fault::Panic => return None,
-        Fault::Stall(d) => std::thread::sleep(d),
-        Fault::None => {}
+        Fault::Error | Fault::Panic => false,
+        Fault::Stall(d) => {
+            std::thread::sleep(d);
+            true
+        }
+        Fault::None => true,
     }
-    Some(collect_days(world, pool, day, day + 1, capacity))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use v6chaos::{NoChaos, ScriptedChaos, SiteScript};
+    use v6chaos::{ScriptedChaos, SiteScript};
     use v6netsim::WorldConfig;
 
     fn world() -> World {
@@ -517,11 +427,16 @@ mod tests {
     #[test]
     fn sharded_collection_matches_sequential() {
         let w = world();
-        let seq = NtpCorpus::collect_with_threads(&w, SimTime::START, SimDuration::days(9), 1);
+        let seq = NtpCorpus::collect_with(&w, SimTime::START, SimDuration::days(9), 1, &NoChaos);
         assert!(!seq.is_empty());
         for threads in [2, 3, 8] {
-            let par =
-                NtpCorpus::collect_with_threads(&w, SimTime::START, SimDuration::days(9), threads);
+            let par = NtpCorpus::collect_with(
+                &w,
+                SimTime::START,
+                SimDuration::days(9),
+                threads,
+                &NoChaos,
+            );
             assert_eq!(seq.observations, par.observations, "threads={threads}");
             assert_eq!(seq.served_per_vp, par.served_per_vp, "threads={threads}");
             assert_eq!(
@@ -535,7 +450,7 @@ mod tests {
     fn transient_faulted_collection_matches_fault_free() {
         let w = world();
         let window = SimDuration::days(6);
-        let baseline = NtpCorpus::collect_with_threads(&w, SimTime::START, window, 1);
+        let baseline = NtpCorpus::collect_with(&w, SimTime::START, window, 1, &NoChaos);
         let chaos = ScriptedChaos::new()
             .with(NtpCorpus::day_site(1), SiteScript::transient(2))
             .with(NtpCorpus::day_site(3), SiteScript::transient_panic(1))
@@ -544,13 +459,13 @@ mod tests {
                 SiteScript::ok().with_stall(std::time::Duration::from_millis(1)),
             );
         for threads in [1, 4] {
-            let c = NtpCorpus::collect_with_faults(&w, SimTime::START, window, threads, &chaos);
+            let c = NtpCorpus::collect_with(&w, SimTime::START, window, threads, &chaos);
             assert!(c.lost_days.is_empty(), "threads={threads}");
             assert_eq!(baseline.observations, c.observations, "threads={threads}");
             assert_eq!(baseline.served_per_vp, c.served_per_vp, "threads={threads}");
         }
-        // NoChaos through the fault path is also bit-identical.
-        let c = NtpCorpus::collect_with_faults(&w, SimTime::START, window, 4, &NoChaos);
+        // NoChaos at 4 threads is also bit-identical.
+        let c = NtpCorpus::collect_with(&w, SimTime::START, window, 4, &NoChaos);
         assert_eq!(baseline.observations, c.observations);
     }
 
@@ -558,12 +473,12 @@ mod tests {
     fn permanent_fault_loses_exactly_that_day() {
         let w = world();
         let window = SimDuration::days(5);
-        let baseline = NtpCorpus::collect_with_threads(&w, SimTime::START, window, 1);
+        let baseline = NtpCorpus::collect_with(&w, SimTime::START, window, 1, &NoChaos);
         let chaos = ScriptedChaos::new()
             .with(NtpCorpus::day_site(2), SiteScript::permanent())
             .with(NtpCorpus::day_site(0), SiteScript::transient(1));
         for threads in [1, 4] {
-            let c = NtpCorpus::collect_with_faults(&w, SimTime::START, window, threads, &chaos);
+            let c = NtpCorpus::collect_with(&w, SimTime::START, window, threads, &chaos);
             assert_eq!(c.lost_days, vec![2], "threads={threads}");
             // Day 2's observations are gone, every other day's survive.
             assert!(c.observations.iter().all(|o| o.t / 86_400 != 2));
@@ -578,11 +493,50 @@ mod tests {
     }
 
     #[test]
+    fn faults_inside_multi_day_slices_split_and_backfill() {
+        let w = world();
+        let window = SimDuration::days(20);
+        // At 2 threads the 20 days cut into 8 slices of 3 or 2 days.
+        let starts: Vec<usize> = v6par::split_ranges(20, 8).iter().map(|r| r.start).collect();
+        assert_eq!(starts, vec![0, 3, 6, 9, 12, 14, 16, 18]);
+        let baseline = NtpCorpus::collect_with(&w, SimTime::START, window, 1, &NoChaos);
+        let chaos = ScriptedChaos::new()
+            .with(NtpCorpus::day_site(1), SiteScript::permanent()) // inside 0..3
+            .with(NtpCorpus::day_site(3), SiteScript::transient(2)) // starts 3..6
+            .with(NtpCorpus::day_site(7), SiteScript::transient_panic(1)) // inside 6..9
+            .with(NtpCorpus::day_site(10), SiteScript::transient(1)) // inside 9..12
+            .with(
+                NtpCorpus::day_site(15),
+                SiteScript::ok().with_stall(std::time::Duration::from_millis(1)),
+            );
+        let c = NtpCorpus::collect_with(&w, SimTime::START, window, 2, &chaos);
+        assert_eq!(c.lost_days, vec![1]);
+        let kept: Vec<NtpObservation> = baseline
+            .observations
+            .iter()
+            .filter(|o| o.t / 86_400 != 1)
+            .copied()
+            .collect();
+        assert!(kept.len() < baseline.len(), "day 1 observed nothing");
+        assert_eq!(kept, c.observations);
+        let mut served_per_vp = vec![0u64; w.vantage_points.len()];
+        for o in &kept {
+            served_per_vp[o.server as usize] += 1;
+        }
+        assert_eq!(served_per_vp, c.served_per_vp);
+    }
+
+    #[test]
     fn collection_never_reallocates() {
         let w = world();
         for threads in [1, 4] {
-            let c =
-                NtpCorpus::collect_with_threads(&w, SimTime::START, SimDuration::days(9), threads);
+            let c = NtpCorpus::collect_with(
+                &w,
+                SimTime::START,
+                SimDuration::days(9),
+                threads,
+                &NoChaos,
+            );
             assert!(c.len() as u64 <= c.expected_queries, "estimate too low");
             assert_eq!(
                 c.observations.capacity(),

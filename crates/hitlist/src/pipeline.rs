@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use v6chaos::{Chaos, DagInjector, LossReport};
+use v6chaos::{Chaos, DagInjector, LossReport, NoChaos};
 use v6geo::WardriveDb;
 use v6netsim::rng::{fnv1a, FNV_BASIS};
 use v6netsim::{SimTime, World, WorldConfig};
@@ -144,7 +144,8 @@ impl Experiment {
         Self::run_with_threads(config, v6par::threads())
     }
 
-    /// Runs the entire study with up to `threads` workers.
+    /// Runs the entire study with up to `threads` workers: the
+    /// fault-free [`Experiment::run_chaos`] at [`NoChaos`].
     ///
     /// The stages form an explicit dependency DAG (executed by
     /// [`v6par::Dag`]) instead of straight-line code:
@@ -162,45 +163,29 @@ impl Experiment {
     ///
     /// Independent stages run concurrently and the hot stages shard
     /// internally; every artifact is bit-identical at any thread count.
+    /// Panics, naming the stage, when a stage body panicked.
     pub fn run_with_threads(config: ExperimentConfig, threads: usize) -> Experiment {
-        let started = std::time::Instant::now();
-        let world = {
-            let _span = v6obs::span("world");
-            World::build(config.world.clone(), config.seed)
-        };
-        let world_wall = started.elapsed();
-
-        let mut out = stage_dag(&config, &world, threads, None).run(threads);
-        let mut timings = vec![StageTiming {
-            name: "world",
-            wall: world_wall,
-        }];
-        timings.extend(out.timings.iter().copied());
-
-        Experiment {
-            corpus: out.take("corpus"),
-            ntp: out.take("ntp"),
-            hitlist: out.take("hitlist"),
-            caida: out.take("caida"),
-            backscan: out.take("backscan"),
-            alias_findings: out.take("alias_findings"),
-            tracking: out.take("tracking"),
-            geolocation: out.take("geolocation"),
-            wardrive: out.take("wardrive"),
-            config,
-            world,
-            timings,
+        let run = Self::run_chaos(config, threads, &NoChaos);
+        match run.failures.first() {
+            Some(f) => panic!(
+                "stage `{}` failed after {} attempt(s): {}",
+                f.name, f.attempts, f.reason
+            ),
+            None => run
+                .experiment
+                .expect("a run without failed stages completes"),
         }
     }
 
-    /// Runs the study under fault injection (the tentpole entry point of
-    /// the chaos suite).
+    /// Runs the study under fault injection; [`Experiment::run_with_threads`]
+    /// is this run at [`NoChaos`].
     ///
     /// Every DAG stage attempt consults its `dag.stage.<name>` chaos
-    /// site through a [`DagInjector`], with a retry policy sized to the
-    /// plan's [`Chaos::retry_budget`]; the passive-collection stage runs
-    /// [`NtpCorpus::collect_study_chaos`], so per-day `collect.day.<d>`
-    /// faults are skipped and backfilled inside the stage.
+    /// site through a [`DagInjector`], retried up to the plan's
+    /// [`Chaos::retry_budget`]; the passive-collection stage runs
+    /// [`NtpCorpus::collect_with`] under the same plan, so per-day
+    /// `collect.day.<d>` faults are skipped and backfilled inside the
+    /// stage.
     ///
     /// The contract (pinned by `tests/parallel_equivalence.rs`):
     ///
@@ -218,10 +203,8 @@ impl Experiment {
         };
         let world_wall = started.elapsed();
 
-        let policy = v6par::RetryPolicy::retries(chaos.retry_budget());
-        let injector = DagInjector::new(chaos);
         let mut run =
-            stage_dag(&config, &world, threads, Some(chaos)).run_with(threads, &policy, &injector);
+            stage_dag(&config, &world, threads, chaos).run(threads, &DagInjector::new(chaos));
 
         let mut timings = vec![StageTiming {
             name: "world",
@@ -396,22 +379,27 @@ impl Experiment {
     }
 }
 
-/// Builds the nine-stage study DAG over `w`. With `chaos` set, the
-/// corpus stage collects under per-day fault injection; every other
-/// stage body is identical — stage-level faults are injected by the DAG
-/// runner itself, so they never change what a successful stage computes.
+/// Builds the nine-stage study DAG over `w`. The corpus stage collects
+/// under `chaos`'s per-day faults; stage-level faults are injected by the
+/// DAG runner itself, so they never change what a successful stage
+/// computes.
 fn stage_dag<'e>(
     cfg: &'e ExperimentConfig,
     w: &'e World,
     threads: usize,
-    chaos: Option<&'e dyn Chaos>,
+    chaos: &'e dyn Chaos,
 ) -> v6par::Dag<'e> {
     let mut dag = v6par::Dag::new();
 
     // Passive collection over the study window.
-    dag.add("corpus", &[], move |_| match chaos {
-        Some(c) => NtpCorpus::collect_study_chaos(w, threads, c),
-        None => NtpCorpus::collect_study_with_threads(w, threads),
+    dag.add("corpus", &[], move |_| {
+        NtpCorpus::collect_with(
+            w,
+            SimTime::START,
+            v6netsim::time::STUDY_DURATION,
+            threads,
+            chaos,
+        )
     });
     dag.add("ntp", &["corpus"], |o| {
         o.get::<NtpCorpus>("corpus").dataset()

@@ -5,7 +5,7 @@
 //! it) must be a pure function of the config — the thread count may only
 //! change wall-clock time, never a byte of output.
 
-use v6chaos::{Chaos, FaultPlan, FaultSpec};
+use v6chaos::{Chaos, FaultPlan, FaultSpec, NoChaos};
 use v6hitlist::{Experiment, ExperimentConfig, NtpCorpus};
 use v6netsim::{SimDuration, SimTime, World, WorldConfig};
 
@@ -55,9 +55,9 @@ fn corpus_collection_threadcount_invariant() {
     for (seed, days) in [(5u64, 2u64), (77, 9), (901, 11)] {
         let w = World::build(WorldConfig::tiny(), seed);
         let window = SimDuration::days(days);
-        let seq = NtpCorpus::collect_with_threads(&w, SimTime::START, window, 1);
+        let seq = NtpCorpus::collect_with(&w, SimTime::START, window, 1, &NoChaos);
         for threads in [3usize, 7] {
-            let par = NtpCorpus::collect_with_threads(&w, SimTime::START, window, threads);
+            let par = NtpCorpus::collect_with(&w, SimTime::START, window, threads, &NoChaos);
             assert_eq!(
                 seq.observations, par.observations,
                 "seed={seed} days={days}"

@@ -42,22 +42,6 @@ pub enum IidStrategy {
     Dhcpv6Sequential,
 }
 
-impl IidStrategy {
-    /// True when this strategy produces a *new* IID on its own timer,
-    /// independent of prefix rotation.
-    pub fn rotates_iid(self) -> bool {
-        matches!(self, IidStrategy::PrivacyRandom)
-    }
-
-    /// True when the IID survives prefix changes (tracking risk, §5.2).
-    pub fn iid_is_portable(self) -> bool {
-        matches!(
-            self,
-            IidStrategy::Eui64 | IidStrategy::Low4ByteRandom | IidStrategy::Dhcpv6Sequential
-        ) || matches!(self, IidStrategy::LowByte | IidStrategy::LowTwoBytes)
-    }
-}
-
 /// All inputs the IID generator may need for one device.
 #[derive(Debug, Clone, Copy)]
 pub struct IidInputs {

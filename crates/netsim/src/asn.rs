@@ -63,17 +63,6 @@ pub enum AsKind {
 }
 
 impl AsKind {
-    /// The ASdb top-level category string the paper reports.
-    pub fn asdb_category(self) -> &'static str {
-        match self {
-            AsKind::EyeballIsp | AsKind::MobileIsp | AsKind::Transit => {
-                "Computer and Information Technology"
-            }
-            AsKind::Hosting => "Computer and Information Technology",
-            AsKind::Edu => "Education and Research",
-        }
-    }
-
     /// The ASdb subtype string (the paper's "Phone Provider" signal).
     pub fn asdb_subtype(self) -> &'static str {
         match self {
@@ -398,11 +387,6 @@ impl AsCatalog {
     /// True when the catalog is empty.
     pub fn is_empty(&self) -> bool {
         self.ases.is_empty()
-    }
-
-    /// Looks up an AS by number.
-    pub fn by_asn(&self, asn: Asn) -> Option<&AsInfo> {
-        self.ases.iter().find(|a| a.asn == asn)
     }
 
     /// Looks up an AS by organization name.

@@ -19,14 +19,6 @@ pub struct OutageSpec {
     pub duration_days: u64,
 }
 
-impl OutageSpec {
-    /// True when study second `t_secs` falls inside the outage.
-    pub fn covers_secs(&self, t_secs: u64) -> bool {
-        let day = t_secs / 86_400;
-        day >= self.start_day && day < self.start_day + self.duration_days
-    }
-}
-
 /// Knobs controlling the size and texture of the synthetic Internet.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorldConfig {

@@ -140,16 +140,6 @@ pub enum ProbeOutcome {
 }
 
 impl ProbeOutcome {
-    /// The responding address, if any packet came back.
-    pub fn responder(&self) -> Option<Ipv6Addr> {
-        match self {
-            ProbeOutcome::EchoReply { from } => Some(*from),
-            ProbeOutcome::TimeExceeded { from, .. } => Some(*from),
-            ProbeOutcome::Unreachable { from } => Some(*from),
-            ProbeOutcome::NoResponse => None,
-        }
-    }
-
     /// True when the *destination itself* answered.
     pub fn is_echo(&self) -> bool {
         matches!(self, ProbeOutcome::EchoReply { .. })

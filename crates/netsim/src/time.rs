@@ -19,12 +19,6 @@ pub struct SimDuration(pub u64);
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// One second.
-    pub const SECOND: SimDuration = SimDuration(1);
-    /// One minute.
-    pub const MINUTE: SimDuration = SimDuration(60);
-    /// One hour.
-    pub const HOUR: SimDuration = SimDuration(3_600);
     /// One day.
     pub const DAY: SimDuration = SimDuration(86_400);
     /// One week.

@@ -55,11 +55,6 @@ impl NtpTimestamp {
             .checked_sub(STUDY_START_NTP_SECS)
             .map(SimTime)
     }
-
-    /// The timestamp as fractional seconds since 1900.
-    pub fn as_f64(self) -> f64 {
-        self.secs() as f64 + self.frac() as f64 / 4_294_967_296.0
-    }
 }
 
 impl Sub for NtpTimestamp {

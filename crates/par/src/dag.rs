@@ -7,11 +7,11 @@
 //! names of the stages it consumes; [`Dag::run`] executes stages as
 //! soon as their inputs exist, with up to `threads` stages in flight.
 //!
-//! Failure handling lives in [`Dag::run_with`]: each stage gets a
-//! [`RetryPolicy`] (capped exponential backoff between attempts, an
-//! optional per-stage deadline) and a [`FaultInjector`] consulted once
-//! per attempt, so chaos tests can script transient errors, panics, and
-//! stalls deterministically. A stage that exhausts its attempts is
+//! Failure handling lives in the same [`Dag::run`]: a [`FaultInjector`]
+//! is consulted once per stage attempt, so chaos tests can script
+//! transient errors, panics, and stalls deterministically, and a failed
+//! attempt is retried at once, up to the injector's
+//! [`FaultInjector::retry_budget`]. A stage that exhausts its attempts is
 //! *reported* — as a [`StageFailure`] in the returned [`DagRun`] — and
 //! its dependents are failed with `DependencyFailed` without running,
 //! never silently skipped and never deadlocking the pool.
@@ -90,7 +90,7 @@ pub enum InjectedFault {
 
 /// A deterministic source of per-attempt stage faults.
 ///
-/// [`Dag::run_with`] consults the injector exactly once per `(stage,
+/// [`Dag::run`] consults the injector exactly once per `(stage,
 /// attempt)` pair before running the task; injected `Error`/`Panic`
 /// faults replace the task body for that attempt, so on a transient
 /// script the body still executes exactly once (on the first clean
@@ -98,75 +98,10 @@ pub enum InjectedFault {
 pub trait FaultInjector: Sync {
     /// The fault for this `(stage, attempt)` pair.
     fn decide(&self, stage: &str, attempt: u32) -> InjectedFault;
-}
 
-/// The production injector: never injects anything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {
-    fn decide(&self, _stage: &str, _attempt: u32) -> InjectedFault {
-        InjectedFault::None
-    }
-}
-
-/// Per-stage retry behavior: attempt cap, capped exponential backoff
-/// between attempts, and an optional wall-clock deadline per stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries after the first attempt (so a stage runs at most
-    /// `max_retries + 1` times).
-    pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub backoff_base: Duration,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_cap: Duration,
-    /// Wall-clock budget for one stage across all of its attempts.
-    pub stage_deadline: Option<Duration>,
-}
-
-impl RetryPolicy {
-    /// No retries, no backoff, no deadline — the [`Dag::run`] default.
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            backoff_base: Duration::ZERO,
-            backoff_cap: Duration::ZERO,
-            stage_deadline: None,
-        }
-    }
-
-    /// `n` retries with a small capped exponential backoff (1 ms base,
-    /// 16 ms cap) and no deadline.
-    pub fn retries(n: u32) -> Self {
-        RetryPolicy {
-            max_retries: n,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(16),
-            stage_deadline: None,
-        }
-    }
-
-    /// The same policy with a per-stage wall-clock deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.stage_deadline = Some(deadline);
-        self
-    }
-
-    /// The backoff sleep after failed attempt `attempt` (0-based):
-    /// `min(backoff_base * 2^attempt, backoff_cap)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        let factor = 1u32 << attempt.min(20);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self::none()
-    }
+    /// Retries after a stage's first failed attempt, so a stage runs at
+    /// most `retry_budget() + 1` times.
+    fn retry_budget(&self) -> u32;
 }
 
 /// Why a stage ended up failed.
@@ -176,9 +111,6 @@ pub enum FailReason {
     Error(String),
     /// The last attempt panicked, with this payload message.
     Panicked(String),
-    /// The stage's wall-clock deadline expired before an attempt
-    /// succeeded.
-    DeadlineExceeded,
     /// A dependency failed, so this stage never ran.
     DependencyFailed(&'static str),
 }
@@ -188,7 +120,6 @@ impl std::fmt::Display for FailReason {
         match self {
             FailReason::Error(msg) => write!(f, "{msg}"),
             FailReason::Panicked(msg) => write!(f, "panicked: {msg}"),
-            FailReason::DeadlineExceeded => write!(f, "stage deadline exceeded"),
             FailReason::DependencyFailed(dep) => write!(f, "dependency `{dep}` failed"),
         }
     }
@@ -240,7 +171,7 @@ impl TaskOutputs {
     }
 }
 
-/// The stage outputs and timings of a completed [`Dag::run`].
+/// The stage outputs and timings of a [`Dag::run`].
 pub struct DagOutputs {
     outputs: TaskOutputs,
     /// Per-stage wall-clock durations for the stages that *succeeded*,
@@ -282,7 +213,7 @@ impl DagOutputs {
     }
 }
 
-/// The result of a fault-tolerant [`Dag::run_with`]: outputs of the
+/// The result of a [`Dag::run`]: outputs of the
 /// stages that succeeded plus a precise account of those that did not.
 pub struct DagRun {
     /// Outputs and timings of the successful stages.
@@ -364,42 +295,20 @@ impl<'env> Dag<'env> {
         });
     }
 
-    /// Executes every stage with up to `threads` in flight and returns
-    /// the outputs plus per-stage timings.
-    ///
-    /// No retries, no injection: any stage failure (i.e. a panic inside
-    /// a task) is re-raised here as a panic after the pool drains, so a
-    /// failure inside one stage never deadlocks the others.
-    pub fn run(self, threads: usize) -> DagOutputs {
-        let run = self.run_with(threads, &RetryPolicy::none(), &NoFaults);
-        if let Some(f) = run.failures.first() {
-            panic!(
-                "stage `{}` failed after {} attempt(s): {}",
-                f.name, f.attempts, f.reason
-            );
-        }
-        run.outputs
-    }
-
-    /// Executes every stage under `policy`, consulting `injector` once
-    /// per attempt, and returns both the surviving outputs and the
-    /// failures.
+    /// Executes every stage with up to `threads` in flight, consulting
+    /// `injector` once per attempt, and returns both the surviving
+    /// outputs and the failures.
     ///
     /// Guarantees, at any thread count:
     ///
     /// * every stage either succeeds exactly once or appears in
-    ///   [`DagRun::failures`] — never both, never neither;
+    ///   [`DagRun::failures`] — never both, never neither; a panic inside
+    ///   a task is a failed attempt like an injected one;
     /// * a stage whose dependency failed is reported
     ///   [`FailReason::DependencyFailed`] without its task ever running;
-    /// * a stage makes at most `policy.max_retries + 1` attempts, with
-    ///   [`RetryPolicy::backoff`] sleeps between them;
+    /// * a stage makes at most `injector.retry_budget() + 1` attempts;
     /// * the pool always drains — failures never deadlock waiters.
-    pub fn run_with(
-        self,
-        threads: usize,
-        policy: &RetryPolicy,
-        injector: &dyn FaultInjector,
-    ) -> DagRun {
+    pub fn run(self, threads: usize, injector: &dyn FaultInjector) -> DagRun {
         const DONE: usize = usize::MAX;
         let n = self.nodes.len();
         let outputs = TaskOutputs {
@@ -445,6 +354,7 @@ impl<'env> Dag<'env> {
         let failures: Mutex<Vec<(usize, StageFailure)>> = Mutex::new(Vec::new());
 
         let metrics = dag_metrics();
+        let retry_budget = injector.retry_budget();
         let run_worker = || {
             while let Ok(i) = ready_rx.recv() {
                 if i == DONE {
@@ -488,22 +398,13 @@ impl<'env> Dag<'env> {
                     .expect("task slot poisoned")
                     .take()
                     .expect("stage scheduled twice");
-                let stage_start = Instant::now();
                 let mut attempt: u32 = 0;
                 let outcome: Result<(BoxedOutput, Duration), FailReason> = loop {
-                    let over_deadline =
-                        |since: Instant| policy.stage_deadline.is_some_and(|d| since.elapsed() > d);
-                    if over_deadline(stage_start) {
-                        break Err(FailReason::DeadlineExceeded);
-                    }
                     let injected = match injector.decide(names[i], attempt) {
                         InjectedFault::None => None,
                         InjectedFault::Stall(d) => {
                             metrics.injected_stalls.inc();
                             std::thread::sleep(d);
-                            if over_deadline(stage_start) {
-                                break Err(FailReason::DeadlineExceeded);
-                            }
                             None
                         }
                         InjectedFault::Error(msg) => {
@@ -522,18 +423,15 @@ impl<'env> Dag<'env> {
                             let started = Instant::now();
                             match catch_unwind(AssertUnwindSafe(|| task(&outputs))) {
                                 Ok(out) => Ok((out, started.elapsed())),
-                                Err(payload) => Err(FailReason::Panicked(panic_message(&payload))),
+                                Err(payload) => Err(FailReason::Panicked(panic_message(&*payload))),
                             }
                         }
                     };
                     match result {
                         Ok(done) => break Ok(done),
-                        Err(reason) => {
-                            if attempt >= policy.max_retries {
-                                break Err(reason);
-                            }
+                        Err(reason) if attempt >= retry_budget => break Err(reason),
+                        Err(_) => {
                             metrics.retries.inc();
-                            std::thread::sleep(policy.backoff(attempt));
                             attempt += 1;
                         }
                     }
@@ -623,6 +521,50 @@ impl Default for Dag<'_> {
 mod tests {
     use super::*;
 
+    /// Injector that fails a fixed set of stages for their first
+    /// `fail_n` attempts and allows `retries` retries.
+    struct FlakyStages {
+        stages: Vec<&'static str>,
+        fail_n: u32,
+        panic: bool,
+        retries: u32,
+    }
+
+    impl FaultInjector for FlakyStages {
+        fn decide(&self, stage: &str, attempt: u32) -> InjectedFault {
+            if self.stages.contains(&stage) && attempt < self.fail_n {
+                if self.panic {
+                    InjectedFault::Panic(format!("injected panic at attempt {attempt}"))
+                } else {
+                    InjectedFault::Error(format!("injected error at attempt {attempt}"))
+                }
+            } else {
+                InjectedFault::None
+            }
+        }
+
+        fn retry_budget(&self) -> u32 {
+            self.retries
+        }
+    }
+
+    /// No faults, `retries` retries.
+    fn clean(retries: u32) -> FlakyStages {
+        FlakyStages {
+            stages: Vec::new(),
+            fail_n: 0,
+            panic: false,
+            retries,
+        }
+    }
+
+    /// Runs `dag` without faults or retries; every stage must complete.
+    fn run_clean(dag: Dag<'_>, threads: usize) -> DagOutputs {
+        let run = dag.run(threads, &clean(0));
+        assert!(run.is_complete(), "{:?}", run.failures);
+        run.outputs
+    }
+
     fn diamond<'a>(trace: &'a Mutex<Vec<&'static str>>) -> Dag<'a> {
         let mut dag = Dag::new();
         dag.add("a", &[], move |_| {
@@ -648,7 +590,7 @@ mod tests {
     fn diamond_runs_in_dependency_order() {
         for threads in [1, 2, 8] {
             let trace = Mutex::new(Vec::new());
-            let mut out = diamond(&trace).run(threads);
+            let mut out = run_clean(diamond(&trace), threads);
             assert_eq!(out.take::<u64>("d"), 23);
             let order = trace.into_inner().unwrap();
             assert_eq!(order.len(), 4);
@@ -666,7 +608,7 @@ mod tests {
         dag.add("label", &["nums"], |o| {
             format!("{} nums", o.get::<Vec<u32>>("nums").len())
         });
-        let mut out = dag.run(4);
+        let mut out = run_clean(dag, 4);
         assert_eq!(out.take::<String>("label"), "3 nums");
         assert_eq!(out.take::<Vec<u32>>("nums"), vec![1, 2, 3]);
     }
@@ -681,14 +623,21 @@ mod tests {
     #[test]
     fn stage_panic_propagates_without_deadlock() {
         for threads in [1, 4] {
-            let result = std::panic::catch_unwind(|| {
-                let mut dag = Dag::new();
-                dag.add("ok", &[], |_| 1u8);
-                dag.add("boom", &[], |_| -> u8 { panic!("stage exploded") });
-                dag.add("after", &["ok"], |o| *o.get::<u8>("ok"));
-                dag.run(threads)
-            });
-            assert!(result.is_err(), "threads={threads}");
+            let mut dag = Dag::new();
+            dag.add("ok", &[], |_| 1u8);
+            dag.add("boom", &[], |_| -> u8 { panic!("stage exploded") });
+            dag.add("after", &["ok"], |o| *o.get::<u8>("ok"));
+            let mut run = dag.run(threads, &clean(0));
+            assert_eq!(
+                run.failures,
+                vec![StageFailure {
+                    name: "boom",
+                    attempts: 1,
+                    reason: FailReason::Panicked("stage exploded".into()),
+                }],
+                "threads={threads}"
+            );
+            assert_eq!(run.outputs.take::<u8>("after"), 1, "threads={threads}");
         }
     }
 
@@ -697,31 +646,9 @@ mod tests {
         let data = vec![5u64, 6, 7];
         let mut dag = Dag::new();
         dag.add("sum", &[], |_| data.iter().sum::<u64>());
-        let mut out = dag.run(2);
+        let mut out = run_clean(dag, 2);
         assert_eq!(out.take::<u64>("sum"), 18);
         drop(data);
-    }
-
-    /// Injector that fails a fixed set of stages for their first
-    /// `fail_n` attempts.
-    struct FlakyStages {
-        stages: Vec<&'static str>,
-        fail_n: u32,
-        panic: bool,
-    }
-
-    impl FaultInjector for FlakyStages {
-        fn decide(&self, stage: &str, attempt: u32) -> InjectedFault {
-            if self.stages.contains(&stage) && attempt < self.fail_n {
-                if self.panic {
-                    InjectedFault::Panic(format!("injected panic at attempt {attempt}"))
-                } else {
-                    InjectedFault::Error(format!("injected error at attempt {attempt}"))
-                }
-            } else {
-                InjectedFault::None
-            }
-        }
     }
 
     #[test]
@@ -732,8 +659,9 @@ mod tests {
                 stages: vec!["b", "d"],
                 fail_n: 2,
                 panic: false,
+                retries: 2,
             };
-            let mut run = diamond(&trace).run_with(threads, &RetryPolicy::retries(2), &injector);
+            let mut run = diamond(&trace).run(threads, &injector);
             assert!(run.is_complete(), "threads={threads}: {:?}", run.failures);
             assert_eq!(run.outputs.take::<u64>("d"), 23);
             // Injected failures replace the body: each stage body ran
@@ -750,8 +678,9 @@ mod tests {
                 stages: vec!["b"],
                 fail_n: u32::MAX,
                 panic: true,
+                retries: 3,
             };
-            let mut run = diamond(&trace).run_with(threads, &RetryPolicy::retries(3), &injector);
+            let mut run = diamond(&trace).run(threads, &injector);
             let failed: Vec<&str> = run.failures.iter().map(|f| f.name).collect();
             assert_eq!(failed, vec!["b", "d"], "threads={threads}");
             assert_eq!(run.failures[0].attempts, 4);
@@ -782,47 +711,9 @@ mod tests {
             }
             7u32
         });
-        let mut run = dag.run_with(1, &RetryPolicy::retries(2), &NoFaults);
+        let mut run = dag.run(1, &clean(2));
         assert!(run.is_complete());
         assert_eq!(run.outputs.take::<u32>("flaky"), 7);
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
-    }
-
-    #[test]
-    fn stall_past_deadline_fails_the_stage() {
-        struct Staller;
-        impl FaultInjector for Staller {
-            fn decide(&self, stage: &str, _attempt: u32) -> InjectedFault {
-                if stage == "slow" {
-                    InjectedFault::Stall(Duration::from_millis(20))
-                } else {
-                    InjectedFault::None
-                }
-            }
-        }
-        let mut dag = Dag::new();
-        dag.add("slow", &[], |_| 1u8);
-        dag.add("fast", &[], |_| 2u8);
-        let policy = RetryPolicy::retries(1).with_deadline(Duration::from_millis(5));
-        let mut run = dag.run_with(2, &policy, &Staller);
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(run.failures[0].name, "slow");
-        assert_eq!(run.failures[0].reason, FailReason::DeadlineExceeded);
-        assert_eq!(run.outputs.take::<u8>("fast"), 2);
-    }
-
-    #[test]
-    fn backoff_is_capped_exponential() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            backoff_base: Duration::from_millis(2),
-            backoff_cap: Duration::from_millis(9),
-            stage_deadline: None,
-        };
-        assert_eq!(p.backoff(0), Duration::from_millis(2));
-        assert_eq!(p.backoff(1), Duration::from_millis(4));
-        assert_eq!(p.backoff(2), Duration::from_millis(8));
-        assert_eq!(p.backoff(3), Duration::from_millis(9));
-        assert_eq!(p.backoff(63), Duration::from_millis(9));
     }
 }

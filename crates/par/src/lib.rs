@@ -27,9 +27,9 @@
 //!   sizing ([`MORSEL_TARGET_NANOS`]).
 //! * [`Dag`] — an explicit stage dependency graph executed by a worker
 //!   pool; independent stages run concurrently, results are retrieved
-//!   by name. [`Dag::run_with`] adds per-stage retry with capped
-//!   exponential backoff, deadlines, and pluggable fault injection
-//!   ([`FaultInjector`]) for deterministic chaos testing.
+//!   by name. [`Dag::run`] consults a [`FaultInjector`] once per stage
+//!   attempt and retries a failed one up to the injector's budget, so
+//!   chaos tests script faults deterministically.
 //!
 //! The data-parallel kernels all execute on one **persistent,
 //! lazily-spawned worker pool** (see [`pool_threads_spawned`]): OS
@@ -67,8 +67,8 @@ mod pool;
 mod radix;
 
 pub use dag::{
-    Dag, DagOutputs, DagRun, FailReason, FaultInjector, InjectedFault, NoFaults, RetryPolicy,
-    StageFailure, StageTiming, TaskOutputs,
+    Dag, DagOutputs, DagRun, FailReason, FaultInjector, InjectedFault, StageFailure, StageTiming,
+    TaskOutputs,
 };
 pub use pool::{
     par_for_each_mut, par_map_cost, pool_threads_spawned, split_ranges, Cost, MORSEL_TARGET_NANOS,

@@ -14,11 +14,10 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
 
 use proptest::prelude::*;
 use v6chaos::{Chaos, DagInjector, FaultPlan, FaultSpec};
-use v6par::{Dag, DagRun, FailReason, FaultInjector, InjectedFault, RetryPolicy};
+use v6par::{Dag, DagRun, FailReason, FaultInjector, InjectedFault};
 
 /// Fixed pool of `'static` stage names for generated DAGs.
 const NAMES: [&str; 12] = [
@@ -39,6 +38,10 @@ impl FaultInjector for CountingInjector<'_> {
         *max = (*max).max(attempt);
         drop(seen);
         self.inner.decide(stage, attempt)
+    }
+
+    fn retry_budget(&self) -> u32 {
+        self.inner.retry_budget()
     }
 }
 
@@ -68,15 +71,7 @@ fn run_case(
         inner: DagInjector::new(plan),
         max_attempt: Mutex::new(HashMap::new()),
     };
-    // Zero backoff keeps the property suite fast; the backoff curve has
-    // its own unit test in the dag module.
-    let policy = RetryPolicy {
-        max_retries: plan.retry_budget(),
-        backoff_base: Duration::ZERO,
-        backoff_cap: Duration::ZERO,
-        stage_deadline: None,
-    };
-    let run = dag.run_with(threads, &policy, &injector);
+    let run = dag.run(threads, &injector);
     let counts = counters.iter().map(|c| c.load(Ordering::SeqCst)).collect();
     (counts, run, injector.max_attempt.into_inner().unwrap())
 }

@@ -13,7 +13,7 @@
 //! Each shard stores its addresses as a [`CompressedRun`] — a
 //! prefix-compressed sorted run that factors out the shared high-64 bits
 //! real hitlists cluster under ("Clusters in the Expanse", IMC 2018) —
-//! with a parallel first-published-week vector, plus a radix trie of
+//! with a parallel first-published-week vector, plus a [`PrefixMap`] of
 //! aliased prefixes for longest-prefix alias answers.
 //!
 //! A snapshot holds its shards as `Arc<Shard>`, so the next epoch can

@@ -70,14 +70,6 @@ impl WireServer {
         (decision, class)
     }
 
-    /// The behavioral class currently assigned to a client.
-    pub fn client_class(&self, client_id: u64) -> Option<ClientClass> {
-        self.admission
-            .lock()
-            .client_info(client_id)
-            .map(|i| i.class)
-    }
-
     /// Full classifier state for a client (tests assert how fast a
     /// flooder was classified).
     pub fn client_info(&self, client_id: u64) -> Option<ClientInfo> {

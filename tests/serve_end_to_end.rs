@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ipv6_hitlists::addr::shard48;
-use ipv6_hitlists::chaos::{ScriptedChaos, SiteScript};
+use ipv6_hitlists::chaos::{NoChaos, ScriptedChaos, SiteScript};
 use ipv6_hitlists::hitlist::collect::active::collect_hitlist;
 use ipv6_hitlists::hitlist::{HitlistService, NtpCorpus};
 use ipv6_hitlists::netsim::{SimDuration, SimTime, World, WorldConfig};
@@ -196,7 +196,7 @@ fn degraded_epochs_surface_end_to_end() {
         },
     );
     let service = HitlistService::from_campaign("degraded", &hl.campaign);
-    let corpus = NtpCorpus::collect_with_threads(&world, SimTime::START, SimDuration::days(7), 4);
+    let corpus = NtpCorpus::collect_with(&world, SimTime::START, SimDuration::days(7), 4, &NoChaos);
 
     // Everything published, deduplicated — the ground truth the served
     // content plus the loss report must add back up to.
