@@ -16,10 +16,10 @@ env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates
   | sed -E 's/.*\("([A-Za-z0-9_]+)"\)/\1/' | sort -u | tr '\n' ' ')
 [ "$env_vars" = "V6_THREADS V6_TRACE " ] \
   || { echo "library env vars: $env_vars"; exit 1; }
-# Size ratchet (ROADMAP item 8): a PR that shrinks crates/*/src lowers
+# Size ratchet (ROADMAP item 10): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
 # its own diff and says why.
-src_ceiling=37210
+src_ceiling=36307
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }

@@ -227,22 +227,6 @@ impl AddrSet {
         let end = self.addrs.partition_point(|&a| a <= hi);
         &self.addrs[start..end]
     }
-
-    /// Splits into `2^shard_bits` shard sets keyed by [`shard48`].
-    ///
-    /// Every address lands in exactly one shard, all addresses of a /48
-    /// stay together (so per-/48 aggregates remain shard-local), and the
-    /// union of the shards is this set. Keying on the *low* bits of the
-    /// /48 balances the shards even though announced space concentrates
-    /// under `2000::/3`.
-    pub fn shard_split(&self, shard_bits: u32) -> Vec<AddrSet> {
-        let mut out: Vec<Vec<u128>> = vec![Vec::new(); 1usize << shard_bits];
-        for &a in &self.addrs {
-            out[shard48(a, shard_bits)].push(a);
-        }
-        // Each per-shard vec inherits the sorted order, so this is O(n).
-        out.into_iter().map(|addrs| AddrSet { addrs }).collect()
-    }
 }
 
 /// The shard index of an address among `2^shard_bits` shards.
@@ -455,36 +439,14 @@ mod tests {
     }
 
     #[test]
-    fn shard_split_partitions_completely() {
-        // Vary the /48's low bits so addresses spread across shards.
-        let s = AddrSet::from_addrs((0..256u16).map(|i| a(&format!("2001:db8:{:x}::{:x}", i, i))));
-        for shard_bits in [0u32, 2, 4] {
-            let shards = s.shard_split(shard_bits);
-            assert_eq!(shards.len(), 1 << shard_bits);
-            let total: usize = shards.iter().map(|x| x.len()).sum();
-            assert_eq!(total, s.len());
-            let mut all: Vec<u128> = shards
-                .iter()
-                .flat_map(|x| x.as_bits().iter().copied())
-                .collect();
-            all.sort_unstable();
-            assert_eq!(all, s.as_bits());
-            for (i, shard) in shards.iter().enumerate() {
-                for &bits in shard.as_bits() {
-                    assert_eq!(shard48(bits, shard_bits), i);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn shard48_keeps_a_slash48_together() {
         let s = AddrSet::from_addrs((0..64u16).map(|i| a(&format!("2001:db8:7::{:x}", i))));
-        let shards = s.shard_split(4);
-        let nonempty: Vec<usize> = (0..shards.len())
-            .filter(|&i| !shards[i].is_empty())
-            .collect();
-        assert_eq!(nonempty.len(), 1, "one /48 must land in exactly one shard");
-        assert_eq!(shards[nonempty[0]].len(), s.len());
+        let shard = shard48(s.as_bits()[0], 4);
+        assert!(
+            s.as_bits().iter().all(|&b| shard48(b, 4) == shard),
+            "one /48 must land in exactly one shard"
+        );
+        // A different /48 low nibble lands elsewhere.
+        assert_ne!(shard48(u128::from(a("2001:db8:8::1")), 4), shard);
     }
 }

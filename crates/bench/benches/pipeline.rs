@@ -37,7 +37,11 @@ fn bench_scanner(c: &mut Criterion) {
         .flat_map(|a| (0..8u64).map(move |i| a.customer33().subprefix(48, i * 7).offset(1)))
         .collect();
     c.bench_function("pipeline/zmap_scan_1k_targets", |b| {
-        b.iter(|| scan(&prober, &targets, &Zmap6Config::default()).stats.sent)
+        b.iter(|| {
+            scan(&prober, &targets, &Zmap6Config::default(), 1)
+                .stats
+                .sent
+        })
     });
 }
 

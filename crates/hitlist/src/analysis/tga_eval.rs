@@ -17,7 +17,7 @@
 use serde::{Deserialize, Serialize};
 
 use v6netsim::{SimTime, World};
-use v6scan::{scan, PatternTga, Prober, RangeTga, WorldProber, Zmap6Config};
+use v6scan::{scan, PatternTga, RangeTga, WorldProber, Zmap6Config};
 
 use crate::dataset::Dataset;
 
@@ -96,26 +96,6 @@ pub fn evaluate_tga_kind(
     probe_candidates(world, training, kind, seeds, candidates, vp_id, t)
 }
 
-/// Back-compat wrapper: the pattern TGA.
-pub fn evaluate_tga(
-    world: &World,
-    training: &Dataset,
-    budget: usize,
-    vp_id: u16,
-    t: SimTime,
-    sample_cap: usize,
-) -> TgaEval {
-    evaluate_tga_kind(
-        world,
-        training,
-        TgaKind::Pattern,
-        budget,
-        vp_id,
-        t,
-        sample_cap,
-    )
-}
-
 fn probe_candidates(
     world: &World,
     training: &Dataset,
@@ -132,7 +112,7 @@ fn probe_candidates(
         start: t,
         ..Default::default()
     };
-    let result = scan(&prober, &candidates, &cfg);
+    let result = scan(&prober, &candidates, &cfg, 1);
     let mut hits = 0u64;
     let mut novel = 0u64;
     for r in &result.responsive {
@@ -188,11 +168,6 @@ pub fn compare_training_corpora(
         .collect()
 }
 
-/// A sanity probe helper for tests: is this address responsive right now?
-pub fn responsive(world: &World, vp_id: u16, addr: std::net::Ipv6Addr, t: SimTime) -> bool {
-    WorldProber::new(world, vp_id).probe(addr, 64, t).is_echo()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,9 +209,11 @@ mod tests {
     fn empty_training_yields_nothing() {
         let w = World::build(WorldConfig::tiny(), 404);
         let empty = Dataset::from_observations("empty", Vec::new());
-        let e = evaluate_tga(&w, &empty, 1_000, 0, SimTime::START, 1_000);
-        assert_eq!(e.candidates, 0);
-        assert_eq!(e.hit_rate(), 0.0);
+        for kind in [TgaKind::Pattern, TgaKind::Range] {
+            let e = evaluate_tga_kind(&w, &empty, kind, 1_000, 0, SimTime::START, 1_000);
+            assert_eq!(e.candidates, 0);
+            assert_eq!(e.hit_rate(), 0.0);
+        }
     }
 
     #[test]

@@ -91,14 +91,6 @@ impl Cdf {
             })
             .collect()
     }
-
-    /// A plottable CCDF series.
-    pub fn ccdf_series(&self, lo: f64, hi: f64, points: usize) -> Vec<(f64, f64)> {
-        self.series(lo, hi, points)
-            .into_iter()
-            .map(|(x, y)| (x, 1.0 - y))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +140,5 @@ mod tests {
             assert!(w[1].1 >= w[0].1);
         }
         assert_eq!(s.last().unwrap().1, 1.0);
-        let cc = c.ccdf_series(0.0, 99.0, 25);
-        assert_eq!(cc.last().unwrap().1, 0.0);
     }
 }

@@ -2,8 +2,8 @@
 
 use v6netsim::World;
 use v6scan::{
-    run_caida_campaign_with_threads, run_hitlist_campaign_with_threads, CaidaCampaignConfig,
-    CampaignResult, HitlistCampaignConfig,
+    run_caida_campaign, run_hitlist_campaign, CaidaCampaignConfig, CampaignResult,
+    HitlistCampaignConfig,
 };
 
 use crate::dataset::{Dataset, Observation};
@@ -39,7 +39,7 @@ pub fn collect_hitlist_with_threads(
     cfg: &HitlistCampaignConfig,
     threads: usize,
 ) -> ActiveDataset {
-    let campaign = run_hitlist_campaign_with_threads(world, vp_id, cfg, threads);
+    let campaign = run_hitlist_campaign(world, vp_id, cfg, threads);
     let dataset = to_dataset("IPv6 Hitlist", &campaign);
     ActiveDataset { campaign, dataset }
 }
@@ -56,7 +56,7 @@ pub fn collect_caida_with_threads(
     cfg: &CaidaCampaignConfig,
     threads: usize,
 ) -> ActiveDataset {
-    let campaign = run_caida_campaign_with_threads(world, vp_id, cfg, threads);
+    let campaign = run_caida_campaign(world, vp_id, cfg, threads);
     let dataset = to_dataset("CAIDA Routed /48", &campaign);
     ActiveDataset { campaign, dataset }
 }

@@ -7,7 +7,7 @@
 //! paper kept: `(time, source address)` per query, per server.
 
 use v6chaos::{Chaos, Fault, NoChaos};
-use v6netsim::{Country, NtpEventStream, SimDuration, SimTime, World};
+use v6netsim::{NtpEventStream, SimDuration, SimTime, World};
 use v6ntp::{NtpClient, NtpPool, NtpTimestamp, Stratum2Server};
 
 use crate::dataset::{Dataset, Observation};
@@ -275,12 +275,6 @@ impl NtpCorpus {
     pub fn is_empty(&self) -> bool {
         self.observations.is_empty()
     }
-
-    /// The country an observation's origin AS sits in (ground truth;
-    /// analyses that model MaxMind error use `v6geo::GeoDb` instead).
-    pub fn country_of(&self, world: &World, obs: &NtpObservation) -> Country {
-        world.ases[obs.as_index as usize].info.country
-    }
 }
 
 /// The sequential collection kernel over day indices `[d0, d1)`.
@@ -405,7 +399,7 @@ mod tests {
         // For clients in a VP country, the serving VP must be in-country.
         let mut checked = 0;
         for obs in c.observations.iter().take(20_000) {
-            let client_country = c.country_of(&w, obs);
+            let client_country = w.ases[obs.as_index as usize].info.country;
             let vp = &w.vantage_points[obs.server as usize];
             let has_local_vp = w.vantage_points.iter().any(|v| v.country == client_country);
             if has_local_vp {

@@ -6,20 +6,16 @@
 //! (§2.2 \[1\]); the paper consumes those snapshots for its comparisons
 //! (e.g. the 1 July 2022 release in §4.3). This module turns a campaign's
 //! discoveries into the same artifact: per-week snapshots with a
-//! registered alias list and machine-readable export — including the
-//! ethics-aware variant the paper argues future services need, where
-//! client-rich address sets are truncated to /48.
+//! registered alias list. (The /48-truncated release the paper argues
+//! client-rich hitlists need is [`crate::release::Release48`].)
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv6Addr;
 
 use v6addr::Prefix;
 use v6scan::{AliasList, CampaignResult};
 
-use crate::release::Release48;
-
 /// One weekly snapshot.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeeklySnapshot {
     /// Study week number.
     pub week: u64,
@@ -30,7 +26,7 @@ pub struct WeeklySnapshot {
 }
 
 /// The publication stream of a hitlist service.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HitlistService {
     /// Service name.
     pub name: String,
@@ -122,56 +118,6 @@ impl HitlistService {
     pub fn total_responsive(&self) -> u64 {
         self.snapshots.last().map(|s| s.cumulative).unwrap_or(0)
     }
-
-    /// Exports the whole service state as JSON (the machine-readable
-    /// publication format).
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Imports a previously exported service state.
-    pub fn from_json(json: &str) -> serde_json::Result<HitlistService> {
-        serde_json::from_str(json)
-    }
-
-    /// The §6-style privacy-aware publication: full addresses for the
-    /// (infrastructure-dominated) responsive set are replaced by their
-    /// /48s whenever a week's snapshot contains more than
-    /// `client_threshold` addresses — the paper's proposed middle ground
-    /// for client-rich hitlists.
-    pub fn privacy_aware_release(&self, client_threshold: usize) -> Vec<PrivacyRelease> {
-        self.snapshots
-            .iter()
-            .map(|s| {
-                if s.new_responsive.len() > client_threshold {
-                    let set = v6addr::AddrSet::from_addrs(s.new_responsive.iter().copied());
-                    PrivacyRelease::Truncated(Release48::from_addr_set(
-                        format!("{} week {}", self.name, s.week),
-                        &set,
-                    ))
-                } else {
-                    PrivacyRelease::Full {
-                        week: s.week,
-                        addresses: s.new_responsive.clone(),
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-/// One week's privacy-aware publication.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum PrivacyRelease {
-    /// Small, infrastructure-dominated snapshot: full addresses.
-    Full {
-        /// Study week.
-        week: u64,
-        /// The addresses.
-        addresses: Vec<Ipv6Addr>,
-    },
-    /// Client-rich snapshot: /48-truncated.
-    Truncated(Release48),
 }
 
 #[cfg(test)]
@@ -261,79 +207,5 @@ mod tests {
             one.responsive_as_of(u64::MAX),
             s.snapshots[0].new_responsive
         );
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let s = service();
-        let json = s.to_json().unwrap();
-        let back = HitlistService::from_json(&json).unwrap();
-        assert_eq!(back.total_responsive(), s.total_responsive());
-        assert_eq!(back.aliased.len(), s.aliased.len());
-        assert_eq!(back.snapshots.len(), s.snapshots.len());
-    }
-
-    #[test]
-    fn json_round_trip_is_exact() {
-        let s = service();
-        let back = HitlistService::from_json(&s.to_json().unwrap()).unwrap();
-        assert_eq!(back.name, s.name);
-        assert_eq!(back.aliased, s.aliased);
-        for (b, orig) in back.snapshots.iter().zip(&s.snapshots) {
-            assert_eq!(b.week, orig.week);
-            assert_eq!(b.cumulative, orig.cumulative);
-            assert_eq!(b.new_responsive, orig.new_responsive);
-        }
-        // And the re-imported service answers queries identically.
-        assert_eq!(back.responsive_as_of(1), s.responsive_as_of(1));
-    }
-
-    #[test]
-    fn privacy_release_json_round_trip() {
-        let s = service();
-        // Threshold 1 forces a mix: tiny weeks stay Full, big ones
-        // truncate; serialize the whole release stream and re-import.
-        for threshold in [0usize, 1, usize::MAX] {
-            let releases = s.privacy_aware_release(threshold);
-            let json = serde_json::to_string(&releases).unwrap();
-            let back: Vec<PrivacyRelease> = serde_json::from_str(&json).unwrap();
-            assert_eq!(back.len(), releases.len());
-            for (b, orig) in back.iter().zip(&releases) {
-                match (b, orig) {
-                    (
-                        PrivacyRelease::Full { week, addresses },
-                        PrivacyRelease::Full {
-                            week: w2,
-                            addresses: a2,
-                        },
-                    ) => {
-                        assert_eq!(week, w2);
-                        assert_eq!(addresses, a2);
-                    }
-                    (PrivacyRelease::Truncated(t), PrivacyRelease::Truncated(t2)) => {
-                        assert_eq!(t.len(), t2.len());
-                        assert!(t.verify_privacy_invariant());
-                    }
-                    _ => panic!("variant changed across JSON round trip"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn privacy_release_truncates_large_weeks() {
-        let s = service();
-        let releases = s.privacy_aware_release(0); // everything truncates
-        for r in &releases {
-            match r {
-                PrivacyRelease::Truncated(t) => assert!(t.verify_privacy_invariant()),
-                PrivacyRelease::Full { .. } => panic!("threshold 0 must truncate all"),
-            }
-        }
-        // And with an enormous threshold, nothing truncates.
-        let releases = s.privacy_aware_release(usize::MAX);
-        assert!(releases
-            .iter()
-            .all(|r| matches!(r, PrivacyRelease::Full { .. })));
     }
 }

@@ -200,17 +200,6 @@ impl Rng {
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Geometric count ≥ 0 with success probability `p` per trial
-    /// (number of failures before the first success).
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        let p = p.clamp(1e-12, 1.0);
-        if p >= 1.0 {
-            return 0;
-        }
-        let u = 1.0 - self.f64();
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Fisher–Yates shuffles a slice in place.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -343,16 +332,6 @@ mod tests {
         let sum: f64 = (0..n).map(|_| r.exp(10.0)).sum();
         let mean = sum / n as f64;
         assert!((mean - 10.0).abs() < 0.5, "mean = {mean}");
-    }
-
-    #[test]
-    fn geometric_mean_is_close() {
-        let mut r = Rng::new(29);
-        let n = 20_000;
-        // Mean failures before success = (1-p)/p = 3 for p = 0.25.
-        let sum: u64 = (0..n).map(|_| r.geometric(0.25)).sum();
-        let mean = sum as f64 / n as f64;
-        assert!((mean - 3.0).abs() < 0.15, "mean = {mean}");
     }
 
     #[test]

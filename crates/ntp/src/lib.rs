@@ -10,20 +10,18 @@
 //! * [`client`] — the client half: request generation, response
 //!   validation, offset/delay computation.
 //! * [`pool`] — pool zones (country/continent/vendor), geo-DNS candidate
-//!   selection and round-robin, monitor scores.
+//!   selection and round-robin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod monitor;
 pub mod packet;
 pub mod pool;
 pub mod server;
 pub mod timestamp;
 
 pub use client::{NtpClient, SyncError, SyncResult};
-pub use monitor::{CheckResult, MonitorConfig, PoolMonitor};
 pub use packet::{LeapIndicator, Mode, NtpPacket, PacketError, PACKET_LEN};
 pub use pool::{NtpPool, Zone};
 pub use server::{QueryRecord, ServeError, Stratum2Server};

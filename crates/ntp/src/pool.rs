@@ -52,21 +52,13 @@ impl Zone {
 #[derive(Debug, Clone)]
 pub struct NtpPool {
     servers: Vec<VantagePoint>,
-    /// Monitor score per server (the pool drops servers below 10; ours
-    /// are healthy VPSes so scores sit near 20).
-    scores: Vec<f64>,
     registry: CountryRegistry,
 }
 
 impl NtpPool {
     /// Registers a set of servers (our 27 vantage points).
     pub fn new(servers: Vec<VantagePoint>, registry: CountryRegistry) -> Self {
-        let scores = vec![20.0; servers.len()];
-        NtpPool {
-            servers,
-            scores,
-            registry,
-        }
+        NtpPool { servers, registry }
     }
 
     /// Number of registered servers.
@@ -84,48 +76,31 @@ impl NtpPool {
         &self.servers
     }
 
-    /// Sets a server's monitor score (≥ 10 keeps it in rotation).
-    pub fn set_score(&mut self, vp_id: u16, score: f64) {
-        if let Some(i) = self.servers.iter().position(|s| s.id == vp_id) {
-            self.scores[i] = score;
-        }
-    }
-
     /// The candidate servers geo-DNS would hand a client in `country`:
-    /// in-country servers if any, else in-continent, else all (healthy
-    /// servers only).
+    /// in-country servers if any, else in-continent, else all.
     pub fn candidates(&self, country: Country) -> Vec<&VantagePoint> {
-        let healthy = |i: &usize| self.scores[*i] >= 10.0;
-        let idx: Vec<usize> = (0..self.servers.len()).collect();
-        let in_country: Vec<usize> = idx
+        let in_country: Vec<&VantagePoint> = self
+            .servers
             .iter()
-            .copied()
-            .filter(healthy)
-            .filter(|&i| self.servers[i].country == country)
+            .filter(|s| s.country == country)
             .collect();
         if !in_country.is_empty() {
-            return in_country.iter().map(|&i| &self.servers[i]).collect();
+            return in_country;
         }
         let continent = self.registry.get(country).map(|c| c.continent);
-        let in_continent: Vec<usize> = idx
+        let in_continent: Vec<&VantagePoint> = self
+            .servers
             .iter()
-            .copied()
-            .filter(healthy)
-            .filter(|&i| {
+            .filter(|s| {
                 self.registry
-                    .get(self.servers[i].country)
-                    .map(|c| Some(c.continent) == continent)
-                    .unwrap_or(false)
+                    .get(s.country)
+                    .is_some_and(|c| Some(c.continent) == continent)
             })
             .collect();
         if !in_continent.is_empty() {
-            return in_continent.iter().map(|&i| &self.servers[i]).collect();
+            return in_continent;
         }
-        idx.iter()
-            .copied()
-            .filter(healthy)
-            .map(|i| &self.servers[i])
-            .collect()
+        self.servers.iter().collect()
     }
 
     /// DNS round-robin: which server a given client resolution at time `t`
@@ -213,22 +188,6 @@ mod tests {
         }
         // 6 US servers; round robin should hit most of them.
         assert!(seen.len() >= 4, "only {} servers used", seen.len());
-    }
-
-    #[test]
-    fn unhealthy_servers_leave_rotation() {
-        let mut p = pool();
-        let us: Vec<u16> = p
-            .servers()
-            .iter()
-            .filter(|s| s.country == Country::new("US"))
-            .map(|s| s.id)
-            .collect();
-        for id in &us {
-            p.set_score(*id, 5.0);
-        }
-        let cands = p.candidates(Country::new("US"));
-        assert!(cands.iter().all(|s| !us.contains(&s.id)));
     }
 
     #[test]

@@ -360,15 +360,6 @@ impl MetricsSnapshot {
             .map(|(_, v)| *v)
     }
 
-    /// Counters whose names start with `prefix`, as `(name, value)` pairs.
-    pub fn counters_with_prefix(&self, prefix: &str) -> Vec<(String, u64)> {
-        self.counters
-            .iter()
-            .filter(|(n, _)| n.starts_with(prefix))
-            .cloned()
-            .collect()
-    }
-
     /// Per-counter deltas `self - earlier` for every counter present in
     /// `self`, treating counters absent from `earlier` as zero. Sorted by
     /// name; counters with a zero delta are omitted.
@@ -599,6 +590,6 @@ mod tests {
             vec![("d.events".to_owned(), 5)]
         );
         assert_eq!(after.counter("d.events"), Some(7));
-        assert_eq!(after.counters_with_prefix("d.").len(), 2);
+        assert_eq!(after.counter("d.other"), Some(0));
     }
 }

@@ -58,20 +58,12 @@ impl AliasDetector {
         hits >= self.threshold
     }
 
-    /// Runs detection over many candidates, returning the aliased ones.
-    pub fn sweep<P: Prober>(&self, prober: &P, candidates: &[Prefix], t: SimTime) -> Vec<Prefix> {
-        candidates
-            .iter()
-            .filter(|p| self.detect(prober, p, t))
-            .copied()
-            .collect()
-    }
-
-    /// [`AliasDetector::sweep`] with per-candidate detection sharded
-    /// across `threads` workers. Detection of each candidate is a pure
-    /// function of `(detector, prefix, t)`, and the result preserves
-    /// candidate order, so the output is bit-identical to [`AliasDetector::sweep`].
-    pub fn sweep_with_threads<P: Prober + Sync>(
+    /// Runs detection over many candidates, returning the aliased ones,
+    /// with per-candidate detection sharded across `threads` workers.
+    /// Detection of each candidate is a pure function of `(detector,
+    /// prefix, t)`, and the result preserves candidate order, so the
+    /// output is bit-identical at any thread count.
+    pub fn sweep<P: Prober + Sync>(
         &self,
         prober: &P,
         candidates: &[Prefix],
@@ -205,7 +197,7 @@ mod tests {
             candidates.push(a.customer33().subprefix(48, 3));
         }
         let det = AliasDetector::default();
-        let found = det.sweep(&prober, &candidates, SimTime(0));
+        let found = det.sweep(&prober, &candidates, SimTime(0), 1);
         for t in &truth {
             assert!(found.contains(t), "missed ground-truth alias {t}");
         }

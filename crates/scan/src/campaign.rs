@@ -23,8 +23,8 @@ use v6netsim::{ProbeKind, SimDuration, SimTime, World};
 use crate::alias::{AliasDetector, AliasList};
 use crate::prober::WorldProber;
 use crate::target_gen::{caida_routed48_targets, low_iid_targets, PatternTga};
-use crate::yarrp::{trace_with_threads, YarrpConfig};
-use crate::zmap6::{scan_with_threads, Zmap6Config};
+use crate::yarrp::{trace, YarrpConfig};
+use crate::zmap6::{scan, Zmap6Config};
 
 /// Cached `scan.*` handles in the global `v6obs` registry.
 ///
@@ -134,17 +134,9 @@ impl Default for HitlistCampaignConfig {
     }
 }
 
-/// Runs the IPv6-Hitlist-style campaign from vantage point `vp_id`.
-pub fn run_hitlist_campaign(
-    world: &World,
-    vp_id: u16,
-    cfg: &HitlistCampaignConfig,
-) -> CampaignResult {
-    run_hitlist_campaign_with_threads(world, vp_id, cfg, v6par::threads())
-}
-
-/// [`run_hitlist_campaign`] with the per-/48 probing, traceroutes and
-/// alias sweeps sharded across `threads` workers.
+/// Runs the IPv6-Hitlist-style campaign from vantage point `vp_id`, with
+/// the per-/48 probing, traceroutes and alias sweeps sharded across
+/// `threads` workers.
 ///
 /// Weeks stay sequential (each week's targets depend on the previous
 /// week's discoveries), but everything inside a week that is
@@ -152,7 +144,7 @@ pub fn run_hitlist_campaign(
 /// prefix, the ZMap6 passes, the Yarrp pass, and alias detection — runs
 /// sharded with order-preserving merges. Output is bit-identical to the
 /// sequential campaign at any thread count.
-pub fn run_hitlist_campaign_with_threads(
+pub fn run_hitlist_campaign(
     world: &World,
     vp_id: u16,
     cfg: &HitlistCampaignConfig,
@@ -235,7 +227,7 @@ pub fn run_hitlist_campaign_with_threads(
             };
             let zr = metrics
                 .zmap6_sweep_latency
-                .time(|| scan_with_threads(&prober, &targets, &zcfg, threads));
+                .time(|| scan(&prober, &targets, &zcfg, threads));
             metrics.zmap6_targets.add(targets.len() as u64);
             metrics.zmap6_probes.add(zr.stats.sent);
             metrics.zmap6_responsive.add(zr.responsive.len() as u64);
@@ -266,7 +258,7 @@ pub fn run_hitlist_campaign_with_threads(
         };
         let yr = metrics
             .yarrp_sweep_latency
-            .time(|| trace_with_threads(&prober, &yarrp_targets, &ycfg, threads));
+            .time(|| trace(&prober, &yarrp_targets, &ycfg, threads));
         metrics.yarrp_targets.add(yarrp_targets.len() as u64);
         metrics.yarrp_probes.add(yr.sent);
         metrics.yarrp_hops.add(yr.hops.len() as u64);
@@ -283,9 +275,9 @@ pub fn run_hitlist_campaign_with_threads(
             .map(|&b| Prefix::from_bits(b, 48))
             .filter(|p| !alias_list.covers_prefix(p))
             .collect();
-        let detected = metrics.alias_sweep_latency.time(|| {
-            detector.sweep_with_threads(&prober, &candidates, t0 + SimDuration::DAY, threads)
-        });
+        let detected = metrics
+            .alias_sweep_latency
+            .time(|| detector.sweep(&prober, &candidates, t0 + SimDuration::DAY, threads));
         metrics.alias_candidates.add(candidates.len() as u64);
         metrics.alias_detected.add(detected.len() as u64);
         // Generalize upward (the Hitlist publishes the broadest fully
@@ -369,14 +361,10 @@ impl Default for CaidaCampaignConfig {
     }
 }
 
-/// Runs the CAIDA routed-/48 Yarrp campaign from vantage point `vp_id`.
-pub fn run_caida_campaign(world: &World, vp_id: u16, cfg: &CaidaCampaignConfig) -> CampaignResult {
-    run_caida_campaign_with_threads(world, vp_id, cfg, v6par::threads())
-}
-
-/// [`run_caida_campaign`] with the per-/48 traceroutes sharded across
-/// `threads` workers. Bit-identical to the sequential campaign.
-pub fn run_caida_campaign_with_threads(
+/// Runs the CAIDA routed-/48 Yarrp campaign from vantage point `vp_id`,
+/// with the per-/48 traceroutes sharded across `threads` workers.
+/// Bit-identical at any thread count.
+pub fn run_caida_campaign(
     world: &World,
     vp_id: u16,
     cfg: &CaidaCampaignConfig,
@@ -398,7 +386,7 @@ pub fn run_caida_campaign_with_threads(
     let metrics = scan_metrics();
     let yr = metrics
         .yarrp_sweep_latency
-        .time(|| trace_with_threads(&prober, &targets, &ycfg, threads));
+        .time(|| trace(&prober, &targets, &ycfg, threads));
     metrics.yarrp_targets.add(targets.len() as u64);
     metrics.yarrp_probes.add(yr.sent);
     metrics.yarrp_hops.add(yr.hops.len() as u64);
@@ -438,7 +426,7 @@ mod tests {
             weeks: 2,
             ..Default::default()
         };
-        let r = run_hitlist_campaign(&w, 0, &cfg);
+        let r = run_hitlist_campaign(&w, 0, &cfg, v6par::threads());
         let unique = r.unique_addresses();
         assert!(!unique.is_empty());
         // Must rediscover a good share of the public servers.
@@ -468,7 +456,7 @@ mod tests {
             weeks: 1,
             ..Default::default()
         };
-        let r = run_hitlist_campaign(&w, 0, &cfg);
+        let r = run_hitlist_campaign(&w, 0, &cfg, v6par::threads());
         // The TGA/low-iid probing hits hosting alias space eventually; at
         // minimum the alias list must not contain clean eyeball /48s.
         for p in &r.aliased {
@@ -493,6 +481,7 @@ mod tests {
                 weeks: 2,
                 ..Default::default()
             },
+            v6par::threads(),
         );
         let list = AliasList::from_prefixes(r.aliased.iter().copied());
         for d in &r.discoveries {
@@ -511,7 +500,7 @@ mod tests {
             stride: 1024,
             ..Default::default()
         };
-        let r = run_caida_campaign(&w, 0, &cfg);
+        let r = run_caida_campaign(&w, 0, &cfg, v6par::threads());
         let unique = r.unique_addresses();
         assert!(!unique.is_empty());
         // The signature of the CAIDA dataset (Table 1): average addresses
@@ -576,6 +565,7 @@ mod tests {
                 weeks: 1,
                 ..Default::default()
             },
+            v6par::threads(),
         );
         let unique = r.unique_addresses();
         let found = quiet.iter().filter(|a| unique.contains(a)).count();
@@ -592,6 +582,7 @@ mod tests {
                 stride: 2048,
                 ..Default::default()
             },
+            v6par::threads(),
         );
         // Hop discovery pulls in transit ASes: the distinct-AS count of
         // discoveries must exceed the hosting-AS count of the vantage.

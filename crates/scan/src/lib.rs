@@ -32,13 +32,12 @@ pub mod zmap6;
 
 pub use alias::{AliasDetector, AliasList};
 pub use campaign::{
-    run_caida_campaign, run_caida_campaign_with_threads, run_hitlist_campaign,
-    run_hitlist_campaign_with_threads, CaidaCampaignConfig, CampaignResult, Discovery,
+    run_caida_campaign, run_hitlist_campaign, CaidaCampaignConfig, CampaignResult, Discovery,
     HitlistCampaignConfig,
 };
 pub use icmp::{IcmpError, Icmpv6Message};
 pub use prober::{FnProber, Prober, WorldProber};
 pub use range_tga::RangeTga;
-pub use target_gen::{caida_routed48_targets, eui64_vendor_targets, low_iid_targets, PatternTga};
-pub use yarrp::{trace, trace_with_threads, HopRecord, YarrpConfig, YarrpResult};
-pub use zmap6::{scan, scan_with_threads, Responsive, ScanResult, ScanStats, Zmap6Config};
+pub use target_gen::{caida_routed48_targets, low_iid_targets, PatternTga};
+pub use yarrp::{trace, HopRecord, YarrpConfig, YarrpResult};
+pub use zmap6::{scan, Responsive, ScanResult, ScanStats, Zmap6Config};

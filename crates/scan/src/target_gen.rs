@@ -11,7 +11,6 @@
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
-use v6addr::mac::Oui;
 use v6addr::{Iid, Prefix};
 use v6netsim::Asn;
 
@@ -119,68 +118,12 @@ impl PatternTga {
     }
 }
 
-/// Vendor-targeted EUI-64 candidate generation — the §2.1 threat that
-/// MAC-embedding addresses enable "attacks tailored to device
-/// manufacturers": manufacturers assign NICs densely, so observing a few
-/// EUI-64 devices of a vendor lets an attacker enumerate the *sibling*
-/// devices' addresses across known-active /64s.
-///
-/// `observed_nics` are NIC portions already seen for `oui`; candidates
-/// are SLAAC addresses for NICs within ±`spread` of each, in each of the
-/// `active_uppers` (/64 routing prefixes known to host that vendor).
-pub fn eui64_vendor_targets(
-    active_uppers: &[u64],
-    oui: Oui,
-    observed_nics: &[u32],
-    spread: u32,
-    budget: usize,
-) -> Vec<Ipv6Addr> {
-    let mut nics: Vec<u32> = Vec::new();
-    for &center in observed_nics {
-        let lo = center.saturating_sub(spread);
-        let hi = (center + spread).min(0x00ff_ffff);
-        nics.extend(lo..=hi);
-    }
-    nics.sort_unstable();
-    nics.dedup();
-    let mut out = Vec::with_capacity(budget.min(nics.len() * active_uppers.len()));
-    'outer: for &upper in active_uppers {
-        for &nic in &nics {
-            out.push(v6addr::eui64::slaac_address(upper, oui.mac(nic)));
-            if out.len() >= budget {
-                break 'outer;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
-    }
-
-    #[test]
-    fn vendor_targets_enumerate_siblings() {
-        let oui: Oui = "3c:a6:2f".parse().unwrap();
-        let uppers = [0x2a00_0001_8000_0000u64, 0x2a00_0002_8000_0000];
-        let t = eui64_vendor_targets(&uppers, oui, &[100, 5000], 2, 1000);
-        // 2 centers × 5 NICs × 2 uppers = 20 candidates, all EUI-64 with
-        // the right OUI.
-        assert_eq!(t.len(), 20);
-        for a in &t {
-            let mac = v6addr::eui64::extract_mac(*a).expect("EUI-64 shape");
-            assert_eq!(mac.oui(), oui);
-            assert!((98..=102).contains(&mac.nic()) || (4998..=5002).contains(&mac.nic()));
-        }
-        // Budget is a hard cap.
-        assert_eq!(eui64_vendor_targets(&uppers, oui, &[100], 100, 7).len(), 7);
-        // Edge clamping at the NIC-space boundary.
-        let low = eui64_vendor_targets(&uppers[..1], oui, &[0], 3, 100);
-        assert_eq!(low.len(), 4); // 0..=3
     }
 
     #[test]

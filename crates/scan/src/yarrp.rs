@@ -71,19 +71,6 @@ pub struct YarrpResult {
 }
 
 impl YarrpResult {
-    /// Every distinct address discovered (hops + reached targets).
-    pub fn discovered_addresses(&self) -> Vec<Ipv6Addr> {
-        let mut v: Vec<u128> = self
-            .hops
-            .iter()
-            .map(|h| u128::from(h.hop))
-            .chain(self.reached.iter().map(|&(a, _, _)| u128::from(a)))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v.into_iter().map(Ipv6Addr::from).collect()
-    }
-
     /// Reconstructs the hop path toward one target, ordered by TTL.
     pub fn path_to(&self, target: Ipv6Addr) -> Vec<(u8, Ipv6Addr)> {
         let mut path: BTreeMap<u8, Ipv6Addr> = BTreeMap::new();
@@ -121,28 +108,20 @@ fn parse_payload(seed: u64, target: Ipv6Addr, mut quoted: &[u8]) -> Option<u8> {
     Some(ttl)
 }
 
-/// Runs a randomized traceroute campaign over `targets`.
-pub fn trace<P: Prober>(prober: &P, targets: &[Ipv6Addr], cfg: &YarrpConfig) -> YarrpResult {
-    let domain = trace_domain(targets, cfg);
-    trace_indices(prober, targets, cfg, 0..domain)
-}
-
-/// Runs the traceroute campaign sharded across `threads` workers.
+/// Runs a randomized traceroute campaign over `targets`, sharded across
+/// `threads` workers.
 ///
 /// The permuted `(target, TTL)` probe-index domain is split into
 /// contiguous shards and shard results are concatenated in shard order,
-/// so hops, reached targets and counters are bit-identical to [`trace`]
-/// at any thread count.
-pub fn trace_with_threads<P: Prober + Sync>(
+/// so hops, reached targets and counters are bit-identical at any
+/// thread count.
+pub fn trace<P: Prober + Sync>(
     prober: &P,
     targets: &[Ipv6Addr],
     cfg: &YarrpConfig,
     threads: usize,
 ) -> YarrpResult {
     let domain = trace_domain(targets, cfg);
-    if threads <= 1 || domain < 2 {
-        return trace(prober, targets, cfg);
-    }
     // Calibrated per-(target, TTL) probe cost; the adaptive cutoff in
     // v6par keeps small campaigns inline, replacing the old hand-rolled
     // minimum-probe threshold.
@@ -266,7 +245,7 @@ mod tests {
             ttl_max: 6,
             ..Default::default()
         };
-        let r = trace(&p, &targets, &cfg);
+        let r = trace(&p, &targets, &cfg, 1);
         assert_eq!(r.sent, 12);
         assert_eq!(r.discarded, 0);
         for &t in &targets {
@@ -277,8 +256,6 @@ mod tests {
             // Destination reached at TTLs 4..=6.
             assert_eq!(r.reached.iter().filter(|&&(a, _, _)| a == t).count(), 3);
         }
-        // Discovered = 3 hops + 2 targets.
-        assert_eq!(r.discovered_addresses().len(), 5);
     }
 
     #[test]
@@ -298,7 +275,7 @@ mod tests {
             start: t,
             ..Default::default()
         };
-        let r = trace(&prober, &targets, &cfg);
+        let r = trace(&prober, &targets, &cfg, 1);
         assert!(!r.hops.is_empty(), "no hops discovered");
         // Hops must be router interfaces (low-byte IIDs) or CPE WAN addrs.
         let transit_hits = r
@@ -318,7 +295,7 @@ mod tests {
         let p = FnProber::new("2a00:ffff::1".parse().unwrap(), |_, _, _| {
             ProbeOutcome::NoResponse
         });
-        let r = trace(&p, &[], &YarrpConfig::default());
+        let r = trace(&p, &[], &YarrpConfig::default(), 1);
         assert_eq!(r.sent, 0);
     }
 }

@@ -86,30 +86,22 @@ fn validation(seed: u64, dst: Ipv6Addr) -> (u16, u16) {
     ((h >> 16) as u16, h as u16)
 }
 
-/// Scans `targets` in keyed pseudo-random order.
+/// Scans `targets` in keyed pseudo-random order, sharded across
+/// `threads` workers.
 ///
 /// Every probe is a real encoded ICMPv6 echo request; every reply is
 /// re-encoded, decoded, checksum-verified and validation-checked — the
-/// full stateless receive path.
-pub fn scan<P: Prober>(prober: &P, targets: &[Ipv6Addr], cfg: &Zmap6Config) -> ScanResult {
-    scan_indices(prober, targets, cfg, 0..targets.len() as u64)
-}
-
-/// Scans `targets` sharded across `threads` workers.
-///
-/// The probe-order index range is split into contiguous shards, each
-/// shard runs the full sequential receive path, and shard results are
-/// concatenated in shard order — so the responsive list, probe times
-/// and statistics are bit-identical to [`scan`] at any thread count.
-pub fn scan_with_threads<P: Prober + Sync>(
+/// full stateless receive path. The probe-order index range is split
+/// into contiguous shards, each shard runs that path sequentially, and
+/// shard results are concatenated in shard order — so the responsive
+/// list, probe times and statistics are bit-identical at any thread
+/// count.
+pub fn scan<P: Prober + Sync>(
     prober: &P,
     targets: &[Ipv6Addr],
     cfg: &Zmap6Config,
     threads: usize,
 ) -> ScanResult {
-    if threads <= 1 || targets.len() < 2 {
-        return scan(prober, targets, cfg);
-    }
     // Calibrated probe cost (encode + permute + validate + decode); the
     // adaptive cutoff in v6par keeps small sweeps inline, replacing the
     // old hand-rolled minimum-target threshold.
@@ -212,7 +204,7 @@ mod tests {
             ProbeOutcome::NoResponse
         });
         let targets = addrs(257);
-        let r = scan(&p, &targets, &Zmap6Config::default());
+        let r = scan(&p, &targets, &Zmap6Config::default(), 1);
         assert_eq!(r.stats.sent, 257);
         let got: HashSet<_> = probed.lock().unwrap().iter().copied().collect();
         assert_eq!(got.len(), 257);
@@ -230,7 +222,7 @@ mod tests {
             }
         });
         let targets = addrs(300);
-        let r = scan(&p, &targets, &Zmap6Config::default());
+        let r = scan(&p, &targets, &Zmap6Config::default(), 1);
         assert_eq!(r.stats.replies, 100);
         assert_eq!(r.stats.validated, 100);
         assert_eq!(r.stats.failed_validation, 0);
@@ -249,7 +241,7 @@ mod tests {
             ProbeOutcome::EchoReply { from: decoy }
         });
         let targets = addrs(50);
-        let r = scan(&p, &targets, &Zmap6Config::default());
+        let r = scan(&p, &targets, &Zmap6Config::default(), 1);
         // decoy itself is in nobody's target list here, so every reply
         // fails the (key, from)-MAC except when from == dst (never here).
         assert_eq!(r.stats.failed_validation, 50);
@@ -268,7 +260,7 @@ mod tests {
             start: SimTime(100),
             ..Default::default()
         };
-        scan(&p, &addrs(25), &cfg);
+        scan(&p, &addrs(25), &cfg, 1);
         let times = times.lock().unwrap();
         assert_eq!(times.iter().filter(|t| t.as_secs() == 100).count(), 10);
         assert!(times.iter().all(|t| (100..103).contains(&t.as_secs())));
@@ -284,7 +276,7 @@ mod tests {
             .map(|a| a.router48().offset(1))
             .collect();
         targets.push("2a00:5:8000:9999::42".parse().unwrap()); // vacant
-        let r = scan(&prober, &targets, &Zmap6Config::default());
+        let r = scan(&prober, &targets, &Zmap6Config::default(), 1);
         assert!(r.stats.validated >= 8, "{:?}", r.stats);
         assert!(r.responsive.len() >= 8);
     }
@@ -294,7 +286,7 @@ mod tests {
         let p = FnProber::new("2a00:ffff::1".parse().unwrap(), |_, _, _| {
             ProbeOutcome::NoResponse
         });
-        let r = scan(&p, &[], &Zmap6Config::default());
+        let r = scan(&p, &[], &Zmap6Config::default(), 1);
         assert_eq!(r.stats, ScanStats::default());
     }
 }

@@ -3,8 +3,11 @@
 use proptest::prelude::*;
 use std::net::Ipv6Addr;
 
-use v6netsim::{ProbeOutcome, SimTime};
-use v6scan::{scan, AliasList, FnProber, IcmpError, Icmpv6Message, Zmap6Config};
+use v6netsim::{AsKind, ProbeOutcome, SimTime, World, WorldConfig};
+use v6scan::{
+    scan, trace, AliasDetector, AliasList, FnProber, IcmpError, Icmpv6Message, WorldProber,
+    YarrpConfig, Zmap6Config,
+};
 
 fn addr(bits: u128) -> Ipv6Addr {
     Ipv6Addr::from(bits)
@@ -73,9 +76,14 @@ proptest! {
 
     /// The scanner probes every target exactly once, in an order that is
     /// a permutation of the input, and reports exactly the responsive
-    /// subset.
+    /// subset — with the same responsive list and statistics at any
+    /// thread count.
     #[test]
-    fn scanner_covers_targets_exactly_once(n in 1usize..400, modulus in 2u128..7) {
+    fn scanner_covers_targets_exactly_once(
+        n in 1usize..400,
+        modulus in 2u128..7,
+        threads in 1usize..5,
+    ) {
         let targets: Vec<Ipv6Addr> = (0..n as u128)
             .map(|i| addr((0x2a01u128 << 112) | (i * 0x9e37) | i << 64))
             .collect();
@@ -88,7 +96,7 @@ proptest! {
                 ProbeOutcome::NoResponse
             }
         });
-        let r = scan(&prober, &targets, &Zmap6Config::default());
+        let r = scan(&prober, &targets, &Zmap6Config::default(), threads);
         let mut got = probed.lock().unwrap().clone();
         got.sort_unstable();
         let mut want = targets.clone();
@@ -97,6 +105,9 @@ proptest! {
         let expected_hits = targets.iter().filter(|a| u128::from(**a) % modulus == 0).count();
         prop_assert_eq!(r.responsive.len(), expected_hits);
         prop_assert_eq!(r.stats.validated, expected_hits as u64);
+        let one = scan(&prober, &targets, &Zmap6Config::default(), 1);
+        prop_assert_eq!(r.responsive, one.responsive);
+        prop_assert_eq!(r.stats, one.stats);
     }
 
     /// An alias list contains an address iff some listed prefix covers it.
@@ -130,7 +141,38 @@ fn fnprober_time_is_passed_through() {
         start: SimTime(50),
         ..Default::default()
     };
-    scan(&prober, &targets, &cfg);
+    scan(&prober, &targets, &cfg, 1);
     let ts = seen.lock().unwrap();
     assert!(ts.iter().all(|t| (50..56).contains(&t.as_secs())));
+}
+
+#[test]
+fn trace_and_sweep_agree_across_thread_counts() {
+    let w = World::build(WorldConfig::tiny(), 55);
+    let prober = WorldProber::new(&w, 0);
+    let targets: Vec<Ipv6Addr> = w
+        .ases
+        .iter()
+        .filter(|a| a.info.kind == AsKind::EyeballIsp)
+        .take(8)
+        .flat_map(|a| (0..4).map(move |i| a.customer33().subprefix(48, i).offset(1)))
+        .collect();
+    let cfg = YarrpConfig::default();
+    let mut candidates = w.aliased_prefixes();
+    for a in w.ases.iter().take(8) {
+        candidates.push(a.customer33().subprefix(48, 3));
+    }
+    let det = AliasDetector::default();
+
+    let one = trace(&prober, &targets, &cfg, 1);
+    let aliased = det.sweep(&prober, &candidates, SimTime(0), 1);
+    assert!(!one.hops.is_empty() && !aliased.is_empty());
+    for threads in [2, 4] {
+        let r = trace(&prober, &targets, &cfg, threads);
+        assert_eq!(r.hops, one.hops, "hops at {threads} threads");
+        assert_eq!(r.reached, one.reached, "reached at {threads} threads");
+        assert_eq!((r.sent, r.discarded), (one.sent, one.discarded));
+        let found = det.sweep(&prober, &candidates, SimTime(0), threads);
+        assert_eq!(found, aliased, "aliases at {threads} threads");
+    }
 }

@@ -1000,12 +1000,6 @@ impl SnapshotBuilder {
         self.pending.push((bits, week));
     }
 
-    /// Adds a whole weekly release.
-    pub fn add_week(&mut self, week: u32, addresses: &[Ipv6Addr]) {
-        self.pending
-            .extend(addresses.iter().map(|&a| (u128::from(a), week)));
-    }
-
     /// Registers an aliased prefix (seen from `week` on).
     pub fn add_alias(&mut self, prefix: Prefix, week: u32) {
         self.aliases.push((prefix, week));
@@ -1065,15 +1059,15 @@ mod tests {
 
     fn sample() -> Snapshot {
         let mut b = SnapshotBuilder::new("test", 4);
-        b.add_week(
-            0,
-            &[
-                addr("2001:db8:1::1"),
-                addr("2001:db8:1::2"),
-                addr("2001:db8:2::1"),
-            ],
-        );
-        b.add_week(2, &[addr("2001:db8:3::1"), addr("2001:db8:1::1")]);
+        for (a, week) in [
+            ("2001:db8:1::1", 0),
+            ("2001:db8:1::2", 0),
+            ("2001:db8:2::1", 0),
+            ("2001:db8:3::1", 2),
+            ("2001:db8:1::1", 2),
+        ] {
+            b.add_address(addr(a), week);
+        }
         b.add_alias(pfx("2001:db8:2::/48"), 0);
         b.build()
     }

@@ -70,7 +70,7 @@ pub use format::{AliasEntry, FORMAT_VERSION, MAGIC};
 pub use log::DeltaRecord;
 pub use log::{
     checkpoint_file, parse_checkpoint_name, scratch_dir, AppendReceipt, EpochLog, EpochState,
-    EpochView, StateLog, StoreConfig, LOG_FILE,
+    EpochView, StoreConfig, LOG_FILE,
 };
 pub use recover::{recover, recover_at, recover_with, RecoverError, Recovery, RecoveryReport};
 pub use tail::{LogTailer, TailReport};

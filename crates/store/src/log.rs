@@ -19,9 +19,10 @@
 //! header of its last epoch (name, shard bits, epoch, week, checksum,
 //! quarantined shards) — never the content — so an append costs O(Δ).
 //! The full content is asked of the caller, through a closure, only on
-//! the append on which a checkpoint is actually due. Callers that publish
-//! whole states instead of deltas (tests, tools) use [`StateLog`], which
-//! owns the flat state and derives each record by diffing against it.
+//! the append on which a checkpoint is actually due. A caller that holds
+//! whole states instead of deltas derives each record with
+//! [`crate::replica::delta_between`] and keeps its mirror in step with
+//! [`crate::replica::apply`].
 //!
 //! # Fault injection
 //!
@@ -148,8 +149,8 @@ pub struct EpochState {
     pub aliases: Vec<AliasEntry>,
 }
 
-/// A borrowed view of one epoch to append: the full content, from which
-/// the log computes and persists only the delta.
+/// A borrowed view of one epoch's full content: the `next` side of
+/// [`crate::replica::delta_between`], which derives the record to append.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochView<'a> {
     /// Epoch number; must be greater than the last appended epoch.
@@ -785,78 +786,6 @@ impl EpochLog {
     }
 }
 
-/// An [`EpochLog`] for callers that publish whole states rather than
-/// deltas (tests, tools, single-writer utilities): it owns the flat
-/// content of the last epoch and derives each record by diffing the
-/// next [`EpochView`] against it. The serving layer does not use this —
-/// it holds the content as a snapshot and hands the log records.
-#[derive(Debug)]
-pub struct StateLog {
-    log: EpochLog,
-    state: EpochState,
-}
-
-impl StateLog {
-    /// [`EpochLog::create`], starting from the empty epoch-0 state.
-    pub fn create(cfg: StoreConfig, name: &str, shard_bits: u32) -> io::Result<Self> {
-        Self::create_with(cfg, name, shard_bits, v6obs::global(), Arc::new(NoChaos))
-    }
-
-    /// [`EpochLog::create_with`], starting from the empty epoch-0 state.
-    pub fn create_with(
-        cfg: StoreConfig,
-        name: &str,
-        shard_bits: u32,
-        registry: &Registry,
-        chaos: Arc<dyn Chaos>,
-    ) -> io::Result<Self> {
-        let log = EpochLog::create_with(cfg, name, shard_bits, registry, chaos)?;
-        Ok(StateLog {
-            state: log.head.clone(),
-            log,
-        })
-    }
-
-    /// [`EpochLog::resume`], continuing from a recovered `state`.
-    pub fn resume(
-        cfg: StoreConfig,
-        state: EpochState,
-        report: &crate::RecoveryReport,
-        registry: &Registry,
-        chaos: Arc<dyn Chaos>,
-    ) -> io::Result<Self> {
-        let log = EpochLog::resume(cfg, &state, report, registry, chaos)?;
-        Ok(StateLog { log, state })
-    }
-
-    /// The epoch of the last successfully appended frame.
-    pub fn epoch(&self) -> u64 {
-        self.log.epoch()
-    }
-
-    /// The full content state the log holds durably.
-    pub fn state(&self) -> &EpochState {
-        &self.state
-    }
-
-    /// Appends one epoch given its full content: persists the delta
-    /// from the held state ([`EpochLog::append_delta`], same contract),
-    /// then adopts the view as the held state.
-    pub fn append(&mut self, view: EpochView<'_>) -> io::Result<AppendReceipt> {
-        let record = crate::replica::delta_between(&self.state, &view);
-        let receipt = self
-            .log
-            .append_delta(&record, || (view.entries.to_vec(), view.aliases.to_vec()))?;
-        self.state.epoch = view.epoch;
-        self.state.week = view.week;
-        self.state.content_checksum = view.content_checksum;
-        self.state.missing_shards = view.missing_shards.to_vec();
-        self.state.entries = view.entries.to_vec();
-        self.state.aliases = view.aliases.to_vec();
-        Ok(receipt)
-    }
-}
-
 /// Scans the frames region of a checkpoint file into a state, if valid.
 pub(crate) fn parse_checkpoint_bytes(bytes: &[u8]) -> Option<EpochState> {
     if format::parse_header(bytes) != Some(KIND_CHECKPOINT) {
@@ -869,22 +798,29 @@ pub(crate) fn parse_checkpoint_bytes(bytes: &[u8]) -> Option<EpochState> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn view<'a>(
+    /// Appends `entries` as `epoch`, diffed against `mirror`, and keeps
+    /// `mirror` in step (the store's unit tests publish through this).
+    pub(crate) fn publish(
+        log: &mut EpochLog,
+        mirror: &mut EpochState,
         epoch: u64,
-        entries: &'a [(u128, u32)],
-        aliases: &'a [AliasEntry],
-    ) -> EpochView<'a> {
-        EpochView {
+        entries: &[(u128, u32)],
+    ) -> io::Result<AppendReceipt> {
+        let view = EpochView {
             epoch,
             week: epoch,
-            content_checksum: epoch * 1000,
+            content_checksum: epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
             missing_shards: &[],
             entries,
-            aliases,
-        }
+            aliases: &[],
+        };
+        let record = crate::replica::delta_between(mirror, &view);
+        let receipt = log.append_delta(&record, || (entries.to_vec(), Vec::new()))?;
+        apply_delta(mirror, &record);
+        Ok(receipt)
     }
 
     #[test]
@@ -944,18 +880,19 @@ mod tests {
     fn create_append_retains_state() {
         let dir = scratch_dir("log-basic");
         let cfg = StoreConfig::new(&dir).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 2).unwrap();
+        let mut log = EpochLog::create(cfg, "svc", 2).unwrap();
+        let mut mirror = EpochState::default();
         let entries = vec![(10u128, 0u32), (20, 1)];
-        let receipt = log.append(view(1, &entries, &[])).unwrap();
+        let receipt = publish(&mut log, &mut mirror, 1, &entries).unwrap();
         assert_eq!(receipt.epoch, 1);
         assert_eq!(receipt.delta_added, 2);
         assert_eq!(receipt.delta_removed, 0);
         assert!(!receipt.checkpointed);
         assert_eq!(log.epoch(), 1);
-        assert_eq!(log.state().entries, entries);
+        assert_eq!(mirror.entries, entries);
 
         // Stale epochs are rejected.
-        assert!(log.append(view(1, &entries, &[])).is_err());
+        assert!(publish(&mut log, &mut mirror, 1, &entries).is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -963,12 +900,13 @@ mod tests {
     fn checkpoint_resets_log_and_retains() {
         let dir = scratch_dir("log-ckpt");
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut mirror = EpochState::default();
         let mut entries: Vec<(u128, u32)> = Vec::new();
         let mut reset_len = None;
         for e in 1..=6u64 {
             entries.push((u128::from(e) << 16, e as u32));
-            let receipt = log.append(view(e, &entries, &[])).unwrap();
+            let receipt = publish(&mut log, &mut mirror, e, &entries).unwrap();
             assert_eq!(receipt.checkpointed, e % 2 == 0, "epoch {e}");
             if e == 2 {
                 reset_len = Some(std::fs::metadata(cfg.log_path()).unwrap().len());

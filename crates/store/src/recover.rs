@@ -293,18 +293,18 @@ fn replay_log(bytes: &[u8], target: u64, state: &mut EpochState, report: &mut Re
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scratch_dir, EpochView, StateLog, StoreConfig};
+    use crate::log::tests::publish;
+    use crate::log::{scratch_dir, EpochLog, StoreConfig};
 
-    fn publish(log: &mut StateLog, epoch: u64, entries: &[(u128, u32)]) {
-        log.append(EpochView {
-            epoch,
-            week: epoch,
-            content_checksum: epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            missing_shards: &[],
-            entries,
-            aliases: &[],
-        })
-        .unwrap();
+    /// A fresh `"svc"` store and the epoch-0 mirror of its content.
+    fn create(cfg: StoreConfig, shard_bits: u32) -> (EpochLog, EpochState) {
+        let log = EpochLog::create(cfg, "svc", shard_bits).unwrap();
+        let mirror = EpochState {
+            name: "svc".into(),
+            shard_bits,
+            ..EpochState::default()
+        };
+        (log, mirror)
     }
 
     #[test]
@@ -322,13 +322,13 @@ mod tests {
     fn recover_replays_log_exactly() {
         let dir = scratch_dir("rec-replay");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 3).unwrap();
+        let (mut log, mut mirror) = create(cfg, 3);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=5u64 {
             entries.push((u128::from(e) << 24, e as u32));
-            publish(&mut log, e, &entries);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
         }
-        let expected = log.state().clone();
+        let expected = mirror.clone();
         drop(log);
 
         let rec = recover(&dir).unwrap();
@@ -346,13 +346,13 @@ mod tests {
     fn recover_uses_checkpoint_and_tail() {
         let dir = scratch_dir("rec-ckpt");
         let cfg = StoreConfig::new(&dir).checkpoint_every(3).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 2).unwrap();
+        let (mut log, mut mirror) = create(cfg, 2);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=5u64 {
             entries.push((u128::from(e) << 24, e as u32));
-            publish(&mut log, e, &entries);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
         }
-        let expected = log.state().clone();
+        let expected = mirror.clone();
         drop(log);
 
         let rec = recover(&dir).unwrap();
@@ -368,13 +368,13 @@ mod tests {
     fn recover_at_time_travels() {
         let dir = scratch_dir("rec-at");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
+        let (mut log, mut mirror) = create(cfg, 0);
         let mut checksums = vec![0u64]; // epoch 0 = empty
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=6u64 {
             entries.push((u128::from(e), 0));
-            publish(&mut log, e, &entries);
-            checksums.push(log.state().content_checksum);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
+            checksums.push(mirror.content_checksum);
         }
         drop(log);
         for (epoch, &sum) in checksums.iter().enumerate() {
@@ -390,9 +390,9 @@ mod tests {
     fn torn_tail_truncate_and_report() {
         let dir = scratch_dir("rec-torn");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
-        publish(&mut log, 1, &[(7, 0)]);
-        let good = log.state().clone();
+        let (mut log, mut mirror) = create(cfg.clone(), 0);
+        publish(&mut log, &mut mirror, 1, &[(7, 0)]).unwrap();
+        let good = mirror.clone();
         drop(log);
         // Simulate a crash mid-append: append 9 garbage bytes.
         let path = cfg.log_path();
@@ -413,11 +413,11 @@ mod tests {
     fn bit_rot_quarantines_and_stops() {
         let dir = scratch_dir("rec-rot");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
-        publish(&mut log, 1, &[(7, 0)]);
+        let (mut log, mut mirror) = create(cfg.clone(), 0);
+        publish(&mut log, &mut mirror, 1, &[(7, 0)]).unwrap();
         let len_after_1 = std::fs::metadata(cfg.log_path()).unwrap().len();
-        let good = log.state().clone();
-        publish(&mut log, 2, &[(7, 0), (9, 1)]);
+        let good = mirror.clone();
+        publish(&mut log, &mut mirror, 2, &[(7, 0), (9, 1)]).unwrap();
         drop(log);
         // Flip a bit inside epoch 2's frame payload.
         let path = cfg.log_path();
@@ -439,11 +439,11 @@ mod tests {
     fn corrupt_newest_checkpoint_falls_back() {
         let dir = scratch_dir("rec-fallback");
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
+        let (mut log, mut mirror) = create(cfg, 0);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=4u64 {
             entries.push((u128::from(e), 0));
-            publish(&mut log, e, &entries);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
         }
         drop(log);
         // Corrupt the newest checkpoint (epoch 4); epoch-2 remains, but
@@ -466,8 +466,8 @@ mod tests {
     fn resume_after_recovery_continues_the_log() {
         let dir = scratch_dir("rec-resume");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 1).unwrap();
-        publish(&mut log, 1, &[(3, 0)]);
+        let (mut log, mut mirror) = create(cfg.clone(), 1);
+        publish(&mut log, &mut mirror, 1, &[(3, 0)]).unwrap();
         drop(log);
         // Torn tail on disk.
         let path = cfg.log_path();
@@ -476,9 +476,10 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let rec = recover(&dir).unwrap();
-        let mut log = StateLog::resume(
+        let mut mirror = rec.state.clone();
+        let mut log = EpochLog::resume(
             cfg.clone(),
-            rec.state,
+            &mirror,
             &rec.report,
             v6obs::global(),
             std::sync::Arc::new(v6chaos::NoChaos),
@@ -489,7 +490,7 @@ mod tests {
             std::fs::metadata(&path).unwrap().len(),
             rec.report.log_good_len
         );
-        publish(&mut log, 2, &[(3, 0), (4, 1)]);
+        publish(&mut log, &mut mirror, 2, &[(3, 0), (4, 1)]).unwrap();
         drop(log);
         let rec = recover(&dir).unwrap();
         assert_eq!(rec.state.epoch, 2);

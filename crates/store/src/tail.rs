@@ -17,11 +17,12 @@
 //!   monotonic epoch filter keeps already-delivered deltas from being
 //!   re-emitted.
 //!
-//! Consumers that need gap *detection* (a delta lost to compaction
-//! before it was polled, or bit rot ahead of the cursor) verify the
-//! chain themselves — [`DeltaRecord::content_checksum`] makes a lost
-//! predecessor visible to anyone mirroring the state (see
-//! `v6stream::StreamDriver`).
+//! The tailer does not detect gaps (a delta lost to compaction before it
+//! was polled, or bit rot ahead of the cursor). No consumer in the
+//! workspace tails the log yet; one that does must verify the chain
+//! itself — [`DeltaRecord::content_checksum`] makes a lost predecessor
+//! visible to anyone mirroring the state — and resync from
+//! [`crate::recover()`].
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,21 +49,23 @@ pub struct TailReport {
 /// A read-only cursor over a store directory's epoch log.
 ///
 /// ```
-/// use v6store::{EpochView, LogTailer, StateLog, StoreConfig};
+/// use v6store::{DeltaRecord, EpochLog, LogTailer, StoreConfig};
 ///
 /// let dir = v6store::scratch_dir("tail-doc");
 /// let cfg = StoreConfig::new(&dir).with_fsync(false);
-/// let mut log = StateLog::create(cfg, "doc", 1).unwrap();
+/// let mut log = EpochLog::create(cfg, "doc", 1).unwrap();
 /// let mut tail = LogTailer::new(&dir);
-/// log.append(EpochView {
+/// let record = DeltaRecord {
 ///     epoch: 1,
 ///     week: 0,
 ///     content_checksum: 7,
-///     missing_shards: &[],
-///     entries: &[(42, 0)],
-///     aliases: &[],
-/// })
-/// .unwrap();
+///     missing_shards: vec![],
+///     removed: vec![],
+///     added: vec![(42, 0)],
+///     removed_aliases: vec![],
+///     added_aliases: vec![],
+/// };
+/// log.append_delta(&record, || (vec![(42, 0)], vec![])).unwrap();
 /// let (records, _) = tail.poll().unwrap();
 /// assert_eq!(records.len(), 1);
 /// assert_eq!(records[0].epoch, 1);
@@ -174,30 +177,20 @@ impl LogTailer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::log::{scratch_dir, EpochView, StateLog, StoreConfig};
-
-    fn publish(log: &mut StateLog, epoch: u64, entries: &[(u128, u32)]) {
-        log.append(EpochView {
-            epoch,
-            week: epoch,
-            content_checksum: epoch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
-            missing_shards: &[],
-            entries,
-            aliases: &[],
-        })
-        .unwrap();
-    }
+    use crate::log::tests::publish;
+    use crate::log::{scratch_dir, EpochLog, EpochState, StoreConfig};
 
     #[test]
     fn tails_appends_incrementally() {
         let dir = scratch_dir("tail-incr");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 1).unwrap();
+        let mut log = EpochLog::create(cfg, "svc", 1).unwrap();
+        let mut mirror = EpochState::default();
         let mut tail = LogTailer::new(&dir);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         for e in 1..=3u64 {
             entries.push((u128::from(e) << 16, e as u32));
-            publish(&mut log, e, &entries);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
             let (records, report) = tail.poll().unwrap();
             assert_eq!(records.len(), 1, "epoch {e}");
             assert_eq!(records[0].epoch, e);
@@ -215,8 +208,9 @@ mod tests {
         let (records, _) = tail.poll().unwrap();
         assert!(records.is_empty());
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
-        publish(&mut log, 1, &[(9, 0)]);
+        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut mirror = EpochState::default();
+        publish(&mut log, &mut mirror, 1, &[(9, 0)]).unwrap();
         let (records, _) = tail.poll().unwrap();
         assert_eq!(records.len(), 1);
         std::fs::remove_dir_all(dir).ok();
@@ -232,14 +226,15 @@ mod tests {
         // is expected to detect them via the delta chain's content
         // checksums and resync from a recovered state.
         let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
-        let mut log = StateLog::create(cfg, "svc", 0).unwrap();
+        let mut log = EpochLog::create(cfg, "svc", 0).unwrap();
+        let mut mirror = EpochState::default();
         let mut tail = LogTailer::new(&dir);
         let mut entries: Vec<(u128, u32)> = Vec::new();
         let mut seen = Vec::new();
         let mut resets = 0u32;
         for e in 1..=6u64 {
             entries.push((u128::from(e), e as u32));
-            publish(&mut log, e, &entries);
+            publish(&mut log, &mut mirror, e, &entries).unwrap();
             let (records, report) = tail.poll().unwrap();
             seen.extend(records.iter().map(|r| r.epoch));
             resets += u32::from(report.reset);
@@ -260,8 +255,9 @@ mod tests {
     fn torn_tail_retries_next_poll() {
         let dir = scratch_dir("tail-torn");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
-        publish(&mut log, 1, &[(7, 0)]);
+        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut mirror = EpochState::default();
+        publish(&mut log, &mut mirror, 1, &[(7, 0)]).unwrap();
         let mut tail = LogTailer::new(&dir);
         let (records, _) = tail.poll().unwrap();
         assert_eq!(records.len(), 1);
@@ -279,7 +275,7 @@ mod tests {
         // The append "completes" (torn bytes replaced by a real frame):
         // delivery resumes from the same cursor.
         std::fs::write(&path, &good).unwrap();
-        publish(&mut log, 2, &[(7, 0), (8, 1)]);
+        publish(&mut log, &mut mirror, 2, &[(7, 0), (8, 1)]).unwrap();
         let (records, _) = tail.poll().unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].epoch, 2);
@@ -290,10 +286,11 @@ mod tests {
     fn bit_rot_pins_the_cursor() {
         let dir = scratch_dir("tail-rot");
         let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
-        let mut log = StateLog::create(cfg.clone(), "svc", 0).unwrap();
-        publish(&mut log, 1, &[(7, 0)]);
+        let mut log = EpochLog::create(cfg.clone(), "svc", 0).unwrap();
+        let mut mirror = EpochState::default();
+        publish(&mut log, &mut mirror, 1, &[(7, 0)]).unwrap();
         let len_after_1 = std::fs::metadata(cfg.log_path()).unwrap().len() as usize;
-        publish(&mut log, 2, &[(7, 0), (9, 1)]);
+        publish(&mut log, &mut mirror, 2, &[(7, 0), (9, 1)]).unwrap();
         drop(log);
         // Flip a bit inside epoch 2's frame payload.
         let path = cfg.log_path();

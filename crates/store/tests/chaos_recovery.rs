@@ -10,11 +10,14 @@
 //! - `store.bitrot.<epoch>`            → silent bit flip, caught at recovery
 //! - `store.checkpoint.<epoch>`        → torn checkpoint, log fallback
 
+mod common;
+
 use std::sync::Arc;
 
+use common::append_view;
 use v6chaos::{ScriptedChaos, SiteScript};
 use v6obs::Registry;
-use v6store::{recover, EpochView, StateLog, StoreConfig};
+use v6store::{recover, EpochLog, EpochState, EpochView, StoreConfig};
 
 fn view(epoch: u64, entries: &[(u128, u32)]) -> EpochView<'_> {
     EpochView {
@@ -27,11 +30,11 @@ fn view(epoch: u64, entries: &[(u128, u32)]) -> EpochView<'_> {
     }
 }
 
-fn store_with(dir: &std::path::Path, interval: u64, chaos: ScriptedChaos) -> StateLog {
+fn store_with(dir: &std::path::Path, interval: u64, chaos: ScriptedChaos) -> EpochLog {
     let cfg = StoreConfig::new(dir)
         .checkpoint_every(interval)
         .with_fsync(false);
-    StateLog::create_with(cfg, "chaos", 1, &Registry::new(), Arc::new(chaos)).expect("create")
+    EpochLog::create_with(cfg, "chaos", 1, &Registry::new(), Arc::new(chaos)).expect("create")
 }
 
 #[test]
@@ -39,8 +42,9 @@ fn torn_write_fails_the_append_and_recovery_keeps_the_prior_epoch() {
     let dir = v6store::scratch_dir("chaos-torn");
     let chaos = ScriptedChaos::new().with("store.append.2", SiteScript::transient(1));
     let mut log = store_with(&dir, 0, chaos);
-    log.append(view(1, &[(10, 0)])).unwrap();
-    let err = log.append(view(2, &[(10, 0), (20, 1)])).unwrap_err();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(10, 0)])).unwrap();
+    let err = append_view(&mut log, &mut mirror, view(2, &[(10, 0), (20, 1)])).unwrap_err();
     assert!(err.to_string().contains("torn write"), "{err}");
     drop(log); // crash with the torn frame on disk
 
@@ -61,8 +65,9 @@ fn partial_flush_fails_the_append_and_recovery_keeps_the_prior_epoch() {
     let dir = v6store::scratch_dir("chaos-flush");
     let chaos = ScriptedChaos::new().with("store.append.2", SiteScript::transient_panic(1));
     let mut log = store_with(&dir, 0, chaos);
-    log.append(view(1, &[(10, 0)])).unwrap();
-    let err = log.append(view(2, &[(10, 0), (20, 1)])).unwrap_err();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(10, 0)])).unwrap();
+    let err = append_view(&mut log, &mut mirror, view(2, &[(10, 0), (20, 1)])).unwrap_err();
     assert!(err.to_string().contains("partial flush"), "{err}");
     drop(log);
 
@@ -78,10 +83,11 @@ fn bitrot_is_silent_at_append_time_and_quarantined_at_recovery() {
     let dir = v6store::scratch_dir("chaos-rot");
     let chaos = ScriptedChaos::new().with("store.bitrot.2", SiteScript::transient(1));
     let mut log = store_with(&dir, 0, chaos);
-    log.append(view(1, &[(10, 0)])).unwrap();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(10, 0)])).unwrap();
     // The corrupted append *succeeds* — that is what makes bit rot
     // dangerous — and only recovery notices.
-    log.append(view(2, &[(10, 0), (20, 1)])).unwrap();
+    append_view(&mut log, &mut mirror, view(2, &[(10, 0), (20, 1)])).unwrap();
     assert_eq!(log.epoch(), 2);
     drop(log);
 
@@ -98,8 +104,9 @@ fn torn_checkpoint_is_skipped_and_the_log_still_replays() {
     let dir = v6store::scratch_dir("chaos-ckpt");
     let chaos = ScriptedChaos::new().with("store.checkpoint.2", SiteScript::transient(1));
     let mut log = store_with(&dir, 2, chaos);
-    log.append(view(1, &[(10, 0)])).unwrap();
-    let receipt = log.append(view(2, &[(10, 0), (20, 1)])).unwrap();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(10, 0)])).unwrap();
+    let receipt = append_view(&mut log, &mut mirror, view(2, &[(10, 0), (20, 1)])).unwrap();
     assert!(
         !receipt.checkpointed,
         "faulted checkpoint must not count as compaction"
@@ -120,11 +127,12 @@ fn failed_append_self_heals_on_the_next_append() {
     let dir = v6store::scratch_dir("chaos-heal");
     let chaos = ScriptedChaos::new().with("store.append.2", SiteScript::transient(1));
     let mut log = store_with(&dir, 0, chaos);
-    log.append(view(1, &[(10, 0)])).unwrap();
-    log.append(view(2, &[(10, 0), (20, 1)])).unwrap_err();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(10, 0)])).unwrap();
+    append_view(&mut log, &mut mirror, view(2, &[(10, 0), (20, 1)])).unwrap_err();
     // The process survived the write error; the next epoch truncates
     // the torn bytes before appending, so the log stays parseable.
-    log.append(view(3, &[(10, 0), (30, 2)])).unwrap();
+    append_view(&mut log, &mut mirror, view(3, &[(10, 0), (30, 2)])).unwrap();
     drop(log);
 
     let rec = recover(&dir).unwrap();
@@ -141,9 +149,10 @@ fn write_path_metrics_land_in_the_registry() {
     let registry = Registry::new();
     let cfg = StoreConfig::new(&dir).checkpoint_every(2).with_fsync(false);
     let mut log =
-        StateLog::create_with(cfg, "metrics", 0, &registry, Arc::new(v6chaos::NoChaos)).unwrap();
-    log.append(view(1, &[(1, 0)])).unwrap();
-    log.append(view(2, &[(1, 0), (2, 0)])).unwrap();
+        EpochLog::create_with(cfg, "metrics", 0, &registry, Arc::new(v6chaos::NoChaos)).unwrap();
+    let mut mirror = EpochState::default();
+    append_view(&mut log, &mut mirror, view(1, &[(1, 0)])).unwrap();
+    append_view(&mut log, &mut mirror, view(2, &[(1, 0), (2, 0)])).unwrap();
     drop(log);
 
     let snap = registry.snapshot();

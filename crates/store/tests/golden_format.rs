@@ -13,10 +13,13 @@
 //! V6STORE_REGEN_GOLDEN=1 cargo test -p v6store --test golden_format
 //! ```
 
+mod common;
+
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use v6store::{recover, AliasEntry, DeltaRecord, EpochLog, EpochView, StateLog, StoreConfig};
+use common::append_view;
+use v6store::{recover, AliasEntry, DeltaRecord, EpochLog, EpochState, EpochView, StoreConfig};
 
 /// The two files the fixture sequence must produce, exactly.
 const FIXTURE_FILES: [&str; 2] = ["epochs.v6log", "checkpoint-00000000000000000002.v6ck"];
@@ -31,49 +34,62 @@ fn golden_dir() -> PathBuf {
 fn build_fixture(dir: &Path) {
     let base: u128 = 0x2001_0db8 << 96;
     let cfg = StoreConfig::new(dir).checkpoint_every(2).with_fsync(false);
-    let mut log = StateLog::create(cfg, "golden", 2).expect("create fixture store");
-    log.append(EpochView {
-        epoch: 1,
-        week: 0,
-        content_checksum: 0x1111_0001,
-        missing_shards: &[],
-        entries: &[(base | 1, 0), (base | 2, 0), (base | 0x30, 0)],
-        aliases: &[],
-    })
+    let mut log = EpochLog::create(cfg, "golden", 2).expect("create fixture store");
+    let mut mirror = EpochState::default();
+    append_view(
+        &mut log,
+        &mut mirror,
+        EpochView {
+            epoch: 1,
+            week: 0,
+            content_checksum: 0x1111_0001,
+            missing_shards: &[],
+            entries: &[(base | 1, 0), (base | 2, 0), (base | 0x30, 0)],
+            aliases: &[],
+        },
+    )
     .expect("epoch 1");
     // Epoch 2: one removal, one week upgrade, one add, one alias, one
     // degraded shard — then the interval-2 checkpoint compacts the log.
-    log.append(EpochView {
-        epoch: 2,
-        week: 1,
-        content_checksum: 0x1111_0002,
-        missing_shards: &[3],
-        entries: &[(base | 1, 0), (base | 0x30, 1), (base | 0x41, 1)],
-        aliases: &[AliasEntry {
-            bits: base,
-            len: 48,
+    append_view(
+        &mut log,
+        &mut mirror,
+        EpochView {
+            epoch: 2,
             week: 1,
-        }],
-    })
+            content_checksum: 0x1111_0002,
+            missing_shards: &[3],
+            entries: &[(base | 1, 0), (base | 0x30, 1), (base | 0x41, 1)],
+            aliases: &[AliasEntry {
+                bits: base,
+                len: 48,
+                week: 1,
+            }],
+        },
+    )
     .expect("epoch 2");
     // Epoch 3 lands in the freshly reset log.
-    log.append(EpochView {
-        epoch: 3,
-        week: 2,
-        content_checksum: 0x1111_0003,
-        missing_shards: &[],
-        entries: &[
-            (base | 1, 0),
-            (base | 0x30, 1),
-            (base | 0x41, 1),
-            (base | 0x52, 2),
-        ],
-        aliases: &[AliasEntry {
-            bits: base,
-            len: 48,
-            week: 1,
-        }],
-    })
+    append_view(
+        &mut log,
+        &mut mirror,
+        EpochView {
+            epoch: 3,
+            week: 2,
+            content_checksum: 0x1111_0003,
+            missing_shards: &[],
+            entries: &[
+                (base | 1, 0),
+                (base | 0x30, 1),
+                (base | 0x41, 1),
+                (base | 0x52, 2),
+            ],
+            aliases: &[AliasEntry {
+                bits: base,
+                len: 48,
+                week: 1,
+            }],
+        },
+    )
     .expect("epoch 3");
 }
 
@@ -147,9 +163,9 @@ fn build_fixture_from_records(dir: &Path) {
 
 #[test]
 fn append_delta_writes_the_bytes_append_view_wrote() {
-    // One log format: a record handed to `append_delta` lands as the
-    // exact bytes the whole-state `append(view)` path pinned in the
-    // golden fixture, checkpoint included.
+    // One log format: a record written by hand lands as the exact bytes
+    // the whole-state path (`append_view`, which diffs each epoch against
+    // a mirror) pinned in the golden fixture, checkpoint included.
     let scratch = v6store::scratch_dir("golden-format-records");
     build_fixture_from_records(&scratch);
     for name in FIXTURE_FILES {

@@ -9,12 +9,15 @@
 //! empty epoch 0). A recovered epoch must also carry exactly the
 //! content that epoch had when it was published.
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::fs;
 
+use common::append_view;
 use proptest::prelude::*;
 
-use v6store::{recover, EpochView, StateLog, StoreConfig};
+use v6store::{recover, EpochLog, EpochState, EpochView, StoreConfig};
 
 /// Address-bits strategy over a small domain so epochs overlap.
 fn bits() -> impl Strategy<Value = u128> {
@@ -25,7 +28,8 @@ fn bits() -> impl Strategy<Value = u128> {
 /// 0..=N, the `(content_checksum, entry_count)` that was published.
 fn write_log(dir: &std::path::Path, weekly: &[Vec<(u128, u32)>]) -> Vec<(u64, usize)> {
     let cfg = StoreConfig::new(dir).checkpoint_every(0).with_fsync(false);
-    let mut log = StateLog::create(cfg, "torn", 1).expect("create");
+    let mut log = EpochLog::create(cfg, "torn", 1).expect("create");
+    let mut mirror = EpochState::default();
     let mut published = vec![(0u64, 0usize)]; // epoch 0: empty store
     let mut content: BTreeMap<u128, u32> = BTreeMap::new();
     for (i, adds) in weekly.iter().enumerate() {
@@ -36,14 +40,18 @@ fn write_log(dir: &std::path::Path, weekly: &[Vec<(u128, u32)>]) -> Vec<(u64, us
         let entries: Vec<(u128, u32)> = content.iter().map(|(&b, &w)| (b, w)).collect();
         let epoch = (i + 1) as u64;
         let checksum = v6netsim::rng::hash64(epoch, b"torn-tail-checksum");
-        log.append(EpochView {
-            epoch,
-            week: epoch,
-            content_checksum: checksum,
-            missing_shards: &[],
-            entries: &entries,
-            aliases: &[],
-        })
+        append_view(
+            &mut log,
+            &mut mirror,
+            EpochView {
+                epoch,
+                week: epoch,
+                content_checksum: checksum,
+                missing_shards: &[],
+                entries: &entries,
+                aliases: &[],
+            },
+        )
         .expect("append");
         published.push((checksum, entries.len()));
     }

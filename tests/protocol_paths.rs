@@ -44,7 +44,7 @@ fn zmap_finds_every_router_interface() {
         .iter()
         .flat_map(|a| a.router_ids.iter().filter_map(|&r| w.device(r).fixed_addr))
         .collect();
-    let result = scan(&prober, &targets, &Zmap6Config::default());
+    let result = scan(&prober, &targets, &Zmap6Config::default(), 1);
     assert_eq!(result.stats.sent, targets.len() as u64);
     assert_eq!(result.stats.failed_validation, 0);
     // Routers answer ~98% of the time.
@@ -67,7 +67,7 @@ fn yarrp_paths_agree_with_world_topology() {
         ttl_max: 12,
         ..Default::default()
     };
-    let r = trace(&prober, &[dst], &cfg);
+    let r = trace(&prober, &[dst], &cfg, 1);
     let path = r.path_to(dst);
     // Every recovered hop must sit at its topological position.
     for (ttl, hop) in &path {
