@@ -19,7 +19,7 @@ env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates
 # Size ratchet (ROADMAP item 10): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
 # its own diff and says why.
-src_ceiling=36307
+src_ceiling=36365
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }
@@ -55,6 +55,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 echo "== wire format v1 is byte-pinned to the golden fixtures =="
 cargo test -q -p v6wire --test golden_wire
 cargo test -q -p v6wire --test fuzz_codec
+
+echo "== store format v2 is byte-pinned to its golden fixture; the v1 fixture still recovers =="
+cargo test -q -p v6store --test golden_format
 
 echo "== digest equivalence at V6_THREADS={1,4} =="
 for t in 1 4; do

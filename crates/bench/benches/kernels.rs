@@ -13,8 +13,9 @@
 //! kernel-level regressions are visible separately from pipeline-level
 //! ones. The same file carries the layout comparisons — membership
 //! structures, longest-prefix match — the per-event time and heap
-//! allocations of the streaming operators, and the same two of one
-//! request through the front door.
+//! allocations of the streaming operators, the same two of one
+//! request through the front door, and the time and bytes per entry of
+//! a checkpoint.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeMap, HashSet};
@@ -26,10 +27,12 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
 use v6bench::{
-    KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord, WireRoundtripRecord,
+    CheckpointRecord, KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord,
+    WireRoundtripRecord,
 };
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
-use v6store::DeltaRecord;
+use v6store::format::{self, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, TAG_CHECKPOINT};
+use v6store::{DeltaRecord, EpochState};
 use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
 use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
@@ -356,6 +359,7 @@ fn emit_par_kernels_json() {
         lpm: lpm_records(),
         stream_ops: stream_op_records(),
         wire_roundtrip: wire_roundtrip_records(),
+        checkpoint: checkpoint_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
@@ -397,7 +401,63 @@ fn emit_par_kernels_json() {
             w.mix, w.addresses, w.ns_per_request, w.allocs_per_request
         );
     }
+    for c in &bench.checkpoint {
+        println!(
+            "  checkpoint/{:>2} per /64 {:>6} entries: {:>5.1} ns/entry encode, {:>5.1} ns/entry decode, {:.2} B/entry",
+            c.per_64, c.entries, c.encode_ns_per_entry, c.decode_ns_per_entry, c.bytes_per_entry
+        );
+    }
     println!("wrote {}", path.display());
+}
+
+/// A checkpoint of a 32 768-entry state — the size one `epoch-trickle`
+/// replica writes — at 16 addresses per /64 (the benchmarks' clustered
+/// corpora) and at 1 (the key-block body's worst case): header, encode
+/// and frame as the log writes it; frame check and decode as recovery
+/// reads it.
+fn checkpoint_records() -> Vec<CheckpointRecord> {
+    const ENTRIES: usize = 32_768;
+    [16, 1]
+        .into_iter()
+        .map(|per_64| {
+            let entries = (0..ENTRIES)
+                .map(|i| {
+                    let key = (0x2001_0db8u128 << 32 | (i / per_64) as u128) << 64;
+                    (key | ((i % per_64) as u128) << 32 | 0x5eed, (i % 9) as u32)
+                })
+                .collect();
+            let state = EpochState {
+                name: "kernels".into(),
+                entries,
+                ..EpochState::default()
+            };
+            let write = || {
+                let mut bytes = format::header(KIND_CHECKPOINT);
+                bytes.reserve(64 + 24 * ENTRIES);
+                format::frame_into(&mut bytes, |buf| {
+                    let mut e = Enc::appending(std::mem::take(buf));
+                    e.u8(TAG_CHECKPOINT);
+                    e.state(&state);
+                    *buf = e.into_bytes();
+                });
+                bytes
+            };
+            let bytes = write();
+            let read = || match format::read_frame(&bytes[HEADER_LEN..]) {
+                FrameOutcome::Valid { payload, .. } => Dec::new(&payload[1..]).state(),
+                _ => None,
+            };
+            assert_eq!(read().as_ref(), Some(&state), "checkpoint round trip");
+            let per_entry = |ms: f64| ms * 1e6 / ENTRIES as f64;
+            CheckpointRecord {
+                entries: ENTRIES,
+                per_64,
+                encode_ns_per_entry: per_entry(best_ms(9, write)),
+                decode_ns_per_entry: per_entry(best_ms(9, read)),
+                bytes_per_entry: bytes.len() as f64 / ENTRIES as f64,
+            }
+        })
+        .collect()
 }
 
 /// A request through the front door, closed loop over an in-memory pipe

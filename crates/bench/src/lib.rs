@@ -115,13 +115,30 @@ pub struct WireRoundtripRecord {
     pub allocs_per_request: f64,
 }
 
+/// One checkpoint of a sorted state — encoded and framed as
+/// `v6store::EpochLog` writes it, checksummed and decoded as recovery
+/// reads it — at one clustering, as recorded in `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CheckpointRecord {
+    /// Entries in the state.
+    pub entries: usize,
+    /// Addresses per /64 key.
+    pub per_64: usize,
+    /// Header + encode + frame nanoseconds per entry (best of N rounds).
+    pub encode_ns_per_entry: f64,
+    /// Frame check + decode nanoseconds per entry (best of N rounds).
+    pub decode_ns_per_entry: f64,
+    /// Checkpoint file bytes per entry.
+    pub bytes_per_entry: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: the `v6par`
 /// kernels production runs, each against its baseline at several input
 /// sizes (so kernel-level regressions are visible separately from
 /// pipeline-level ones), the membership-lookup comparison across the
 /// address-store representations, longest-prefix match over the prefix
-/// index, the per-event cost of the streaming operators, and the cost of
-/// a request through the front door.
+/// index, the per-event cost of the streaming operators, the cost of
+/// a request through the front door, and of a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the `par_map` timings.
@@ -141,6 +158,8 @@ pub struct KernelsBench {
     /// Time and heap allocations per request through the front door, on
     /// a 65 536-address snapshot.
     pub wire_roundtrip: Vec<WireRoundtripRecord>,
+    /// A 32 768-entry checkpoint at 16 and at 1 address per /64.
+    pub checkpoint: Vec<CheckpointRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

@@ -868,9 +868,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// 60 000 fresh entries encode to 1.2 MB: more than one frame holds.
+    /// 60 000 fresh entries, one per /64, encode to 1.2 MB as a delta
+    /// and 1.44 MB as a state: more than one frame holds.
     fn oversized_content() -> Vec<(u128, u32)> {
-        (0..60_000u128).map(|i| (i << 8, 1)).collect()
+        (0..60_000u128).map(|i| (i << 64, 1)).collect()
     }
 
     #[test]

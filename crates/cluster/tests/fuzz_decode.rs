@@ -69,9 +69,13 @@ fn state() -> impl Strategy<Value = EpochState> {
                 name,
                 (shard_bits, epoch, week, content_checksum),
                 missing_shards,
-                entries,
+                mut entries,
                 aliases,
             )| {
+                // Sorted and deduplicated by bits, as `EpochState` holds
+                // its entries (the key-block body encodes nothing else).
+                entries.sort_unstable_by_key(|e| e.0);
+                entries.dedup_by_key(|e| e.0);
                 EpochState {
                     // Lossy decoding keeps the name valid UTF-8 while
                     // still producing multi-byte characters.

@@ -19,7 +19,10 @@
 //! content as flat lists). The
 //! flat forms — [`flatten_snapshot`], [`state_from_snapshot`],
 //! [`snapshot_from_state`] — are for the rare paths that need the whole
-//! content at once: a checkpoint, a recovery, a replica bootstrap.
+//! content at once: a checkpoint, a recovery, a replica bootstrap. On
+//! disk and on the wire that content travels as /64 key blocks (on-disk
+//! format v2), the grouping the shards' compressed runs hold, at ≈ 12.75
+//! B per address on a clustered corpus.
 //!
 //! A store's directory is the one its [`v6store::StoreConfig`] names;
 //! see the README "Durability" section and DESIGN.md §11 for the

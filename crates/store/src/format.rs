@@ -1,11 +1,11 @@
-//! The versioned on-disk record format (format v1).
+//! The versioned on-disk record format (format v2; v1 is still read).
 //!
 //! Both store files — the epoch delta log and each checkpoint — share
 //! one layout: a fixed 16-byte header followed by length-prefixed,
 //! checksummed *frames*. All integers are little-endian.
 //!
 //! ```text
-//! header  := magic(8 = "V6STORE1") kind(u32: 1=log, 2=checkpoint) version(u32 = 1)
+//! header  := magic(8 = "V6STORE1") kind(u32: 1=log, 2=checkpoint) version(u32 = 2; 1 is read)
 //! frame   := payload_len(u32) payload(payload_len bytes) fnv64(payload)
 //! payload := tag(u8) body
 //! ```
@@ -15,14 +15,20 @@
 //! | tag | record     | body                                                             |
 //! |-----|------------|------------------------------------------------------------------|
 //! | 1   | epoch delta| epoch u64, week u64, checksum u64, missing, removed, added, removed_aliases, added_aliases |
-//! | 2   | checkpoint | name, shard_bits u32, epoch u64, week u64, checksum u64, missing, entries, aliases |
+//! | 2   | checkpoint (v1, read only) | name, shard_bits u32, epoch u64, week u64, checksum u64, missing, entries, aliases |
 //! | 3   | log meta   | name, shard_bits u32                                             |
+//! | 4   | checkpoint | name, shard_bits u32, epoch u64, week u64, checksum u64, missing, blocks, aliases |
 //!
 //! where `name` is `u16 length + UTF-8 bytes`, `missing` is
 //! `u32 count + count × u32`, `removed` is `u32 count + count × u128`
 //! (address bits dropped since the previous epoch), `added`/`entries`
 //! are `u32 count + count × (bits u128, week u32)` sorted ascending by
-//! bits, `removed_aliases` is `u32 count + count × (bits u128, len u8)`,
+//! bits, `blocks` is the same content grouped by /64 — `u32 count`,
+//! then per block `key u64` (the high 64 bits), `n u32`, `n × low u64`,
+//! `n × week u32`, keys and each block's lows strictly ascending, no
+//! empty block — at 12 B per address plus 12 B per /64 (the served
+//! form; 24 B per address at worst, one address per /64, against a flat
+//! 20), `removed_aliases` is `u32 count + count × (bits u128, len u8)`,
 //! and `aliases` are `u32 count + count × (bits u128, len u8, week u32)`
 //! sorted ascending by `(bits, len)`. A delta's `added` list carries
 //! both genuinely new addresses and addresses whose first-seen week
@@ -38,8 +44,9 @@
 /// readers reject files whose magic does not match exactly.
 pub const MAGIC: [u8; 8] = *b"V6STORE1";
 
-/// Current format version, written to and checked in every header.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current format version, written to every header; headers of this
+/// version and of version 1 are read.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Header `kind` for the append-only epoch delta log.
 pub const KIND_LOG: u32 = 1;
@@ -53,11 +60,15 @@ pub const HEADER_LEN: usize = 16;
 /// Payload tag of an epoch delta record.
 pub const TAG_DELTA: u8 = 1;
 
-/// Payload tag of a checkpoint record.
-pub const TAG_CHECKPOINT: u8 = 2;
+/// Payload tag of a format-v1 checkpoint record (flat entries): read,
+/// never written.
+pub const TAG_CHECKPOINT_V1: u8 = 2;
 
 /// Payload tag of the log's store-identity meta record.
 pub const TAG_META: u8 = 3;
+
+/// Payload tag of a checkpoint record (entries as /64 key blocks).
+pub const TAG_CHECKPOINT: u8 = 4;
 
 /// Sanity ceiling on a single frame's payload (256 MiB). A length
 /// prefix above this is treated as torn/corrupt rather than allocated.
@@ -140,58 +151,58 @@ impl Enc {
         self.0.extend_from_slice(s.as_bytes());
     }
 
+    /// Appends `items` as a `u32`-counted list, each written by `item`.
+    fn list<T>(&mut self, items: &[T], mut item: impl FnMut(&mut Self, &T)) {
+        self.u32(items.len() as u32);
+        items.iter().for_each(|v| item(self, v));
+    }
+
     /// Appends a `u32`-counted list of `(bits, week)` entries.
     pub fn entries(&mut self, entries: &[(u128, u32)]) {
-        self.u32(entries.len() as u32);
-        for &(bits, week) in entries {
-            self.u128(bits);
-            self.u32(week);
+        self.list(entries, |e, &(bits, week)| {
+            e.u128(bits);
+            e.u32(week);
+        });
+    }
+
+    /// Appends entries sorted by bits as `u32`-counted /64 key blocks
+    /// (the `blocks` of the module table).
+    pub fn blocks(&mut self, entries: &[(u128, u32)]) {
+        let blocks = || entries.chunk_by(|a, b| a.0 >> 64 == b.0 >> 64);
+        self.u32(blocks().count() as u32);
+        for block in blocks() {
+            self.u64((block[0].0 >> 64) as u64);
+            self.u32(block.len() as u32);
+            block.iter().for_each(|&(bits, _)| self.u64(bits as u64));
+            block.iter().for_each(|&(_, week)| self.u32(week));
         }
     }
 
     /// Appends a `u32`-counted list of alias entries.
     pub fn aliases(&mut self, aliases: &[AliasEntry]) {
-        self.u32(aliases.len() as u32);
-        for a in aliases {
-            self.u128(a.bits);
-            self.u8(a.len);
-            self.u32(a.week);
-        }
+        self.list(aliases, |e, a| {
+            e.u128(a.bits);
+            e.u8(a.len);
+            e.u32(a.week);
+        });
     }
 
     /// Appends a `u32`-counted list of raw `u128` values.
     pub fn u128_list(&mut self, values: &[u128]) {
-        self.u32(values.len() as u32);
-        for &v in values {
-            self.u128(v);
-        }
+        self.list(values, |e, &v| e.u128(v));
     }
 
     /// Appends a `u32`-counted list of `u32` values.
     pub fn u32_list(&mut self, values: &[u32]) {
-        self.u32(values.len() as u32);
-        for &v in values {
-            self.u32(v);
-        }
-    }
-
-    /// Appends a `u32`-counted list of removed address bits.
-    pub fn removed(&mut self, removed: &[u128]) {
-        self.u128_list(removed);
+        self.list(values, |e, &v| e.u32(v));
     }
 
     /// Appends a `u32`-counted list of removed alias keys.
     pub fn removed_aliases(&mut self, removed: &[(u128, u8)]) {
-        self.u32(removed.len() as u32);
-        for &(bits, len) in removed {
-            self.u128(bits);
-            self.u8(len);
-        }
-    }
-
-    /// Appends a `u32`-counted list of shard indices.
-    pub fn shards(&mut self, shards: &[u32]) {
-        self.u32_list(shards);
+        self.list(removed, |e, &(bits, len)| {
+            e.u128(bits);
+            e.u8(len);
+        });
     }
 
     /// Appends an epoch delta's body (the tag-1 row of the module
@@ -201,24 +212,25 @@ impl Enc {
         self.u64(record.epoch);
         self.u64(record.week);
         self.u64(record.content_checksum);
-        self.shards(&record.missing_shards);
-        self.removed(&record.removed);
+        self.u32_list(&record.missing_shards);
+        self.u128_list(&record.removed);
         self.entries(&record.added);
         self.removed_aliases(&record.removed_aliases);
         self.aliases(&record.added_aliases);
     }
 
-    /// Appends a full epoch state's body (the tag-2 row of the module
+    /// Appends a full epoch state's body (the tag-4 row of the module
     /// table) — the one encoding a checkpoint frame and the cluster's
-    /// bootstrap `CatchUpResp` carry.
+    /// bootstrap `CatchUpResp` carry. `state.entries` must be sorted
+    /// and free of duplicates, as [`EpochState`] holds them.
     pub fn state(&mut self, state: &EpochState) {
         self.name(&state.name);
         self.u32(state.shard_bits);
         self.u64(state.epoch);
         self.u64(state.week);
         self.u64(state.content_checksum);
-        self.shards(&state.missing_shards);
-        self.entries(&state.entries);
+        self.u32_list(&state.missing_shards);
+        self.blocks(&state.entries);
         self.aliases(&state.aliases);
     }
 }
@@ -290,68 +302,71 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).ok()
     }
 
-    /// Reads a `u32`-counted list of `(bits, week)` entries.
-    pub fn entries(&mut self) -> Option<Vec<(u128, u32)>> {
-        let n = self.counted(20)?;
+    /// Reads a `u32`-counted list of items `item` reads, each at least
+    /// `item_size` bytes.
+    fn list<T>(
+        &mut self,
+        item_size: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = self.counted(item_size)?;
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push((self.u128()?, self.u32()?));
+            out.push(item(self)?);
         }
         Some(out)
+    }
+
+    /// Reads a `u32`-counted list of `(bits, week)` entries.
+    pub fn entries(&mut self) -> Option<Vec<(u128, u32)>> {
+        self.list(20, |d| Some((d.u128()?, d.u32()?)))
+    }
+
+    /// Reads /64 key blocks, as [`Enc::blocks`] wrote them, into flat
+    /// entries. `None` on an empty block or on keys, or lows within a
+    /// block, that are not strictly ascending.
+    pub fn blocks(&mut self) -> Option<Vec<(u128, u32)>> {
+        let mut out = Vec::new();
+        let mut last_key = None;
+        for _ in 0..self.counted(12)? {
+            let key = self.u64()?;
+            let n = self.counted(12)?;
+            if n == 0 || last_key >= Some(key) {
+                return None;
+            }
+            last_key = Some(key);
+            let (mut lows, mut weeks) = (Dec::new(self.take(8 * n)?), Dec::new(self.take(4 * n)?));
+            for _ in 0..n {
+                out.push(((key as u128) << 64 | lows.u64()? as u128, weeks.u32()?));
+            }
+        }
+        strictly_ascending(&out).then_some(out)
     }
 
     /// Reads a `u32`-counted list of alias entries.
     pub fn aliases(&mut self) -> Option<Vec<AliasEntry>> {
-        let n = self.counted(21)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(AliasEntry {
-                bits: self.u128()?,
-                len: self.u8()?,
-                week: self.u32()?,
-            });
-        }
-        Some(out)
+        self.list(21, |d| {
+            Some(AliasEntry {
+                bits: d.u128()?,
+                len: d.u8()?,
+                week: d.u32()?,
+            })
+        })
     }
 
     /// Reads a `u32`-counted list of raw `u128` values.
     pub fn u128_list(&mut self) -> Option<Vec<u128>> {
-        let n = self.counted(16)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u128()?);
-        }
-        Some(out)
+        self.list(16, Dec::u128)
     }
 
     /// Reads a `u32`-counted list of `u32` values.
     pub fn u32_list(&mut self) -> Option<Vec<u32>> {
-        let n = self.counted(4)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u32()?);
-        }
-        Some(out)
-    }
-
-    /// Reads a `u32`-counted list of removed address bits.
-    pub fn removed(&mut self) -> Option<Vec<u128>> {
-        self.u128_list()
+        self.list(4, Dec::u32)
     }
 
     /// Reads a `u32`-counted list of removed alias keys.
     pub fn removed_aliases(&mut self) -> Option<Vec<(u128, u8)>> {
-        let n = self.counted(17)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push((self.u128()?, self.u8()?));
-        }
-        Some(out)
-    }
-
-    /// Reads a `u32`-counted list of shard indices.
-    pub fn shards(&mut self) -> Option<Vec<u32>> {
-        self.u32_list()
+        self.list(17, |d| Some((d.u128()?, d.u8()?)))
     }
 
     /// Reads an epoch delta's body, as [`Enc::delta`] wrote it.
@@ -360,8 +375,8 @@ impl<'a> Dec<'a> {
             epoch: self.u64()?,
             week: self.u64()?,
             content_checksum: self.u64()?,
-            missing_shards: self.shards()?,
-            removed: self.removed()?,
+            missing_shards: self.u32_list()?,
+            removed: self.u128_list()?,
             added: self.entries()?,
             removed_aliases: self.removed_aliases()?,
             added_aliases: self.aliases()?,
@@ -370,14 +385,27 @@ impl<'a> Dec<'a> {
 
     /// Reads a full epoch state's body, as [`Enc::state`] wrote it.
     pub fn state(&mut self) -> Option<EpochState> {
+        self.state_with(Dec::blocks)
+    }
+
+    /// Reads a format-v1 state body (the tag-2 row), whose entries are a
+    /// flat list; `None` unless their bits are strictly ascending.
+    pub(crate) fn state_v1(&mut self) -> Option<EpochState> {
+        self.state_with(|d| d.entries().filter(|e| strictly_ascending(e)))
+    }
+
+    fn state_with(
+        &mut self,
+        entries: impl FnOnce(&mut Self) -> Option<Vec<(u128, u32)>>,
+    ) -> Option<EpochState> {
         Some(EpochState {
             name: self.name()?,
             shard_bits: self.u32()?,
             epoch: self.u64()?,
             week: self.u64()?,
             content_checksum: self.u64()?,
-            missing_shards: self.shards()?,
-            entries: self.entries()?,
+            missing_shards: self.u32_list()?,
+            entries: entries(self)?,
             aliases: self.aliases()?,
         })
     }
@@ -396,6 +424,10 @@ impl<'a> Dec<'a> {
     }
 }
 
+fn strictly_ascending(entries: &[(u128, u32)]) -> bool {
+    entries.windows(2).all(|w| w[0].0 < w[1].0)
+}
+
 /// Encodes the 16-byte file header for `kind`.
 pub fn header(kind: u32) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN);
@@ -412,7 +444,7 @@ pub fn parse_header(buf: &[u8]) -> Option<u32> {
     }
     let kind = u32::from_le_bytes(buf[8..12].try_into().unwrap());
     let version = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    if version != FORMAT_VERSION {
+    if !(1..=FORMAT_VERSION).contains(&version) {
         return None;
     }
     Some(kind)
@@ -570,7 +602,7 @@ mod tests {
             len: 48,
             week: 3,
         }]);
-        e.shards(&[0, 3]);
+        e.u32_list(&[0, 3]);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8(), Some(7));
@@ -586,7 +618,7 @@ mod tests {
                 week: 3
             }])
         );
-        assert_eq!(d.shards(), Some(vec![0, 3]));
+        assert_eq!(d.u32_list(), Some(vec![0, 3]));
         assert!(d.is_exhausted());
     }
 
@@ -598,7 +630,7 @@ mod tests {
         let bytes = e.into_bytes();
         assert_eq!(Dec::new(&bytes).entries(), None);
         assert_eq!(Dec::new(&bytes).aliases(), None);
-        assert_eq!(Dec::new(&bytes).shards(), None);
+        assert_eq!(Dec::new(&bytes).u32_list(), None);
         assert_eq!(Dec::new(&[1, 2]).u32(), None);
     }
 }

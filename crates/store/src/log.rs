@@ -51,7 +51,7 @@ use v6obs::{Counter, Histogram, Registry};
 
 use crate::format::{
     self, AliasEntry, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, KIND_LOG,
-    TAG_CHECKPOINT, TAG_DELTA, TAG_META,
+    TAG_CHECKPOINT, TAG_CHECKPOINT_V1, TAG_DELTA, TAG_META,
 };
 
 /// File name of the append-only epoch delta log inside a store directory.
@@ -258,13 +258,15 @@ pub(crate) fn checkpoint_payload(buf: Vec<u8>, state: &EpochState) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Decodes a checkpoint payload, tag byte included.
+/// Decodes a checkpoint payload, tag byte included: a key-block body,
+/// or the flat body format v1 wrote.
 pub(crate) fn decode_checkpoint(payload: &[u8]) -> Option<EpochState> {
     let mut d = Dec::new(payload);
-    if d.u8()? != TAG_CHECKPOINT {
-        return None;
-    }
-    let state = d.state()?;
+    let state = match d.u8()? {
+        TAG_CHECKPOINT => d.state()?,
+        TAG_CHECKPOINT_V1 => d.state_v1()?,
+        _ => return None,
+    };
     d.is_exhausted().then_some(state)
 }
 
@@ -722,9 +724,10 @@ impl EpochLog {
             ..self.head.clone()
         };
         // Header and frame in one buffer sized up front (fixed fields and
-        // counts take under 64 bytes), the payload encoded in place.
+        // counts take under 64 bytes; a key block costs at most 24 B per
+        // entry, one entry per /64), the payload encoded in place.
         let mut bytes = format::header(KIND_CHECKPOINT);
-        let lists = 4 * state.missing_shards.len() + 20 * state.entries.len();
+        let lists = 4 * state.missing_shards.len() + 24 * state.entries.len();
         bytes.reserve(64 + state.name.len() + lists + 21 * state.aliases.len());
         format::frame_into(&mut bytes, |buf| {
             *buf = checkpoint_payload(std::mem::take(buf), &state);

@@ -1,11 +1,14 @@
-//! Golden-file test pinning on-disk format v1 byte-for-byte.
+//! Golden-file test pinning on-disk format v2 byte-for-byte, and the
+//! reader of format v1.
 //!
-//! The fixture under `tests/golden/store_format_v1/` (repo root) is a
+//! The fixture under `tests/golden/store_format_v2/` (repo root) is a
 //! complete store directory — a delta log plus a compacted checkpoint —
 //! produced by a fixed publication sequence. Any change to the header,
 //! frame layout, payload encoding, checksum, or compaction behavior
 //! shows up as a byte diff here and fails CI instead of silently
-//! orphaning previously written data.
+//! orphaning previously written data. `tests/golden/store_format_v1/`
+//! holds the same sequence as format v1 wrote it (flat checkpoint
+//! entries); it is never rewritten, and must keep recovering.
 //!
 //! To regenerate after an *intentional* format-version bump:
 //!
@@ -25,7 +28,37 @@ use v6store::{recover, AliasEntry, DeltaRecord, EpochLog, EpochState, EpochView,
 const FIXTURE_FILES: [&str; 2] = ["epochs.v6log", "checkpoint-00000000000000000002.v6ck"];
 
 fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/store_format_v1")
+    fixture_dir("store_format_v2")
+}
+
+fn fixture_dir(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/golden")
+        .join(name)
+}
+
+/// The state both fixtures recover to: epoch 3 of the pinned sequence.
+fn fixture_state() -> EpochState {
+    let base: u128 = 0x2001_0db8 << 96;
+    EpochState {
+        name: "golden".into(),
+        shard_bits: 2,
+        epoch: 3,
+        week: 2,
+        content_checksum: 0x1111_0003,
+        missing_shards: vec![],
+        entries: vec![
+            (base | 1, 0),
+            (base | 0x30, 1),
+            (base | 0x41, 1),
+            (base | 0x52, 2),
+        ],
+        aliases: vec![AliasEntry {
+            bits: base,
+            len: 48,
+            week: 1,
+        }],
+    }
 }
 
 /// Replays the pinned publication sequence into `dir`: three epochs with
@@ -171,7 +204,7 @@ fn append_delta_writes_the_bytes_append_view_wrote() {
     for name in FIXTURE_FILES {
         let got = fs::read(scratch.join(name)).unwrap();
         let want = fs::read(golden_dir().join(name)).unwrap();
-        assert_eq!(got, want, "{name}: append_delta diverged from format v1");
+        assert_eq!(got, want, "{name}: append_delta diverged from format v2");
     }
     fs::remove_dir_all(&scratch).ok();
 }
@@ -207,27 +240,35 @@ fn on_disk_format_matches_golden_fixture() {
         });
         assert_eq!(
             got, want,
-            "{name} bytes diverged from format-v1 golden — if the format change is \
+            "{name} bytes diverged from format-v2 golden — if the format change is \
              intentional, bump FORMAT_VERSION and regenerate"
         );
     }
     fs::remove_dir_all(&scratch).ok();
 }
 
+/// `dir` recovers to [`fixture_state`] from its epoch-2 checkpoint plus
+/// one replayed delta, with nothing truncated or quarantined.
+fn assert_recovers_fixture(dir: &Path) {
+    let rec = recover(dir).expect("golden fixture must recover");
+    assert_eq!(rec.state, fixture_state());
+    assert_eq!(rec.report.checkpoint_epoch, Some(2));
+    assert_eq!(rec.report.corrupt_checkpoints, 0);
+    assert_eq!(rec.report.replayed, 1);
+    assert_eq!(rec.report.truncated_bytes, 0);
+    assert_eq!(rec.report.quarantined, 0);
+}
+
 #[test]
 fn golden_fixture_still_recovers() {
     // Reading the *committed* fixture (not freshly written bytes) proves
     // today's reader still understands yesterday's data.
-    let rec = recover(&golden_dir()).expect("golden fixture must recover");
-    assert_eq!(rec.state.epoch, 3);
-    assert_eq!(rec.state.week, 2);
-    assert_eq!(rec.state.content_checksum, 0x1111_0003);
-    assert_eq!(rec.state.name, "golden");
-    assert_eq!(rec.state.shard_bits, 2);
-    assert_eq!(rec.state.entries.len(), 4);
-    assert_eq!(rec.state.aliases.len(), 1);
-    assert_eq!(rec.report.checkpoint_epoch, Some(2));
-    assert_eq!(rec.report.replayed, 1);
-    assert_eq!(rec.report.truncated_bytes, 0);
-    assert_eq!(rec.report.quarantined, 0);
+    assert_recovers_fixture(&golden_dir());
+}
+
+#[test]
+fn v1_fixture_still_recovers() {
+    // Read v1, write v2: a directory format v1 wrote (flat checkpoint
+    // entries under tag 2, version-1 headers) recovers to the same state.
+    assert_recovers_fixture(&fixture_dir("store_format_v1"));
 }
