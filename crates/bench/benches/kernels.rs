@@ -562,9 +562,8 @@ fn wire_roundtrip_records() -> Vec<WireRoundtripRecord> {
 /// rows get the attributes already resolved; `analytics_apply` is the
 /// whole per-event path, resolve included, and `analytics_apply_delta`
 /// the same churn as the sorted records a replica folds, one resolve
-/// per prefix span. Rotation has no row: it is a view of the device
-/// table and does nothing per event. Every row also counts the heap
-/// allocations of one round.
+/// per prefix span. Every row also counts the heap allocations of one
+/// round.
 fn stream_op_records() -> Vec<StreamOpRecord> {
     const ENTRIES: usize = 8192;
     let mut rng = Rng::new(0x57e4);
@@ -629,13 +628,11 @@ fn stream_op_records() -> Vec<StreamOpRecord> {
     };
 
     let mut analytics = Analytics::new(table.clone());
-    let (mut density, mut entropy, mut devices) = (
-        v6stream::DensityMap::new(),
+    let (mut entropy, mut devices) = (
         v6stream::EntropyProfile::new(),
         v6stream::DeviceTracker::new(),
     );
     let mut records = vec![
-        time("density", &mut |e, a| density.apply(e, a)),
         time("entropy", &mut |e, a| entropy.apply(e, a)),
         time("device", &mut |e, a| devices.apply(e, a)),
         time("analytics_apply", &mut |e, _| analytics.apply(e)),

@@ -82,7 +82,7 @@ pub struct LpmRecord {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamOpRecord {
     /// What was timed: one `v6stream` operator's `apply` with the
-    /// attributes already resolved ("density", "entropy", "device"),
+    /// attributes already resolved ("entropy", "device"),
     /// `Analytics::apply` including the resolve ("analytics_apply"), the
     /// same churn as two sorted deltas through `Analytics::apply_delta`,
     /// resolving once per prefix span ("analytics_apply_delta"), or a

@@ -260,8 +260,9 @@ struct RespData {
 }
 
 /// One live replica's streaming state for a partition:
-/// `(node, epoch, [(operator, checksum); 4])`.
-pub type StreamChecksumRow = (String, u64, [(&'static str, u64); 4]);
+/// `(node, epoch, [(operator, checksum); 2])`, the operators being
+/// `entropy` and `device`.
+pub type StreamChecksumRow = (String, u64, [(&'static str, u64); 2]);
 
 /// N simulated nodes, a ring, a fabric, and a caller-driven clock.
 pub struct Cluster {
@@ -380,7 +381,7 @@ impl Cluster {
     }
 
     /// Per-replica streaming operator checksums for `pid`, one row per
-    /// live hosting node: `(node, epoch, [(operator, checksum); 4])`.
+    /// live hosting node: `(node, epoch, [(operator, checksum); 2])`.
     pub fn stream_checksums(&self, pid: u32) -> Vec<StreamChecksumRow> {
         let mut rows = Vec::new();
         for (name, slot) in &self.slots {

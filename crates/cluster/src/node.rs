@@ -326,11 +326,11 @@ impl Node {
         self.replicas.get(&pid)?.store.analytics(|epoch, _| epoch)
     }
 
-    /// `(operator name, checksum)` for `pid`'s streaming operators —
-    /// the cross-replica convergence witness: equal corpus, equal
-    /// checksums, regardless of the delta/bootstrap path each replica
-    /// took.
-    pub fn stream_checksums(&self, pid: u32) -> Option<[(&'static str, u64); 4]> {
+    /// `(operator name, checksum)` for `pid`'s two streaming operators,
+    /// `entropy` and `device` — the cross-replica convergence witness:
+    /// equal corpus, equal checksums, regardless of the delta/bootstrap
+    /// path each replica took.
+    pub fn stream_checksums(&self, pid: u32) -> Option<[(&'static str, u64); 2]> {
         self.replicas
             .get(&pid)?
             .store

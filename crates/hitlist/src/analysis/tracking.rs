@@ -460,6 +460,24 @@ mod tests {
             classify(&mk(&[1, 2], &["DE"], 50), 10),
             TrackClass::UserMovement
         );
+        // The threshold edge: exactly `transition_threshold` changes are
+        // few, one more is many, in one AS and across several.
+        assert_eq!(
+            classify(&mk(&[1], &["DE"], 10), 10),
+            TrackClass::MostlyStatic
+        );
+        assert_eq!(
+            classify(&mk(&[1], &["DE"], 11), 10),
+            TrackClass::PrefixReassignment
+        );
+        assert_eq!(
+            classify(&mk(&[1, 2], &["DE"], 10), 10),
+            TrackClass::ChangingProviders
+        );
+        assert_eq!(
+            classify(&mk(&[1, 2], &["DE"], 11), 10),
+            TrackClass::UserMovement
+        );
     }
 
     #[test]

@@ -72,9 +72,7 @@ fn streaming_matches_batch_on_replayed_corpus() {
     }
     assert!(fed_any, "corpus replay produced no deltas — vacuous test");
 
-    // The world's table attributes real corpus traffic: the density
-    // operator saw populated /48s and the per-AS entropy operator
-    // resolved addresses to routed ASes.
-    assert!(driver.analytics().density.snapshot(1).networks > 0);
+    // The world's table attributes real corpus traffic: the per-AS
+    // entropy operator resolved addresses to routed ASes.
     assert!(!driver.analytics().entropy.snapshot().is_empty());
 }

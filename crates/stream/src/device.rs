@@ -1,43 +1,22 @@
-//! EUI-64 device tracking: per-MAC network histories, the paper's
-//! five track classes, and cross-network movement windows.
+//! EUI-64 device tracking: per-MAC network histories and
+//! cross-network movement windows.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::kernel::{net64, Digest, MacNets, Rows};
 use crate::op::{Attrs, Event, Operator};
 use crate::resolver::AsTag;
-use crate::rotation::RotationEstimator;
-
-/// The paper's taxonomy of multi-network EUI-64 devices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum TrackClass {
-    /// Seen in more than one country — the MAC is reused across
-    /// distinct physical devices (broken vendor defaults).
-    MacReuse,
-    /// Multiple ASes and many network transitions: a physically
-    /// travelling device.
-    UserMovement,
-    /// Multiple ASes, few transitions: a subscriber switching ISPs.
-    ChangingProviders,
-    /// One AS, many transitions: periodic prefix rotation by the ISP.
-    PrefixReassignment,
-    /// Few transitions within one AS.
-    MostlyStatic,
-}
-
-/// Transition count above which a device counts as "many moves".
-pub const MANY_TRANSITIONS: usize = 3;
 
 /// One row of the device table: everything known about one MAC.
 ///
 /// Both columns are sorted [`Rows`] that hold their first row in place,
 /// so a device that is a single address — most of them, under churn —
-/// allocates nothing beyond its table slot. The per-AS and per-country
-/// counts the classes and digests need are read off `tags` when asked
-/// for, not maintained per event.
+/// allocates nothing beyond its table slot. No request reads `tags`;
+/// it stays because the device digest covers its per-AS and
+/// per-country counts, which are read off it when the digest is taken.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Device {
-    pub(crate) nets: MacNets,
+struct Device {
+    nets: MacNets,
     /// `((as index, country), live address count)`, ascending; unrouted
     /// addresses have no row.
     tags: Rows<(u16, u16)>,
@@ -46,7 +25,7 @@ pub(crate) struct Device {
 impl Device {
     /// `(as index, live address count)`, ascending: adjacent `tags`
     /// rows share their AS.
-    pub(crate) fn ases(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
+    fn ases(&self) -> impl Iterator<Item = (u16, u32)> + '_ {
         self.tags
             .chunk_by(|a, b| a.0 .0 == b.0 .0)
             .map(|rows| (rows[0].0 .0, rows.iter().map(|row| row.1).sum()))
@@ -65,36 +44,6 @@ impl Device {
         });
         rows
     }
-
-    /// Folds the network history and per-AS counts: all of a device
-    /// the rotation digest covers, and the head of the device digest.
-    pub(crate) fn digest_into(&self, d: &mut Digest) {
-        self.nets.digest_into(d);
-        d.word(self.ases().count() as u64);
-        for (a, c) in self.ases() {
-            d.word(u64::from(a) << 32 | u64::from(c));
-        }
-    }
-
-    fn classify(&self) -> Option<TrackClass> {
-        if self.nets.net_count() < 2 {
-            return None; // single-network devices carry no track signal
-        }
-        let transitions = self.nets.net_count() - 1;
-        let ases = self.ases().count();
-        let multi_country = self.tags.iter().any(|row| row.0 .1 != self.tags[0].0 .1);
-        Some(if multi_country {
-            TrackClass::MacReuse
-        } else if ases > 1 && transitions > MANY_TRANSITIONS {
-            TrackClass::UserMovement
-        } else if ases > 1 {
-            TrackClass::ChangingProviders
-        } else if transitions > MANY_TRANSITIONS {
-            TrackClass::PrefixReassignment
-        } else {
-            TrackClass::MostlyStatic
-        })
-    }
 }
 
 /// Tracks every EUI-64 device across the corpus, incrementally.
@@ -102,23 +51,10 @@ impl Device {
 /// Keyed by the MAC leaked in the IID, ascending (the digest order);
 /// non-EUI-64 addresses are invisible to this operator. Unrouted
 /// addresses still contribute their network history (moves are
-/// observable without attribution). This is the one per-MAC table:
-/// [`RotationEstimator`] is a view of it.
+/// observable without attribution).
 #[derive(Debug, Clone, Default)]
 pub struct DeviceTracker {
-    pub(crate) devices: BTreeMap<u64, Device>,
-}
-
-/// A point-in-time view of [`DeviceTracker`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceReport {
-    /// Devices currently visible (≥ 1 live EUI-64 address).
-    pub devices: u64,
-    /// Devices seen in two or more /64s.
-    pub multi_network: u64,
-    /// `(class, device count)` over multi-network devices, ascending
-    /// by class.
-    pub classes: Vec<(TrackClass, u64)>,
+    devices: BTreeMap<u64, Device>,
 }
 
 /// One device that moved networks inside a query window.
@@ -138,11 +74,6 @@ impl DeviceTracker {
     /// An empty tracker.
     pub fn new() -> DeviceTracker {
         DeviceTracker::default()
-    }
-
-    /// Per-AS rotation estimates over this table.
-    pub fn rotation(&self) -> RotationEstimator<'_> {
-        RotationEstimator { tracker: self }
     }
 
     fn add(&mut self, mac: u64, net: u64, week: u32, tag: Option<AsTag>) {
@@ -169,49 +100,29 @@ impl DeviceTracker {
         }
     }
 
-    /// Builds the typed class-census snapshot.
-    pub fn snapshot(&self) -> DeviceReport {
-        let mut classes: BTreeMap<TrackClass, u64> = BTreeMap::new();
-        let mut multi = 0u64;
-        for dev in self.devices.values() {
-            if let Some(class) = dev.classify() {
-                multi += 1;
-                *classes.entry(class).or_insert(0) += 1;
-            }
-        }
-        DeviceReport {
-            devices: self.devices.len() as u64,
-            multi_network: multi,
-            classes: classes.into_iter().collect(),
-        }
-    }
-
     /// Devices that inhabited some /64 at or before week `w0` and
     /// first appeared in a *different* /64 during `(w0, w1]` — the
     /// `moved_between` windowed query. Rows ascend by MAC; one row per
     /// destination net, `from_net` being the device's earliest
-    /// pre-window network.
-    pub fn moved_between(&self, w0: u32, w1: u32) -> Vec<Move> {
-        let mut out = Vec::new();
-        for (&mac, dev) in &self.devices {
-            let firsts: Vec<(u64, u32)> = dev.nets.first_weeks().collect();
-            let from = firsts
-                .iter()
-                .filter(|&&(_, w)| w <= w0)
-                .min_by_key(|&&(net, w)| (w, net));
-            let Some(&(from_net, _)) = from else { continue };
-            for &(net, week) in &firsts {
-                if net != from_net && week > w0 && week <= w1 {
-                    out.push(Move {
-                        mac,
-                        from_net,
-                        to_net: net,
-                        week,
-                    });
-                }
-            }
-        }
-        out
+    /// pre-window network. Lazy and allocation-free: a caller that
+    /// wants the first `n` rows stops the scan of the table there.
+    pub fn moved_between(&self, w0: u32, w1: u32) -> impl Iterator<Item = Move> + '_ {
+        self.devices.iter().flat_map(move |(&mac, dev)| {
+            let from = dev
+                .nets
+                .first_weeks()
+                .filter(|&(_, w)| w <= w0)
+                .min_by_key(|&(net, w)| (w, net));
+            dev.nets.first_weeks().filter_map(move |(to_net, week)| {
+                let (from_net, _) = from?;
+                (to_net != from_net && week > w0 && week <= w1).then_some(Move {
+                    mac,
+                    from_net,
+                    to_net,
+                    week,
+                })
+            })
+        })
     }
 }
 
@@ -241,7 +152,11 @@ impl Operator for DeviceTracker {
         d.word(self.devices.len() as u64);
         for (&mac, dev) in &self.devices {
             d.word(mac);
-            dev.digest_into(&mut d);
+            dev.nets.digest_into(&mut d);
+            d.word(dev.ases().count() as u64);
+            for (a, c) in dev.ases() {
+                d.word(u64::from(a) << 32 | u64::from(c));
+            }
             let countries = dev.countries();
             d.word(countries.len() as u64);
             for (cc, c) in countries {
@@ -300,7 +215,7 @@ mod tests {
     }
 
     #[test]
-    fn classifies_and_windows_moves() {
+    fn windows_moves() {
         let mut t = DeviceTracker::new();
         let empty = t.checksum();
         let mac = 0x0012_3456_789a;
@@ -326,11 +241,7 @@ mod tests {
                 week: 5,
             },
         );
-        let snap = t.snapshot();
-        assert_eq!((snap.devices, snap.multi_network), (1, 1));
-        assert_eq!(snap.classes, vec![(TrackClass::MostlyStatic, 1)]);
-
-        // The same MAC in Japan: reuse across countries.
+        // The same MAC in Japan.
         apply(
             &mut t,
             Event::Added {
@@ -338,12 +249,10 @@ mod tests {
                 week: 4,
             },
         );
-        assert_eq!(t.snapshot().classes, vec![(TrackClass::MacReuse, 1)]);
-
-        let moves = t.moved_between(2, 4);
+        let moves: Vec<Move> = t.moved_between(2, 4).collect();
         assert_eq!(moves.len(), 2, "weeks 3 and 4 fall in (2, 4]");
         assert!(moves.iter().all(|m| m.from_net == (0x2a00_0001u64 << 32)));
-        assert!(t.moved_between(5, 9).is_empty());
+        assert_eq!(t.moved_between(5, 9).next(), None);
 
         for (p, s, w) in [
             (0x2a00_0001, 0, 1),
@@ -372,7 +281,7 @@ mod tests {
                 week: 1,
             },
         );
-        assert_eq!(t.snapshot().devices, 0);
+        assert_eq!(t.checksum(), DeviceTracker::new().checksum());
     }
 
     #[test]

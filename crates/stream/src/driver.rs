@@ -36,11 +36,12 @@ use v6store::DeltaRecord;
 
 use crate::kernel::{content_term, eui64_mac, fold_content};
 use crate::op::{Attrs, Event, Operator};
-use crate::{DensityMap, DeviceTracker, EntropyProfile, RotationEstimator, SharedResolver};
+use crate::{DeviceTracker, EntropyProfile, SharedResolver};
 
-/// The standard operator set, fed as one unit.
+/// The operator set, fed as one unit: the two operators the served
+/// `MovedBetween` and `EntropyShift` requests read.
 ///
-/// Owns one instance of each analytics operator and the one resolver:
+/// Owns one instance of each and the one resolver:
 /// [`Analytics::apply`] is where an event's address is attributed, once
 /// for all of them. Kept separate from [`StreamDriver`] so batch
 /// equivalence checks can build a fresh `Analytics` from materialized
@@ -48,12 +49,9 @@ use crate::{DensityMap, DeviceTracker, EntropyProfile, RotationEstimator, Shared
 /// on.
 pub struct Analytics {
     resolver: SharedResolver,
-    /// Per-/48 density.
-    pub density: DensityMap,
     /// Per-AS IID entropy histograms.
     pub entropy: EntropyProfile,
-    /// EUI-64 device tracking and movement windows — and, through
-    /// [`Analytics::rotation`], per-AS rotation periods.
+    /// EUI-64 device tracking and movement windows.
     pub devices: DeviceTracker,
 }
 
@@ -62,15 +60,9 @@ impl Analytics {
     pub fn new(resolver: SharedResolver) -> Analytics {
         Analytics {
             resolver,
-            density: DensityMap::new(),
             entropy: EntropyProfile::new(),
             devices: DeviceTracker::new(),
         }
-    }
-
-    /// Per-AS rotation period estimation: a view of the device table.
-    pub fn rotation(&self) -> RotationEstimator<'_> {
-        self.devices.rotation()
     }
 
     /// Builds operators from a materialized corpus — the batch path.
@@ -94,7 +86,6 @@ impl Analytics {
     }
 
     fn fold(&mut self, event: &Event, attrs: &Attrs) {
-        self.density.apply(event, attrs);
         self.entropy.apply(event, attrs);
         self.devices.apply(event, attrs);
     }
@@ -157,12 +148,10 @@ impl Analytics {
     }
 
     /// `(operator name, checksum)` for all operators, in fixed order.
-    pub fn checksums(&self) -> [(&'static str, u64); 4] {
+    pub fn checksums(&self) -> [(&'static str, u64); 2] {
         [
-            (self.density.name(), self.density.checksum()),
             (self.entropy.name(), self.entropy.checksum()),
             (self.devices.name(), self.devices.checksum()),
-            (self.rotation().name(), self.rotation().checksum()),
         ]
     }
 
@@ -178,7 +167,6 @@ impl Analytics {
 
     /// Clears every operator.
     pub fn reset(&mut self) {
-        self.density.reset();
         self.entropy.reset();
         self.devices.reset();
     }

@@ -14,12 +14,6 @@ use std::ops::Deref;
 use v6addr::Iid;
 use v6store::format::{fnv1a, FNV_BASIS};
 
-/// The /48 network containing `bits` (top 48 bits, low bits zeroed).
-#[inline]
-pub fn net48(bits: u128) -> u128 {
-    bits >> 80 << 80
-}
-
 /// The /64 network containing `bits`, as its upper 64 bits.
 #[inline]
 pub fn net64(bits: u128) -> u64 {
@@ -78,13 +72,6 @@ impl Digest {
     #[inline]
     pub fn word(&mut self, w: u64) {
         self.0 = fnv1a(self.0, &w.to_le_bytes());
-    }
-
-    /// Folds one 128-bit word.
-    #[inline]
-    pub fn wide(&mut self, w: u128) {
-        self.word(w as u64);
-        self.word((w >> 64) as u64);
     }
 
     /// The digest so far.

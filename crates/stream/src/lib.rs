@@ -1,13 +1,15 @@
 //! # v6stream — incremental O(|Δ|) analytics over the epoch stream
 //!
-//! The paper's analyses — device tracking across networks, prefix
-//! rotation periods, IID entropy profiles, address density — were all
-//! built here as **batch** passes: every published epoch re-reads the
-//! whole corpus. That is O(corpus) work per epoch for answers that
-//! changed by O(|Δ|). This crate inverts the cost: each analysis
-//! becomes an *operator* that folds the store's own
-//! [`DeltaRecord`](v6store::DeltaRecord)s as they are produced, so
-//! per-epoch analytics cost tracks the delta, not the corpus.
+//! The service answers two windowed questions about the corpus: which
+//! EUI-64 devices moved between /64s in a window of weeks
+//! (`MovedBetween`), and how an AS's IID entropy shifted between two
+//! weeks (`EntropyShift`). Re-reading the whole corpus per published
+//! epoch would be O(corpus) work for answers that changed by O(|Δ|).
+//! This crate inverts the cost: each analysis is an *operator* that
+//! folds the store's own [`DeltaRecord`](v6store::DeltaRecord)s as they
+//! are produced, so per-epoch analytics cost tracks the delta, not the
+//! corpus. Only what a request reads is folded; the paper's §5.2 track
+//! classes and its rotation row are batch analyses in `v6hitlist`.
 //!
 //! The layering:
 //!
@@ -20,15 +22,14 @@
 //! * [`Operator`] / [`Event`] / [`Attrs`] — the operator contract: a
 //!   pure fold over resolved corpus events, each handed the event's
 //!   already-resolved attributes, with a canonical-state checksum.
-//! * [`DensityMap`], [`EntropyProfile`], [`DeviceTracker`] — the
-//!   operators that hold state, and [`RotationEstimator`], a view of
-//!   the tracker's device table — owned together as an [`Analytics`]
-//!   set, which also holds the one resolver. [`Analytics::apply_delta`]
-//!   is the one place a delta is resolved into events (the old week of
-//!   a removed or re-dated address is asked of whoever holds the
-//!   pre-delta corpus — a serving snapshot, or the driver's map) and
-//!   [`Analytics::apply`] the one place an event's address is resolved
-//!   to its AS and EUI-64 MAC.
+//! * [`EntropyProfile`], [`DeviceTracker`] — the two operators, owned
+//!   together as an [`Analytics`] set, which also holds the one
+//!   resolver. [`Analytics::apply_delta`] is the one place a delta is
+//!   resolved into events (the old week of a removed or re-dated
+//!   address is asked of whoever holds the pre-delta corpus — a
+//!   serving snapshot, or the driver's map) and [`Analytics::apply`]
+//!   the one place an event's address is resolved to its AS and EUI-64
+//!   MAC.
 //! * [`StreamDriver`] — verified ingestion for consumers that hold no
 //!   snapshot of their own (log tails): detects duplicate and
 //!   out-of-order deliveries by epoch, detects replay **gaps** by
@@ -53,20 +54,16 @@ pub mod kernel;
 pub mod op;
 pub mod resolver;
 
-mod density;
 mod device;
 mod driver;
 mod entropy;
-mod rotation;
 
-pub use density::{DensityMap, DensityReport};
-pub use device::{DeviceReport, DeviceTracker, Move, TrackClass, MANY_TRANSITIONS};
+pub use device::{DeviceTracker, Move};
 pub use driver::{Analytics, Offer, StreamDriver};
 pub use entropy::{EntropyProfile, EntropyRow};
 pub use kernel::{content_term, fold_content};
 pub use op::{Attrs, Event, Operator};
 pub use resolver::{country_code, AsResolver, AsTag, PrefixAsTable};
-pub use rotation::{RotationEstimator, RotationRow};
 
 /// The shared, thread-safe resolver handle an [`Analytics`] set holds.
 pub type SharedResolver = std::sync::Arc<dyn AsResolver + Send + Sync>;

@@ -1,9 +1,9 @@
 //! Address → AS attribution for per-AS streaming analytics.
 //!
 //! Delta records carry only `(bits, week)`; the per-AS operators
-//! ([`crate::EntropyProfile`], [`crate::RotationEstimator`], the
-//! cross-AS classes of [`crate::DeviceTracker`]) need to know which
-//! network owns each address. An [`AsResolver`] supplies that mapping.
+//! ([`crate::EntropyProfile`], the per-AS and per-country counts of
+//! [`crate::DeviceTracker`]) need to know which network owns each
+//! address. An [`AsResolver`] supplies that mapping.
 //! The batch pipeline builds a [`PrefixAsTable`] from the simulated
 //! world's routing table; production deployments would build one from
 //! a BGP dump — either way the resolver must be **stable across the

@@ -332,7 +332,6 @@ fn apply_delta_by_span_equals_apply_per_event() {
     }
     assert_eq!(by_span.checksums(), per_event.checksums());
     assert_eq!(by_span.entropy.snapshot(), per_event.entropy.snapshot());
-    assert_eq!(by_span.devices.snapshot(), per_event.devices.snapshot());
     let batch = Analytics::from_entries(resolver(), &entries(&after));
     assert_eq!(by_span.checksums(), batch.checksums());
     let asked = counting.spans.load(Relaxed);

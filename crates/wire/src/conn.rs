@@ -329,10 +329,12 @@ pub fn serve_request_with(snap: &Snapshot, store: Option<&HitlistStore>, req: Re
     match req {
         Request::MovedBetween { w0, w1 } => windowed(store.and_then(|store| {
             store.analytics(|epoch, ops| {
-                let mut moves: Vec<WireMove> = ops
+                // The cap stops the scan of the device table, which
+                // runs under the lock a publish's fold waits on.
+                let moves: Vec<WireMove> = ops
                     .devices
                     .moved_between(w0, w1)
-                    .into_iter()
+                    .take(MAX_MOVED_ROWS)
                     .map(|m| WireMove {
                         mac: m.mac,
                         from_net: m.from_net,
@@ -340,7 +342,6 @@ pub fn serve_request_with(snap: &Snapshot, store: Option<&HitlistStore>, req: Re
                         week: m.week,
                     })
                     .collect();
-                moves.truncate(MAX_MOVED_ROWS);
                 Response::Moved {
                     epoch,
                     lagging: false,
