@@ -19,7 +19,7 @@ env_vars=$(grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates
 # Size ratchet (ROADMAP item 10): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
 # its own diff and says why.
-src_ceiling=35904
+src_ceiling=35700
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }

@@ -27,8 +27,10 @@
 //! |----------------------------|----------------------------------------|
 //! | `dag.stage.<name>`         | one `v6par::Dag` stage attempt         |
 //! | `collect.day.<d>`          | one day of passive NTP collection      |
-//! | `serve.worker.update.<seq>`| shard-worker normalization of update   |
-//! | `serve.merger.update.<seq>`| the ingestion merger (stalls only)     |
+//! | `serve.worker.update.<seq>`| normalizing ingest update `seq`:       |
+//! |                            | retried up to the budget; exhaustion   |
+//! |                            | or an injected crash → update recorded |
+//! |                            | lost                                   |
 //! | `serve.shard.<i>`          | merging accumulated state of shard `i` |
 //! | `store.append.<epoch>`     | epoch-log append: `Error` tears the    |
 //! |                            | frame mid-write, `Panic` drops the     |

@@ -1,55 +1,42 @@
-//! Concurrent ingestion: publications in, snapshot epochs out.
+//! Ingestion: publications in, snapshot epochs out, on the caller's
+//! thread.
 //!
-//! Updates flow through two bounded crossbeam channels:
-//!
-//! ```text
-//! submit() ──▶ [updates] ──▶ shard workers ──▶ [batches] ──▶ merger ──▶ store.publish()
-//! ```
-//!
-//! Shard workers normalize each [`PublicationUpdate`] into per-shard
-//! sorted `(bits, week)` runs off the serving threads. The single merger
-//! thread holds the last snapshot it built — starting from whatever the
-//! store serves when the pipeline is spawned — and no other copy of the
-//! corpus: it probes that snapshot to keep, of each run, only the
-//! entries that change it (an address not yet held, or held under a
-//! later week), carries the snapshot forward through them (the
+//! [`Ingestor::submit`] normalizes one [`PublicationUpdate`] into
+//! per-shard sorted `(bits, week)` runs (a big update spreads the sorts
+//! over the `v6par` pool), merges them and publishes the next epoch
+//! before it returns, so the `k`-th epoch an ingestor publishes holds
+//! exactly its updates `0..=k`. The ingestor holds the last snapshot it
+//! built — starting from whatever the store serves when it is created —
+//! and no other copy of the corpus: it keeps, of each run, only the
+//! entries that change that snapshot (an address not yet held, or held
+//! under a later week) and carries it forward through them (the
 //! per-shard step of [`Snapshot::apply_delta`]: one linear merge per
-//! touched shard, every other shard shared by pointer) and publishes a
-//! fresh epoch per update. Bounded channels give natural backpressure: when ingestion
-//! falls behind, `submit` blocks the producer instead of growing queues
-//! without limit — readers are never involved, they keep serving the
-//! last published epoch.
+//! touched shard, every other shard shared by pointer). Readers are
+//! never involved: they keep serving the last published epoch.
 //!
 //! # Fault tolerance
 //!
-//! The pipeline is wired for deterministic fault injection through
-//! [`v6chaos::Chaos`] ([`Ingestor::spawn_chaos`]); production use
-//! ([`Ingestor::spawn`]) injects nothing. Fault sites and their
-//! handling:
+//! [`Ingestor::with_chaos`] consults a [`v6chaos::Chaos`] at each fault
+//! site; [`Ingestor::new`] injects nothing.
 //!
-//! * `serve.worker.update.<seq>` — a shard worker normalizing the
-//!   `seq`-th accepted update. Injected errors are retried up to the
-//!   chaos retry budget; exhaustion or an injected panic (worker death)
-//!   records the update as *lost* — accounted in [`IngestReport`],
-//!   never silently dropped. [`IngestHandle::submit`] detects dead
-//!   workers and returns [`IngestError`] instead of blocking forever.
-//! * `serve.merger.update.<seq>` — the merger consult before folding
-//!   that update; only `Stall` faults are honored (back-pressure).
+//! * `serve.worker.update.<seq>` — normalizing the `seq`-th submitted
+//!   update. A `Stall` delays it; errors are retried up to the chaos
+//!   retry budget; exhaustion or an injected crash records the update
+//!   as *lost* in the [`IngestReport`], and ingestion goes on.
 //! * `serve.shard.<i>` — merging shard `i`'s parked runs. A failing
 //!   consult *quarantines* the shard: its runs stay parked, the epoch is
 //!   published anyway with the shard's last good content (the previous
 //!   epoch's shard, by pointer) and a `Degraded { missing_shards }`
-//!   status. Later consults (or the final
-//!   flush in [`IngestHandle::finish`]) drain the quarantine; only a
-//!   permanent script leaves the shard quarantined, and then the report
-//!   says exactly which shards lost data.
+//!   status. Later consults (or the final flush in
+//!   [`Ingestor::finish_report`]) drain the quarantine; only a permanent
+//!   script leaves the shard quarantined, and the report names it.
+//!
+//! A publish the store refuses is returned from [`Ingestor::submit`];
+//! the next publish carries everything built so far, and the report is
+//! complete only if the store serves the last snapshot built.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
+use std::sync::Arc;
+use std::time::Instant;
 
 use v6addr::{shard48, Prefix};
 use v6chaos::{Chaos, Fault, LossReport, NoChaos};
@@ -57,7 +44,7 @@ use v6hitlist::{HitlistService, NtpCorpus};
 use v6scan::CampaignResult;
 
 use crate::snapshot::{earliest_aliases, Shard, ShardChange, Snapshot};
-use crate::store::HitlistStore;
+use crate::store::{HitlistStore, PublishError};
 
 const WEEK_SECS: u64 = 7 * 86_400;
 
@@ -100,7 +87,7 @@ impl PublicationUpdate {
         }
     }
 
-    /// Addresses carried (before dedup), for stats and backpressure sizing.
+    /// Addresses carried (before dedup), for the ingest stats.
     pub fn address_count(&self) -> u64 {
         match self {
             PublicationUpdate::Service(s) => s
@@ -162,7 +149,7 @@ fn normalize(update: PublicationUpdate, shard_bits: u32) -> ShardBatch {
     // of each equal-bits run — i.e. the earliest week within this
     // update. Runs are independent, so big updates fan the per-shard
     // sorts out across the v6par pool; the adaptive cutoff keeps the
-    // typical small update inline on this worker thread.
+    // typical small update inline on the submitting thread.
     let total: usize = per_shard.iter().map(Vec::len).sum();
     let run_cost = v6par::Cost::per_item_ns(100 * (total / per_shard.len().max(1)).max(1) as u64)
         .labeled("serve.normalize");
@@ -230,7 +217,7 @@ impl Parked {
 /// What an ingestion run accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
-    /// Updates processed by the merger.
+    /// Updates merged (submitted and not lost).
     pub updates: u64,
     /// Raw addresses submitted (before any dedup).
     pub raw_addresses: u64,
@@ -244,45 +231,30 @@ pub struct IngestStats {
     pub degraded_epochs: u64,
 }
 
-/// Why [`IngestHandle::submit`] rejected an update. The caller still
-/// owns the update — a rejected submission is never counted as lost.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IngestError {
-    /// Every shard worker has died; nothing will drain the queue.
-    WorkersDead,
-    /// The pipeline's channels are closed (already finishing).
-    Closed,
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngestError::WorkersDead => write!(f, "all shard workers have died"),
-            IngestError::Closed => write!(f, "ingest pipeline is closed"),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
-
 /// The full accounting of an ingestion run: stats plus exactly which
 /// updates and shards (if any) lost data.
 #[derive(Debug, Clone)]
 pub struct IngestReport {
     /// Counters for the processed stream.
     pub stats: IngestStats,
-    /// `(seq, reason)` for every accepted update that was lost (worker
-    /// death or exhausted retries), ascending by seq.
+    /// `(seq, reason)` for every submitted update that was lost (an
+    /// injected crash or exhausted retries), ascending by seq.
     pub lost_updates: Vec<(u64, String)>,
     /// Shards still quarantined at the end: their parked runs never
     /// merged. Empty unless a permanent fault was injected.
     pub quarantined_shards: Vec<u32>,
+    /// Why the store does not serve the last snapshot built, when it
+    /// does not: a publish it refused that no later publish made good.
+    pub unserved: Option<String>,
 }
 
 impl IngestReport {
-    /// True when every accepted update reached the final snapshot.
+    /// True when every submitted update reached the snapshot the store
+    /// serves.
     pub fn is_complete(&self) -> bool {
-        self.lost_updates.is_empty() && self.quarantined_shards.is_empty()
+        self.lost_updates.is_empty()
+            && self.quarantined_shards.is_empty()
+            && self.unserved.is_none()
     }
 
     /// The loss report in the workspace-wide `LOST <unit> (<reason>)`
@@ -298,220 +270,192 @@ impl IngestReport {
                 "permanently quarantined; parked runs never merged",
             );
         }
+        if let Some(reason) = &self.unserved {
+            loss.record("store.publish", reason.clone());
+        }
         loss
     }
 }
 
-/// Liveness and loss bookkeeping shared by the handle and the workers.
-struct Health {
-    live_workers: AtomicUsize,
-    lost: Mutex<Vec<(u64, String)>>,
-}
-
-impl Health {
-    fn record_lost(&self, seq: u64, reason: impl Into<String>) {
-        self.lost
-            .lock()
-            .expect("loss log poisoned")
-            .push((seq, reason.into()));
-    }
-}
-
-/// Configuration for the ingestion pipeline.
-#[derive(Debug, Clone, Copy)]
+/// Ingestion into one store: each [`submit`](Ingestor::submit) merges
+/// one update and publishes it as the next epoch.
 pub struct Ingestor {
-    /// Shard-normalization worker threads.
-    pub workers: usize,
-    /// Capacity of each bounded channel (backpressure threshold).
-    pub queue_capacity: usize,
-}
-
-impl Default for Ingestor {
-    fn default() -> Self {
-        Ingestor {
-            workers: 2,
-            queue_capacity: 8,
-        }
-    }
+    store: Arc<HitlistStore>,
+    chaos: Arc<dyn Chaos>,
+    /// The last snapshot built: the only copy of the corpus held here.
+    current: Snapshot,
+    held_at_start: u64,
+    parked: Vec<Parked>,
+    stats: IngestStats,
+    /// Entries parked for merging, over the whole run.
+    arrived: u64,
+    next_seq: u64,
+    lost: Vec<(u64, String)>,
 }
 
 impl Ingestor {
-    /// Starts the pipeline against `store` with no fault injection.
-    pub fn spawn(self, store: Arc<HitlistStore>) -> IngestHandle {
-        self.spawn_chaos(store, Arc::new(NoChaos))
+    /// Ingests into `store` with no fault injection.
+    pub fn new(store: Arc<HitlistStore>) -> Self {
+        Self::with_chaos(store, Arc::new(NoChaos))
     }
 
-    /// Starts the pipeline with a chaos source consulted at every fault
-    /// site (see the module docs for the site vocabulary).
-    pub fn spawn_chaos(self, store: Arc<HitlistStore>, chaos: Arc<dyn Chaos>) -> IngestHandle {
-        assert!(self.workers >= 1, "need at least one worker");
-        let shard_bits = store.snapshot().shard_count().trailing_zeros();
-        let (update_tx, update_rx) = bounded::<(u64, PublicationUpdate)>(self.queue_capacity);
-        let (batch_tx, batch_rx) = bounded::<(u64, ShardBatch)>(self.queue_capacity);
-        let health = Arc::new(Health {
-            live_workers: AtomicUsize::new(self.workers),
-            lost: Mutex::new(Vec::new()),
-        });
-
-        let workers: Vec<JoinHandle<()>> = (0..self.workers)
-            .map(|_| {
-                let rx = update_rx.clone();
-                let tx = batch_tx.clone();
-                let chaos = Arc::clone(&chaos);
-                let health = Arc::clone(&health);
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    worker_loop(rx, tx, shard_bits, chaos.as_ref(), &health, &store);
-                    health.live_workers.fetch_sub(1, Ordering::AcqRel);
-                })
-            })
-            .collect();
-        // Drop the originals so the batch channel closes when the last
-        // worker exits, which in turn ends the merger loop.
-        drop(update_rx);
-        drop(batch_tx);
-
-        let merger = {
-            let chaos = Arc::clone(&chaos);
-            std::thread::spawn(move || merge_loop(store, batch_rx, chaos.as_ref()))
-        };
-
-        IngestHandle {
-            tx: Some(update_tx),
-            next_seq: AtomicU64::new(0),
-            health,
-            workers,
-            merger: Some(merger),
+    /// Ingests into `store`, consulting `chaos` at every fault site (see
+    /// the module docs for the site vocabulary).
+    pub fn with_chaos(store: Arc<HitlistStore>, chaos: Arc<dyn Chaos>) -> Self {
+        let current = Snapshot::clone(&store.snapshot());
+        let shard_count = current.shard_count();
+        Ingestor {
+            store,
+            chaos,
+            held_at_start: current.len(),
+            current,
+            parked: vec![Parked::default(); shard_count],
+            stats: IngestStats::default(),
+            arrived: 0,
+            next_seq: 0,
+            lost: Vec::new(),
         }
     }
-}
 
-/// Normalizes updates, honoring the `serve.worker.update.<seq>` fault
-/// site. Returns when the intake closes or an injected panic kills the
-/// worker.
-fn worker_loop(
-    rx: Receiver<(u64, PublicationUpdate)>,
-    tx: Sender<(u64, ShardBatch)>,
-    shard_bits: u32,
-    chaos: &dyn Chaos,
-    health: &Health,
-    store: &HitlistStore,
-) {
-    for (seq, update) in rx.iter() {
-        let site = format!("serve.worker.update.{seq}");
-        let mut attempt = 0u32;
-        // Consult through `Chaos::decide` (not the raw script) so every
-        // injected fault shows up in the `chaos.decisions.*` counters.
-        let survived = loop {
-            match chaos.decide(&site, attempt) {
-                Fault::None => break true,
-                Fault::Stall(d) => {
-                    std::thread::sleep(d);
-                    break true;
-                }
-                Fault::Error => {
-                    if attempt >= chaos.retry_budget() {
-                        health.record_lost(
-                            seq,
-                            format!("update dropped after {} attempts", attempt + 1),
-                        );
-                        break false;
-                    }
-                    attempt += 1;
-                }
-                Fault::Panic => {
-                    // Worker death: the in-flight update is lost and this
-                    // thread exits, exactly like a real crashed worker.
-                    health.record_lost(seq, "shard worker crashed mid-batch");
-                    return;
-                }
-            }
-        };
-        if !survived {
-            continue;
+    /// Normalizes, merges and publishes one update as the next epoch.
+    ///
+    /// An update lost to an injected fault publishes nothing and is
+    /// accounted in the final [`IngestReport`]; it is not an error.
+    /// A publish the store refuses is: the store keeps serving its
+    /// previous epoch, and the next publish carries this update too.
+    pub fn submit(&mut self, update: PublicationUpdate) -> Result<(), PublishError> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Err(reason) = admit(self.chaos.as_ref(), seq) {
+            self.lost.push((seq, reason));
+            return Ok(());
         }
-        let _span = v6obs::span("serve.normalize");
+        let store = Arc::clone(&self.store);
+        let metrics = store.metrics();
         let started = Instant::now();
-        let batch = normalize(update, shard_bits);
-        store.metrics().record_normalize_latency(started.elapsed());
-        if tx.send((seq, batch)).is_err() {
-            return; // merger gone; nothing to do but exit
-        }
-    }
-}
+        let batch = {
+            let _span = v6obs::span("serve.normalize");
+            normalize(update, self.current.shard_count().trailing_zeros())
+        };
+        metrics.record_normalize_latency(started.elapsed());
 
-/// The merger outcome: stats plus shards still quarantined at the end.
-struct MergeOutcome {
-    stats: IngestStats,
-    quarantined: Vec<u32>,
-}
-
-fn merge_loop(
-    store: Arc<HitlistStore>,
-    batches: Receiver<(u64, ShardBatch)>,
-    chaos: &dyn Chaos,
-) -> MergeOutcome {
-    // The last snapshot built: the only copy of the corpus held here.
-    let mut current = Snapshot::clone(&store.snapshot());
-    let held_at_start = current.len();
-    let shard_count = current.shard_count();
-    let mut parked = vec![Parked::default(); shard_count];
-    let mut stats = IngestStats::default();
-    let mut arrived = 0u64;
-
-    for (seq, batch) in batches.iter() {
         let _span = v6obs::span("serve.merge");
-        let batch_started = Instant::now();
-        stats.updates += 1;
-        stats.raw_addresses += batch.raw_addresses;
-        store.metrics().record_ingested(batch.raw_addresses);
-        // Merger back-pressure site: only stalls are meaningful here.
-        if let Fault::Stall(d) = chaos.decide(&format!("serve.merger.update.{seq}"), 0) {
-            std::thread::sleep(d);
-        }
-        let mut changes = vec![ShardChange::default(); shard_count];
+        let started = Instant::now();
+        self.stats.updates += 1;
+        self.stats.raw_addresses += batch.raw_addresses;
+        metrics.record_ingested(batch.raw_addresses);
+        let mut changes = vec![ShardChange::default(); self.parked.len()];
         for (i, run) in batch.per_shard.into_iter().enumerate() {
             if !run.is_empty() {
-                arrived += run.len() as u64;
-                parked[i].runs.push(run);
+                self.arrived += run.len() as u64;
+                self.parked[i].runs.push(run);
             }
-            if let Some(upserts) = parked[i].release(i, chaos, &current.shards()[i]) {
+            let shard = &self.current.shards()[i];
+            if let Some(upserts) = self.parked[i].release(i, self.chaos.as_ref(), shard) {
                 changes[i].upserts = upserts;
             }
         }
         for (prefix, week) in batch.aliases {
-            if current.alias_week(&prefix).is_none_or(|held| week < held) {
-                current.route_alias(&mut changes, prefix, Some(week));
+            let held = self.current.alias_week(&prefix);
+            if held.is_none_or(|held| week < held) {
+                self.current.route_alias(&mut changes, prefix, Some(week));
             }
         }
-        publish_next(&store, &mut current, &changes, &parked, &mut stats);
-        store
-            .metrics()
-            .record_ingest_batch_latency(batch_started.elapsed());
+        let published = self.publish_next(&changes);
+        metrics.record_ingest_batch_latency(started.elapsed());
+        published
     }
 
-    // Final flush: retry each quarantined shard until its transient
-    // script clears (attempt counts only grow) or it proves permanent.
-    let mut changes = vec![ShardChange::default(); shard_count];
-    let mut recovered = false;
-    for (i, p) in parked.iter_mut().enumerate() {
-        while !p.runs.is_empty() && !p.poisoned {
-            if let Some(upserts) = p.release(i, chaos, &current.shards()[i]) {
-                changes[i].upserts = upserts;
-                recovered = true;
+    /// Flushes the quarantine and returns the stats.
+    pub fn finish(self) -> IngestStats {
+        self.finish_report().stats
+    }
+
+    /// Flushes the quarantine and returns the full accounting, including
+    /// lost updates, quarantined shards and a store left behind.
+    pub fn finish_report(mut self) -> IngestReport {
+        // Final flush: retry each quarantined shard until its transient
+        // script clears (attempt counts only grow) or it proves permanent.
+        let mut changes = vec![ShardChange::default(); self.parked.len()];
+        let mut recovered = false;
+        let chaos = self.chaos.as_ref();
+        for (i, p) in self.parked.iter_mut().enumerate() {
+            while !p.runs.is_empty() && !p.poisoned {
+                if let Some(upserts) = p.release(i, chaos, &self.current.shards()[i]) {
+                    changes[i].upserts = upserts;
+                    recovered = true;
+                }
             }
         }
+        // A refused flush publish shows in the served-content check below.
+        if recovered {
+            let _ = self.publish_next(&changes);
+        }
+        // Ingestion only adds addresses, so every entry that was merged and
+        // did not add one coalesced with an entry already there.
+        let still_parked: usize = self.parked.iter().flat_map(|p| &p.runs).map(Vec::len).sum();
+        self.stats.duplicates =
+            self.arrived - still_parked as u64 - (self.current.len() - self.held_at_start);
+        let served = self.store.snapshot();
+        let unserved = (served.content_checksum() != self.current.content_checksum()).then(|| {
+            format!(
+                "store serves epoch {} (content {:016x}), not the last snapshot built ({:016x})",
+                served.epoch(),
+                served.content_checksum(),
+                self.current.content_checksum()
+            )
+        });
+        let report = IngestReport {
+            stats: self.stats,
+            lost_updates: self.lost,
+            quarantined_shards: quarantined(&self.parked),
+            unserved,
+        };
+        // Definitive loss accounting for this run: `chaos.lost_units` is
+        // bumped exactly once per lost unit, here (not per retry, so the
+        // counter reconciles against `report.loss().len()`).
+        v6obs::counter("chaos.lost_units").add(report.loss().len() as u64);
+        report
     }
-    if recovered {
-        publish_next(&store, &mut current, &changes, &parked, &mut stats);
+
+    /// Carries `current` forward through `changes` and publishes it as
+    /// the next epoch, degraded by whatever is still parked.
+    fn publish_next(&mut self, changes: &[ShardChange]) -> Result<(), PublishError> {
+        let mut next = self.current.with_changes(changes);
+        next.week = next.latest_first_week();
+        next.missing_shards = quarantined(&self.parked);
+        self.stats.unique_addresses = next.len();
+        let degraded = next.is_degraded();
+        // The store numbers the epoch on its own copy: untouched and
+        // quarantined shards are shared by pointer with what it serves, so
+        // its integrity walk and its log delta cover only the rest.
+        let published = self.store.publish(next.clone());
+        self.current = next;
+        published?;
+        self.stats.epochs_published += 1;
+        self.stats.degraded_epochs += u64::from(degraded);
+        Ok(())
     }
-    // Ingestion only adds addresses, so every entry that was merged and
-    // did not add one coalesced with an entry already there.
-    let still_parked: usize = parked.iter().flat_map(|p| &p.runs).map(Vec::len).sum();
-    stats.duplicates = arrived - still_parked as u64 - (current.len() - held_at_start);
-    MergeOutcome {
-        stats,
-        quarantined: quarantined(&parked),
+}
+
+/// Consults update `seq`'s `serve.worker.update.<seq>` site until it
+/// lets the update through, or returns why the update is lost.
+fn admit(chaos: &dyn Chaos, seq: u64) -> Result<(), String> {
+    let site = format!("serve.worker.update.{seq}");
+    let mut attempt = 0u32;
+    // Consult through `Chaos::decide` (not the raw script) so every
+    // injected fault shows up in the `chaos.decisions.*` counters.
+    loop {
+        match chaos.decide(&site, attempt) {
+            Fault::None => return Ok(()),
+            Fault::Stall(d) => {
+                std::thread::sleep(d);
+                return Ok(());
+            }
+            Fault::Error if attempt < chaos.retry_budget() => attempt += 1,
+            Fault::Error => return Err(format!("update dropped after {} attempts", attempt + 1)),
+            Fault::Panic => return Err("update crashed mid-normalize".into()),
+        }
     }
 }
 
@@ -520,106 +464,6 @@ fn quarantined(parked: &[Parked]) -> Vec<u32> {
     (0..parked.len() as u32)
         .filter(|&i| !parked[i as usize].runs.is_empty())
         .collect()
-}
-
-/// Carries `current` forward through `changes` and publishes it as the
-/// next epoch, degraded by whatever is still parked.
-fn publish_next(
-    store: &HitlistStore,
-    current: &mut Snapshot,
-    changes: &[ShardChange],
-    parked: &[Parked],
-    stats: &mut IngestStats,
-) {
-    let mut next = current.with_changes(changes);
-    next.week = next.latest_first_week();
-    next.missing_shards = quarantined(parked);
-    stats.unique_addresses = next.len();
-    // The store numbers the epoch on its own copy: untouched and
-    // quarantined shards are shared by pointer with what it serves, so
-    // its integrity walk and its log delta cover only the rest.
-    if store.publish(next.clone()).is_ok() {
-        stats.epochs_published += 1;
-        stats.degraded_epochs += u64::from(next.is_degraded());
-    }
-    *current = next;
-}
-
-/// A running ingestion pipeline.
-pub struct IngestHandle {
-    tx: Option<Sender<(u64, PublicationUpdate)>>,
-    next_seq: AtomicU64,
-    health: Arc<Health>,
-    workers: Vec<JoinHandle<()>>,
-    merger: Option<JoinHandle<MergeOutcome>>,
-}
-
-impl IngestHandle {
-    /// Submits one update, blocking (with periodic liveness checks)
-    /// while the pipeline is backlogged.
-    ///
-    /// Returns an error — instead of blocking forever — when every
-    /// shard worker has died or the pipeline is closed. A rejected
-    /// update still belongs to the caller and is not counted as lost.
-    ///
-    /// # Panics
-    /// Panics if called after `finish` (a use-after-close wiring bug).
-    pub fn submit(&self, update: PublicationUpdate) -> Result<(), IngestError> {
-        let tx = self.tx.as_ref().expect("pipeline already finished");
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let mut msg = (seq, update);
-        loop {
-            if self.health.live_workers.load(Ordering::Acquire) == 0 {
-                return Err(IngestError::WorkersDead);
-            }
-            match tx.try_send(msg) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(_)) => return Err(IngestError::Closed),
-                Err(TrySendError::Full(back)) => {
-                    msg = back;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-            }
-        }
-    }
-
-    /// Shard workers still alive (0 after a total worker die-off, and
-    /// after a normal `finish` drain).
-    pub fn workers_alive(&self) -> usize {
-        self.health.live_workers.load(Ordering::Acquire)
-    }
-
-    /// Closes the intake, drains in-flight updates, and returns stats.
-    pub fn finish(self) -> IngestStats {
-        self.finish_report().stats
-    }
-
-    /// Closes the intake, drains in-flight updates, and returns the
-    /// full accounting, including lost updates and quarantined shards.
-    pub fn finish_report(mut self) -> IngestReport {
-        self.tx.take(); // close the update channel
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        let outcome = self
-            .merger
-            .take()
-            .expect("finish called twice")
-            .join()
-            .expect("merger thread panicked");
-        let mut lost = self.health.lost.lock().expect("loss log poisoned").clone();
-        lost.sort_by_key(|&(seq, _)| seq);
-        let report = IngestReport {
-            stats: outcome.stats,
-            lost_updates: lost,
-            quarantined_shards: outcome.quarantined,
-        };
-        // Definitive loss accounting for this run: `chaos.lost_units` is
-        // bumped exactly once per lost unit, here (not per retry, so the
-        // counter reconciles against `report.loss().len()`).
-        v6obs::counter("chaos.lost_units").add(report.loss().len() as u64);
-        report
-    }
 }
 
 #[cfg(test)]
@@ -635,26 +479,26 @@ mod tests {
     #[test]
     fn weekly_updates_accumulate_and_dedup() {
         let store = Arc::new(HitlistStore::new("svc", 4));
-        let handle = Ingestor::default().spawn(store.clone());
-        handle
+        let mut ingest = Ingestor::new(store.clone());
+        ingest
             .submit(PublicationUpdate::Week {
                 week: 0,
                 addresses: vec![addr("2001:db8:1::1"), addr("2001:db8:2::1")],
             })
             .unwrap();
-        handle
+        ingest
             .submit(PublicationUpdate::Week {
                 week: 1,
                 addresses: vec![addr("2001:db8:1::1"), addr("2001:db8:3::1")],
             })
             .unwrap();
-        handle
+        ingest
             .submit(PublicationUpdate::Aliases {
                 week: 1,
                 prefixes: vec!["2001:db8:3::/48".parse().unwrap()],
             })
             .unwrap();
-        let stats = handle.finish();
+        let stats = ingest.finish();
 
         assert_eq!(stats.updates, 3);
         assert_eq!(stats.raw_addresses, 4);
@@ -676,18 +520,14 @@ mod tests {
     #[test]
     fn passive_observations_map_to_weeks() {
         let store = Arc::new(HitlistStore::new("svc", 1));
-        let handle = Ingestor {
-            workers: 1,
-            queue_capacity: 2,
-        }
-        .spawn(store.clone());
+        let mut ingest = Ingestor::new(store.clone());
         let bits = u128::from(addr("2001:db8::1"));
-        handle
+        ingest
             .submit(PublicationUpdate::Passive {
                 observations: vec![(bits, 0), (bits, 8 * 86_400)],
             })
             .unwrap();
-        let stats = handle.finish();
+        let stats = ingest.finish();
         assert_eq!(stats.unique_addresses, 1);
         // Both observations are week 0 / week 1; earliest wins.
         assert_eq!(store.snapshot().first_week(addr("2001:db8::1")), Some(0));
@@ -720,64 +560,19 @@ mod tests {
         let chaos = ScriptedChaos::new()
             .with("serve.worker.update.0", SiteScript::transient(2))
             .with("serve.worker.update.1", SiteScript::transient(1));
-        let handle = Ingestor {
-            workers: 1,
-            queue_capacity: 4,
-        }
-        .spawn_chaos(store.clone(), Arc::new(chaos));
+        let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
         for week in 0..3u64 {
-            handle
+            ingest
                 .submit(PublicationUpdate::Week {
                     week,
                     addresses: vec![addr(&format!("2001:db8:{week}::1"))],
                 })
                 .unwrap();
         }
-        let report = handle.finish_report();
+        let report = ingest.finish_report();
         assert!(report.is_complete(), "{:?}", report);
         assert!(report.loss().is_empty());
         assert_eq!(report.stats.updates, 3);
         assert_eq!(store.snapshot().len(), 3);
-    }
-
-    #[test]
-    fn submit_errors_when_all_workers_die() {
-        let store = Arc::new(HitlistStore::new("svc", 2));
-        let chaos =
-            ScriptedChaos::new().with("serve.worker.update.0", SiteScript::permanent_panic());
-        let handle = Ingestor {
-            workers: 1,
-            queue_capacity: 1,
-        }
-        .spawn_chaos(store.clone(), Arc::new(chaos));
-        handle
-            .submit(PublicationUpdate::Week {
-                week: 0,
-                addresses: vec![addr("2001:db8::1")],
-            })
-            .unwrap();
-        // The sole worker dies on update 0; without the liveness check
-        // this next submit would block forever once the queue filled.
-        while handle.workers_alive() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        let mut refused = false;
-        for week in 1..4u64 {
-            if handle
-                .submit(PublicationUpdate::Week {
-                    week,
-                    addresses: vec![addr("2001:db8::2")],
-                })
-                .is_err()
-            {
-                refused = true;
-                break;
-            }
-        }
-        assert!(refused, "dead pipeline kept accepting updates");
-        let report = handle.finish_report();
-        assert_eq!(report.lost_updates.len(), 1);
-        assert_eq!(report.lost_updates[0].0, 0);
-        assert!(report.loss().contains("serve.worker.update.0"));
     }
 }

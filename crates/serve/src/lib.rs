@@ -17,8 +17,9 @@
 //!   `HitlistStore::enable_analytics` is called, every publish also
 //!   folds its epoch's record into the store's [`v6stream::Analytics`],
 //!   which answer the windowed `MovedBetween`/`EntropyShift` queries.
-//! - [`ingest`] — bounded-channel worker pipeline turning campaign and
-//!   passive-corpus publications into snapshots off the serving threads.
+//! - [`ingest`] — [`Ingestor`], which turns each submitted campaign,
+//!   weekly release or passive corpus into the next epoch on the
+//!   submitting thread, in submission order.
 //! - [`query`] — [`QueryEngine`], the store handle a server answers
 //!   through; the answers themselves are the front door's
 //!   (`v6wire::serve_request_with`), read straight off a [`Snapshot`].
@@ -39,7 +40,7 @@
 //! deterministic exposition. Ingestion additionally opens `V6_TRACE`
 //! spans (`serve.normalize`, `serve.merge`) and reconciles injected
 //! chaos losses into the process-global `chaos.lost_units` counter when
-//! [`ingest::IngestHandle::finish_report`] runs.
+//! [`Ingestor::finish_report`] runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +52,7 @@ pub mod query;
 pub mod snapshot;
 pub mod store;
 
-pub use ingest::{
-    IngestError, IngestHandle, IngestReport, IngestStats, Ingestor, PublicationUpdate,
-};
+pub use ingest::{IngestReport, IngestStats, Ingestor, PublicationUpdate};
 pub use metrics::ServeMetrics;
 pub use query::QueryEngine;
 pub use snapshot::{CompressedRun, ServeStatus, Shard, Snapshot, SnapshotBuilder};

@@ -561,7 +561,7 @@ impl Snapshot {
 
     /// Builds from per-shard `(bits, week)` vectors that are already
     /// sorted by bits and deduplicated, plus `(prefix, week)` alias
-    /// registrations. This is the O(n) path the ingestion merger uses;
+    /// registrations. This is the O(n) path the builder and recovery use;
     /// the compressed run is assembled directly from the sorted stream,
     /// never materializing a raw `Vec<u128>`.
     pub(crate) fn from_sorted_parts(

@@ -8,9 +8,12 @@
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
+use std::time::Duration;
 
 use v6chaos::{ScriptedChaos, SiteScript};
-use v6serve::{HitlistStore, Ingestor, PublicationUpdate, ServeStatus};
+use v6serve::{
+    HitlistStore, Ingestor, PublicationUpdate, ServeStatus, SnapshotBuilder, StoreConfig,
+};
 
 fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
@@ -30,11 +33,11 @@ fn week(w: u64) -> PublicationUpdate {
 /// The clean run's final content checksum for `n` weeks of [`week`].
 fn clean_checksum(n: u64) -> u64 {
     let store = Arc::new(HitlistStore::new("chaos", 2));
-    let handle = Ingestor::default().spawn(store.clone());
+    let mut ingest = Ingestor::new(store.clone());
     for w in 0..n {
-        handle.submit(week(w)).expect("clean pipeline alive");
+        ingest.submit(week(w)).expect("in-memory publish");
     }
-    let stats = handle.finish();
+    let stats = ingest.finish();
     assert_eq!(stats.degraded_epochs, 0);
     store.snapshot().content_checksum()
 }
@@ -46,15 +49,11 @@ fn quarantined_shard_recovers_mid_run_to_the_clean_checksum() {
     // Shard 1's first two merge consults fail; the third drains the
     // whole quarantine while updates are still flowing.
     let chaos = ScriptedChaos::new().with("serve.shard.1", SiteScript::transient(2));
-    let handle = Ingestor {
-        workers: 1,
-        queue_capacity: 4,
-    }
-    .spawn_chaos(store.clone(), Arc::new(chaos));
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
     for w in 0..3 {
-        handle.submit(week(w)).expect("pipeline alive");
+        ingest.submit(week(w)).expect("in-memory publish");
     }
-    let report = handle.finish_report();
+    let report = ingest.finish_report();
 
     assert!(report.is_complete(), "{report:?}");
     assert!(report.loss().is_empty());
@@ -73,18 +72,14 @@ fn quarantined_shard_recovers_in_the_final_flush() {
     let clean = clean_checksum(3);
     let store = Arc::new(HitlistStore::new("chaos", 2));
     // Five failing consults outlast the three in-stream batches, so the
-    // shard is still quarantined when the intake closes; the finish
+    // shard is still quarantined after the last update; the finish
     // flush keeps retrying, drains it, and publishes a recovery epoch.
     let chaos = ScriptedChaos::new().with("serve.shard.1", SiteScript::transient(5));
-    let handle = Ingestor {
-        workers: 1,
-        queue_capacity: 4,
-    }
-    .spawn_chaos(store.clone(), Arc::new(chaos));
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
     for w in 0..3 {
-        handle.submit(week(w)).expect("pipeline alive");
+        ingest.submit(week(w)).expect("in-memory publish");
     }
-    let report = handle.finish_report();
+    let report = ingest.finish_report();
 
     assert!(report.is_complete(), "{report:?}");
     assert_eq!(
@@ -104,24 +99,20 @@ fn quarantined_shard_recovers_in_the_final_flush() {
 fn permanent_quarantine_serves_degraded_epochs_and_accounts_the_loss() {
     let store = Arc::new(HitlistStore::new("chaos", 2));
     let chaos = ScriptedChaos::new().with("serve.shard.1", SiteScript::permanent());
-    let handle = Ingestor {
-        workers: 1,
-        queue_capacity: 4,
-    }
-    .spawn_chaos(store.clone(), Arc::new(chaos));
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
 
     // Week 0 touches only shard 0: the poisoned shard has no pending
     // runs yet, so epoch 1 publishes healthy.
-    handle
+    ingest
         .submit(PublicationUpdate::Week {
             week: 0,
             addresses: vec![addr("2001:db8:0::1")],
         })
-        .expect("pipeline alive");
+        .expect("in-memory publish");
     // Week 1 touches both shards: shard 1's run is parked forever, the
     // epoch publishes with shard 0's update and shard 1 marked stale.
-    handle.submit(week(1)).expect("pipeline alive");
-    let report = handle.finish_report();
+    ingest.submit(week(1)).expect("in-memory publish");
+    let report = ingest.finish_report();
 
     assert!(!report.is_complete());
     assert_eq!(report.quarantined_shards, vec![1]);
@@ -157,19 +148,15 @@ fn permanent_quarantine_serves_degraded_epochs_and_accounts_the_loss() {
 }
 
 #[test]
-fn worker_death_loses_only_the_in_flight_update() {
+fn a_crashed_update_is_lost_alone() {
     let store = Arc::new(HitlistStore::new("chaos", 2));
-    // Two workers; the one that picks up update 1 crashes mid-batch.
+    // Update 1 crashes mid-normalize; ingestion goes on with update 2.
     let chaos = ScriptedChaos::new().with("serve.worker.update.1", SiteScript::permanent_panic());
-    let handle = Ingestor {
-        workers: 2,
-        queue_capacity: 8,
-    }
-    .spawn_chaos(store.clone(), Arc::new(chaos));
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
     for w in 0..4 {
-        handle.submit(week(w)).expect("one worker still alive");
+        ingest.submit(week(w)).expect("in-memory publish");
     }
-    let report = handle.finish_report();
+    let report = ingest.finish_report();
 
     assert_eq!(report.lost_updates.len(), 1);
     assert_eq!(report.lost_updates[0].0, 1);
@@ -193,4 +180,38 @@ fn worker_death_loses_only_the_in_flight_update() {
         );
     }
     assert!(!snap.contains(addr("2001:db8:0::2")), "lost week served");
+}
+
+#[test]
+fn epoch_k_holds_exactly_updates_0_through_k() {
+    // Update 0 is slow to normalize; epoch 1, read back from the log,
+    // must still hold it and nothing submitted after it.
+    let dir = v6store::scratch_dir("serve-ingest-order");
+    let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
+    let store = Arc::new(HitlistStore::persistent("chaos", 2, cfg).unwrap());
+    let stall = SiteScript::ok().with_stall(Duration::from_millis(50));
+    let chaos = ScriptedChaos::new().with("serve.worker.update.0", stall);
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
+    for w in 0..2 {
+        ingest.submit(week(w)).expect("publish");
+    }
+    assert!(ingest.finish_report().is_complete());
+
+    for k in 0..2u64 {
+        let mut want = SnapshotBuilder::new("chaos", 2);
+        for w in 0..=k {
+            for net in 0..2 {
+                want.add_address(addr(&format!("2001:db8:{net}::{}", w + 1)), w as u32);
+            }
+        }
+        let rec = v6store::recover_at(&dir, k + 1).unwrap();
+        assert_eq!(rec.state.epoch, k + 1);
+        assert_eq!(
+            rec.state.content_checksum,
+            want.build().content_checksum(),
+            "epoch {} is not updates 0..={k}",
+            k + 1
+        );
+    }
+    std::fs::remove_dir_all(dir).ok();
 }

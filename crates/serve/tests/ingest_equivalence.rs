@@ -1,6 +1,6 @@
 //! Ingest ≡ batch.
 //!
-//! The ingest merger keeps no copy of the corpus beside the snapshot it
+//! The ingestor keeps no copy of the corpus beside the snapshot it
 //! last built: each update is filtered against that snapshot and the
 //! snapshot is carried forward through what is left. That is only sound
 //! if, whatever the order and overlap of the updates, the store ends up
@@ -13,9 +13,11 @@
 //! later weeks, and one shard starts out quarantined so runs pile up
 //! and are released together.
 //!
-//! The store runs with streaming analytics on, and after every epoch
-//! the ingestor publishes its operators must sit at the served epoch on
-//! a batch build over the served content.
+//! Every epoch is checked, not only the last: the `k`-th epoch the
+//! ingestor publishes must hold exactly updates `0..=k` in every shard
+//! it does not mark missing. The store runs with streaming analytics
+//! on, and its operators must sit at the served epoch on a batch build
+//! over the served content.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
@@ -113,6 +115,20 @@ impl Update {
     }
 }
 
+/// One batch build over the union of `updates`.
+fn build_over(updates: &[Update]) -> Snapshot {
+    let mut union = SnapshotBuilder::new("eq", SHARDS);
+    for update in updates {
+        for (b, w) in update.entries() {
+            union.add_bits(b, w);
+        }
+        for (p, w) in update.alias_weeks() {
+            union.add_alias(p, w);
+        }
+    }
+    union.build()
+}
+
 /// The shards a prefix's registration lands in.
 fn alias_shards(prefix: &Prefix) -> Vec<usize> {
     match prefix.shard48(SHARD_BITS) {
@@ -133,17 +149,14 @@ fn resolver() -> SharedResolver {
 }
 
 /// Submits one update and returns the epoch it produced.
-fn ingest_one(
-    handle: &v6serve::IngestHandle,
-    store: &HitlistStore,
-    update: &Update,
-) -> Arc<Snapshot> {
+fn ingest_one(ingest: &mut Ingestor, store: &HitlistStore, update: &Update) -> Arc<Snapshot> {
     let before = store.epoch();
-    handle.submit(update.publication()).expect("pipeline alive");
-    // The merger publishes exactly one epoch per update.
-    while store.epoch() == before {
-        std::thread::yield_now();
-    }
+    ingest
+        .submit(update.publication())
+        .expect("in-memory publish");
+    // Every submitted update publishes exactly one epoch before
+    // `submit` returns.
+    assert_eq!(store.epoch(), before + 1);
     store.snapshot()
 }
 
@@ -160,18 +173,16 @@ proptest! {
             format!("serve.shard.{quarantined}"),
             SiteScript::transient(failures),
         );
-        let handle = Ingestor { workers: 1, queue_capacity: 4 }
-            .spawn_chaos(store.clone(), Arc::new(chaos));
+        let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
 
-        // The union, the way one batch build sees it, and the same
-        // content merged update by update (earliest week wins).
-        let mut union = SnapshotBuilder::new("eq", SHARDS);
+        // The union's content merged update by update (earliest week
+        // wins).
         let mut held: BTreeMap<u128, u32> = BTreeMap::new();
         let mut held_aliases: BTreeMap<(u128, u8), u32> = BTreeMap::new();
         let mut submitted_distinct = 0u64;
 
         let mut prev = store.snapshot();
-        for update in &updates {
+        for (k, update) in updates.iter().enumerate() {
             let (entries, aliases) = (update.entries(), update.alias_weeks());
             // Shards this update changes when nothing is quarantined,
             // and shards it carries anything for at all.
@@ -179,7 +190,6 @@ proptest! {
             let mut carried = BTreeSet::new();
             let mut earliest: BTreeMap<u128, u32> = BTreeMap::new();
             for &(b, w) in &entries {
-                union.add_bits(b, w);
                 let e = earliest.entry(b).or_insert(w);
                 *e = (*e).min(w);
             }
@@ -193,7 +203,6 @@ proptest! {
             }
             let mut alias_touched = BTreeSet::new();
             for &(p, w) in &aliases {
-                union.add_alias(p, w);
                 carried.extend(alias_shards(&p));
                 let key = (p.bits(), p.len());
                 if held_aliases.get(&key).is_none_or(|&old| w < old) {
@@ -203,8 +212,21 @@ proptest! {
                 }
             }
 
-            let next = ingest_one(&handle, &store, update);
+            let next = ingest_one(&mut ingest, &store, update);
             prop_assert!(next.verify_integrity());
+            // The epoch holds exactly updates 0..=k: every shard it does
+            // not mark missing is that shard of one build over them, and
+            // alias registrations reach even a quarantined shard.
+            let upto = build_over(&updates[..=k]);
+            for i in 0..SHARDS {
+                if !next.missing_shards().contains(&(i as u32)) {
+                    prop_assert!(
+                        next.shards()[i].entries().eq(upto.shards()[i].entries()),
+                        "shard {} differs from updates 0..=k", i
+                    );
+                }
+            }
+            prop_assert_eq!(flatten_snapshot(&next).1, flatten_snapshot(&upto).1);
             // Read under the operators' lock, which a publish holds
             // across its swap and its fold.
             let (at, served, sums) = store
@@ -230,10 +252,10 @@ proptest! {
             prev = next;
         }
 
-        let report = handle.finish_report();
+        let report = ingest.finish_report();
         prop_assert!(report.is_complete(), "{:?}", report);
         let got = store.snapshot();
-        let want = union.build();
+        let want = build_over(&updates);
         prop_assert!(got.verify_integrity());
         prop_assert!(!got.is_degraded());
         prop_assert_eq!(got.content_checksum(), want.content_checksum());
@@ -253,7 +275,7 @@ proptest! {
     }
 }
 
-/// An `Ingestor` spawned on a store that already serves content builds
+/// An `Ingestor` created on a store that already serves content builds
 /// on that content: a store recovered from disk (or published through a
 /// `SnapshotBuilder`) keeps every earlier address under its original
 /// first week, and every alias, when one more week is ingested.
@@ -285,15 +307,15 @@ fn ingest_on_a_recovered_store_keeps_what_it_served() {
     assert_eq!(report.recovered_epoch, 3);
     let store = Arc::new(store);
     let before = store.snapshot();
-    let handle = Ingestor::default().spawn(store.clone());
-    handle
+    let mut ingest = Ingestor::new(store.clone());
+    ingest
         .submit(PublicationUpdate::Week {
             week: 3,
             // One new address and one re-publication of a week-0 one.
             addresses: vec![addr(1, 9), addr(0, 1)],
         })
         .unwrap();
-    let stats = handle.finish();
+    let stats = ingest.finish();
 
     let after = store.snapshot();
     assert_eq!(after.epoch(), 4);

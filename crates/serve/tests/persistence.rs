@@ -237,9 +237,9 @@ fn ingest_pipeline_drives_a_persistent_store() {
     let dir = v6store::scratch_dir("serve-ingest");
     let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
     let store = Arc::new(HitlistStore::persistent("persist", 2, cfg.clone()).unwrap());
-    let handle = Ingestor::default().spawn(store.clone());
+    let mut ingest = Ingestor::new(store.clone());
     for w in 0..3u64 {
-        handle
+        ingest
             .submit(PublicationUpdate::Week {
                 week: w,
                 addresses: vec![
@@ -247,9 +247,9 @@ fn ingest_pipeline_drives_a_persistent_store() {
                     addr(&format!("2001:db8:1::{}", w + 1)),
                 ],
             })
-            .expect("pipeline alive");
+            .expect("publish");
     }
-    let stats = handle.finish();
+    let stats = ingest.finish();
     assert_eq!(stats.epochs_published, 3);
     let final_checksum = store.snapshot().content_checksum();
     drop(store);
@@ -258,6 +258,35 @@ fn ingest_pipeline_drives_a_persistent_store() {
     assert_eq!(store.epoch(), 3);
     assert_eq!(store.snapshot().content_checksum(), final_checksum);
     assert!(store.snapshot().contains(addr("2001:db8:0::3")));
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A publish the store refuses reaches the caller, and the report does
+/// not call the run complete while the store serves less than was built.
+#[test]
+fn refused_ingest_publish_is_reported() {
+    let dir = v6store::scratch_dir("serve-ingest-refused");
+    let cfg = StoreConfig::new(&dir).checkpoint_every(0).with_fsync(false);
+    let chaos = ScriptedChaos::new().with("store.append.2", SiteScript::transient(1));
+    let store = Arc::new(
+        HitlistStore::persistent_with("persist", 2, cfg.clone(), Arc::new(chaos)).unwrap(),
+    );
+    let mut ingest = Ingestor::new(store.clone());
+    let week = |w: u64| PublicationUpdate::Week {
+        week: w,
+        addresses: vec![addr(&format!("2001:db8:{w}::1"))],
+    };
+    ingest.submit(week(0)).expect("epoch 1 appends");
+    let err = ingest.submit(week(1)).unwrap_err();
+    assert!(matches!(err, PublishError::Persistence(_)), "{err}");
+    let report = ingest.finish_report();
+
+    assert_eq!(store.epoch(), 1);
+    assert_eq!(store.snapshot().len(), 1);
+    assert_eq!(report.stats.epochs_published, 1);
+    assert!(!report.is_complete(), "{report:?}");
+    let loss = report.loss();
+    assert_eq!(loss.unit_names(), ["store.publish"]);
     std::fs::remove_dir_all(dir).ok();
 }
 

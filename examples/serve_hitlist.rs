@@ -36,14 +36,15 @@ fn main() {
         service.aliased.len()
     );
 
-    // 2. Publish it through the concurrent ingestion pipeline: weekly
-    //    releases flow through bounded channels into sharded, immutable
-    //    snapshots; each update becomes a new epoch.
+    // 2. Publish it through an ingestor: each submitted update is
+    //    normalized into per-shard runs, merged into a sharded, immutable
+    //    snapshot and published as the next epoch before `submit`
+    //    returns.
     let store = Arc::new(HitlistStore::new(&service.name, 8));
-    let ingest = Ingestor::default().spawn(store.clone());
+    let mut ingest = Ingestor::new(store.clone());
     ingest
         .submit(PublicationUpdate::Service(service.clone()))
-        .expect("ingest pipeline alive");
+        .expect("in-memory publish");
     let stats = ingest.finish();
     println!(
         "ingested: {} unique addresses ({} duplicates coalesced), epoch {}",

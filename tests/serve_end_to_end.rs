@@ -1,5 +1,5 @@
 //! Cross-crate integration: collect a hitlist from the simulator,
-//! publish it through the v6serve ingestion pipeline, and query the
+//! publish it through the v6serve ingestor, and query the
 //! resulting store — the full collect → publish → serve → query loop.
 
 use std::net::Ipv6Addr;
@@ -39,23 +39,23 @@ fn collect_publish_serve_query() {
     let service = HitlistService::from_campaign("integration", &hl.campaign);
     assert!(service.total_responsive() > 0, "campaign found nothing");
 
-    // Publish: week by week through the concurrent ingestion pipeline.
+    // Publish: week by week, one epoch per update.
     let store = Arc::new(HitlistStore::new("integration", 4));
-    let ingest = Ingestor::default().spawn(store.clone());
+    let mut ingest = Ingestor::new(store.clone());
     for snap in &service.snapshots {
         ingest
             .submit(PublicationUpdate::Week {
                 week: snap.week,
                 addresses: snap.new_responsive.clone(),
             })
-            .expect("ingest pipeline alive");
+            .expect("in-memory publish");
     }
     ingest
         .submit(PublicationUpdate::Aliases {
             week: 0,
             prefixes: service.aliased.clone(),
         })
-        .expect("ingest pipeline alive");
+        .expect("in-memory publish");
     let stats = ingest.finish();
     assert_eq!(stats.updates, service.snapshots.len() as u64 + 1);
     assert_eq!(stats.unique_addresses, service.total_responsive());
@@ -225,25 +225,20 @@ fn degraded_epochs_surface_end_to_end() {
 
     let store = Arc::new(HitlistStore::new("degraded", 1 << shard_bits));
     let chaos = ScriptedChaos::new().with(format!("serve.shard.{target}"), SiteScript::permanent());
-    // One worker keeps the merge order deterministic: the three weekly
-    // epochs publish healthy (the campaign never touches the poisoned
-    // shard), then the corpus epoch degrades.
-    let ingest = Ingestor {
-        workers: 1,
-        queue_capacity: 8,
-    }
-    .spawn_chaos(store.clone(), Arc::new(chaos));
+    // The three weekly epochs publish healthy (the campaign never
+    // touches the poisoned shard), then the corpus epoch degrades.
+    let mut ingest = Ingestor::with_chaos(store.clone(), Arc::new(chaos));
     for snap in &service.snapshots {
         ingest
             .submit(PublicationUpdate::Week {
                 week: snap.week,
                 addresses: snap.new_responsive.clone(),
             })
-            .expect("ingest pipeline alive");
+            .expect("in-memory publish");
     }
     ingest
         .submit(PublicationUpdate::from_corpus(&corpus))
-        .expect("ingest pipeline alive");
+        .expect("in-memory publish");
     let report = ingest.finish_report();
 
     // The loss is accounted, not silently dropped.

@@ -40,8 +40,8 @@ fn faulty_pair(chaos: &Arc<dyn Chaos>, label: &str) -> (Link, Link) {
     (client_end, fabric.link(&server, label, None))
 }
 
-/// Collects a small campaign and publishes it through the ingestion
-/// pipeline, returning the store the front door will serve from.
+/// Collects a small campaign and publishes it through an [`Ingestor`],
+/// returning the store the front door will serve from.
 fn published_store() -> Arc<HitlistStore> {
     let world = World::build(WorldConfig::tiny(), 909);
     let hl = collect_hitlist(
@@ -55,21 +55,21 @@ fn published_store() -> Arc<HitlistStore> {
     let service = HitlistService::from_campaign("wire-e2e", &hl.campaign);
     assert!(service.total_responsive() > 0, "campaign found nothing");
     let store = Arc::new(HitlistStore::new("wire-e2e", 4));
-    let ingest = Ingestor::default().spawn(store.clone());
+    let mut ingest = Ingestor::new(store.clone());
     for snap in &service.snapshots {
         ingest
             .submit(PublicationUpdate::Week {
                 week: snap.week,
                 addresses: snap.new_responsive.clone(),
             })
-            .expect("ingest pipeline alive");
+            .expect("in-memory publish");
     }
     ingest
         .submit(PublicationUpdate::Aliases {
             week: 0,
             prefixes: service.aliased.clone(),
         })
-        .expect("ingest pipeline alive");
+        .expect("in-memory publish");
     ingest.finish();
     store
 }
