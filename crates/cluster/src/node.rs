@@ -22,8 +22,11 @@
 //!   exactly (`prev_epoch` matches) is applied to the served snapshot
 //!   and verified — the content checksum carried forward through the
 //!   delta must equal the one the delta carries — published durably,
-//!   then acked. A stale delta is dropped; a gapped one triggers a
-//!   `CatchUpReq`.
+//!   then acked with that checksum. A stale delta is dropped; a gapped
+//!   one triggers a `CatchUpReq`.
+//! * **Checking acks** (`DeltaAck`): an acked checksum that differs
+//!   from this node's own chain at that epoch counts as
+//!   `cluster.repl.ack_mismatch`; epochs the chain lost are skipped.
 //! * **Catching up** (`CatchUpReq`/`CatchUpResp`): the peer replays
 //!   its retained delta chain when it still reaches back to the
 //!   requester's epoch, and otherwise bootstraps with the full state,
@@ -42,7 +45,7 @@
 //! publish up front, anything else is dropped and counted
 //! (`cluster.repl.oversize`).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::net::Ipv6Addr;
 use std::path::PathBuf;
@@ -151,6 +154,20 @@ impl PartitionReplica {
         }
     }
 
+    /// The content checksum this replica's chain holds for `epoch`:
+    /// the served snapshot's, or a retained delta's. `None` once the
+    /// chain no longer reaches that epoch.
+    fn checksum_at(&self, epoch: u64) -> Option<u64> {
+        let snap = self.store.snapshot();
+        if snap.epoch() == epoch {
+            return Some(snap.content_checksum());
+        }
+        self.history
+            .iter()
+            .find(|(_, d)| d.epoch == epoch)
+            .map(|(_, d)| d.content_checksum)
+    }
+
     /// Bytes this replica keeps resident for its corpus: the serving
     /// snapshot's columns and the retained delta chain. Streaming adds
     /// operator state, not a second copy of the entries.
@@ -179,6 +196,7 @@ struct NodeCounters {
     dup_pushes: Counter,
     gap_pushes: Counter,
     acks: Counter,
+    ack_mismatch: Counter,
     catchup_reqs: Counter,
     catchup_chains: Counter,
     catchup_bootstraps: Counter,
@@ -199,6 +217,7 @@ impl NodeCounters {
             dup_pushes: registry.counter("cluster.repl.dup_pushes"),
             gap_pushes: registry.counter("cluster.repl.gap_pushes"),
             acks: registry.counter("cluster.repl.acks"),
+            ack_mismatch: registry.counter("cluster.repl.ack_mismatch"),
             catchup_reqs: registry.counter("cluster.repl.catchup_reqs"),
             catchup_chains: registry.counter("cluster.repl.catchup_chains"),
             catchup_bootstraps: registry.counter("cluster.repl.catchup_bootstraps"),
@@ -227,8 +246,6 @@ pub struct Node {
     counters: NodeCounters,
     replicas: BTreeMap<u32, PartitionReplica>,
     peers: BTreeMap<String, Peer>,
-    /// Ack evidence: `(partition, epoch)` → nodes that durably hold it.
-    acks: BTreeMap<(u32, u64), BTreeSet<String>>,
 }
 
 impl Node {
@@ -254,7 +271,6 @@ impl Node {
             counters,
             replicas,
             peers: BTreeMap::new(),
-            acks: BTreeMap::new(),
         })
     }
 
@@ -283,7 +299,6 @@ impl Node {
             counters,
             replicas,
             peers: BTreeMap::new(),
-            acks: BTreeMap::new(),
         })
     }
 
@@ -348,12 +363,6 @@ impl Node {
     /// The serving snapshot for `pid`, when hosted.
     pub fn snapshot(&self, pid: u32) -> Option<Arc<Snapshot>> {
         self.replicas.get(&pid).map(|r| r.store.snapshot())
-    }
-
-    /// Nodes known (via self-publish or [`ReplMsg::DeltaAck`]) to
-    /// durably hold `(pid, epoch)`.
-    pub fn ack_count(&self, pid: u32, epoch: u64) -> usize {
-        self.acks.get(&(pid, epoch)).map_or(0, BTreeSet::len)
     }
 
     /// This node's metrics: its own replication and read counters, the
@@ -434,10 +443,6 @@ impl Node {
         // here loses an epoch, never advertises a phantom one.
         replica.store.publish_delta(next, &delta)?;
         replica.adopt(prev_epoch, delta, self.opts.history_cap);
-        self.acks
-            .entry((pid, epoch))
-            .or_default()
-            .insert(self.name.clone());
         if let Some(framed) = push {
             for follower in followers {
                 self.counters.deltas_pushed.inc();
@@ -516,13 +521,16 @@ impl Node {
             ReplMsg::DeltaAck {
                 partition,
                 epoch,
-                checksum: _,
+                checksum,
             } => {
                 self.counters.acks.inc();
-                self.acks
-                    .entry((partition, epoch))
-                    .or_default()
-                    .insert(peer.to_string());
+                let own = self
+                    .replicas
+                    .get(&partition)
+                    .and_then(|r| r.checksum_at(epoch));
+                if own.is_some_and(|own| own != checksum) {
+                    self.counters.ack_mismatch.inc();
+                }
             }
             ReplMsg::CatchUpReq {
                 partition,
@@ -566,10 +574,6 @@ impl Node {
         match replica.apply_verified(prev_epoch, delta, self.opts.history_cap) {
             Some((epoch, checksum)) => {
                 self.counters.deltas_applied.inc();
-                self.acks
-                    .entry((pid, epoch))
-                    .or_default()
-                    .insert(self.name.clone());
                 self.send(
                     peer,
                     &ReplMsg::DeltaAck {
@@ -667,10 +671,6 @@ impl Node {
         }
         if let Some((epoch, checksum)) = reached {
             self.counters.catchup_applied.inc();
-            self.acks
-                .entry((pid, epoch))
-                .or_default()
-                .insert(self.name.clone());
             self.send(
                 peer,
                 &ReplMsg::DeltaAck {
@@ -781,7 +781,9 @@ mod tests {
         leader.pump(2_000);
 
         assert_eq!(follower.epoch_checksum(1), Some((1, checksum)));
-        assert_eq!(leader.ack_count(1, 1), 2, "self + follower ack");
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.acks"), Some(1));
+        assert_eq!(m.counter("cluster.repl.ack_mismatch"), Some(0));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -825,7 +827,38 @@ mod tests {
             follower.epoch_checksum(0),
             "byte-identical content checksums"
         );
-        assert_eq!(leader.ack_count(0, 2), 2);
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.acks"), Some(1));
+        assert_eq!(m.counter("cluster.repl.ack_mismatch"), Some(0));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn forged_ack_checksum_is_counted_as_a_mismatch() {
+        let root = scratch("forged-ack");
+        let net = quiet_net();
+        let mut leader = Node::create("n0", &[1], opts(&root)).unwrap();
+        leader.connect("n1", net.link("n0", "n1", Some(OnPanic::Crash)));
+        let mut forger = net.link("n1", "n0", None);
+        let checksum = leader
+            .lead_publish(1, 1, 0, vec![(10, 0), (20, 0)], vec![], &[], 0)
+            .unwrap();
+
+        // An honest ack, a forged checksum at the held epoch, and an
+        // epoch the leader's chain never held.
+        for (epoch, acked) in [(1, checksum), (1, checksum ^ 1), (7, 0)] {
+            let ack = ReplMsg::DeltaAck {
+                partition: 1,
+                epoch,
+                checksum: acked,
+            };
+            forger.send(&frame(&ack.encode()), 0).unwrap();
+        }
+        leader.pump(1_000);
+
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.acks"), Some(3));
+        assert_eq!(m.counter("cluster.repl.ack_mismatch"), Some(1));
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -892,7 +925,9 @@ mod tests {
         // Nothing half-committed: not visible, not acked, not logged,
         // not pushed.
         assert_eq!(leader.epoch_checksum(0), Some((1, small)));
-        assert_eq!(leader.ack_count(0, 2), 0);
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.acks"), Some(0));
+        assert_eq!(m.counter("cluster.repl.ack_mismatch"), Some(0));
         let logged = v6store::recover(&root.join("n0").join(partition_name(0))).unwrap();
         assert_eq!(logged.state.epoch, 1);
         follower.pump(1_000);

@@ -16,7 +16,8 @@
 //!   [`DeltaRecord`] plus the epoch it extends (`prev_epoch`), so a
 //!   follower can tell "applies exactly" from "I missed something".
 //! * [`ReplMsg::DeltaAck`] — follower → leader: the epoch and content
-//!   checksum the follower reached, the leader's quorum evidence.
+//!   checksum the follower reached, which the leader checks against
+//!   its own chain (`cluster.repl.ack_mismatch`).
 //! * [`ReplMsg::CatchUpReq`] — a replica asking a peer for everything
 //!   after `have_epoch`.
 //! * [`ReplMsg::CatchUpResp`] — the peer's reply: a contiguous chain

@@ -27,9 +27,9 @@
 //! queries served, faults injected — must be invariant under the worker
 //! thread count (`V6_THREADS`); integration tests assert this. Timing
 //! values (histogram quantiles, span wall times) and scheduling metrics
-//! (`par.pool.*` chunk/steal counters, queue-depth gauges) are inherently
-//! execution-dependent and are excluded from that contract, and from all
-//! artifact digests.
+//! (`par.pool.*` chunk/steal counters, the `par.dag.ready_peak` gauge)
+//! are inherently execution-dependent and are excluded from that
+//! contract, and from all artifact digests.
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! An explicit stage dependency DAG executed by a worker pool.
+//! An explicit stage dependency DAG executed by scoped worker threads.
 //!
 //! The experiment pipeline used to be straight-line code: collect, then
 //! campaign, then campaign, then four analyses — even though most
@@ -14,7 +14,7 @@
 //! [`FaultInjector::retry_budget`]. A stage that exhausts its attempts is
 //! *reported* — as a [`StageFailure`] in the returned [`DagRun`] — and
 //! its dependents are failed with `DependencyFailed` without running,
-//! never silently skipped and never deadlocking the pool.
+//! never silently skipped and never deadlocking the workers.
 //!
 //! Determinism: the DAG only controls *when* a stage runs, never what
 //! it computes — every task is a pure function of its named inputs, so
@@ -307,7 +307,7 @@ impl<'env> Dag<'env> {
     /// * a stage whose dependency failed is reported
     ///   [`FailReason::DependencyFailed`] without its task ever running;
     /// * a stage makes at most `injector.retry_budget() + 1` attempts;
-    /// * the pool always drains — failures never deadlock waiters.
+    /// * the ready queue always drains — failures never deadlock waiters.
     pub fn run(self, threads: usize, injector: &dyn FaultInjector) -> DagRun {
         const DONE: usize = usize::MAX;
         let n = self.nodes.len();
@@ -335,10 +335,11 @@ impl<'env> Dag<'env> {
         }
 
         // Never run more DAG workers than hardware threads: stage bodies
-        // already fan out through the data-parallel pool, so extra stage
-        // workers would only timeshare the cores and inflate every
-        // stage's wall clock. (Stage *outputs* are unaffected — the DAG
-        // is deterministic at any worker count.)
+        // already fan out through the data-parallel kernels, whose
+        // helpers share `threads − 1` permits, so extra stage workers
+        // would only timeshare the cores and inflate every stage's wall
+        // clock. (Stage *outputs* are unaffected — the DAG is
+        // deterministic at any worker count.)
         let cores = std::thread::available_parallelism()
             .map(|c| c.get())
             .unwrap_or(1);

@@ -11,8 +11,8 @@
 //!
 //! * [`threads`] — the worker count, overridable with `V6_THREADS`.
 //! * [`par_map_cost`] — order-preserving parallel map: participants
-//!   claim fixed-cost morsels off a shared cursor and write each result
-//!   straight into its final output slot.
+//!   claim fixed-cost morsels off a shared queue, each mapping into its
+//!   own output run.
 //! * [`par_for_each_mut`] — in-place parallel mutation under the same
 //!   morsel scheduler, for callers that own their buffers.
 //! * [`split_ranges`] — near-equal contiguous ranges, for callers that
@@ -25,41 +25,35 @@
 //! * [`Cost`] — per-item work hints driving the adaptive
 //!   sequential-vs-parallel cutoff ([`SEQ_CUTOFF_NANOS`]) and morsel
 //!   sizing ([`MORSEL_TARGET_NANOS`]).
-//! * [`Dag`] — an explicit stage dependency graph executed by a worker
-//!   pool; independent stages run concurrently, results are retrieved
-//!   by name. [`Dag::run`] consults a [`FaultInjector`] once per stage
-//!   attempt and retries a failed one up to the injector's budget, so
-//!   chaos tests script faults deterministically.
+//! * [`Dag`] — an explicit stage dependency graph executed by scoped
+//!   worker threads; independent stages run concurrently, results are
+//!   retrieved by name. [`Dag::run`] consults a [`FaultInjector`] once
+//!   per stage attempt and retries a failed one up to the injector's
+//!   budget, so chaos tests script faults deterministically.
 //!
-//! The data-parallel kernels all execute on one **persistent,
-//! lazily-spawned worker pool** (see [`pool_threads_spawned`]): OS
-//! threads are created once per process and park between jobs, so the
-//! spawn/join cost that used to be paid per call is paid once.
-//! `V6_THREADS=1` (or any call below its work cutoff) never touches the
-//! pool at all.
+//! A parallel kernel call spawns its helpers in `std::thread::scope`,
+//! and a helper runs only while it holds one of `threads − 1`
+//! process-wide permits, so calls running side by side (DAG stages,
+//! nested calls) never put more than `threads − 1` helpers beside their
+//! callers. `V6_THREADS=1` (or any call below its work cutoff) spawns
+//! nothing at all.
 //!
 //! Determinism comes from construction, not from luck: `par_map_cost`
-//! writes results into their input positions and `par_for_each_mut`
-//! visits each item exactly once. Scheduling order may vary run to run;
-//! observable output never does.
+//! concatenates its morsels' output runs in input order and
+//! `par_for_each_mut` visits each item exactly once. Scheduling order
+//! may vary run to run; observable output never does.
 //!
-//! Observability: the DAG runner and the pool record into the global
+//! Observability: the DAG runner and the kernels record into the global
 //! `v6obs` registry — `par.dag.*` (stage completions/failures/retries,
 //! injected-fault counts, stage latency, ready-queue peak),
-//! `par.pool.*` (parallel calls, morsel counts, steals, pool threads,
-//! morsel latency), and `par.cutoff.<site>.{inline,parallel}` (adaptive
-//! cutoff decisions per labeled call site). With `V6_TRACE=1` each
-//! stage body runs inside a `v6obs` span named after the stage. All
-//! `par.*` values describe scheduling, not data, and are exempt from
-//! the thread-count-invariance contract above.
-//!
-//! Safety: this crate contains the workspace's only `unsafe` — the job
-//! hand-off to pool workers and the disjoint per-slot writes of
-//! `par_map_cost` / `par_for_each_mut` in `pool.rs`, each behind a safe
-//! API with its argument documented at the site. Everything else is
-//! `#![deny(unsafe_code)]`.
+//! `par.pool.*` (parallel calls, morsel counts, steals, morsel
+//! latency), and `par.cutoff.<site>.{inline,parallel}` (adaptive cutoff
+//! decisions per labeled call site). With `V6_TRACE=1` each stage body
+//! runs inside a `v6obs` span named after the stage. All `par.*` values
+//! describe scheduling, not data, and are exempt from the
+//! thread-count-invariance contract above.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod dag;
@@ -71,8 +65,7 @@ pub use dag::{
     TaskOutputs,
 };
 pub use pool::{
-    par_for_each_mut, par_map_cost, pool_threads_spawned, split_ranges, Cost, MORSEL_TARGET_NANOS,
-    SEQ_CUTOFF_NANOS,
+    par_for_each_mut, par_map_cost, split_ranges, Cost, MORSEL_TARGET_NANOS, SEQ_CUTOFF_NANOS,
 };
 pub use radix::{radix_sort_by_key, radix_sort_f64, radix_sort_u128};
 

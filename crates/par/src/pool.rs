@@ -1,51 +1,37 @@
-//! Morsel-driven parallel kernels on a persistent worker pool.
+//! Morsel-driven parallel kernels on scoped helper threads.
 //!
-//! Three ideas keep parallel from ever costing more than sequential:
-//!
-//! 1. **Persistent pool** — worker threads are spawned once per process
-//!    (lazily, on the first job that wants them) and park on a condvar
-//!    between jobs. A job is injected by pushing lightweight references
-//!    onto a shared run queue; the submitting thread always participates
-//!    in its own job, so progress never depends on a free worker.
-//! 2. **Morsel scheduling** — each call estimates its total work from a
-//!    caller-supplied [`Cost`] hint, runs inline when the estimate is
-//!    below [`SEQ_CUTOFF_NANOS`], and otherwise splits the input into
-//!    fixed-cost morsels (~[`MORSEL_TARGET_NANOS`] each) claimed off an
-//!    atomic cursor. Tiny inputs pay zero scheduling tax; skewed inputs
-//!    rebalance by stealing.
-//! 3. **Zero-copy results** — [`par_map_cost`] writes each result
-//!    directly into its final slot in the preallocated output's spare
-//!    capacity (disjoint indices, one writer per slot), and
-//!    [`par_for_each_mut`] mutates items where they lie. Nothing is
-//!    cloned and nothing is copied twice.
-//!
-//! Determinism is structural: every morsel knows its output range and
-//! the work estimate depends only on the input — so results are
-//! byte-identical at any thread count.
+//! A call whose [`Cost`] estimate is below [`SEQ_CUTOFF_NANOS`] runs
+//! inline on the caller. Otherwise its input is split into morsels of
+//! ~[`MORSEL_TARGET_NANOS`] on one shared queue, drained by the caller
+//! and by helpers spawned in `std::thread::scope`; skewed inputs
+//! rebalance by stealing. A helper runs only while it holds one of
+//! `threads − 1` process-wide permits, so calls side by side (DAG
+//! stages, nested calls) share the cores instead of multiplying
+//! threads. A morsel owns its output run or its `&mut` chunk, and its
+//! range depends only on the input, so results are byte-identical at
+//! any thread count.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------
 
-/// Cached handles into the global metrics registry for the pool.
+/// Cached handles into the global metrics registry for the kernels.
 ///
 /// All `par.pool.*` metrics describe *scheduling* — how work was split
 /// and stolen — which depends on the worker count and OS timing. They
 /// are explicitly excluded from the thread-count-invariance contract
-/// (the sequential fast path records nothing at all). Workers
-/// accumulate locally and flush once per job, never per item.
+/// (the sequential fast path records nothing at all). They are recorded
+/// once per call, morsel or participant, never per item.
 struct PoolMetrics {
     maps: v6obs::Counter,
     chunks: v6obs::Counter,
     steals: v6obs::Counter,
-    threads: v6obs::Gauge,
     chunk_latency: v6obs::Histogram,
 }
 
@@ -55,7 +41,6 @@ fn pool_metrics() -> &'static PoolMetrics {
         maps: v6obs::counter("par.pool.maps"),
         chunks: v6obs::counter("par.pool.chunks"),
         steals: v6obs::counter("par.pool.steals"),
-        threads: v6obs::gauge("par.pool.threads"),
         chunk_latency: v6obs::histogram("par.pool.chunk_latency"),
     })
 }
@@ -76,12 +61,12 @@ fn record_cutoff(label: Option<&'static str>, parallel: bool) {
 // ---------------------------------------------------------------------------
 
 /// Work below this estimate runs inline on the caller: dispatching even
-/// one helper costs a queue push plus an unpark, which only pays for
+/// one helper costs a thread spawn and a join, which only pays for
 /// itself above roughly this much work.
 pub const SEQ_CUTOFF_NANOS: u64 = 100_000;
 
 /// Target work per morsel. Small enough that stealing rebalances skew,
-/// large enough that the claim `fetch_add` and two clock reads are
+/// large enough that the claim's queue lock and two clock reads are
 /// noise (< 0.5% at 50µs).
 pub const MORSEL_TARGET_NANOS: u64 = 50_000;
 
@@ -156,262 +141,100 @@ pub fn split_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 // ---------------------------------------------------------------------------
-// The persistent pool
+// Scoped helpers
 // ---------------------------------------------------------------------------
 
-/// Hard ceiling on pool threads, far above any sane `V6_THREADS`.
-const MAX_POOL_THREADS: usize = 256;
+/// Hard ceiling on one call's participants (caller plus helpers), far
+/// above any sane `V6_THREADS`.
+const MAX_PARTICIPANTS: usize = 256;
 
-/// One job, living on the submitting caller's stack for the duration of
-/// [`Pool::run_job`]. Workers reach it through a raw pointer; validity
-/// is guaranteed because the caller does not return until `queued` and
-/// `active` are both zero.
-struct JobCore {
-    /// Type-erased `&F` where `F: Fn() + Sync`.
-    data: *const (),
-    /// Monomorphized trampoline that calls the closure behind `data`.
-    call: unsafe fn(*const ()),
-    /// Queue entries for this job not yet picked up by a worker.
-    queued: AtomicUsize,
-    /// Workers currently executing the job body.
-    active: AtomicUsize,
-    /// The submitting thread, unparked when the job fully drains.
-    waiter: std::thread::Thread,
-    /// First panic payload captured from a worker, re-thrown by the caller.
-    panic: Mutex<Option<Box<dyn std::any::Any + Send + 'static>>>,
+/// Helpers running morsels right now, process-wide, and the condvar a
+/// waiting helper sleeps on until a permit frees or its call finishes.
+static RUNNING: Mutex<usize> = Mutex::new(0);
+static FREED: Condvar = Condvar::new();
+
+/// One held permit; dropping it (panic or not) hands it back.
+struct Permit;
+
+impl Drop for Permit {
+    fn drop(&mut self) {
+        *RUNNING.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        FREED.notify_all();
+    }
 }
 
-/// A queue entry pointing at a [`JobCore`] on some caller's stack.
-#[derive(Clone, Copy)]
-struct JobRef(*const JobCore);
-
-// SAFETY: a JobRef only crosses threads through the pool queue, and the
-// JobCore it points to is kept alive by the submitting caller until the
-// queued/active counts — which every queue pop participates in — reach
-// zero. The pointee is only used via &-references to Sync fields.
-#[allow(unsafe_code)]
-unsafe impl Send for JobRef {}
-
-struct Pool {
-    /// Jobs awaiting pickup. One entry per requested helper.
-    queue: Mutex<VecDeque<JobRef>>,
-    /// Wakes parked workers when entries are pushed.
-    work_cv: Condvar,
-    /// OS threads spawned so far; grows monotonically, never shrinks.
-    spawned: AtomicUsize,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        queue: Mutex::new(VecDeque::new()),
-        work_cv: Condvar::new(),
-        spawned: AtomicUsize::new(0),
-    })
-}
-
-/// OS worker threads the global pool has spawned so far in this process.
-///
-/// Zero until the first call that crosses the parallel cutoff — the
-/// single-thread path never touches the pool. The count only grows
-/// (workers park between jobs; they are never joined), and only up to
-/// the largest helper count any call has asked for, so steady-state
-/// reuse spawns nothing. Exposed for tests and diagnostics; mirrored as
-/// the `par.pool.threads` gauge.
-pub fn pool_threads_spawned() -> usize {
-    // `pool()` lazily constructs an empty Pool, which spawns nothing, so
-    // touching it here is observationally free.
-    pool().spawned.load(Ordering::Acquire)
-}
-
-#[allow(unsafe_code)]
-fn worker_loop(pool: &'static Pool) {
+/// Waits for one of `cap` permits, or returns `None` once `finished` is
+/// set. The flag is read and written only under the permit mutex: that
+/// orders it, and it cannot flip between the check and the wait.
+fn acquire(cap: usize, finished: &AtomicBool) -> Option<Permit> {
+    let mut count = RUNNING.lock().unwrap_or_else(PoisonError::into_inner);
     loop {
-        let job = {
-            let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
-                q = pool.work_cv.wait(q).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        // SAFETY: the queue entry we just popped is counted in `queued`,
-        // so the submitting caller is still blocked in `run_job` and the
-        // JobCore (and the closure behind it) is alive. We bump `active`
-        // *before* releasing our `queued` hold so the caller can never
-        // observe the job as drained while we are touching it.
-        let core = unsafe { &*job.0 };
-        core.active.fetch_add(1, Ordering::AcqRel);
-        core.queued.fetch_sub(1, Ordering::AcqRel);
-        // SAFETY: `data`/`call` were erased from a live `&F` by `run_job`.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (core.call)(core.data) }));
-        if let Err(payload) = result {
-            let mut slot = core.panic.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
+        if finished.load(Ordering::Relaxed) {
+            return None;
         }
-        // Clone the waiter handle while `active` still pins the job: after
-        // the fetch_sub below the caller may free the JobCore at any time,
-        // so from there on we touch only our own clone. Whoever takes
-        // `active` to zero unparks unconditionally: a `queued` read taken
-        // here could be stale (the caller's cancel may zero it right
-        // after), and a spurious unpark is harmless because the caller's
-        // wait loop re-checks both counts.
-        let waiter = core.waiter.clone();
-        if core.active.fetch_sub(1, Ordering::AcqRel) == 1 {
-            waiter.unpark();
+        if *count < cap {
+            *count += 1;
+            return Some(Permit);
         }
+        count = FREED.wait(count).unwrap_or_else(PoisonError::into_inner);
     }
 }
 
-impl Pool {
-    /// Runs `body` on the caller plus up to `helpers` pool workers, all
-    /// draining the same closure (jobs are self-scheduling: the body is
-    /// a claim-a-morsel loop, so running it on fewer threads — or even
-    /// twice on one — is harmless). Blocks until every participant is
-    /// done; propagates the first panic without poisoning the pool.
-    #[allow(unsafe_code)]
-    fn run_job<F: Fn() + Sync>(&'static self, helpers: usize, body: &F) {
-        let helpers = helpers.min(MAX_POOL_THREADS);
-        if helpers == 0 {
-            body();
-            return;
+/// Runs `work` over every morsel on the caller plus `participants − 1`
+/// scoped helpers, all claiming from one shared queue, and returns the
+/// outputs in morsel order. Every helper is joined before a panic is
+/// re-raised: the caller's first, otherwise the first helper's.
+fn run_morsels<M, O, W>(threads: usize, participants: usize, morsels: Vec<M>, work: W) -> Vec<O>
+where
+    M: Send,
+    O: Send,
+    W: Fn(M) -> O + Sync,
+{
+    let metrics = pool_metrics();
+    metrics.maps.inc();
+    metrics.chunks.add(morsels.len() as u64);
+    let participants = participants.min(MAX_PARTICIPANTS);
+    // A participant's statically owned morsel count: claims beyond it
+    // are steals (a perfectly balanced run records zero steals).
+    let share = morsels.len().div_ceil(participants);
+    let queue = Mutex::new(morsels.into_iter().enumerate());
+    let drain = || {
+        let mut done = Vec::new();
+        loop {
+            let claimed = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((k, morsel)) = claimed else { break };
+            let t0 = Instant::now();
+            done.push((k, work(morsel)));
+            metrics.chunk_latency.record(t0.elapsed().as_nanos() as u64);
         }
-        unsafe fn trampoline<F: Fn() + Sync>(data: *const ()) {
-            // SAFETY: `data` is the `&F` erased in `run_job` below, alive
-            // until run_job returns.
-            unsafe { (*(data as *const F))() }
-        }
-        let core = JobCore {
-            data: body as *const F as *const (),
-            call: trampoline::<F>,
-            queued: AtomicUsize::new(helpers),
-            active: AtomicUsize::new(0),
-            waiter: std::thread::current(),
-            panic: Mutex::new(None),
-        };
-        let core_ptr: *const JobCore = &core;
-        {
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            // Deterministic growth: spawn exactly enough workers to cover
-            // the largest helper count ever requested, under the queue
-            // lock so the spawn counter is exact.
-            while self.spawned.load(Ordering::Acquire) < helpers {
-                std::thread::Builder::new()
-                    .name("v6par-worker".into())
-                    .spawn(move || worker_loop(pool()))
-                    .expect("spawn v6par pool worker");
-                let now = self.spawned.fetch_add(1, Ordering::AcqRel) + 1;
-                pool_metrics().threads.set(now as i64);
-            }
-            for _ in 0..helpers {
-                q.push_back(JobRef(core_ptr));
-            }
-        }
-        if helpers == 1 {
-            self.work_cv.notify_one();
-        } else {
-            self.work_cv.notify_all();
-        }
-
-        // The caller always participates: even with every worker busy on
-        // other jobs, the submitting thread drains its own morsels, so
-        // nested jobs and a saturated pool cannot deadlock.
-        let caller_result = catch_unwind(AssertUnwindSafe(body));
-
-        // Cancel entries no worker picked up — common when the caller
-        // finished the whole job alone — so stale JobRefs never outlive
-        // this frame.
-        {
-            let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-            let before = q.len();
-            q.retain(|j| !std::ptr::eq(j.0, core_ptr));
-            let removed = before - q.len();
-            if removed > 0 {
-                core.queued.fetch_sub(removed, Ordering::AcqRel);
-            }
-        }
-        // Wait for in-flight workers. The Acquire loads pair with the
-        // workers' AcqRel count updates, which also publish every result
-        // the workers wrote through shared pointers. The timeout is a
-        // belt-and-braces guard against a lost unpark; the common path
-        // parks at most once.
-        while core.queued.load(Ordering::Acquire) != 0 || core.active.load(Ordering::Acquire) != 0 {
-            std::thread::park_timeout(Duration::from_millis(10));
-        }
-        if let Err(payload) = caller_result {
-            resume_unwind(payload);
-        }
-        let worker_panic = core.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(payload) = worker_panic {
-            resume_unwind(payload);
-        }
+        metrics.steals.add(done.len().saturating_sub(share) as u64);
+        done
+    };
+    let cap = threads.min(MAX_PARTICIPANTS) - 1;
+    let finished = AtomicBool::new(false);
+    let (caller, helpers) = std::thread::scope(|s| {
+        let handles: Vec<_> = (1..participants)
+            .map(|_| {
+                s.spawn(|| match acquire(cap, &finished) {
+                    Some(_permit) => drain(),
+                    None => Vec::new(),
+                })
+            })
+            .collect();
+        let caller = catch_unwind(AssertUnwindSafe(drain));
+        let count = RUNNING.lock().unwrap_or_else(PoisonError::into_inner);
+        finished.store(true, Ordering::Relaxed);
+        drop(count);
+        FREED.notify_all();
+        let helpers: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        (caller, helpers)
+    });
+    let mut done = caller.unwrap_or_else(|payload| resume_unwind(payload));
+    for helper in helpers {
+        done.extend(helper.unwrap_or_else(|payload| resume_unwind(payload)));
     }
-}
-
-/// A raw base pointer to `len` slots that workers write through.
-///
-/// Safety rests with index distribution, not with this type: every
-/// index is claimed by exactly one participant (the atomic morsel
-/// cursor), so accesses through the pointer never alias.
-struct SendPtr<T> {
-    base: *mut T,
-    len: usize,
-}
-impl<T> SendPtr<T> {
-    /// The slot at `i`. Going through a method (rather than field
-    /// access) makes closures capture the whole `SendPtr` — keeping its
-    /// `Send`/`Sync` impls, not the raw pointer's lack of them.
-    fn at(&self, i: usize) -> *mut T {
-        debug_assert!(i < self.len, "slot {i} out of {} slots", self.len);
-        // SAFETY note for callers: `wrapping_add` does no deref; the
-        // unsafe read/write happens at the use site.
-        self.base.wrapping_add(i)
-    }
-}
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-// SAFETY: see the type-level comment — disjointness is enforced by the
-// single atomic cursor every participant claims indices from.
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Send for SendPtr<T> {}
-#[allow(unsafe_code)]
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-/// Per-participant scheduling tallies, accumulated in locals during the
-/// morsel loop and flushed to the registry once per job.
-struct MorselStats {
-    claimed: u64,
-    latencies_ns: Vec<u64>,
-}
-
-impl MorselStats {
-    fn new() -> MorselStats {
-        MorselStats {
-            claimed: 0,
-            latencies_ns: Vec::new(),
-        }
-    }
-
-    /// Flushes to `par.pool.*`. `share` is the participant's statically
-    /// owned morsel count — claims beyond it are steals (claims up to it
-    /// are not: a perfectly balanced run records zero steals).
-    fn flush(self, share: u64) {
-        if self.claimed == 0 {
-            return;
-        }
-        let metrics = pool_metrics();
-        metrics.steals.add(self.claimed.saturating_sub(share));
-        for ns in self.latencies_ns {
-            metrics.chunk_latency.record(ns);
-        }
-    }
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -423,13 +246,11 @@ impl MorselStats {
 ///
 /// Below the work cutoff this is a plain sequential map with no thread
 /// machinery at all. Above it, participants claim fixed-cost morsels
-/// off a shared cursor and write each result straight into its final
-/// slot in the output's spare capacity — no per-chunk buffers, no
-/// result re-copy, no locks on the data path.
+/// off a shared queue; each morsel maps into its own run, and the runs
+/// are concatenated in morsel order.
 ///
-/// If `f` panics the panic propagates to the caller; results already
-/// written are leaked (not dropped), never double-dropped.
-#[allow(unsafe_code)]
+/// If `f` panics the panic propagates to the caller once every helper
+/// has stopped, and every result already built is dropped exactly once.
 pub fn par_map_cost<T, R, F>(threads: usize, items: &[T], cost: Cost, f: F) -> Vec<R>
 where
     T: Sync,
@@ -440,58 +261,20 @@ where
     let Some((morsels, participants)) = plan(threads, n, cost) else {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     };
-    let metrics = pool_metrics();
-    metrics.maps.inc();
-    metrics.chunks.add(morsels as u64);
-    let ranges = split_ranges(n, morsels);
-    let share = ranges.len().div_ceil(participants) as u64;
-    let cursor = AtomicUsize::new(0);
-    let covered = AtomicUsize::new(0);
-    let mut out: Vec<R> = Vec::with_capacity(n);
-    let out_base = SendPtr {
-        base: out.as_mut_ptr(),
-        len: n,
-    };
-    let body = || {
-        let mut stats = MorselStats::new();
-        loop {
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(range) = ranges.get(c) else { break };
-            stats.claimed += 1;
-            let t0 = Instant::now();
-            for i in range.clone() {
-                let value = f(i, &items[i]);
-                // SAFETY: `i` lies in a morsel this participant claimed
-                // exclusively and `out` has capacity `n`, so this writes
-                // a distinct, in-bounds, uninitialized slot.
-                unsafe { out_base.at(i).write(value) };
-            }
-            if cfg!(debug_assertions) {
-                covered.fetch_add(range.len(), Ordering::Relaxed);
-            }
-            stats.latencies_ns.push(t0.elapsed().as_nanos() as u64);
-        }
-        stats.flush(share);
-    };
-    pool().run_job(participants - 1, &body);
-    // Relaxed suffices: run_job's Acquire wait on each participant's
-    // AcqRel `active` update orders every add before this load.
-    debug_assert_eq!(
-        covered.load(Ordering::Relaxed),
-        n,
-        "claimed morsels must cover exactly n slots"
-    );
-    // SAFETY: run_job returned without unwinding, so every morsel ran to
-    // completion and all `n` slots are initialized. (On panic we never
-    // get here: `out` drops with len 0 and written results leak.)
-    unsafe { out.set_len(n) };
+    let runs = run_morsels(threads, participants, split_ranges(n, morsels), |range| {
+        range.map(|i| f(i, &items[i])).collect::<Vec<R>>()
+    });
+    let mut out = Vec::with_capacity(n);
+    for run in runs {
+        out.extend(run);
+    }
+    debug_assert_eq!(out.len(), n, "morsels must cover exactly n items");
     out
 }
 
 /// In-place parallel mutation: `f(i, &mut items[i])` for every `i`,
 /// each item visited exactly once — for callers that own their buffers
 /// (e.g. per-shard runs in `v6serve`) and want no copy.
-#[allow(unsafe_code)]
 pub fn par_for_each_mut<T, F>(threads: usize, items: &mut [T], cost: Cost, f: F)
 where
     T: Send,
@@ -504,33 +287,20 @@ where
         }
         return;
     };
-    let metrics = pool_metrics();
-    metrics.maps.inc();
-    metrics.chunks.add(morsels as u64);
-    let ranges = split_ranges(n, morsels);
-    let share = ranges.len().div_ceil(participants) as u64;
-    let cursor = AtomicUsize::new(0);
-    let base = SendPtr {
-        base: items.as_mut_ptr(),
-        len: n,
-    };
-    let body = || {
-        let mut stats = MorselStats::new();
-        loop {
-            let c = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(range) = ranges.get(c) else { break };
-            stats.claimed += 1;
-            let t0 = Instant::now();
-            for i in range.clone() {
-                // SAFETY: `i` lies in a morsel this participant claimed
-                // exclusively, so no other reference to `items[i]` exists.
-                f(i, unsafe { &mut *base.at(i) });
-            }
-            stats.latencies_ns.push(t0.elapsed().as_nanos() as u64);
+    let mut rest = items;
+    let chunks: Vec<(usize, &mut [T])> = split_ranges(n, morsels)
+        .into_iter()
+        .map(|range| {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+            rest = tail;
+            (range.start, chunk)
+        })
+        .collect();
+    run_morsels(threads, participants, chunks, |(start, chunk)| {
+        for (j, x) in chunk.iter_mut().enumerate() {
+            f(start + j, x);
         }
-        stats.flush(share);
-    };
-    pool().run_job(participants - 1, &body);
+    });
 }
 
 #[cfg(test)]

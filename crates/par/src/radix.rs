@@ -28,10 +28,9 @@
 //! `sort_unstable` for keys that are injective over the element and
 //! consistent with `Ord` (every call site sorts plain integer tuples).
 //!
-//! The sort is sequential on purpose: radix-sorting chunks on the pool
+//! The sort is sequential on purpose: radix-sorting chunks in parallel
 //! and merging them re-moves every element once more, and measured
-//! slower than one sequential pass at every recorded size. This module
-//! contains no `unsafe`.
+//! slower than one sequential pass at every recorded size.
 
 /// Number of 8-bit digits in the 192-bit `(u128, u64)` key.
 const DIGITS: usize = 24;

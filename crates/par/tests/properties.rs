@@ -1,11 +1,13 @@
-//! Property tests for the determinism contract and the pool's `unsafe`:
+//! Property tests for the determinism contract and the helper model:
 //! every v6par kernel must produce the same bytes as its sequential
-//! counterpart at any thread count, and a panicking body must never
-//! double-drop a result or poison the pool.
+//! counterpart at any thread count, a panicking body must never
+//! double-drop a result or break the next call, and concurrent callers
+//! never run more helpers than their permit count allows.
 
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Once;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -87,7 +89,7 @@ impl Drop for Tracked<'_> {
 
 /// The per-item work: a pure function of `(i, x)`. Every 97th item runs
 /// a nested parallel map whose heavy hint crosses the cutoff, so nested
-/// jobs land on the pool while the outer job still holds it.
+/// calls spawn helpers while the outer call's helpers hold permits.
 fn work(threads: usize, i: usize, x: u64) -> u64 {
     let mixed = x.wrapping_mul(0x2545_f491_4f6c_dd1d) ^ i as u64;
     if !i.is_multiple_of(97) {
@@ -103,9 +105,9 @@ fn work(threads: usize, i: usize, x: u64) -> u64 {
 /// `par_map_cost` and `par_for_each_mut` across lengths, thread counts
 /// and cost hints on both sides of the cutoff, with nested jobs and
 /// injected panics: exact output without a panic; with one, the panic
-/// reaches the caller, no value is dropped twice, and the next call on
-/// the same pool is exact. Runs at least 256 cases (more when
-/// `PROPTEST_CASES` asks for more).
+/// reaches the caller, no value is dropped twice, and the next call is
+/// exact. Runs at least 256 cases (more when `PROPTEST_CASES` asks for
+/// more).
 #[test]
 fn pool_kernels_exact_drop_safe_and_reentrant() {
     quiet_injected_panics();
@@ -198,4 +200,42 @@ fn pool_kernels_exact_drop_safe_and_reentrant() {
         let (made, dropped) = counts.totals();
         assert_eq!((made, dropped), (len, len), "{ctx}: par_for_each_mut drops");
     }
+}
+
+/// Four callers each run eight rounds of a 4-thread map side by side.
+/// Every caller gets exact, ordered results, and the bodies in flight
+/// never exceed the 4 callers plus the 3 helpers that `threads − 1`
+/// process-wide permits allow; unbounded per-call helpers would reach
+/// 4 × 4 = 16.
+#[test]
+fn concurrent_callers_share_the_helper_permits() {
+    let items: Vec<u64> = (0..128).collect();
+    let in_flight = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+    std::thread::scope(|s| {
+        for t in 0..4u64 {
+            let (items, in_flight, peak) = (&items, &in_flight, &peak);
+            s.spawn(move || {
+                for round in 0..8u64 {
+                    let got = par_map_cost(4, items, Cost::per_item_ns(1_000_000), |_, &x| {
+                        let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        std::thread::sleep(Duration::from_micros(100));
+                        in_flight.fetch_sub(1, Ordering::SeqCst);
+                        x.wrapping_mul(t + 1).wrapping_add(round)
+                    });
+                    let expect: Vec<u64> = items
+                        .iter()
+                        .map(|&x| x.wrapping_mul(t + 1).wrapping_add(round))
+                        .collect();
+                    assert_eq!(got, expect, "caller {t} round {round}");
+                }
+            });
+        }
+    });
+    let peak = peak.load(Ordering::SeqCst);
+    assert!(
+        peak <= 7,
+        "{peak} bodies in flight: 4 callers + 3 helpers allow 7"
+    );
 }

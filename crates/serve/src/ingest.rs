@@ -3,7 +3,7 @@
 //!
 //! [`Ingestor::submit`] normalizes one [`PublicationUpdate`] into
 //! per-shard sorted `(bits, week)` runs (a big update spreads the sorts
-//! over the `v6par` pool), merges them and publishes the next epoch
+//! over `v6par` helpers), merges them and publishes the next epoch
 //! before it returns, so the `k`-th epoch an ingestor publishes holds
 //! exactly its updates `0..=k`. The ingestor holds the last snapshot it
 //! built — starting from whatever the store serves when it is created —
@@ -148,7 +148,7 @@ fn normalize(update: PublicationUpdate, shard_bits: u32) -> ShardBatch {
     // Sort each run by (bits, week) then dedup keeping the first entry
     // of each equal-bits run — i.e. the earliest week within this
     // update. Runs are independent, so big updates fan the per-shard
-    // sorts out across the v6par pool; the adaptive cutoff keeps the
+    // sorts out across v6par helpers; the adaptive cutoff keeps the
     // typical small update inline on the submitting thread.
     let total: usize = per_shard.iter().map(Vec::len).sum();
     let run_cost = v6par::Cost::per_item_ns(100 * (total / per_shard.len().max(1)).max(1) as u64)

@@ -12,9 +12,10 @@
 //!   detection, target generation, campaign baselines.
 //! * [`geo`] (`v6geo`) — MaxMind-like and wardriving-like geolocation
 //!   substrates.
-//! * [`par`] (`v6par`) — the work-stealing scoped thread pool and stage
-//!   DAG behind the parallel pipeline; deterministic by construction
-//!   (bit-identical artifacts at any thread count, `V6_THREADS` knob).
+//! * [`par`] (`v6par`) — the morsel-driven kernels on scoped helpers and
+//!   the stage DAG behind the parallel pipeline; deterministic by
+//!   construction (bit-identical artifacts at any thread count,
+//!   `V6_THREADS` knob).
 //! * [`hitlist`] (`v6hitlist`) — the paper's contribution: passive NTP
 //!   corpus collection, dataset comparison, entropy/lifetime/pattern
 //!   analyses, backscanning, EUI-64 tracking, the geolocation attack,

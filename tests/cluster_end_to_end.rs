@@ -64,6 +64,19 @@ fn publish_week(cluster: &mut Cluster, seed: u64, week: u64) -> Vec<u32> {
     committed
 }
 
+/// `(acks, ack checksum mismatches)` summed over every live node.
+fn ack_totals(cluster: &Cluster) -> (u64, u64) {
+    let m = cluster.metrics();
+    let sum = |suffix: &str| -> u64 {
+        m.counters
+            .iter()
+            .filter(|(name, _)| name.ends_with(suffix))
+            .map(|(_, v)| v)
+            .sum()
+    };
+    (sum(".cluster.repl.acks"), sum(".cluster.repl.ack_mismatch"))
+}
+
 /// The client rides with n0–n2; n3 and n4 are cut off.
 fn split_groups() -> BTreeMap<String, u8> {
     [("n0", 0u8), ("n1", 0), ("n2", 0), ("n3", 1), ("n4", 1)]
@@ -125,6 +138,9 @@ fn node_death_and_healed_partition_converge_with_honest_reads() {
         assert!(p.in_sync, "p{} replicas disagree after heal", p.partition);
         assert_eq!(p.replicas.len(), 3, "p{} lost a replica", p.partition);
     }
+    let (acks, mismatches) = ack_totals(&cluster);
+    assert!(acks > 0, "no ack was ever checked");
+    assert_eq!(mismatches, 0, "an acked checksum disagrees with its chain");
 
     // The audited invariant, over every hedged read the run issued.
     assert_eq!(
@@ -238,6 +254,11 @@ fn converge_chaotic_run(run: &ChaosRun) -> usize {
         );
         assert!(p.in_sync, "seed {seed}: p{} replicas disagree", p.partition);
     }
+    assert_eq!(
+        ack_totals(&cluster).1,
+        0,
+        "seed {seed}: an acked checksum disagrees with its chain"
+    );
     assert_eq!(
         cluster.unlabeled_stale_reads(),
         0,
