@@ -14,8 +14,8 @@
 //! ones. The same file carries the layout comparisons — membership
 //! structures, longest-prefix match — the per-event time and heap
 //! allocations of the streaming operators, the same two of one
-//! request through the front door, and the time and bytes per entry of
-//! a checkpoint.
+//! request through the front door, the time and bytes per entry of
+//! a checkpoint, and the time per entry of the cluster leader's diff.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeMap, HashSet};
@@ -27,12 +27,13 @@ use std::time::Instant;
 use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
 use v6bench::{
-    CheckpointRecord, KernelRecord, KernelsBench, LpmRecord, MembershipRecord, StreamOpRecord,
-    WireRoundtripRecord,
+    CheckpointRecord, KernelRecord, KernelsBench, LeaderDiffRecord, LpmRecord, MembershipRecord,
+    StreamOpRecord, WireRoundtripRecord,
 };
+use v6serve::persist::{delta_between, delta_to_content, snapshot_from_state};
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6store::format::{self, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, TAG_CHECKPOINT};
-use v6store::{DeltaRecord, EpochState};
+use v6store::{replica, DeltaRecord, EpochState, EpochView};
 use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
 use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
@@ -360,6 +361,7 @@ fn emit_par_kernels_json() {
         stream_ops: stream_op_records(),
         wire_roundtrip: wire_roundtrip_records(),
         checkpoint: checkpoint_records(),
+        leader_diff: leader_diff_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
@@ -405,6 +407,12 @@ fn emit_par_kernels_json() {
         println!(
             "  checkpoint/{:>2} per /64 {:>6} entries: {:>5.1} ns/entry encode, {:>5.1} ns/entry decode, {:.2} B/entry",
             c.per_64, c.entries, c.encode_ns_per_entry, c.decode_ns_per_entry, c.bytes_per_entry
+        );
+    }
+    for d in &bench.leader_diff {
+        println!(
+            "  leader_diff/{:<16} {:<7} {:>6} entries, {:>5} changed: {:>5.1} ns/entry",
+            d.diff, d.shape, d.entries, d.changed, d.ns_per_entry
         );
     }
     println!("wrote {}", path.display());
@@ -458,6 +466,97 @@ fn checkpoint_records() -> Vec<CheckpointRecord> {
             }
         })
         .collect()
+}
+
+/// The diff a cluster leader derives for one `epoch-trickle`-sized
+/// partition — 32 768 entries at 16 addresses per /64 over 4 shards —
+/// against its next content: trickle-shaped (96 removals, 64 week
+/// changes and 96 additions at random, as one wave hands each
+/// partition) and churn-shaped (every other entry replaced by a new
+/// address in the same /64, so every block changes). Each row is
+/// checked against the store's flat-list diff first.
+fn leader_diff_records() -> Vec<LeaderDiffRecord> {
+    const ENTRIES: usize = 32_768;
+    const PER_64: usize = 16;
+    let net =
+        |k: usize| (0x2001_0db8u128 << 96) | ((k % 256) as u128) << 80 | ((k / 256) as u128) << 64;
+    let mut old: Vec<(u128, u32)> = (0..ENTRIES)
+        .map(|i| {
+            (
+                net(i / PER_64) | ((i % PER_64) as u128) << 32 | 0x5eed,
+                (i % 9) as u32,
+            )
+        })
+        .collect();
+    old.sort_unstable();
+    let state = EpochState {
+        name: "kernels".into(),
+        shard_bits: 2,
+        entries: old.clone(),
+        ..EpochState::default()
+    };
+    let prev = snapshot_from_state(&state);
+
+    let mut rng = Rng::new(0x1eade7);
+    let mut trickle: BTreeMap<u128, u32> = old.iter().copied().collect();
+    for i in 0..160 {
+        let bits = old[(rng.next_u64() % ENTRIES as u64) as usize].0;
+        if i < 96 {
+            trickle.remove(&bits);
+        } else {
+            trickle.insert(bits, 9);
+        }
+    }
+    while trickle.len() < ENTRIES {
+        let k = (rng.next_u64() % (ENTRIES / PER_64) as u64) as usize;
+        trickle.insert(net(k) | u128::from(rng.next_u64() as u32) << 8, 10);
+    }
+    let churn: BTreeMap<u128, u32> = (old.iter().enumerate())
+        .map(|(i, &(bits, week))| match i % 2 {
+            0 => (bits, week),
+            _ => (bits ^ 1 << 63, 10),
+        })
+        .collect();
+
+    let mut records = Vec::new();
+    for (shape, next) in [("trickle", trickle), ("churn", churn)] {
+        let entries: Vec<(u128, u32)> = next.into_iter().collect();
+        let next_state = EpochState {
+            entries,
+            ..state.clone()
+        };
+        let next = snapshot_from_state(&next_state);
+        let canonical = replica::delta_between(
+            &state,
+            &EpochView {
+                epoch: 2,
+                week: 0,
+                content_checksum: next.content_checksum(),
+                missing_shards: &[],
+                entries: &next_state.entries,
+                aliases: &[],
+            },
+        );
+        let to_content = || delta_to_content(&prev, 2, 0, &next_state.entries, &[]);
+        assert_eq!(to_content().as_ref(), Some(&canonical), "delta_to_content");
+        assert_eq!(delta_between(&prev, &next, 2), canonical, "delta_between");
+        let changed = canonical.removed.len() + canonical.added.len();
+        let mut record = |diff: &str, ms: f64| {
+            records.push(LeaderDiffRecord {
+                diff: diff.into(),
+                shape: shape.into(),
+                entries: ENTRIES,
+                changed,
+                ns_per_entry: ms * 1e6 / ENTRIES as f64,
+            })
+        };
+        record("delta_to_content", best_ms(15, to_content));
+        record(
+            "delta_between",
+            best_ms(15, || delta_between(&prev, &next, 2)),
+        );
+    }
+    records
 }
 
 /// A request through the front door, closed loop over an in-memory pipe

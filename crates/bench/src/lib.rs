@@ -132,13 +132,34 @@ pub struct CheckpointRecord {
     pub bytes_per_entry: f64,
 }
 
+/// One diff a cluster leader derives — a partition's served snapshot
+/// against its next content — at one delta shape, as recorded in
+/// `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct LeaderDiffRecord {
+    /// Which diff: `v6serve::persist::delta_to_content` (snapshot
+    /// against flat sorted content, the leader's) or
+    /// `v6serve::persist::delta_between` (snapshot against snapshot).
+    pub diff: String,
+    /// Delta shape: "trickle" (256 entries changed) or "churn" (half of
+    /// the entries replaced).
+    pub shape: String,
+    /// Entries in the partition before the delta.
+    pub entries: usize,
+    /// Entries the record removes plus entries it adds.
+    pub changed: usize,
+    /// Mean nanoseconds per partition entry (best of N rounds).
+    pub ns_per_entry: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: the `v6par`
 /// kernels production runs, each against its baseline at several input
 /// sizes (so kernel-level regressions are visible separately from
 /// pipeline-level ones), the membership-lookup comparison across the
 /// address-store representations, longest-prefix match over the prefix
 /// index, the per-event cost of the streaming operators, the cost of
-/// a request through the front door, and of a checkpoint.
+/// a request through the front door, of a checkpoint, and of the
+/// leader's diff.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the `par_map` timings.
@@ -160,6 +181,9 @@ pub struct KernelsBench {
     pub wire_roundtrip: Vec<WireRoundtripRecord>,
     /// A 32 768-entry checkpoint at 16 and at 1 address per /64.
     pub checkpoint: Vec<CheckpointRecord>,
+    /// Both snapshot diffs of a 32 768-entry, 4-shard partition at 16
+    /// addresses per /64, trickle- and churn-shaped.
+    pub leader_diff: Vec<LeaderDiffRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

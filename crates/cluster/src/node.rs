@@ -399,9 +399,11 @@ impl Node {
     ///
     /// `entries` must be sorted ascending by bits and deduplicated;
     /// `aliases` sorted by `(bits, len)` — the cluster driver
-    /// guarantees both. The epoch is made durable locally first, then
-    /// the delta is pushed to `followers`. Returns the content
-    /// checksum of the published epoch.
+    /// guarantees both, and entries that are not are refused with
+    /// [`PublishError::IntegrityFailure`] before anything is logged.
+    /// The epoch is made durable locally first, then the delta is
+    /// pushed to `followers`. Returns the content checksum of the
+    /// published epoch.
     ///
     /// A delta whose push would not fit one frame is refused with
     /// [`PublishError::Oversized`] before anything is logged: an epoch
@@ -423,7 +425,10 @@ impl Node {
             .expect("leader must host the partition it publishes");
         let current = replica.store.snapshot();
         let prev_epoch = current.epoch();
-        let delta = delta_to_content(&current, epoch, week, &entries, &aliases);
+        // Unsorted or duplicated content is refused before anything is
+        // logged or pushed: its record would not carry `entries`.
+        let delta = delta_to_content(&current, epoch, week, &entries, &aliases)
+            .ok_or(PublishError::IntegrityFailure)?;
         let checksum = delta.content_checksum;
         let push = if followers.is_empty() {
             None
@@ -434,8 +439,7 @@ impl Node {
                 cap: MAX_FRAME_PAYLOAD as usize,
             })?)
         };
-        // Cannot miss for sorted, deduplicated input: the delta was
-        // derived from this very snapshot.
+        // Cannot miss: the delta was derived from this very snapshot.
         let next = current
             .apply_delta(&delta)
             .ok_or(PublishError::IntegrityFailure)?;
@@ -942,6 +946,41 @@ mod tests {
             .lead_publish(0, 3, 1, oversized_content(), vec![], &[], 0)
             .unwrap();
         assert_eq!(leader.epoch_checksum(0).map(|(e, _)| e), Some(3));
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unsorted_content_is_refused_before_anything_commits() {
+        let root = scratch("unsorted");
+        let net = quiet_net();
+        let mut leader = Node::create("n0", &[0], opts(&root)).unwrap();
+        let mut follower = Node::create("n1", &[0], opts(&root)).unwrap();
+        wire(&net, &mut leader, &mut follower);
+        let first = leader
+            .lead_publish(0, 1, 0, vec![(1 << 64 | 5, 0)], vec![], &["n1".into()], 0)
+            .unwrap();
+        follower.pump(1_000);
+        let log = root.join("n0").join(partition_name(0));
+        let logged = std::fs::read(log.join(v6store::LOG_FILE)).unwrap();
+
+        // Out of order inside a key block, across key blocks, and a
+        // duplicate address.
+        for entries in [
+            vec![(1 << 64 | 7, 1), (1 << 64 | 6, 1)],
+            vec![(2 << 64 | 1, 1), (1 << 64 | 5, 0)],
+            vec![(1 << 64 | 5, 0), (1 << 64 | 5, 1)],
+        ] {
+            let err = leader
+                .lead_publish(0, 2, 1, entries, vec![], &["n1".into()], 2_000)
+                .unwrap_err();
+            assert_eq!(err, PublishError::IntegrityFailure);
+        }
+        assert_eq!(leader.epoch_checksum(0), Some((1, first)));
+        assert_eq!(std::fs::read(log.join(v6store::LOG_FILE)).unwrap(), logged);
+        let m = leader.metrics();
+        assert_eq!(m.counter("cluster.repl.deltas_pushed"), Some(1));
+        follower.pump(3_000);
+        assert_eq!(follower.epoch_checksum(0), Some((1, first)));
         let _ = std::fs::remove_dir_all(&root);
     }
 

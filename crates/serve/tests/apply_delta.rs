@@ -203,7 +203,8 @@ proptest! {
             from_snapshots = delta_between(&prev, &rebuilt, expect.epoch);
             prop_assert_eq!(&from_snapshots, &canonical);
             let mut from_content =
-                delta_to_content(&prev, expect.epoch, expect.week, &expect.entries, &expect.aliases);
+                delta_to_content(&prev, expect.epoch, expect.week, &expect.entries, &expect.aliases)
+                    .expect("sorted, deduplicated content");
             // `delta_to_content` publishes healthy epochs only.
             from_content.missing_shards.clone_from(&canonical.missing_shards);
             prop_assert_eq!(&from_content, &canonical);
