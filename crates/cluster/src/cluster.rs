@@ -14,7 +14,7 @@
 //! order (leader leases are not modeled; the paper's workload is a
 //! single publisher per partition). Reads route through a hedged
 //! coordinator on the reserved [`CLIENT`] endpoint: probe the primary,
-//! hedge to the next replica every `hedge_after_rounds`, and label the
+//! hedge to the next replica every `HEDGE_AFTER_ROUNDS`, and label the
 //! answer —
 //!
 //! * **fresh** when a replica answered at the committed epoch with no
@@ -58,6 +58,18 @@ pub const CLIENT: &str = "client";
 /// Distinguishes scratch directories of clusters built in one process.
 static SCRATCH_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// Virtual nodes per node on the ring.
+const VNODES: usize = 64;
+/// Delta records each replica retains for catch-up replay; a requester
+/// further behind than this gets a full-state bootstrap.
+pub(crate) const HISTORY_CAP: usize = 16;
+/// Rounds a read coordinator waits before hedging to the next replica.
+const HEDGE_AFTER_ROUNDS: u64 = 2;
+/// Rounds after which an unanswered read gives up.
+const READ_DEADLINE_ROUNDS: u64 = 8;
+/// Rounds a killed node stays down before restarting.
+const RESTART_AFTER_ROUNDS: u64 = 6;
+
 /// Cluster construction knobs.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -67,19 +79,8 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Fixed partition count the /48 space folds into.
     pub partitions: u32,
-    /// Virtual nodes per node on the ring.
-    pub vnodes: usize,
     /// Shards per partition store (power of two).
     pub shards: usize,
-    /// Delta records retained per replica for catch-up replay.
-    pub history_cap: usize,
-    /// Rounds a read coordinator waits before hedging to the next
-    /// replica.
-    pub hedge_after_rounds: u32,
-    /// Rounds after which an unanswered read gives up.
-    pub read_deadline_rounds: u32,
-    /// Rounds a killed node stays down before restarting.
-    pub restart_after_rounds: u64,
     /// Scratch root for the nodes' epoch logs (removed on drop).
     pub data_root: PathBuf,
     /// Seed recorded for reports; the chaos plan carries its own.
@@ -87,20 +88,14 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// Defaults sized for simulation: 8 partitions, 64 vnodes, 4
-    /// shards, hedge after 2 rounds, restart after 6.
+    /// Defaults sized for simulation: 8 partitions of 4 shards.
     pub fn new(nodes: usize, replication: usize, seed: u64) -> ClusterConfig {
         let uniq = SCRATCH_SEQ.fetch_add(1, Ordering::Relaxed);
         ClusterConfig {
             nodes,
             replication,
             partitions: 8,
-            vnodes: 64,
             shards: 4,
-            history_cap: 16,
-            hedge_after_rounds: 2,
-            read_deadline_rounds: 8,
-            restart_after_rounds: 6,
             data_root: std::env::temp_dir().join(format!(
                 "v6cluster-{}-{}-{uniq}",
                 std::process::id(),
@@ -303,7 +298,7 @@ impl Cluster {
             "a cluster needs at least one partition"
         );
         let names: Vec<String> = (0..cfg.nodes).map(|i| format!("n{i}")).collect();
-        let ring = Ring::build(names.clone(), cfg.vnodes, cfg.replication);
+        let ring = Ring::build(names.clone(), VNODES, cfg.replication);
         let fabric_registry = Registry::new();
         let net = Fabric::new("cluster", chaos, &fabric_registry);
         let mut cluster = Cluster {
@@ -344,7 +339,6 @@ impl Cluster {
             data_root: self.cfg.data_root.clone(),
             shard_count: self.cfg.shards,
             partitions: self.cfg.partitions,
-            history_cap: self.cfg.history_cap,
         }
     }
 
@@ -493,7 +487,7 @@ impl Cluster {
             .iter()
             .filter_map(|(name, slot)| match slot {
                 NodeSlot::Down { since_round }
-                    if self.round - since_round >= self.cfg.restart_after_rounds =>
+                    if self.round - since_round >= RESTART_AFTER_ROUNDS =>
                 {
                     Some(name.clone())
                 }
@@ -629,14 +623,14 @@ impl Cluster {
             .map(|s| s.to_string())
             .collect();
         let committed_epoch = self.committed.get(&pid).map_or(0, |&(e, _)| e);
-        let deadline = self.round + u64::from(self.cfg.read_deadline_rounds);
+        let deadline = self.round + READ_DEADLINE_ROUNDS;
         let mut req_ids: Vec<u64> = Vec::new();
         let mut responses: BTreeMap<u64, RespData> = BTreeMap::new();
         let mut next_replica = 0usize;
         let mut last_probe_round = self.round;
         loop {
-            let hedge_due = req_ids.is_empty()
-                || self.round >= last_probe_round + u64::from(self.cfg.hedge_after_rounds);
+            let hedge_due =
+                req_ids.is_empty() || self.round >= last_probe_round + HEDGE_AFTER_ROUNDS;
             if hedge_due && next_replica < replicas.len() {
                 let req_id = self.next_req;
                 self.next_req += 1;
@@ -1035,7 +1029,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            for week in 1..=(c.config().history_cap as u32 + 1) {
+            for week in 1..=(HISTORY_CAP as u32 + 1) {
                 trickle_round(&mut c, &mut model, week);
             }
             assert!(c.is_converged());

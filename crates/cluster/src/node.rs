@@ -5,25 +5,28 @@
 //! epoch log on disk) per partition it replicates, plus a short history
 //! of the [`DeltaRecord`]s that built it — what catch-up replays to a
 //! lagging peer. The serving snapshot is the replica's only copy of the
-//! corpus: a delta is applied to it ([`Snapshot::apply_delta`]), logged
-//! as it arrived and retained, and nothing on the per-epoch path ever
-//! flattens, clones or re-diffs the partition.
+//! corpus: a delta is handed to the store
+//! ([`HitlistStore::publish_delta`], which applies it to that snapshot
+//! under its writer mutex), logged as it arrived and retained, and
+//! nothing on the per-epoch path ever flattens, clones or re-diffs the
+//! partition.
 //!
 //! The state machine (DESIGN.md §14 has the timeline diagrams):
 //!
-//! * **Leading** ([`Node::lead_publish`]): build the next epoch, diff
-//!   it against the served snapshot shard by shard, check that the
-//!   resulting push fits a frame, make the epoch durable locally
-//!   (`publish_delta`, write-ahead under the cluster-assigned epoch
-//!   number), then push the delta to the followers. Durability strictly
+//! * **Leading** ([`Node::lead_publish`]): diff the partition's next
+//!   content against the served snapshot by /64 key block into a
+//!   delta, check that the resulting push fits a frame, make the epoch
+//!   durable locally (`publish_delta`: applied to the served snapshot,
+//!   then logged write-ahead under the cluster-assigned epoch number),
+//!   then push the delta to the followers. Durability strictly
 //!   precedes the push, so a leader crash can lose an epoch but never
 //!   advertise one it doesn't hold.
 //! * **Following** (`DeltaPush`): a delta that extends the served epoch
-//!   exactly (`prev_epoch` matches) is applied to the served snapshot
-//!   and verified — the content checksum carried forward through the
-//!   delta must equal the one the delta carries — published durably,
-//!   then acked with that checksum. A stale delta is dropped; a gapped
-//!   one triggers a `CatchUpReq`.
+//!   exactly (`prev_epoch` matches) goes through the same
+//!   `publish_delta` — applied, verified (the content checksum carried
+//!   forward through the delta must equal the one the delta carries)
+//!   and logged — then acked with that checksum. A stale delta is
+//!   dropped; a gapped one triggers a `CatchUpReq`.
 //! * **Checking acks** (`DeltaAck`): an acked checksum that differs
 //!   from this node's own chain at that epoch counts as
 //!   `cluster.repl.ack_mismatch`; epochs the chain lost are skipped.
@@ -61,6 +64,7 @@ use v6stream::SharedResolver;
 use v6wire::frame::{try_frame, FrameDecoder, MAX_FRAME_PAYLOAD};
 use v6wire::transport::{Link, Transport};
 
+use crate::cluster::HISTORY_CAP;
 use crate::proto::{encode_delta_push, ReplMsg};
 use crate::ring::partition_of;
 
@@ -84,9 +88,6 @@ pub struct NodeOpts {
     /// Total partitions in the cluster — read routing needs it to map
     /// a probed address to the partition it serves.
     pub partitions: u32,
-    /// Delta records each replica retains for catch-up replay; a
-    /// requester further behind than this gets a full-state bootstrap.
-    pub history_cap: usize,
 }
 
 impl NodeOpts {
@@ -125,33 +126,23 @@ impl PartitionReplica {
         }
     }
 
-    /// Applies a delta that extends the served epoch exactly: carry the
-    /// snapshot forward through it (which verifies the checksum),
-    /// publish durably, then retain it. Returns the `(epoch, checksum)`
-    /// reached, or `None` when the delta was rejected (counted by the
-    /// caller).
+    /// Publishes a delta that extends the served epoch exactly (the
+    /// store applies it and verifies the checksum it reaches) durably,
+    /// then retains it for catch-up. Returns the `(epoch, checksum)`
+    /// reached.
     fn apply_verified(
         &mut self,
         prev_epoch: u64,
         delta: DeltaRecord,
-        history_cap: usize,
-    ) -> Option<(u64, u64)> {
-        let current = self.store.snapshot();
-        debug_assert_eq!(prev_epoch, current.epoch());
-        let next = current.apply_delta(&delta)?;
-        self.store.publish_delta(next, &delta).ok()?;
+    ) -> Result<(u64, u64), PublishError> {
+        debug_assert_eq!(prev_epoch, self.store.epoch());
+        self.store.publish_delta(&delta)?;
         let reached = (delta.epoch, delta.content_checksum);
-        self.adopt(prev_epoch, delta, history_cap);
-        Some(reached)
-    }
-
-    /// After `delta` carried `prev_epoch` to the epoch now published:
-    /// retain it for catch-up.
-    fn adopt(&mut self, prev_epoch: u64, delta: DeltaRecord, history_cap: usize) {
         self.history.push_back((prev_epoch, delta));
-        while self.history.len() > history_cap {
+        while self.history.len() > HISTORY_CAP {
             self.history.pop_front();
         }
+        Ok(reached)
     }
 
     /// The content checksum this replica's chain holds for `epoch`:
@@ -252,25 +243,12 @@ impl Node {
     /// Creates a fresh node hosting `pids`, wiping any previous store
     /// state under its data directories.
     pub fn create(name: impl Into<String>, pids: &[u32], opts: NodeOpts) -> io::Result<Node> {
-        let name = name.into();
-        let registry = Registry::new();
-        let counters = NodeCounters::new(&registry);
-        let mut replicas = BTreeMap::new();
-        for &pid in pids {
-            let store = HitlistStore::persistent(
+        Node::open(name.into(), pids, opts, |name, pid, opts| {
+            HitlistStore::persistent(
                 partition_name(pid),
                 opts.shard_count,
-                opts.store_cfg(&name, pid),
-            )?;
-            replicas.insert(pid, PartitionReplica::new(store));
-        }
-        Ok(Node {
-            name,
-            opts,
-            registry,
-            counters,
-            replicas,
-            peers: BTreeMap::new(),
+                opts.store_cfg(name, pid),
+            )
         })
     }
 
@@ -284,14 +262,24 @@ impl Node {
         pids: &[u32],
         opts: NodeOpts,
     ) -> Result<Node, RecoverError> {
-        let name = name.into();
+        Node::open(name.into(), pids, opts, |name, pid, opts| {
+            HitlistStore::recover(opts.store_cfg(name, pid)).map(|(store, _report)| store)
+        })
+    }
+
+    /// A node whose store for each of `pids` comes from `store`.
+    fn open<E>(
+        name: String,
+        pids: &[u32],
+        opts: NodeOpts,
+        store: impl Fn(&str, u32, &NodeOpts) -> Result<HitlistStore, E>,
+    ) -> Result<Node, E> {
         let registry = Registry::new();
         let counters = NodeCounters::new(&registry);
-        let mut replicas = BTreeMap::new();
-        for &pid in pids {
-            let (store, _report) = HitlistStore::recover(opts.store_cfg(&name, pid))?;
-            replicas.insert(pid, PartitionReplica::new(store));
-        }
+        let replicas = pids
+            .iter()
+            .map(|&pid| Ok((pid, PartitionReplica::new(store(&name, pid, &opts)?))))
+            .collect::<Result<_, E>>()?;
         Ok(Node {
             name,
             opts,
@@ -429,7 +417,6 @@ impl Node {
         // logged or pushed: its record would not carry `entries`.
         let delta = delta_to_content(&current, epoch, week, &entries, &aliases)
             .ok_or(PublishError::IntegrityFailure)?;
-        let checksum = delta.content_checksum;
         let push = if followers.is_empty() {
             None
         } else {
@@ -439,14 +426,9 @@ impl Node {
                 cap: MAX_FRAME_PAYLOAD as usize,
             })?)
         };
-        // Cannot miss: the delta was derived from this very snapshot.
-        let next = current
-            .apply_delta(&delta)
-            .ok_or(PublishError::IntegrityFailure)?;
         // Durable before visible, visible before pushed: a crash
         // here loses an epoch, never advertises a phantom one.
-        replica.store.publish_delta(next, &delta)?;
-        replica.adopt(prev_epoch, delta, self.opts.history_cap);
+        let (_, checksum) = replica.apply_verified(prev_epoch, delta)?;
         if let Some(framed) = push {
             for follower in followers {
                 self.counters.deltas_pushed.inc();
@@ -575,8 +557,8 @@ impl Node {
             self.request_catchup(pid, peer, now_us);
             return;
         }
-        match replica.apply_verified(prev_epoch, delta, self.opts.history_cap) {
-            Some((epoch, checksum)) => {
+        match replica.apply_verified(prev_epoch, delta) {
+            Ok((epoch, checksum)) => {
                 self.counters.deltas_applied.inc();
                 self.send(
                     peer,
@@ -588,7 +570,7 @@ impl Node {
                     now_us,
                 );
             }
-            None => self.counters.rejected.inc(),
+            Err(_) => self.counters.rejected.inc(),
         }
     }
 
@@ -665,9 +647,9 @@ impl Node {
             if prev != have_epoch {
                 break; // chain no longer lines up; a later round retries
             }
-            match replica.apply_verified(prev, delta, self.opts.history_cap) {
-                Some(r) => reached = Some(r),
-                None => {
+            match replica.apply_verified(prev, delta) {
+                Ok(r) => reached = Some(r),
+                Err(_) => {
                     self.counters.rejected.inc();
                     break;
                 }
@@ -756,7 +738,6 @@ mod tests {
             data_root: root.to_path_buf(),
             shard_count: 4,
             partitions: 4,
-            history_cap: 4,
         }
     }
 

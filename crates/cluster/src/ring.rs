@@ -51,7 +51,6 @@ pub struct Ring {
     nodes: Vec<String>,
     /// `(point, node index)` sorted ascending — the circle.
     points: Vec<(u64, u32)>,
-    vnodes: usize,
     replication: usize,
 }
 
@@ -82,7 +81,6 @@ impl Ring {
         Ring {
             nodes,
             points,
-            vnodes,
             replication,
         }
     }
@@ -90,11 +88,6 @@ impl Ring {
     /// The node set, sorted.
     pub fn nodes(&self) -> &[String] {
         &self.nodes
-    }
-
-    /// Virtual nodes per node.
-    pub fn vnodes(&self) -> usize {
-        self.vnodes
     }
 
     /// The effective replication factor: the configured R, capped at

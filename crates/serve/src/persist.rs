@@ -11,22 +11,22 @@
 //! log recorded at publish time.
 //!
 //! The unit that crosses the bridge is the [`DeltaRecord`]. A publisher
-//! that already holds one (a cluster replica) hands it to
-//! [`HitlistStore::publish_delta`] with the snapshot it produces; for a
-//! publisher that only has the new snapshot, [`delta_between`] derives
-//! the record from the snapshot currently served (and
-//! [`delta_to_content`] does the same for a publisher holding the new
-//! content as flat lists). Both walk /64 key blocks, not entries: a
-//! block whose lows and weeks are unchanged — almost all of them
-//! between two epochs of a clustered corpus — is passed over after one
-//! slice comparison, and only a changed block is merged entry by entry.
-//! The
-//! flat forms — [`flatten_snapshot`], [`state_from_snapshot`],
-//! [`snapshot_from_state`] — are for the rare paths that need the whole
-//! content at once: a checkpoint, a recovery, a replica bootstrap. On
-//! disk and on the wire that content travels as /64 key blocks (on-disk
-//! format v2), the grouping the shards' compressed runs hold, at ≈ 12.75
-//! B per address on a clustered corpus.
+//! that already holds one (a cluster replica) hands it alone to
+//! [`HitlistStore::publish_delta`], which applies it to the snapshot it
+//! serves; for a publisher that only has the new snapshot,
+//! [`delta_between`] derives the record from the snapshot currently
+//! served (and [`delta_to_content`] does the same for a publisher
+//! holding the new content as flat lists). Both walk /64 key blocks,
+//! not entries: a block whose lows and weeks are unchanged — almost all
+//! of them between two epochs of a clustered corpus — is passed over
+//! after one slice comparison, and only a changed block is merged entry
+//! by entry. The flat forms — [`flatten_snapshot`],
+//! [`state_from_snapshot`], [`snapshot_from_state`] — are for the rare
+//! paths that need the whole content at once: a checkpoint, a recovery,
+//! a replica bootstrap. On disk and on the wire that content travels as
+//! /64 key blocks (on-disk format v2), the grouping the shards'
+//! compressed runs hold, at ≈ 12.75 B per address on a clustered
+//! corpus.
 //!
 //! A store's directory is the one its [`v6store::StoreConfig`] names;
 //! see the README "Durability" section and DESIGN.md §11 for the
@@ -159,9 +159,10 @@ pub fn delta_between(prev: &Snapshot, next: &Snapshot, epoch: u64) -> DeltaRecor
 /// as `epoch` with every shard healthy — what a cluster leader, handed
 /// a partition's next content as flat sorted lists, logs and pushes.
 /// The content checksum is `prev`'s moved by one
-/// [`v6stream::fold_content`] term per changed entry; applying the
-/// record ([`Snapshot::apply_delta`]) and publishing the result
-/// re-derives it twice more, the second time from scratch. Walked by
+/// [`v6stream::fold_content`] term per changed entry; publishing the
+/// record ([`HitlistStore::publish_delta`]) re-derives it twice more,
+/// once as it applies the record and once as it verifies the rebuilt
+/// shards from scratch. Walked by
 /// /64 key block like [`delta_between`], each block of the content
 /// against its shard's block under the same key.
 ///

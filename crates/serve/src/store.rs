@@ -3,11 +3,11 @@
 //! The store holds the current [`Snapshot`] behind `RwLock<Arc<Snapshot>>`.
 //! Readers take the read lock just long enough to clone the `Arc` — a
 //! few nanoseconds — and then query their snapshot without any lock at
-//! all. Publishing validates the new snapshot *outside* any lock, then
+//! all. Publishing a snapshot validates it *outside* any lock, then
 //! serializes on one writer mutex (epoch allocation, log append, swap,
-//! analytics fold) and takes the read-side write lock only to swap one
-//! pointer, so a publication never blocks readers for longer than that
-//! swap.
+//! analytics fold; a record is applied and validated under it too) and
+//! takes the read-side write lock only to swap one pointer, so a
+//! publication never blocks readers for longer than that swap.
 //!
 //! The alternative — a mutex around a mutable store — would stall every
 //! reader for the full duration of a weekly merge (millions of
@@ -22,9 +22,11 @@
 //! [`HitlistStore::new`] keeps the previous in-memory-only behavior.
 //!
 //! What the log is handed is the epoch's [`DeltaRecord`]: the one the
-//! publisher already holds ([`HitlistStore::publish_delta`]), or one
-//! derived by diffing the served snapshot against the new one, shard by
-//! shard ([`crate::persist::delta_between`]). The served snapshot *is*
+//! publisher already holds ([`HitlistStore::publish_delta`], which
+//! applies it to the served snapshot under the writer mutex and refuses
+//! it there when it does not reach its own checksum), or one derived by
+//! diffing the served snapshot against the new one, shard by shard
+//! ([`crate::persist::delta_between`]). The served snapshot *is*
 //! the log's last epoch — the swap happens under the writer mutex — so
 //! no flat copy of the content is kept beside it, and the content is
 //! flattened only on the append that owes a checkpoint.
@@ -56,7 +58,9 @@ use crate::snapshot::Snapshot;
 /// Why a publication was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PublishError {
-    /// The snapshot failed [`Snapshot::verify_integrity`].
+    /// The snapshot failed [`Snapshot::verify_integrity`], or a record
+    /// handed to [`HitlistStore::publish_delta`] does not carry the
+    /// served snapshot to its own content checksum.
     IntegrityFailure,
     /// The snapshot's shard count differs from the store's.
     ShardMismatch {
@@ -107,7 +111,8 @@ pub struct PublishReceipt {
     pub epoch: u64,
     /// Addresses in the published snapshot.
     pub addresses: u64,
-    /// Time spent validating outside the lock.
+    /// Time spent validating: outside the writer lock for a snapshot,
+    /// inside it (apply included) for a record.
     pub validate: Duration,
     /// Time the write lock was actually held (the pointer swap).
     pub swap: Duration,
@@ -125,6 +130,13 @@ struct Writer {
     next_epoch: u64,
     /// Write-ahead epoch log; `None` for in-memory stores.
     log: Option<EpochLog>,
+}
+
+/// What a publish is handed: the next snapshot, or the record that
+/// carries the served one to it.
+enum Next<'a> {
+    Snapshot(Snapshot),
+    Delta(&'a DeltaRecord),
 }
 
 /// The concurrently readable hitlist store.
@@ -292,7 +304,7 @@ impl HitlistStore {
     /// previous epoch — readers can never observe an epoch that would
     /// not survive a crash.
     pub fn publish(&self, snapshot: Snapshot) -> Result<PublishReceipt, PublishError> {
-        self.publish_impl(snapshot, None, None)
+        self.publish_impl(Next::Snapshot(snapshot), None)
     }
 
     /// [`HitlistStore::publish`] under a caller-chosen epoch number,
@@ -312,57 +324,60 @@ impl HitlistStore {
         snapshot: Snapshot,
         epoch: u64,
     ) -> Result<PublishReceipt, PublishError> {
-        self.publish_impl(snapshot, Some(epoch), None)
+        self.publish_impl(Next::Snapshot(snapshot), Some(epoch))
     }
 
-    /// [`HitlistStore::publish_as`] for a publisher that already holds
-    /// the epoch's delta: `snapshot` is published as `delta.epoch` and
-    /// `delta` itself is what the write-ahead log appends and the
-    /// analytics fold — nothing is flattened or re-diffed.
+    /// Publishes the epoch a publisher holds as a record: under the
+    /// writer mutex the served snapshot is carried forward through
+    /// `delta` ([`Snapshot::apply_delta`]) and the result is published
+    /// as `delta.epoch`, with `delta` itself what the write-ahead log
+    /// appends and the analytics fold — nothing is flattened or
+    /// re-diffed. Epoch numbers behave as in
+    /// [`HitlistStore::publish_as`].
     ///
-    /// `delta` must be the record that carries the snapshot this store
-    /// currently serves to `snapshot` (a replica gets the pair from
-    /// [`Snapshot::apply_delta`], a leader from
-    /// [`crate::persist::delta_between`]), and the caller must be the
-    /// store's only publisher in between. A record whose checksum, week
-    /// or quarantine list is not the snapshot's is refused with
-    /// [`PublishError::IntegrityFailure`].
-    pub fn publish_delta(
-        &self,
-        snapshot: Snapshot,
-        delta: &DeltaRecord,
-    ) -> Result<PublishReceipt, PublishError> {
-        if delta.content_checksum != snapshot.content_checksum()
-            || delta.week != snapshot.week()
-            || delta.missing_shards != snapshot.missing_shards()
-        {
-            return Err(PublishError::IntegrityFailure);
-        }
-        self.publish_impl(snapshot, Some(delta.epoch), Some(delta))
+    /// A record that does not carry the served snapshot to its own
+    /// content checksum (built on another base, or forged) is refused
+    /// with [`PublishError::IntegrityFailure`] before anything is
+    /// logged, and the store stays where it was.
+    pub fn publish_delta(&self, delta: &DeltaRecord) -> Result<PublishReceipt, PublishError> {
+        self.publish_impl(Next::Delta(delta), Some(delta.epoch))
     }
 
     fn publish_impl(
         &self,
-        mut snapshot: Snapshot,
+        next: Next<'_>,
         explicit: Option<u64>,
-        delta: Option<&DeltaRecord>,
     ) -> Result<PublishReceipt, PublishError> {
-        if snapshot.shard_count() != self.shard_count {
-            return Err(PublishError::ShardMismatch {
-                expected: self.shard_count,
-                got: snapshot.shard_count(),
-            });
-        }
         let t0 = Instant::now();
-        // Whatever is being served passed this check when it was
+        // Whatever is being served passed `verify_since` when it was
         // published, so shards shared with it need no second walk.
-        if !snapshot.verify_since(&self.snapshot()) {
-            return Err(PublishError::IntegrityFailure);
-        }
+        let (mut writer, served, mut snapshot, delta) = match next {
+            Next::Snapshot(snapshot) => {
+                if snapshot.shard_count() != self.shard_count {
+                    return Err(PublishError::ShardMismatch {
+                        expected: self.shard_count,
+                        got: snapshot.shard_count(),
+                    });
+                }
+                if !snapshot.verify_since(&self.snapshot()) {
+                    return Err(PublishError::IntegrityFailure);
+                }
+                // Held until the swap and the fold are done: see `Writer`.
+                let writer = self.writer.lock();
+                (writer, self.snapshot(), snapshot, None)
+            }
+            Next::Delta(delta) => {
+                // Applied under the lock, so the base is what is served.
+                let writer = self.writer.lock();
+                let served = self.snapshot();
+                let snapshot = served
+                    .apply_delta(delta)
+                    .filter(|next| next.verify_since(&served))
+                    .ok_or(PublishError::IntegrityFailure)?;
+                (writer, served, snapshot, Some(delta))
+            }
+        };
         let validate = t0.elapsed();
-
-        // Held until the swap and the fold are done: see `Writer`.
-        let mut writer = self.writer.lock();
         let epoch = match explicit {
             // An explicit epoch reserves itself in the allocator so later
             // auto-assigned epochs continue past it.
@@ -375,7 +390,6 @@ impl HitlistStore {
                 writer.next_epoch - 1
             }
         };
-        let served = self.snapshot();
         let feeds = self.analytics.read().is_some();
 
         let tp = Instant::now();

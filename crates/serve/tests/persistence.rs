@@ -17,10 +17,11 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use v6chaos::{FaultPlan, FaultSpec, ScriptedChaos, SiteScript};
-use v6serve::persist::delta_between;
+use v6serve::persist::{delta_between, flatten_snapshot};
 use v6serve::{
     HitlistStore, Ingestor, PublicationUpdate, PublishError, SnapshotBuilder, StoreConfig,
 };
+use v6stream::{country_code, Analytics, AsTag, PrefixAsTable, SharedResolver};
 
 fn addr(s: &str) -> Ipv6Addr {
     s.parse().unwrap()
@@ -130,11 +131,7 @@ fn publish_delta_logs_the_record_it_is_handed() {
         let next = snapshot_through(week, 4);
         let delta = delta_between(&leader.snapshot(), &next, epoch);
         leader.publish_as(next, epoch).unwrap();
-        let applied = follower.snapshot().apply_delta(&delta).unwrap();
-        assert_eq!(
-            follower.publish_delta(applied, &delta).unwrap().epoch,
-            epoch
-        );
+        assert_eq!(follower.publish_delta(&delta).unwrap().epoch, epoch);
     }
     // One log format, whoever derived the record: the two directories
     // hold the same bytes, checkpoints included.
@@ -152,11 +149,10 @@ fn publish_delta_logs_the_record_it_is_handed() {
         );
     }
 
-    // A record that is not this snapshot's is refused before the log.
-    let next = snapshot_through(8, 4);
-    let mut forged = delta_between(&follower.snapshot(), &next, 99);
+    // A record that misses its own checksum is refused before the log.
+    let mut forged = delta_between(&follower.snapshot(), &snapshot_through(8, 4), 99);
     forged.content_checksum ^= 1;
-    let err = follower.publish_delta(next, &forged).unwrap_err();
+    let err = follower.publish_delta(&forged).unwrap_err();
     assert_eq!(err, PublishError::IntegrityFailure);
     assert_eq!(follower.epoch(), 45);
     drop(follower);
@@ -169,6 +165,48 @@ fn publish_delta_logs_the_record_it_is_handed() {
     );
     std::fs::remove_dir_all(dir).ok();
     std::fs::remove_dir_all(follower_dir).ok();
+}
+
+#[test]
+fn a_record_built_on_another_base_is_refused_before_the_log() {
+    let dir = v6store::scratch_dir("serve-delta-base");
+    let cfg = StoreConfig::new(&dir).with_fsync(false);
+    let store = HitlistStore::persistent("persist", 4, cfg.clone()).unwrap();
+    let resolver: SharedResolver = Arc::new(PrefixAsTable::new(vec![(
+        0x2001_0db8 << 96,
+        32,
+        AsTag {
+            index: 1,
+            country: country_code(*b"DE"),
+        },
+    )]));
+    store.enable_analytics(Arc::clone(&resolver));
+
+    // r carries S1 to S2, but another publish lands before it.
+    store.publish(snapshot_through(1, 4)).unwrap();
+    let r = delta_between(&store.snapshot(), &snapshot_through(2, 4), 3);
+    store.publish(snapshot_through(0, 4)).unwrap();
+    let served = store.snapshot();
+
+    assert_eq!(
+        store.publish_delta(&r).unwrap_err(),
+        PublishError::IntegrityFailure
+    );
+    assert_eq!(store.epoch(), 2);
+    let batch = Analytics::from_entries(resolver, &flatten_snapshot(&served).0);
+    assert_eq!(
+        store.analytics(|_, ops| ops.checksums()),
+        Some(batch.checksums())
+    );
+    drop(store);
+
+    let (recovered, report) = HitlistStore::recover(cfg).unwrap();
+    assert_eq!(report.recovered_epoch, 2);
+    assert_eq!(
+        recovered.snapshot().content_checksum(),
+        served.content_checksum()
+    );
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

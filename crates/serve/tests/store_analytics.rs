@@ -5,7 +5,7 @@
 //! them. After each step, whatever path it took, the operators must sit
 //! at the served epoch and equal a batch build over the served content
 //! (`Analytics::from_entries`): `publish`, `publish_as` (a stale epoch
-//! must not move them), `publish_delta` of an `apply_delta` result, a
+//! must not move them), `publish_delta` of a record, a
 //! persistent store recovered and re-enabled, and four threads
 //! publishing at once.
 
@@ -100,14 +100,10 @@ fn every_in_memory_publish_path_keeps_the_operators_current() {
     assert_eq!(store.publish(corpus(7).build()).unwrap().epoch, 10);
     assert_operators_current(&store);
 
-    // A publisher holding the record: the one `apply_delta` consumed is
+    // A publisher holding the record: the one the store applies is
     // the one the operators fold.
-    let served = store.snapshot();
-    let delta = delta_between(&served, &corpus(8).build(), 11);
-    let next = served
-        .apply_delta(&delta)
-        .expect("derived from the served snapshot");
-    store.publish_delta(next, &delta).unwrap();
+    let delta = delta_between(&store.snapshot(), &corpus(8).build(), 11);
+    store.publish_delta(&delta).unwrap();
     assert_operators_current(&store);
 
     // Enabling again rebuilds from scratch, to the same state.
@@ -146,10 +142,8 @@ fn a_recovered_store_re_enables_and_keeps_folding() {
     assert_operators_current(&store);
     store.publish(corpus(5).build()).unwrap();
     assert_operators_current(&store);
-    let served = store.snapshot();
-    let delta = delta_between(&served, &corpus(6).build(), 8);
-    let next = served.apply_delta(&delta).unwrap();
-    store.publish_delta(next, &delta).unwrap();
+    let delta = delta_between(&store.snapshot(), &corpus(6).build(), 8);
+    store.publish_delta(&delta).unwrap();
     assert_eq!(store.analytics(|epoch, _| epoch), Some(8));
     assert_operators_current(&store);
     drop(store);
