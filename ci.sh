@@ -21,8 +21,11 @@ for lib in crates/*/src/lib.rs; do
 done
 # Size ratchet (ROADMAP item 10): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
-# its own diff and says why.
-src_ceiling=35737
+# its own diff and says why. 35 804: the key fence in `CompressedRun`
+# and its stale-entry unit test (`v6serve`), `run_all`'s exit status
+# and write errors, and the scan kernel rows' record docs (`v6bench`);
+# the fence's property test lives under crates/serve/tests/.
+src_ceiling=35804
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }
@@ -69,6 +72,8 @@ for t in 1 4; do
 done
 
 echo "== kernels bench (writes target/BENCH_kernels.json, asserts its own round-trip) =="
+# The two scan membership rows build a 4 194 304-address snapshot and
+# probe it 10 M times: ≈ 6.5 s of the step's ≈ 8.5 s on a 2-vCPU host.
 cargo bench -q -p v6bench --bench kernels >/dev/null
 
 echo "== observability smoke (trace tree + metrics exposition) =="

@@ -356,7 +356,7 @@ fn emit_par_kernels_json() {
         threads,
         cores,
         kernels,
-        membership: membership_records(),
+        membership: [membership_records(), scan_membership_records()].concat(),
         lpm: lpm_records(),
         stream_ops: stream_op_records(),
         wire_roundtrip: wire_roundtrip_records(),
@@ -876,6 +876,86 @@ fn membership_records() -> Vec<MembershipRecord> {
             bytes: run.heap_bytes(),
         },
     ]
+}
+
+/// The membership search of a snapshot shaped like the `query-cold-scan`
+/// corpus — 4 194 304 addresses, 16 per /64 and 16 /64s per /48, in 8
+/// shards — probed nine times in ten with a near-miss inside a stored
+/// /64 and once with a stored address. A probe is the shard's
+/// `rank_lower`: the key and block search `contains` runs, answering a
+/// rank. The `scan_dependent` row makes each probe's index wait on the
+/// previous rank, so probes cannot overlap and the row times one
+/// probe's latency, as a closed-loop client sees it. A `contains`
+/// answer would not do: it leaves a predicted branch, and the CPU runs
+/// the next probe past it as if independent. `scan_independent` issues
+/// the same probes in order, and the CPU overlaps their cache misses.
+fn scan_membership_records() -> Vec<MembershipRecord> {
+    const SHARDS: usize = 8;
+    const NETS48: usize = 16_384;
+    const PROBES: usize = 1 << 20;
+    let mut rng = Rng::new(0x5ca4);
+    let mut distinct = |n: usize, draw: &mut dyn FnMut(&mut Rng) -> u128| {
+        let mut set = std::collections::BTreeSet::new();
+        while set.len() < n {
+            set.insert(draw(&mut rng));
+        }
+        set.into_iter().collect::<Vec<u128>>()
+    };
+    let nets48 = distinct(NETS48, &mut |r| {
+        let h = r.next_u64();
+        ((0x2a00_0100 + u128::from(h % 64)) << 96) | (u128::from((h >> 8) % 65_536) << 80)
+    });
+    let mut bits = Vec::with_capacity(NETS48 * 256);
+    for net48 in nets48 {
+        for subnet in distinct(16, &mut |r| u128::from(r.next_u64() % 65_536)) {
+            let net64 = net48 | (subnet << 64);
+            let iids = distinct(16, &mut |r| u128::from(r.next_u64() | 1));
+            bits.extend(iids.into_iter().map(|iid| net64 | iid));
+        }
+    }
+    let mut builder = SnapshotBuilder::new("kernels", SHARDS);
+    for &b in &bits {
+        builder.add_bits(b, 0);
+    }
+    let snap = builder.build();
+    let probes: Vec<u128> = (0..PROBES)
+        .map(|_| {
+            let known = bits[(rng.next_u64() % bits.len() as u64) as usize];
+            if rng.next_u64().is_multiple_of(10) {
+                known
+            } else {
+                (known >> 64 << 64) | u128::from(rng.next_u64() | 1)
+            }
+        })
+        .collect();
+
+    let rank = |b: u128| snap.shard_for(Ipv6Addr::from(b)).run().rank_lower(b);
+    let independent_ms = best_ms(5, || probes.iter().map(|&b| rank(b)).sum::<usize>());
+    // Opaque to the compiler, so the next index is computed from the
+    // rank and not folded to `i + 1`.
+    let zero = black_box(0usize);
+    let dependent_ms = best_ms(5, || {
+        let (mut sum, mut i) = (0, 0);
+        for _ in 0..PROBES {
+            let r = rank(probes[i]);
+            sum += r;
+            i = (i + 1 + (r & zero)) % PROBES;
+        }
+        sum
+    });
+    [
+        ("scan_dependent", dependent_ms),
+        ("scan_independent", independent_ms),
+    ]
+    .into_iter()
+    .map(|(structure, ms)| MembershipRecord {
+        structure: structure.into(),
+        addresses: bits.len(),
+        probes: PROBES,
+        ns_per_probe: ms * 1e6 / PROBES as f64,
+        bytes: snap.stored_bytes() as usize,
+    })
+    .collect()
 }
 
 criterion_group!(

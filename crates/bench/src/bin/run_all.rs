@@ -1,5 +1,6 @@
 //! Runs every table/figure generator once and rewrites EXPERIMENTS.md
-//! at the workspace root with paper-vs-measured records.
+//! at the workspace root with paper-vs-measured records. Exits 1 when a
+//! shape check fails, after writing every file.
 
 use std::fmt::Write as _;
 
@@ -11,11 +12,12 @@ fn main() {
 
     // Per-experiment artifacts (series + tables) land in results/.
     let results_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
-    let _ = std::fs::create_dir_all(&results_dir);
+    std::fs::create_dir_all(&results_dir).expect("create results/");
     let mut records = Vec::new();
     for (name, (text, recs)) in &outputs {
         println!("{text}");
-        let _ = std::fs::write(results_dir.join(format!("{name}.txt")), text);
+        let path = results_dir.join(format!("{name}.txt"));
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
         records.extend(recs.iter().cloned());
     }
 
@@ -64,4 +66,7 @@ fn main() {
         records.len(),
         failed
     );
+    if failed > 0 {
+        std::process::exit(1);
+    }
 }

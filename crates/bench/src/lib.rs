@@ -46,15 +46,19 @@ pub struct KernelRecord {
 /// recorded in `BENCH_kernels.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MembershipRecord {
-    /// Structure probed ("sorted_vec", "compressed_run").
+    /// Structure probed: "sorted_vec" and "compressed_run" (half the
+    /// probes present), or the key search of a cold-scan-shaped
+    /// snapshot, each probe waiting on the previous one's rank,
+    /// "scan_dependent", or all issued at once, "scan_independent" (one
+    /// in ten present).
     pub structure: String,
     /// Addresses the structure holds.
     pub addresses: usize,
-    /// Probes issued (half present, half absent).
+    /// Probes issued.
     pub probes: usize,
     /// Mean nanoseconds per probe (best of N rounds).
     pub ns_per_probe: f64,
-    /// Heap bytes the structure occupies.
+    /// Heap bytes the structure occupies (a snapshot's `stored_bytes`).
     pub bytes: usize,
 }
 

@@ -27,6 +27,9 @@ use std::sync::Arc;
 use v6addr::{shard48, Prefix, PrefixMap};
 use v6store::DeltaRecord;
 
+/// Keys per step of a [`CompressedRun`]'s fence.
+const FENCE: usize = 16;
+
 /// A prefix-compressed sorted run of address bits.
 ///
 /// The sorted `u128` addresses are factored into a sorted array of
@@ -37,15 +40,21 @@ use v6store::DeltaRecord;
 /// prefixes, many addresses share one key, cutting the 16 bytes/address
 /// of a raw `Vec<u128>` to 8 bytes plus an amortized per-key overhead.
 ///
-/// Membership is a two-level binary search: first over `keys`, then
-/// inside one dense `lows` block — better cache locality than one wide
-/// search over 16-byte elements. Ranks returned by the search methods
-/// index the *global* run (and any parallel vector such as a shard's
-/// first-week column) exactly as indices into the old sorted vector did.
+/// A key search starts in `fence`, every 16th key: a sample small
+/// enough to stay cache-resident (8 bytes per 16 keys) that narrows the
+/// search to one 16-key window of `keys`, one or two cache lines, in
+/// place of the last, cold levels of a search over all of them.
+/// Membership then binary-searches one dense `lows` block. Ranks
+/// returned by the search methods index the *global* run (and any
+/// parallel vector such as a shard's first-week column) exactly as
+/// indices into the old sorted vector did.
 #[derive(Debug, Clone)]
 pub struct CompressedRun {
     /// Distinct high-64 address bits, strictly ascending.
     keys: Vec<u64>,
+    /// `fence[i] == keys[(i + 1) * FENCE]`: empty for a run of at most
+    /// `FENCE` keys.
+    fence: Vec<u64>,
     /// `keys.len() + 1` block boundaries into `lows`; `offsets[k]..offsets[k+1]`
     /// is key `k`'s block. `u32` caps one run at ~4.3B addresses, which the
     /// sharding keeps comfortably out of reach even at paper scale.
@@ -60,6 +69,7 @@ impl Default for CompressedRun {
     fn default() -> Self {
         CompressedRun {
             keys: Vec::new(),
+            fence: Vec::new(),
             offsets: vec![0],
             lows: Vec::new(),
         }
@@ -73,6 +83,7 @@ impl CompressedRun {
         offsets.push(0);
         CompressedRun {
             keys: Vec::with_capacity(keys),
+            fence: Vec::with_capacity(keys / FENCE),
             offsets,
             lows: Vec::with_capacity(lows),
         }
@@ -96,7 +107,7 @@ impl CompressedRun {
             "CompressedRun::push requires strictly ascending input"
         );
         if self.keys.last() != Some(&hi) {
-            self.keys.push(hi);
+            self.push_key(hi);
             self.offsets.push(self.lows.len() as u32);
         }
         self.lows.push(lo);
@@ -111,13 +122,22 @@ impl CompressedRun {
     /// `lows` must be non-empty and strictly ascending.
     fn push_block(&mut self, hi: u64, lows: &[u64]) {
         debug_assert!(!lows.is_empty() && self.keys.last().is_none_or(|&last| last < hi));
-        self.keys.push(hi);
+        self.push_key(hi);
         self.lows.extend_from_slice(lows);
         assert!(
             self.lows.len() <= u32::MAX as usize,
             "CompressedRun exceeds u32 offset capacity"
         );
         self.offsets.push(self.lows.len() as u32);
+    }
+
+    /// Appends a key to `keys`, and to `fence` when it lands on a
+    /// nonzero multiple of `FENCE`.
+    fn push_key(&mut self, hi: u64) {
+        if !self.keys.is_empty() && self.keys.len().is_multiple_of(FENCE) {
+            self.fence.push(hi);
+        }
+        self.keys.push(hi);
     }
 
     /// Iterates `(rank of the block's first address, high-64 key, sorted
@@ -166,11 +186,24 @@ impl CompressedRun {
         }
     }
 
-    /// Global rank of `bits` when present: two-level binary search.
+    /// `keys.binary_search(&hi)`, through the fence: the fence entries
+    /// at or below `hi` name the one window of `keys` that holds `hi`
+    /// or its insertion point.
+    fn find_key(&self, hi: u64) -> Result<usize, usize> {
+        let start = self.fence.partition_point(|&f| f <= hi) * FENCE;
+        let end = (start + FENCE).min(self.keys.len());
+        self.keys[start..end]
+            .binary_search(&hi)
+            .map(|k| start + k)
+            .map_err(|k| start + k)
+    }
+
+    /// Global rank of `bits` when present: a fenced search for the key,
+    /// then a binary search of its block.
     pub fn rank(&self, bits: u128) -> Option<usize> {
         let hi = (bits >> 64) as u64;
         let lo = bits as u64;
-        let k = self.keys.binary_search(&hi).ok()?;
+        let k = self.find_key(hi).ok()?;
         let base = self.offsets[k] as usize;
         let block = &self.lows[base..self.offsets[k + 1] as usize];
         block.binary_search(&lo).ok().map(|i| base + i)
@@ -189,7 +222,7 @@ impl CompressedRun {
     fn rank_bound(&self, bits: u128, inclusive: bool) -> usize {
         let hi = (bits >> 64) as u64;
         let lo = bits as u64;
-        match self.keys.binary_search(&hi) {
+        match self.find_key(hi) {
             Ok(k) => {
                 let base = self.offsets[k] as usize;
                 let block = &self.lows[base..self.offsets[k + 1] as usize];
@@ -207,13 +240,18 @@ impl CompressedRun {
 
     /// Heap bytes of the compressed representation.
     pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * 8 + self.offsets.len() * 4 + self.lows.len() * 8
+        (self.keys.len() + self.fence.len()) * 8 + self.offsets.len() * 4 + self.lows.len() * 8
     }
 
-    /// Structural invariants: strictly ascending keys, monotone offsets
-    /// bracketing `lows`, strictly ascending lows within each block.
+    /// Structural invariants: strictly ascending keys sampled by the
+    /// fence, monotone offsets bracketing `lows`, strictly ascending lows
+    /// within each block.
     fn check_invariants(&self) -> bool {
-        if self.offsets.len() != self.keys.len() + 1
+        if !self
+            .fence
+            .iter()
+            .eq(self.keys.iter().step_by(FENCE).skip(1))
+            || self.offsets.len() != self.keys.len() + 1
             || self.offsets.first() != Some(&0)
             || self.offsets.last().copied() != Some(self.lows.len() as u32)
         {
@@ -1112,6 +1150,26 @@ mod tests {
         // clustered run (1.7 addrs/key) matches 5 × 16 raw; real
         // clustering wins outright (see stored_bytes_beat_raw_* below).
         assert_eq!(run.heap_bytes(), bits.len() * 16);
+    }
+
+    #[test]
+    fn a_stale_fence_entry_fails_verification() {
+        let mut b = SnapshotBuilder::new("test", 1);
+        // 40 /64 keys: the fence samples keys 16 and 32.
+        for net in 0..40u32 {
+            b.add_address(addr(&format!("2001:db8:0:{net:x}::1")), 0);
+        }
+        let s = b.build();
+        let run = &s.shards[0].run;
+        assert_eq!(run.fence, [run.keys[16], run.keys[32]]);
+        assert_eq!(run.heap_bytes(), (40 + 2) * 8 + 41 * 4 + 40 * 8);
+        assert!(run.check_invariants() && s.verify_integrity());
+
+        let mut broken = s;
+        let run = &mut Arc::make_mut(&mut broken.shards[0]).run;
+        run.fence[1] = run.keys[31];
+        assert!(!run.check_invariants());
+        assert!(!broken.verify_integrity());
     }
 
     #[test]
