@@ -34,7 +34,7 @@ use v6serve::persist::{delta_between, delta_to_content, snapshot_from_state};
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6store::format::{self, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, TAG_CHECKPOINT};
 use v6store::{replica, DeltaRecord, EpochState, EpochView};
-use v6stream::{Analytics, AsTag, Attrs, Event, Operator, PrefixAsTable};
+use v6stream::{Analytics, AsTag, Attrs, Event, PrefixAsTable};
 use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};

@@ -358,7 +358,7 @@ impl Ingestor {
         for (prefix, week) in batch.aliases {
             let held = self.current.alias_week(&prefix);
             if held.is_none_or(|held| week < held) {
-                self.current.route_alias(&mut changes, prefix, Some(week));
+                Arc::make_mut(&mut self.current.aliases).insert(prefix, week);
             }
         }
         let published = self.publish_next(&changes);

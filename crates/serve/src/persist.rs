@@ -53,9 +53,8 @@ use crate::store::HitlistStore;
 /// does not concatenate into global order. But a /64 key block of a
 /// shard's compressed run lies in that shard alone, so merging the
 /// shards' blocks by key — a heap over one cursor per shard, each block
-/// copied whole — yields the global order without a sort. Aliases
-/// shorter than /48 are replicated into every shard at build time and
-/// are deduplicated back to one registration here.
+/// copied whole — yields the global order without a sort. Aliases come
+/// from the snapshot's one alias map, already in `(bits, len)` order.
 ///
 /// O(content): what a checkpoint writes and a replica bootstrap sends
 /// ([`state_from_snapshot`]), never the per-epoch path.
@@ -79,22 +78,15 @@ pub fn flatten_snapshot(snap: &Snapshot) -> (Vec<(u128, u32)>, Vec<AliasEntry>) 
     (entries, flat_aliases(snap))
 }
 
-/// Every alias registration of a snapshot, sorted by `(bits, len)`,
-/// with the per-shard replicas of sub-/48 aliases folded back to one.
+/// Every alias registration of a snapshot, sorted by `(bits, len)`.
 fn flat_aliases(snap: &Snapshot) -> Vec<AliasEntry> {
-    let mut aliases = Vec::new();
-    for shard in snap.shards() {
-        for (prefix, &week) in shard.aliases.iter() {
-            aliases.push(AliasEntry {
-                bits: prefix.bits(),
-                len: prefix.len(),
-                week,
-            });
-        }
-    }
-    aliases.sort_unstable_by_key(|a| (a.bits, a.len));
-    aliases.dedup_by_key(|a| (a.bits, a.len));
-    aliases
+    (snap.aliases.iter())
+        .map(|(prefix, &week)| AliasEntry {
+            bits: prefix.bits(),
+            len: prefix.len(),
+            week,
+        })
+        .collect()
 }
 
 /// The full [`EpochState`] a snapshot describes — the inverse of
@@ -359,13 +351,13 @@ mod tests {
             b.add_address(addr(&format!("2001:db8:{:x}::{:x}", i % 13, i + 1)), i % 4);
         }
         b.add_alias("2001:db8:1::/48".parse().unwrap(), 1);
-        b.add_alias("2001:db8::/32".parse().unwrap(), 0); // < /48: replicated
+        b.add_alias("2001:db8::/32".parse().unwrap(), 0); // < /48: spans every shard
         let snap = b.build();
 
         let (entries, aliases) = flatten_snapshot(&snap);
         assert_eq!(entries.len() as u64, snap.len());
         assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(aliases.len(), 2, "sub-/48 replication deduplicated");
+        assert_eq!(aliases.len(), 2, "one registration per alias");
 
         let state = EpochState {
             name: "svc".into(),

@@ -7,19 +7,24 @@
 //! Addresses are partitioned into `2^shard_bits` [`Shard`]s keyed by the
 //! *low* bits of each address's /48 prefix ([`v6addr::shard48`]): the high
 //! bits would skew badly (announced space concentrates under `2000::/3`),
-//! and keeping whole /48s shard-local makes per-/48 density aggregates a
-//! single-shard operation.
+//! and keeping whole /48s shard-local makes a count inside a prefix of
+//! /48 or longer a single-shard operation.
 //!
 //! Each shard stores its addresses as a [`CompressedRun`] — a
 //! prefix-compressed sorted run that factors out the shared high-64 bits
 //! real hitlists cluster under ("Clusters in the Expanse", IMC 2018) —
-//! with a parallel first-published-week vector, plus a [`PrefixMap`] of
-//! aliased prefixes for longest-prefix alias answers.
+//! with a parallel first-published-week vector. Because the run is
+//! sorted, the addresses inside any prefix form one rank range of it,
+//! so every prefix count is two rank searches per shard it spans.
+//! Aliased prefixes, at any length, live once per snapshot in one
+//! [`PrefixMap`] for longest-prefix alias answers.
 //!
-//! A snapshot holds its shards as `Arc<Shard>`, so the next epoch can
-//! be derived from this one by [`Snapshot::apply_delta`]: shards the
-//! delta does not touch are shared by pointer, and a touched shard is
-//! rebuilt by one linear merge of its run with its slice of the delta.
+//! A snapshot holds its shards as `Arc<Shard>` and its alias map as an
+//! `Arc<PrefixMap>`, so the next epoch can be derived from this one by
+//! [`Snapshot::apply_delta`]: shards the delta's addresses do not touch
+//! are shared by pointer, a touched shard is rebuilt by one linear merge
+//! of its run with its slice of the delta, and the alias map is copied
+//! and patched only when the delta changes aliases.
 
 use std::net::Ipv6Addr;
 use std::sync::Arc;
@@ -309,10 +314,6 @@ pub struct Shard {
     /// Parallel to the run's global ranks: study week each address was
     /// first published.
     pub(crate) first_week: Vec<u32>,
-    /// Aliased prefixes relevant to this shard (week registered as value).
-    pub(crate) aliases: PrefixMap<u32>,
-    /// `(network bits, count)` per distinct /48, ascending.
-    pub(crate) agg48: Vec<(u128, u32)>,
     /// `(week, newly published count)` pairs, ascending by week.
     pub(crate) week_counts: Vec<(u32, u64)>,
     /// The [`fold_addr`] sum over this shard's entries; a snapshot's
@@ -349,11 +350,6 @@ impl Shard {
     /// The week an address was first published, if present.
     pub fn first_week_of(&self, bits: u128) -> Option<u32> {
         self.run.rank(bits).map(|i| self.first_week[i])
-    }
-
-    /// Longest aliased prefix covering `addr`, if any.
-    pub fn longest_alias(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.aliases.longest_match(addr).map(|(p, _)| p)
     }
 
     /// Heap bytes of the address columns as stored (compressed run +
@@ -393,7 +389,6 @@ impl Shard {
                 _ => shard.week_counts.push((w, 1)),
             }
         }
-        shard.finish();
         shard
     }
 
@@ -413,7 +408,6 @@ impl Shard {
                     self.len() + upserts.len(),
                 ),
                 first_week: Vec::with_capacity(self.len() + upserts.len()),
-                aliases: self.aliases.clone(),
                 checksum: self.checksum,
                 ..Shard::default()
             },
@@ -468,21 +462,12 @@ impl Shard {
             .filter(|&(_, n)| n != 0)
             .map(|(w, n)| (w, n as u64))
             .collect();
-        out.finish();
         out
     }
 
-    /// Derives what a built run implies: the per-/48 aggregate (one
-    /// step per key block).
-    fn finish(&mut self) {
-        let mask48 = Prefix::mask(48);
-        for (_, hi, lows) in self.run.blocks() {
-            let net = (u128::from(hi) << 64) & mask48;
-            match self.agg48.last_mut() {
-                Some((last, n)) if *last == net => *n += lows.len() as u32,
-                _ => self.agg48.push((net, lows.len() as u32)),
-            }
-        }
+    /// Addresses in `first..=last`: one rank range of the sorted run.
+    fn count_between(&self, first: u128, last: u128) -> u64 {
+        (self.run.rank_upper(last) - self.run.rank_lower(first)) as u64
     }
 }
 
@@ -521,15 +506,13 @@ impl ShardMerge {
     }
 }
 
-/// One shard's slice of a change to a snapshot (see
-/// [`Snapshot::with_changes`]): addresses to take out, entries to put
-/// in or re-date, alias registrations (`Some(week)`) and removals
-/// (`None`). `removed` and `upserts` are sorted by bits.
+/// One shard's slice of a change to a snapshot's addresses (see
+/// [`Snapshot::with_changes`]): addresses to take out, and entries to
+/// put in or re-date, both sorted by bits.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ShardChange {
     pub(crate) removed: Vec<u128>,
     pub(crate) upserts: Vec<(u128, u32)>,
-    pub(crate) aliases: Vec<(Prefix, Option<u32>)>,
 }
 
 /// Health of a published epoch, as surfaced to readers.
@@ -554,6 +537,8 @@ pub struct Snapshot {
     pub(crate) week: u64,
     pub(crate) shard_bits: u32,
     pub(crate) shards: Vec<Arc<Shard>>,
+    /// Every aliased prefix, at any length (week registered as value).
+    pub(crate) aliases: Arc<PrefixMap<u32>>,
     pub(crate) total: u64,
     pub(crate) checksum: u64,
     /// Sorted indices of shards serving stale (pre-quarantine) content.
@@ -591,6 +576,7 @@ impl Snapshot {
             week: 0,
             shard_bits,
             shards: vec![empty; shard_count],
+            aliases: Arc::default(),
             total: 0,
             checksum: 0,
             missing_shards: Vec::new(),
@@ -609,22 +595,10 @@ impl Snapshot {
         aliases: &[(Prefix, u32)],
     ) -> Self {
         assert_eq!(shard_data.len(), 1usize << shard_bits);
-        let mut shards: Vec<Shard> = shard_data
+        let shards: Vec<Shard> = shard_data
             .iter()
             .map(|data| Shard::from_sorted(data))
             .collect();
-        for &(prefix, week) in aliases {
-            match prefix.shard48(shard_bits) {
-                Some(i) => {
-                    shards[i].aliases.insert(prefix, week);
-                }
-                None => {
-                    for shard in &mut shards {
-                        shard.aliases.insert(prefix, week);
-                    }
-                }
-            }
-        }
         let mut snap = Snapshot {
             name: name.into(),
             epoch: 0,
@@ -633,6 +607,7 @@ impl Snapshot {
             total: shards.iter().map(|s| s.len() as u64).sum(),
             checksum: shards.iter().fold(0, |acc, s| acc.wrapping_add(s.checksum)),
             shards: shards.into_iter().map(Arc::new).collect(),
+            aliases: Arc::new(aliases.iter().copied().collect()),
             missing_shards: Vec::new(),
         };
         snap.week = snap.latest_first_week();
@@ -643,8 +618,9 @@ impl Snapshot {
     /// upsert; aliases patched the same way), under the epoch, week and
     /// quarantine list the record carries.
     ///
-    /// Shards the delta does not touch are shared with `self` by
-    /// pointer; each touched shard is rebuilt by one linear merge. The
+    /// Shards the delta's addresses do not touch are shared with `self`
+    /// by pointer; each touched shard is rebuilt by one linear merge.
+    /// The alias map is shared too unless the delta changes aliases. The
     /// content checksum is carried forward as the commutative
     /// [`v6stream::fold_content`] sum, ± one term per changed entry, and
     /// must land on the checksum the record carries: `None` means it
@@ -660,62 +636,36 @@ impl Snapshot {
                 .upserts
                 .push((bits, week));
         }
-        // Removals come first.
-        for &(bits, len) in &delta.removed_aliases {
-            self.route_alias(&mut changes, Prefix::from_bits(bits, len), None);
-        }
-        for a in &delta.added_aliases {
-            self.route_alias(&mut changes, Prefix::from_bits(a.bits, a.len), Some(a.week));
-        }
         let mut next = self.with_changes(&changes);
+        if !delta.removed_aliases.is_empty() || !delta.added_aliases.is_empty() {
+            // Removals come first.
+            let aliases = Arc::make_mut(&mut next.aliases);
+            for &(bits, len) in &delta.removed_aliases {
+                aliases.remove(&Prefix::from_bits(bits, len));
+            }
+            for a in &delta.added_aliases {
+                aliases.insert(Prefix::from_bits(a.bits, a.len), a.week);
+            }
+        }
         next.epoch = delta.epoch;
         next.week = delta.week;
         next.missing_shards = delta.missing_shards.clone();
         (next.checksum == delta.content_checksum).then_some(next)
     }
 
-    /// Files one alias registration (`Some(week)`) or removal (`None`)
-    /// under the shard that holds `prefix` — every shard, for a prefix
-    /// shorter than /48, which is replicated to all of them.
-    pub(crate) fn route_alias(
-        &self,
-        changes: &mut [ShardChange],
-        prefix: Prefix,
-        week: Option<u32>,
-    ) {
-        match prefix.shard48(self.shard_bits) {
-            Some(i) => changes[i].aliases.push((prefix, week)),
-            None => changes
-                .iter_mut()
-                .for_each(|c| c.aliases.push((prefix, week))),
-        }
-    }
-
     /// This snapshot with one [`ShardChange`] per shard applied, under
-    /// the same name, epoch, week and quarantine list. A shard whose
-    /// change is empty is shared with `self` by pointer; a shard whose
-    /// content changes is rebuilt by [`Shard::merged`]; the total and
-    /// the content checksum move by the difference of each rebuilt
-    /// shard's.
+    /// the same name, epoch, week, aliases and quarantine list. A shard
+    /// whose change is empty is shared with `self` by pointer; every
+    /// other is rebuilt by [`Shard::merged`]; the total and the content
+    /// checksum move by the difference of each rebuilt shard's.
     pub(crate) fn with_changes(&self, changes: &[ShardChange]) -> Snapshot {
         assert_eq!(changes.len(), self.shards.len());
         let mut next = self.clone();
         for (i, (prev, change)) in self.shards.iter().zip(changes).enumerate() {
-            let content_touched = !change.removed.is_empty() || !change.upserts.is_empty();
-            if !content_touched && change.aliases.is_empty() {
+            if change.removed.is_empty() && change.upserts.is_empty() {
                 continue;
             }
-            let mut shard = if content_touched {
-                prev.merged(&change.removed, &change.upserts)
-            } else {
-                Shard::clone(prev)
-            };
-            for &(prefix, week) in &change.aliases {
-                match week {
-                    Some(week) => shard.aliases.insert(prefix, week),
-                    None => shard.aliases.remove(&prefix),
-                };
-            }
+            let shard = prev.merged(&change.removed, &change.upserts);
             next.total = next.total - prev.len() as u64 + shard.len() as u64;
             next.checksum = next
                 .checksum
@@ -739,9 +689,7 @@ impl Snapshot {
 
     /// The week `prefix` is registered as aliased from, if it is.
     pub(crate) fn alias_week(&self, prefix: &Prefix) -> Option<u32> {
-        // A prefix shorter than /48 is in every shard.
-        let shard = prefix.shard48(self.shard_bits).unwrap_or(0);
-        self.shards[shard].aliases.get(prefix).copied()
+        self.aliases.get(prefix).copied()
     }
 
     /// Service name this snapshot was published under.
@@ -852,7 +800,7 @@ impl Snapshot {
 
     /// Longest registered aliased prefix covering `addr`, if any.
     pub fn longest_alias(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.shard_for(addr).longest_alias(addr)
+        self.aliases.longest_match(addr).map(|(p, _)| p)
     }
 
     /// True when `addr` falls under a registered aliased prefix.
@@ -860,32 +808,16 @@ impl Snapshot {
         self.longest_alias(addr).is_some()
     }
 
-    /// Number of published addresses inside `prefix`.
-    ///
-    /// Prefixes of length >= 48 resolve within one shard; shorter ones
-    /// sum the per-/48 aggregates across shards.
+    /// Number of published addresses inside `prefix`: the rank range
+    /// the prefix spans in each sorted run — in its one shard for a
+    /// prefix of /48 or longer, summed over every shard for a shorter one.
     pub fn count_within(&self, prefix: &Prefix) -> u64 {
-        if prefix.len() >= 48 {
-            let shard = &self.shards[prefix
-                .shard48(self.shard_bits)
-                .expect("len >= 48 is shard-local")];
-            let lo = prefix.bits();
-            let hi = u128::from(prefix.last());
-            (shard.run.rank_upper(hi) - shard.run.rank_lower(lo)) as u64
-        } else {
-            let lo = prefix.bits();
-            let hi = u128::from(prefix.last());
-            self.shards
-                .iter()
-                .map(|s| {
-                    let start = s.agg48.partition_point(|&(net, _)| net < lo);
-                    let end = s.agg48.partition_point(|&(net, _)| net <= hi);
-                    s.agg48[start..end]
-                        .iter()
-                        .map(|&(_, n)| u64::from(n))
-                        .sum::<u64>()
-                })
-                .sum()
+        let (first, last) = (prefix.bits(), u128::from(prefix.last()));
+        match prefix.shard48(self.shard_bits) {
+            Some(i) => self.shards[i].count_between(first, last),
+            None => (self.shards.iter())
+                .map(|s| s.count_between(first, last))
+                .sum(),
         }
     }
 
@@ -946,9 +878,8 @@ impl Snapshot {
             if shard.run.len() != shard.first_week.len() {
                 return false;
             }
-            let agg_total: u64 = shard.agg48.iter().map(|&(_, n)| u64::from(n)).sum();
             let week_total: u64 = shard.week_counts.iter().map(|&(_, n)| n).sum();
-            if agg_total != shard.run.len() as u64 || week_total != agg_total {
+            if week_total != shard.run.len() as u64 {
                 return false;
             }
             let mut folded = 0u64;
@@ -1046,30 +977,20 @@ impl SnapshotBuilder {
     /// Re-adds everything from an existing snapshot (incremental rebuild).
     pub fn merge_snapshot(&mut self, snap: &Snapshot) {
         for shard in &snap.shards {
-            self.pending
-                .extend(shard.iter_bits().zip(shard.first_week.iter().copied()));
-            for (prefix, &week) in shard.aliases.iter() {
-                self.aliases.push((prefix, week));
-            }
+            self.pending.extend(shard.entries());
         }
+        self.aliases
+            .extend(snap.aliases.iter().map(|(prefix, &week)| (prefix, week)));
     }
 
     /// Builds the snapshot (epoch 0 until published through a store).
-    pub fn build(self) -> Snapshot {
-        self.build_counting().0
-    }
-
-    /// Builds the snapshot, also returning how many duplicate address
-    /// submissions were coalesced.
-    pub fn build_counting(mut self) -> (Snapshot, u64) {
+    pub fn build(mut self) -> Snapshot {
         // Radix-sorting by (bits, week) makes the earliest week the first
         // entry of each equal-bits run, so dedup-keep-first is
         // dedup-keep-min. The radix kernel is exact-equivalent to
         // `sort_unstable` for these integer pairs.
         v6par::radix_sort_by_key(&mut self.pending, |&(b, w)| (b, u64::from(w)));
-        let before = self.pending.len();
         self.pending.dedup_by_key(|&mut (b, _)| b);
-        let duplicates = (before - self.pending.len()) as u64;
 
         let mut shard_data: Vec<Vec<(u128, u32)>> = vec![Vec::new(); 1usize << self.shard_bits];
         for &(b, w) in &self.pending {
@@ -1079,7 +1000,7 @@ impl SnapshotBuilder {
         let mut snap =
             Snapshot::from_sorted_parts(self.name, self.shard_bits, &shard_data, &self.aliases);
         snap.missing_shards = self.quarantined;
-        (snap, duplicates)
+        snap
     }
 }
 

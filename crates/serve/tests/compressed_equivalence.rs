@@ -79,8 +79,9 @@ fn fenced_entries(s: u128, keys: &[(u128, u128, u128, u32)]) -> Vec<(u128, u32)>
 
 /// Every stored address, each ± 1, the same IID under the /64 keys on
 /// either side, and the addresses below the first and above the last
-/// answer `contains`, `first_week` and /48, /56, /64 `count_within`
-/// as the oracle does.
+/// answer `contains`, `first_week` and /32, /40, /47, /48, /56, /64
+/// `count_within` as the oracle does: below /48 a count spans every
+/// shard.
 fn assert_matches_oracle(snap: &Snapshot, oracle: &BTreeMap<u128, u32>) {
     assert!(snap.verify_integrity());
     assert_eq!(snap.len(), oracle.len() as u64);
@@ -92,7 +93,7 @@ fn assert_matches_oracle(snap: &Snapshot, oracle: &BTreeMap<u128, u32>) {
         let a = Ipv6Addr::from(bits);
         assert_eq!(snap.contains(a), oracle.contains_key(&bits), "{a}");
         assert_eq!(snap.first_week(a), oracle.get(&bits).copied(), "{a}");
-        for len in [48u8, 56, 64] {
+        for len in [32u8, 40, 47, 48, 56, 64] {
             let p = Prefix::of(a, len);
             let within = oracle.range(p.bits()..=u128::from(p.last())).count();
             assert_eq!(snap.count_within(&p), within as u64, "{p}");

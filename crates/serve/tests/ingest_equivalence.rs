@@ -6,7 +6,8 @@
 //! if, whatever the order and overlap of the updates, the store ends up
 //! serving exactly what one [`SnapshotBuilder`] build over the union of
 //! everything submitted would — and if an epoch really shares with its
-//! predecessor every shard the update did not change.
+//! predecessor every shard whose addresses the update did not change
+//! (aliases live in the snapshot's one alias map, not in a shard).
 //!
 //! The universe is small (8 /48s × 2 subnets × 8 IIDs over 4 shards, 6
 //! weeks) so updates keep re-publishing held addresses at earlier and
@@ -42,7 +43,7 @@ fn bits() -> impl Strategy<Value = u128> {
 }
 
 /// An alias under one of the universe's /48s — or above them all: a /32
-/// is replicated to every shard, /48 and /64 live in one.
+/// spans every shard, /48 and /64 lie in one.
 fn alias() -> impl Strategy<Value = Prefix> {
     (0u128..8, 0usize..3).prop_map(|(net48, len)| {
         let len = [32u8, 48, 64][len];
@@ -129,14 +130,6 @@ fn build_over(updates: &[Update]) -> Snapshot {
     union.build()
 }
 
-/// The shards a prefix's registration lands in.
-fn alias_shards(prefix: &Prefix) -> Vec<usize> {
-    match prefix.shard48(SHARD_BITS) {
-        Some(i) => vec![i],
-        None => (0..SHARDS).collect(),
-    }
-}
-
 fn resolver() -> SharedResolver {
     Arc::new(PrefixAsTable::new(vec![(
         BASE,
@@ -178,14 +171,13 @@ proptest! {
         // The union's content merged update by update (earliest week
         // wins).
         let mut held: BTreeMap<u128, u32> = BTreeMap::new();
-        let mut held_aliases: BTreeMap<(u128, u8), u32> = BTreeMap::new();
         let mut submitted_distinct = 0u64;
 
         let mut prev = store.snapshot();
         for (k, update) in updates.iter().enumerate() {
-            let (entries, aliases) = (update.entries(), update.alias_weeks());
-            // Shards this update changes when nothing is quarantined,
-            // and shards it carries anything for at all.
+            let entries = update.entries();
+            // Shards whose addresses this update changes when nothing is
+            // quarantined, and shards it carries any address for at all.
             let mut changed = BTreeSet::new();
             let mut carried = BTreeSet::new();
             let mut earliest: BTreeMap<u128, u32> = BTreeMap::new();
@@ -201,22 +193,12 @@ proptest! {
                     changed.insert(shard48(b, SHARD_BITS));
                 }
             }
-            let mut alias_touched = BTreeSet::new();
-            for &(p, w) in &aliases {
-                carried.extend(alias_shards(&p));
-                let key = (p.bits(), p.len());
-                if held_aliases.get(&key).is_none_or(|&old| w < old) {
-                    held_aliases.insert(key, w);
-                    changed.extend(alias_shards(&p));
-                    alias_touched.extend(alias_shards(&p));
-                }
-            }
 
             let next = ingest_one(&mut ingest, &store, update);
             prop_assert!(next.verify_integrity());
             // The epoch holds exactly updates 0..=k: every shard it does
             // not mark missing is that shard of one build over them, and
-            // alias registrations reach even a quarantined shard.
+            // its aliases are those of the build, whatever is quarantined.
             let upto = build_over(&updates[..=k]);
             for i in 0..SHARDS {
                 if !next.missing_shards().contains(&(i as u32)) {
@@ -239,12 +221,11 @@ proptest! {
                 let shared = Arc::ptr_eq(&prev.shards()[i], &next.shards()[i]);
                 if failures == 0 {
                     // No quarantine: an epoch rebuilds exactly the
-                    // shards the update changes.
+                    // shards whose addresses the update changes.
                     prop_assert_eq!(shared, !changed.contains(&i), "shard {}", i);
                 } else if i == quarantined && next.missing_shards().contains(&(i as u32)) {
-                    // Held in quarantine: last good content, untouched
-                    // unless an alias registration landed in it.
-                    prop_assert_eq!(shared, !alias_touched.contains(&i), "quarantined {}", i);
+                    // Held in quarantine: last good content, untouched.
+                    prop_assert!(shared, "quarantined {}", i);
                 } else if i != quarantined && !carried.contains(&i) {
                     prop_assert!(shared, "shard {} rebuilt by an update that skipped it", i);
                 }

@@ -78,8 +78,10 @@ proptest! {
                 let a = Ipv6Addr::from(bits);
                 prop_assert_eq!(snap.contains(a), reference.contains(a));
                 prop_assert_eq!(snap.first_week(a), reference.first_week(a));
-                let p = Prefix::of(a, 48);
-                prop_assert_eq!(snap.count_within(&p), reference.count_within(&p));
+                for len in [32u8, 40, 48, 64] {
+                    let p = Prefix::of(a, len);
+                    prop_assert_eq!(snap.count_within(&p), reference.count_within(&p));
+                }
             }
             prop_assert_eq!(snap.new_since(week), reference.new_since(week));
             prop_assert_eq!(snap.len(), reference.len());

@@ -4,7 +4,7 @@
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::kernel::{net64, Digest, MacNets, Rows};
-use crate::op::{Attrs, Event, Operator};
+use crate::op::{Attrs, Event};
 use crate::resolver::AsTag;
 
 /// One row of the device table: everything known about one MAC.
@@ -124,14 +124,15 @@ impl DeviceTracker {
             })
         })
     }
-}
 
-impl Operator for DeviceTracker {
-    fn name(&self) -> &'static str {
+    /// Stable operator name — used for metrics and transcripts.
+    pub fn name(&self) -> &'static str {
         "device"
     }
 
-    fn apply(&mut self, event: &Event, attrs: &Attrs) {
+    /// Folds one resolved event into the state. `attrs` are
+    /// [`Attrs::resolve`] of the event's address.
+    pub fn apply(&mut self, event: &Event, attrs: &Attrs) {
         let Some(mac) = attrs.mac else { return };
         let net = net64(event.bits());
         match *event {
@@ -147,7 +148,8 @@ impl Operator for DeviceTracker {
         }
     }
 
-    fn checksum(&self) -> u64 {
+    /// FNV digest of the full canonical state.
+    pub fn checksum(&self) -> u64 {
         let mut d = Digest::new();
         d.word(self.devices.len() as u64);
         for (&mac, dev) in &self.devices {
@@ -166,7 +168,8 @@ impl Operator for DeviceTracker {
         d.finish()
     }
 
-    fn reset(&mut self) {
+    /// Discards all state (used on resync).
+    pub fn reset(&mut self) {
         self.devices.clear();
     }
 }

@@ -35,7 +35,7 @@ use v6obs::{Counter, Histogram};
 use v6store::DeltaRecord;
 
 use crate::kernel::{content_term, eui64_mac, fold_content};
-use crate::op::{Attrs, Event, Operator};
+use crate::op::{Attrs, Event};
 use crate::{DeviceTracker, EntropyProfile, SharedResolver};
 
 /// The operator set, fed as one unit: the two operators the served
@@ -47,6 +47,14 @@ use crate::{DeviceTracker, EntropyProfile, SharedResolver};
 /// equivalence checks can build a fresh `Analytics` from materialized
 /// entries and compare checksums — the invariant the whole crate hangs
 /// on.
+///
+/// The contract each operator upholds, and the equivalence proptests
+/// pin: after any event sequence, its state — and therefore its
+/// `checksum` — equals that of a fresh operator fed only `Added` events
+/// for the surviving corpus. That requires canonical state (prune empty
+/// sub-maps and zero counts) and kernels that depend on `(bits, week)`
+/// alone — the [`Attrs`] are a function of `bits` under a resolver that
+/// is stable for the stream's lifetime.
 pub struct Analytics {
     resolver: SharedResolver,
     /// Per-AS IID entropy histograms.

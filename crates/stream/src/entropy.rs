@@ -3,7 +3,7 @@
 use crate::kernel::{
     entropy_bucket, Digest, ENTROPY_BUCKETS, HIGH_ENTROPY_BUCKET, LOW_ENTROPY_BUCKET,
 };
-use crate::op::{Attrs, Event, Operator};
+use crate::op::{Attrs, Event};
 
 /// One week's entropy-bucket counts.
 type WeekRow = (u32, [u32; ENTROPY_BUCKETS]);
@@ -138,20 +138,15 @@ impl EntropyProfile {
             .sum();
         Some((l1 / 2) as u32)
     }
-}
 
-/// Rounded integer fraction in per-mille.
-#[inline]
-fn per_mille(part: u64, total: u64) -> u32 {
-    (1000 * part + total / 2).checked_div(total).unwrap_or(0) as u32
-}
-
-impl Operator for EntropyProfile {
-    fn name(&self) -> &'static str {
+    /// Stable operator name — used for metrics and transcripts.
+    pub fn name(&self) -> &'static str {
         "entropy"
     }
 
-    fn apply(&mut self, event: &Event, attrs: &Attrs) {
+    /// Folds one resolved event into the state. `attrs` are
+    /// [`Attrs::resolve`] of the event's address.
+    pub fn apply(&mut self, event: &Event, attrs: &Attrs) {
         let Some(tag) = attrs.tag else { return };
         let bucket = entropy_bucket(event.bits());
         match *event {
@@ -169,7 +164,8 @@ impl Operator for EntropyProfile {
         }
     }
 
-    fn checksum(&self) -> u64 {
+    /// FNV digest of the full canonical state.
+    pub fn checksum(&self) -> u64 {
         // Per AS: its index, how many weeks it holds, then each
         // `(week, histogram)`.
         let mut d = Digest::new();
@@ -187,9 +183,16 @@ impl Operator for EntropyProfile {
         d.finish()
     }
 
-    fn reset(&mut self) {
+    /// Discards all state (used on resync).
+    pub fn reset(&mut self) {
         self.by_as.clear();
     }
+}
+
+/// Rounded integer fraction in per-mille.
+#[inline]
+fn per_mille(part: u64, total: u64) -> u32 {
+    (1000 * part + total / 2).checked_div(total).unwrap_or(0) as u32
 }
 
 #[cfg(test)]

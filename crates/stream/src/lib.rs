@@ -19,12 +19,12 @@
 //!   operators and batch reference analyses. One kernel, two drivers.
 //! * [`AsResolver`] / [`PrefixAsTable`] — address → AS attribution,
 //!   since deltas carry only `(bits, week)`.
-//! * [`Operator`] / [`Event`] / [`Attrs`] — the operator contract: a
-//!   pure fold over resolved corpus events, each handed the event's
-//!   already-resolved attributes, with a canonical-state checksum.
-//! * [`EntropyProfile`], [`DeviceTracker`] — the two operators, owned
-//!   together as an [`Analytics`] set, which also holds the one
-//!   resolver. [`Analytics::apply_delta`] is the one place a delta is
+//! * [`Event`] / [`Attrs`] — the resolved corpus events the operators
+//!   fold, each handed the event's already-resolved attributes.
+//! * [`EntropyProfile`], [`DeviceTracker`] — the two operators, each a
+//!   pure fold with a canonical-state checksum, owned together as an
+//!   [`Analytics`] set (whose docs state their contract), which also
+//!   holds the one resolver. [`Analytics::apply_delta`] is the one place a delta is
 //!   resolved into events (the old week of a removed or re-dated
 //!   address is asked of whoever holds the pre-delta corpus — a
 //!   serving snapshot, or the driver's map) and [`Analytics::apply`]
@@ -62,7 +62,7 @@ pub use device::{DeviceTracker, Move};
 pub use driver::{Analytics, Offer, StreamDriver};
 pub use entropy::{EntropyProfile, EntropyRow};
 pub use kernel::{content_term, fold_content};
-pub use op::{Attrs, Event, Operator};
+pub use op::{Attrs, Event};
 pub use resolver::{country_code, AsResolver, AsTag, PrefixAsTable};
 
 /// The shared, thread-safe resolver handle an [`Analytics`] set holds.

@@ -1,4 +1,4 @@
-//! The event model and the common operator contract.
+//! The event model the operators fold.
 //!
 //! Raw [`v6store::DeltaRecord`]s conflate "added" with "week-changed"
 //! (`added` holds every upsert). [`crate::Analytics::apply_delta`]
@@ -71,29 +71,4 @@ impl Attrs {
             mac: eui64_mac(bits),
         }
     }
-}
-
-/// An incremental analytics operator over the resolved event stream.
-///
-/// The contract every implementation upholds, and the equivalence
-/// proptests pin: after any event sequence, the operator's state —
-/// and therefore [`Operator::checksum`] — equals that of a fresh
-/// operator fed only `Added` events for the surviving corpus. That
-/// requires canonical state (prune empty sub-maps and zero counts)
-/// and kernels that depend on `(bits, week)` alone — the [`Attrs`] are
-/// a function of `bits` under a resolver that is stable for the
-/// stream's lifetime.
-pub trait Operator {
-    /// Stable operator name — used for metrics and transcripts.
-    fn name(&self) -> &'static str;
-
-    /// Folds one resolved event into the state. `attrs` are
-    /// [`Attrs::resolve`] of the event's address.
-    fn apply(&mut self, event: &Event, attrs: &Attrs);
-
-    /// FNV digest of the full canonical state.
-    fn checksum(&self) -> u64;
-
-    /// Discards all state (used on resync).
-    fn reset(&mut self);
 }
