@@ -15,7 +15,8 @@
 //! structures, longest-prefix match — the per-event time and heap
 //! allocations of the streaming operators, the same two of one
 //! request through the front door, the time and bytes per entry of
-//! a checkpoint, and the time per entry of the cluster leader's diff.
+//! a checkpoint, the time per entry of the cluster leader's diff, and
+//! the time and heap allocations per event of passive NTP collection.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeMap, HashSet};
@@ -28,8 +29,10 @@ use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
 use v6bench::{
     CheckpointRecord, KernelRecord, KernelsBench, LeaderDiffRecord, LpmRecord, MembershipRecord,
-    StreamOpRecord, WireRoundtripRecord,
+    NtpExchangeRecord, Scale, StreamOpRecord, WireRoundtripRecord,
 };
+use v6chaos::NoChaos;
+use v6hitlist::NtpCorpus;
 use v6serve::persist::{delta_between, delta_to_content, snapshot_from_state};
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6store::format::{self, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, TAG_CHECKPOINT};
@@ -39,8 +42,10 @@ use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};
 use v6netsim::rng::Rng;
-use v6netsim::IndexPermutation;
-use v6ntp::{NtpPacket, NtpTimestamp};
+use v6netsim::{
+    CountryRegistry, IndexPermutation, NtpEvent, NtpEventStream, SimDuration, SimTime, World,
+};
+use v6ntp::{NtpClient, NtpPacket, NtpPool, NtpTimestamp, Stratum2Server};
 use v6scan::Icmpv6Message;
 
 fn random_addrs(n: usize, seed: u64) -> Vec<u128> {
@@ -362,6 +367,7 @@ fn emit_par_kernels_json() {
         wire_roundtrip: wire_roundtrip_records(),
         checkpoint: checkpoint_records(),
         leader_diff: leader_diff_records(),
+        ntp_exchange: ntp_exchange_records(),
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
@@ -413,6 +419,12 @@ fn emit_par_kernels_json() {
         println!(
             "  leader_diff/{:<16} {:<7} {:>6} entries, {:>5} changed: {:>5.1} ns/entry",
             d.diff, d.shape, d.entries, d.changed, d.ns_per_entry
+        );
+    }
+    for x in &bench.ntp_exchange {
+        println!(
+            "  ntp/{:<9} {:>8} events: {:>7.1} ns/event, {:.3} allocations/event",
+            x.stage, x.events, x.ns_per_event, x.allocs_per_event
         );
     }
     println!("wrote {}", path.display());
@@ -956,6 +968,65 @@ fn scan_membership_records() -> Vec<MembershipRecord> {
         bytes: snap.stored_bytes() as usize,
     })
     .collect()
+}
+
+/// Study days the `ntp_exchange` rows cover: at default scale and seed
+/// 2022 the first 47 hold ≈ 1 M of the study's 4.69 M NTP events.
+const NTP_DAYS: u64 = 47;
+
+/// Passive NTP collection stage by stage (`NtpExchangeRecord::stage`),
+/// over the events of the first [`NTP_DAYS`] study days of the
+/// default-scale world at seed 2022, on one thread.
+fn ntp_exchange_records() -> Vec<NtpExchangeRecord> {
+    let cfg = v6bench::config_for(Scale::Default, 2022);
+    let world = World::build(cfg.world, cfg.seed);
+    let window = SimDuration::days(NTP_DAYS);
+    let (d0, d1) = v6netsim::day_range(SimTime::START, window);
+    let events: Vec<NtpEvent> = NtpEventStream::days(&world, d0, d1).collect();
+    let pool = NtpPool::new(world.vantage_points.clone(), CountryRegistry::builtin());
+    let mut servers: Vec<Stratum2Server> = (world.vantage_points.iter())
+        .map(|vp| Stratum2Server::new(vp.clone()))
+        .collect();
+    let n = events.len();
+    let record = |stage: &str, round: &mut dyn FnMut() -> u64| {
+        let before = ALLOCS.load(Relaxed);
+        black_box(round());
+        let allocs = ALLOCS.load(Relaxed) - before;
+        let ms = best_ms(3, &mut *round);
+        NtpExchangeRecord {
+            stage: stage.into(),
+            events: n,
+            ns_per_event: ms * 1e6 / n as f64,
+            allocs_per_event: allocs as f64 / n as f64,
+        }
+    };
+    let select = |ev: &NtpEvent| pool.select(ev.country, u64::from(ev.device.0), ev.t);
+    vec![
+        record("stream", &mut || {
+            NtpEventStream::days(&world, d0, d1).count() as u64
+        }),
+        record("select", &mut || {
+            (events.iter())
+                .map(|ev| select(ev).map_or(0, |vp| u64::from(vp.id)))
+                .sum()
+        }),
+        record("exchange", &mut || {
+            let mut answered = 0;
+            for ev in &events {
+                let Some(vp) = select(ev) else { continue };
+                let (client, request) = NtpClient::start(NtpTimestamp::from_sim(ev.t, 0));
+                let server = &mut servers[vp.id as usize];
+                if let Ok(response) = server.handle(&request, ev.src, ev.t) {
+                    let t4 = NtpTimestamp::from_sim(ev.t, 120_000_000);
+                    answered += u64::from(client.finish(&response, t4).is_ok());
+                }
+            }
+            answered
+        }),
+        record("collect", &mut || {
+            NtpCorpus::collect_with(&world, SimTime::START, window, 1, &NoChaos).len() as u64
+        }),
+    ]
 }
 
 criterion_group!(

@@ -156,14 +156,34 @@ pub struct LeaderDiffRecord {
     pub ns_per_entry: f64,
 }
 
+/// One stage of passive NTP collection over the first 47 study days of
+/// the default-scale world at seed 2022 (≈ 1 M events), as recorded in
+/// `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct NtpExchangeRecord {
+    /// What was timed: the bare `v6netsim::NtpEventStream` ("stream"),
+    /// `v6ntp::NtpPool::select` alone ("select"), select plus the wire
+    /// round trip — client encode, server decode/validate/encode, client
+    /// decode/validate — ("exchange"), or `NtpCorpus::collect_with` at one
+    /// thread, which runs the stream, the exchange and the log push
+    /// ("collect").
+    pub stage: String,
+    /// Events per timed round.
+    pub events: usize,
+    /// Mean nanoseconds per event (best of N rounds).
+    pub ns_per_event: f64,
+    /// Heap allocations and reallocations per event over one round.
+    pub allocs_per_event: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: the `v6par`
 /// kernels production runs, each against its baseline at several input
 /// sizes (so kernel-level regressions are visible separately from
 /// pipeline-level ones), the membership-lookup comparison across the
 /// address-store representations, longest-prefix match over the prefix
 /// index, the per-event cost of the streaming operators, the cost of
-/// a request through the front door, of a checkpoint, and of the
-/// leader's diff.
+/// a request through the front door, of a checkpoint, of the leader's
+/// diff, and of passive NTP collection.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the `par_map` timings.
@@ -188,6 +208,8 @@ pub struct KernelsBench {
     /// Both snapshot diffs of a 32 768-entry, 4-shard partition at 16
     /// addresses per /64, trickle- and churn-shaped.
     pub leader_diff: Vec<LeaderDiffRecord>,
+    /// Passive NTP collection, stage by stage, per event.
+    pub ntp_exchange: Vec<NtpExchangeRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

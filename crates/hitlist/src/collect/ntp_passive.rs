@@ -2,9 +2,9 @@
 //!
 //! Wires the simulator's contact stream through the *real* protocol path:
 //! each client encodes a mode-3 NTP request, the pool's geo-DNS picks one
-//! of the 27 stratum-2 servers, the server decodes the packet, logs the
-//! source address, and answers. What the study keeps is exactly what the
-//! paper kept: `(time, source address)` per query, per server.
+//! of the 27 stratum-2 servers, the server decodes and answers it, and the
+//! client validates the answer. The collector logs what the paper's
+//! servers logged: `(time, source address)` per query, per server.
 
 use v6chaos::{Chaos, Fault, NoChaos};
 use v6netsim::{NtpEventStream, SimDuration, SimTime, World};
@@ -112,8 +112,9 @@ pub struct NtpCorpus {
 impl NtpCorpus {
     /// Collects the corpus over `[start, start+window)`.
     ///
-    /// Every query runs the full wire path (encode → geo-DNS select →
-    /// server decode/log → response → client validate).
+    /// Every query runs the full wire path (geo-DNS select → encode →
+    /// server decode/validate → response encode → client decode/validate)
+    /// and is logged as an [`NtpObservation`].
     pub fn collect(world: &World, start: SimTime, window: SimDuration) -> Self {
         Self::collect_with(world, start, window, v6par::threads(), &NoChaos)
     }
@@ -133,8 +134,13 @@ impl NtpCorpus {
     ///
     /// The day range is cut into contiguous slices (one at `threads <= 1`,
     /// else `threads * 4`); each slice runs the full wire path against
-    /// its own [`Stratum2Server`] replicas (responses depend only on the
-    /// request, so replicas serve identically). Inside a slice every day
+    /// its own [`Stratum2Server`] replicas, which hold only their
+    /// `served`/`dropped` counters (a response depends only on the request,
+    /// so replicas serve identically; the slice's counters sum into
+    /// [`NtpCorpus::served_per_vp`]). Geo-DNS candidates come from one
+    /// [`NtpPool`] built per call, which resolves them once per country,
+    /// and each packet is encoded into a 48-byte array, so selection and
+    /// the exchange allocate nothing per query. Inside a slice every day
     /// consults its `collect.day.<d>` site once: a failure skips the day,
     /// splitting the slice into the runs of clean days around it, and a
     /// stall sleeps before the run. Skipped days are backfilled one by one
@@ -322,7 +328,7 @@ fn collect_days(world: &World, pool: &NtpPool, d0: u64, d1: u64, capacity: usize
         });
     }
 
-    // The servers' own logs must agree with what we recorded.
+    // The servers' counters must agree with what we recorded.
     let served_per_vp: Vec<u64> = servers.iter().map(|s| s.served()).collect();
     debug_assert_eq!(served_per_vp.iter().sum::<u64>(), observations.len() as u64);
     collect_metrics()

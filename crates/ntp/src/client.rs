@@ -6,7 +6,7 @@
 //! on-wire round trip, which is what makes the passive collection
 //! faithful rather than a bookkeeping shortcut.
 
-use crate::packet::{Mode, NtpPacket, PacketError};
+use crate::packet::{Mode, NtpPacket, PacketError, PACKET_LEN};
 use crate::timestamp::NtpTimestamp;
 
 /// Result of a completed client exchange.
@@ -43,7 +43,7 @@ pub struct NtpClient {
 impl NtpClient {
     /// Starts an exchange at local time `t1`, producing the request wire
     /// bytes.
-    pub fn start(t1: NtpTimestamp) -> (Self, bytes::Bytes) {
+    pub fn start(t1: NtpTimestamp) -> (Self, [u8; PACKET_LEN]) {
         (NtpClient { t1 }, NtpPacket::client_request(t1).encode())
     }
 
@@ -81,7 +81,7 @@ mod tests {
         NtpTimestamp::new(s, if half { 1 << 31 } else { 0 })
     }
 
-    fn response(origin: NtpTimestamp, t2: NtpTimestamp, t3: NtpTimestamp) -> bytes::Bytes {
+    fn response(origin: NtpTimestamp, t2: NtpTimestamp, t3: NtpTimestamp) -> [u8; PACKET_LEN] {
         NtpPacket {
             leap: LeapIndicator::NoWarning,
             version: 4,

@@ -6,11 +6,11 @@
 //!
 //! * [`timestamp`] — 64-bit NTP timestamps and the 16.16 short format.
 //! * [`packet`] — the 48-byte NTPv4 header codec (encode/decode).
-//! * [`server`] — a stratum-2 server state machine with source logging.
+//! * [`server`] — a stratum-2 server state machine.
 //! * [`client`] — the client half: request generation, response
 //!   validation, offset/delay computation.
-//! * [`pool`] — pool zones (country/continent/vendor), geo-DNS candidate
-//!   selection and round-robin.
+//! * [`pool`] — geo-DNS candidate selection (country, else continent,
+//!   else global) and round-robin.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,6 +23,6 @@ pub mod timestamp;
 
 pub use client::{NtpClient, SyncError, SyncResult};
 pub use packet::{LeapIndicator, Mode, NtpPacket, PacketError, PACKET_LEN};
-pub use pool::{NtpPool, Zone};
-pub use server::{QueryRecord, ServeError, Stratum2Server};
+pub use pool::NtpPool;
+pub use server::{ServeError, Stratum2Server};
 pub use timestamp::{NtpShort, NtpTimestamp};

@@ -5,7 +5,6 @@
 //! is faithful: clients *encode* mode-3 requests, servers *decode* them,
 //! log the source address, and encode mode-4 responses.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -168,47 +167,48 @@ impl NtpPacket {
     }
 
     /// Encodes into 48 bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(PACKET_LEN);
-        buf.put_u8((self.leap.bits() << 6) | ((self.version & 0b111) << 3) | self.mode.bits());
-        buf.put_u8(self.stratum);
-        buf.put_i8(self.poll);
-        buf.put_i8(self.precision);
-        buf.put_u32(self.root_delay.0);
-        buf.put_u32(self.root_dispersion.0);
-        buf.put_u32(self.reference_id);
-        buf.put_u64(self.reference_ts.0);
-        buf.put_u64(self.origin_ts.0);
-        buf.put_u64(self.receive_ts.0);
-        buf.put_u64(self.transmit_ts.0);
-        debug_assert_eq!(buf.len(), PACKET_LEN);
-        buf.freeze()
+    pub fn encode(&self) -> [u8; PACKET_LEN] {
+        let mut buf = [0u8; PACKET_LEN];
+        buf[0] = (self.leap.bits() << 6) | ((self.version & 0b111) << 3) | self.mode.bits();
+        buf[1] = self.stratum;
+        buf[2] = self.poll as u8;
+        buf[3] = self.precision as u8;
+        buf[4..8].copy_from_slice(&self.root_delay.0.to_be_bytes());
+        buf[8..12].copy_from_slice(&self.root_dispersion.0.to_be_bytes());
+        buf[12..16].copy_from_slice(&self.reference_id.to_be_bytes());
+        buf[16..24].copy_from_slice(&self.reference_ts.0.to_be_bytes());
+        buf[24..32].copy_from_slice(&self.origin_ts.0.to_be_bytes());
+        buf[32..40].copy_from_slice(&self.receive_ts.0.to_be_bytes());
+        buf[40..48].copy_from_slice(&self.transmit_ts.0.to_be_bytes());
+        buf
     }
 
     /// Decodes from wire bytes (extensions, if any, are ignored).
-    pub fn decode(mut data: &[u8]) -> Result<Self, PacketError> {
-        if data.len() < PACKET_LEN {
-            return Err(PacketError::Truncated);
-        }
-        let b0 = data.get_u8();
-        let version = (b0 >> 3) & 0b111;
+    pub fn decode(data: &[u8]) -> Result<Self, PacketError> {
+        let b = data
+            .first_chunk::<PACKET_LEN>()
+            .ok_or(PacketError::Truncated)?;
+        let version = (b[0] >> 3) & 0b111;
         if !(1..=4).contains(&version) {
             return Err(PacketError::BadVersion(version));
         }
+        let u32_at = |i: usize| u32::from_be_bytes(b[i..i + 4].try_into().expect("4 bytes"));
+        let ts_at =
+            |i: usize| NtpTimestamp(u64::from_be_bytes(b[i..i + 8].try_into().expect("8 bytes")));
         Ok(NtpPacket {
-            leap: LeapIndicator::from_bits(b0 >> 6),
+            leap: LeapIndicator::from_bits(b[0] >> 6),
             version,
-            mode: Mode::from_bits(b0),
-            stratum: data.get_u8(),
-            poll: data.get_i8(),
-            precision: data.get_i8(),
-            root_delay: NtpShort(data.get_u32()),
-            root_dispersion: NtpShort(data.get_u32()),
-            reference_id: data.get_u32(),
-            reference_ts: NtpTimestamp(data.get_u64()),
-            origin_ts: NtpTimestamp(data.get_u64()),
-            receive_ts: NtpTimestamp(data.get_u64()),
-            transmit_ts: NtpTimestamp(data.get_u64()),
+            mode: Mode::from_bits(b[0]),
+            stratum: b[1],
+            poll: b[2] as i8,
+            precision: b[3] as i8,
+            root_delay: NtpShort(u32_at(4)),
+            root_dispersion: NtpShort(u32_at(8)),
+            reference_id: u32_at(12),
+            reference_ts: ts_at(16),
+            origin_ts: ts_at(24),
+            receive_ts: ts_at(32),
+            transmit_ts: ts_at(40),
         })
     }
 }

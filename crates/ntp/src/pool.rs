@@ -1,4 +1,4 @@
-//! The NTP Pool model: zones, geo-DNS and server selection (§2.3).
+//! The NTP Pool model: geo-DNS and server selection (§2.3).
 //!
 //! `pool.ntp.org` resolves through a DNS round-robin that prefers servers
 //! geographically near the client (country zone → continent zone →
@@ -6,59 +6,66 @@
 //! clients from 175 countries: any country without an in-country pool
 //! server spills to its continent and then the world.
 
-use serde::{Deserialize, Serialize};
-
-use v6netsim::geo_model::Continent;
 use v6netsim::rng::hash64;
 use v6netsim::{Country, CountryRegistry, SimTime, VantagePoint};
 
-/// A pool zone name (country, continent, vendor or global).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Zone(pub String);
-
-impl Zone {
-    /// The global zone.
-    pub fn global() -> Zone {
-        Zone("pool.ntp.org".into())
-    }
-
-    /// A country zone like `de.pool.ntp.org`.
-    pub fn country(c: Country) -> Zone {
-        Zone(format!("{}.pool.ntp.org", c.as_str().to_ascii_lowercase()))
-    }
-
-    /// A continent zone like `europe.pool.ntp.org`.
-    pub fn continent(c: Continent) -> Zone {
-        let name = match c {
-            Continent::Africa => "africa",
-            Continent::Asia => "asia",
-            Continent::Europe => "europe",
-            Continent::NorthAmerica => "north-america",
-            Continent::Oceania => "oceania",
-            Continent::SouthAmerica => "south-america",
-        };
-        Zone(format!("{name}.pool.ntp.org"))
-    }
-
-    /// A vendor zone like `android.pool.ntp.org`. Vendor zones resolve to
-    /// the same server set as the global zone (the pool's actual
-    /// behaviour), but exist so vendor defaults can be modeled.
-    pub fn vendor(v: &str) -> Zone {
-        Zone(format!("{v}.pool.ntp.org"))
-    }
-}
+/// Two-letter codes `AA..=ZZ`, the slots of the candidate table.
+const CODES: usize = 26 * 26;
 
 /// The pool: the registered servers plus the selection logic.
+///
+/// Geo-DNS candidates depend only on the client's country, so
+/// [`NtpPool::new`] resolves them once for every code `AA..=ZZ`: `spans`
+/// holds, per code, a range of `ids`, which lists server indices. The
+/// distinct candidate lists are few (one per server country, one per
+/// continent, the global one) and each is stored once.
 #[derive(Debug, Clone)]
 pub struct NtpPool {
     servers: Vec<VantagePoint>,
-    registry: CountryRegistry,
+    ids: Vec<u32>,
+    spans: Vec<(u32, u32)>,
 }
 
 impl NtpPool {
-    /// Registers a set of servers (our 27 vantage points).
+    /// Registers a set of servers (our 27 vantage points) and resolves
+    /// each country's geo-DNS candidates against `registry`.
     pub fn new(servers: Vec<VantagePoint>, registry: CountryRegistry) -> Self {
-        NtpPool { servers, registry }
+        let continent = |c: Country| registry.get(c).map(|info| info.continent);
+        let server_continents: Vec<_> = servers.iter().map(|s| continent(s.country)).collect();
+        let pick = |keep: &dyn Fn(usize) -> bool| -> Vec<u32> {
+            (0..servers.len())
+                .filter(|&i| keep(i))
+                .map(|i| i as u32)
+                .collect()
+        };
+        // The global list comes first, so `(0, len)` is its span.
+        let mut ids = pick(&|_| true);
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(CODES);
+        for slot in 0..CODES {
+            let country = Country([b'A' + (slot / 26) as u8, b'A' + (slot % 26) as u8]);
+            let home = continent(country);
+            let mut list = pick(&|i| servers[i].country == country);
+            if list.is_empty() {
+                list = pick(&|i| home.is_some() && server_continents[i] == home);
+            }
+            if list.is_empty() {
+                list = pick(&|_| true);
+            }
+            let known = spans
+                .iter()
+                .copied()
+                .find(|&(lo, hi)| ids[lo as usize..hi as usize] == list[..]);
+            spans.push(known.unwrap_or_else(|| {
+                let lo = ids.len() as u32;
+                ids.extend_from_slice(&list);
+                (lo, ids.len() as u32)
+            }));
+        }
+        NtpPool {
+            servers,
+            ids,
+            spans,
+        }
     }
 
     /// Number of registered servers.
@@ -76,53 +83,44 @@ impl NtpPool {
         &self.servers
     }
 
+    /// Indices into [`servers`](Self::servers) of the candidates geo-DNS
+    /// hands a client in `country`. [`Country::new`] builds only codes
+    /// `AA..=ZZ`; any other code gets all servers.
+    fn candidate_ids(&self, country: Country) -> &[u32] {
+        let (lo, hi) = match country.0.map(|b| b.wrapping_sub(b'A') as usize) {
+            [a, b] if a < 26 && b < 26 => self.spans[a * 26 + b],
+            _ => (0, self.servers.len() as u32),
+        };
+        &self.ids[lo as usize..hi as usize]
+    }
+
     /// The candidate servers geo-DNS would hand a client in `country`:
     /// in-country servers if any, else in-continent, else all.
     pub fn candidates(&self, country: Country) -> Vec<&VantagePoint> {
-        let in_country: Vec<&VantagePoint> = self
-            .servers
+        self.candidate_ids(country)
             .iter()
-            .filter(|s| s.country == country)
-            .collect();
-        if !in_country.is_empty() {
-            return in_country;
-        }
-        let continent = self.registry.get(country).map(|c| c.continent);
-        let in_continent: Vec<&VantagePoint> = self
-            .servers
-            .iter()
-            .filter(|s| {
-                self.registry
-                    .get(s.country)
-                    .is_some_and(|c| Some(c.continent) == continent)
-            })
-            .collect();
-        if !in_continent.is_empty() {
-            return in_continent;
-        }
-        self.servers.iter().collect()
+            .map(|&i| &self.servers[i as usize])
+            .collect()
     }
 
     /// DNS round-robin: which server a given client resolution at time `t`
     /// lands on. Deterministic in `(client key, DNS TTL window, country)`.
     pub fn select(&self, country: Country, client_key: u64, t: SimTime) -> Option<&VantagePoint> {
-        let cands = self.candidates(country);
+        let cands = self.candidate_ids(country);
         if cands.is_empty() {
             return None;
         }
         // Pool DNS TTL is ~150 s; a client re-resolves each sync anyway,
         // so key on a 150-second window.
-        let h = hash64(
-            client_key ^ (t.as_secs() / 150),
-            country.as_str().as_bytes(),
-        );
-        Some(cands[(h % cands.len() as u64) as usize])
+        let h = hash64(client_key ^ (t.as_secs() / 150), &country.0);
+        Some(&self.servers[cands[(h % cands.len() as u64) as usize] as usize])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6netsim::geo_model::Continent;
     use v6netsim::{World, WorldConfig};
 
     fn pool() -> NtpPool {
@@ -130,15 +128,73 @@ mod tests {
         NtpPool::new(w.vantage_points.clone(), CountryRegistry::builtin())
     }
 
+    /// The geo-DNS rule written out: in-country servers if any, else
+    /// in-continent, else all, then the round-robin hash.
+    fn by_the_rule<'p>(
+        p: &'p NtpPool,
+        reg: &CountryRegistry,
+        c: Country,
+        key: u64,
+        t: SimTime,
+    ) -> Option<&'p VantagePoint> {
+        let continent = |c: Country| reg.get(c).map(|info| info.continent);
+        let of = |keep: &dyn Fn(&VantagePoint) -> bool| -> Vec<&'p VantagePoint> {
+            p.servers().iter().filter(|s| keep(s)).collect()
+        };
+        let mut cands = of(&|s| s.country == c);
+        if cands.is_empty() {
+            cands = of(&|s| continent(c).is_some() && continent(s.country) == continent(c));
+        }
+        if cands.is_empty() {
+            cands = of(&|_| true);
+        }
+        let h = hash64(key ^ (t.as_secs() / 150), c.as_str().as_bytes());
+        (!cands.is_empty()).then(|| cands[(h % cands.len() as u64) as usize])
+    }
+
     #[test]
-    fn zone_names() {
-        assert_eq!(Zone::global().0, "pool.ntp.org");
-        assert_eq!(Zone::country(Country::new("DE")).0, "de.pool.ntp.org");
-        assert_eq!(
-            Zone::continent(Continent::NorthAmerica).0,
-            "north-america.pool.ntp.org"
+    fn table_matches_the_geo_dns_rule() {
+        let reg = CountryRegistry::builtin();
+        let world = pool();
+        // A hand-built pool: one server in a country the registry lacks
+        // ("XK"), two in Europe, one in Oceania.
+        let vp = |id: u16, code: &str| VantagePoint {
+            id,
+            as_index: 0,
+            country: Country::new(code),
+            addr: std::net::Ipv6Addr::new(0x2a00, id, 0, 0, 0, 0, 0, 1),
+        };
+        assert!(reg.get(Country::new("XK")).is_none());
+        let hand = NtpPool::new(
+            vec![vp(0, "DE"), vp(1, "XK"), vp(2, "AU"), vp(3, "NL")],
+            reg.clone(),
         );
-        assert_eq!(Zone::vendor("android").0, "android.pool.ntp.org");
+        let empty = NtpPool::new(Vec::new(), reg.clone());
+        assert!(reg.get(Country::new("QQ")).is_none());
+        let mut codes: Vec<Country> = (b'A'..=b'Z')
+            .flat_map(|a| (b'A'..=b'Z').map(move |b| Country([a, b])))
+            .collect();
+        codes.extend([Country::new("QQ"), Country::new("XK")]);
+        let keys = [0, 1, 7, 42, 0xdead_beef, u64::MAX];
+        let times = [0, 149, 150, 86_400 * 200 + 7].map(SimTime);
+        for p in [&world, &hand, &empty] {
+            for &c in &codes {
+                for &key in &keys {
+                    for &t in &times {
+                        let got = p.select(c, key, t).map(|s| s.id);
+                        let want = by_the_rule(p, &reg, c, key, t).map(|s| s.id);
+                        assert_eq!(got, want, "{c} key={key} t={t:?}");
+                    }
+                }
+            }
+        }
+        // The registry-less VP country is served in-country; its
+        // neighbours' clients are not sent there.
+        let xk = hand.candidates(Country::new("XK"));
+        assert_eq!(xk.iter().map(|s| s.id).collect::<Vec<_>>(), [1]);
+        let fr = hand.candidates(Country::new("FR"));
+        assert_eq!(fr.iter().map(|s| s.id).collect::<Vec<_>>(), [0, 3]);
+        assert!(empty.select(Country::new("DE"), 1, SimTime(0)).is_none());
     }
 
     #[test]

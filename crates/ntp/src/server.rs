@@ -1,25 +1,17 @@
-//! A stratum-2 NTP server with passive source-address logging.
+//! A stratum-2 NTP server.
 //!
 //! This is the paper's measurement instrument (§3): a cheap VPS running a
-//! stratum-2 server joined to the pool. It answers real mode-3 packets and
-//! records `(time, source address)` — nothing else, since NTP requests
-//! carry no PII (§3, Ethics).
+//! stratum-2 server joined to the pool. It answers real mode-3 packets;
+//! the caller that hands it a packet keeps the `(time, source address)`
+//! log, which is all the paper kept, since NTP requests carry no PII
+//! (§3, Ethics).
 
 use std::net::Ipv6Addr;
 
 use v6netsim::{SimTime, VantagePoint};
 
-use crate::packet::{LeapIndicator, Mode, NtpPacket, PacketError};
+use crate::packet::{LeapIndicator, Mode, NtpPacket, PacketError, PACKET_LEN};
 use crate::timestamp::{NtpShort, NtpTimestamp};
-
-/// One logged client query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueryRecord {
-    /// Arrival time.
-    pub t: SimTime,
-    /// Source address of the request.
-    pub src: Ipv6Addr,
-}
 
 /// Why a request was dropped instead of answered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,7 +29,6 @@ pub struct Stratum2Server {
     pub vp: VantagePoint,
     /// Upstream (stratum-1) reference id.
     pub reference_id: u32,
-    log: Vec<QueryRecord>,
     served: u64,
     dropped: u64,
 }
@@ -50,20 +41,21 @@ impl Stratum2Server {
         Stratum2Server {
             vp,
             reference_id,
-            log: Vec::new(),
             served: 0,
             dropped: 0,
         }
     }
 
-    /// Handles one inbound wire packet: decodes, validates, logs the
-    /// source, and produces the encoded mode-4 response.
+    /// Handles one inbound wire packet: decodes, validates, counts it, and
+    /// produces the encoded mode-4 response. The response goes back to the
+    /// datagram's source `_src`, which the caller logs: the answer does
+    /// not depend on it.
     pub fn handle(
         &mut self,
         wire: &[u8],
-        src: Ipv6Addr,
+        _src: Ipv6Addr,
         now: SimTime,
-    ) -> Result<bytes::Bytes, ServeError> {
+    ) -> Result<[u8; PACKET_LEN], ServeError> {
         let req = match NtpPacket::decode(wire) {
             Ok(p) => p,
             Err(e) => {
@@ -75,7 +67,6 @@ impl Stratum2Server {
             self.dropped += 1;
             return Err(ServeError::NotAClientRequest(req.mode));
         }
-        self.log.push(QueryRecord { t: now, src });
         self.served += 1;
 
         let rx = NtpTimestamp::from_sim(now, 250_000_000);
@@ -96,17 +87,6 @@ impl Stratum2Server {
             transmit_ts: tx,
         };
         Ok(resp.encode())
-    }
-
-    /// The query log.
-    pub fn log(&self) -> &[QueryRecord] {
-        &self.log
-    }
-
-    /// Takes the query log, leaving it empty (periodic flush to disk in
-    /// the real deployment).
-    pub fn drain_log(&mut self) -> Vec<QueryRecord> {
-        std::mem::take(&mut self.log)
     }
 
     /// Requests served.
@@ -146,9 +126,8 @@ mod tests {
         // The server must echo T1 into the origin field.
         assert_eq!(resp.origin_ts, t1);
         assert!(resp.receive_ts <= resp.transmit_ts);
-        assert_eq!(s.log().len(), 1);
-        assert_eq!(s.log()[0].src, src());
         assert_eq!(s.served(), 1);
+        assert_eq!(s.dropped(), 0);
     }
 
     #[test]
@@ -157,7 +136,7 @@ mod tests {
         let err = s.handle(&[1, 2, 3], src(), SimTime(0)).unwrap_err();
         assert!(matches!(err, ServeError::Malformed(_)));
         assert_eq!(s.dropped(), 1);
-        assert!(s.log().is_empty());
+        assert_eq!(s.served(), 0);
     }
 
     #[test]
@@ -167,18 +146,5 @@ mod tests {
         p.mode = Mode::Server;
         let err = s.handle(&p.encode(), src(), SimTime(0)).unwrap_err();
         assert_eq!(err, ServeError::NotAClientRequest(Mode::Server));
-    }
-
-    #[test]
-    fn drain_log_empties() {
-        let mut s = server();
-        let req = NtpPacket::client_request(NtpTimestamp::ZERO).encode();
-        for i in 0..5 {
-            s.handle(&req, src(), SimTime(i)).unwrap();
-        }
-        let drained = s.drain_log();
-        assert_eq!(drained.len(), 5);
-        assert!(s.log().is_empty());
-        assert_eq!(s.served(), 5);
     }
 }

@@ -138,6 +138,7 @@ fn scan_indices<P: Prober>(
     }
     let perm = IndexPermutation::new(targets.len() as u64, cfg.seed);
     let src = prober.source();
+    let payload = Bytes::from_static(b"zmap6-repro");
     for i in range {
         let dst = targets[perm.apply(i) as usize];
         let t = cfg.start + SimDuration(i / cfg.rate_pps.max(1));
@@ -145,7 +146,7 @@ fn scan_indices<P: Prober>(
         let request = Icmpv6Message::EchoRequest {
             ident,
             seq,
-            payload: Bytes::from_static(b"zmap6-repro"),
+            payload: payload.clone(),
         };
         let _wire = request.encode(src, dst);
         result.stats.sent += 1;
@@ -158,7 +159,7 @@ fn scan_indices<P: Prober>(
                 let reply = Icmpv6Message::EchoReply {
                     ident,
                     seq,
-                    payload: Bytes::from_static(b"zmap6-repro"),
+                    payload: payload.clone(),
                 }
                 .encode(from, src);
                 match Icmpv6Message::decode(from, src, &reply) {
