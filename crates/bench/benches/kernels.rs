@@ -15,8 +15,9 @@
 //! structures, longest-prefix match — the per-event time and heap
 //! allocations of the streaming operators, the same two of one
 //! request through the front door, the time and bytes per entry of
-//! a checkpoint, the time per entry of the cluster leader's diff, and
-//! the time and heap allocations per event of passive NTP collection.
+//! a checkpoint, the time per entry of the cluster leader's diff, the
+//! time and heap allocations per event of passive NTP collection, and
+//! the same two per call of the simulated Internet's probe surface.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{BTreeMap, HashSet};
@@ -29,10 +30,10 @@ use criterion::{black_box, criterion_group, BatchSize, Criterion};
 
 use v6bench::{
     CheckpointRecord, KernelRecord, KernelsBench, LeaderDiffRecord, LpmRecord, MembershipRecord,
-    NtpExchangeRecord, Scale, StreamOpRecord, WireRoundtripRecord,
+    NtpExchangeRecord, Scale, StreamOpRecord, WireRoundtripRecord, WorldProbeRecord,
 };
 use v6chaos::NoChaos;
-use v6hitlist::NtpCorpus;
+use v6hitlist::{ExperimentConfig, NtpCorpus};
 use v6serve::persist::{delta_between, delta_to_content, snapshot_from_state};
 use v6serve::{CompressedRun, HitlistStore, QueryEngine, SnapshotBuilder};
 use v6store::format::{self, Dec, Enc, FrameOutcome, HEADER_LEN, KIND_CHECKPOINT, TAG_CHECKPOINT};
@@ -43,10 +44,11 @@ use v6wire::{duplex, AdmissionConfig, Request, WireClient, WireServer};
 use v6addr::{iid_entropy, AddrSet, Iid, Prefix, PrefixMap};
 use v6netsim::rng::Rng;
 use v6netsim::{
-    CountryRegistry, IndexPermutation, NtpEvent, NtpEventStream, SimDuration, SimTime, World,
+    CountryRegistry, DeviceId, IndexPermutation, NtpEvent, NtpEventStream, ProbeOutcome,
+    Resolution, SimDuration, SimTime, World,
 };
 use v6ntp::{NtpClient, NtpPacket, NtpPool, NtpTimestamp, Stratum2Server};
-use v6scan::Icmpv6Message;
+use v6scan::{caida_routed48_targets, Icmpv6Message};
 
 fn random_addrs(n: usize, seed: u64) -> Vec<u128> {
     let mut rng = Rng::new(seed);
@@ -357,6 +359,16 @@ fn emit_par_kernels_json() {
         record(&mut kernels, "radix_sort", size, baseline, radix);
     }
 
+    // The default-scale world at seed 2022 feeds the last two row sets,
+    // and is dropped before the other rows build their inputs.
+    let (ntp_exchange, world_probe) = {
+        let cfg = v6bench::config_for(Scale::Default, 2022);
+        let world = World::build(cfg.world.clone(), cfg.seed);
+        (
+            ntp_exchange_records(&world),
+            world_probe_records(&world, &cfg),
+        )
+    };
     let bench = KernelsBench {
         threads,
         cores,
@@ -367,7 +379,8 @@ fn emit_par_kernels_json() {
         wire_roundtrip: wire_roundtrip_records(),
         checkpoint: checkpoint_records(),
         leader_diff: leader_diff_records(),
-        ntp_exchange: ntp_exchange_records(),
+        ntp_exchange,
+        world_probe,
     };
     let json = serde_json::to_string_pretty(&bench).expect("serialize kernels bench");
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target");
@@ -425,6 +438,12 @@ fn emit_par_kernels_json() {
         println!(
             "  ntp/{:<9} {:>8} events: {:>7.1} ns/event, {:.3} allocations/event",
             x.stage, x.events, x.ns_per_event, x.allocs_per_event
+        );
+    }
+    for p in &bench.world_probe {
+        println!(
+            "  world/{:<15} {:>6} calls: {:>7.1} ns/call, {:.3} allocations/call",
+            p.call, p.calls, p.ns_per_call, p.allocs_per_call
         );
     }
     println!("wrote {}", path.display());
@@ -974,36 +993,41 @@ fn scan_membership_records() -> Vec<MembershipRecord> {
 /// 2022 the first 47 hold ≈ 1 M of the study's 4.69 M NTP events.
 const NTP_DAYS: u64 = 47;
 
+/// Mean nanoseconds (best of 3 rounds) and heap allocations (over one
+/// round) per item of a round over `n` items.
+fn per_item(n: usize, round: &mut dyn FnMut() -> u64) -> (f64, f64) {
+    let before = ALLOCS.load(Relaxed);
+    black_box(round());
+    let allocs = ALLOCS.load(Relaxed) - before;
+    let ms = best_ms(3, &mut *round);
+    (ms * 1e6 / n as f64, allocs as f64 / n as f64)
+}
+
 /// Passive NTP collection stage by stage (`NtpExchangeRecord::stage`),
 /// over the events of the first [`NTP_DAYS`] study days of the
 /// default-scale world at seed 2022, on one thread.
-fn ntp_exchange_records() -> Vec<NtpExchangeRecord> {
-    let cfg = v6bench::config_for(Scale::Default, 2022);
-    let world = World::build(cfg.world, cfg.seed);
+fn ntp_exchange_records(world: &World) -> Vec<NtpExchangeRecord> {
     let window = SimDuration::days(NTP_DAYS);
     let (d0, d1) = v6netsim::day_range(SimTime::START, window);
-    let events: Vec<NtpEvent> = NtpEventStream::days(&world, d0, d1).collect();
+    let events: Vec<NtpEvent> = NtpEventStream::days(world, d0, d1).collect();
     let pool = NtpPool::new(world.vantage_points.clone(), CountryRegistry::builtin());
     let mut servers: Vec<Stratum2Server> = (world.vantage_points.iter())
         .map(|vp| Stratum2Server::new(vp.clone()))
         .collect();
     let n = events.len();
     let record = |stage: &str, round: &mut dyn FnMut() -> u64| {
-        let before = ALLOCS.load(Relaxed);
-        black_box(round());
-        let allocs = ALLOCS.load(Relaxed) - before;
-        let ms = best_ms(3, &mut *round);
+        let (ns_per_event, allocs_per_event) = per_item(n, round);
         NtpExchangeRecord {
             stage: stage.into(),
             events: n,
-            ns_per_event: ms * 1e6 / n as f64,
-            allocs_per_event: allocs as f64 / n as f64,
+            ns_per_event,
+            allocs_per_event,
         }
     };
     let select = |ev: &NtpEvent| pool.select(ev.country, u64::from(ev.device.0), ev.t);
     vec![
         record("stream", &mut || {
-            NtpEventStream::days(&world, d0, d1).count() as u64
+            NtpEventStream::days(world, d0, d1).count() as u64
         }),
         record("select", &mut || {
             (events.iter())
@@ -1024,7 +1048,54 @@ fn ntp_exchange_records() -> Vec<NtpExchangeRecord> {
             answered
         }),
         record("collect", &mut || {
-            NtpCorpus::collect_with(&world, SimTime::START, window, 1, &NoChaos).len() as u64
+            NtpCorpus::collect_with(world, SimTime::START, window, 1, &NoChaos).len() as u64
+        }),
+    ]
+}
+
+/// The probe surface call by call (`WorldProbeRecord::call`), once per
+/// target of the CAIDA campaign (64 512 routed /48s at default scale)
+/// from its vantage point (id 1) at its start time, on one thread.
+fn world_probe_records(world: &World, cfg: &ExperimentConfig) -> Vec<WorldProbeRecord> {
+    let targets = caida_routed48_targets(&world.routed_prefixes(), cfg.caida.stride);
+    let vp = world.vantage_points[1].as_index;
+    let t = cfg.caida.start;
+    let n = targets.len();
+    let record = |call: &str, round: &mut dyn FnMut() -> u64| {
+        let (ns_per_call, allocs_per_call) = per_item(n, round);
+        WorldProbeRecord {
+            call: call.into(),
+            calls: n,
+            ns_per_call,
+            allocs_per_call,
+        }
+    };
+    let answered = |ttl: u8| {
+        (targets.iter())
+            .filter(|&&dst| world.probe_ttl(vp, dst, ttl, t) != ProbeOutcome::NoResponse)
+            .count() as u64
+    };
+    let devices = world.device_count() as u32;
+    vec![
+        record("route_hops", &mut || {
+            (targets.iter())
+                .map(|&dst| world.route_hops(vp, dst, t).len() as u64)
+                .sum()
+        }),
+        record("probe_ttl_1", &mut || answered(1)),
+        record("probe_ttl_64", &mut || answered(64)),
+        record("resolve", &mut || {
+            (targets.iter())
+                .filter(|&&dst| world.resolve(dst, t) != Resolution::Vacant)
+                .count() as u64
+        }),
+        record("contact_addr_at", &mut || {
+            (0..n as u32)
+                .filter_map(|i| {
+                    let at = SimTime(t.as_secs() + 60 * u64::from(i));
+                    world.contact_addr_at(DeviceId(i % devices), at)
+                })
+                .count() as u64
         }),
     ]
 }

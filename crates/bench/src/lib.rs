@@ -176,6 +176,26 @@ pub struct NtpExchangeRecord {
     pub allocs_per_event: f64,
 }
 
+/// One call of the simulated Internet's probe surface over the targets
+/// of the CAIDA campaign on the default-scale world at seed 2022, as
+/// recorded in `BENCH_kernels.json`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct WorldProbeRecord {
+    /// What was timed, once per target from the campaign's vantage point
+    /// at its start time: `World::route_hops` ("route_hops"),
+    /// `World::probe_ttl` at TTL 1 ("probe_ttl_1") and 64
+    /// ("probe_ttl_64"), `World::resolve` ("resolve"), or
+    /// `World::contact_addr_at` over as many devices, one minute apart
+    /// ("contact_addr_at").
+    pub call: String,
+    /// Calls per timed round.
+    pub calls: usize,
+    /// Mean nanoseconds per call (best of N rounds).
+    pub ns_per_call: f64,
+    /// Heap allocations and reallocations per call over one round.
+    pub allocs_per_call: f64,
+}
+
 /// The machine-readable output of the `kernels` bench: the `v6par`
 /// kernels production runs, each against its baseline at several input
 /// sizes (so kernel-level regressions are visible separately from
@@ -183,7 +203,8 @@ pub struct NtpExchangeRecord {
 /// address-store representations, longest-prefix match over the prefix
 /// index, the per-event cost of the streaming operators, the cost of
 /// a request through the front door, of a checkpoint, of the leader's
-/// diff, and of passive NTP collection.
+/// diff, of passive NTP collection, and of one probe of the simulated
+/// Internet.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct KernelsBench {
     /// Worker count used for the `par_map` timings.
@@ -210,6 +231,8 @@ pub struct KernelsBench {
     pub leader_diff: Vec<LeaderDiffRecord>,
     /// Passive NTP collection, stage by stage, per event.
     pub ntp_exchange: Vec<NtpExchangeRecord>,
+    /// The probe surface of the default-scale world, per call.
+    pub world_probe: Vec<WorldProbeRecord>,
 }
 
 /// The scale selected through `V6HL_SCALE`.

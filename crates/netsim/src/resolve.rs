@@ -10,16 +10,20 @@
 //!    (drives ZMap6/Yarrp campaigns, backscanning, alias detection)
 //!
 //! Both are computed from the world seed with no packet history, using the
-//! keyed slot permutations and the deterministic IID generator.
+//! keyed slot permutations and the deterministic IID generator. Neither
+//! allocates: labels are hashed from the stack ([`hash_label`]), the
+//! transit ASes are listed once when the world is built, and a probe's
+//! path is a fixed-capacity [`Hops`] walked at most once per probe.
 
 use std::net::Ipv6Addr;
+use std::ops::Deref;
 
 use v6addr::{Iid, Prefix};
 
 use crate::addressing::generate_iid;
-use crate::asn::{AliasFront, AsKind};
+use crate::asn::AliasFront;
 use crate::device::{DeviceId, DeviceKind};
-use crate::rng::hash64;
+use crate::rng::{hash64, hash_label};
 use crate::time::SimTime;
 use crate::world::{on_wifi, Region, World};
 
@@ -143,6 +147,33 @@ impl ProbeOutcome {
     /// True when the *destination itself* answered.
     pub fn is_echo(&self) -> bool {
         matches!(self, ProbeOutcome::EchoReply { .. })
+    }
+}
+
+/// The most hops a probe path has: up to four transit cores, the
+/// destination AS's core router and a CPE WAN hop.
+pub const MAX_HOPS: usize = 6;
+
+/// The router hops of one probe path, in order, held inline (see
+/// [`World::route_hops`]); it dereferences to a slice.
+#[derive(Debug, Clone, Copy)]
+pub struct Hops {
+    addrs: [Ipv6Addr; MAX_HOPS],
+    len: u8,
+}
+
+impl Hops {
+    fn push(&mut self, addr: Ipv6Addr) {
+        self.addrs[usize::from(self.len)] = addr;
+        self.len += 1;
+    }
+}
+
+impl Deref for Hops {
+    type Target = [Ipv6Addr];
+
+    fn deref(&self) -> &[Ipv6Addr] {
+        &self.addrs[..usize::from(self.len)]
     }
 }
 
@@ -349,11 +380,11 @@ impl World {
                 let net = &self.networks[net_id as usize];
                 // Check every LAN device that could hold this /64 + IID.
                 let target_iid = Iid::from_addr(addr);
+                let delegated = self.network_prefix_at(net_id, t);
                 for did in net.lan_devices() {
                     let dev = self.device(did);
                     let Some(hs) = dev.home else { continue };
                     // Quick subnet filter before computing the IID.
-                    let delegated = self.network_prefix_at(net_id, t);
                     let dev64 = delegated.subprefix(64, hs.subnet as u64);
                     if !dev64.contains(addr) {
                         continue;
@@ -403,23 +434,24 @@ impl World {
     // ------------------------------------------------------------------
 
     /// The router hops a probe from vantage AS `vp_as` to `dst` traverses
-    /// (transit cores, destination core, and — for customer targets — the
-    /// CPE WAN hop).
-    pub fn route_hops(&self, vp_as: u16, dst: Ipv6Addr, t: SimTime) -> Vec<Ipv6Addr> {
-        let mut hops = Vec::new();
+    /// (two to four transit cores keyed by the AS pair, the destination
+    /// core, and — for customer targets — the CPE WAN hop), with no heap
+    /// allocation.
+    pub fn route_hops(&self, vp_as: u16, dst: Ipv6Addr, t: SimTime) -> Hops {
+        let mut hops = Hops {
+            addrs: [Ipv6Addr::UNSPECIFIED; MAX_HOPS],
+            len: 0,
+        };
         let Some(dst_as) = self.as_index_of(dst) else {
             return hops;
         };
-        let transit: Vec<&crate::world::AsRuntime> = self
-            .ases
-            .iter()
-            .filter(|a| a.info.kind == AsKind::Transit && !a.router_ids.is_empty())
-            .collect();
+        let transit = &self.transit;
         if !transit.is_empty() {
-            let key = hash64(self.seed, format!("path/{vp_as}/{dst_as}").as_bytes());
+            let key = hash_label(self.seed, "path", &[u64::from(vp_as), u64::from(dst_as)]);
             let k = 2 + (key % 3) as usize;
             for i in 0..k {
-                let ta = transit[(hash64(key, &[i as u8]) % transit.len() as u64) as usize];
+                let pick = hash64(key, &[i as u8]) % transit.len() as u64;
+                let ta = &self.ases[usize::from(transit[pick as usize])];
                 let r = ta.router_ids
                     [(hash64(key, &[0x80 | i as u8]) % ta.router_ids.len() as u64) as usize];
                 if let Some(a) = self.device(r).fixed_addr {
@@ -455,9 +487,10 @@ impl World {
 
     /// Deterministic per-(address, probe-window) response coin flip.
     fn responds(&self, prob: f64, addr: Ipv6Addr, t: SimTime) -> bool {
-        let h = hash64(
+        let h = hash_label(
             self.seed ^ (u128::from(addr) as u64) ^ ((u128::from(addr) >> 64) as u64),
-            format!("respond/{}", t.as_secs() / 600).as_bytes(),
+            "respond",
+            &[t.as_secs() / 600],
         );
         (h as f64 / u64::MAX as f64) < prob
     }
@@ -472,11 +505,13 @@ impl World {
     /// The synthetic path is: VP border (uncounted) → `route_hops` → the
     /// destination. TTL expiring on a hop yields Time Exceeded from that
     /// hop's router; reaching the destination applies alias / firewall /
-    /// presence / responsiveness rules.
+    /// presence / responsiveness rules. The path is walked at most once:
+    /// a TTL above [`MAX_HOPS`] cannot expire, so it is walked only if the
+    /// destination is vacant and its last hop reports unreachable.
     pub fn probe_ttl(&self, vp_as: u16, dst: Ipv6Addr, ttl: u8, t: SimTime) -> ProbeOutcome {
-        let hops = self.route_hops(vp_as, dst, t);
-        if (ttl as usize) <= hops.len() {
-            let from = hops[ttl as usize - 1];
+        let hops = (usize::from(ttl) <= MAX_HOPS).then(|| self.route_hops(vp_as, dst, t));
+        if let Some(hops) = hops.filter(|h| usize::from(ttl) <= h.len()) {
+            let from = hops[usize::from(ttl) - 1];
             // Routers occasionally rate-limit TTL-exceeded generation.
             return if self.responds(0.95, from, t) {
                 ProbeOutcome::TimeExceeded { from, hop: ttl }
@@ -546,7 +581,7 @@ impl World {
             Resolution::Vacant => {
                 // The destination AS's core router reports unreachable
                 // (sometimes; silence is common too).
-                let hops = self.route_hops(vp_as, dst, t);
+                let hops = hops.unwrap_or_else(|| self.route_hops(vp_as, dst, t));
                 match hops.last() {
                     Some(&from) if self.responds(0.5, dst, t) => ProbeOutcome::Unreachable { from },
                     _ => ProbeOutcome::NoResponse,
@@ -614,6 +649,7 @@ impl World {
 mod tests {
     use super::*;
     use crate::addressing::IidStrategy;
+    use crate::asn::AsKind;
     use crate::config::WorldConfig;
     use crate::time::SimDuration;
 

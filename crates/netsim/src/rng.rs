@@ -43,6 +43,30 @@ pub fn hash64(seed: u64, label: &[u8]) -> u64 {
     splitmix64(&mut s)
 }
 
+/// [`hash64`] of the label `name/n0/n1/…` (each number in decimal),
+/// folded from the stack: `hash_label(s, "dev", &[a, l, h])` equals
+/// `hash64(s, format!("dev/{a}/{l}/{h}").as_bytes())` without the
+/// `String`. The simulator's one label idiom.
+pub fn hash_label(seed: u64, name: &str, nums: &[u64]) -> u64 {
+    let mut s = fnv1a(FNV_BASIS ^ seed, name.as_bytes());
+    for &n in nums {
+        // u64::MAX has 20 digits; they fill the buffer from the end.
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = n;
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        s = fnv1a(fnv1a(s, b"/"), &digits[at..]);
+    }
+    splitmix64(&mut s)
+}
+
 /// A xoshiro256++ PRNG.
 #[derive(Debug, Clone)]
 pub struct Rng {
@@ -350,5 +374,20 @@ mod tests {
         assert_ne!(hash64(1, b"a"), hash64(1, b"b"));
         assert_ne!(hash64(1, b"a"), hash64(2, b"a"));
         assert_eq!(hash64(1, b"a"), hash64(1, b"a"));
+    }
+
+    #[test]
+    fn hash_label_equals_the_formatted_label() {
+        for n in [0, 9, 10, u64::from(u16::MAX), u64::MAX] {
+            assert_eq!(
+                hash_label(5, "hperm", &[n]),
+                hash64(5, format!("hperm/{n}").as_bytes())
+            );
+            assert_eq!(
+                hash_label(5, "dev", &[n, 10, n]),
+                hash64(5, format!("dev/{n}/10/{n}").as_bytes())
+            );
+        }
+        assert_eq!(hash_label(5, "x", &[]), hash64(5, b"x"));
     }
 }

@@ -38,7 +38,7 @@ use crate::config::WorldConfig;
 use crate::device::{draw_os, ActivityProfile, DeviceId, DeviceKind, Os, VendorPools};
 use crate::geo_model::{Country, CountryRegistry};
 use crate::permute::IndexPermutation;
-use crate::rng::{hash64, Rng};
+use crate::rng::{hash_label, Rng};
 use crate::time::SimTime;
 
 /// A device's home-network slot.
@@ -263,6 +263,9 @@ pub struct World {
     pub vantage_points: Vec<VantagePoint>,
     pub(crate) route: PrefixMap<RouteEntry>,
     pub(crate) fixed_addrs: HashMap<u128, DeviceId>,
+    /// Dense indices of the transit ASes that have core routers, in
+    /// index order: the ASes a probe's path crosses.
+    pub(crate) transit: Vec<u16>,
     /// Per-AS scheduled outage windows as (first_day, end_day) pairs.
     pub(crate) outage_windows: Vec<Vec<(u64, u64)>>,
 }
@@ -343,7 +346,7 @@ impl World {
                     os: Os::Embedded,
                     mac: pools.draw_mac(DeviceKind::CoreRouter, &mut rng),
                     strategy: IidStrategy::LowByte,
-                    seed: hash64(seed, format!("router/{ai}/{k}").as_bytes()),
+                    seed: hash_label(seed, "router", &[ai as u64, u64::from(k)]),
                     home: None,
                     cellular: None,
                     fixed_addr: Some(addr),
@@ -365,7 +368,7 @@ impl World {
             let cust = ases[ai].customer33();
             for j in 0..config.servers_per_hosting_as {
                 let id = DeviceId(devices.len() as u32);
-                let dev_seed = hash64(seed, format!("server/{ai}/{j}").as_bytes());
+                let dev_seed = hash_label(seed, "server", &[ai as u64, u64::from(j)]);
                 // Cloud/CDN fleets mostly carry provider-assigned random
                 // addresses; manual low-byte addressing is the minority
                 // (this is what pulls the Hitlist's entropy CDF above
@@ -452,7 +455,7 @@ impl World {
 
                 // CPE first.
                 let cpe_id = DeviceId(devices.len() as u32);
-                let cpe_seed = hash64(seed, format!("cpe/{ai}/{local}").as_bytes());
+                let cpe_seed = hash_label(seed, "cpe", &[ai as u64, u64::from(local)]);
                 let cpe_mac = if is_german && !avm.is_empty() {
                     pools.draw_mac_with_oui(*rng.choose(&avm), &mut rng)
                 } else {
@@ -494,7 +497,8 @@ impl World {
                     let w: Vec<f64> = device_kind_weights.iter().map(|&(_, w)| w).collect();
                     let kind = device_kind_weights[rng.weighted(&w)].0;
                     let os = draw_os(kind, &mut rng);
-                    let dev_seed = hash64(seed, format!("dev/{ai}/{local}/{h}").as_bytes());
+                    let dev_seed =
+                        hash_label(seed, "dev", &[ai as u64, u64::from(local), u64::from(h)]);
                     // IoT-ish gear skews EUI-64 regardless of AS profile.
                     let mut strategy = profile.draw_strategy(&mut rng);
                     if matches!(
@@ -563,7 +567,7 @@ impl World {
                     DeviceKind::IotSensor // cellular IoT
                 };
                 let os = draw_os(kind, &mut rng);
-                let dev_seed = hash64(seed, format!("sub/{ai}/{s}").as_bytes());
+                let dev_seed = hash_label(seed, "sub", &[ai as u64, u64::from(s)]);
                 let mut strategy = profile.draw_strategy(&mut rng);
                 if kind == DeviceKind::IotSensor && rng.chance(0.3) {
                     strategy = IidStrategy::Eui64;
@@ -721,6 +725,11 @@ impl World {
             }
         }
 
+        let transit = (ases.iter())
+            .filter(|a| a.info.kind == AsKind::Transit && !a.router_ids.is_empty())
+            .map(|a| a.index)
+            .collect();
+
         World {
             seed,
             config,
@@ -732,6 +741,7 @@ impl World {
             vantage_points,
             route,
             fixed_addrs,
+            transit,
             outage_windows,
         }
     }
@@ -772,9 +782,10 @@ impl World {
         let asr = &self.ases[as_index as usize];
         IndexPermutation::new(
             asr.home_slot_count,
-            hash64(
+            hash_label(
                 self.seed ^ epoch.wrapping_mul(0x9e37),
-                format!("hperm/{as_index}").as_bytes(),
+                "hperm",
+                &[u64::from(as_index)],
             ),
         )
     }
@@ -784,9 +795,10 @@ impl World {
         let asr = &self.ases[as_index as usize];
         IndexPermutation::new(
             asr.mobile_slot_count,
-            hash64(
+            hash_label(
                 self.seed ^ epoch.wrapping_mul(0x85eb),
-                format!("mperm/{as_index}").as_bytes(),
+                "mperm",
+                &[u64::from(as_index)],
             ),
         )
     }
@@ -879,10 +891,7 @@ fn slot_domain(n: u64, delegation_len: u8, pool_len: u8) -> u64 {
 
 /// Deterministic "is this phone on WiFi this hour?" draw.
 pub(crate) fn on_wifi(world_seed: u64, device_seed: u64, t: SimTime, wifi_presence: f64) -> bool {
-    let h = hash64(
-        world_seed ^ device_seed,
-        format!("wifi/{}", t.as_secs() / 3600).as_bytes(),
-    );
+    let h = hash_label(world_seed ^ device_seed, "wifi", &[t.as_secs() / 3600]);
     (h as f64 / u64::MAX as f64) < wifi_presence
 }
 

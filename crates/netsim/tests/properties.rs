@@ -1,9 +1,13 @@
 //! Property-based tests for the synthetic Internet's core invariants.
 
+use std::net::Ipv6Addr;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
-use v6netsim::{AttachKind, IndexPermutation, Resolution, SimTime, World, WorldConfig};
+use v6netsim::rng::{fnv1a, FNV_BASIS};
+use v6netsim::{
+    AttachKind, DeviceId, IndexPermutation, ProbeOutcome, Resolution, SimTime, World, WorldConfig,
+};
 
 fn world() -> &'static World {
     static W: OnceLock<World> = OnceLock::new();
@@ -103,4 +107,54 @@ proptest! {
             prop_assert_ne!(pa, pb);
         }
     }
+}
+
+/// One FNV-1a fold of the probe surface on the tiny world: every third
+/// device's contact address, then from one vantage AS per device the
+/// hops to that address and to a vacant address in the same /64, and
+/// the outcome of a probe to each at TTL 1..=7 and 64.
+fn probe_surface_checksum(w: &World) -> (u64, [usize; 4]) {
+    let mut h = FNV_BASIS;
+    let mut fold = |x: u128| h = fnv1a(h, &x.to_le_bytes());
+    // Echo, Time Exceeded, Unreachable, silence: each must be reached.
+    let mut kinds = [0usize; 4];
+    for d in (0..w.device_count() as u32).step_by(3) {
+        let t = SimTime(u64::from(d) * 86_413 % 18_835_200);
+        let Some((addr, as_index)) = w.contact_addr_at(DeviceId(d), t) else {
+            fold(0);
+            continue;
+        };
+        fold(u128::from(addr));
+        fold(u128::from(as_index));
+        let vp = w.vantage_points[d as usize % w.vantage_points.len()].as_index;
+        let vacant = Ipv6Addr::from(u128::from(addr) ^ 0xdead_beef);
+        for dst in [addr, vacant] {
+            for hop in w.route_hops(vp, dst, t).iter() {
+                fold(u128::from(*hop));
+            }
+            for ttl in (1..=7).chain([64]) {
+                let (kind, from, hop) = match w.probe_ttl(vp, dst, ttl, t) {
+                    ProbeOutcome::EchoReply { from } => (0, from, 0),
+                    ProbeOutcome::TimeExceeded { from, hop } => (1, from, hop),
+                    ProbeOutcome::Unreachable { from } => (2, from, 0),
+                    ProbeOutcome::NoResponse => (3, Ipv6Addr::UNSPECIFIED, 0),
+                };
+                kinds[kind] += 1;
+                fold(u128::from(from) ^ (u128::from(hop) << 8 | kind as u128));
+            }
+        }
+    }
+    (h, kinds)
+}
+
+/// The probe surface equals the value the simulator has produced since
+/// its hash labels were strings: a label off by one byte (a dropped `/`
+/// in `path/{vp}/{dst}`, say) moves addresses, hops and coin flips alike,
+/// which the relative tests above, comparing the simulator with itself,
+/// cannot see.
+#[test]
+fn probe_surface_checksum_is_pinned() {
+    let (checksum, kinds) = probe_surface_checksum(world());
+    assert!(kinds.iter().all(|&n| n > 0), "outcome kinds {kinds:?}");
+    assert_eq!(checksum, 0x66fe_c4ec_c529_956d, "probe surface moved");
 }
