@@ -21,11 +21,11 @@ for lib in crates/*/src/lib.rs; do
 done
 # Size ratchet (ROADMAP item 10): a PR that shrinks crates/*/src lowers
 # this ceiling to its own count; one that grows it raises the ceiling in
-# its own diff and says why. 35 864 (+107 lines): `rng::hash_label` and its
-# test against `format!` (+39), the inline `Hops` path that `route_hops`
-# returns (+36), the transit list `World::build` keeps (+9), and the
-# `world_probe` kernels record (+23).
-src_ceiling=35864
+# its own diff and says why. 35 884 (+20 lines): `Dataset::from_observations`
+# folds runs before its sort and merges the partials (+14, half of it the
+# rustdoc and the reason the fold is not pre-sized), `tracking::analyze`
+# takes the `ntp` dataset (+3), and docs (+3).
+src_ceiling=35884
 src_lines=$(find crates/*/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
 echo "crates/*/src: $src_lines lines (ceiling $src_ceiling)"
 [ "$src_lines" -le "$src_ceiling" ] || { echo "crates/*/src grew past its ceiling"; exit 1; }

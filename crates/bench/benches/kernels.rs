@@ -1014,8 +1014,7 @@ fn ntp_exchange_records(world: &World) -> Vec<NtpExchangeRecord> {
     let mut servers: Vec<Stratum2Server> = (world.vantage_points.iter())
         .map(|vp| Stratum2Server::new(vp.clone()))
         .collect();
-    let n = events.len();
-    let record = |stage: &str, round: &mut dyn FnMut() -> u64| {
+    let record = |stage: &str, n: usize, round: &mut dyn FnMut() -> u64| {
         let (ns_per_event, allocs_per_event) = per_item(n, round);
         NtpExchangeRecord {
             stage: stage.into(),
@@ -1025,16 +1024,19 @@ fn ntp_exchange_records(world: &World) -> Vec<NtpExchangeRecord> {
         }
     };
     let select = |ev: &NtpEvent| pool.select(ev.country, u64::from(ev.device.0), ev.t);
+    let collect = || NtpCorpus::collect_with(world, SimTime::START, window, 1, &NoChaos);
+    let corpus = collect();
+    let n = events.len();
     vec![
-        record("stream", &mut || {
+        record("stream", n, &mut || {
             NtpEventStream::days(world, d0, d1).count() as u64
         }),
-        record("select", &mut || {
+        record("select", n, &mut || {
             (events.iter())
                 .map(|ev| select(ev).map_or(0, |vp| u64::from(vp.id)))
                 .sum()
         }),
-        record("exchange", &mut || {
+        record("exchange", n, &mut || {
             let mut answered = 0;
             for ev in &events {
                 let Some(vp) = select(ev) else { continue };
@@ -1047,8 +1049,9 @@ fn ntp_exchange_records(world: &World) -> Vec<NtpExchangeRecord> {
             }
             answered
         }),
-        record("collect", &mut || {
-            NtpCorpus::collect_with(world, SimTime::START, window, 1, &NoChaos).len() as u64
+        record("collect", n, &mut || collect().len() as u64),
+        record("dataset", corpus.len(), &mut || {
+            corpus.dataset().len() as u64
         }),
     ]
 }

@@ -164,11 +164,12 @@ pub struct NtpExchangeRecord {
     /// What was timed: the bare `v6netsim::NtpEventStream` ("stream"),
     /// `v6ntp::NtpPool::select` alone ("select"), select plus the wire
     /// round trip — client encode, server decode/validate/encode, client
-    /// decode/validate — ("exchange"), or `NtpCorpus::collect_with` at one
+    /// decode/validate — ("exchange"), `NtpCorpus::collect_with` at one
     /// thread, which runs the stream, the exchange and the log push
-    /// ("collect").
+    /// ("collect"), or `NtpCorpus::dataset` over that corpus, per
+    /// observation ("dataset").
     pub stage: String,
-    /// Events per timed round.
+    /// Events (observations, for "dataset") per timed round.
     pub events: usize,
     /// Mean nanoseconds per event (best of N rounds).
     pub ns_per_event: f64,

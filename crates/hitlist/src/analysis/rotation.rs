@@ -127,7 +127,7 @@ mod tests {
     fn estimates() -> Vec<RotationEstimate> {
         let w = World::build(WorldConfig::tiny(), 303);
         let corpus = NtpCorpus::collect_study(&w);
-        let tracking = analyze(&w, &corpus, 10);
+        let tracking = analyze(&w, &corpus, &corpus.dataset(), 10);
         infer_rotation_periods(&w, &tracking, 8)
     }
 

@@ -18,6 +18,7 @@ use v6netsim::{Country, World};
 
 use crate::cdf::Cdf;
 use crate::collect::ntp_passive::NtpCorpus;
+use crate::dataset::Dataset;
 
 /// §5.1 headline numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -164,17 +165,19 @@ pub struct TrackingAnalysis {
     pub transition_threshold: u64,
 }
 
-/// Runs the tracking analysis over a passive corpus.
-pub fn analyze(world: &World, corpus: &NtpCorpus, transition_threshold: u64) -> TrackingAnalysis {
+/// Runs the tracking analysis over a passive corpus and its dataset
+/// (`ntp`, the corpus's [`NtpCorpus::dataset`]), which supplies the
+/// unique-address counts.
+pub fn analyze(
+    world: &World,
+    corpus: &NtpCorpus,
+    ntp: &Dataset,
+    transition_threshold: u64,
+) -> TrackingAnalysis {
     // Unique addresses and the EUI-64 subset.
-    let mut addrs: Vec<u128> = Vec::with_capacity(corpus.observations.len());
-    addrs.extend(corpus.observations.iter().map(|o| o.addr));
-    v6par::radix_sort_by_key(&mut addrs, |&b| (b, 0));
-    addrs.dedup();
-    let corpus_addresses = addrs.len() as u64;
-    let eui64_addresses = addrs
-        .iter()
-        .filter(|&&a| Iid::new(a as u64).looks_like_eui64())
+    let corpus_addresses = ntp.len() as u64;
+    let eui64_addresses = (ntp.records().iter())
+        .filter(|r| r.iid().looks_like_eui64())
         .count() as u64;
 
     // Group EUI-64 observations per MAC.
@@ -345,7 +348,7 @@ mod tests {
     fn analysis() -> (World, TrackingAnalysis) {
         let w = World::build(WorldConfig::tiny(), 113);
         let corpus = NtpCorpus::collect(&w, SimTime::START, STUDY_DURATION);
-        let a = analyze(&w, &corpus, 10);
+        let a = analyze(&w, &corpus, &corpus.dataset(), 10);
         (w, a)
     }
 

@@ -60,7 +60,8 @@ struct CollectShard {
     initial_capacity: usize,
 }
 
-/// One compact corpus observation (24 bytes; corpora run to millions).
+/// One compact corpus observation (32 bytes: the `u128` aligns it to 16;
+/// corpora run to millions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NtpObservation {
     /// The source address bits.

@@ -21,8 +21,9 @@ pub struct Observation {
     pub t: SimTime,
 }
 
-/// Per-address aggregate over all observations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Per-address aggregate over all observations, ordered by address,
+/// then first sighting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct AddrRecord {
     /// The address.
     pub addr: Ipv6Addr,
@@ -75,37 +76,50 @@ pub struct Dataset {
 impl Dataset {
     /// Builds a dataset from raw observations (any order, duplicates fine).
     ///
-    /// One sequential radix sort of `(addr, t)` integer pairs
-    /// ([`v6par::radix_sort_u128`]) orders the observations, and one
-    /// linear pass folds them into per-address records. The build uses
-    /// no threads: on the pipeline's corpus a chunked parallel sort plus
+    /// One linear pass folds each run of consecutive equal addresses
+    /// into a partial record, one sequential radix sort
+    /// ([`v6par::radix_sort_by_key`]) orders the partials by
+    /// `(addr, first)`, and a second pass merges each address's partials
+    /// (min first, max last, summed count). The merge is
+    /// order-independent, so any input order is correct; input grouped
+    /// by address, as the device-major NTP corpus is, sorts one partial
+    /// per run instead of one element per observation. The build uses no
+    /// threads: on the pipeline's corpus a chunked parallel sort plus
     /// merge measured slower than this one pass.
     pub fn from_observations<I>(name: impl Into<String>, obs: I) -> Self
     where
         I: IntoIterator<Item = Observation>,
     {
-        let mut raw: Vec<(u128, u64)> = obs
-            .into_iter()
-            .map(|o| (u128::from(o.addr), o.t.as_secs()))
-            .collect();
-        v6par::radix_sort_u128(&mut raw);
-        let observations = raw.len() as u64;
+        // Not pre-sized from the iterator's length: that is one slot per
+        // observation, and the point of the fold is to hold one per run.
         let mut records: Vec<AddrRecord> = Vec::new();
-        for (bits, t) in raw {
+        let mut observations = 0u64;
+        for o in obs {
+            observations += 1;
             match records.last_mut() {
-                Some(r) if u128::from(r.addr) == bits => {
+                Some(r) if r.addr == o.addr => {
+                    r.first = r.first.min(o.t);
+                    r.last = r.last.max(o.t);
                     r.count += 1;
-                    // raw is sorted by (addr, t): t is non-decreasing.
-                    r.last = SimTime(t);
                 }
                 _ => records.push(AddrRecord {
-                    addr: Ipv6Addr::from(bits),
-                    first: SimTime(t),
-                    last: SimTime(t),
+                    addr: o.addr,
+                    first: o.t,
+                    last: o.t,
                     count: 1,
                 }),
             }
         }
+        v6par::radix_sort_by_key(&mut records, |r| (u128::from(r.addr), r.first.as_secs()));
+        records.dedup_by(|p, r| {
+            if p.addr != r.addr {
+                return false;
+            }
+            r.first = r.first.min(p.first);
+            r.last = r.last.max(p.last);
+            r.count += p.count;
+            true
+        });
         Dataset {
             name: name.into(),
             records,

@@ -151,14 +151,13 @@ impl Experiment {
     /// [`v6par::Dag`]) instead of straight-line code:
     ///
     /// ```text
-    /// corpus ──► ntp ─────────┐
-    ///    │                    ▼
-    ///    └─► tracking    alias_findings ◄── backscan
-    ///            │            ▲
-    ///            ▼            │
-    ///       geolocation    hitlist        caida
-    ///            ▲
-    ///        wardrive
+    /// corpus ──► ntp ──────► alias_findings ◄── backscan
+    ///    │        │               ▲
+    ///    │        ▼               │
+    ///    └───► tracking        hitlist        caida
+    ///             │
+    ///             ▼
+    ///        geolocation ◄── wardrive
     /// ```
     ///
     /// Independent stages run concurrently and the hot stages shard
@@ -194,7 +193,9 @@ impl Experiment {
     ///   fault-free [`Experiment::artifact_digest`] at any thread count;
     /// * any permanent fault ⇒ the loss report names exactly the lost
     ///   stages (plus their cascaded dependents) and lost collection
-    ///   days — never a silently truncated artifact.
+    ///   days — never a silently truncated artifact. A lost `ntp` stage,
+    ///   for one, also loses `alias_findings`, `tracking` and
+    ///   `geolocation`.
     pub fn run_chaos(config: ExperimentConfig, threads: usize, chaos: &dyn Chaos) -> ChaosRun {
         let started = std::time::Instant::now();
         let world = {
@@ -431,8 +432,8 @@ fn stage_dag<'e>(
             )
         },
     );
-    dag.add("tracking", &["corpus"], move |o| {
-        analyze_tracking(w, o.get::<NtpCorpus>("corpus"), cfg.transition_threshold)
+    dag.add("tracking", &["corpus", "ntp"], move |o| {
+        analyze_tracking(w, o.get("corpus"), o.get("ntp"), cfg.transition_threshold)
     });
     dag.add("geolocation", &["tracking", "wardrive"], move |o| {
         let leaked: Vec<v6addr::Mac> = o

@@ -89,7 +89,7 @@ const STAGES: [(&str, &[&str]); 9] = [
     ("backscan", &[]),
     ("wardrive", &[]),
     ("alias_findings", &["backscan", "hitlist", "ntp"]),
-    ("tracking", &["corpus"]),
+    ("tracking", &["corpus", "ntp"]),
     ("geolocation", &["tracking", "wardrive"]),
 ];
 

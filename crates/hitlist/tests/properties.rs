@@ -1,6 +1,7 @@
 //! Property-based tests for the core hitlist data structures.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 use v6hitlist::cdf::Cdf;
@@ -17,7 +18,54 @@ fn obs_strategy() -> impl Strategy<Value = Vec<Observation>> {
     )
 }
 
+/// Runs of observations over a pool of at most 8 addresses: each run is
+/// one address seen 1–4 times at unordered times, so addresses repeat in
+/// interleaved runs and the build's merge of per-run partials is
+/// exercised. Up to 1 500 runs, so the partials also cross the radix
+/// sort's comparison-sort cutoff.
+fn pooled_runs_strategy() -> impl Strategy<Value = Vec<Observation>> {
+    (
+        prop::collection::vec(any::<u128>(), 1..=8),
+        prop::collection::vec(
+            (0usize..8, prop::collection::vec(0u64..1_000, 1..=4)),
+            0..1_500,
+        ),
+    )
+        .prop_map(|(pool, runs)| {
+            runs.into_iter()
+                .flat_map(|(i, ts)| {
+                    let addr = Ipv6Addr::from(pool[i % pool.len()]);
+                    ts.into_iter().map(move |t| Observation {
+                        addr,
+                        t: SimTime(t),
+                    })
+                })
+                .collect()
+        })
+}
+
 proptest! {
+    /// Folding runs and merging their partials gives exactly the
+    /// per-address (first, last, count) of a map built one observation
+    /// at a time.
+    #[test]
+    fn dataset_merges_repeated_runs(obs in pooled_runs_strategy()) {
+        let mut oracle: BTreeMap<u128, (u64, u64, u64)> = BTreeMap::new();
+        for o in &obs {
+            let t = o.t.as_secs();
+            let e = oracle.entry(u128::from(o.addr)).or_insert((t, t, 0));
+            e.0 = e.0.min(t);
+            e.1 = e.1.max(t);
+            e.2 += 1;
+        }
+        let d = Dataset::from_observations("p", obs.clone());
+        prop_assert_eq!(d.observation_count(), obs.len() as u64);
+        let got: Vec<(u128, (u64, u64, u64))> = (d.records().iter())
+            .map(|r| (u128::from(r.addr), (r.first.as_secs(), r.last.as_secs(), r.count)))
+            .collect();
+        prop_assert_eq!(got, oracle.into_iter().collect::<Vec<_>>());
+    }
+
     /// Dataset aggregation conserves observation counts and orders
     /// first/last correctly.
     #[test]

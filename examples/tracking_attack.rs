@@ -14,7 +14,7 @@ fn main() {
     eprintln!("collecting passive NTP corpus (full study window) …");
     let corpus = NtpCorpus::collect_study(&world);
 
-    let t = analyze(&world, &corpus, 10);
+    let t = analyze(&world, &corpus, &corpus.dataset(), 10);
     println!(
         "corpus: {} unique addresses; {} EUI-64 ({:.1}%), {} embedded MACs",
         t.stats.corpus_addresses,
